@@ -1,0 +1,1 @@
+//! Resolution-only stand-in; see Cargo.toml.
