@@ -103,6 +103,6 @@ scripts/bench_compare.sh BENCH_baseline.json BENCH_pr3.json   # exit 1 on >15% r
 rebuild each epoch, cold-start MILP) under the same bench names, so the
 compare isolates exactly the optimized hot paths. Wall times are
 machine-dependent; the logical counters (`pivots`, `warm_hits`,
-`jobs_skipped`, `arena_bytes`) are deterministic for a given seed and
+`jobs_recomputed`, `arena_bytes`) are deterministic for a given seed and
 should match the committed files bit-for-bit. `dsp bench --quick` is the
 CI smoke variant.";

@@ -102,8 +102,8 @@ impl DspPolicy {
         DspPolicy::new(DspParams { use_pp: false, ..DspParams::default() })
     }
 
-    /// Work/skip counters of the incremental priority engine (perf
-    /// harness instrumentation).
+    /// Work counters of the incremental priority engine (perf harness
+    /// instrumentation).
     pub fn priority_stats(&self) -> PriorityEngineStats {
         self.engine.stats()
     }
@@ -151,7 +151,7 @@ impl PreemptPolicy for DspPolicy {
         self.p_bar = self.engine.mean_gap();
     }
 
-    fn decide(&mut self, now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
+    fn decide(&mut self, _now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
         let mut actions = Vec::new();
         if view.running.is_empty() || view.waiting.is_empty() {
             return actions;
@@ -188,7 +188,6 @@ impl PreemptPolicy for DspPolicy {
             // count as urgent — treating them so would preempt-storm the
             // node every epoch for the rest of the run. The starvation
             // override (τ) stays unconditional.
-            let _ = now;
             let savable = w.allowable_wait > Dur::ZERO;
             let urgent = (savable && w.allowable_wait <= self.params.epsilon)
                 || w.waiting >= self.params.tau;

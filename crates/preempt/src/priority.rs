@@ -185,25 +185,29 @@ pub fn mean_neighbor_gap(map: &PriorityMap) -> f64 {
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
-/// of the per-epoch work the dirty-tracking actually skipped, and how many
-/// bytes of persistent arena the engine holds (the workspace forbids
-/// `unsafe`, so a counting allocator is off the table — these logical
-/// counters are the observable substitute).
+/// per-epoch work the engine did, and how many bytes of persistent arena it
+/// holds (the workspace forbids `unsafe`, so a counting allocator is off
+/// the table — these logical counters are the observable substitute).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PriorityEngineStats {
     /// Epochs processed since construction (or since a world reset).
     pub epochs: u64,
     /// Job-epochs scanned (a job visible in some epoch's views).
     pub jobs_touched: u64,
-    /// Job-epochs where the Eq. 12 recursion re-ran (dirty).
+    /// Job-epochs where the Eq. 12 recursion ran: every touched one.
     pub jobs_recomputed: u64,
-    /// Job-epochs where the recursion was skipped (clean: identical live
-    /// set and bit-identical leaf inputs).
+    /// Always 0. A live job always holds a waiting or running task whose
+    /// `t_w`/`t_rem` moved since the previous epoch, so no recursion can be
+    /// skipped; the field remains for the harnesses that report it.
     pub jobs_skipped: u64,
     /// Times the persistent arenas were rebuilt because the job list
     /// changed shape (new run / non-append world change).
     pub world_resets: u64,
 }
+
+/// Where a live task's snapshot sits in the epoch's views: the view index
+/// and the position in that view's `running` ++ `waiting` chain.
+type SnapAt = (u32, u32);
 
 /// Per-job persistent scratch: one slot per task, reused across epochs.
 #[derive(Debug, Clone, Default)]
@@ -214,39 +218,34 @@ struct JobScratch {
     /// (allocating) per job per epoch; the DAG never changes, so once is
     /// enough.
     topo: Vec<u32>,
-    /// Eq. 13 leaf value per task, as of the last epoch it was live.
-    leaf: Vec<f64>,
-    /// Eq. 12/13 priority per task, as of the last recomputation.
+    /// Eq. 12/13 priority per task, valid where `stamp` is this epoch.
     prio: Vec<f64>,
     /// Epoch stamp marking which tasks are live this epoch.
     stamp: Vec<u64>,
+    /// Location of each live task's snapshot, valid where `stamp` is this
+    /// epoch; Eq. 13 reads its inputs from there only when it is needed.
+    at: Vec<SnapAt>,
     /// Epoch this job was last seen in some view.
     touch_epoch: u64,
-    /// Live tasks this epoch / the previous touched epoch.
+    /// Live tasks this epoch.
     live: u32,
-    prev_live: u32,
-    /// Does the Eq. 12 recursion need to re-run this epoch?
-    dirty: bool,
-    /// Min/max live priority (for the global mean-neighbour-gap).
-    lo: f64,
-    hi: f64,
 }
 
 /// Incremental Eq. 12/13 evaluator with persistent per-job arenas.
 ///
 /// Functionally identical to [`compute_priorities_ref`] — bit-for-bit,
 /// including floating-point summation order — but instead of rebuilding a
-/// `HashMap<u32, Vec<Option<TaskSnapshot>>>` plus per-job scratch vectors
-/// every epoch it:
+/// map of `Vec<Option<TaskSnapshot>>` plus per-job scratch vectors every
+/// epoch it:
 ///
 /// * keeps one arena per job (dense-indexed by the job's position in the
 ///   sorted `WorldCtx::jobs` slice), holding a cached topo order and one
-///   `f64` leaf/priority slot plus one epoch stamp per task;
-/// * detects **clean** jobs — live task set identical to the previous
-///   epoch and every live task's Eq. 13 leaf value bit-identical — and
-///   skips the Eq. 12 recursion for them entirely (their stored priorities
-///   are still exact);
-/// * folds per-job (min, max, live-count) aggregates so the global mean
+///   priority slot, epoch stamp and snapshot location per task;
+/// * scans the views once, only stamping liveness and recording where each
+///   snapshot sits — Eq. 13 (a division and three multiplies per task) is
+///   evaluated inside the Eq. 12 recursion, and only for tasks with no live
+///   child, the only place its value is ever used;
+/// * folds (min, max, live-count) during the recursion so the global mean
 ///   neighbour gap needs no second pass over all tasks.
 ///
 /// The world may grow (jobs appended with increasing ids, as the engine
@@ -282,16 +281,17 @@ impl PriorityEngine {
         let epoch = self.epoch;
         self.touched.clear();
 
-        // --- Scan pass: stamp live tasks, refresh leaf terms in place. ---
+        // --- Scan pass: stamp live tasks, note where their snapshots sit.
+        // A task listed twice keeps its last location, as the reference's
+        // slot overwrite does. ---
         let mut last: Option<(u32, usize)> = None; // (job id, dense) cache
-        for view in views {
-            for s in view.running.iter().chain(view.waiting.iter()) {
+        for (n, view) in views.iter().enumerate() {
+            for (pos, s) in view.running.iter().chain(view.waiting.iter()).enumerate() {
                 let jid = s.id.job.get();
                 let dense = match last {
                     Some((id, d)) if id == jid => d,
                     _ => {
-                        let d =
-                            self.ids.binary_search(&jid).expect("job appeared in an epoch view");
+                        let d = self.dense_of(jid).expect("job appeared in an epoch view");
                         last = Some((jid, d));
                         d
                     }
@@ -299,31 +299,21 @@ impl PriorityEngine {
                 let js = &mut self.jobs[dense];
                 if js.touch_epoch != epoch {
                     js.touch_epoch = epoch;
-                    js.prev_live = js.live;
                     js.live = 0;
-                    js.dirty = false;
                     if !js.init {
                         let job = &world.jobs[dense];
-                        let n = job.num_tasks();
+                        let n_tasks = job.num_tasks();
                         js.topo = job.dag.topo_order();
-                        js.leaf = vec![f64::NAN; n];
-                        js.prio = vec![f64::NAN; n];
-                        js.stamp = vec![0; n];
+                        js.prio = vec![f64::NAN; n_tasks];
+                        js.stamp = vec![0; n_tasks];
+                        js.at = vec![(0, 0); n_tasks];
                         js.init = true;
                     }
                     self.touched.push(dense as u32);
                     self.stats.jobs_touched += 1;
                 }
                 let idx = s.id.idx();
-                let nl = leaf_priority(s, w);
-                // Dirty when the task was not live last epoch (structure
-                // changed) or its leaf inputs moved (value changed). Fresh
-                // arenas hold NaN leaves, whose bits never equal a real
-                // Eq. 13 value, so first touches are always dirty.
-                if js.stamp[idx] != epoch - 1 || js.leaf[idx].to_bits() != nl.to_bits() {
-                    js.dirty = true;
-                }
-                js.leaf[idx] = nl;
+                js.at[idx] = (n as u32, pos as u32);
                 if js.stamp[idx] != epoch {
                     js.stamp[idx] = epoch;
                     js.live += 1;
@@ -331,61 +321,65 @@ impl PriorityEngine {
             }
         }
 
-        // --- Recompute pass: Eq. 12 recursion, dirty jobs only. ---
+        // --- Recursion pass: Eq. 12 over every touched job, Eq. 13 only
+        // where no live child contributes. ---
         self.live = 0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for &d in &self.touched {
             let job = &world.jobs[d as usize];
             let js = &mut self.jobs[d as usize];
-            // A task that was live last epoch but vanished changes the
-            // recursion's input; if a vanish is balanced by an appear the
-            // appearing task's stamp already flagged dirty above.
-            if js.live != js.prev_live {
-                js.dirty = true;
-            }
-            if js.dirty {
-                self.stats.jobs_recomputed += 1;
-                let mut jlo = f64::INFINITY;
-                let mut jhi = f64::NEG_INFINITY;
-                for i in (0..js.topo.len()).rev() {
-                    let v = js.topo[i];
-                    if js.stamp[v as usize] != epoch {
-                        js.prio[v as usize] = f64::NAN; // finished task
-                        continue;
-                    }
-                    // Same child order and summation order as the
-                    // reference — bit-for-bit equality depends on it.
-                    let child_sum: f64 = job
-                        .dag
-                        .children(v)
-                        .iter()
-                        .filter(|&&c| js.stamp[c as usize] == epoch)
-                        .map(|&c| (w.gamma + 1.0) * js.prio[c as usize])
-                        .sum();
-                    let p = if child_sum > 0.0 { child_sum } else { js.leaf[v as usize] };
-                    js.prio[v as usize] = p;
-                    jlo = jlo.min(p);
-                    jhi = jhi.max(p);
+            self.stats.jobs_recomputed += 1;
+            for i in (0..js.topo.len()).rev() {
+                let v = js.topo[i];
+                if js.stamp[v as usize] != epoch {
+                    continue; // finished (or not yet arrived) task
                 }
-                js.lo = jlo;
-                js.hi = jhi;
-            } else {
-                self.stats.jobs_skipped += 1;
+                // Same child order and summation order as the reference —
+                // bit-for-bit equality depends on it.
+                let child_sum: f64 = job
+                    .dag
+                    .children(v)
+                    .iter()
+                    .filter(|&&c| js.stamp[c as usize] == epoch)
+                    .map(|&c| (w.gamma + 1.0) * js.prio[c as usize])
+                    .sum();
+                let p = if child_sum > 0.0 {
+                    child_sum
+                } else {
+                    let (n, pos) = js.at[v as usize];
+                    let view = &views[n as usize];
+                    let pos = pos as usize;
+                    let s = match pos.checked_sub(view.running.len()) {
+                        None => &view.running[pos],
+                        Some(q) => &view.waiting[q],
+                    };
+                    leaf_priority(s, w)
+                };
+                js.prio[v as usize] = p;
+                lo = lo.min(p);
+                hi = hi.max(p);
             }
             self.live += js.live as usize;
-            lo = lo.min(js.lo);
-            hi = hi.max(js.hi);
         }
         self.lo = lo;
         self.hi = hi;
     }
 
+    /// Dense index of a job id: one probe when ids are dense
+    /// (`ids[jid] == jid`, every batch run), a binary search otherwise.
+    #[inline]
+    fn dense_of(&self, jid: u32) -> Option<usize> {
+        match self.ids.get(jid as usize) {
+            Some(&id) if id == jid => Some(jid as usize),
+            _ => self.ids.binary_search(&jid).ok(),
+        }
+    }
+
     /// Priority of a task, if it was live this epoch.
     #[inline]
     pub fn get(&self, t: &TaskId) -> Option<f64> {
-        let d = self.ids.binary_search(&t.job.get()).ok()?;
-        let js = &self.jobs[d];
+        let js = &self.jobs[self.dense_of(t.job.get())?];
         if *js.stamp.get(t.idx())? != self.epoch {
             return None;
         }
@@ -410,8 +404,8 @@ impl PriorityEngine {
     }
 
     /// The PP filter's global scale `P̄` for this epoch — same telescoped
-    /// `(max − min)/(n − 1)` as [`mean_neighbor_gap`], built from the
-    /// per-job aggregates folded during `begin_epoch`.
+    /// `(max − min)/(n − 1)` as [`mean_neighbor_gap`], from the extremes
+    /// folded during `begin_epoch`.
     pub fn mean_gap(&self) -> f64 {
         if self.live < 2 || !self.lo.is_finite() || !self.hi.is_finite() {
             return 0.0;
@@ -419,7 +413,7 @@ impl PriorityEngine {
         (self.hi - self.lo) / (self.live - 1) as f64
     }
 
-    /// Work/skip counters for the perf harness.
+    /// Work counters for the perf harness.
     pub fn stats(&self) -> PriorityEngineStats {
         self.stats
     }
@@ -431,8 +425,9 @@ impl PriorityEngine {
             + self.touched.capacity() * std::mem::size_of::<u32>();
         for js in &self.jobs {
             b += js.topo.capacity() * std::mem::size_of::<u32>()
-                + (js.leaf.capacity() + js.prio.capacity()) * std::mem::size_of::<f64>()
-                + js.stamp.capacity() * std::mem::size_of::<u64>();
+                + js.prio.capacity() * std::mem::size_of::<f64>()
+                + js.stamp.capacity() * std::mem::size_of::<u64>()
+                + js.at.capacity() * std::mem::size_of::<SnapAt>();
         }
         b
     }

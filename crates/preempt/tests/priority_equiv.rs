@@ -1,8 +1,9 @@
 //! The incremental [`PriorityEngine`] must stay **bit-for-bit** equal to
 //! the retained naive reference `compute_priorities_ref` across arbitrary
 //! epoch sequences: arrivals (world growth), completions, preemption-style
-//! churn of the leaf inputs, and lazy epochs where nothing changes (the
-//! clean-skip fast path must not drift by a single ULP).
+//! churn of the leaf inputs, and quiet epochs where nothing changes. The
+//! engine evaluates Eq. 13 lazily — only for tasks no live child feeds —
+//! so the edges of "no live child" get their own cases below.
 
 use dsp_cluster::NodeId;
 use dsp_dag::{generate::gen_dag, DagShape, Job, JobClass, JobId, TaskSpec};
@@ -186,4 +187,74 @@ proptest! {
         assert_epoch_equal(&engine, &snaps, &world, &w);
         prop_assert!(engine.stats().world_resets >= 1);
     }
+}
+
+/// One world, one weight set, a sequence of epochs over one engine: every
+/// epoch must equal the reference.
+fn assert_epochs_equal(jobs: &[Job], epochs: &[(u64, Vec<NodeView>)]) -> PriorityEngine {
+    let w = PriorityWeights::default();
+    let mut engine = PriorityEngine::new();
+    for (now_s, views) in epochs {
+        let world = WorldCtx { jobs, now: Time::from_secs(*now_s) };
+        engine.begin_epoch(views, &world, &w);
+        assert_epoch_equal(&engine, views, &world, &w);
+    }
+    engine
+}
+
+fn one_view(running: Vec<TaskSnapshot>, waiting: Vec<TaskSnapshot>) -> NodeView {
+    NodeView { node: NodeId(0), running, waiting, slots: 2 }
+}
+
+#[test]
+fn live_non_sink_with_all_children_absent_takes_eq13() {
+    // Chain 0 → 1 → 2 with only the root in the views (children finished,
+    // or not yet injected): it has children in the DAG but none live, so
+    // its priority is its own Eq. 13 value, not an empty Eq. 12 sum.
+    let job = mk_job(0, 3, 1, 7);
+    let root = snap(&job, 0, 2_000, 4_000, 10_000, true);
+    let engine =
+        assert_epochs_equal(std::slice::from_ref(&job), &[(1, vec![one_view(vec![root], vec![])])]);
+    let want = dsp_preempt::priority::leaf_priority(&root, &PriorityWeights::default());
+    assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
+    assert_eq!(engine.len(), 1);
+    // The middle task alone: its parent and child are both absent.
+    let mid = snap(&job, 1, 500, 0, 0, false);
+    assert_epochs_equal(&[job], &[(1, vec![one_view(vec![], vec![mid])])]);
+}
+
+#[test]
+fn duplicate_snapshots_keep_the_last_one() {
+    // The same task listed in two views with different leaf inputs: the
+    // reference's slot overwrite keeps the last, and so must the recorded
+    // snapshot location — across views and within one view's
+    // running ++ waiting chain.
+    let job = mk_job(4, 2, 0, 1);
+    let early = snap(&job, 0, 1_000, 10, 20, true);
+    let late = snap(&job, 0, 4_000, 900, 5, false);
+    let other = snap(&job, 1, 700, 1, 2, false);
+    let across = vec![one_view(vec![early], vec![other]), one_view(vec![], vec![late])];
+    let within = vec![one_view(vec![early], vec![other, late])];
+    let engine = assert_epochs_equal(std::slice::from_ref(&job), &[(1, across), (2, within)]);
+    let want = dsp_preempt::priority::leaf_priority(&late, &PriorityWeights::default());
+    assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
+    assert_eq!(engine.len(), 2);
+}
+
+#[test]
+fn zero_length_epochs_stay_exact() {
+    // Two epochs at the same instant over identical views (a service tick
+    // that lands on an epoch boundary twice), then the same instant with a
+    // sink gone: no state carried between epochs may leak into the answer.
+    let job = mk_job(2, 6, 3, 11);
+    let all: Vec<TaskSnapshot> =
+        (0..6u32).map(|v| snap(&job, v, 1_000 + v as u64, 50, 3_000, v % 2 == 0)).collect();
+    let split = |snaps: &[TaskSnapshot]| {
+        let (running, waiting): (Vec<_>, Vec<_>) = snaps.iter().partition(|s| s.running);
+        vec![one_view(running, waiting)]
+    };
+    let sink = *job.dag.topo_order().last().expect("six tasks");
+    let fewer: Vec<TaskSnapshot> =
+        all.iter().copied().filter(|s| s.id != job.task_id(sink)).collect();
+    assert_epochs_equal(&[job], &[(5, split(&all)), (5, split(&all)), (5, split(&fewer))]);
 }

@@ -125,9 +125,13 @@ pub struct Engine {
     /// Straggler rate multiplier per node (1.0 = healthy).
     rate_factor: Vec<f64>,
     fault_plan: crate::faults::FaultPlan,
-    /// Reusable per-epoch node views: the snapshot buffers persist across
-    /// epochs so the policy pass allocates nothing in steady state.
-    view_scratch: Vec<NodeView>,
+    /// The policy's node views, maintained rather than rebuilt: each
+    /// node's `waiting` list mirrors `NodeRt::queue` index for index (kept
+    /// so by [`Engine::queue_insert`] / [`Engine::queue_remove`] at every
+    /// queue mutation), a full snapshot is built only when a task enters a
+    /// list, and `handle_epoch` refreshes the clock-dependent fields in
+    /// place. Live only while `epoch_enabled`; a no-op policy pays nothing.
+    views: Vec<NodeView>,
 }
 
 impl Engine {
@@ -165,7 +169,7 @@ impl Engine {
             dead_forever: vec![false; n],
             rate_factor: vec![1.0; n],
             fault_plan: crate::faults::FaultPlan::none(),
-            view_scratch: Vec::new(),
+            views: Vec::new(),
         };
         e.add_jobs(jobs);
         e
@@ -265,6 +269,15 @@ impl Engine {
         }
         self.primed = true;
         self.epoch_enabled = !policy.is_noop();
+        if self.epoch_enabled {
+            debug_assert!(self.nodes.iter().all(|n| n.queue.is_empty() && n.running.is_empty()));
+            self.views = self
+                .cluster
+                .nodes
+                .iter()
+                .map(|n| NodeView { node: n.id, slots: n.slots, ..NodeView::default() })
+                .collect();
+        }
         let staged = std::mem::take(&mut self.staged);
         let first_at = staged.iter().map(|(t, _)| *t).min();
         for (at, s) in staged {
@@ -501,6 +514,7 @@ impl Engine {
         for &n in &touched {
             let tasks = &self.tasks;
             self.nodes[n].queue.sort_by_key(|&g| (tasks[g].planned_start.as_micros(), g));
+            self.rebuild_waiting_view(n);
             self.fill_node(n);
         }
     }
@@ -544,13 +558,10 @@ impl Engine {
             return;
         }
         let slots = self.cluster.nodes[n].slots;
-        // Compact non-waiting entries once so the lookahead window covers
-        // real waiting tasks; within this fill, dispatch is the only
-        // mutation and it removes its entry itself, so one pass suffices.
-        {
-            let tasks = &self.tasks;
-            self.nodes[n].queue.retain(|&g| tasks[g].state == RtState::Waiting);
-        }
+        debug_assert!(
+            self.nodes[n].queue.iter().all(|&g| self.tasks[g].state == RtState::Waiting),
+            "node {n}: queue holds a non-waiting task (see the NodeRt invariant)",
+        );
         while self.nodes[n].running.len() < slots {
             let window = if self.nodes[n].running.is_empty() {
                 self.nodes[n].queue.len()
@@ -563,7 +574,7 @@ impl Engine {
             };
             match pos {
                 Some(p) => {
-                    let g = self.nodes[n].queue.remove(p);
+                    let g = self.queue_remove(n, p);
                     self.dispatch(g);
                 }
                 None => break,
@@ -668,8 +679,61 @@ impl Engine {
         }
     }
 
-    /// Rebuild the epoch's node views into `views`, reusing whatever
-    /// snapshot capacity the buffers already hold.
+    /// Queue task `g` (already `Waiting`, node assigned) on node `n` at its
+    /// planned-start position; the maintained view gains the task's
+    /// snapshot at the same index.
+    fn queue_insert(&mut self, n: usize, g: usize) {
+        let pos = self.nodes[n].insert_by_planned_start(&self.tasks, g);
+        if self.epoch_enabled {
+            let snap = self.snapshot(g);
+            self.views[n].waiting.insert(pos, snap);
+        }
+    }
+
+    /// Take the entry at position `pos` out of node `n`'s queue and out of
+    /// the maintained view; returns the task.
+    fn queue_remove(&mut self, n: usize, pos: usize) -> usize {
+        if self.epoch_enabled {
+            self.views[n].waiting.remove(pos);
+        }
+        self.nodes[n].queue.remove(pos)
+    }
+
+    /// Re-derive node `n`'s whole waiting view from its queue: after a
+    /// batch injection re-sorted the queue, and after the node's rate
+    /// changed under every waiting task's `t^rem`.
+    fn rebuild_waiting_view(&mut self, n: usize) {
+        if !self.epoch_enabled {
+            return;
+        }
+        let mut waiting = std::mem::take(&mut self.views[n].waiting);
+        waiting.clear();
+        waiting.extend(self.nodes[n].queue.iter().map(|&g| self.snapshot(g)));
+        self.views[n].waiting = waiting;
+    }
+
+    /// Bring the maintained views up to the epoch instant: the few running
+    /// entries are rebuilt, waiting entries get only their clock-dependent
+    /// fields (`t^w`, `t^a`, readiness) refreshed — everything else in a
+    /// waiting snapshot is constant from insertion to removal.
+    fn refresh_views(&self, views: &mut [NodeView]) {
+        let now = self.now;
+        for (view, node) in views.iter_mut().zip(&self.nodes) {
+            view.running.clear();
+            view.running.extend(node.running.iter().map(|&g| self.snapshot(g)));
+            debug_assert_eq!(view.waiting.len(), node.queue.len());
+            for (s, &g) in view.waiting.iter_mut().zip(&node.queue) {
+                let rt = &self.tasks[g];
+                s.waiting = rt.waiting_at(now);
+                s.allowable_wait = (s.deadline - s.remaining_time).since(now);
+                s.ready = rt.ready();
+            }
+        }
+    }
+
+    /// The reference the maintained views are held against (tests and
+    /// debug builds only): every node's views re-derived from scratch.
+    #[cfg(any(test, debug_assertions))]
     fn build_views_into(&self, views: &mut Vec<NodeView>) {
         views.resize_with(self.nodes.len(), NodeView::default);
         for (n, view) in views.iter_mut().enumerate() {
@@ -682,6 +746,33 @@ impl Engine {
                     .filter(|&&g| self.tasks[g].state == RtState::Waiting)
                     .map(|&g| self.snapshot(g)),
             );
+        }
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    fn assert_views_match_rebuild(&self, views: &[NodeView]) {
+        let mut rebuilt = Vec::new();
+        self.build_views_into(&mut rebuilt);
+        assert_eq!(
+            views,
+            &rebuilt[..],
+            "maintained policy views diverged from a from-scratch rebuild at {}",
+            self.now
+        );
+    }
+
+    /// Differential self-check, compiled into tests and debug builds only:
+    /// the maintained policy views, refreshed to the current instant, must
+    /// equal a from-scratch rebuild. `handle_epoch` holds every epoch to
+    /// the same comparison; tests call this between steps, where no epoch
+    /// falls.
+    #[cfg(any(test, debug_assertions))]
+    #[doc(hidden)]
+    pub fn assert_views_current(&self) {
+        if self.epoch_enabled {
+            let mut views = self.views.clone();
+            self.refresh_views(&mut views);
+            self.assert_views_match_rebuild(&views);
         }
     }
 
@@ -703,7 +794,7 @@ impl Engine {
                 rt.recovery_charges += 1;
             }
             rt.gen += 1; // invalidate the in-flight finish event
-            self.nodes[n].insert_by_planned_start(&self.tasks, g);
+            self.queue_insert(n, g);
         }
         victims
     }
@@ -727,11 +818,12 @@ impl Engine {
                 (0..self.cluster.len()).filter(|&k| self.alive[k]).collect();
             if !survivors.is_empty() {
                 let orphans: Vec<usize> = std::mem::take(&mut self.nodes[n].queue);
+                self.rebuild_waiting_view(n); // now empty
                 let migrated = orphans.len(); // includes the killed victims
                 for (i, g) in orphans.into_iter().enumerate() {
                     let dst = survivors[i % survivors.len()];
                     self.tasks[g].node = self.cluster.nodes[dst].id;
-                    self.nodes[dst].insert_by_planned_start(&self.tasks, g);
+                    self.queue_insert(dst, g);
                 }
                 self.metrics.on_node_fault(migrated.max(displaced));
                 for &dst in &survivors {
@@ -754,6 +846,7 @@ impl Engine {
     fn handle_slowdown(&mut self, n: usize, factor: f64) {
         if !self.alive[n] {
             self.rate_factor[n] = factor;
+            self.rebuild_waiting_view(n);
             return;
         }
         // Account progress at the OLD rate first, then switch. Nothing is
@@ -763,6 +856,7 @@ impl Engine {
             victims.len()
         };
         self.rate_factor[n] = factor;
+        self.rebuild_waiting_view(n);
         if displaced > 0 {
             self.metrics.fault_rescheduled += displaced as u64;
         }
@@ -772,8 +866,10 @@ impl Engine {
     fn handle_epoch(&mut self, policy: &mut dyn PreemptPolicy) {
         if self.finished < self.injected || self.pending_injections > 0 {
             // Work remains; run the policy and re-arm.
-            let mut views = std::mem::take(&mut self.view_scratch);
-            self.build_views_into(&mut views);
+            let mut views = std::mem::take(&mut self.views);
+            self.refresh_views(&mut views);
+            #[cfg(any(test, debug_assertions))]
+            self.assert_views_match_rebuild(&views);
             let actions: Vec<(usize, Vec<PreemptAction>)> = {
                 let world = WorldCtx { jobs: &self.jobs, now: self.now };
                 policy.begin_epoch(self.now, &views, &world);
@@ -783,7 +879,7 @@ impl Engine {
                     .map(|(n, v)| (n, policy.decide(self.now, v, &world)))
                     .collect()
             };
-            self.view_scratch = views;
+            self.views = views;
             let checkpointing = policy.checkpointing();
             for (n, acts) in actions {
                 for act in acts {
@@ -860,7 +956,7 @@ impl Engine {
         }
         self.nodes[n].running.retain(|&x| x != eg);
         // Re-queue at the position its planned start dictates.
-        self.nodes[n].insert_by_planned_start(&self.tasks, eg);
+        self.queue_insert(n, eg);
         self.metrics.on_preemption(recovery);
 
         // --- Dispatch the preempting task. ---
@@ -876,7 +972,7 @@ impl Engine {
             return;
         }
         if let Some(p) = self.nodes[n].queue.iter().position(|&g| g == ag) {
-            self.nodes[n].queue.remove(p);
+            self.queue_remove(n, p);
         }
         self.dispatch(ag);
     }

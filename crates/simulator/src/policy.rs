@@ -51,7 +51,7 @@ pub struct TaskSnapshot {
 
 /// One node's epoch view: the running set and the waiting queue in planned
 /// starting-time order (the paper's Fig. 4 queues).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeView {
     /// The node.
     pub node: NodeId,
@@ -95,12 +95,25 @@ impl<'a> WorldCtx<'a> {
     /// jobs never depend on each other (cross-job dependency is future work
     /// in the paper's conclusion).
     pub fn depends_on(&self, a: TaskId, b: TaskId) -> bool {
-        a.job == b.job && self.job_of(a).dag.depends_on(a.index, b.index)
+        if a.job != b.job {
+            return false;
+        }
+        let job = self.job_of(a);
+        // Levels are longest-path depths, so an ancestor sits at a strictly
+        // shallower level: most C2 probes are settled here, before the
+        // allocating BFS.
+        let levels = job.levels();
+        levels.level_of(a.index) > levels.level_of(b.index) && job.dag.depends_on(a.index, b.index)
     }
 
-    /// The job with the given id, if present.
+    /// The job with the given id, if present. Dense ids (`jobs[i].id == i`,
+    /// every batch run) resolve with one probe; sparse ids (the service's
+    /// strided lanes) fall back to a binary search.
     pub fn find(&self, id: JobId) -> Option<&'a Job> {
-        self.jobs.binary_search_by(|j| j.id.cmp(&id)).ok().map(|i| &self.jobs[i])
+        match self.jobs.get(id.idx()) {
+            Some(j) if j.id == id => Some(j),
+            _ => self.jobs.binary_search_by(|j| j.id.cmp(&id)).ok().map(|i| &self.jobs[i]),
+        }
     }
 
     /// The job owning a task; panics if the engine handed out a snapshot

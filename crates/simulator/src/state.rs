@@ -199,6 +199,12 @@ impl TaskRt {
 
 /// Per-node runtime: the waiting queue (planned-start order) and running
 /// set, both as dense task indices.
+///
+/// Invariant: `queue` holds exactly the tasks assigned to this node whose
+/// state is [`RtState::Waiting`] — every transition out of `Waiting`
+/// (dispatch) removes the entry in the same step, every transition into it
+/// (injection, eviction, fault kill, migration) inserts one. The engine's
+/// maintained policy view mirrors `queue` index for index and relies on it.
 #[derive(Debug, Clone, Default)]
 pub struct NodeRt {
     /// Waiting tasks, ascending planned start.
@@ -209,11 +215,13 @@ pub struct NodeRt {
 
 impl NodeRt {
     /// Insert waiting task `g` at the position its planned start dictates
-    /// (ties break by dense index — the engine's global queue order).
-    pub fn insert_by_planned_start(&mut self, tasks: &[TaskRt], g: usize) {
+    /// (ties break by dense index — the engine's global queue order) and
+    /// return that position.
+    pub fn insert_by_planned_start(&mut self, tasks: &[TaskRt], g: usize) -> usize {
         let key = (tasks[g].planned_start.as_micros(), g);
         let pos = self.queue.partition_point(|&q| (tasks[q].planned_start.as_micros(), q) < key);
         self.queue.insert(pos, g);
+        pos
     }
 }
 

@@ -1,6 +1,7 @@
 //! Property tests for the engine: conservation, dependency safety and
 //! determinism must hold under *adversarial random preemption policies*,
-//! not just the well-behaved ones.
+//! not just the well-behaved ones — and the policy views the engine
+//! maintains event by event must equal a from-scratch rebuild throughout.
 
 use dsp_cluster::{uniform, NodeId};
 use dsp_dag::{generate::gen_dag, DagShape, Job, JobClass, JobId, TaskSpec};
@@ -17,11 +18,22 @@ use rand::{Rng, SeedableRng};
 struct ChaosPolicy {
     rng: StdRng,
     checkpoint: bool,
+    /// Epochs consulted so far.
+    epochs: u64,
+}
+
+impl ChaosPolicy {
+    fn new(seed: u64, checkpoint: bool) -> Self {
+        ChaosPolicy { rng: StdRng::seed_from_u64(seed), checkpoint, epochs: 0 }
+    }
 }
 
 impl PreemptPolicy for ChaosPolicy {
     fn name(&self) -> &str {
         "chaos"
+    }
+    fn begin_epoch(&mut self, _now: Time, _views: &[NodeView], _world: &WorldCtx<'_>) {
+        self.epochs += 1;
     }
     fn decide(&mut self, _now: Time, view: &NodeView, _world: &WorldCtx<'_>) -> Vec<PreemptAction> {
         let mut actions = Vec::new();
@@ -99,7 +111,7 @@ proptest! {
                 EngineConfig { epoch: Dur::from_secs(5), ..EngineConfig::default() },
             );
             e.add_batch(Time::ZERO, schedule.clone());
-            e.run(&mut ChaosPolicy { rng: StdRng::seed_from_u64(seed ^ 0xC0FFEE), checkpoint: true })
+            e.run(&mut ChaosPolicy::new(seed ^ 0xC0FFEE, true))
         };
         let m = run();
         prop_assert_eq!(m.tasks_completed as usize, n_jobs * tasks_each);
@@ -134,8 +146,73 @@ proptest! {
         );
         e.add_batch(Time::ZERO, schedule);
         e.add_faults(faults);
-        let m = e.run(&mut ChaosPolicy { rng: StdRng::seed_from_u64(seed), checkpoint: true });
+        let m = e.run(&mut ChaosPolicy::new(seed, true));
         prop_assert_eq!(m.tasks_completed as usize, 2 * tasks_each);
         prop_assert_eq!(m.jobs_completed(), 2);
+    }
+
+    /// Differential: the event-maintained policy views against a rebuild.
+    /// Chaos preemption (checkpointing on and off) × a permanent kill, a
+    /// transient crash, stragglers that slow down (one while crashed) and
+    /// recover — staged and injected mid-stream — × jobs and batches fed
+    /// between `step_until` calls, some onto the dead node. Debug builds
+    /// compare at every epoch inside the engine; the explicit calls here
+    /// add the instants between steps, where no epoch falls.
+    #[test]
+    fn maintained_views_equal_a_rebuild(
+        tasks_each in 1usize..10,
+        shape in 0u8..4,
+        seed in 0u64..300,
+        checkpoint in 0u8..2,
+        crash_at in 1u64..30,
+        slow_at in 1u64..30,
+        step_ms in 500u64..9_000,
+    ) {
+        const WAVES: usize = 3;
+        let jobs = mk_jobs(WAVES, tasks_each, shape, seed);
+        let wave = |k: usize| round_robin_schedule(&jobs[k..=k], 3);
+        let mut e = Engine::new(
+            jobs[..1].to_vec(),
+            uniform(3, 1000.0, 2),
+            EngineConfig { epoch: Dur::from_secs(2), ..EngineConfig::default() },
+        );
+        e.add_batch(Time::ZERO, wave(0));
+        e.add_faults(
+            FaultPlan::none()
+                .kill(NodeId(0), Time::from_secs(crash_at))
+                .straggle(NodeId(1), Time::from_secs(slow_at), 0.5),
+        );
+        let mut policy = ChaosPolicy::new(seed, checkpoint == 1);
+        let mut now = Time::ZERO;
+        for k in 1..WAVES {
+            now += Dur::from_millis(step_ms);
+            e.step_until(&mut policy, now);
+            #[cfg(debug_assertions)]
+            e.assert_views_current();
+            e.add_jobs(jobs[k..=k].to_vec());
+            e.add_batch(now, wave(k));
+            if k == 1 {
+                e.add_faults(
+                    FaultPlan::none()
+                        .crash(NodeId(2), Time::from_secs(crash_at + 2), Time::from_secs(crash_at + 10))
+                        .straggle(NodeId(1), Time::from_secs(slow_at + 7), 1.0)
+                        // A rate change while the node is down and its
+                        // queue is parked.
+                        .straggle(NodeId(2), Time::from_secs(crash_at + 5), 0.7),
+                );
+            }
+        }
+        // Step through the tail too, so the between-epoch check keeps
+        // running while faults fire and queues drain.
+        while !e.idle() && now < Time::from_secs(3_600) {
+            now += Dur::from_millis(step_ms);
+            e.step_until(&mut policy, now);
+            #[cfg(debug_assertions)]
+            e.assert_views_current();
+        }
+        let m = e.run(&mut policy);
+        prop_assert_eq!(m.tasks_completed as usize, WAVES * tasks_each);
+        prop_assert_eq!(m.jobs_completed(), WAVES);
+        prop_assert!(policy.epochs > 0, "the policy was never consulted");
     }
 }
