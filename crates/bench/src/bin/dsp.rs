@@ -64,6 +64,7 @@ use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write as _;
 
 struct Args {
     cluster: ClusterProfile,
@@ -200,7 +201,9 @@ fn parse(argv: &[String]) -> Args {
 }
 
 fn write_artifact(path: &str, artifact: &Json) {
-    if let Err(e) = std::fs::write(path, artifact.to_string() + "\n") {
+    // Straight from the encoder's buffer to the file: no copy of the text.
+    let written = std::fs::File::create(path).and_then(|mut f| writeln!(f, "{artifact}"));
+    if let Err(e) = written {
         eprintln!("dsp: cannot write {path}: {e}");
         std::process::exit(2)
     }
@@ -690,7 +693,6 @@ fn serve_main(argv: &[String]) {
     println!("dspd listening on {}", handle.addr);
     println!("dspd frontend: {}", frontend.name());
     println!("dspd shards: {} (route: {})", handle.shards(), route.name());
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     handle.wait();
     println!("dspd drained; exiting");

@@ -6,7 +6,7 @@
 //! understand instead of misreading them. [`FORMAT_VERSION`] is the
 //! current version; bump it on any incompatible shape change.
 
-use crate::json::Json;
+use crate::json::{Json, Writer};
 use dsp_cluster::{ClusterSpec, Node, NodeId};
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskId, TaskSpec};
 use dsp_metrics::RunMetrics;
@@ -41,6 +41,13 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, CodecError> {
     field(v, key)?.as_u64().ok_or_else(|| CodecError(format!("field '{key}' must be a u64")))
 }
 
+/// Ids, indices, and counts are `u32` in memory: a wider value in an
+/// artifact is corruption, never something to wrap around.
+fn u32_field(v: &Json, key: &str) -> Result<u32, CodecError> {
+    let wide = u64_field(v, key)?;
+    u32::try_from(wide).map_err(|_| CodecError(format!("field '{key}' = {wide} exceeds u32")))
+}
+
 fn f64_field(v: &Json, key: &str) -> Result<f64, CodecError> {
     field(v, key)?.as_f64().ok_or_else(|| CodecError(format!("field '{key}' must be a number")))
 }
@@ -65,6 +72,10 @@ fn dur_field(v: &Json, key: &str) -> Result<Dur, CodecError> {
     Ok(Dur::from_micros(u64_field(v, key)?))
 }
 
+fn task_id_fields(v: &Json) -> Result<TaskId, CodecError> {
+    Ok(TaskId { job: JobId(u32_field(v, "job")?), index: u32_field(v, "index")? })
+}
+
 // ---------------------------------------------------------------- versioning
 
 /// Read the `format_version` stamp off an artifact.
@@ -84,21 +95,32 @@ pub fn check_version(v: &Json) -> Result<(), CodecError> {
     Ok(())
 }
 
-fn stamp(kind: &str, mut fields: Vec<(&str, Json)>) -> Json {
-    fields.push(("format_version", Json::U64(FORMAT_VERSION)));
-    fields.push(("kind", Json::Str(kind.to_string())));
-    Json::obj(fields)
+/// Encode a versioned artifact `{format_version, kind, <key>: <body>}`.
+/// Every encoder below writes its keys in ascending order — the
+/// [`Writer`] contract (DESIGN.md §10.8) — so `key` says on which side
+/// of the stamp the body sorts.
+fn artifact(kind: &'static str, key: &'static str, body: impl FnOnce(&mut Writer)) -> Json {
+    Json::encode(|w| {
+        w.begin_obj();
+        if key < "format_version" {
+            w.key(key);
+            body(w);
+            w.key("format_version").u64(FORMAT_VERSION);
+        } else {
+            w.key("format_version").u64(FORMAT_VERSION);
+            w.key(key);
+            body(w);
+        }
+        w.key("kind").str(kind).end_obj();
+    })
 }
 
 // --------------------------------------------------------------------- units
 
-fn resources_to_json(r: &ResourceVec) -> Json {
-    Json::obj(vec![
-        ("cpu", Json::F64(r.cpu)),
-        ("mem", Json::F64(r.mem)),
-        ("disk", Json::F64(r.disk)),
-        ("bw", Json::F64(r.bw)),
-    ])
+pub(crate) fn write_resources(w: &mut Writer, r: &ResourceVec) {
+    w.begin_obj();
+    w.key("bw").f64(r.bw).key("cpu").f64(r.cpu).key("disk").f64(r.disk).key("mem").f64(r.mem);
+    w.end_obj();
 }
 
 fn resources_from_json(v: &Json) -> Result<ResourceVec, CodecError> {
@@ -112,7 +134,7 @@ fn resources_from_json(v: &Json) -> Result<ResourceVec, CodecError> {
 
 // ---------------------------------------------------------------------- jobs
 
-fn class_to_str(c: JobClass) -> &'static str {
+pub(crate) fn class_to_str(c: JobClass) -> &'static str {
     match c {
         JobClass::Small => "Small",
         JobClass::Medium => "Medium",
@@ -120,22 +142,21 @@ fn class_to_str(c: JobClass) -> &'static str {
     }
 }
 
-fn class_from_str(s: &str) -> Result<JobClass, CodecError> {
+pub(crate) fn class_from_str(s: &str) -> Option<JobClass> {
     match s {
-        "Small" => Ok(JobClass::Small),
-        "Medium" => Ok(JobClass::Medium),
-        "Large" => Ok(JobClass::Large),
-        other => err(format!("unknown job class '{other}'")),
+        "Small" => Some(JobClass::Small),
+        "Medium" => Some(JobClass::Medium),
+        "Large" => Some(JobClass::Large),
+        _ => None,
     }
 }
 
-fn task_spec_to_json(t: &TaskSpec) -> Json {
-    Json::obj(vec![
-        ("size", Json::F64(t.size.get())),
-        ("est_size", Json::F64(t.est_size.get())),
-        ("demand", resources_to_json(&t.demand)),
-        ("recovery", Json::U64(t.recovery.as_micros())),
-    ])
+fn write_task_spec(w: &mut Writer, t: &TaskSpec) {
+    w.begin_obj().key("demand");
+    write_resources(w, &t.demand);
+    w.key("est_size").f64(t.est_size.get());
+    w.key("recovery").u64(t.recovery.as_micros());
+    w.key("size").f64(t.size.get()).end_obj();
 }
 
 fn task_spec_from_json(v: &Json) -> Result<TaskSpec, CodecError> {
@@ -145,6 +166,13 @@ fn task_spec_from_json(v: &Json) -> Result<TaskSpec, CodecError> {
         demand: resources_from_json(field(v, "demand")?)?,
         recovery: dur_field(v, "recovery")?,
     })
+}
+
+/// Write dependency edges as `[[from,to],…]`.
+pub(crate) fn write_edges(w: &mut Writer, edges: impl IntoIterator<Item = (u32, u32)>) {
+    w.arr(edges, |w, (u, v)| {
+        w.begin_arr().u64(u64::from(u)).u64(u64::from(v)).end_arr();
+    });
 }
 
 fn edges_from_json(v: &[Json], n: usize) -> Result<Dag, CodecError> {
@@ -164,41 +192,35 @@ fn edges_from_json(v: &[Json], n: usize) -> Result<Dag, CodecError> {
     Ok(dag)
 }
 
+fn write_job(w: &mut Writer, job: &Job) {
+    w.begin_obj();
+    w.key("arrival").u64(job.arrival.as_micros());
+    w.key("class").str(class_to_str(job.class));
+    w.key("deadline").u64(job.deadline.as_micros());
+    w.key("edges");
+    write_edges(w, job.dag.edges());
+    w.key("id").u64(u64::from(job.id.0));
+    w.key("tasks").arr(&job.tasks, write_task_spec).end_obj();
+}
+
 /// Encode one job.
 pub fn job_to_json(job: &Job) -> Json {
-    Json::obj(vec![
-        ("id", Json::U64(u64::from(job.id.0))),
-        ("class", Json::Str(class_to_str(job.class).to_string())),
-        ("arrival", Json::U64(job.arrival.as_micros())),
-        ("deadline", Json::U64(job.deadline.as_micros())),
-        ("tasks", Json::Arr(job.tasks.iter().map(task_spec_to_json).collect())),
-        (
-            "edges",
-            Json::Arr(
-                job.dag
-                    .edges()
-                    .map(|(u, v)| Json::Arr(vec![Json::U64(u64::from(u)), Json::U64(u64::from(v))]))
-                    .collect(),
-            ),
-        ),
-    ])
+    Json::encode(|w| write_job(w, job))
 }
 
 /// Decode one job (levels are recomputed by `Job::new`).
 pub fn job_from_json(v: &Json) -> Result<Job, CodecError> {
-    let id = u64_field(v, "id")?;
-    if id > u64::from(u32::MAX) {
-        return err(format!("job id {id} exceeds u32"));
-    }
+    let id = JobId(u32_field(v, "id")?);
     let tasks: Vec<TaskSpec> =
         arr_field(v, "tasks")?.iter().map(task_spec_from_json).collect::<Result<_, _>>()?;
     if tasks.is_empty() {
         return err("job has no tasks");
     }
     let dag = edges_from_json(arr_field(v, "edges")?, tasks.len())?;
+    let class = str_field(v, "class")?;
     Ok(Job::new(
-        JobId(id as u32),
-        class_from_str(str_field(v, "class")?)?,
+        id,
+        class_from_str(class).ok_or_else(|| CodecError(format!("unknown job class '{class}'")))?,
         time_field(v, "arrival")?,
         time_field(v, "deadline")?,
         tasks,
@@ -208,7 +230,9 @@ pub fn job_from_json(v: &Json) -> Result<Job, CodecError> {
 
 /// Encode a job set as a versioned artifact.
 pub fn jobs_to_artifact(jobs: &[Job]) -> Json {
-    stamp("jobs", vec![("jobs", Json::Arr(jobs.iter().map(job_to_json).collect()))])
+    artifact("jobs", "jobs", |w| {
+        w.arr(jobs, write_job);
+    })
 }
 
 /// Decode a versioned job-set artifact.
@@ -219,32 +243,27 @@ pub fn jobs_from_artifact(v: &Json) -> Result<Vec<Job>, CodecError> {
 
 // ------------------------------------------------------------------ schedule
 
-fn assignment_to_json(a: &Assignment) -> Json {
-    Json::obj(vec![
-        ("job", Json::U64(u64::from(a.task.job.0))),
-        ("index", Json::U64(u64::from(a.task.index))),
-        ("node", Json::U64(u64::from(a.node.0))),
-        ("start", Json::U64(a.start.as_micros())),
-    ])
+fn write_assignment(w: &mut Writer, a: &Assignment) {
+    w.begin_obj();
+    w.key("index").u64(u64::from(a.task.index));
+    w.key("job").u64(u64::from(a.task.job.0));
+    w.key("node").u64(u64::from(a.node.0));
+    w.key("start").u64(a.start.as_micros()).end_obj();
 }
 
 fn assignment_from_json(v: &Json) -> Result<Assignment, CodecError> {
     Ok(Assignment {
-        task: TaskId {
-            job: JobId(u64_field(v, "job")? as u32),
-            index: u64_field(v, "index")? as u32,
-        },
-        node: NodeId(u64_field(v, "node")? as u32),
+        task: task_id_fields(v)?,
+        node: NodeId(u32_field(v, "node")?),
         start: time_field(v, "start")?,
     })
 }
 
 /// Encode a schedule as a versioned artifact.
 pub fn schedule_to_artifact(s: &Schedule) -> Json {
-    stamp(
-        "schedule",
-        vec![("assignments", Json::Arr(s.assignments.iter().map(assignment_to_json).collect()))],
-    )
+    artifact("schedule", "assignments", |w| {
+        w.arr(&s.assignments, write_assignment);
+    })
 }
 
 /// Decode a versioned schedule artifact.
@@ -257,36 +276,32 @@ pub fn schedule_from_artifact(v: &Json) -> Result<Schedule, CodecError> {
 
 // ------------------------------------------------------------------- history
 
-fn task_history_to_json(t: &TaskHistory) -> Json {
-    Json::obj(vec![
-        ("job", Json::U64(u64::from(t.task.job.0))),
-        ("index", Json::U64(u64::from(t.task.index))),
-        ("node", Json::U64(u64::from(t.node.0))),
-        ("planned_start", Json::U64(t.planned_start.as_micros())),
-        ("finish", Json::U64(t.finish.as_micros())),
-        ("completed", Json::Bool(t.completed)),
-        ("preemptions", Json::U64(u64::from(t.preemptions))),
-        ("recovery_charges", Json::U64(u64::from(t.recovery_charges))),
-        ("overhead_paid", Json::U64(t.overhead_paid.as_micros())),
-        ("executed", Json::F64(t.executed.get())),
-        ("lost", Json::F64(t.lost.get())),
-        ("size", Json::F64(t.size.get())),
-        ("recovery", Json::U64(t.recovery.as_micros())),
-    ])
+fn write_task_history(w: &mut Writer, t: &TaskHistory) {
+    w.begin_obj();
+    w.key("completed").bool(t.completed);
+    w.key("executed").f64(t.executed.get());
+    w.key("finish").u64(t.finish.as_micros());
+    w.key("index").u64(u64::from(t.task.index));
+    w.key("job").u64(u64::from(t.task.job.0));
+    w.key("lost").f64(t.lost.get());
+    w.key("node").u64(u64::from(t.node.0));
+    w.key("overhead_paid").u64(t.overhead_paid.as_micros());
+    w.key("planned_start").u64(t.planned_start.as_micros());
+    w.key("preemptions").u64(u64::from(t.preemptions));
+    w.key("recovery").u64(t.recovery.as_micros());
+    w.key("recovery_charges").u64(u64::from(t.recovery_charges));
+    w.key("size").f64(t.size.get()).end_obj();
 }
 
 fn task_history_from_json(v: &Json) -> Result<TaskHistory, CodecError> {
     Ok(TaskHistory {
-        task: TaskId {
-            job: JobId(u64_field(v, "job")? as u32),
-            index: u64_field(v, "index")? as u32,
-        },
-        node: NodeId(u64_field(v, "node")? as u32),
+        task: task_id_fields(v)?,
+        node: NodeId(u32_field(v, "node")?),
         planned_start: time_field(v, "planned_start")?,
         finish: time_field(v, "finish")?,
         completed: bool_field(v, "completed")?,
-        preemptions: u64_field(v, "preemptions")? as u32,
-        recovery_charges: u64_field(v, "recovery_charges")? as u32,
+        preemptions: u32_field(v, "preemptions")?,
+        recovery_charges: u32_field(v, "recovery_charges")?,
         overhead_paid: dur_field(v, "overhead_paid")?,
         executed: Mi::new(f64_field(v, "executed")?),
         lost: Mi::new(f64_field(v, "lost")?),
@@ -295,11 +310,9 @@ fn task_history_from_json(v: &Json) -> Result<TaskHistory, CodecError> {
     })
 }
 
-fn history_to_json(h: &ExecHistory) -> Json {
-    Json::obj(vec![
-        ("sigma", Json::U64(h.sigma.as_micros())),
-        ("tasks", Json::Arr(h.tasks.iter().map(task_history_to_json).collect())),
-    ])
+fn write_history(w: &mut Writer, h: &ExecHistory) {
+    w.begin_obj().key("sigma").u64(h.sigma.as_micros());
+    w.key("tasks").arr(&h.tasks, write_task_history).end_obj();
 }
 
 fn history_from_json(v: &Json) -> Result<ExecHistory, CodecError> {
@@ -314,7 +327,7 @@ fn history_from_json(v: &Json) -> Result<ExecHistory, CodecError> {
 
 /// Encode an execution trace as a versioned artifact.
 pub fn trace_to_artifact(h: &ExecHistory) -> Json {
-    stamp("trace", vec![("history", history_to_json(h))])
+    artifact("trace", "history", |w| write_history(w, h))
 }
 
 /// Decode a versioned trace artifact.
@@ -325,37 +338,36 @@ pub fn trace_from_artifact(v: &Json) -> Result<ExecHistory, CodecError> {
 
 // ------------------------------------------------------------------- cluster
 
-fn node_to_json(n: &Node) -> Json {
-    Json::obj(vec![
-        ("id", Json::U64(u64::from(n.id.0))),
-        ("s_cpu", Json::F64(n.s_cpu)),
-        ("s_mem", Json::F64(n.s_mem)),
-        ("capacity", resources_to_json(&n.capacity)),
-        ("slots", Json::U64(n.slots as u64)),
-        ("theta1", Json::F64(n.theta1)),
-        ("theta2", Json::F64(n.theta2)),
-    ])
+fn write_node(w: &mut Writer, n: &Node) {
+    w.begin_obj().key("capacity");
+    write_resources(w, &n.capacity);
+    w.key("id").u64(u64::from(n.id.0));
+    w.key("s_cpu").f64(n.s_cpu).key("s_mem").f64(n.s_mem);
+    w.key("slots").u64(n.slots as u64);
+    w.key("theta1").f64(n.theta1).key("theta2").f64(n.theta2).end_obj();
 }
 
 fn node_from_json(v: &Json) -> Result<Node, CodecError> {
     let mut node = Node::new(
-        NodeId(u64_field(v, "id")? as u32),
+        NodeId(u32_field(v, "id")?),
         f64_field(v, "s_cpu")?,
         f64_field(v, "s_mem")?,
         resources_from_json(field(v, "capacity")?)?,
-        u64_field(v, "slots")? as usize,
+        u32_field(v, "slots")? as usize,
     );
     node.theta1 = f64_field(v, "theta1")?;
     node.theta2 = f64_field(v, "theta2")?;
     Ok(node)
 }
 
+fn write_cluster(w: &mut Writer, c: &ClusterSpec) {
+    w.begin_obj().key("name").str(&c.name);
+    w.key("nodes").arr(&c.nodes, write_node).end_obj();
+}
+
 /// Encode a cluster inventory.
 pub fn cluster_to_json(c: &ClusterSpec) -> Json {
-    Json::obj(vec![
-        ("name", Json::Str(c.name.clone())),
-        ("nodes", Json::Arr(c.nodes.iter().map(node_to_json).collect())),
-    ])
+    Json::encode(|w| write_cluster(w, c))
 }
 
 /// Decode a cluster inventory.
@@ -368,42 +380,46 @@ pub fn cluster_from_json(v: &Json) -> Result<ClusterSpec, CodecError> {
 
 // ------------------------------------------------------------------ progress
 
-/// Encode a job's live progress (wire `status` response payload).
+/// Write a job's live progress (wire `status` response payload).
+pub(crate) fn write_progress(w: &mut Writer, p: &JobProgress) {
+    w.begin_obj().key("completed").bool(p.completed).key("finish");
+    match p.finish {
+        Some(t) => w.u64(t.as_micros()),
+        None => w.null(),
+    };
+    w.key("finished").u64(p.finished as u64);
+    w.key("running").u64(p.running as u64);
+    w.key("total").u64(p.total as u64);
+    w.key("waiting").u64(p.waiting as u64).end_obj();
+}
+
+/// Encode a job's live progress.
 pub fn progress_to_json(p: &JobProgress) -> Json {
-    Json::obj(vec![
-        ("total", Json::U64(p.total as u64)),
-        ("finished", Json::U64(p.finished as u64)),
-        ("running", Json::U64(p.running as u64)),
-        ("waiting", Json::U64(p.waiting as u64)),
-        ("completed", Json::Bool(p.completed)),
-        (
-            "finish",
-            match p.finish {
-                Some(t) => Json::U64(t.as_micros()),
-                None => Json::Null,
-            },
-        ),
-    ])
+    Json::encode(|w| write_progress(w, p))
 }
 
 // ------------------------------------------------------------------- metrics
 
-/// Encode the headline metrics (wire `metrics` response payload).
+/// Write the headline metrics (wire `metrics` response payload).
+pub(crate) fn write_metrics(w: &mut Writer, m: &RunMetrics) {
+    w.begin_obj();
+    w.key("deadline_hit_rate").f64(m.deadline_hit_rate());
+    w.key("disorders").u64(m.disorders);
+    w.key("end_time_us").u64(m.end_time.as_micros());
+    w.key("fault_rescheduled").u64(m.fault_rescheduled);
+    w.key("jobs_completed").u64(m.jobs_completed() as u64);
+    w.key("makespan_us").u64(m.makespan().as_micros());
+    w.key("node_failures").u64(m.node_failures);
+    w.key("preemption_attempts").u64(m.preemption_attempts());
+    w.key("preemptions").u64(m.preemptions);
+    w.key("refusals").u64(m.refusals);
+    w.key("switch_overhead_us").u64(m.switch_overhead.as_micros());
+    w.key("tasks_completed").u64(m.tasks_completed).end_obj();
+}
+
+/// Encode the headline metrics.
 pub fn metrics_to_json(m: &RunMetrics) -> Json {
-    Json::obj(vec![
-        ("tasks_completed", Json::U64(m.tasks_completed)),
-        ("jobs_completed", Json::U64(m.jobs_completed() as u64)),
-        ("preemptions", Json::U64(m.preemptions)),
-        ("preemption_attempts", Json::U64(m.preemption_attempts())),
-        ("disorders", Json::U64(m.disorders)),
-        ("refusals", Json::U64(m.refusals)),
-        ("switch_overhead_us", Json::U64(m.switch_overhead.as_micros())),
-        ("end_time_us", Json::U64(m.end_time.as_micros())),
-        ("makespan_us", Json::U64(m.makespan().as_micros())),
-        ("deadline_hit_rate", Json::F64(m.deadline_hit_rate())),
-        ("node_failures", Json::U64(m.node_failures)),
-        ("fault_rescheduled", Json::U64(m.fault_rescheduled)),
-    ])
+    Json::encode(|w| write_metrics(w, m))
 }
 
 // ------------------------------------------------------------------ snapshot
@@ -426,21 +442,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Write as a versioned artifact — what replies embed, at a cost in
+    /// bytes written rather than nodes built.
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.begin_obj().key("cluster");
+        write_cluster(w, &self.cluster);
+        w.key("format_version").u64(FORMAT_VERSION).key("history");
+        write_history(w, &self.history);
+        w.key("jobs").arr(&self.jobs, write_job);
+        w.key("kind").str("snapshot").key("metrics");
+        write_metrics(w, &self.metrics);
+        w.key("schedule").arr(&self.schedule.assignments, write_assignment).end_obj();
+    }
+
     /// Encode as a versioned artifact.
     pub fn to_json(&self) -> Json {
-        stamp(
-            "snapshot",
-            vec![
-                ("cluster", cluster_to_json(&self.cluster)),
-                ("jobs", Json::Arr(self.jobs.iter().map(job_to_json).collect())),
-                (
-                    "schedule",
-                    Json::Arr(self.schedule.assignments.iter().map(assignment_to_json).collect()),
-                ),
-                ("history", history_to_json(&self.history)),
-                ("metrics", metrics_to_json(&self.metrics)),
-            ],
-        )
+        Json::encode(|w| self.write(w))
     }
 
     /// Decode a versioned snapshot artifact. Metrics are not decoded (they
@@ -586,10 +603,165 @@ impl FrameBuffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::json::parse;
     use dsp_units::Mips;
+
+    /// The encoders as they were before the streaming [`Writer`]: one
+    /// `Json` node per value, keys sorted by the `BTreeMap`. Kept as the
+    /// reference every streamed shape is compared against, byte for byte.
+    pub(crate) mod oracle {
+        use super::super::*;
+
+        fn stamp(kind: &str, mut fields: Vec<(&str, Json)>) -> Json {
+            fields.push(("format_version", Json::U64(FORMAT_VERSION)));
+            fields.push(("kind", Json::Str(kind.to_string())));
+            Json::obj(fields)
+        }
+
+        pub(crate) fn resources(r: &ResourceVec) -> Json {
+            Json::obj(vec![
+                ("cpu", Json::F64(r.cpu)),
+                ("mem", Json::F64(r.mem)),
+                ("disk", Json::F64(r.disk)),
+                ("bw", Json::F64(r.bw)),
+            ])
+        }
+
+        fn task_spec(t: &TaskSpec) -> Json {
+            Json::obj(vec![
+                ("size", Json::F64(t.size.get())),
+                ("est_size", Json::F64(t.est_size.get())),
+                ("demand", resources(&t.demand)),
+                ("recovery", Json::U64(t.recovery.as_micros())),
+            ])
+        }
+
+        pub(crate) fn edges(edges: impl Iterator<Item = (u32, u32)>) -> Json {
+            let pair = |(u, v)| Json::Arr(vec![Json::U64(u64::from(u)), Json::U64(u64::from(v))]);
+            Json::Arr(edges.map(pair).collect())
+        }
+
+        pub(crate) fn job(job: &Job) -> Json {
+            Json::obj(vec![
+                ("id", Json::U64(u64::from(job.id.0))),
+                ("class", Json::Str(class_to_str(job.class).to_string())),
+                ("arrival", Json::U64(job.arrival.as_micros())),
+                ("deadline", Json::U64(job.deadline.as_micros())),
+                ("tasks", Json::Arr(job.tasks.iter().map(task_spec).collect())),
+                ("edges", edges(job.dag.edges())),
+            ])
+        }
+
+        pub(crate) fn jobs_artifact(jobs: &[Job]) -> Json {
+            stamp("jobs", vec![("jobs", Json::Arr(jobs.iter().map(job).collect()))])
+        }
+
+        fn assignment(a: &Assignment) -> Json {
+            Json::obj(vec![
+                ("job", Json::U64(u64::from(a.task.job.0))),
+                ("index", Json::U64(u64::from(a.task.index))),
+                ("node", Json::U64(u64::from(a.node.0))),
+                ("start", Json::U64(a.start.as_micros())),
+            ])
+        }
+
+        pub(crate) fn schedule_artifact(s: &Schedule) -> Json {
+            let rows = s.assignments.iter().map(assignment).collect();
+            stamp("schedule", vec![("assignments", Json::Arr(rows))])
+        }
+
+        fn task_history(t: &TaskHistory) -> Json {
+            Json::obj(vec![
+                ("job", Json::U64(u64::from(t.task.job.0))),
+                ("index", Json::U64(u64::from(t.task.index))),
+                ("node", Json::U64(u64::from(t.node.0))),
+                ("planned_start", Json::U64(t.planned_start.as_micros())),
+                ("finish", Json::U64(t.finish.as_micros())),
+                ("completed", Json::Bool(t.completed)),
+                ("preemptions", Json::U64(u64::from(t.preemptions))),
+                ("recovery_charges", Json::U64(u64::from(t.recovery_charges))),
+                ("overhead_paid", Json::U64(t.overhead_paid.as_micros())),
+                ("executed", Json::F64(t.executed.get())),
+                ("lost", Json::F64(t.lost.get())),
+                ("size", Json::F64(t.size.get())),
+                ("recovery", Json::U64(t.recovery.as_micros())),
+            ])
+        }
+
+        fn history(h: &ExecHistory) -> Json {
+            Json::obj(vec![
+                ("sigma", Json::U64(h.sigma.as_micros())),
+                ("tasks", Json::Arr(h.tasks.iter().map(task_history).collect())),
+            ])
+        }
+
+        pub(crate) fn trace_artifact(h: &ExecHistory) -> Json {
+            stamp("trace", vec![("history", history(h))])
+        }
+
+        fn node(n: &Node) -> Json {
+            Json::obj(vec![
+                ("id", Json::U64(u64::from(n.id.0))),
+                ("s_cpu", Json::F64(n.s_cpu)),
+                ("s_mem", Json::F64(n.s_mem)),
+                ("capacity", resources(&n.capacity)),
+                ("slots", Json::U64(n.slots as u64)),
+                ("theta1", Json::F64(n.theta1)),
+                ("theta2", Json::F64(n.theta2)),
+            ])
+        }
+
+        pub(crate) fn cluster(c: &ClusterSpec) -> Json {
+            Json::obj(vec![
+                ("name", Json::Str(c.name.clone())),
+                ("nodes", Json::Arr(c.nodes.iter().map(node).collect())),
+            ])
+        }
+
+        pub(crate) fn progress(p: &JobProgress) -> Json {
+            Json::obj(vec![
+                ("total", Json::U64(p.total as u64)),
+                ("finished", Json::U64(p.finished as u64)),
+                ("running", Json::U64(p.running as u64)),
+                ("waiting", Json::U64(p.waiting as u64)),
+                ("completed", Json::Bool(p.completed)),
+                ("finish", p.finish.map_or(Json::Null, |t| Json::U64(t.as_micros()))),
+            ])
+        }
+
+        pub(crate) fn metrics(m: &RunMetrics) -> Json {
+            Json::obj(vec![
+                ("tasks_completed", Json::U64(m.tasks_completed)),
+                ("jobs_completed", Json::U64(m.jobs_completed() as u64)),
+                ("preemptions", Json::U64(m.preemptions)),
+                ("preemption_attempts", Json::U64(m.preemption_attempts())),
+                ("disorders", Json::U64(m.disorders)),
+                ("refusals", Json::U64(m.refusals)),
+                ("switch_overhead_us", Json::U64(m.switch_overhead.as_micros())),
+                ("end_time_us", Json::U64(m.end_time.as_micros())),
+                ("makespan_us", Json::U64(m.makespan().as_micros())),
+                ("deadline_hit_rate", Json::F64(m.deadline_hit_rate())),
+                ("node_failures", Json::U64(m.node_failures)),
+                ("fault_rescheduled", Json::U64(m.fault_rescheduled)),
+            ])
+        }
+
+        pub(crate) fn snapshot(s: &Snapshot) -> Json {
+            let schedule = s.schedule.assignments.iter().map(assignment).collect();
+            stamp(
+                "snapshot",
+                vec![
+                    ("cluster", cluster(&s.cluster)),
+                    ("jobs", Json::Arr(s.jobs.iter().map(job).collect())),
+                    ("schedule", Json::Arr(schedule)),
+                    ("history", history(&s.history)),
+                    ("metrics", metrics(&s.metrics)),
+                ],
+            )
+        }
+    }
 
     fn sample_job(id: u32) -> Job {
         let mut dag = Dag::new(3);
@@ -607,6 +779,98 @@ mod tests {
             ],
             dag,
         )
+    }
+
+    /// Values picked to sit on every branch of the number and string
+    /// formatters: the `u64` sentinel, integral and huge and denormal
+    /// floats, a signed zero, a control character, a non-BMP name.
+    pub(crate) fn awkward_job(id: u32) -> Job {
+        let sizes = [400.0, 1e21, 5e-324, f64::MAX, 0.1 + 0.2, 1e15, 123_456_789.0];
+        let tasks = sizes
+            .iter()
+            .map(|&mi| TaskSpec {
+                size: Mi::new(mi),
+                est_size: Mi::new(mi / 3.0),
+                demand: ResourceVec { cpu: 2.5, mem: f64::NAN, disk: -0.0, bw: f64::INFINITY },
+                recovery: Dur::from_micros(u64::MAX),
+            })
+            .collect();
+        let mut dag = Dag::new(sizes.len());
+        dag.add_edge(0, 6).unwrap();
+        dag.add_edge(2, 3).unwrap();
+        Job::new(JobId(id), JobClass::Large, Time::ZERO, Time::MAX, tasks, dag)
+    }
+
+    /// A served run over generated and awkward jobs: every shape filled.
+    fn served_snapshot() -> Snapshot {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let trace = dsp_trace::TraceParams { task_scale: 0.01, ..Default::default() };
+        let mut jobs = dsp_trace::generate_workload(&mut rng, 12, &trace);
+        jobs.push(sample_job(12));
+        let mut cluster = dsp_cluster::ec2();
+        cluster.name = "ec2 \u{1F600}\n\u{1}\"quoted\\\"".into();
+        let schedule = dsp_sched::Scheduler::schedule(
+            &mut dsp_sched::DspListScheduler::default(),
+            &jobs,
+            &cluster,
+            Time::ZERO,
+        );
+        let mut engine =
+            dsp_sim::Engine::new(jobs.clone(), cluster.clone(), dsp_sim::EngineConfig::default());
+        engine.add_batch(Time::ZERO, schedule.clone());
+        let metrics = engine.run(&mut dsp_sim::NoPreempt);
+        let mut history = engine.history();
+        history.tasks[0].lost = Mi::new(-0.0);
+        jobs.push(awkward_job(13));
+        Snapshot { cluster, jobs, schedule, history, metrics }
+    }
+
+    #[test]
+    fn streamed_text_is_the_reference_trees_text_for_every_shape() {
+        let snap = served_snapshot();
+        assert!(snap.history.tasks.len() > 30 && snap.metrics.tasks_completed > 30);
+        let same = |streamed: Json, tree: Json, what: &str| {
+            // The one permitted difference: the tree printed `-0.0` as `-0`
+            // until this writer; both now print the float.
+            assert_eq!(streamed.to_string(), tree.to_string(), "{what}");
+            assert_eq!(parse(&streamed.to_string()).unwrap(), parse(&tree.to_string()).unwrap());
+        };
+        same(snap.to_json(), oracle::snapshot(&snap), "snapshot");
+        same(jobs_to_artifact(&snap.jobs), oracle::jobs_artifact(&snap.jobs), "jobs");
+        same(schedule_to_artifact(&snap.schedule), oracle::schedule_artifact(&snap.schedule), "s");
+        same(trace_to_artifact(&snap.history), oracle::trace_artifact(&snap.history), "trace");
+        same(cluster_to_json(&snap.cluster), oracle::cluster(&snap.cluster), "cluster");
+        same(metrics_to_json(&snap.metrics), oracle::metrics(&snap.metrics), "metrics");
+        for job in &snap.jobs {
+            same(job_to_json(job), oracle::job(job), "job");
+        }
+        let running = JobProgress {
+            total: 9,
+            finished: 3,
+            running: 2,
+            waiting: 4,
+            completed: false,
+            finish: None,
+        };
+        let done = JobProgress { completed: true, finish: Some(Time::MAX), ..running };
+        same(progress_to_json(&running), oracle::progress(&running), "progress");
+        same(progress_to_json(&done), oracle::progress(&done), "progress");
+        let empty = Snapshot {
+            cluster: ClusterSpec { name: String::new(), nodes: vec![] },
+            jobs: vec![],
+            schedule: Schedule::new(),
+            history: ExecHistory { sigma: Dur::ZERO, tasks: vec![] },
+            metrics: RunMetrics::default(),
+        };
+        same(empty.to_json(), oracle::snapshot(&empty), "empty snapshot");
+        // Awkward values survive the trip, sign of zero included.
+        let text = snap.to_json().to_string();
+        assert!(text.contains("\"lost\":-0.0") && text.contains("\"mem\":null"), "{text}");
+        assert!(text.contains("\\ud83d") || text.contains('\u{1F600}'));
+        let back =
+            trace_from_artifact(&parse(&trace_to_artifact(&snap.history).to_string()).unwrap());
+        assert!(back.unwrap().tasks[0].lost.get().is_sign_negative());
     }
 
     #[test]
@@ -634,13 +898,62 @@ mod tests {
         assert_eq!(jobs_from_artifact(&art).unwrap(), jobs);
 
         // A future version must be refused, not misread.
-        let mut bumped = match art {
+        let mut bumped = match parse(&art.to_string()).unwrap() {
             Json::Obj(m) => m,
             _ => unreachable!(),
         };
         bumped.insert("format_version".into(), Json::U64(FORMAT_VERSION + 1));
         let e = jobs_from_artifact(&Json::Obj(bumped)).unwrap_err();
         assert!(e.0.contains("unsupported format_version"), "{e}");
+    }
+
+    /// Decode `artifact` with `field` of its first `path` element
+    /// overwritten by a value one past `u32::MAX`.
+    fn widened<T>(
+        artifact: &Json,
+        path: &[&str],
+        field: &str,
+        decode: impl Fn(&Json) -> Result<T, CodecError>,
+    ) -> CodecError {
+        fn first<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
+            let Some((key, rest)) = path.split_first() else { return v };
+            let Json::Obj(map) = v else { panic!("not an object at {key}") };
+            match map.get_mut(*key).unwrap() {
+                Json::Arr(items) => first(&mut items[0], rest),
+                child => first(child, rest),
+            }
+        }
+        let mut tree = parse(&artifact.to_string()).unwrap();
+        assert!(decode(&tree).is_ok(), "the untouched artifact decodes");
+        let Json::Obj(target) = first(&mut tree, path) else { panic!("{path:?}") };
+        assert!(target.insert(field.into(), Json::U64(u64::from(u32::MAX) + 1)).is_some());
+        decode(&tree).err().unwrap_or_else(|| panic!("{path:?}.{field} was narrowed silently"))
+    }
+
+    #[test]
+    fn ids_wider_than_u32_are_refused_in_every_shape() {
+        let mut snap = served_snapshot();
+        // The awkward job's NaN demand is written as `null`: it does not decode.
+        snap.jobs.pop();
+        let schedule = schedule_to_artifact(&snap.schedule);
+        for field in ["job", "index", "node"] {
+            let e = widened(&schedule, &["assignments"], field, schedule_from_artifact);
+            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+        }
+        let trace = trace_to_artifact(&snap.history);
+        for field in ["job", "index", "node", "preemptions", "recovery_charges"] {
+            let e = widened(&trace, &["history", "tasks"], field, trace_from_artifact);
+            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+        }
+        let cluster = cluster_to_json(&snap.cluster);
+        for field in ["id", "slots"] {
+            let e = widened(&cluster, &["nodes"], field, cluster_from_json);
+            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+        }
+        let e = widened(&jobs_to_artifact(&snap.jobs), &["jobs"], "id", jobs_from_artifact);
+        assert!(e.0.contains("exceeds u32"), "{e}");
+        let e = widened(&snap.to_json(), &["schedule"], "job", Snapshot::from_json);
+        assert!(e.0.contains("exceeds u32"), "{e}");
     }
 
     #[test]
@@ -675,11 +988,49 @@ mod tests {
         let snap = Snapshot { cluster, jobs, schedule, history: engine.history(), metrics };
         assert!(snap.verify().passes(), "{:?}", snap.verify());
 
+        // Decoded from the parsed text and straight from the streamed value.
         let back = Snapshot::from_json(&parse(&snap.to_json().to_string()).unwrap()).unwrap();
+        assert_eq!(back, Snapshot::from_json(&snap.to_json()).unwrap());
         assert_eq!(back.jobs, snap.jobs);
         assert_eq!(back.schedule, snap.schedule);
         assert_eq!(back.history, snap.history);
         assert!(back.verify().passes());
+    }
+
+    /// The drained state of the `svc_submit_sat` benchmark workload — 2000
+    /// generated jobs through a frozen-clock `fifo`/`none` driver — encodes,
+    /// parses, decodes to itself and audits clean. Minutes in a debug build.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn a_2000_job_drained_snapshot_roundtrips_and_verifies() {
+        use rand::SeedableRng;
+        let params = dsp_core::config::Params::default();
+        let trace = dsp_trace::TraceParams { task_scale: 0.005, ..Default::default() };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2018);
+        let jobs = dsp_trace::generate_workload(&mut rng, 2000, &trace);
+        let mut driver = crate::OnlineDriver::new(
+            dsp_cluster::ec2(),
+            params.engine_config(),
+            params.sched_period,
+            Box::new(dsp_sched::FifoScheduler),
+            Box::new(dsp_sim::NoPreempt),
+            crate::AdmissionConfig { max_pending_tasks: usize::MAX / 2, check_feasibility: false },
+        );
+        for chunk in jobs.chunks(2) {
+            driver.submit(chunk.iter().map(crate::JobRequest::from_job).collect()).unwrap();
+        }
+        let snap = driver.drain();
+        assert_eq!(snap.jobs.len(), 2000);
+        let text = snap.to_json().into_text();
+        assert!(text.len() > 4_000_000, "{} bytes", text.len());
+        assert_eq!(text, oracle::snapshot(&snap).to_string());
+        let back = Snapshot::from_json(&parse(&text).unwrap()).unwrap();
+        assert_eq!(
+            (&back.jobs, &back.schedule, &back.history),
+            (&snap.jobs, &snap.schedule, &snap.history)
+        );
+        assert_eq!(back.cluster, snap.cluster);
+        assert!(back.verify().passes(), "{}", back.verify());
     }
 
     #[test]

@@ -96,17 +96,22 @@ impl Conn {
 
     /// Queue one response line. A `shutdown` response (drain) also
     /// seals the connection: flush, then close.
-    pub(crate) fn queue_response(&mut self, response: &wire::Response) {
-        self.out.extend_from_slice(&response_bytes(response));
-        if response.shutdown {
-            self.close_after_flush = true;
+    pub(crate) fn queue_response(&mut self, response: wire::Response) {
+        self.close_after_flush |= response.shutdown;
+        let line = response_bytes(response);
+        if self.out.is_empty() {
+            // The usual case, and the one that matters for a snapshot:
+            // the reply's buffer becomes the output buffer.
+            self.out = line;
+        } else {
+            self.out.extend_from_slice(&line);
         }
     }
 
     /// Queue the one reply a framing violation gets, then seal the
     /// connection — resynchronizing a broken frame stream is impossible.
     pub(crate) fn queue_frame_error(&mut self, error: &FrameError) {
-        self.queue_response(&wire::Response {
+        self.queue_response(wire::Response {
             body: wire::error_response("bad_request", &error.to_string()),
             shutdown: false,
         });

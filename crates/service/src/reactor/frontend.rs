@@ -242,7 +242,7 @@ fn run(
             if let Some(conn) = slab.get_mut(slot).and_then(Option::as_mut) {
                 if conn.gen == generation {
                     conn.inflight = false;
-                    conn.queue_response(&response);
+                    conn.queue_response(response);
                 }
             }
         }
@@ -340,7 +340,7 @@ fn run(
                     Err(TrySendError::Full(dispatch)) => conn.retry = Some(dispatch),
                     Err(TrySendError::Disconnected(_)) => {
                         conn.inflight = false;
-                        conn.queue_response(&draining_response());
+                        conn.queue_response(draining_response());
                     }
                 }
             }
@@ -409,7 +409,7 @@ fn process_frames(conn: &mut Conn, slot: usize, shared: &Shared, hub: &Arc<Threa
             continue;
         }
         match route_line(&line, shared) {
-            Routed::Immediate(response) => conn.queue_response(&response),
+            Routed::Immediate(response) => conn.queue_response(response),
             Routed::Queue(request) => {
                 let token = (u64::from(conn.gen) << 32) | slot as u64;
                 let sink = ReplySink::Reactor(ReplyHandle { hub: Arc::clone(hub), token });
@@ -423,7 +423,7 @@ fn process_frames(conn: &mut Conn, slot: usize, shared: &Shared, hub: &Arc<Threa
                     Err(TrySendError::Full(dispatch)) => conn.retry = Some(dispatch),
                     Err(TrySendError::Disconnected(_)) => {
                         conn.inflight = false;
-                        conn.queue_response(&draining_response());
+                        conn.queue_response(draining_response());
                     }
                 }
             }

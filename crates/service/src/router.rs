@@ -34,13 +34,12 @@
 
 use crate::admission::{check_feasible, AdmitError};
 use crate::codec::Snapshot;
-use crate::driver::{JobRequest, JobStatus};
-use crate::json::Json;
+use crate::driver::JobRequest;
 use crate::server::{
     draining_response, Command, Dispatch, QueuedRequest, ReplySink, Shared, Target,
 };
 use crate::state::{SnapshotCell, StateSnapshot};
-use crate::{codec, wire};
+use crate::wire;
 use dsp_cluster::{ClusterSpec, NodeId};
 use dsp_dag::JobId;
 use dsp_metrics::RunMetrics;
@@ -418,15 +417,7 @@ impl Router {
                 shutdown: true,
             };
         }
-        let merged = self.merge_snapshots(parts);
-        wire::Response {
-            body: Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("draining", Json::Bool(true)),
-                ("snapshot", merged.to_json()),
-            ]),
-            shutdown: true,
-        }
+        wire::drain_reply(&self.merge_snapshots(parts))
     }
 
     /// Merge per-shard snapshots (in shard order) into one artifact over
@@ -484,95 +475,40 @@ impl Router {
         views: &[Arc<StateSnapshot>],
         request: wire::ReadRequest,
     ) -> wire::Response {
-        let max_version = views.iter().map(|v| v.version).max().unwrap_or(0);
-        let version = ("state_version", Json::U64(max_version));
-        let shard_versions =
-            ("shard_versions", Json::Arr(views.iter().map(|v| Json::U64(v.version)).collect()));
+        let shards: Vec<u64> = views.iter().map(|v| v.version).collect();
+        let state = shards.iter().copied().max().unwrap_or(0);
+        let versions = wire::Versions { state, shards: &shards };
         // `now` and `periods_elapsed` aggregate with **min**: each cell
         // is monotone, so the min over a fixed set of monotone readings
         // is monotone too — and min is the honest federation clock ("all
         // shards have reached at least t").
         let now = views.iter().map(|v| v.now).min().unwrap_or(Time::ZERO);
-        let body = match request {
-            wire::ReadRequest::Ping => Json::obj(vec![
-                ("ok", Json::Bool(true)),
-                ("pong", Json::Bool(true)),
-                ("now_us", Json::U64(now.as_micros())),
-                version,
-                shard_versions,
-            ]),
+        match request {
+            wire::ReadRequest::Ping => wire::ping_reply(now, &versions),
             wire::ReadRequest::Status(id) => {
-                let home = (id.0 as usize) % views.len().max(1);
-                let Some(view) = views.get(home) else {
-                    return wire::Response {
-                        body: wire::error_response(
-                            "unknown_job",
-                            &format!("job {} was never admitted", id.0),
-                        ),
-                        shutdown: false,
-                    };
-                };
-                match view.status(id) {
-                    Some(JobStatus::Pending) => Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("job", Json::U64(u64::from(id.0))),
-                        ("state", Json::Str("pending".into())),
-                        version,
-                        shard_versions,
-                    ]),
-                    Some(JobStatus::Active(progress)) => Json::obj(vec![
-                        ("ok", Json::Bool(true)),
-                        ("job", Json::U64(u64::from(id.0))),
-                        ("state", Json::Str("active".into())),
-                        ("progress", codec::progress_to_json(progress)),
-                        version,
-                        shard_versions,
-                    ]),
-                    None => {
-                        return wire::Response {
-                            body: wire::error_response(
-                                "unknown_job",
-                                &format!("job {} was never admitted", id.0),
-                            ),
-                            shutdown: false,
-                        }
-                    }
-                }
+                let home = views.get((id.0 as usize) % views.len().max(1));
+                wire::status_reply(id, home.and_then(|view| view.status(id)), &versions)
             }
             wire::ReadRequest::Metrics => {
                 let mut merged = RunMetrics::default();
                 for view in views {
                     merged.merge_from(&view.metrics);
                 }
-                let pending: u64 = views.iter().map(|v| v.pending_tasks as u64).sum();
-                let batches: u64 = views.iter().map(|v| v.batches_scheduled).sum();
-                let periods = views.iter().map(|v| v.periods_elapsed).min().unwrap_or(0);
-                let draining = self.is_draining() || views.iter().any(|v| v.draining);
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("now_us", Json::U64(now.as_micros())),
-                    ("periods_elapsed", Json::U64(periods)),
-                    ("batches_scheduled", Json::U64(batches)),
-                    ("pending_tasks", Json::U64(pending)),
-                    ("draining", Json::Bool(draining)),
-                    ("metrics", codec::metrics_to_json(&merged)),
-                    version,
-                    shard_versions,
-                ])
+                let counters = wire::Counters {
+                    now,
+                    periods_elapsed: views.iter().map(|v| v.periods_elapsed).min().unwrap_or(0),
+                    batches_scheduled: views.iter().map(|v| v.batches_scheduled).sum(),
+                    pending_tasks: views.iter().map(|v| v.pending_tasks as u64).sum(),
+                    draining: self.is_draining() || views.iter().any(|v| v.draining),
+                    metrics: &merged,
+                };
+                wire::metrics_reply(&counters, &versions)
             }
             wire::ReadRequest::Snapshot => {
-                let parts: Vec<Snapshot> =
-                    views.iter().map(|v| Snapshot::clone(&v.artifact)).collect();
-                let merged = self.merge_snapshots(parts);
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("snapshot", merged.to_json()),
-                    version,
-                    shard_versions,
-                ])
+                let parts = views.iter().map(|v| Snapshot::clone(&v.artifact)).collect();
+                wire::snapshot_reply(&self.merge_snapshots(parts), &versions)
             }
-        };
-        wire::Response { body, shutdown: false }
+        }
     }
 }
 

@@ -342,9 +342,10 @@ pub(crate) fn route_line(line: &str, shared: &Shared) -> Routed {
     }
 }
 
-/// Serialize a response for the wire: one line, newline-terminated.
-pub(crate) fn response_bytes(response: &wire::Response) -> Vec<u8> {
-    let mut text = response.body.to_string();
+/// Serialize a response for the wire: one line, newline-terminated. A
+/// streamed body's buffer becomes the line — no copy, whatever its size.
+pub(crate) fn response_bytes(response: wire::Response) -> Vec<u8> {
+    let mut text = response.body.into_text();
     text.push('\n');
     text.into_bytes()
 }
@@ -361,7 +362,7 @@ pub(crate) fn shed_busy(stream: &mut TcpStream, max_conns: usize) {
         ),
         shutdown: false,
     };
-    let _ = stream.write(&response_bytes(&response));
+    let _ = stream.write(&response_bytes(response));
 }
 
 /// Boot a single-shard service around an already-built driver: bind,
@@ -630,7 +631,7 @@ fn handle_client(stream: TcpStream, shared: &Shared, max_frame: usize) {
                         body: wire::error_response("bad_request", &e.to_string()),
                         shutdown: false,
                     };
-                    let _ = writer.write_all(&response_bytes(&response));
+                    let _ = writer.write_all(&response_bytes(response));
                     break 'conn;
                 }
             };
@@ -641,10 +642,9 @@ fn handle_client(stream: TcpStream, shared: &Shared, max_frame: usize) {
                 Routed::Immediate(response) => response,
                 Routed::Queue(request) => shared.roundtrip(request),
             };
-            if writer.write_all(&response_bytes(&response)).is_err() || writer.flush().is_err() {
-                break 'conn;
-            }
-            if response.shutdown {
+            let shutdown = response.shutdown;
+            let sent = writer.write_all(&response_bytes(response)).and_then(|()| writer.flush());
+            if sent.is_err() || shutdown {
                 break 'conn;
             }
         }

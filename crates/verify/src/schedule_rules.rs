@@ -10,8 +10,8 @@
 use crate::diag::{Diagnostic, Report, Rule, Severity};
 use crate::VerifyOptions;
 use dsp_cluster::ClusterSpec;
-use dsp_dag::{level_deadlines, Job, TaskId};
-use dsp_sim::Schedule;
+use dsp_dag::{level_deadlines, Job, JobId, TaskId};
+use dsp_sim::{Assignment, Schedule};
 use dsp_units::Time;
 use std::collections::HashMap;
 
@@ -19,6 +19,35 @@ use std::collections::HashMap;
 /// This is the single source of truth behind
 /// `dsp_sched::api::schedule_covers_jobs`.
 pub fn check_coverage(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> Report {
+    coverage(s, jobs, &JobsById::new(jobs), cluster)
+}
+
+/// The jobs ordered by id (stably: jobs sharing an id keep their order),
+/// so a job is found by bisection instead of a scan of the batch per
+/// assignment — and without a map to build for a three-task instance.
+struct JobsById<'a>(Vec<&'a Job>);
+
+impl<'a> JobsById<'a> {
+    fn new(jobs: &'a [Job]) -> Self {
+        let mut sorted: Vec<&Job> = jobs.iter().collect();
+        sorted.sort_by_key(|j| j.id);
+        JobsById(sorted)
+    }
+
+    /// The first job carrying `id`, as a scan of the batch would find it.
+    fn first(&self, id: JobId) -> Option<&'a Job> {
+        let at = self.0.partition_point(|j| j.id < id);
+        self.0.get(at).copied().filter(|j| j.id == id)
+    }
+
+    /// The last job carrying `id`, as a map collected from the batch holds.
+    fn last(&self, id: JobId) -> Option<&'a Job> {
+        let after = self.0.partition_point(|j| j.id <= id);
+        self.0[..after].last().copied().filter(|j| j.id == id)
+    }
+}
+
+fn coverage(s: &Schedule, jobs: &[Job], by_id: &JobsById, cluster: &ClusterSpec) -> Report {
     let mut report = Report::new();
     let mut seen: HashMap<TaskId, u32> = HashMap::with_capacity(s.len());
     for a in &s.assignments {
@@ -36,7 +65,7 @@ pub fn check_coverage(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> Repo
                 ),
             });
         }
-        match jobs.iter().find(|j| j.id == a.task.job) {
+        match by_id.first(a.task.job) {
             None => report.push(Diagnostic {
                 rule: Rule::Coverage,
                 severity: Severity::Error,
@@ -91,6 +120,27 @@ pub fn check_coverage(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> Repo
     report
 }
 
+/// The schedule's assignments ordered by the job id they name (stably:
+/// schedule order within a job) — so "the last assignment wins" and the
+/// order of findings read as a scan of the whole schedule per job would,
+/// at one sort of it instead of one pass per job.
+struct ByJob<'a>(Vec<&'a Assignment>);
+
+impl<'a> ByJob<'a> {
+    fn new(s: &'a Schedule) -> Self {
+        let mut sorted: Vec<&Assignment> = s.assignments.iter().collect();
+        sorted.sort_by_key(|a| a.task.job);
+        ByJob(sorted)
+    }
+
+    /// Every assignment naming `id`, in schedule order.
+    fn of(&self, id: JobId) -> &[&'a Assignment] {
+        let from = self.0.partition_point(|a| a.task.job < id);
+        let to = self.0.partition_point(|a| a.task.job <= id);
+        &self.0[from..to]
+    }
+}
+
 /// Planned finish of an assignment: `t^s + l̂/g(k)` with the estimate the
 /// scheduler planned on and the assigned node's Eq. 1 rate.
 fn planned_finish(start: Time, job: &Job, v: u32, node: usize, cluster: &ClusterSpec) -> Time {
@@ -100,7 +150,7 @@ fn planned_finish(start: Time, job: &Job, v: u32, node: usize, cluster: &Cluster
 /// R2: along every DAG edge `(u, v)`, the child's planned start must not
 /// precede the parent's planned finish.
 fn check_precedence(
-    s: &Schedule,
+    by_job: &ByJob,
     jobs: &[Job],
     cluster: &ClusterSpec,
     opts: &VerifyOptions,
@@ -108,21 +158,21 @@ fn check_precedence(
 ) {
     let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
     for job in jobs {
-        // Last assignment wins on duplicates; R1 already reported those.
-        let mut placed: HashMap<u32, (usize, Time)> = HashMap::with_capacity(job.num_tasks());
-        for a in &s.assignments {
-            if a.task.job == job.id
-                && a.task.idx() < job.num_tasks()
-                && a.node.idx() < cluster.len()
-            {
-                placed.insert(a.task.index, (a.node.idx(), a.start));
+        // Planned (start, finish) per task index. Last assignment wins on
+        // duplicates; R1 already reported those.
+        let mut placed: Vec<Option<(Time, Time)>> = vec![None; job.num_tasks()];
+        for a in by_job.of(job.id) {
+            if a.task.idx() < job.num_tasks() && a.node.idx() < cluster.len() {
+                let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+                placed[a.task.idx()] = Some((a.start, finish));
             }
         }
         for (u, v) in job.dag.edges() {
-            let (Some(&(nu, su)), Some(&(_, sv))) = (placed.get(&u), placed.get(&v)) else {
+            let (Some((_, parent_finish)), Some((sv, _))) =
+                (placed[u as usize], placed[v as usize])
+            else {
                 continue;
             };
-            let parent_finish = planned_finish(su, job, u, nu, cluster);
             if sv < parent_finish {
                 report.push(Diagnostic {
                     rule: Rule::Precedence,
@@ -146,13 +196,12 @@ fn check_precedence(
 /// number of overlapping intervals must never exceed the node's slots.
 /// Intervals are half-open, so a departure frees its slot to an arrival at
 /// the same instant — the packing simulations' exact semantics.
-fn check_capacity(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec, report: &mut Report) {
-    let by_id: HashMap<_, _> = jobs.iter().map(|j| (j.id, j)).collect();
+fn check_capacity(s: &Schedule, by_id: &JobsById, cluster: &ClusterSpec, report: &mut Report) {
     // Per node: (time, delta, task) events; at equal times departures
     // (delta = -1) sort before arrivals.
     let mut events: Vec<Vec<(Time, i32, TaskId)>> = vec![Vec::new(); cluster.len()];
     for a in &s.assignments {
-        let Some(job) = by_id.get(&a.task.job) else { continue };
+        let Some(job) = by_id.last(a.task.job) else { continue };
         if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
             continue;
         }
@@ -188,16 +237,13 @@ fn check_capacity(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec, report: &mu
 /// from estimates at the cluster's mean rate). Deadline misses are
 /// warnings: the paper treats deadlines as soft targets the online phase
 /// chases, not as admission constraints.
-fn check_deadlines(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec, report: &mut Report) {
+fn check_deadlines(by_job: &ByJob, jobs: &[Job], cluster: &ClusterSpec, report: &mut Report) {
     let mean = cluster.mean_rate();
     for job in jobs {
         let exec = job.exec_estimates(mean);
         let deadlines = level_deadlines(&job.dag, job.levels(), job.deadline, &exec);
-        for a in &s.assignments {
-            if a.task.job != job.id
-                || a.task.idx() >= job.num_tasks()
-                || a.node.idx() >= cluster.len()
-            {
+        for a in by_job.of(job.id) {
+            if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
                 continue;
             }
             let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
@@ -227,11 +273,13 @@ pub fn check_schedule(
     cluster: &ClusterSpec,
     opts: &VerifyOptions,
 ) -> Report {
-    let mut report = check_coverage(s, jobs, cluster);
-    check_precedence(s, jobs, cluster, opts, &mut report);
-    check_capacity(s, jobs, cluster, &mut report);
+    let by_id = JobsById::new(jobs);
+    let mut report = coverage(s, jobs, &by_id, cluster);
+    let by_job = ByJob::new(s);
+    check_precedence(&by_job, jobs, cluster, opts, &mut report);
+    check_capacity(s, &by_id, cluster, &mut report);
     if opts.check_deadlines {
-        check_deadlines(s, jobs, cluster, &mut report);
+        check_deadlines(&by_job, jobs, cluster, &mut report);
     }
     report
 }
@@ -358,6 +406,205 @@ mod tests {
         assert!(r.passes(), "deadline misses are warnings: {r}");
         let no_deadlines = VerifyOptions { check_deadlines: false, ..VerifyOptions::default() };
         assert!(!check_schedule(&s, &jobs, &cluster, &no_deadlines).fired(Rule::Deadline));
+    }
+
+    /// R1/R2/R4 as they were before assignments were grouped by job: one
+    /// scan of the whole schedule per job (and of the whole job list per
+    /// assignment). Quadratic, obviously right — the reference.
+    mod oracle {
+        use super::super::*;
+
+        pub(super) fn check_schedule(
+            s: &Schedule,
+            jobs: &[Job],
+            cluster: &ClusterSpec,
+            opts: &VerifyOptions,
+        ) -> Report {
+            // R1's per-assignment findings, with the job looked up by scan.
+            let mut report = Report::new();
+            let probe = check_coverage(s, jobs, cluster);
+            let mut per_assignment = probe.iter().filter(|d| d.node.is_some());
+            for a in &s.assignments {
+                let known = jobs.iter().find(|j| j.id == a.task.job);
+                let mut expected = usize::from(a.node.idx() >= cluster.len());
+                expected += usize::from(known.is_none_or(|j| a.task.idx() >= j.num_tasks()));
+                for _ in 0..expected {
+                    let d = per_assignment.next().expect("an R1 finding per broken assignment");
+                    assert_eq!((d.task, d.at), (Some(a.task), Some(a.start)));
+                    report.push(d.clone());
+                }
+            }
+            assert!(per_assignment.next().is_none());
+            probe.iter().filter(|d| d.node.is_none()).for_each(|d| report.push(d.clone()));
+
+            let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
+            for job in jobs {
+                let mut placed: HashMap<u32, (usize, Time)> = HashMap::new();
+                for a in &s.assignments {
+                    if a.task.job == job.id
+                        && a.task.idx() < job.num_tasks()
+                        && a.node.idx() < cluster.len()
+                    {
+                        placed.insert(a.task.index, (a.node.idx(), a.start));
+                    }
+                }
+                for (u, v) in job.dag.edges() {
+                    let (Some(&(nu, su)), Some(&(_, sv))) = (placed.get(&u), placed.get(&v)) else {
+                        continue;
+                    };
+                    let parent_finish = planned_finish(su, job, u, nu, cluster);
+                    if sv < parent_finish {
+                        report.push(Diagnostic {
+                            rule: Rule::Precedence,
+                            severity,
+                            task: Some(job.task_id(v)),
+                            node: None,
+                            at: Some(sv),
+                            message: format!(
+                                "starts at {:.3}s before parent {} finishes at {:.3}s",
+                                sv.as_secs_f64(),
+                                job.task_id(u),
+                                parent_finish.as_secs_f64()
+                            ),
+                        });
+                    }
+                }
+            }
+            check_capacity(s, &JobsById::new(jobs), cluster, &mut report);
+            if !opts.check_deadlines {
+                return report;
+            }
+            let mean = cluster.mean_rate();
+            for job in jobs {
+                let exec = job.exec_estimates(mean);
+                let deadlines = level_deadlines(&job.dag, job.levels(), job.deadline, &exec);
+                for a in &s.assignments {
+                    if a.task.job != job.id
+                        || a.task.idx() >= job.num_tasks()
+                        || a.node.idx() >= cluster.len()
+                    {
+                        continue;
+                    }
+                    let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+                    let deadline = deadlines[a.task.idx()];
+                    if finish > deadline {
+                        report.push(Diagnostic {
+                            rule: Rule::Deadline,
+                            severity: Severity::Warning,
+                            task: Some(a.task),
+                            node: Some(a.node),
+                            at: Some(a.start),
+                            message: format!(
+                                "planned finish {:.3}s misses the level deadline {:.3}s",
+                                finish.as_secs_f64(),
+                                deadline.as_secs_f64()
+                            ),
+                        });
+                    }
+                }
+            }
+            report
+        }
+    }
+
+    #[test]
+    fn jobs_sharing_an_id_are_found_first_and_last() {
+        let mut jobs: Vec<Job> = (0..4).map(|_| chain_job(Time::from_secs(1))).collect();
+        for (job, (id, deadline)) in jobs.iter_mut().zip([(7, 10), (3, 20), (7, 30), (7, 40)]) {
+            job.id = JobId(id);
+            job.deadline = Time::from_secs(deadline);
+        }
+        let by_id = JobsById::new(&jobs);
+        let deadline = |job: Option<&Job>| job.map(|j| j.deadline.as_micros() / 1_000_000);
+        assert_eq!(deadline(by_id.first(JobId(7))), Some(10));
+        assert_eq!(deadline(by_id.last(JobId(7))), Some(40));
+        assert_eq!(deadline(by_id.first(JobId(3))), deadline(by_id.last(JobId(3))));
+        for absent in [0, 5, 9] {
+            assert!(by_id.first(JobId(absent)).is_none() && by_id.last(JobId(absent)).is_none());
+        }
+    }
+
+    /// Three chain jobs with ids 0, 5, 2 (not sorted, not dense), their
+    /// tasks interleaved in the schedule, two per node.
+    fn interleaved() -> (Vec<Job>, ClusterSpec, Schedule) {
+        let mut jobs = Vec::new();
+        for (id, deadline) in [(0, 100), (5, 1), (2, 100)] {
+            let mut job = chain_job(Time::from_secs(deadline));
+            job.id = JobId(id);
+            jobs.push(job);
+        }
+        let cluster = uniform(3, 1000.0, 2);
+        let mut s = Schedule::new();
+        for v in 0..2u32 {
+            for (k, job) in jobs.iter().enumerate() {
+                s.assign(job.task_id(v), NodeId(k as u32), Time::from_secs(u64::from(v)));
+            }
+        }
+        (jobs, cluster, s)
+    }
+
+    #[test]
+    fn grouped_rules_report_exactly_what_the_per_job_scans_did() {
+        type Mutation = fn(&mut Vec<Job>, &mut Schedule);
+        // The corruptions of tests/verify_mutations.rs, and the cases where
+        // grouping could change an answer: duplicates (last wins), unknown
+        // and repeated job ids, out-of-range tasks and nodes.
+        let mutations: [Mutation; 12] = [
+            |_, _| {},
+            |_, s| s.assignments.truncate(s.assignments.len() - 1),
+            |_, s| s.assignments.push(s.assignments[0]),
+            |_, s| s.assignments[0].node = NodeId(99),
+            |_, s| {
+                let last = s.assignments.len() - 1;
+                s.assignments[last].start = Time::ZERO;
+                s.assignments[last].node = NodeId(0);
+            },
+            |_, s| s.assignments.iter_mut().for_each(|a| a.node = NodeId(0)),
+            |_, s| s.assignments[4].start = Time::from_secs(2000),
+            |_, s| s.assign(TaskId::new(7, 0), NodeId(0), Time::from_secs(9)),
+            |_, s| s.assign(TaskId::new(5, 9), NodeId(1), Time::from_secs(9)),
+            // A late duplicate that breaks precedence: it must win …
+            |_, s| s.assign(TaskId::new(5, 1), NodeId(2), Time::ZERO),
+            // … and an early legal one that must lose to the original.
+            |_, s| {
+                s.assignments.insert(
+                    0,
+                    Assignment {
+                        task: TaskId::new(2, 1),
+                        node: NodeId(0),
+                        start: Time::from_secs(50),
+                    },
+                )
+            },
+            // Two jobs under one id: R1 judges by the first, R2/R4 by each.
+            |jobs, _| {
+                let tasks = vec![TaskSpec::sized(500.0)];
+                let deadline = Time::from_secs(100);
+                let twin =
+                    Job::new(jobs[1].id, JobClass::Small, Time::ZERO, deadline, tasks, Dag::new(1));
+                jobs.insert(0, twin);
+            },
+        ];
+        let mut fired = Vec::new();
+        for (i, mutate) in mutations.iter().enumerate() {
+            let (mut jobs, cluster, mut s) = interleaved();
+            mutate(&mut jobs, &mut s);
+            for dependency_aware in [true, false] {
+                for check_deadlines in [true, false] {
+                    let opts = VerifyOptions { dependency_aware, check_deadlines };
+                    let report = check_schedule(&s, &jobs, &cluster, &opts);
+                    assert_eq!(
+                        report,
+                        oracle::check_schedule(&s, &jobs, &cluster, &opts),
+                        "mutation {i}, {opts:?}"
+                    );
+                    fired.extend(report.iter().map(|d| d.rule));
+                }
+            }
+        }
+        for rule in [Rule::Coverage, Rule::Precedence, Rule::Capacity, Rule::Deadline] {
+            assert!(fired.contains(&rule), "no case exercised {}", rule.id());
+        }
     }
 
     #[test]
