@@ -14,10 +14,7 @@
 //!     [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]
 //! dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]
 //!
-//! dsp serve   [--addr HOST:PORT] [--cluster NAME] [--sched NAME]
-//!             [--preempt NAME] [--period SECS] [--epoch SECS]
-//!             [--time-scale F] [--max-pending TASKS] [--no-feasibility]
-//!             [--shards N] [--route hash|least-loaded|deadline]
+//! dsp serve   [DSPD FLAGS]    (the daemon itself: `dsp_service::cli`)
 //! dsp submit  --addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])
 //! dsp status  --addr HOST:PORT --job ID
 //! dsp metrics --addr HOST:PORT
@@ -25,9 +22,6 @@
 //!
 //! dsp matrix  [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F]
 //!             [--out DIR] [--no-artifacts]
-//!
-//! dsp bench   [--quick] [--baseline] [--threads N] [--label NAME] [--out FILE]
-//! dsp bench   --compare [OLD.json] NEW.json [--threshold PCT]
 //!
 //! dsp analyze [--json] [--lint ID]... [--baseline FILE]
 //!             [--write-baseline FILE] [--root DIR]
@@ -91,19 +85,13 @@ fn usage() -> ! {
          \x20      dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto] \
          [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]\n\
          \x20      dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]\n\
-         \x20      dsp serve [--addr HOST:PORT] [--cluster NAME] [--sched NAME] \
-         [--preempt NAME] [--period SECS] [--epoch SECS] [--time-scale F] \
-         [--max-pending TASKS] [--no-feasibility] [--read-cache on|off] \
-         [--frontend threads|reactor] [--max-conns N] [--reactor-threads N] \
-         [--shards N] [--route hash|least-loaded|deadline]\n\
+         \x20      dsp serve [DSPD FLAGS]\n\
          \x20      dsp submit --addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])\n\
          \x20      dsp status --addr HOST:PORT --job ID\n\
          \x20      dsp metrics --addr HOST:PORT\n\
          \x20      dsp drain --addr HOST:PORT [--out SNAPSHOT_FILE]\n\
          \x20      dsp matrix [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F] \
          [--out DIR] [--no-artifacts]\n\
-         \x20      dsp bench [--quick] [--baseline] [--threads N] [--label NAME] [--out FILE]\n\
-         \x20      dsp bench --compare [OLD.json] NEW.json [--threshold PCT]\n\
          \x20      dsp analyze [--json] [--lint ID]... [--baseline FILE] \
          [--write-baseline FILE] [--root DIR]"
     );
@@ -572,132 +560,6 @@ fn finish_call(response: Json) -> ! {
     std::process::exit(if ok { 0 } else { 1 })
 }
 
-fn serve_main(argv: &[String]) {
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut cluster_name = "ec2".to_string();
-    let mut sched_name = "dsp".to_string();
-    let mut preempt_name = "dsp".to_string();
-    let mut params = Params::default();
-    let mut time_scale = 600.0_f64;
-    let mut admission = dsp_service::AdmissionConfig::default();
-    let mut read_cache = true;
-    let mut frontend = dsp_service::Frontend::platform_default();
-    let mut max_conns = 0usize;
-    let mut reactor_threads = 0usize;
-    let mut shards = 1usize;
-    let mut route = dsp_service::RoutePolicy::Hash;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = next(&mut i),
-            "--cluster" => cluster_name = next(&mut i),
-            "--sched" => sched_name = next(&mut i),
-            "--preempt" => preempt_name = next(&mut i),
-            "--period" => {
-                let secs: u64 = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if secs == 0 {
-                    usage()
-                }
-                params.sched_period = dsp_core::units::Dur::from_secs(secs);
-            }
-            "--epoch" => {
-                let secs: u64 = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if secs == 0 {
-                    usage()
-                }
-                params.epoch = dsp_core::units::Dur::from_secs(secs);
-            }
-            "--time-scale" => {
-                time_scale = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if time_scale <= 0.0 {
-                    usage()
-                }
-            }
-            "--max-pending" => {
-                admission.max_pending_tasks = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--no-feasibility" => admission.check_feasibility = false,
-            "--read-cache" => {
-                read_cache = match next(&mut i).as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                }
-            }
-            "--frontend" => {
-                frontend = dsp_service::Frontend::parse(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--max-conns" => max_conns = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--reactor-threads" => {
-                reactor_threads = next(&mut i).parse().unwrap_or_else(|_| usage())
-            }
-            "--shards" => {
-                shards = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if shards == 0 || shards > dsp_service::MAX_SHARDS {
-                    usage()
-                }
-            }
-            "--route" => {
-                route = dsp_service::RoutePolicy::parse(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let cluster = dsp_service::build_cluster(&cluster_name).unwrap_or_else(|| usage());
-    // Validate the names once (exit 2 on a typo); the per-shard factories
-    // below then cannot fail.
-    dsp_service::build_scheduler(&sched_name).unwrap_or_else(|| usage());
-    dsp_service::build_policy(&preempt_name, &params).unwrap_or_else(|| usage());
-    let spec = dsp_service::FederationSpec {
-        cluster,
-        engine: params.engine_config(),
-        sched_period: params.sched_period,
-        admission,
-        scheduler: {
-            let name = sched_name.clone();
-            Box::new(move || {
-                dsp_service::build_scheduler(&name)
-                    .unwrap_or_else(|| unreachable!("validated above"))
-            })
-        },
-        policy: {
-            let (name, params) = (preempt_name.clone(), params);
-            Box::new(move || {
-                dsp_service::build_policy(&name, &params)
-                    .unwrap_or_else(|| unreachable!("validated above"))
-            })
-        },
-    };
-    let config = dsp_service::ServerConfig {
-        addr,
-        time_scale,
-        tick: std::time::Duration::from_millis(10),
-        read_cache,
-        frontend,
-        max_conns,
-        reactor_threads,
-        shards,
-        route,
-        ..Default::default()
-    };
-    let handle = dsp_service::serve_federated(spec, config).unwrap_or_else(|e| {
-        eprintln!("dsp: failed to start: {e}");
-        std::process::exit(1)
-    });
-    println!("dspd listening on {}", handle.addr);
-    println!("dspd frontend: {}", frontend.name());
-    println!("dspd shards: {} (route: {})", handle.shards(), route.name());
-    let _ = std::io::stdout().flush();
-    handle.wait();
-    println!("dspd drained; exiting");
-}
-
 fn submit_main(argv: &[String]) {
     let mut addr: Option<String> = None;
     let mut file: Option<String> = None;
@@ -938,12 +800,11 @@ fn main() {
         Some("verify") => verify_main(&argv[1..]),
         Some("matrix") => matrix_main(&argv[1..]),
         Some("analyze") => analyze_main(&argv[1..]),
-        Some("serve") => serve_main(&argv[1..]),
+        Some("serve") => std::process::exit(dsp_service::cli::run(&argv[1..])),
         Some("submit") => submit_main(&argv[1..]),
         Some("status") => status_main(&argv[1..]),
         Some("metrics") => metrics_main(&argv[1..]),
         Some("drain") => drain_main(&argv[1..]),
-        Some("bench") => std::process::exit(dsp_bench::perf::bench_main(&argv[1..])),
         _ => run_main(&argv),
     }
 }

@@ -78,31 +78,4 @@ fn main() {
             emit(&f, csv_dir);
         }
     }
-
-    if all {
-        println!("{BENCH_QUICKSTART}");
-    }
 }
-
-/// Footer kept in the generated `results/reproduce.md`: how to reproduce
-/// the committed perf trajectory (`BENCH_*.json`, see DESIGN.md §11).
-const BENCH_QUICKSTART: &str = "\
-## Reproducing the perf trajectory (`BENCH_*.json`)
-
-The repo commits one perf-harness snapshot per optimization PR. To
-regenerate (or extend) the trajectory on your machine:
-
-```text
-cargo build --release -p dsp-bench
-target/release/dsp bench --baseline --label baseline --out BENCH_baseline.json
-target/release/dsp bench --label pr3 --out BENCH_pr3.json
-scripts/bench_compare.sh BENCH_baseline.json BENCH_pr3.json   # exit 1 on >15% regression
-```
-
-`--baseline` reruns the retained reference implementations (naive Eq. 12
-rebuild each epoch, cold-start MILP) under the same bench names, so the
-compare isolates exactly the optimized hot paths. Wall times are
-machine-dependent; the logical counters (`pivots`, `warm_hits`,
-`jobs_recomputed`, `arena_bytes`) are deterministic for a given seed and
-should match the committed files bit-for-bit. `dsp bench --quick` is the
-CI smoke variant.";

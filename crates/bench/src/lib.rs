@@ -1,30 +1,13 @@
-//! Benchmark support: shared scales for the Criterion benches and the
-//! `reproduce` binary.
+//! The command-line binaries: `dsp` (run, verify, matrix, analyze, and
+//! the service verbs) and `reproduce`, plus the scales `reproduce` sweeps.
 //!
-//! * `cargo run -p dsp-bench --release --bin reproduce` regenerates every
-//!   figure of the paper's evaluation as markdown tables (and CSV with
-//!   `--csv`).
-//! * `cargo bench -p dsp-bench` times the underlying experiment kernels —
-//!   one bench group per figure plus ablations and microbenchmarks.
+//! `cargo run -p dsp-bench --release --bin reproduce` regenerates every
+//! figure of the paper's evaluation as markdown tables (and CSV with
+//! `--csv`). Performance is measured by `dsp-benchmark` (crates/benchmark).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod perf;
-
 use dsp_core::FigureScale;
-
-/// The scale Criterion benches run at: small enough for statistical
-/// repetition, big enough to exercise every code path.
-pub fn bench_scale() -> FigureScale {
-    FigureScale {
-        job_counts: vec![6],
-        scalability_counts: vec![12],
-        task_scale: 0.03,
-        task_scale_palmetto: 0.1,
-        seed: 2018,
-        threads: 1,
-    }
-}
 
 /// The scale the `reproduce` binary uses by default: the paper's x axes
 /// with per-job task counts at 2%.
@@ -50,7 +33,7 @@ mod tests {
 
     #[test]
     fn scales_are_ordered() {
-        assert!(bench_scale().job_counts.len() < quick_scale().job_counts.len());
+        assert!(quick_scale().job_counts.iter().max() <= reproduce_scale().job_counts.iter().min());
         assert_eq!(reproduce_scale().job_counts, vec![150, 300, 450, 600, 750]);
     }
 }

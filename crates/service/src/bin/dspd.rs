@@ -1,187 +1,7 @@
-//! `dspd` — the DSP online service daemon.
-//!
-//! ```text
-//! dspd [--addr HOST:PORT] [--cluster ec2|palmetto|uniform:N:RATE:SLOTS]
-//!      [--sched dsp|fifo|tetris|tetris-wodep|aalo] [--preempt dsp|dsp-wopp|none]
-//!      [--period SECS] [--epoch SECS] [--time-scale F]
-//!      [--max-pending TASKS] [--no-feasibility] [--read-cache on|off]
-//!      [--frontend threads|reactor] [--max-conns N] [--reactor-threads N]
-//!      [--shards N] [--route hash|least-loaded|deadline]
-//! ```
-//!
-//! Binds the socket (port 0 picks an ephemeral port), prints
-//! `dspd listening on HOST:PORT` on stdout, and serves the newline-
-//! delimited JSON protocol until a client sends `{"op":"drain"}`.
-//! `--time-scale` is simulated seconds per wall second; the default 600
-//! crosses one 300 s scheduling period every half wall-second.
-//! `--read-cache off` routes reads through the write-command queue
-//! (the serialize-everything baseline) instead of the published
-//! snapshot — kept for A/B measurement, not production use.
-//! `--frontend` selects the connection-serving machinery: `threads`
-//! (one blocking thread per connection, portable) or `reactor` (a fixed
-//! pool of epoll event-loop threads; linux only, and the default
-//! there). `--max-conns` caps accepted connections — excess clients get
-//! one `busy` reply and a close. `--reactor-threads` sizes the reactor
-//! pool (0 = auto).
-//! `--shards N` partitions the cluster into N independent shards — each
-//! with its own engine, driver-owner thread, command queue, and snapshot
-//! cell — behind a placement router, so submit throughput scales with
-//! cores (DESIGN.md §10.7). `--route` picks the placement policy:
-//! `hash` (deterministic round-robin over batches; with the strided id
-//! lanes this is hash-by-JobId), `least-loaded`, or `deadline`
-//! (feasibility-scored against each shard's sub-cluster).
-
-use dsp_core::config::Params;
-use dsp_service::{
-    build_cluster, build_policy, build_scheduler, serve_federated, AdmissionConfig, FederationSpec,
-    RoutePolicy, MAX_SHARDS,
-};
-use dsp_units::Dur;
-use std::io::Write;
-use std::time::Duration;
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dspd [--addr HOST:PORT] [--cluster ec2|palmetto|uniform:N:RATE:SLOTS] \
-         [--sched dsp|fifo|tetris|tetris-wodep|aalo] [--preempt dsp|dsp-wopp|none] \
-         [--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
-         [--no-feasibility] [--read-cache on|off] [--frontend threads|reactor] \
-         [--max-conns N] [--reactor-threads N] [--shards N] \
-         [--route hash|least-loaded|deadline]"
-    );
-    std::process::exit(2)
-}
+//! `dspd` — the DSP online service daemon. Flags, banner lines and exit
+//! codes are [`dsp_service::cli`]'s; `dsp serve` is the same function.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut addr = "127.0.0.1:0".to_string();
-    let mut cluster_name = "ec2".to_string();
-    let mut sched_name = "dsp".to_string();
-    let mut preempt_name = "dsp".to_string();
-    let mut params = Params::default();
-    let mut time_scale = 600.0_f64;
-    let mut admission = AdmissionConfig::default();
-    let mut read_cache = true;
-    let mut frontend = dsp_service::Frontend::platform_default();
-    let mut max_conns = 0usize;
-    let mut reactor_threads = 0usize;
-    let mut shards = 1usize;
-    let mut route = RoutePolicy::Hash;
-
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = next(&mut i),
-            "--cluster" => cluster_name = next(&mut i),
-            "--sched" => sched_name = next(&mut i),
-            "--preempt" => preempt_name = next(&mut i),
-            "--period" => {
-                let secs: u64 = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if secs == 0 {
-                    usage();
-                }
-                params.sched_period = Dur::from_secs(secs);
-            }
-            "--epoch" => {
-                let secs: u64 = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if secs == 0 {
-                    usage();
-                }
-                params.epoch = Dur::from_secs(secs);
-            }
-            "--time-scale" => {
-                time_scale = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if time_scale.is_nan() || time_scale <= 0.0 {
-                    usage();
-                }
-            }
-            "--max-pending" => {
-                admission.max_pending_tasks = next(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--no-feasibility" => admission.check_feasibility = false,
-            "--read-cache" => {
-                read_cache = match next(&mut i).as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => usage(),
-                }
-            }
-            "--frontend" => {
-                frontend = dsp_service::Frontend::parse(&next(&mut i)).unwrap_or_else(|| usage());
-            }
-            "--max-conns" => {
-                max_conns = next(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--reactor-threads" => {
-                reactor_threads = next(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--shards" => {
-                shards = next(&mut i).parse().unwrap_or_else(|_| usage());
-                if shards == 0 || shards > MAX_SHARDS {
-                    usage();
-                }
-            }
-            "--route" => {
-                route = RoutePolicy::parse(&next(&mut i)).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    let cluster = build_cluster(&cluster_name).unwrap_or_else(|| usage());
-    // Validate the names up front (exit 2 on a typo); the factories the
-    // federation calls per shard then cannot fail.
-    build_scheduler(&sched_name).unwrap_or_else(|| usage());
-    build_policy(&preempt_name, &params).unwrap_or_else(|| usage());
-
-    let spec = FederationSpec {
-        cluster,
-        engine: params.engine_config(),
-        sched_period: params.sched_period,
-        admission,
-        scheduler: {
-            let name = sched_name.clone();
-            Box::new(move || {
-                build_scheduler(&name).unwrap_or_else(|| unreachable!("validated above"))
-            })
-        },
-        policy: {
-            let (name, params) = (preempt_name.clone(), params);
-            Box::new(move || {
-                build_policy(&name, &params).unwrap_or_else(|| unreachable!("validated above"))
-            })
-        },
-    };
-
-    let config = dsp_service::ServerConfig {
-        addr,
-        time_scale,
-        tick: Duration::from_millis(10),
-        read_cache,
-        frontend,
-        max_conns,
-        reactor_threads,
-        shards,
-        route,
-        ..Default::default()
-    };
-    let handle = match serve_federated(spec, config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("dspd: failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The smoke script and client tooling scrape this line for the port.
-    println!("dspd listening on {}", handle.addr);
-    println!("dspd frontend: {}", frontend.name());
-    println!("dspd shards: {} (route: {})", handle.shards(), route.name());
-    let _ = std::io::stdout().flush();
-    handle.wait();
-    println!("dspd drained; exiting");
+    std::process::exit(dsp_service::cli::run(&argv));
 }

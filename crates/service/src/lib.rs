@@ -19,13 +19,13 @@
 //!   thread publishes an immutable [`state::StateSnapshot`] into a
 //!   [`state::SnapshotCell`], and `status`/`metrics`/`snapshot`/`ping`
 //!   are answered from it without ever touching the driver;
-//! * [`server`] — `std::net` TCP front end (`dspd`): a bounded command
-//!   queue feeding the single driver-owner thread (the write lane), the
-//!   wall-clock ticker, and a minimal blocking [`server::Client`]. Two
-//!   front ends serve connections against those lanes: a portable
-//!   thread-per-connection accept loop, and (linux) the `reactor` — a
-//!   fixed pool of epoll event-loop threads that holds 10k+ sockets
-//!   with a thread count independent of connection count;
+//! * [`server`] — `std::net` TCP front end: bounded per-shard command
+//!   queues feeding the driver-owner threads (the write lane), the
+//!   wall-clock ticker, and a minimal blocking [`server::Client`].
+//!   Connections are served by the `reactor` on linux — a fixed pool of
+//!   epoll event-loop threads that holds 10k+ sockets with a thread
+//!   count independent of connection count — and by a
+//!   thread-per-connection fallback elsewhere;
 //! * [`router`] — the sharded federation (DESIGN.md §10.7): `--shards N`
 //!   partitions the cluster into N sub-clusters, each with its own
 //!   driver, owner thread, queue, and snapshot cell; the router places
@@ -35,11 +35,14 @@
 //!   auditable snapshot over the full cluster;
 //! * [`json`] / [`codec`] — a dependency-free JSON kernel and the
 //!   versioned artifact format (`format_version` stamps) shared with the
-//!   `dsp` CLI's dump/verify paths.
+//!   `dsp` CLI's dump/verify paths;
+//! * [`cli`] — the daemon's command line, shared by `dspd` and
+//!   `dsp serve`.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod admission;
+pub mod cli;
 pub mod codec;
 pub mod driver;
 pub mod json;
@@ -56,8 +59,7 @@ pub use codec::{Snapshot, FORMAT_VERSION};
 pub use driver::{JobRequest, JobStatus, OnlineDriver};
 pub use router::RoutePolicy;
 pub use server::{
-    serve, serve_federated, Client, FederationSpec, Frontend, ServerConfig, ServerHandle,
-    MAX_SHARDS,
+    serve_federated, Client, FederationSpec, ServerConfig, ServerHandle, FRONTEND, MAX_SHARDS,
 };
 pub use state::{SnapshotCell, StateSnapshot};
 

@@ -6,7 +6,7 @@
 //! Reads are answered inline, but the moment a command is handed to the
 //! driver (`inflight`) frame processing pauses — a pipelined read after
 //! a `submit` stays buffered until the submit's reply lands, exactly as
-//! the blocking front end would sequence it.
+//! a blocking handler thread would sequence it.
 
 use crate::codec::{FrameBuffer, FrameError};
 use crate::server::{response_bytes, Dispatch};
@@ -21,7 +21,7 @@ const CHUNK: usize = 8192;
 pub(crate) struct Conn {
     stream: TcpStream,
     /// Partial-frame reassembly — the same state machine the threads
-    /// front end runs, so framing semantics cannot diverge.
+    /// fallback runs, so framing semantics cannot diverge.
     pub(crate) frames: FrameBuffer,
     /// Bytes queued for the socket; `sent` is the flushed prefix.
     out: Vec<u8>,
@@ -111,10 +111,7 @@ impl Conn {
     /// Queue the one reply a framing violation gets, then seal the
     /// connection — resynchronizing a broken frame stream is impossible.
     pub(crate) fn queue_frame_error(&mut self, error: &FrameError) {
-        self.queue_response(wire::Response {
-            body: wire::error_response("bad_request", &error.to_string()),
-            shutdown: false,
-        });
+        self.queue_response(wire::Response::refusal("bad_request", &error.to_string()));
         self.close_after_flush = true;
     }
 

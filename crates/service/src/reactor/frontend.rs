@@ -11,7 +11,7 @@
 use super::conn::Conn;
 use super::poller::{ThreadPoller, TOKEN_LISTENER, TOKEN_WAKER};
 use crate::server::{
-    draining_response, route_line, shed_busy, ReplySink, Routed, ServerConfig, Shared,
+    draining_response, route_line, shed_busy, Dispatch, ReplySink, Routed, ServerConfig, Shared,
 };
 use crate::wire;
 use dsp_epoll::{waker, Event, Waker};
@@ -32,8 +32,7 @@ const POLL_TICK: Duration = Duration::from_millis(50);
 const STOP_GRACE: Duration = Duration::from_secs(2);
 /// Once stopping, how long the loop must be idle before it exits: a
 /// request already on the wire when the stop flag lands still gets its
-/// reply, mirroring the threads front end (whose handlers only notice
-/// the flag at their 200 ms read-timeout cadence).
+/// reply.
 const STOP_QUIET: Duration = Duration::from_millis(200);
 /// Accept-failure backoff bounds (fd exhaustion, transient kernel
 /// refusals): pause accepting, doubling from floor to ceiling.
@@ -123,7 +122,7 @@ fn pool_size(configured: usize) -> usize {
 
 /// Boot the reactor pool. All fallible setup (wakers, epoll instances,
 /// listener registration) happens before any thread starts, so a bad
-/// environment fails `serve` synchronously with nothing to unwind.
+/// environment fails the boot synchronously with nothing to unwind.
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -335,14 +334,7 @@ fn run(
         for (slot, entry) in slab.iter_mut().enumerate() {
             let Some(conn) = entry.as_mut() else { continue };
             if let Some(dispatch) = conn.retry.take() {
-                match rt.shared.router.try_send(dispatch) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(dispatch)) => conn.retry = Some(dispatch),
-                    Err(TrySendError::Disconnected(_)) => {
-                        conn.inflight = false;
-                        conn.queue_response(draining_response());
-                    }
-                }
+                send_or_park(conn, &rt.shared, dispatch);
             }
             process_frames(conn, slot, &rt.shared, hub);
             conn.pump_out();
@@ -417,16 +409,21 @@ fn process_frames(conn: &mut Conn, slot: usize, shared: &Shared, hub: &Arc<Threa
                 // Routing is resolved exactly once, here: a later retry
                 // re-sends the same dispatch, so backpressure can delay
                 // a request but never re-route it to another shard.
-                let dispatch = shared.router.plan(request, sink);
-                match shared.router.try_send(dispatch) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(dispatch)) => conn.retry = Some(dispatch),
-                    Err(TrySendError::Disconnected(_)) => {
-                        conn.inflight = false;
-                        conn.queue_response(draining_response());
-                    }
-                }
+                send_or_park(conn, shared, shared.router.plan(request, sink));
             }
+        }
+    }
+}
+
+/// Hand a dispatch to its queue. A full queue parks it on the connection
+/// for the next sweep; a vanished owner answers `draining`.
+fn send_or_park(conn: &mut Conn, shared: &Shared, dispatch: Dispatch) {
+    match shared.router.try_send(dispatch) {
+        Ok(()) => {}
+        Err(TrySendError::Full(dispatch)) => conn.retry = Some(dispatch),
+        Err(TrySendError::Disconnected(_)) => {
+            conn.inflight = false;
+            conn.queue_response(draining_response());
         }
     }
 }

@@ -8,23 +8,23 @@
 //! connection handoff queue + waker). Thread 0 additionally owns the
 //! listener and deals accepted sockets round-robin across the pool.
 //!
-//! The two request lanes are unchanged from DESIGN.md §10.5:
+//! The two request lanes are those of DESIGN.md §10.5:
 //!
 //! * reads (`ping`/`status`/`metrics`/`snapshot`) are answered **inline
 //!   on the reactor thread** from the published [`crate::SnapshotCell`]
 //!   — no hop, no lock shared with the driver;
-//! * writes (`submit`/`drain`) go through the same bounded command
-//!   queue as the threads front end, with a [`frontend::ReplyHandle`]
-//!   instead of a blocked thread: the driver-owner pushes the response
-//!   into the owning reactor thread's inbox and wakes it. A full queue
-//!   parks the command on the connection for retry — a reactor thread
-//!   never blocks on the driver, so one backpressured submitter cannot
-//!   stall the other connections on its thread.
+//! * writes (`submit`/`drain`) go through the bounded per-shard command
+//!   queues with a [`frontend::ReplyHandle`] as the reply sink: the
+//!   driver-owner pushes the response into the owning reactor thread's
+//!   inbox and wakes it. A full queue parks the command on the
+//!   connection for retry — a reactor thread never blocks on the driver,
+//!   so one backpressured submitter cannot stall the other connections
+//!   on its thread.
 //!
-//! Framing, routing, and reply serialization are the same code both
-//! front ends call ([`crate::codec::FrameBuffer`],
+//! Framing, routing, and reply serialization are the code the non-linux
+//! threads fallback also calls ([`crate::codec::FrameBuffer`],
 //! [`crate::server::route_line`]), so reply bytes and reason tokens are
-//! identical whichever front end serves the socket.
+//! identical whichever serves the socket.
 
 mod conn;
 mod frontend;

@@ -27,9 +27,7 @@ pub(crate) struct ThreadPoller {
 }
 
 impl ThreadPoller {
-    /// Build the poller and register the wake channel. Fails on
-    /// non-linux targets (no epoll), which is how `serve` refuses
-    /// `--frontend reactor` off-platform before any thread starts.
+    /// Build the poller and register the wake channel.
     pub(crate) fn new(wake_rx: WakeReceiver) -> io::Result<ThreadPoller> {
         let poller = Poller::with_capacity(1024)?;
         poller.add(&wake_rx, TOKEN_WAKER, Interest::READ)?;

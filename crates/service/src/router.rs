@@ -35,9 +35,7 @@
 use crate::admission::{check_feasible, AdmitError};
 use crate::codec::Snapshot;
 use crate::driver::JobRequest;
-use crate::server::{
-    draining_response, Command, Dispatch, QueuedRequest, ReplySink, Shared, Target,
-};
+use crate::server::{draining_response, Command, Dispatch, ReplySink, Shared, Target};
 use crate::state::{SnapshotCell, StateSnapshot};
 use crate::wire;
 use dsp_cluster::{ClusterSpec, NodeId};
@@ -102,6 +100,9 @@ pub(crate) struct ShardHandle {
 /// cursor and the drain latch.
 pub(crate) struct Router {
     shards: Vec<ShardHandle>,
+    /// Shard 0's read cell, captured at construction (a router always
+    /// has a first shard).
+    primary: Arc<SnapshotCell>,
     coordinator: SyncSender<Command>,
     policy: RoutePolicy,
     /// Round-robin cursor for the hash policy: one step per submit
@@ -128,10 +129,16 @@ impl Router {
         policy: RoutePolicy,
         cluster: ClusterSpec,
         offsets: Vec<u32>,
-    ) -> Router {
-        debug_assert!(!shards.is_empty(), "a federation needs at least one shard");
+    ) -> std::io::Result<Router> {
         debug_assert_eq!(shards.len(), offsets.len());
-        Router {
+        let Some(first) = shards.first() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a federation needs at least one shard",
+            ));
+        };
+        Ok(Router {
+            primary: Arc::clone(&first.cell),
             shards,
             coordinator,
             policy,
@@ -139,7 +146,7 @@ impl Router {
             draining: AtomicBool::new(false),
             cluster,
             offsets,
-        }
+        })
     }
 
     pub(crate) fn shard_count(&self) -> usize {
@@ -147,13 +154,8 @@ impl Router {
     }
 
     /// Shard 0's snapshot cell ([`crate::server::ServerHandle::reads`]).
-    pub(crate) fn primary_cell(&self) -> Arc<SnapshotCell> {
-        match self.shards.first() {
-            Some(shard) => Arc::clone(&shard.cell),
-            // Unreachable by construction; an empty dummy cell would cost
-            // a Snapshot build, so just panic-free degrade via debug.
-            None => unreachable_cell(),
-        }
+    pub(crate) fn primary_cell(&self) -> &SnapshotCell {
+        &self.primary
     }
 
     pub(crate) fn is_draining(&self) -> bool {
@@ -164,26 +166,14 @@ impl Router {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Resolve a queued request to its destination exactly once. Drains
-    /// go to the coordinator; submits to the policy-picked shard; reads
-    /// (read-through mode, single-shard by construction) to shard 0.
-    pub(crate) fn plan(&self, request: QueuedRequest, reply: ReplySink) -> Dispatch {
-        match request {
-            QueuedRequest::Write(wire::WriteRequest::Drain) => Dispatch {
-                target: Target::Coordinator,
-                command: Command::Write(wire::WriteRequest::Drain, reply, 0),
-            },
-            QueuedRequest::Write(wire::WriteRequest::Submit(jobs)) => {
-                let shard = self.pick_shard(&jobs);
-                Dispatch {
-                    target: Target::Shard(shard),
-                    command: Command::Write(wire::WriteRequest::Submit(jobs), reply, 0),
-                }
-            }
-            QueuedRequest::Read(request) => {
-                Dispatch { target: Target::Shard(0), command: Command::ReadThrough(request, reply) }
-            }
-        }
+    /// Resolve a write to its destination exactly once: a drain goes to
+    /// the coordinator, a submit to the policy-picked shard.
+    pub(crate) fn plan(&self, request: wire::WriteRequest, reply: ReplySink) -> Dispatch {
+        let target = match &request {
+            wire::WriteRequest::Drain => Target::Coordinator,
+            wire::WriteRequest::Submit(jobs) => Target::Shard(self.pick_shard(jobs)),
+        };
+        Dispatch { target, command: Command::Write(request, reply, 0) }
     }
 
     fn queue_for(&self, target: Target) -> Option<&SyncSender<Command>> {
@@ -193,7 +183,8 @@ impl Router {
         }
     }
 
-    /// Blocking send (threads front end). Err = destination gone.
+    /// Blocking send (threads fallback). Err = destination gone.
+    #[cfg(any(test, not(target_os = "linux")))]
     pub(crate) fn send(&self, dispatch: Dispatch) -> Result<(), ()> {
         match self.queue_for(dispatch.target) {
             Some(queue) => queue.send(dispatch.command).map_err(|_| ()),
@@ -201,9 +192,10 @@ impl Router {
         }
     }
 
-    /// Non-blocking send (reactor front end); a `Full` refusal hands the
+    /// Non-blocking send (reactor); a `Full` refusal hands the
     /// dispatch back intact so the caller can park and retry it against
     /// the *same* target — backpressure never re-routes a request.
+    #[cfg(target_os = "linux")]
     pub(crate) fn try_send(&self, dispatch: Dispatch) -> Result<(), TrySendError<Dispatch>> {
         let Dispatch { target, command } = dispatch;
         let Some(queue) = self.queue_for(target) else {
@@ -308,19 +300,6 @@ impl Router {
         }
     }
 
-    /// Hand a misrouted drain to the coordinator (defense in depth — the
-    /// planner never targets a shard with one).
-    pub(crate) fn forward_drain(&self, reply: ReplySink) {
-        match self.coordinator.try_send(Command::Write(wire::WriteRequest::Drain, reply, 0)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(command) | TrySendError::Disconnected(command)) => {
-                if let Command::Write(_, reply, _) = command {
-                    reply.deliver(draining_response());
-                }
-            }
-        }
-    }
-
     /// The drain-vs-submit race, resolved (DESIGN.md §10.7): shard
     /// `from` found itself quiesced with this submit already queued.
     /// Forward the batch to the lowest-indexed shard not yet tried;
@@ -356,15 +335,14 @@ impl Router {
             }
         }
         if let Some((_jobs, reply)) = batch {
-            let body = if self.is_draining() {
-                wire::error_response("draining", &AdmitError::Draining.to_string())
+            reply.deliver(if self.is_draining() {
+                wire::Response::refusal("draining", &AdmitError::Draining.to_string())
             } else {
-                wire::error_response(
+                wire::Response::refusal(
                     wire::REASON_QUIESCED,
                     "every shard is quiesced or saturated; no shard can admit this batch",
                 )
-            };
-            reply.deliver(wire::Response { body, shutdown: false });
+            });
         }
     }
 
@@ -462,9 +440,7 @@ impl Router {
     /// module docs for the monotonicity argument).
     pub(crate) fn handle_read(&self, request: wire::ReadRequest) -> wire::Response {
         if self.shards.len() == 1 {
-            if let Some(shard) = self.shards.first() {
-                return wire::handle_read(&shard.cell.load(), request);
-            }
+            return wire::handle_read(&self.primary.load(), request);
         }
         let views: Vec<Arc<StateSnapshot>> = self.shards.iter().map(|s| s.cell.load()).collect();
         self.federated_read(&views, request)
@@ -512,22 +488,6 @@ impl Router {
     }
 }
 
-/// Unreachable-by-construction fallback for [`Router::primary_cell`]
-/// on an empty shard set: a throwaway cell over an empty snapshot.
-fn unreachable_cell() -> Arc<SnapshotCell> {
-    debug_assert!(false, "router built with zero shards");
-    let driver = crate::driver::OnlineDriver::new(
-        dsp_cluster::uniform(1, 1.0, 1),
-        dsp_sim::EngineConfig::default(),
-        dsp_units::Dur::from_secs(1),
-        Box::new(dsp_sched::FifoScheduler),
-        Box::new(dsp_sim::NoPreempt),
-        crate::admission::AdmissionConfig::default(),
-    );
-    let artifact = Arc::new(driver.snapshot());
-    Arc::new(SnapshotCell::new(driver.state_snapshot(0, artifact)))
-}
-
 /// The drain-coordinator loop: owns nothing but the drain protocol.
 /// Lives exactly as long as the shard owners; exits once shutdown is
 /// flagged and its queue stays empty for one poll interval.
@@ -554,9 +514,7 @@ pub(crate) fn coordinate(commands: Receiver<Command>, shared: &Shared) {
             }
             // Nothing else is ever planned onto the coordinator; answer
             // misrouted sinks rather than leaving a client hanging.
-            Command::Write(_, reply, _) | Command::ReadThrough(_, reply) => {
-                reply.deliver(draining_response());
-            }
+            Command::Write(_, reply, _) => reply.deliver(draining_response()),
             Command::Tick(_) | Command::Quiesce(_) | Command::DrainShard(_) => {}
         }
     }

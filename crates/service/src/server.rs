@@ -10,7 +10,7 @@
 //!   [`OnlineDriver`] is owned by its thread outright — there is no
 //!   mutex to convoy on — so mutations are serialized per shard, with
 //!   FIFO fairness across connections and explicit backpressure (a full
-//!   queue blocks the submitting client, not the whole service). The
+//!   queue stalls the submitting client, not the whole service). The
 //!   [`crate::router::Router`] decides which shard a submit lands on;
 //!   `drain` goes to a coordinator thread that runs the two-phase
 //!   federated drain.
@@ -24,29 +24,13 @@
 //!   mutation per shard. With more than one shard the router aggregates
 //!   the per-shard views into one federated reply (DESIGN.md §10.7).
 //!
-//! Two **front ends** serve connections against those lanes
-//! (DESIGN.md §10.6), selected by [`ServerConfig::frontend`]:
-//!
-//! * [`Frontend::Threads`] — one blocking handler thread per
-//!   connection. Portable, simple, and fine up to a few hundred
-//!   sockets.
-//! * [`Frontend::Reactor`] — a small fixed pool of epoll event-loop
-//!   threads (linux only; the platform default there). Reads are
-//!   answered inline on the reactor thread; writes funnel into the
-//!   per-shard command queues with replies delivered back through a
-//!   per-thread inbox. Thread count is independent of connection count.
-//!
-//! Both front ends share [`route_line`] and the [`FrameBuffer`] framing
-//! state machine, and both resolve a queued request's target shard
-//! exactly once (through [`crate::router::Router::plan`]), so reply
-//! bytes, reason tokens, and shard assignment are identical whichever
-//! serves the socket.
-//!
-//! `ServerConfig::read_cache` is the A/B off-switch: with it off, reads
-//! are routed through the (single) command queue too, restoring the old
-//! serialize-everything behavior (`dsp bench --service` measures the
-//! difference; `dspd --read-cache off` exposes it operationally). The
-//! off-switch requires `shards == 1`.
+//! One **front end** serves connections against those lanes, picked by
+//! the build target (DESIGN.md §10.6): on linux the reactor, a small
+//! fixed pool of epoll event-loop threads whose count is independent of
+//! connection count; everywhere else the `threads` fallback below, one
+//! blocking handler thread per connection. Both share [`route_line`] and
+//! the `FrameBuffer` framing state machine, and both resolve a write's
+//! target shard exactly once ([`crate::router::Router::plan`]).
 //!
 //! **Time**: the simulation clock runs at `time_scale` simulated seconds
 //! per wall second. The paper's cadences (300 s scheduling period, 5 s
@@ -55,7 +39,7 @@
 //! keeping event order identical to an offline run at the same instants.
 
 use crate::admission::AdmissionConfig;
-use crate::codec::{FrameBuffer, Snapshot};
+use crate::codec::Snapshot;
 use crate::driver::OnlineDriver;
 use crate::router::{coordinate, RoutePolicy, Router, ShardHandle};
 use crate::shard::{run_shard, Publisher};
@@ -64,9 +48,9 @@ use crate::wire;
 use dsp_cluster::ClusterSpec;
 use dsp_sim::EngineConfig;
 use dsp_units::Dur;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -76,64 +60,24 @@ use std::time::{Duration, Instant};
 /// shards in a `u64` bitmask (see [`crate::router::Router`]).
 pub const MAX_SHARDS: usize = 64;
 
-/// Which connection-serving machinery fronts the two request lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// One blocking handler thread per connection (portable default).
-    Threads,
-    /// Fixed pool of epoll event-loop threads (linux only).
-    Reactor,
-}
-
-impl Frontend {
-    /// The default for this build target: `reactor` on linux, `threads`
-    /// everywhere else.
-    pub fn platform_default() -> Frontend {
-        if cfg!(target_os = "linux") {
-            Frontend::Reactor
-        } else {
-            Frontend::Threads
-        }
-    }
-
-    /// Parse a `--frontend` CLI value.
-    pub fn parse(s: &str) -> Option<Frontend> {
-        match s {
-            "threads" => Some(Frontend::Threads),
-            "reactor" => Some(Frontend::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The CLI name (`threads` / `reactor`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Frontend::Threads => "threads",
-            Frontend::Reactor => "reactor",
-        }
-    }
-}
+/// The front end this build serves connections with (the `dspd
+/// frontend:` boot banner): the epoll reactor on linux, the
+/// thread-per-connection fallback everywhere else.
+pub const FRONTEND: &str = if cfg!(target_os = "linux") { "reactor" } else { "threads" };
 
 /// Server knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port (the bound address
     /// is reported on the returned handle).
     pub addr: String,
-    /// Simulated seconds per wall-clock second.
+    /// Simulated seconds per wall-clock second; 0 freezes the clock.
     pub time_scale: f64,
     /// Wall interval between driver advances.
     pub tick: Duration,
-    /// Serve reads from the published snapshot cache (the default). Off
-    /// routes reads through the command queue — the serialize-everything
-    /// baseline kept for A/B measurement (`--read-cache off`). Requires
-    /// `shards == 1`.
-    pub read_cache: bool,
-    /// Bound on queued write commands **per shard**; a full queue blocks
+    /// Bound on queued write commands **per shard**; a full queue stalls
     /// the sender.
     pub queue_depth: usize,
-    /// Connection-serving front end (see [`Frontend`]).
-    pub frontend: Frontend,
     /// Accepted-connection cap; excess connections are shed with a
     /// `busy` reason token. 0 = unlimited.
     pub max_conns: usize,
@@ -141,9 +85,9 @@ pub struct ServerConfig {
     pub reactor_threads: usize,
     /// Per-frame byte limit; 0 = [`crate::codec::DEFAULT_MAX_FRAME`].
     pub max_frame: usize,
-    /// Shard count for [`serve_federated`]: the cluster is split into
-    /// this many independent engine+driver partitions (clamped to the
-    /// node count and [`MAX_SHARDS`]). [`serve`] requires 1.
+    /// Shard count: the cluster is split into this many independent
+    /// engine+driver partitions (clamped to the node count and
+    /// [`MAX_SHARDS`]).
     pub shards: usize,
     /// Placement policy the router uses to assign submit batches to
     /// shards (see [`RoutePolicy`]). Irrelevant at `shards == 1`.
@@ -156,9 +100,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             time_scale: 600.0,
             tick: Duration::from_millis(10),
-            read_cache: true,
             queue_depth: 128,
-            frontend: Frontend::platform_default(),
             max_conns: 0,
             reactor_threads: 0,
             max_frame: 0,
@@ -194,10 +136,6 @@ pub(crate) enum Command {
     /// `u64` is the reroute bitmask: shards that already refused this
     /// submit because they were quiesced (0 on first dispatch).
     Write(wire::WriteRequest, ReplySink, u64),
-    /// A client read in `read_cache: false` mode: answered from the
-    /// published snapshot, but only after every earlier command — the
-    /// old mutex-convoy behavior, preserved for A/B benchmarks.
-    ReadThrough(wire::ReadRequest, ReplySink),
     /// The ticker mapping wall time onto simulation time.
     Tick(dsp_units::Time),
     /// Stop admitting on this shard (phase one of the federated drain);
@@ -228,12 +166,13 @@ pub(crate) struct Dispatch {
 
 /// Where the driver-owner thread sends a command's response.
 pub(crate) enum ReplySink {
-    /// A blocked connection-handler thread (threads front end).
-    Blocking(SyncSender<wire::Response>),
     /// A reactor thread's inbox (the connection is identified by the
     /// handle's token; delivery wakes the event loop).
     #[cfg(target_os = "linux")]
     Reactor(crate::reactor::ReplyHandle),
+    /// A blocked connection-handler thread (the threads fallback).
+    #[cfg(any(test, not(target_os = "linux")))]
+    Blocking(SyncSender<wire::Response>),
 }
 
 impl ReplySink {
@@ -241,11 +180,12 @@ impl ReplySink {
     /// hung up mid-call) must never kill the driver-owner thread.
     pub(crate) fn deliver(self, response: wire::Response) {
         match self {
+            #[cfg(target_os = "linux")]
+            ReplySink::Reactor(handle) => handle.deliver(response),
+            #[cfg(any(test, not(target_os = "linux")))]
             ReplySink::Blocking(tx) => {
                 let _ = tx.send(response);
             }
-            #[cfg(target_os = "linux")]
-            ReplySink::Reactor(handle) => handle.deliver(response),
         }
     }
 }
@@ -266,7 +206,6 @@ pub struct ServerHandle {
 /// **not** the drivers — only their owner threads hold those.
 pub(crate) struct Shared {
     pub(crate) router: Router,
-    pub(crate) read_cache: bool,
     shutdown: AtomicBool,
 }
 
@@ -283,62 +222,34 @@ impl Shared {
         // beyond the flag itself.
         self.shutdown.store(true, Ordering::SeqCst);
     }
-
-    /// Send one command and wait for its reply. Errors (owner gone mid-
-    /// shutdown) surface as a `draining` refusal rather than a hang.
-    fn roundtrip(&self, request: QueuedRequest) -> wire::Response {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let dispatch = self.router.plan(request, ReplySink::Blocking(reply_tx));
-        if self.router.send(dispatch).is_ok() {
-            if let Ok(response) = reply_rx.recv() {
-                return response;
-            }
-        }
-        draining_response()
-    }
 }
 
 /// The refusal handed out when the driver-owner thread is already gone.
 pub(crate) fn draining_response() -> wire::Response {
-    wire::Response {
-        body: wire::error_response("draining", "service is shutting down"),
-        shutdown: false,
-    }
-}
-
-/// A routed request that must go through a command queue.
-pub(crate) enum QueuedRequest {
-    Write(wire::WriteRequest),
-    Read(wire::ReadRequest),
+    wire::Response::refusal("draining", "service is shutting down")
 }
 
 /// The outcome of routing one request line.
 pub(crate) enum Routed {
-    /// Answered without touching a driver: a cached read or a parse
-    /// failure. Never carries `shutdown`.
+    /// Answered without touching a driver: a read, or a parse failure.
+    /// Never carries `shutdown`.
     Immediate(wire::Response),
     /// Must be serialized through a driver-owner thread.
-    Queue(QueuedRequest),
+    Queue(wire::WriteRequest),
 }
 
 /// Route one request line against the two lanes. This is the single
-/// routing point shared by both front ends — reply bytes and reason
-/// tokens cannot diverge between them because they both come from here.
+/// routing point shared by the reactor and the threads fallback — reply
+/// bytes and reason tokens cannot diverge between them because they both
+/// come from here.
 pub(crate) fn route_line(line: &str, shared: &Shared) -> Routed {
     match wire::parse_request(line) {
         // The read lane: answered from the published snapshots alone.
         // This arm has no path to a driver — the router only ever hands
         // `handle_read` the immutable views.
-        Ok(wire::Request::Read(request)) if shared.read_cache => {
-            Routed::Immediate(shared.router.handle_read(request))
-        }
-        // A/B baseline: reads serialized behind the write queue.
-        Ok(wire::Request::Read(request)) => Routed::Queue(QueuedRequest::Read(request)),
-        Ok(wire::Request::Write(request)) => Routed::Queue(QueuedRequest::Write(request)),
-        Err(msg) => Routed::Immediate(wire::Response {
-            body: wire::error_response("bad_request", &msg),
-            shutdown: false,
-        }),
+        Ok(wire::Request::Read(request)) => Routed::Immediate(shared.router.handle_read(request)),
+        Ok(wire::Request::Write(request)) => Routed::Queue(request),
+        Err(msg) => Routed::Immediate(wire::Response::refusal("bad_request", &msg)),
     }
 }
 
@@ -355,85 +266,60 @@ pub(crate) fn response_bytes(response: wire::Response) -> Vec<u8> {
 /// that can't take one line immediately just sees the close.
 pub(crate) fn shed_busy(stream: &mut TcpStream, max_conns: usize) {
     let _ = stream.set_nonblocking(true);
-    let response = wire::Response {
-        body: wire::error_response(
-            "busy",
-            &format!("connection limit ({max_conns}) reached; retry later"),
-        ),
-        shutdown: false,
-    };
-    let _ = stream.write(&response_bytes(response));
+    let message = format!("connection limit ({max_conns}) reached; retry later");
+    let _ = stream.write(&response_bytes(wire::Response::refusal("busy", &message)));
 }
 
-/// Boot a single-shard service around an already-built driver: bind,
-/// start the driver-owner thread and the clock, start the selected front
-/// end. Multi-shard federation needs the driver *factories* instead —
-/// use [`serve_federated`]; this entry rejects `config.shards > 1`.
-pub fn serve(driver: OnlineDriver, config: ServerConfig) -> std::io::Result<ServerHandle> {
-    if config.shards > 1 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "serve() runs exactly one shard; use serve_federated() for --shards > 1",
-        ));
-    }
-    let cluster = driver.cluster().clone();
-    serve_inner(vec![driver], cluster, vec![0], config)
-}
+/// Starts the connection-serving threads over a bound listener.
+type SpawnFrontend =
+    fn(TcpListener, Arc<Shared>, &ServerConfig) -> std::io::Result<Vec<JoinHandle<()>>>;
 
-/// Boot the federated service: split the cluster into `config.shards`
-/// partitions, build one [`OnlineDriver`] per partition on its own id
-/// lane (shard `i` assigns ids `i, i+N, i+2N, …`), and stand a placement
-/// router in front (DESIGN.md §10.7). At `shards == 1` this is the
-/// pre-federation single-driver path, byte for byte.
+#[cfg(target_os = "linux")]
+use crate::reactor::spawn as platform_frontend;
+#[cfg(not(target_os = "linux"))]
+use threads::spawn as platform_frontend;
+
+/// Boot the service: split the cluster into `config.shards` partitions,
+/// build one [`OnlineDriver`] per partition on its own id lane (shard
+/// `i` assigns ids `i, i+N, i+2N, …`), and stand a placement router in
+/// front (DESIGN.md §10.7). At `shards == 1` the router passes reads and
+/// the drained artifact through untouched, so the service is one plain
+/// driver behind a socket.
 pub fn serve_federated(
     spec: FederationSpec,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    let shards = config.shards.clamp(1, MAX_SHARDS).min(spec.cluster.len().max(1));
-    if shards > 1 && !config.read_cache {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "--read-cache off is a single-shard A/B baseline; it cannot federate",
-        ));
-    }
-    let offsets = spec.cluster.split_offsets(shards);
-    let drivers: Vec<OnlineDriver> = spec
-        .cluster
-        .split(shards)
-        .into_iter()
-        .enumerate()
-        .map(|(i, part)| {
-            OnlineDriver::new(
-                part,
-                spec.engine,
-                spec.sched_period,
-                (spec.scheduler)(),
-                (spec.policy)(),
-                spec.admission.clone(),
-            )
-            .with_id_lane(i as u32, shards as u32)
-        })
-        .collect();
-    serve_inner(drivers, spec.cluster, offsets, config)
+    boot(spec, config, platform_frontend)
 }
 
-/// The common boot path: one command queue + owner thread + snapshot
-/// cell per driver, a coordinator thread for federated drains, the
-/// ticker, and the selected front end.
-fn serve_inner(
-    drivers: Vec<OnlineDriver>,
-    full_cluster: ClusterSpec,
-    offsets: Vec<u32>,
+/// [`serve_federated`] with the front end named by the caller (the
+/// differential test boots both): bind, then one command queue + owner
+/// thread + snapshot cell per shard, a coordinator thread for federated
+/// drains, the ticker, and the front end.
+fn boot(
+    spec: FederationSpec,
     config: ServerConfig,
+    spawn_frontend: SpawnFrontend,
 ) -> std::io::Result<ServerHandle> {
+    let shards = config.shards.clamp(1, MAX_SHARDS).min(spec.cluster.len().max(1));
+    let offsets = spec.cluster.split_offsets(shards);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
     // Seed every shard's read lane before the first connection can land.
-    let mut handles = Vec::with_capacity(drivers.len());
-    let mut shard_threads = Vec::with_capacity(drivers.len());
-    for driver in drivers {
+    let mut handles = Vec::with_capacity(shards);
+    let mut shard_threads = Vec::with_capacity(shards);
+    for (i, part) in spec.cluster.split(shards).into_iter().enumerate() {
+        let driver = OnlineDriver::new(
+            part,
+            spec.engine,
+            spec.sched_period,
+            (spec.scheduler)(),
+            (spec.policy)(),
+            spec.admission.clone(),
+        )
+        .with_id_lane(i as u32, shards as u32);
         let publisher = Publisher::seed(&driver);
         let (commands, command_rx) = sync_channel(config.queue_depth.max(1));
         handles.push(ShardHandle {
@@ -444,29 +330,13 @@ fn serve_inner(
         shard_threads.push((driver, command_rx, publisher));
     }
     let (coordinator, coordinator_rx) = sync_channel(config.queue_depth.max(1));
-    let router = Router::new(handles, coordinator, config.route, full_cluster, offsets);
+    let router = Router::new(handles, coordinator, config.route, spec.cluster, offsets)?;
+    let shared = Arc::new(Shared { router, shutdown: AtomicBool::new(false) });
 
-    let shared = Arc::new(Shared {
-        router,
-        read_cache: config.read_cache,
-        shutdown: AtomicBool::new(false),
-    });
-
-    // The front end boots before the driver-owner threads so a bad
-    // configuration (reactor off-linux) fails `serve` without leaking
+    // The front end boots before the driver-owner threads so a failure
+    // there (no epoll instance to be had) fails the boot without leaking
     // running owners.
-    let frontend_threads = match config.frontend {
-        Frontend::Threads => vec![spawn_threads_frontend(listener, Arc::clone(&shared), &config)],
-        #[cfg(target_os = "linux")]
-        Frontend::Reactor => crate::reactor::spawn(listener, Arc::clone(&shared), &config)?,
-        #[cfg(not(target_os = "linux"))]
-        Frontend::Reactor => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "the reactor front end requires linux (epoll); use --frontend threads",
-            ));
-        }
-    };
+    let frontend_threads = spawn_frontend(listener, Arc::clone(&shared), &config)?;
 
     let owner_threads = shard_threads
         .into_iter()
@@ -511,141 +381,172 @@ fn serve_inner(
     })
 }
 
-/// The thread-per-connection front end: a nonblocking accept loop that
-/// spawns one handler thread per socket.
-///
-/// Failure handling: `WouldBlock` is the idle path (short fixed sleep);
-/// every other accept error — `EMFILE`/`ENFILE` when the fd table is
-/// full, `ECONNABORTED`, transient `ENOBUFS`… — backs off with a
-/// bounded, doubling sleep instead of hot-spinning or silently killing
-/// the accept loop. The loop only exits on the shutdown flag.
-fn spawn_threads_frontend(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    config: &ServerConfig,
-) -> JoinHandle<()> {
-    const IDLE_SLEEP: Duration = Duration::from_millis(5);
-    const BACKOFF_FLOOR: Duration = Duration::from_millis(10);
-    const BACKOFF_CEIL: Duration = Duration::from_millis(500);
-    let max_conns = config.max_conns;
-    let max_frame = config.max_frame;
-    std::thread::spawn(move || {
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        let mut backoff = BACKOFF_FLOOR;
-        while !shared.stopping() {
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    backoff = BACKOFF_FLOOR;
-                    // ordering: Relaxed — the counter only gates admission;
-                    // it publishes no data and an off-by-one race just sheds
-                    // (or admits) one borderline connection.
-                    if max_conns > 0 && active.load(Ordering::Relaxed) >= max_conns {
-                        shed_busy(&mut stream, max_conns);
-                        continue;
-                    }
-                    // Reap finished handlers so the vec stays bounded by the
-                    // live-connection count (dropping a JoinHandle detaches).
-                    handlers.retain(|h| !h.is_finished());
-                    let ticket = ConnTicket::issue(&active);
-                    let shared = Arc::clone(&shared);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_client(stream, &shared, max_frame);
-                        drop(ticket);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(IDLE_SLEEP);
-                }
-                Err(_) => {
-                    // fd exhaustion or a transient kernel refusal: give
-                    // handlers time to release resources, then try again.
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_CEIL);
-                }
-            }
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-    })
-}
-
-/// RAII decrement for the threads front end's live-connection counter.
-struct ConnTicket(Arc<AtomicUsize>);
-
-impl ConnTicket {
-    fn issue(counter: &Arc<AtomicUsize>) -> ConnTicket {
-        // ordering: Relaxed — admission gate only; see the accept loop.
-        counter.fetch_add(1, Ordering::Relaxed);
-        ConnTicket(Arc::clone(counter))
-    }
-}
-
-impl Drop for ConnTicket {
-    fn drop(&mut self) {
-        // ordering: Relaxed — admission gate only; see the accept loop.
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn handle_client(stream: TcpStream, shared: &Shared, max_frame: usize) {
-    // Connection I/O errors just drop the client; the service lives on.
-    // The read timeout keeps idle connections from pinning the shutdown
-    // join: the loop wakes periodically to check the stop flag.
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+/// The thread-per-connection front end: what serves connections where
+/// there is no epoll. Linux builds compile it for tests only (the
+/// differential test below keeps its reply bytes equal to the reactor's).
+#[cfg(any(test, not(target_os = "linux")))]
+mod threads {
+    use super::{
+        draining_response, response_bytes, route_line, shed_busy, ReplySink, Routed, ServerConfig,
+        Shared,
     };
-    let mut reader = stream;
-    let mut frames = FrameBuffer::new(max_frame);
-    let mut chunk = [0u8; 8192];
-    'conn: loop {
-        match reader.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                if let Some(bytes) = chunk.get(..n) {
-                    frames.push(bytes);
+    use crate::codec::FrameBuffer;
+    use crate::wire;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::sync_channel;
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    /// A nonblocking accept loop that spawns one handler thread per
+    /// socket.
+    ///
+    /// Failure handling: `WouldBlock` is the idle path (short fixed
+    /// sleep); every other accept error — `EMFILE`/`ENFILE` when the fd
+    /// table is full, `ECONNABORTED`, transient `ENOBUFS`… — backs off
+    /// with a bounded, doubling sleep instead of hot-spinning or silently
+    /// killing the accept loop. The loop only exits on the shutdown flag.
+    pub(super) fn spawn(
+        listener: TcpListener,
+        shared: Arc<Shared>,
+        config: &ServerConfig,
+    ) -> std::io::Result<Vec<JoinHandle<()>>> {
+        const IDLE_SLEEP: Duration = Duration::from_millis(5);
+        const BACKOFF_FLOOR: Duration = Duration::from_millis(10);
+        const BACKOFF_CEIL: Duration = Duration::from_millis(500);
+        let max_conns = config.max_conns;
+        let max_frame = config.max_frame;
+        Ok(vec![std::thread::spawn(move || {
+            let active = Arc::new(AtomicUsize::new(0));
+            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+            let mut backoff = BACKOFF_FLOOR;
+            while !shared.stopping() {
+                match listener.accept() {
+                    Ok((mut stream, _)) => {
+                        backoff = BACKOFF_FLOOR;
+                        // ordering: Relaxed — the counter only gates admission;
+                        // it publishes no data and an off-by-one race just sheds
+                        // (or admits) one borderline connection.
+                        if max_conns > 0 && active.load(Ordering::Relaxed) >= max_conns {
+                            shed_busy(&mut stream, max_conns);
+                            continue;
+                        }
+                        // Reap finished handlers so the vec stays bounded by the
+                        // live-connection count (dropping a JoinHandle detaches).
+                        handlers.retain(|h| !h.is_finished());
+                        let ticket = ConnTicket::issue(&active);
+                        let shared = Arc::clone(&shared);
+                        handlers.push(std::thread::spawn(move || {
+                            handle_client(stream, &shared, max_frame);
+                            drop(ticket);
+                        }));
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(IDLE_SLEEP);
+                    }
+                    Err(_) => {
+                        // fd exhaustion or a transient kernel refusal: give
+                        // handlers time to release resources, then try again.
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(BACKOFF_CEIL);
+                    }
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.stopping() {
-                    break;
-                }
-                continue;
+            for h in handlers {
+                let _ = h.join();
             }
-            Err(_) => break,
+        })])
+    }
+
+    /// RAII decrement for the live-connection counter.
+    struct ConnTicket(Arc<AtomicUsize>);
+
+    impl ConnTicket {
+        fn issue(counter: &Arc<AtomicUsize>) -> ConnTicket {
+            // ordering: Relaxed — admission gate only; see the accept loop.
+            counter.fetch_add(1, Ordering::Relaxed);
+            ConnTicket(Arc::clone(counter))
         }
-        loop {
-            let line = match frames.next_frame() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                Err(e) => {
-                    // Framing is unrecoverable: reply once, then close.
-                    let response = wire::Response {
-                        body: wire::error_response("bad_request", &e.to_string()),
-                        shutdown: false,
-                    };
-                    let _ = writer.write_all(&response_bytes(response));
+    }
+
+    impl Drop for ConnTicket {
+        fn drop(&mut self) {
+            // ordering: Relaxed — admission gate only; see the accept loop.
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Send one write command and wait for its reply. Errors (owner gone
+    /// mid-shutdown) surface as a `draining` refusal rather than a hang.
+    fn roundtrip(shared: &Shared, request: wire::WriteRequest) -> wire::Response {
+        let (reply_tx, reply_rx) = sync_channel(1);
+        let dispatch = shared.router.plan(request, ReplySink::Blocking(reply_tx));
+        if shared.router.send(dispatch).is_ok() {
+            if let Ok(response) = reply_rx.recv() {
+                return response;
+            }
+        }
+        draining_response()
+    }
+
+    fn handle_client(stream: TcpStream, shared: &Shared, max_frame: usize) {
+        // Connection I/O errors just drop the client; the service lives on.
+        // The read timeout keeps idle connections from pinning the shutdown
+        // join: the loop wakes periodically to check the stop flag.
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        let mut writer = match stream.try_clone() {
+            Ok(w) => w,
+            Err(_) => return,
+        };
+        let mut reader = stream;
+        let mut frames = FrameBuffer::new(max_frame);
+        let mut chunk = [0u8; 8192];
+        'conn: loop {
+            match reader.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => {
+                    if let Some(bytes) = chunk.get(..n) {
+                        frames.push(bytes);
+                    }
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if shared.stopping() {
+                        break;
+                    }
+                    continue;
+                }
+                Err(_) => break,
+            }
+            loop {
+                let line = match frames.next_frame() {
+                    Ok(Some(line)) => line,
+                    Ok(None) => break,
+                    Err(e) => {
+                        // Framing is unrecoverable: reply once, then close.
+                        let response = wire::Response::refusal("bad_request", &e.to_string());
+                        let _ = writer.write_all(&response_bytes(response));
+                        break 'conn;
+                    }
+                };
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let response = match route_line(&line, shared) {
+                    Routed::Immediate(response) => response,
+                    Routed::Queue(request) => roundtrip(shared, request),
+                };
+                let shutdown = response.shutdown;
+                let sent =
+                    writer.write_all(&response_bytes(response)).and_then(|()| writer.flush());
+                if sent.is_err() || shutdown {
                     break 'conn;
                 }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let response = match route_line(&line, shared) {
-                Routed::Immediate(response) => response,
-                Routed::Queue(request) => shared.roundtrip(request),
-            };
-            let shutdown = response.shutdown;
-            let sent = writer.write_all(&response_bytes(response)).and_then(|()| writer.flush());
-            if sent.is_err() || shutdown {
-                break 'conn;
             }
         }
     }
@@ -672,11 +573,6 @@ impl ServerHandle {
     /// tests and for operational shedding experiments.
     pub fn quiesce_shard(&self, index: usize) -> bool {
         self.shared.router.quiesce_shard(index)
-    }
-
-    /// Has a drain (or explicit shutdown) been requested?
-    pub fn is_stopping(&self) -> bool {
-        self.shared.stopping()
     }
 
     /// Request shutdown without draining (pending work is discarded).
@@ -731,20 +627,7 @@ impl Client {
 
     /// Send one request line, wait for the response line.
     pub fn call(&mut self, request: &crate::json::Json) -> std::io::Result<crate::json::Json> {
-        let mut text = request.to_string();
-        text.push('\n');
-        self.writer.write_all(text.as_bytes())?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "service closed the connection",
-            ));
-        }
-        crate::json::parse(&line)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        self.call_raw(&request.to_string())
     }
 
     /// Send a raw pre-serialized line (for tools forwarding stdin).
@@ -763,5 +646,122 @@ impl Client {
         }
         crate::json::parse(&reply)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    }
+}
+
+#[cfg(test)]
+#[cfg(target_os = "linux")]
+mod tests {
+    use super::*;
+    use crate::driver::JobRequest;
+
+    const MAX_FRAME: usize = 1024;
+
+    fn spec() -> FederationSpec {
+        FederationSpec {
+            cluster: dsp_cluster::uniform(4, 1000.0, 1),
+            engine: EngineConfig::default(),
+            sched_period: Dur::from_secs(60),
+            admission: AdmissionConfig::default(),
+            scheduler: Box::new(|| Box::new(dsp_sched::DspListScheduler::default())),
+            policy: Box::new(|| Box::new(dsp_sim::NoPreempt)),
+        }
+    }
+
+    fn chain_job(tasks: u32) -> JobRequest {
+        JobRequest {
+            class: dsp_dag::JobClass::Small,
+            deadline: None,
+            tasks: (0..tasks).map(|t| dsp_dag::TaskSpec::sized(3_000.0 + f64::from(t))).collect(),
+            edges: (1..tasks).map(|t| (t - 1, t)).collect(),
+        }
+    }
+
+    /// Send each line on one fresh connection, reading one reply line per
+    /// line that is owed one, then whatever the server still sends until
+    /// it closes the connection.
+    fn converse(addr: SocketAddr, lines: &[(&str, bool)]) -> Vec<u8> {
+        use std::io::Read;
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        let mut transcript = Vec::new();
+        for (line, replies) in lines {
+            writer.write_all(format!("{line}\n").as_bytes()).expect("send");
+            if *replies {
+                let mut reply = String::new();
+                assert!(reader.read_line(&mut reply).expect("reply") > 0, "no reply to {line:?}");
+                transcript.extend_from_slice(reply.as_bytes());
+            }
+        }
+        reader.read_to_end(&mut transcript).expect("server closes after its last reply");
+        transcript
+    }
+
+    /// One scripted session against a 2-shard service on a frozen clock.
+    /// The tick is longer than the session, so no clock publish lands
+    /// between two replies and every `state_version` is the script's own.
+    fn session(spawn_frontend: SpawnFrontend) -> Vec<u8> {
+        let config = ServerConfig {
+            time_scale: 0.0,
+            tick: Duration::from_secs(3),
+            max_frame: MAX_FRAME,
+            shards: 2,
+            ..ServerConfig::default()
+        };
+        let handle = boot(spec(), config, spawn_frontend).expect("bind ephemeral port");
+        let oversize = "x".repeat(MAX_FRAME + 500);
+        let mut transcript = converse(
+            handle.addr,
+            &[
+                (r#"{"op":"ping"}"#, true),
+                ("", false),
+                ("   ", false),
+                ("this is not json", true),
+                (r#"{"op":"warp"}"#, true),
+                // Framing is lost here: one `bad_request`, then the close.
+                (&oversize, false),
+            ],
+        );
+        let submits: Vec<String> = [vec![chain_job(3)], vec![chain_job(1), chain_job(2)], vec![]]
+            .iter()
+            .map(|batch| wire::submit_request(batch).to_string())
+            .collect();
+        transcript.extend(converse(
+            handle.addr,
+            &[
+                (&submits[0], true),
+                (&submits[1], true),
+                (&submits[2], true),
+                (r#"{"op":"status","job":1}"#, true),
+                (r#"{"op":"status","job":99}"#, true),
+                (r#"{"op":"metrics"}"#, true),
+                (r#"{"op":"snapshot"}"#, true),
+                (r#"{"op":"drain"}"#, true),
+            ],
+        ));
+        handle.wait();
+        transcript
+    }
+
+    /// The threads fallback is what non-linux builds serve with; linux CI
+    /// never boots it otherwise. Same script, same bytes, or it has rotted.
+    #[test]
+    fn threads_fallback_and_reactor_reply_with_identical_bytes() {
+        let fallback = String::from_utf8(session(threads::spawn)).expect("utf-8 replies");
+        let reactor = String::from_utf8(session(crate::reactor::spawn)).expect("utf-8 replies");
+        assert_eq!(fallback, reactor);
+
+        // The script did what it says: 12 replies, three of them parse or
+        // framing refusals, and a drained artifact that verifies.
+        let replies: Vec<&str> = reactor.lines().collect();
+        assert_eq!(replies.len(), 12, "{reactor}");
+        assert_eq!(reactor.matches(r#""reason":"bad_request""#).count(), 3, "{reactor}");
+        let drained = crate::json::parse(replies[11]).expect("drain reply parses");
+        let snap =
+            Snapshot::from_json(drained.get("snapshot").expect("artifact")).expect("decodes");
+        assert_eq!(snap.jobs.len(), 3);
+        assert!(snap.verify().passes(), "{:?}", snap.verify());
     }
 }

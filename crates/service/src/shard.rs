@@ -14,7 +14,7 @@
 
 use crate::codec::Snapshot;
 use crate::driver::OnlineDriver;
-use crate::server::{Command, Shared};
+use crate::server::{draining_response, Command, Shared};
 use crate::state::SnapshotCell;
 use crate::wire;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -107,13 +107,6 @@ pub(crate) fn run_shard(
                 publisher.publish(&driver);
                 let _ = out.send(Box::new(snapshot));
             }
-            // A drain misrouted to a shard queue (the router plans them
-            // onto the coordinator; this is defense in depth) must not
-            // drain one shard solo and stop the whole service — hand it
-            // to the coordinator.
-            Command::Write(wire::WriteRequest::Drain, reply, _) => {
-                shared.router.forward_drain(reply);
-            }
             // The drain-vs-submit race (DESIGN.md §10.7): this shard was
             // picked by the router, but intake closed before the command
             // was dequeued. Never answer `draining` for the whole
@@ -125,20 +118,18 @@ pub(crate) fn run_shard(
             {
                 shared.router.reroute_submit(index, jobs, reply, tried);
             }
-            Command::Write(request, reply, _) => {
+            Command::Write(request @ wire::WriteRequest::Submit(_), reply, _) => {
                 let response =
                     wire::handle_write(&mut driver, request, &mut |d| publisher.publish(d));
                 publisher.publish(&driver);
-                let shutdown = response.shutdown;
                 // A vanished recipient (client hung up mid-call) must
                 // not kill the service.
                 reply.deliver(response);
-                if shutdown {
-                    shared.stop();
-                }
             }
-            Command::ReadThrough(request, reply) => {
-                reply.deliver(wire::handle_read(&publisher.cell.load(), request));
+            // Drains are planned onto the coordinator, never a shard queue;
+            // a stray one is refused rather than left hanging.
+            Command::Write(wire::WriteRequest::Drain, reply, _) => {
+                reply.deliver(draining_response());
             }
         }
     }

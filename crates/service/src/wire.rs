@@ -311,6 +311,13 @@ pub struct Response {
     pub shutdown: bool,
 }
 
+impl Response {
+    /// A failure reply (`{"ok":false,…}`) that leaves the service running.
+    pub fn refusal(reason: &str, message: &str) -> Response {
+        Response { body: error_response(reason, message), shutdown: false }
+    }
+}
+
 /// A success reply `{"ok":true,…}`: `fields` writes every other member,
 /// the ones sorting before `ok` first (the [`Writer`] key contract).
 fn reply(shutdown: bool, fields: impl FnOnce(&mut Writer)) -> Response {
@@ -353,7 +360,7 @@ pub(crate) fn ping_reply(now: Time, versions: &Versions) -> Response {
 pub(crate) fn status_reply(id: JobId, status: Option<&JobStatus>, versions: &Versions) -> Response {
     let Some(status) = status else {
         let message = format!("job {} was never admitted", id.0);
-        return Response { body: error_response(reason::UNKNOWN_JOB, &message), shutdown: false };
+        return Response::refusal(reason::UNKNOWN_JOB, &message);
     };
     reply(false, |w| {
         w.key("job").u64(u64::from(id.0)).key("ok").bool(true);
@@ -452,9 +459,7 @@ pub fn handle_write(
                 w.key("next_boundary_us").u64(driver.next_boundary().as_micros());
                 w.key("ok").bool(true);
             }),
-            Err(e) => {
-                Response { body: error_response(e.reason(), &e.to_string()), shutdown: false }
-            }
+            Err(e) => Response::refusal(e.reason(), &e.to_string()),
         },
         WriteRequest::Drain => drain_reply(&driver.drain_with(publish)),
     }

@@ -14,8 +14,8 @@
 use dsp_core::config::Params;
 use dsp_service::json::Json;
 use dsp_service::{
-    build_cluster, build_policy, build_scheduler, serve, wire, AdmissionConfig, Client, JobRequest,
-    OnlineDriver, ServerConfig, Snapshot,
+    build_cluster, build_policy, build_scheduler, serve_federated, wire, AdmissionConfig, Client,
+    FederationSpec, JobRequest, ServerConfig, Snapshot,
 };
 use dsp_units::Dur;
 
@@ -24,18 +24,18 @@ fn main() {
     //    (300 s scheduling period, 5 s preemption epoch), with a bounded
     //    admission queue in front.
     let params = Params::default();
-    let driver = OnlineDriver::new(
-        build_cluster("ec2").unwrap(),
-        params.engine_config(),
-        params.sched_period,
-        build_scheduler("dsp").unwrap(),
-        build_policy("dsp", &params).unwrap(),
-        AdmissionConfig::default(),
-    );
+    let spec = FederationSpec {
+        cluster: build_cluster("ec2").unwrap(),
+        engine: params.engine_config(),
+        sched_period: params.sched_period,
+        admission: AdmissionConfig::default(),
+        scheduler: Box::new(|| build_scheduler("dsp").unwrap()),
+        policy: Box::new(move || build_policy("dsp", &params).unwrap()),
+    };
 
     // 2. Boot: one wall second = 600 simulated seconds, so a scheduling
     //    period fires every half second of real time.
-    let handle = serve(driver, ServerConfig::default()).expect("bind ephemeral port");
+    let handle = serve_federated(spec, ServerConfig::default()).expect("bind ephemeral port");
     println!("service listening on {}", handle.addr);
 
     // 3. Stream three batches of jobs over the socket, ~one scheduling

@@ -3,24 +3,17 @@
 # port, stream jobs over the socket, drain to a snapshot file, and assert
 # `dsp verify --snapshot` reports zero rule errors (exit 0).
 #
-# Usage: scripts/smoke_service.sh [path-to-release-bin-dir] [frontend]
+# Usage: scripts/smoke_service.sh [path-to-release-bin-dir]
 # Builds are expected to exist already (cargo build --release --workspace).
-#
-# The optional second argument (or DSPD_FRONTEND) picks the accept path:
-# `threads` or `reactor` (linux-only). Unset keeps dspd's platform default.
 set -euo pipefail
 
 BIN=${1:-${CARGO_TARGET_DIR:-target}/release}
-FRONTEND=${2:-${DSPD_FRONTEND:-}}
-FRONTEND_ARGS=()
-[ -n "$FRONTEND" ] && FRONTEND_ARGS=(--frontend "$FRONTEND")
 workdir=$(mktemp -d)
 DSPD_PID=""
 trap '[ -n "$DSPD_PID" ] && kill "$DSPD_PID" 2>/dev/null; rm -rf "$workdir"' EXIT
 
 # Ephemeral port (0), fast clock: one 60 s scheduling period ≈ 50 ms wall.
 "$BIN/dspd" --cluster uniform:4:1000:2 --period 60 --epoch 5 --time-scale 1200 \
-  ${FRONTEND_ARGS[@]+"${FRONTEND_ARGS[@]}"} \
   >"$workdir/dspd.log" 2>&1 &
 DSPD_PID=$!
 
@@ -33,17 +26,17 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "dspd never reported an address:"; cat "$workdir/dspd.log"; exit 1; }
-if [ -n "$FRONTEND" ]; then
-  # The frontend banner prints right after the address line; give it the
-  # same grace the address scrape gets before declaring a mismatch.
-  ok=""
-  for _ in $(seq 1 100); do
-    grep -q "^dspd frontend: $FRONTEND\$" "$workdir/dspd.log" && { ok=1; break; }
-    sleep 0.1
-  done
-  [ -n "$ok" ] || { echo "dspd is not running the $FRONTEND frontend:"; cat "$workdir/dspd.log"; exit 1; }
-fi
-echo "smoke: dspd on $ADDR (frontend: ${FRONTEND:-default})"
+# The build target picks the front end: the epoll reactor on linux, the
+# thread-per-connection fallback elsewhere. The banner prints right after
+# the address line; give it the same grace the address scrape gets.
+case "$(uname -s)" in Linux) FRONTEND=reactor ;; *) FRONTEND=threads ;; esac
+ok=""
+for _ in $(seq 1 100); do
+  grep -q "^dspd frontend: $FRONTEND\$" "$workdir/dspd.log" && { ok=1; break; }
+  sleep 0.1
+done
+[ -n "$ok" ] || { echo "dspd is not running the $FRONTEND frontend:"; cat "$workdir/dspd.log"; exit 1; }
+echo "smoke: dspd on $ADDR (frontend: $FRONTEND)"
 
 # A hand-written batch (bare jobs array form)...
 cat >"$workdir/jobs.json" <<'EOF'

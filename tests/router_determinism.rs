@@ -11,7 +11,7 @@
 //!     never what the router assigned or what the merged artifact
 //!     contains.
 //!   * **1-shard equivalence** — `--shards 1` drains byte-identical to
-//!     the pre-federation single-driver path.
+//!     an in-process `OnlineDriver` fed the same batches.
 //!
 //! Everything runs under a frozen clock (`time_scale: 0`), so the only
 //! ordering the service ever sees is the submission order the test
@@ -19,8 +19,8 @@
 
 use dsp_service::json::Json;
 use dsp_service::{
-    serve, serve_federated, wire, AdmissionConfig, FederationSpec, Frontend, JobRequest,
-    OnlineDriver, RoutePolicy, ServerConfig,
+    serve_federated, wire, AdmissionConfig, FederationSpec, JobRequest, OnlineDriver, RoutePolicy,
+    ServerConfig,
 };
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
@@ -57,10 +57,8 @@ fn spec(threads: usize) -> FederationSpec {
 
 fn config(shards: usize) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".into(),
         time_scale: 0.0,
         tick: std::time::Duration::from_millis(10),
-        frontend: Frontend::Threads,
         shards,
         route: RoutePolicy::Hash,
         ..Default::default()
@@ -115,29 +113,21 @@ fn run_federated(
     (assigned, snapshot)
 }
 
-/// The same stream through the pre-federation single-driver path.
+/// The same stream through one in-process driver: no socket, no router.
 fn run_single_driver(batches: &[Vec<JobRequest>], threads: usize) -> String {
-    let params = dsp_core::config::Params::default();
-    let driver = OnlineDriver::new(
-        dsp_cluster::uniform(4, 1000.0, 2),
-        engine(),
-        Dur::from_secs(60),
-        scheduler(threads),
-        Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true))),
-        AdmissionConfig { max_pending_tasks: 100_000, check_feasibility: false },
+    let spec = spec(threads);
+    let mut driver = OnlineDriver::new(
+        spec.cluster,
+        spec.engine,
+        spec.sched_period,
+        (spec.scheduler)(),
+        (spec.policy)(),
+        spec.admission,
     );
-    let handle = serve(driver, config(1)).expect("bind ephemeral port");
-    let addr = handle.addr.to_string();
-    let mut c = dsp_service::Client::connect(&addr).expect("connect");
     for batch in batches {
-        let resp = c.call(&wire::submit_request(batch)).expect("submit");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+        driver.submit(batch.clone()).expect("admitted");
     }
-    let resp = c.call(&Json::obj(vec![("op", Json::Str("drain".into()))])).expect("drain");
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-    let snapshot = resp.get("snapshot").expect("snapshot").to_string();
-    handle.wait();
-    snapshot
+    driver.drain().to_json().to_string()
 }
 
 proptest! {
@@ -178,8 +168,8 @@ proptest! {
         prop_assert_eq!(snap_1, snap_2, "artifact must not depend on solver threads");
     }
 
-    /// `--shards 1` IS the old service: byte-identical drained history
-    /// to the pre-federation single-driver path on every stream.
+    /// `--shards 1` is one plain driver behind a socket: byte-identical
+    /// drained history to the in-process driver on every stream.
     #[test]
     fn one_shard_is_byte_identical_to_single_driver(
         task_counts in proptest::collection::vec(1usize..5, 1..10),
@@ -188,6 +178,6 @@ proptest! {
         let batches = stream(&task_counts, batch);
         let (_, federated) = run_federated(&batches, 1, 1);
         let plain = run_single_driver(&batches, 1);
-        prop_assert_eq!(federated, plain, "1-shard federation must be the pre-federation path");
+        prop_assert_eq!(federated, plain, "1-shard federation must drain to the plain driver's bytes");
     }
 }

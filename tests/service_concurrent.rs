@@ -5,10 +5,13 @@
 //! cross-thread interleavings, not wall time.
 //!
 //! `DSP_TEST_SHARDS=N` re-runs the whole tier against an N-shard
-//! federation (CI runs a `--shards 4` leg under both frontends); the
-//! exact-count assertions scale with the shard count because routing is
-//! deterministic and admission is per-shard. Unset, everything runs at
-//! one shard — the pre-federation path.
+//! federation (CI runs a `--shards 4` leg); the exact-count assertions
+//! scale with the shard count because routing is deterministic and
+//! admission is per-shard. Unset, everything runs at one shard.
+//!
+//! The service runs on the build target's front end (the reactor on
+//! linux); the threads fallback is held to the same reply bytes by the
+//! differential test in `crates/service/src/server.rs`.
 //!
 //! What the readers assert on every response (per connection):
 //!   * `state_version` is non-decreasing — snapshots publish in order and
@@ -19,8 +22,8 @@
 
 use dsp_service::json::Json;
 use dsp_service::{
-    serve, serve_federated, wire, AdmissionConfig, FederationSpec, Frontend, JobRequest,
-    OnlineDriver, ServerConfig, ServerHandle, Snapshot,
+    serve_federated, wire, AdmissionConfig, FederationSpec, JobRequest, ServerConfig, ServerHandle,
+    Snapshot,
 };
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
@@ -34,18 +37,6 @@ fn engine() -> EngineConfig {
         max_time: Time::from_secs(7 * 24 * 3600),
         lookahead: 4,
     }
-}
-
-fn driver(max_pending_tasks: usize, period_secs: u64) -> OnlineDriver {
-    let params = dsp_core::config::Params::default();
-    OnlineDriver::new(
-        dsp_cluster::uniform(2, 1000.0, 1),
-        engine(),
-        Dur::from_secs(period_secs),
-        Box::new(dsp_sched::DspListScheduler::default()),
-        Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true))),
-        AdmissionConfig { max_pending_tasks, check_feasibility: true },
-    )
 }
 
 /// Shard count for this run (`DSP_TEST_SHARDS`, default 1).
@@ -102,6 +93,11 @@ fn op(name: &str) -> Json {
     Json::obj(vec![("op", Json::Str(name.into()))])
 }
 
+/// `an_idle_herd_costs_sockets_not_threads` counts the threads of the
+/// whole test process, so it runs alone (write side); every other test
+/// holds the read side while its own threads are alive.
+static HERD_GATE: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
 /// Tracks one connection's monotonicity invariants across responses.
 #[derive(Default)]
 struct Monotone {
@@ -154,16 +150,7 @@ fn assert_stable_reason(resp: &Json) {
 /// `draining: true`, not just the final one.
 #[test]
 fn reads_complete_while_a_hundred_job_drain_is_mid_flight() {
-    reads_complete_mid_drain(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn reads_complete_while_a_hundred_job_drain_is_mid_flight_reactor() {
-    reads_complete_mid_drain(Frontend::Reactor);
-}
-
-fn reads_complete_mid_drain(frontend: Frontend) {
+    let _not_during_the_herd = HERD_GATE.read();
     // Frozen clock: every bit of simulation happens inside the drain
     // command, so the whole drain window is observable. A 20 s period
     // forces many boundary publishes while the engine runs dry.
@@ -171,10 +158,8 @@ fn reads_complete_mid_drain(frontend: Frontend) {
         100_000,
         20,
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             time_scale: 0.0,
             tick: std::time::Duration::from_millis(20),
-            frontend,
             ..Default::default()
         },
     );
@@ -247,25 +232,14 @@ fn reads_complete_mid_drain(frontend: Frontend) {
 /// sheds with the stable `backpressure` token.
 #[test]
 fn writers_and_readers_race_without_torn_reads() {
-    writers_and_readers_race(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn writers_and_readers_race_without_torn_reads_reactor() {
-    writers_and_readers_race(Frontend::Reactor);
-}
-
-fn writers_and_readers_race(frontend: Frontend) {
+    let _not_during_the_herd = HERD_GATE.read();
     const MAX_PENDING: usize = 8; // 4 two-task batches fit per shard, nothing more
     let (handle, shards) = serve_sharded(
         MAX_PENDING,
         100,
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             time_scale: 0.0,
             tick: std::time::Duration::from_millis(10),
-            frontend,
             ..Default::default()
         },
     );
@@ -369,17 +343,8 @@ fn writers_and_readers_race(frontend: Frontend) {
 /// an admitted connection frees its slot for a newcomer.
 #[test]
 fn connections_over_max_conns_shed_with_busy() {
-    busy_shed_over_cap(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn connections_over_max_conns_shed_with_busy_reactor() {
-    busy_shed_over_cap(Frontend::Reactor);
-}
-
-fn busy_shed_over_cap(frontend: Frontend) {
     use std::io::BufRead;
+    let _not_during_the_herd = HERD_GATE.read();
     // The connection cap is frontend-level and shard-agnostic, but the
     // tier still honors DSP_TEST_SHARDS so the shed path is exercised in
     // front of a federation too.
@@ -387,11 +352,9 @@ fn busy_shed_over_cap(frontend: Frontend) {
         10_000,
         100,
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             time_scale: 0.0,
             tick: std::time::Duration::from_millis(10),
             max_conns: 2,
-            frontend,
             ..Default::default()
         },
     );
@@ -436,59 +399,69 @@ fn busy_shed_over_cap(frontend: Frontend) {
     handle.wait();
 }
 
-/// The `--read-cache off` A/B leg: with reads routed through the write
-/// queue the protocol still behaves identically — same verbs, same
-/// tokens, same final snapshot — only the latency model changes.
-#[test]
-fn read_through_mode_serves_the_same_protocol() {
-    read_through_mode(Frontend::Threads);
-}
-
+/// The reactor's reason to exist: connections cost sockets, not threads.
+/// 300 idle connections park on the event loops (every 64th also
+/// round-trips a `ping` — `connect` returns on the kernel handshake, so
+/// the ping is what proves sockets are adopted rather than left in the
+/// backlog) and the process's thread count does not move; 20 active
+/// clients are served through the herd, and the drain still audits clean.
 #[cfg(target_os = "linux")]
 #[test]
-fn read_through_mode_serves_the_same_protocol_reactor() {
-    read_through_mode(Frontend::Reactor);
-}
-
-fn read_through_mode(frontend: Frontend) {
-    // Read-through deliberately stays a 1-shard mode: routing reads
-    // through N write queues would serialize them behind an arbitrary
-    // shard and mean nothing — `serve_federated` rejects the combination
-    // (see DESIGN.md §10.7), so this A/B leg ignores DSP_TEST_SHARDS.
-    let handle = serve(
-        driver(10_000, 100),
+fn an_idle_herd_costs_sockets_not_threads() {
+    // /proc/self/task counts the whole test process: keep the other
+    // tests' servers and client fleets out of the window.
+    let _alone = HERD_GATE.write();
+    let thread_count = || std::fs::read_dir("/proc/self/task").expect("procfs").count();
+    let (handle, _shards) = serve_sharded(
+        100_000,
+        100,
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             time_scale: 0.0,
             tick: std::time::Duration::from_millis(10),
-            read_cache: false,
-            frontend,
             ..Default::default()
         },
-    )
-    .expect("bind ephemeral port");
-    let mut c = dsp_service::Client::connect(&handle.addr.to_string()).expect("connect");
+    );
+    let addr = handle.addr.to_string();
 
-    let pong = c.call(&op("ping")).expect("ping");
-    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
-    assert!(pong.get("state_version").is_some(), "read-through reads still carry the version");
+    // A little real state, so reads serialize something and the drain
+    // has work to audit.
+    let mut submitter = dsp_service::Client::connect(&addr).expect("connect");
+    for _ in 0..4 {
+        let resp = submitter.call(&wire::submit_request(&[two_task_job()])).expect("submit");
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    }
 
-    let resp = c.call(&wire::submit_request(&[one_task_job(2_000.0)])).expect("submit");
+    let threads_before = thread_count();
+    let mut herd = Vec::with_capacity(300);
+    for i in 0..300 {
+        if i % 64 == 63 {
+            let mut probe = dsp_service::Client::connect(&addr).expect("probe connect");
+            let pong = probe.call(&op("ping")).expect("probe ping");
+            assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
+        }
+        herd.push(std::net::TcpStream::connect(&addr).expect("idle connect"));
+    }
+
+    let mut fleet: Vec<dsp_service::Client> =
+        (0..20).map(|_| dsp_service::Client::connect(&addr).expect("active connect")).collect();
+    for _ in 0..5 {
+        for client in &mut fleet {
+            let m = client.call(&op("metrics")).expect("read through the herd");
+            assert_eq!(m.get("ok"), Some(&Json::Bool(true)), "{m}");
+        }
+    }
+    assert_eq!(
+        thread_count(),
+        threads_before,
+        "320 more connections must not cost a single thread"
+    );
+
+    let resp = submitter.call(&op("drain")).expect("drain");
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-
-    // A read issued after the submit observes it: read-through reads are
-    // serialized behind the write lane, so there is no staleness at all.
-    let m = c.call(&op("metrics")).expect("metrics");
-    assert_eq!(m.get("pending_tasks").and_then(Json::as_u64), Some(1));
-
-    let s = c
-        .call(&Json::obj(vec![("op", Json::Str("status".into())), ("job", Json::U64(0))]))
-        .expect("status");
-    assert_eq!(s.get("state").and_then(Json::as_str), Some("pending"));
-
-    let resp = c.call(&op("drain")).expect("drain");
     let snap = Snapshot::from_json(resp.get("snapshot").expect("snapshot")).expect("decodes");
-    assert_eq!(snap.jobs.len(), 1);
+    assert_eq!(snap.jobs.len(), 4);
     assert!(snap.verify().passes(), "{:?}", snap.verify());
+    drop(herd);
+    drop(fleet);
     handle.wait();
 }

@@ -1,10 +1,10 @@
 //! Federation tier: the sharded service behind the placement router
 //! (DESIGN.md §10.7). Three families of guarantees are pinned here:
 //!
-//!   * **1-shard equivalence** — `--shards 1` is the pre-federation
-//!     service: the same job stream drains to a byte-identical snapshot
-//!     through `serve_federated` and through the plain single-driver
-//!     `serve` path.
+//!   * **1-shard equivalence** — `--shards 1` is one plain driver behind
+//!     a socket: the same job stream drains to a byte-identical snapshot
+//!     through `serve_federated` and through an in-process `OnlineDriver`
+//!     that no router, queue or codec round trip ever touched.
 //!   * **Drain-vs-submit at shard granularity** — a submit the router
 //!     accepted after a shard entered quiesce is rerouted to a live
 //!     shard or shed with a stable reason token (`quiesced` when every
@@ -18,8 +18,8 @@
 
 use dsp_service::json::Json;
 use dsp_service::{
-    serve, serve_federated, wire, AdmissionConfig, FederationSpec, Frontend, JobRequest,
-    OnlineDriver, RoutePolicy, ServerConfig, ServerHandle, Snapshot,
+    serve_federated, wire, AdmissionConfig, FederationSpec, JobRequest, OnlineDriver, RoutePolicy,
+    ServerConfig, ServerHandle, Snapshot,
 };
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
@@ -47,12 +47,10 @@ fn spec(nodes: usize, max_pending_tasks: usize) -> FederationSpec {
     }
 }
 
-fn frozen_config(shards: usize, frontend: Frontend) -> ServerConfig {
+fn frozen_config(shards: usize) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".into(),
         time_scale: 0.0,
         tick: std::time::Duration::from_millis(10),
-        frontend,
         shards,
         route: RoutePolicy::Hash,
         ..Default::default()
@@ -101,43 +99,35 @@ fn submit_stream(addr: &str, jobs: &[JobRequest]) -> Json {
     resp.get("snapshot").expect("drain carries the artifact").clone()
 }
 
-/// `--shards 1` IS the pre-federation service: the same stream drained
-/// through `serve_federated` and through the plain single-driver path
-/// must produce byte-identical artifacts.
+/// `--shards 1` is one plain driver behind a socket: the stream drained
+/// over the wire must serialize to the bytes an in-process driver, fed
+/// the same batches with no socket, router or queue in between, drains to.
 #[test]
 fn one_shard_federation_drains_byte_identical_to_single_driver() {
     let jobs = job_stream();
 
-    let plain = {
-        let params = dsp_core::config::Params::default();
-        let driver = OnlineDriver::new(
-            dsp_cluster::uniform(4, 1000.0, 1),
-            engine(),
-            Dur::from_secs(60),
-            Box::new(dsp_sched::DspListScheduler::default()),
-            Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true))),
-            AdmissionConfig { max_pending_tasks: 100_000, check_feasibility: false },
+    let in_process = {
+        let spec = spec(4, 100_000);
+        let mut driver = OnlineDriver::new(
+            spec.cluster,
+            spec.engine,
+            spec.sched_period,
+            (spec.scheduler)(),
+            (spec.policy)(),
+            spec.admission,
         );
-        let handle = serve(driver, frozen_config(1, Frontend::Threads)).expect("bind");
-        let snap = submit_stream(&handle.addr.to_string(), &jobs);
-        wait(handle);
-        snap
+        for chunk in jobs.chunks(3) {
+            driver.submit(chunk.to_vec()).expect("admitted");
+        }
+        driver.drain().to_json().to_string()
     };
 
-    let federated = {
-        let handle =
-            serve_federated(spec(4, 100_000), frozen_config(1, Frontend::Threads)).expect("bind");
-        assert_eq!(handle.shards(), 1);
-        let snap = submit_stream(&handle.addr.to_string(), &jobs);
-        wait(handle);
-        snap
-    };
+    let handle = serve_federated(spec(4, 100_000), frozen_config(1)).expect("bind");
+    assert_eq!(handle.shards(), 1);
+    let federated = submit_stream(&handle.addr.to_string(), &jobs).to_string();
+    wait(handle);
 
-    assert_eq!(
-        plain.to_string(),
-        federated.to_string(),
-        "1-shard federation must be byte-identical to the single-driver path"
-    );
+    assert_eq!(in_process, federated, "1-shard federation must drain to the plain driver's bytes");
 }
 
 fn wait(handle: ServerHandle) {
@@ -150,17 +140,7 @@ fn wait(handle: ServerHandle) {
 /// not dropped, not refused.
 #[test]
 fn submit_after_shard_quiesce_is_rerouted_to_a_live_shard() {
-    submit_reroutes_after_quiesce(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn submit_after_shard_quiesce_is_rerouted_to_a_live_shard_reactor() {
-    submit_reroutes_after_quiesce(Frontend::Reactor);
-}
-
-fn submit_reroutes_after_quiesce(frontend: Frontend) {
-    let handle = serve_federated(spec(4, 100_000), frozen_config(2, frontend)).expect("bind");
+    let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
     assert_eq!(handle.shards(), 2);
     let addr = handle.addr.to_string();
     let mut c = dsp_service::Client::connect(&addr).expect("connect");
@@ -220,8 +200,7 @@ fn submit_reroutes_after_quiesce(frontend: Frontend) {
 /// retryable `quiesced` token — a reply always arrives.
 #[test]
 fn submit_with_every_shard_quiesced_sheds_with_quiesced_token() {
-    let handle =
-        serve_federated(spec(4, 100_000), frozen_config(2, Frontend::Threads)).expect("bind");
+    let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
     let addr = handle.addr.to_string();
     let mut c = dsp_service::Client::connect(&addr).expect("connect");
 
@@ -251,8 +230,7 @@ fn submit_with_every_shard_quiesced_sheds_with_quiesced_token() {
 /// left hanging on a dead shard queue.
 #[test]
 fn submits_racing_a_federated_drain_shed_with_stable_tokens() {
-    let handle =
-        serve_federated(spec(4, 100_000), frozen_config(2, Frontend::Threads)).expect("bind");
+    let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
     let addr = handle.addr.to_string();
 
     // Enough queued work that the drain's dry run takes real time.
@@ -307,8 +285,7 @@ fn submits_racing_a_federated_drain_shed_with_stable_tokens() {
 #[test]
 fn federated_drain_verifies_at_every_shard_count() {
     for shards in [1usize, 2, 3, 4] {
-        let handle = serve_federated(spec(4, 100_000), frozen_config(shards, Frontend::Threads))
-            .expect("bind");
+        let handle = serve_federated(spec(4, 100_000), frozen_config(shards)).expect("bind");
         assert_eq!(handle.shards(), shards);
         let snap_json = submit_stream(&handle.addr.to_string(), &job_stream());
         let snap = Snapshot::from_json(&snap_json).expect("decodes");

@@ -6,26 +6,44 @@
 
 use dsp_service::json::Json;
 use dsp_service::{
-    codec, serve, wire, AdmissionConfig, Client, Frontend, JobRequest, JobStatus, OnlineDriver,
-    ServerConfig, Snapshot,
+    codec, serve_federated, wire, AdmissionConfig, Client, FederationSpec, JobRequest, JobStatus,
+    OnlineDriver, ServerConfig, Snapshot,
 };
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
 
-fn small_driver(max_pending_tasks: usize) -> OnlineDriver {
-    let params = dsp_core::config::Params::default();
-    OnlineDriver::new(
-        dsp_cluster::uniform(2, 1000.0, 1),
-        EngineConfig {
+/// Two 1-slot nodes, a 100 s scheduling period, DSP scheduling and
+/// preemption: the service every test here runs, as `serve_federated`
+/// takes it.
+fn small_spec(max_pending_tasks: usize) -> FederationSpec {
+    FederationSpec {
+        cluster: dsp_cluster::uniform(2, 1000.0, 1),
+        engine: EngineConfig {
             epoch: Dur::from_secs(5),
             sigma: Dur::from_millis(50),
             max_time: Time::from_secs(24 * 3600),
             lookahead: 4,
         },
-        Dur::from_secs(100),
-        Box::new(dsp_sched::DspListScheduler::default()),
-        Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true))),
-        AdmissionConfig { max_pending_tasks, check_feasibility: true },
+        sched_period: Dur::from_secs(100),
+        admission: AdmissionConfig { max_pending_tasks, check_feasibility: true },
+        scheduler: Box::new(|| Box::new(dsp_sched::DspListScheduler::default())),
+        policy: Box::new(|| {
+            let params = dsp_core::config::Params::default();
+            Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true)))
+        }),
+    }
+}
+
+/// The same service as one in-process driver, no socket.
+fn small_driver(max_pending_tasks: usize) -> OnlineDriver {
+    let spec = small_spec(max_pending_tasks);
+    OnlineDriver::new(
+        spec.cluster,
+        spec.engine,
+        spec.sched_period,
+        (spec.scheduler)(),
+        (spec.policy)(),
+        spec.admission,
     )
 }
 
@@ -126,26 +144,13 @@ fn call_ok(client: &mut Client, req: &Json) -> Json {
 
 #[test]
 fn tcp_session_submits_polls_and_drains_verified() {
-    tcp_session_submits_polls_and_drains(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn tcp_session_submits_polls_and_drains_verified_reactor() {
-    tcp_session_submits_polls_and_drains(Frontend::Reactor);
-}
-
-fn tcp_session_submits_polls_and_drains(frontend: Frontend) {
     // 2000 simulated seconds per wall second: a 100 s scheduling period
     // fires every ~50 ms of wall time.
-    let driver = small_driver(10_000);
-    let handle = serve(
-        driver,
+    let handle = serve_federated(
+        small_spec(10_000),
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             time_scale: 2000.0,
             tick: std::time::Duration::from_millis(5),
-            frontend,
             ..Default::default()
         },
     )
@@ -197,26 +202,13 @@ fn tcp_session_submits_polls_and_drains(frontend: Frontend) {
 
 #[test]
 fn tcp_rejections_carry_stable_reason_tokens() {
-    tcp_rejections_carry_stable_tokens(Frontend::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn tcp_rejections_carry_stable_reason_tokens_reactor() {
-    tcp_rejections_carry_stable_tokens(Frontend::Reactor);
-}
-
-fn tcp_rejections_carry_stable_tokens(frontend: Frontend) {
-    let driver = small_driver(4);
-    let handle = serve(
-        driver,
+    let handle = serve_federated(
+        small_spec(4),
         ServerConfig {
-            addr: "127.0.0.1:0".into(),
             // Freeze simulated time so the pending queue can't drain
             // between the two submissions.
             time_scale: 0.0,
             tick: std::time::Duration::from_millis(50),
-            frontend,
             ..Default::default()
         },
     )
