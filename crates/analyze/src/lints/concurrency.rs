@@ -134,8 +134,9 @@ pub fn c2_guard_across_blocking(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
         // Scan the initializer to the statement's `;` at the same depth.
         // `.lock()`/`.read()`/`.write()` (empty argument lists — the I/O
         // traits' `read`/`write` take buffers) acquires a guard; a later
-        // method call other than `unwrap`/`expect` consumes it
-        // (`.lock().unwrap().clone()` binds a clone, not a guard).
+        // method call consumes it (`.lock().unwrap().clone()` binds a
+        // clone, not a guard) unless it only unwraps the `LockResult`:
+        // `unwrap`, `expect`, or `unwrap_or_else(PoisonError::into_inner)`.
         let mut j = k + 1;
         let mut acquires_guard = false;
         while j < ctx.code.len() && !(ctx.tok(j).is_punct(';') && depth[j] == let_depth) {
@@ -146,7 +147,9 @@ pub fn c2_guard_across_blocking(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
                     && ctx.tok(j + 3).is_punct(')')
                 {
                     acquires_guard = true;
-                } else if acquires_guard && !(m.is_ident("unwrap") || m.is_ident("expect")) {
+                } else if acquires_guard
+                    && !["unwrap", "expect", "unwrap_or_else"].iter().any(|u| m.is_ident(u))
+                {
                     acquires_guard = false;
                 }
             }

@@ -117,3 +117,26 @@ fn baseline_absorbs_known_findings_but_not_new_ones() {
     );
     let _ = fs::remove_dir_all(&root);
 }
+
+/// C2 on `std::sync` locks: the service recovers poisoned guards with
+/// `.unwrap_or_else(PoisonError::into_inner)`, and a guard obtained that
+/// way is as live as one from `.unwrap()`. Dropping the shard-owner
+/// mistake into `crates/service` must turn the gate red; the documented
+/// fix (release, then send) must turn it green again.
+#[test]
+fn guard_recovered_from_poison_across_a_send_is_a_fresh_c2() {
+    let root = workspace_with("c2-recovered", "pub fn ok() {}\n");
+    let shard = root.join("crates/service/src/shard.rs");
+    fs::create_dir_all(shard.parent().unwrap()).unwrap();
+    fs::write(&shard, include_str!("fixtures/c2_shard_bad.rs")).unwrap();
+    let red = analyze_workspace(&root, &Options::default()).unwrap();
+    assert!(
+        red.fresh.iter().any(|f| f.lint == LintId::C2 && f.path.ends_with("shard.rs")),
+        "guard held through the recovery idiom passed silently: {:?}",
+        red.fresh
+    );
+    fs::write(&shard, include_str!("fixtures/c2_shard_good.rs")).unwrap();
+    let green = analyze_workspace(&root, &Options::default()).unwrap();
+    assert!(green.fresh.is_empty(), "the fix is still reported: {:?}", green.fresh);
+    let _ = fs::remove_dir_all(&root);
+}

@@ -4,7 +4,7 @@
 //! exit 0 only when the tree is clean.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn scratch(name: &str) -> PathBuf {
@@ -20,7 +20,7 @@ fn dsp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dsp")).args(args).output().expect("spawn dsp")
 }
 
-fn analyze(root: &PathBuf, extra: &[&str]) -> Output {
+fn analyze(root: &Path, extra: &[&str]) -> Output {
     let root_s = root.to_str().unwrap();
     let mut args = vec!["analyze", "--root", root_s];
     args.extend_from_slice(extra);
@@ -65,10 +65,11 @@ fn json_output_is_machine_parseable() {
     .unwrap();
     let out = analyze(&root, &["--json"]);
     assert_eq!(out.status.code(), Some(1));
-    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON on stdout");
-    assert_eq!(v["version"], 1);
-    assert!(v["findings"].as_array().is_some_and(|a| !a.is_empty()));
-    assert_eq!(v["findings"][0]["lint"], "D1");
+    let text = String::from_utf8(out.stdout).expect("UTF-8 on stdout");
+    let v = dsp_service::json::parse(&text).expect("valid JSON on stdout");
+    assert_eq!(v.get("version").and_then(|n| n.as_u64()), Some(1));
+    let findings = v.get("findings").and_then(|f| f.as_arr()).expect("findings array");
+    assert_eq!(findings[0].get("lint").and_then(|l| l.as_str()), Some("D1"));
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -144,7 +145,7 @@ fn analyze_runs_clean_on_this_repo() {
     // this test compiles from must itself pass the gate with no baseline.
     let here = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let repo = here.parent().unwrap().parent().unwrap();
-    let out = analyze(&repo.to_path_buf(), &[]);
+    let out = analyze(repo, &[]);
     assert_eq!(
         out.status.code(),
         Some(0),

@@ -1,11 +1,10 @@
 //! A single compute node.
 
 use dsp_units::{Mips, ResourceVec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -25,7 +24,7 @@ impl fmt::Display for NodeId {
 /// A compute node `k`: its raw CPU/memory sizes (feeding the Eq. 1 rate
 /// function), its resource capacity vector for packing, and the number of
 /// task slots it can run concurrently.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Identifier.
     pub id: NodeId,

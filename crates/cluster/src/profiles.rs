@@ -14,13 +14,12 @@
 
 use crate::node::{Node, NodeId};
 use dsp_units::ResourceVec;
-use serde::{Deserialize, Serialize};
 
 /// Rate-units contributed per GB of memory in Eq. 1 (see module docs).
 pub const MEM_UNITS_PER_GB: f64 = 190.0;
 
 /// A named inventory of nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Human-readable profile name ("palmetto", "ec2", ...).
     pub name: String,

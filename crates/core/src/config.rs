@@ -3,7 +3,6 @@
 use dsp_preempt::{DspParams, PriorityWeights};
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
-use serde::{Deserialize, Serialize};
 
 /// The experiment parameters of Table II plus the simulator's timing knobs.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// | α, β | SRPT waiting/remaining weights | 0.5, 1 |
 /// | γ | Eq. 12 level coefficient | 0.5 |
 /// | ω1..ω3 | priority weights | 0.5, 0.3, 0.2 |
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
     /// δ: fraction of each queue considered for preemption.
     pub delta: f64,

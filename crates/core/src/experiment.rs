@@ -14,10 +14,9 @@ use dsp_trace::{generate_workload, TraceParams};
 use dsp_units::{Dur, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which cluster inventory to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterProfile {
     /// 50-node "real cluster" (Section V's Palmetto testbed).
     Palmetto,
@@ -49,7 +48,7 @@ impl ClusterProfile {
 }
 
 /// Offline scheduling method (Fig. 5's comparison axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMethod {
     /// DSP's practical list scheduler.
     Dsp,
@@ -102,7 +101,7 @@ impl SchedMethod {
 }
 
 /// Online preemption method (Fig. 6/7's comparison axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreemptMethod {
     /// No online preemption.
     None,
@@ -148,7 +147,7 @@ impl PreemptMethod {
 }
 
 /// A complete experiment description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Cluster inventory.
     pub cluster: ClusterProfile,

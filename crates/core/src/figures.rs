@@ -16,10 +16,9 @@ use crate::sweep::parallel_map;
 use crate::Params;
 use dsp_metrics::{RunMetrics, SweepSeries};
 use dsp_trace::TraceParams;
-use serde::{Deserialize, Serialize};
 
 /// Sweep sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureScale {
     /// Job counts for Fig. 5–7 (paper: 150..750 step 150).
     pub job_counts: Vec<usize>,

@@ -11,7 +11,7 @@
 //! * [`experiment`] — a declarative experiment runner
 //!   (`ExperimentConfig` → `RunMetrics`).
 //! * [`sweep`] — seeded parallel sweeps over job counts and methods
-//!   (crossbeam-threaded, one simulation per worker).
+//!   (scoped threads, one simulation per worker).
 //! * [`figures`] — one builder per paper figure (Fig. 5–8), each returning
 //!   a `dsp_metrics::SweepSeries` that the `reproduce` binary prints.
 //!

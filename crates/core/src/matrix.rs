@@ -33,11 +33,10 @@ use dsp_units::{Dur, Time};
 use dsp_verify::{check_execution, check_schedule, Report, Severity, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Deadline-tightness tier: the slack multiplier on the critical path in
 /// `deadline = arrival + slack × cp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineTier {
     /// 16× critical path — effectively unconstrained.
     Loose,
@@ -70,7 +69,7 @@ impl DeadlineTier {
 /// Failure-storm intensity: a deterministic `FaultPlan` derived from the
 /// scenario seed — transient crashes, permanent kills and stragglers over
 /// the first simulated minutes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Storm {
     /// No faults (the paper's setting).
     Calm,
@@ -134,19 +133,15 @@ fn pick_distinct<R: Rng>(rng: &mut R, n: usize, count: usize) -> Vec<usize> {
     seen.into_iter().collect()
 }
 
-/// splitmix64 over `master ^ stream` — the per-scenario seed derivation.
-/// Deterministic, stateless, and well-mixed so neighbouring scenario
-/// indices don't produce correlated workloads.
+/// One splitmix64 step from `master ^ stream·γ` — the per-scenario seed
+/// derivation. Deterministic, stateless, and well-mixed so neighbouring
+/// scenario indices don't produce correlated workloads.
 pub fn mix_seed(master: u64, stream: u64) -> u64 {
-    let mut z = master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    rand::splitmix64(&mut (master ^ stream.wrapping_mul(rand::GOLDEN_GAMMA)))
 }
 
 /// One point of the workload grid (everything except the method arms).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Execution-time model (truth vs declared WCET).
     pub exec_model: ExecModel,
@@ -161,7 +156,7 @@ pub struct Scenario {
 }
 
 /// The declarative grid: scenario axes × method arms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixConfig {
     /// Offline scheduler arms.
     pub schedulers: Vec<SchedMethod>,
@@ -535,6 +530,16 @@ mod tests {
         });
         assert_eq!(cells, 8);
         assert_eq!(rows.len(), 8);
+    }
+
+    /// Per-cell seeds are part of every committed matrix artifact; the
+    /// literals were computed from the formula before it moved into
+    /// `rand::splitmix64`.
+    #[test]
+    fn mix_seed_is_pinned() {
+        assert_eq!(mix_seed(2018, 0xFA17), 13451614752015712157);
+        assert_eq!(mix_seed(2018, 0), 17469628489348102290);
+        assert_eq!(mix_seed(2018, 1), 6006595685656429626);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Parallel experiment fan-out.
 //!
 //! Sweeps are embarrassingly parallel: each configuration runs its own
-//! simulation on a crossbeam-scoped worker, results stream back over an
+//! simulation on a `std::thread::scope` worker, results stream back over an
 //! mpsc channel tagged with their input index, and order is restored by a
 //! final scatter so output is deterministic regardless of thread
 //! interleaving. No lock is held around the result sink — workers never
@@ -33,10 +33,11 @@ where
     let next_ref = &next;
     let inputs_ref = &inputs;
     let f_ref = &f;
-    crossbeam::scope(|scope| {
+    // The scope joins every worker and re-raises a worker's panic here.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            scope.spawn(move |_| loop {
+            scope.spawn(move || loop {
                 // ordering: Relaxed — a pure work-stealing ticket counter;
                 // results flow back through the channel, whose send/recv
                 // pair provides the happens-before edge for the data.
@@ -48,8 +49,7 @@ where
                 tx.send((i, r)).expect("collector outlives workers");
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     drop(tx); // close the channel so the drain below terminates
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
     for (i, r) in rx {

@@ -9,10 +9,9 @@
 //! analysis).
 
 use crate::graph::Dag;
-use serde::{Deserialize, Serialize};
 
 /// A set of chains over one job's DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainSet {
     chains: Vec<Vec<u32>>,
 }

@@ -12,10 +12,9 @@ use crate::job::{Job, JobClass};
 use crate::task::TaskSpec;
 use dsp_units::{Dur, Mi, ResourceVec, Time};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Shape family for generated DAGs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagShape {
     /// No edges: embarrassingly parallel.
     Independent,
@@ -35,7 +34,7 @@ pub enum DagShape {
 }
 
 /// Parameters for job generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenParams {
     /// DAG shape family.
     pub shape: DagShape,

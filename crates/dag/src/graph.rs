@@ -4,7 +4,6 @@
 //! point from a precedent task to its dependent ("child") task: an edge
 //! `u -> v` means `v` cannot start until `u` has finished.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Error returned when an edge insertion would break the DAG property.
@@ -36,7 +35,7 @@ impl std::error::Error for DagError {}
 
 /// Adjacency-list DAG with O(1) child/parent access and cycle-safe edge
 /// insertion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dag {
     children: Vec<Vec<u32>>,
     parents: Vec<Vec<u32>>,

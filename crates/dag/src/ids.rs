@@ -1,10 +1,9 @@
 //! Stable identifiers for jobs and tasks.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a job within one experiment run (`J_i` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 impl JobId {
@@ -29,7 +28,7 @@ impl fmt::Display for JobId {
 
 /// Identifier of a task: its job plus the task's index within that job's
 /// DAG (`T_ij` in the paper — job `i`, task `j`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId {
     /// Owning job.
     pub job: JobId,

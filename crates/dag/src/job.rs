@@ -5,12 +5,11 @@ use crate::ids::{JobId, TaskId};
 use crate::levels::Levels;
 use crate::task::TaskSpec;
 use dsp_units::{Dur, Mips, Time};
-use serde::{Deserialize, Serialize};
 
 /// Job size classes from Section V: a large job has 2000 tasks, a medium
 /// job 1000 and a small job several hundred; experiments mix the three in
 /// equal numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobClass {
     /// Several hundred tasks.
     Small,
@@ -43,7 +42,7 @@ impl JobClass {
 /// A job `J_i`: its tasks, dependency DAG, arrival time, and completion
 /// deadline `t^d_i`. Levels are computed once at construction because the
 /// preemption layer re-reads them every epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Identifier within the experiment run.
     pub id: JobId,

@@ -6,10 +6,9 @@
 //! total number of levels. We use 0-based levels internally (`0..L`).
 
 use crate::graph::Dag;
-use serde::{Deserialize, Serialize};
 
 /// Level assignment for one job's DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Levels {
     /// `level[v]` = longest path length (in edges) from any root to `v`.
     level: Vec<u32>,

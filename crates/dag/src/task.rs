@@ -1,12 +1,11 @@
 //! Static description of a single task.
 
 use dsp_units::{Dur, Mi, Mips, ResourceVec};
-use serde::{Deserialize, Serialize};
 
 /// The immutable specification of a task, known (or predicted) a priori —
 /// the paper assumes task sizes, resource demands and dependencies are
 /// predictable, as in Graphene \[6\] and Corral \[13\].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Task size `l_ij` in millions of instructions.
     pub size: Mi,

@@ -1,10 +1,9 @@
 //! Raw per-run counters and the derived headline metrics.
 
 use dsp_units::{Dur, Time};
-use serde::{Deserialize, Serialize};
 
 /// Completion record for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// Submission instant.
     pub arrival: Time,
@@ -26,7 +25,7 @@ impl JobOutcome {
 }
 
 /// Counters accumulated over one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunMetrics {
     /// Tasks that ran to completion.
     pub tasks_completed: u64,

@@ -1,9 +1,7 @@
 //! Sweep series: the x/y data behind each paper figure.
 
-use serde::{Deserialize, Serialize};
-
 /// One method's curve: a name and one y value per sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodSeries {
     /// Method label as the paper uses it ("DSP", "TetrisW/oDep", ...).
     pub method: String,
@@ -12,7 +10,7 @@ pub struct MethodSeries {
 }
 
 /// A full figure: shared x axis plus one [`MethodSeries`] per method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Figure identifier ("fig5a", ...).
     pub id: String,

@@ -183,7 +183,10 @@ impl DspIlpScheduler {
         let mean = cluster.mean_rate();
 
         // Flatten tasks with their per-vnode exec times (seconds) and
-        // relative deadlines.
+        // relative deadlines; infinite for a job carrying the `Time::MAX`
+        // "no deadline" sentinel, which as a number is ~1.8e13 s — a
+        // constraint (6) row with that right-hand side never binds but
+        // drowns the ratio tests' 1e-9 tolerances in rounding error.
         struct T {
             job: usize,
             v: u32,
@@ -203,7 +206,11 @@ impl DspIlpScheduler {
                     job: j,
                     v,
                     exec,
-                    deadline: dls[v as usize].since(at).as_secs_f64(),
+                    deadline: if job.deadline == Time::MAX {
+                        f64::INFINITY
+                    } else {
+                        dls[v as usize].since(at).as_secs_f64()
+                    },
                 });
             }
         }
@@ -468,6 +475,31 @@ mod tests {
             DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
         assert_eq!(outcome, IlpOutcome::Fallback);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
+    }
+
+    /// Drawn by `router_determinism` on its first run against the in-tree
+    /// generator: chains of 3, 4 and 1 tasks, no deadlines, a 4-slot shard.
+    /// `Time::MAX` reached the model as a 1.8e13 s right-hand side and the
+    /// solve with deadlines cycled to its iteration limit (two minutes,
+    /// optimized) before the retry without them answered. No deadline must
+    /// mean no constraint (6) row: the same model either way.
+    #[test]
+    fn jobs_without_deadlines_add_no_deadline_rows() {
+        let chain = |id: u32, n: usize| {
+            let mut dag = Dag::new(n);
+            for t in 1..n as u32 {
+                dag.add_edge(t - 1, t).unwrap();
+            }
+            let tasks = (0..n).map(|t| TaskSpec::sized(1_000.0 + t as f64 * 613.0)).collect();
+            Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::MAX, tasks, dag)
+        };
+        let jobs = vec![chain(0, 3), chain(1, 4), chain(2, 1)];
+        let cluster = uniform(2, 1000.0, 2);
+        let ilp = DspIlpScheduler::default();
+        let with = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], true).expect("solvable");
+        let without = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], false).expect("solvable");
+        assert_eq!(with.1, IlpOutcome::Exact);
+        assert_eq!((with.0, with.2.pivots), (without.0, without.2.pivots));
     }
 
     #[test]

@@ -15,12 +15,11 @@ use crate::server::{
 };
 use crate::wire;
 use dsp_epoll::{waker, Event, Waker};
-use parking_lot::Mutex;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::TrySendError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,7 +52,7 @@ impl ReplyHandle {
     /// Push the response into the owning thread's inbox and wake it.
     pub(crate) fn deliver(self, response: wire::Response) {
         {
-            let mut inbox = self.hub.inbox.lock();
+            let mut inbox = self.hub.inbox.lock().unwrap_or_else(PoisonError::into_inner);
             inbox.push((self.token, response));
         }
         self.hub.waker.wake();
@@ -63,7 +62,10 @@ impl ReplyHandle {
 /// One reactor thread's mailbox: replies from the driver-owner thread,
 /// accepted sockets from thread 0, and the waker that interrupts its
 /// poll. Everything here is push-and-wake; the owning thread drains
-/// with `mem::take` under the same short-lived locks.
+/// with `mem::take` under the same short-lived locks. A `Vec` push or
+/// take cannot be observed half-done, so every lock site recovers a
+/// poisoned guard (`PoisonError::into_inner`) and a panicking peer costs
+/// its own connection, not the thread's mailbox.
 struct ThreadHub {
     inbox: Mutex<Vec<(u64, wire::Response)>>,
     incoming: Mutex<Vec<TcpStream>>,
@@ -106,7 +108,7 @@ impl Runtime {
 /// Drain a hub queue: take everything under a short-lived lock. The
 /// guard never outlives this function, so the caller can block freely.
 fn drain_queue<T>(queue: &Mutex<Vec<T>>) -> Vec<T> {
-    let mut guard = queue.lock();
+    let mut guard = queue.lock().unwrap_or_else(PoisonError::into_inner);
     std::mem::take(&mut *guard)
 }
 
@@ -303,7 +305,10 @@ fn run(
                             let idx = cursor % rt.hubs.len().max(1);
                             if let Some(target) = rt.hubs.get(idx) {
                                 {
-                                    let mut incoming = target.incoming.lock();
+                                    let mut incoming = target
+                                        .incoming
+                                        .lock()
+                                        .unwrap_or_else(PoisonError::into_inner);
                                     incoming.push(stream);
                                 }
                                 target.waker.wake();
@@ -374,7 +379,7 @@ fn run(
                 .iter()
                 .flatten()
                 .any(|c| c.has_pending_out() || c.inflight || c.retry.is_some());
-            let inbox_empty = hub.inbox.lock().is_empty();
+            let inbox_empty = hub.inbox.lock().unwrap_or_else(PoisonError::into_inner).is_empty();
             let quiet = last_activity.elapsed() >= STOP_QUIET;
             if (!busy && inbox_empty && quiet) || Instant::now() >= deadline {
                 break;

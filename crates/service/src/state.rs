@@ -21,21 +21,28 @@
 //! clocks — both monotone); per-shard semantics in this module are
 //! unchanged (DESIGN.md §10.7).
 //!
-//! Why not a literally lock-free cell: `unsafe` is forbidden
-//! workspace-wide and no lock-free `Arc` cell exists in the vendored
-//! dependency set, so the cell is a `parking_lot::RwLock<Arc<_>>` whose
-//! critical sections are a pointer clone (readers) and a pointer swap
-//! (the publisher). Readers never wait on the driver, only — briefly —
-//! on each other's pointer clones; there is no lock convoy because the
-//! driver's work happens entirely outside the cell.
+//! The cell is a `std::sync::RwLock<Arc<_>>` whose critical sections are
+//! a pointer clone (readers) and a pointer swap (the publisher): `unsafe`
+//! is forbidden workspace-wide, which rules out a hand-written lock-free
+//! `Arc` swap, and nothing measured asks for one — readers never wait on
+//! the driver, only, briefly, on each other's pointer clones, and there
+//! is no lock convoy because the driver's work happens entirely outside
+//! the cell.
+//!
+//! Poison policy: both accessors recover the guard
+//! (`PoisonError::into_inner`). The only value behind the lock is one
+//! `Arc` pointer, replaced by a single assignment, so a thread that
+//! panics while holding a guard cannot leave it torn — readers keep
+//! getting the last published snapshot and a later publish still lands.
+//! Refusing every read after an owner-thread panic would turn one dead
+//! shard into a dead monitoring plane for no protection in return.
 
 use crate::codec::Snapshot;
 use crate::driver::JobStatus;
 use dsp_dag::JobId;
 use dsp_metrics::RunMetrics;
 use dsp_units::Time;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One immutable, internally consistent view of the service, published
 /// by the driver-owner thread after each mutation.
@@ -126,7 +133,7 @@ impl SnapshotCell {
     /// Grab the latest published view. Cost: one `Arc` clone under a
     /// read lock — independent of driver activity.
     pub fn load(&self) -> Arc<StateSnapshot> {
-        Arc::clone(&self.cell.read())
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Swap in a new view (driver-owner thread only). Panics in debug
@@ -134,7 +141,7 @@ impl SnapshotCell {
     /// monotone or readers could observe time running backwards.
     pub fn publish(&self, snapshot: StateSnapshot) {
         let next = Arc::new(snapshot);
-        let mut slot = self.cell.write();
+        let mut slot = self.cell.write().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(
             next.version > slot.version,
             "snapshot version must advance ({} -> {})",
@@ -196,6 +203,28 @@ mod tests {
         cell.publish(snap(3, 30));
         assert_eq!(view.version, 2, "immutable once loaded");
         assert_eq!(cell.load().version, 3);
+    }
+
+    /// The poison policy of the module docs, checked: a thread that dies
+    /// holding the write guard costs neither the readers their last
+    /// published snapshot nor the next publisher its slot.
+    #[test]
+    fn a_panic_under_the_write_guard_blocks_neither_loads_nor_publishes() {
+        let cell = SnapshotCell::new(snap(0, 0));
+        cell.publish(snap(1, 10));
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cell.cell.write().unwrap();
+                    panic!("owner thread dies holding the write guard");
+                })
+                .join()
+        });
+        assert!(died.is_err());
+        assert!(cell.cell.is_poisoned(), "the panic must have poisoned the lock");
+        assert_eq!(cell.load().version, 1, "readers keep the last published snapshot");
+        cell.publish(snap(2, 20));
+        assert_eq!(cell.load().version, 2);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use dsp_cluster::ClusterSpec;
 use dsp_dag::{deadline::level_deadlines, Job, JobId};
 use dsp_metrics::{JobOutcome, RunMetrics};
 use dsp_units::{Dur, Mi, Time};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -64,7 +63,7 @@ enum Ev {
 type HeapItem = Reverse<(u64, u64, Ev)>;
 
 /// Point-in-time completion summary of one job (service `status` verb).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobProgress {
     /// Total task count.
     pub total: usize,

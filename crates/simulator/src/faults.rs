@@ -22,10 +22,9 @@
 
 use dsp_cluster::NodeId;
 use dsp_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// The node crashes at `at`; `up_at = None` means it never returns
     /// (queue and victims migrate), `Some(t)` brings it back at `t`.
@@ -67,7 +66,7 @@ impl Fault {
 }
 
 /// A deterministic fault schedule for one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The faults, in any order.
     pub faults: Vec<Fault>,

@@ -12,10 +12,9 @@
 use dsp_cluster::NodeId;
 use dsp_dag::TaskId;
 use dsp_units::{Dur, Mi, Time};
-use serde::{Deserialize, Serialize};
 
 /// One task's execution accounting over a whole simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskHistory {
     /// The task.
     pub task: TaskId,
@@ -48,7 +47,7 @@ pub struct TaskHistory {
 
 /// Execution history of one simulation run: every injected task's
 /// accounting record plus the dispatch latency σ in force.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecHistory {
     /// σ: dispatch latency added to every recovery charge.
     pub sigma: Dur,

@@ -3,11 +3,10 @@
 use dsp_cluster::NodeId;
 use dsp_dag::TaskId;
 use dsp_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// One task's placement: its target node and planned starting time, exactly
 /// the pair the Section III ILP outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// The task.
     pub task: TaskId,
@@ -18,7 +17,7 @@ pub struct Assignment {
 }
 
 /// A complete offline schedule for a batch of jobs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schedule {
     /// All assignments; any order (the engine sorts per node).
     pub assignments: Vec<Assignment>,

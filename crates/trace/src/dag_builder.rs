@@ -9,10 +9,9 @@
 
 use dsp_dag::Dag;
 use dsp_units::Time;
-use serde::{Deserialize, Serialize};
 
 /// Structural caps for the constructed DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DagCaps {
     /// Maximum number of levels (paper: 5).
     pub max_levels: u32,

@@ -1,16 +1,16 @@
 //! Small sampling toolkit: log-normal via Box–Muller, exponential
-//! inter-arrivals, Poisson arrival processes. Implemented in-crate to keep
-//! the dependency set to the approved list (DESIGN.md §6).
+//! inter-arrivals, Poisson arrival processes — over the in-tree generator,
+//! like everything else in a workspace that depends on `std` only
+//! (DESIGN.md §6).
 
 use dsp_units::{Dur, Time};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a log-normal distribution, expressed by its *median*
 /// `exp(μ)` and shape `σ` — the parametrization trace studies usually
 /// report (Google-trace task durations are roughly log-normal with a
 /// long right tail).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalParams {
     /// Median of the distribution (`exp(μ)`).
     pub median: f64,

@@ -7,10 +7,9 @@ use crate::models::{ArrivalModel, ExecModel};
 use dsp_dag::{critical_path_len, Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_units::{Dur, Mi, Mips, ResourceVec, Time};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Knobs of the synthetic trace, defaulting to the Section V setup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceParams {
     /// Job arrival rate range in jobs/minute; the realized rate is drawn
     /// uniformly once per workload (paper: [2, 5]).

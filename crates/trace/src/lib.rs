@@ -26,6 +26,4 @@ pub use dag_builder::{build_dag_from_windows, DagCaps};
 pub use distributions::{exponential, log_normal, poisson_arrivals, std_normal, LogNormalParams};
 pub use generator::{generate_workload, TraceParams};
 pub use models::{ArrivalModel, ExecModel};
-pub use records::{
-    jobs_from_records, load_jobs, load_records, save_jobs, save_records, TaskRecord,
-};
+pub use records::{jobs_from_records, TaskRecord};

@@ -18,14 +18,13 @@
 use crate::distributions::poisson_arrivals;
 use dsp_units::{Dur, Mi, Time};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a task's *true* execution size relates to its declared WCET.
 ///
 /// The declared WCET remains the basis of the scheduler-visible estimate
 /// (`TaskSpec::est_size`); the sampled truth becomes `TaskSpec::size`, the
 /// work the engine actually executes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExecModel {
     /// Truth = declared WCET exactly (today's behavior; draws no RNG).
     Wcet,
@@ -85,7 +84,7 @@ impl ExecModel {
 }
 
 /// Job inter-arrival pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
     /// Homogeneous Poisson at the workload's base rate (today's behavior).
     Poisson,

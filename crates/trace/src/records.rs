@@ -1,19 +1,17 @@
-//! Trace-record types and JSON persistence.
+//! Trace-record rows and the paper's DAG-from-windows pipeline over them.
 //!
-//! Generated workloads can be saved and reloaded so experiments rerun on
-//! the exact same job set (the role the frozen May-2011 trace plays in the
-//! paper).
+//! (Persisting a job set so an experiment reruns on it — the role the
+//! frozen May-2011 trace plays in the paper — is the versioned jobs
+//! artifact of `dsp_service::codec`, which `dsp --dump-jobs` writes.)
 
 use crate::dag_builder::{build_dag_from_windows, DagCaps};
 use dsp_dag::{critical_path_len, Job, JobClass, JobId, TaskSpec};
 use dsp_units::{Dur, Mi, Mips, ResourceVec, Time};
-use serde::{Deserialize, Serialize};
-use std::io::{BufReader, BufWriter, Read, Write};
 
 /// One synthesized trace row, the shape of the Google-trace task-events
 /// data the paper samples from: execution window plus normalized resource
 /// consumption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskRecord {
     /// Job index within the trace.
     pub job: u32,
@@ -84,48 +82,9 @@ pub fn jobs_from_records(
         .collect()
 }
 
-/// Serialize trace records as JSON to any writer.
-pub fn save_records<W: Write>(w: W, records: &[TaskRecord]) -> serde_json::Result<()> {
-    serde_json::to_writer(BufWriter::new(w), records)
-}
-
-/// Deserialize trace records from JSON.
-pub fn load_records<R: Read>(r: R) -> serde_json::Result<Vec<TaskRecord>> {
-    serde_json::from_reader(BufReader::new(r))
-}
-
-/// Serialize a job list as pretty JSON to any writer.
-pub fn save_jobs<W: Write>(w: W, jobs: &[Job]) -> serde_json::Result<()> {
-    serde_json::to_writer(BufWriter::new(w), jobs)
-}
-
-/// Deserialize a job list from JSON.
-pub fn load_jobs<R: Read>(r: R) -> serde_json::Result<Vec<Job>> {
-    serde_json::from_reader(BufReader::new(r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsp_dag::{Dag, JobClass, JobId, TaskSpec};
-
-    #[test]
-    fn job_json_roundtrip() {
-        let mut dag = Dag::new(2);
-        dag.add_edge(0, 1).unwrap();
-        let jobs = vec![Job::new(
-            JobId(0),
-            JobClass::Medium,
-            Time::from_secs(1),
-            Time::from_secs(99),
-            vec![TaskSpec::sized(10.0), TaskSpec::sized(20.0)],
-            dag,
-        )];
-        let mut buf = Vec::new();
-        save_jobs(&mut buf, &jobs).unwrap();
-        let loaded = load_jobs(buf.as_slice()).unwrap();
-        assert_eq!(loaded, jobs);
-    }
 
     #[test]
     fn jobs_from_records_rebuilds_dags() {
@@ -157,35 +116,5 @@ mod tests {
         for j in &jobs {
             dsp_dag::validate_job(j).unwrap();
         }
-    }
-
-    #[test]
-    fn records_json_roundtrip() {
-        let records = vec![TaskRecord {
-            job: 0,
-            task: 1,
-            start: Time::from_secs(2),
-            end: Time::from_secs(4),
-            cpu: 0.25,
-            mem: 0.75,
-        }];
-        let mut buf = Vec::new();
-        save_records(&mut buf, &records).unwrap();
-        assert_eq!(load_records(buf.as_slice()).unwrap(), records);
-    }
-
-    #[test]
-    fn record_roundtrip() {
-        let r = TaskRecord {
-            job: 1,
-            task: 2,
-            start: Time::from_secs(3),
-            end: Time::from_secs(4),
-            cpu: 0.25,
-            mem: 0.5,
-        };
-        let s = serde_json::to_string(&r).unwrap();
-        let back: TaskRecord = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -1,7 +1,6 @@
 //! Relative spans of simulation time.
 
 use crate::MICROS_PER_SEC;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -11,9 +10,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Like [`crate::Time`], subtraction saturates at zero: remaining-time and
 /// slack computations are pervasive in the scheduler and "none left" is the
 /// meaningful floor everywhere.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dur(u64);
 
 impl Dur {

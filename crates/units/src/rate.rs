@@ -1,12 +1,11 @@
 //! Task sizes (MI) and node processing rates (MIPS), Eq. 1–2 of the paper.
 
 use crate::duration::Dur;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A task size in millions of instructions (`l_ij` in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Mi(f64);
 
 impl Mi {
@@ -87,7 +86,7 @@ impl fmt::Display for Mi {
 
 /// A node processing rate in millions of instructions per second
 /// (`g(k)` in the paper, Eq. 1: `g(k) = θ1·s_cpu + θ2·s_mem`).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Mips(f64);
 
 impl Mips {

@@ -6,7 +6,6 @@
 //! bandwidth per task. `ResourceVec` is shared by task demands (dsp-dag) and
 //! node capacities (dsp-cluster).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 ///
 /// All components are non-negative; subtraction saturates at zero
 /// component-wise (a machine cannot owe resources).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVec {
     /// CPU size (`s_cpu` in the paper) — trace-normalized CPU units.
     pub cpu: f64,

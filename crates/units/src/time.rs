@@ -2,7 +2,6 @@
 
 use crate::duration::Dur;
 use crate::MICROS_PER_SEC;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -15,9 +14,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 /// compute "deadline minus slack" quantities that can go negative; a
 /// saturated zero is the correct "already late" answer for every caller in
 /// this workspace.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 impl Time {

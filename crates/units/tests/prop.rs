@@ -47,8 +47,8 @@ proptest! {
 
     #[test]
     fn resource_vec_partial_order(
-        a in prop::collection::vec(0.0f64..100.0, 4),
-        b in prop::collection::vec(0.0f64..100.0, 4),
+        a in prop::collection::vec(0.0f64..100.0, 4..5),
+        b in prop::collection::vec(0.0f64..100.0, 4..5),
     ) {
         let u = ResourceVec::new(a[0], a[1], a[2], a[3]);
         let v = ResourceVec::new(b[0], b[1], b[2], b[3]);

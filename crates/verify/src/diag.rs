@@ -3,12 +3,11 @@
 use dsp_cluster::NodeId;
 use dsp_dag::TaskId;
 use dsp_units::Time;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The checkable invariants, one per paper property. Stable rule ids
 /// (`R1`–`R6`) name them in diagnostics and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// R1: every task assigned exactly once, to a real node.
     Coverage,
@@ -64,7 +63,7 @@ impl fmt::Display for Rule {
 /// marks a property the configuration does not promise (a
 /// dependency-oblivious baseline planning before parent finishes, or a
 /// soft deadline overrun).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     Warning,
     Error,
@@ -80,7 +79,7 @@ impl fmt::Display for Severity {
 }
 
 /// One finding: which rule fired, how severely, where, and why.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
     /// The violated rule.
     pub rule: Rule,
@@ -113,7 +112,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// The outcome of a checker run: every diagnostic, in rule order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Report {
     /// All findings.
     pub diagnostics: Vec<Diagnostic>,
