@@ -21,15 +21,17 @@
 //!   any merge order (we additionally merge in deterministic batch order,
 //!   belt and braces).
 //!
-//! Each node carries its own warm-start tableau ([`WarmLp`]) and a
-//! per-variable bound overlay instead of a cloned [`Problem`] — branching
-//! only ever tightens variable bounds, so the root problem's constraint
-//! rows are shared read-only across all workers and a full problem clone
-//! is materialized only on the (rare) cold-solve fallback path.
+//! Each node carries a warm start ([`Branch`]: its parent's optimal
+//! [`WarmLp`] tableau, shared with its sibling, plus its own branch bound)
+//! and a per-variable bound overlay instead of a cloned [`Problem`] —
+//! branching only ever tightens variable bounds, so the root problem's
+//! constraint rows are shared read-only across all workers and a full
+//! problem clone is materialized only on the (rare) cold-solve fallback
+//! path.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use crate::error::{LpError, Status};
 use crate::problem::{Problem, Sense, VarId};
@@ -145,9 +147,20 @@ struct Node {
     /// these, so together with the shared root constraints they fully
     /// describe the node's subproblem.
     bounds: Vec<(f64, f64)>,
-    /// Parent's optimal tableau with this node's branch row already
-    /// appended, ready for dual-simplex re-entry (`None` → cold solve).
-    warm: Option<WarmLp>,
+    /// Where dual simplex re-enters from (`None` → cold solve).
+    warm: Option<Branch>,
+}
+
+/// A node's warm start: its parent's optimal tableau and the branch bound
+/// `x_var ≤ bound` (`le`) or `x_var ≥ bound` to append to a copy of it. The
+/// copy is made when the node is expanded, not when it is queued — a node
+/// pruned in the queue never pays for one, and the frontier holds one
+/// tableau per branching instead of one per node.
+struct Branch {
+    parent: Arc<WarmLp>,
+    var: usize,
+    le: bool,
+    bound: f64,
 }
 
 impl Node {
@@ -187,7 +200,7 @@ impl Ord for HeapNode {
 /// A child emitted by expanding a node (id assigned later, at merge).
 struct ChildSpec {
     bounds: Vec<(f64, f64)>,
-    warm: Option<WarmLp>,
+    warm: Option<Branch>,
 }
 
 /// What expanding one node concluded.
@@ -263,7 +276,9 @@ fn process_node(
     // against the node's own bounds — falls back to a cold solve below;
     // `Infeasible` is a sound verdict and prunes the node directly.
     let mut solved: Option<(Solution, Option<WarmLp>)> = None;
-    if let Some(mut w) = node.warm.take() {
+    if let Some(b) = node.warm.take() {
+        let mut w = b.parent.child(b.var, b.le, b.bound);
+        drop(b); // the last sibling out frees the parent's tableau
         match w.resolve(opts.warm_pivot_cap) {
             Ok(s) => {
                 pivots += s.iterations;
@@ -327,6 +342,11 @@ fn process_node(
                         let val = relax.x[v.0];
                         let (lo, hi) = node.bounds[v.0];
                         let mut children = Vec::with_capacity(2);
+                        let parent = warm_state.map(Arc::new);
+                        let branch = |le, bound| {
+                            let parent = Arc::clone(parent.as_ref()?);
+                            Some(Branch { parent, var: v.0, le, bound })
+                        };
                         // Down branch (x ≤ floor) first: it gets the senior
                         // child id, so equal-bound ties explore the often
                         // cheaper side first.
@@ -334,14 +354,14 @@ fn process_node(
                         if lo <= dn_hi {
                             let mut b = node.bounds.clone();
                             b[v.0] = (lo, dn_hi);
-                            let warm = warm_state.as_ref().map(|w| w.child(v.0, true, val.floor()));
+                            let warm = branch(true, val.floor());
                             children.push(ChildSpec { bounds: b, warm });
                         }
                         let up_lo = lo.max(val.ceil());
                         if up_lo <= hi {
                             let mut b = node.bounds;
                             b[v.0] = (up_lo, hi);
-                            let warm = warm_state.as_ref().map(|w| w.child(v.0, false, val.ceil()));
+                            let warm = branch(false, val.ceil());
                             children.push(ChildSpec { bounds: b, warm });
                         }
                         Verdict::Branched { bound, children }

@@ -119,19 +119,16 @@ impl Problem {
         self.vars.iter().enumerate().filter(|(_, v)| v.integer).map(|(i, _)| VarId(i)).collect()
     }
 
-    /// Mark an existing variable integral (test/property-test helper; the
-    /// normal path is [`Problem::add_int_var`]).
-    pub fn vars_make_integer_for_test(&mut self, i: usize) {
-        self.vars[i].integer = true;
-    }
-
-    /// Validate the model: finite rhs/coefficients, bounds ordered, ids in
-    /// range.
+    /// Validate the model: finite rhs/coefficients, bounds ordered and not
+    /// NaN (an infinite bound only on its own side), ids in range.
     pub fn validate(&self) -> Result<(), LpError> {
         for (i, v) in self.vars.iter().enumerate() {
-            if v.lower > v.upper {
+            // A NaN bound compares false both ways and is not finite: the
+            // standard form would read it as "unbounded on that side".
+            let unordered = v.lower.is_nan() || v.upper.is_nan() || v.lower > v.upper;
+            if unordered || v.lower == f64::INFINITY || v.upper == f64::NEG_INFINITY {
                 return Err(LpError::Model(format!(
-                    "variable {} ('{}') has lower {} > upper {}",
+                    "variable {} ('{}') has unusable bounds [{}, {}]",
                     i, v.name, v.lower, v.upper
                 )));
             }
@@ -225,6 +222,18 @@ mod tests {
         let mut p = Problem::new(Sense::Min);
         let _ = p.add_var("x", 3.0, 1.0, 0.0);
         assert!(matches!(p.validate(), Err(LpError::Model(_))));
+
+        for (lower, upper) in [
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            let mut p = Problem::new(Sense::Min);
+            let _ = p.add_var("bad", lower, upper, 0.0);
+            let err = p.validate().expect_err("unusable bounds");
+            assert!(matches!(&err, LpError::Model(m) if m.contains("'bad'")), "{err:?}");
+        }
 
         let mut p2 = Problem::new(Sense::Min);
         let x = p2.add_var("x", 0.0, 1.0, 0.0);

@@ -1,8 +1,34 @@
-//! Dense two-phase primal simplex.
-//!
-//! Textbook tableau implementation with Bland's anti-cycling rule. Geared
+//! Dense two-phase primal simplex with Bland's anti-cycling rule, geared
 //! for correctness and the modest instance sizes the DSP formulation
 //! produces (hundreds of rows), not for sparse industrial LPs.
+//!
+//! **Layout.** One row-major `Vec<f64>` of `(m + 1) × stride` cells: the
+//! objective row, then the `m` constraint rows, the rhs last in each. A pivot
+//! is one multiply and one subtract per cell over disjoint row slices, which
+//! release builds vectorise (debug builds run the same loops scalar; both
+//! round every cell identically).
+//!
+//! **Artificial columns are dropped after phase 1**, which is bit-exact:
+//! every cell update reads only its own column of the pivot row, so deleting
+//! a column changes no surviving cell; the columns dropped are the ones
+//! phase 2 masks from entering, and nothing else reads them (point
+//! extraction, both ratio tests and the child derivation look at allowed
+//! columns, the rhs and the basis only). An artificial still basic after the
+//! drive-out pass — a redundant equality — keeps its column; its row is
+//! inert from then on (no structural entry above `TOL`, rhs ≥ 0), so it is
+//! never a pivot row and never updated. Basis ids keep their relative order
+//! (structural < kept artificials < branch slacks in creation order), so no
+//! Bland tie-break moves, and the iteration budgets are still computed from
+//! the logical width, dropped columns included.
+//!
+//! **Deliberately not done**, because each changes the vertex the root LP
+//! lands on and with it which of several equal-makespan schedules
+//! branch-and-bound returns: no crash basis, no bounded-variable ratio test
+//! (finite upper bounds stay explicit rows), no `mul_add`. The pivot path is
+//! pinned by `tests/path_pin.rs`.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::LpError;
 use crate::problem::{Cmp, Problem, Sense};
@@ -189,64 +215,70 @@ fn standardize(p: &Problem) -> Standard {
 }
 
 /// Full-tableau simplex state.
-#[derive(Clone)]
 struct Tableau {
-    /// `m × (n+1)` tableau; last column is the rhs.
-    t: Vec<Vec<f64>>,
-    /// Objective row (reduced costs), length `n+1`; last entry is
-    /// `-objective`.
-    z: Vec<f64>,
+    /// Row-major `(m + 1) × stride`: row 0 is the objective row (reduced
+    /// costs, last entry `-objective`), rows `1..=m` are the constraints;
+    /// the last column of every row is the rhs.
+    a: Vec<f64>,
+    stride: usize,
+    /// Basic column of each constraint row (`basis[r]` goes with buffer row
+    /// `r + 1`).
     basis: Vec<usize>,
-    n: usize,
     iterations: usize,
 }
 
 impl Tableau {
+    fn z(&self) -> &[f64] {
+        &self.a[..self.stride]
+    }
+
+    /// The constraint rows, in `basis` order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.a[self.stride..].chunks_exact(self.stride)
+    }
+
     fn pivot(&mut self, row: usize, col: usize) {
-        let piv = self.t[row][col];
-        debug_assert!(piv.abs() > TOL);
-        let inv = 1.0 / piv;
-        for a in self.t[row].iter_mut() {
-            *a *= inv;
+        let w = self.stride;
+        let (above, rest) = self.a.split_at_mut((row + 1) * w);
+        let (prow, below) = rest.split_at_mut(w);
+        debug_assert!(prow[col].abs() > TOL);
+        let inv = 1.0 / prow[col];
+        for v in prow.iter_mut() {
+            *v *= inv;
         }
-        for r in 0..self.t.len() {
-            if r != row {
-                let factor = self.t[r][col];
-                if factor.abs() > TOL {
-                    for j in 0..=self.n {
-                        let v = self.t[row][j];
-                        self.t[r][j] -= factor * v;
-                    }
+        // Every other row, the objective row included: one multiply and one
+        // subtract per cell, over disjoint slices so the loop vectorises.
+        for r in above.chunks_exact_mut(w).chain(below.chunks_exact_mut(w)) {
+            let factor = r[col];
+            if factor.abs() > TOL {
+                for (d, &v) in r.iter_mut().zip(prow.iter()) {
+                    *d -= factor * v;
                 }
-            }
-        }
-        let zf = self.z[col];
-        if zf.abs() > TOL {
-            for j in 0..=self.n {
-                self.z[j] -= zf * self.t[row][j];
             }
         }
         self.basis[row] = col;
         self.iterations += 1;
     }
 
-    /// Run simplex to optimality on the current objective row.
-    /// `allowed` masks the columns eligible to enter.
-    fn optimize(&mut self, allowed: &[bool], max_iters: usize) -> Result<(), LpError> {
+    /// Run simplex to optimality on the current objective row. Columns in
+    /// `masked` may not enter.
+    fn optimize(&mut self, masked: &Range<usize>, max_iters: usize) -> Result<(), LpError> {
+        let n = self.stride - 1;
         loop {
             if self.iterations > max_iters {
                 return Err(LpError::IterationLimit);
             }
             // Bland's rule: smallest-index column with negative reduced
             // cost.
-            let entering = (0..self.n).find(|&j| allowed[j] && self.z[j] < -TOL);
+            let z = self.z();
+            let entering = (0..masked.start).chain(masked.end..n).find(|&j| z[j] < -TOL);
             let Some(col) = entering else { return Ok(()) };
             // Ratio test; Bland tie-break on the smallest basis variable.
             let mut best: Option<(usize, f64)> = None;
-            for r in 0..self.t.len() {
-                let a = self.t[r][col];
+            for (r, row) in self.rows().enumerate() {
+                let a = row[col];
                 if a > TOL {
-                    let ratio = self.t[r][self.n] / a;
+                    let ratio = row[n] / a;
                     match best {
                         None => best = Some((r, ratio)),
                         Some((br, bratio)) => {
@@ -269,15 +301,16 @@ impl Tableau {
     /// Dual simplex: restore primal feasibility (rhs ≥ 0) while keeping the
     /// reduced costs non-negative. Entered after appending a violated
     /// constraint row to an optimal tableau (branch-and-bound warm starts).
-    fn dual_optimize(&mut self, allowed: &[bool], max_iters: usize) -> Result<(), LpError> {
+    fn dual_optimize(&mut self, masked: &Range<usize>, max_iters: usize) -> Result<(), LpError> {
+        let n = self.stride - 1;
         loop {
             if self.iterations > max_iters {
                 return Err(LpError::IterationLimit);
             }
             // Leaving row: most negative rhs (tie: smallest basis index).
             let mut leave: Option<(usize, f64)> = None;
-            for r in 0..self.t.len() {
-                let b = self.t[r][self.n];
+            for (r, row) in self.rows().enumerate() {
+                let b = row[n];
                 if b < -TOL {
                     let better = match leave {
                         None => true,
@@ -292,17 +325,15 @@ impl Tableau {
                 }
             }
             let Some((row, _)) = leave else { return Ok(()) };
-            // Dual ratio test: minimize z[j]/−t[row][j] over the negative
+            // Dual ratio test: minimize z[j]/−a[row][j] over the negative
             // entries; ties go to the smallest column index (Bland-style
             // anti-cycling).
+            let (z, leaving) = (self.z(), &self.a[(row + 1) * self.stride..][..n]);
             let mut enter: Option<(usize, f64)> = None;
-            for (j, &open) in allowed.iter().enumerate().take(self.n) {
-                if !open {
-                    continue;
-                }
-                let a = self.t[row][j];
+            for j in (0..masked.start).chain(masked.end..n) {
+                let a = leaving[j];
                 if a < -TOL {
-                    let ratio = self.z[j] / -a;
+                    let ratio = z[j] / -a;
                     let better = match enter {
                         None => true,
                         Some((_, best)) => ratio < best - TOL,
@@ -318,6 +349,48 @@ impl Tableau {
                 None => return Err(LpError::Infeasible),
             }
         }
+    }
+
+    /// Re-stride without the artificial columns (`n_cols..stride − 1`) that
+    /// phase 1 is done with. One that is still basic — the drive-out pass
+    /// found no structural pivot in its row, a redundant equality — stays,
+    /// so basis ids keep their order: structural < kept artificials < the
+    /// branch slacks children append. Returns how many were kept.
+    fn drop_artificials(&mut self, n_cols: usize) -> usize {
+        let w = self.stride;
+        let mut keep: Vec<usize> = self.basis.iter().copied().filter(|&b| b >= n_cols).collect();
+        keep.sort_unstable();
+        keep.push(w - 1); // the rhs
+        let mut dst = 0;
+        for src in (0..self.a.len()).step_by(w) {
+            // Never ahead of the cells still to be read: dst ≤ src.
+            self.a.copy_within(src..src + n_cols, dst);
+            dst += n_cols;
+            for &j in &keep {
+                self.a[dst] = self.a[src + j];
+                dst += 1;
+            }
+        }
+        self.a.truncate(dst);
+        self.stride = n_cols + keep.len();
+        for b in self.basis.iter_mut().filter(|b| **b >= n_cols) {
+            *b = n_cols + keep.binary_search(b).expect("basic artificials are kept");
+        }
+        debug_assert!(self.basis_is_unit(), "compaction moved a basic column");
+        keep.len() - 1
+    }
+
+    /// Is every basic column a unit column with its one in its own row? (To
+    /// `1e-6`: a pivot leaves residues up to `TOL` in the rows it skips —
+    /// the test suites reach 4e-10 — while a misplaced column is off by a
+    /// whole coefficient.)
+    fn basis_is_unit(&self) -> bool {
+        self.basis.iter().enumerate().all(|(r, &b)| {
+            self.rows().enumerate().all(|(i, row)| {
+                let unit = if i == r { 1.0 } else { 0.0 };
+                (row[b] - unit).abs() <= 1e-6
+            })
+        })
     }
 }
 
@@ -341,66 +414,55 @@ pub fn solve_lp(p: &Problem) -> Result<Solution, LpError> {
         return Ok(Solution { x: vec![], objective: 0.0, iterations: 0 });
     }
 
-    let s = solve_std(p)?;
-    Ok(extract(&s))
+    Ok(solve_std(p)?.extract())
 }
 
-/// A solved (optimal) standard-form tableau plus the mapping data needed to
-/// extract a [`Solution`] or to warm-start a child solve from it.
-#[derive(Clone)]
-struct SolvedLp {
-    tab: Tableau,
-    /// Columns eligible to enter the basis (artificials masked off).
-    allowed: Vec<bool>,
-    /// Standard-form column count (structural + standardize slacks) —
-    /// only these columns map back to original variables.
-    n_base: usize,
+/// What a solved tableau needs besides its numbers. Fixed from the end of
+/// phase 1 on, so a whole B&B subtree shares one copy.
+struct Shape {
+    /// Columns that may never enter the basis: the artificials
+    /// [`Tableau::drop_artificials`] kept. They start where the
+    /// standard-form columns (structural + standardize slacks) end, and
+    /// only those map back to original variables.
+    masked: Range<usize>,
+    /// Artificial columns dropped after phase 1. The iteration budgets are
+    /// sized from the tableau's logical width, which still counts them.
+    dropped: usize,
     map: Vec<VarMap>,
     cost_offset: f64,
     sense: Sense,
-    num_vars: usize,
 }
 
 /// Run two-phase simplex to optimality and return the solved tableau.
-fn solve_std(p: &Problem) -> Result<SolvedLp, LpError> {
+fn solve_std(p: &Problem) -> Result<WarmLp, LpError> {
     let std_form = standardize(p);
     let m = std_form.rows.len();
     let n_cols = std_form.cost.len();
     let n_total = n_cols + m; // one artificial per row
 
-    // Build the phase-1 tableau: [A | I | b].
-    let mut t: Vec<Vec<f64>> = Vec::with_capacity(m);
-    for (i, row) in std_form.rows.iter().enumerate() {
-        let mut r = vec![0.0; n_total + 1];
-        for &(c, a) in row {
-            r[c] = a;
+    // Build the phase-1 tableau [A | I | b] under its objective row:
+    // minimize the artificial sum, whose reduced costs are minus the column
+    // sums (rows subtracted in order) and zero on the basic artificials.
+    let w = n_total + 1;
+    let mut a = vec![0.0; (m + 1) * w];
+    let (z, rows) = a.split_at_mut(w);
+    for (i, (row, sparse)) in rows.chunks_exact_mut(w).zip(&std_form.rows).enumerate() {
+        for &(c, v) in sparse {
+            row[c] = v;
         }
-        r[n_cols + i] = 1.0;
-        r[n_total] = std_form.rhs[i];
-        t.push(r);
+        row[n_cols + i] = 1.0;
+        row[n_total] = std_form.rhs[i];
+        for (z, v) in z.iter_mut().zip(row.iter()) {
+            *z -= v;
+        }
     }
+    z[n_cols..n_total].fill(0.0);
+
     let basis: Vec<usize> = (n_cols..n_total).collect();
-
-    // Phase-1 objective: minimize the artificial sum. Reduced-cost row =
-    // Σ (0·struct − row_i) for each artificial basic row.
-    let mut z1 = vec![0.0; n_total + 1];
-    for z in z1.iter_mut().take(n_total).skip(n_cols) {
-        *z = 1.0;
-    }
-    for row in &t {
-        for (z, r) in z1.iter_mut().zip(row.iter()) {
-            *z -= r;
-        }
-    }
-    // Artificial columns start basic with zero reduced cost.
-    for z in z1.iter_mut().take(n_total).skip(n_cols) {
-        *z = 0.0;
-    }
-
-    let mut tab = Tableau { t, z: z1, basis, n: n_total, iterations: 0 };
+    let mut tab = Tableau { a, stride: w, basis, iterations: 0 };
     let max_iters = 20_000 + 200 * (m + n_total);
-    let allowed_all = vec![true; n_total];
-    match tab.optimize(&allowed_all, max_iters) {
+    let nothing_masked = n_total..n_total;
+    match tab.optimize(&nothing_masked, max_iters) {
         Ok(()) => {}
         Err(LpError::Unbounded) => {
             // Phase 1 is bounded below by zero; unbounded here means a
@@ -409,7 +471,7 @@ fn solve_std(p: &Problem) -> Result<SolvedLp, LpError> {
         }
         Err(e) => return Err(e),
     }
-    let phase1_obj = -tab.z[n_total];
+    let phase1_obj = -tab.z()[n_total];
     if phase1_obj > 1e-6 {
         return Err(LpError::Infeasible);
     }
@@ -418,128 +480,123 @@ fn solve_std(p: &Problem) -> Result<SolvedLp, LpError> {
     // zero rows), pivoting on any structural column with a nonzero entry.
     for r in 0..m {
         if tab.basis[r] >= n_cols {
-            if let Some(col) = (0..n_cols).find(|&j| tab.t[r][j].abs() > TOL) {
+            let row = &tab.a[(r + 1) * w..][..n_cols];
+            if let Some(col) = row.iter().position(|v| v.abs() > TOL) {
                 tab.pivot(r, col);
             }
             // If no structural pivot exists the row is redundant; leaving
             // the zero-valued artificial basic is harmless.
         }
     }
+    let kept = tab.drop_artificials(n_cols);
 
     // Phase 2: original cost over structural columns only.
-    let mut z2 = vec![0.0; n_total + 1];
-    z2[..n_cols].copy_from_slice(&std_form.cost);
-    for r in 0..m {
-        let b = tab.basis[r];
+    let (z, rows) = tab.a.split_at_mut(tab.stride);
+    z.fill(0.0);
+    z[..n_cols].copy_from_slice(&std_form.cost);
+    for (row, &b) in rows.chunks_exact(z.len()).zip(&tab.basis) {
         let cb = if b < n_cols { std_form.cost[b] } else { 0.0 };
         if cb.abs() > TOL {
-            for (z, v) in z2.iter_mut().zip(tab.t[r].iter()) {
+            for (z, v) in z.iter_mut().zip(row) {
                 *z -= cb * v;
             }
         }
     }
     // Basic columns must show zero reduced cost exactly.
-    for r in 0..m {
-        z2[tab.basis[r]] = 0.0;
+    for &b in &tab.basis {
+        z[b] = 0.0;
     }
-    tab.z = z2;
 
-    let mut allowed = vec![true; n_total];
-    for a in allowed.iter_mut().skip(n_cols) {
-        *a = false; // artificials may never re-enter
-    }
-    tab.optimize(&allowed, max_iters)?;
+    let masked = n_cols..n_cols + kept; // artificials may never re-enter
+    tab.optimize(&masked, max_iters)?;
 
-    Ok(SolvedLp {
-        tab,
-        allowed,
-        n_base: n_cols,
+    let shape = Shape {
+        masked,
+        dropped: m - kept,
         map: std_form.map,
         cost_offset: std_form.cost_offset,
         sense: p.sense,
-        num_vars: p.num_vars(),
-    })
-}
-
-/// Read the optimal point and objective out of a solved tableau.
-fn extract(s: &SolvedLp) -> Solution {
-    let tab = &s.tab;
-    // Extract the standard-form point.
-    let mut xs = vec![0.0; s.n_base];
-    for r in 0..tab.t.len() {
-        if tab.basis[r] < s.n_base {
-            xs[tab.basis[r]] = tab.t[r][tab.n];
-        }
-    }
-    // Map back to the original variables.
-    let mut x = vec![0.0; s.num_vars];
-    for (i, vm) in s.map.iter().enumerate() {
-        x[i] = match *vm {
-            VarMap::Shifted { col, shift } => xs[col] + shift,
-            VarMap::Flipped { col, ub } => ub - xs[col],
-            VarMap::Split { pos, neg } => xs[pos] - xs[neg],
-        };
-    }
-    let min_obj = -tab.z[tab.n] + s.cost_offset;
-    let objective = match s.sense {
-        Sense::Min => min_obj,
-        Sense::Max => -min_obj,
     };
-    Solution { x, objective, iterations: tab.iterations }
+    Ok(WarmLp { tab, shape: Arc::new(shape) })
 }
 
 /// Solve an LP and additionally hand back the re-entrant [`WarmLp`] state,
 /// so branch-and-bound can derive child nodes from the optimal basis.
 pub(crate) fn solve_lp_warm(p: &Problem) -> Result<(Solution, WarmLp), LpError> {
     p.validate()?;
-    let inner = solve_std(p)?;
-    let sol = extract(&inner);
-    Ok((sol, WarmLp { inner }))
+    let warm = solve_std(p)?;
+    Ok((warm.extract(), warm))
 }
 
-/// Re-entrant solver state for branch-and-bound warm starts: the optimal
-/// tableau of a parent node, from which a child node (one extra branching
-/// bound) is re-solved by dual simplex instead of from scratch.
-#[derive(Clone)]
+/// A solved (optimal) standard-form tableau plus the mapping data needed to
+/// extract a [`Solution`] from it — and re-entrant: a branch-and-bound child
+/// (one extra branching bound) is derived from its parent's and re-solved by
+/// dual simplex instead of from scratch.
 pub(crate) struct WarmLp {
-    inner: SolvedLp,
+    tab: Tableau,
+    shape: Arc<Shape>,
 }
 
 impl WarmLp {
     /// Pivots performed on this tableau since the last (re-)solve began.
     pub(crate) fn iterations(&self) -> usize {
-        self.inner.tab.iterations
+        self.tab.iterations
     }
 
-    /// Derive a child state: clone this optimal tableau and append the
-    /// branch constraint `x_v ≤ bound` (`le`) or `x_v ≥ bound` over the
-    /// *original* variable `v`. The new row gets its own slack column which
-    /// enters the basis, keeping the tableau dual feasible; call
-    /// [`WarmLp::resolve`] to restore primal feasibility.
-    pub(crate) fn child(&self, v: usize, le: bool, bound: f64) -> WarmLp {
-        let src = &self.inner;
-        let n_old = src.tab.n;
-        let new_col = n_old;
-        // Widen every row by the new slack column (kept just before rhs).
-        let mut t: Vec<Vec<f64>> = Vec::with_capacity(src.tab.t.len() + 1);
-        for row in &src.tab.t {
-            let mut r = Vec::with_capacity(n_old + 2);
-            r.extend_from_slice(&row[..n_old]);
-            r.push(0.0);
-            r.push(row[n_old]);
-            t.push(r);
+    /// Read the optimal point and objective out of the tableau.
+    fn extract(&self) -> Solution {
+        let (tab, shape) = (&self.tab, &*self.shape);
+        let n = tab.stride - 1;
+        // Extract the standard-form point.
+        let mut xs = vec![0.0; shape.masked.start];
+        for (row, &b) in tab.rows().zip(&tab.basis) {
+            if b < xs.len() {
+                xs[b] = row[n];
+            }
         }
-        let mut z = Vec::with_capacity(n_old + 2);
-        z.extend_from_slice(&src.tab.z[..n_old]);
-        z.push(0.0);
-        z.push(src.tab.z[n_old]);
+        // Map back to the original variables.
+        let x = shape
+            .map
+            .iter()
+            .map(|vm| match *vm {
+                VarMap::Shifted { col, shift } => xs[col] + shift,
+                VarMap::Flipped { col, ub } => ub - xs[col],
+                VarMap::Split { pos, neg } => xs[pos] - xs[neg],
+            })
+            .collect();
+        let min_obj = -tab.z()[n] + shape.cost_offset;
+        let objective = match shape.sense {
+            Sense::Min => min_obj,
+            Sense::Max => -min_obj,
+        };
+        Solution { x, objective, iterations: tab.iterations }
+    }
+
+    /// Derive a child state: copy this optimal tableau — one pass into one
+    /// new buffer — and append the branch constraint `x_v ≤ bound` (`le`) or
+    /// `x_v ≥ bound` over the *original* variable `v`. The new row gets its
+    /// own slack column which enters the basis, keeping the tableau dual
+    /// feasible; call [`WarmLp::resolve`] to restore primal feasibility.
+    pub(crate) fn child(&self, v: usize, le: bool, bound: f64) -> WarmLp {
+        let src = &self.tab;
+        // Widen every row by the new slack column (kept just before rhs).
+        let w = src.stride + 1;
+        let (new_col, rhs) = (w - 2, w - 1);
+        let mut a = Vec::with_capacity(src.a.len() + src.basis.len() + 1 + w);
+        for row in src.a.chunks_exact(src.stride) {
+            a.extend_from_slice(&row[..new_col]);
+            a.extend_from_slice(&[0.0, row[new_col]]);
+        }
+        let n_old = a.len();
+        a.resize(n_old + w, 0.0);
+        let (old, row) = a.split_at_mut(n_old);
 
         // The branch bound over standard-form columns, normalized to ≤.
         let mut terms: [(usize, f64); 2] = [(0, 0.0); 2];
         let mut n_terms = 1;
         let mut b;
         let mut le = le;
-        match src.map[v] {
+        match self.shape.map[v] {
             VarMap::Shifted { col, shift } => {
                 terms[0] = (col, 1.0);
                 b = bound - shift;
@@ -563,40 +620,25 @@ impl WarmLp {
             }
             b = -b;
         }
-        let mut row = vec![0.0; n_old + 2];
         for &(c, a) in &terms[..n_terms] {
             row[c] = a;
         }
         row[new_col] = 1.0;
-        row[n_old + 1] = b;
+        row[rhs] = b;
         // Express the new row in the current basis: eliminate every basic
         // column against the row where it is basic. (Old rows are zero in
         // the new slack column, so its coefficient survives untouched.)
-        for (r, &basic) in t.iter().zip(&src.tab.basis) {
+        for (r, &basic) in old[w..].chunks_exact(w).zip(&src.basis) {
             let f = row[basic];
             if f.abs() > TOL {
-                for (dst, srcv) in row.iter_mut().zip(r.iter()) {
+                for (dst, srcv) in row.iter_mut().zip(r) {
                     *dst -= f * srcv;
                 }
             }
         }
-        t.push(row);
-        let mut basis = src.tab.basis.clone();
-        basis.push(new_col);
-        let mut allowed = src.allowed.clone();
-        allowed.push(true);
-        let tab = Tableau { t, z, basis, n: n_old + 1, iterations: 0 };
-        WarmLp {
-            inner: SolvedLp {
-                tab,
-                allowed,
-                n_base: src.n_base,
-                map: src.map.clone(),
-                cost_offset: src.cost_offset,
-                sense: src.sense,
-                num_vars: src.num_vars,
-            },
-        }
+        let basis = src.basis.iter().copied().chain([new_col]).collect();
+        let tab = Tableau { a, stride: w, basis, iterations: 0 };
+        WarmLp { tab, shape: Arc::clone(&self.shape) }
     }
 
     /// Re-solve after [`WarmLp::child`] appended a branch row: dual simplex
@@ -607,18 +649,18 @@ impl WarmLp {
     /// threads its `warm_pivot_cap` fault-injection knob through here so
     /// tests can force the cold-solve fallback deterministically.
     pub(crate) fn resolve(&mut self, pivot_cap: Option<usize>) -> Result<Solution, LpError> {
-        let tab = &mut self.inner.tab;
+        let (tab, shape) = (&mut self.tab, &*self.shape);
         tab.iterations = 0;
-        let auto = 20_000 + 200 * (tab.t.len() + tab.n);
+        let auto = 20_000 + 200 * (tab.basis.len() + tab.stride - 1 + shape.dropped);
         let max_iters = pivot_cap.map_or(auto, |cap| cap.min(auto));
-        tab.dual_optimize(&self.inner.allowed, max_iters)?;
-        tab.optimize(&self.inner.allowed, max_iters).map_err(|e| match e {
+        tab.dual_optimize(&shape.masked, max_iters)?;
+        tab.optimize(&shape.masked, max_iters).map_err(|e| match e {
             // A child of a bounded parent cannot be unbounded; treat it as
             // a numerical breakdown so the caller cold-solves.
             LpError::Unbounded => LpError::IterationLimit,
             e => e,
         })?;
-        Ok(extract(&self.inner))
+        Ok(self.extract())
     }
 }
 

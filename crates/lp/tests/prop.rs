@@ -7,8 +7,10 @@ use dsp_lp::{solve_lp, solve_milp, Cmp, MilpOptions, Problem, Sense};
 use proptest::prelude::*;
 
 /// Build `min c·x  s.t.  A x ≤ b, 0 ≤ x ≤ 10` where `b = A·x0 + slack` for
-/// a known witness `x0` — feasible by construction.
+/// a known witness `x0` — feasible by construction. `integer` marks every
+/// variable integral (the witness is, and the box keeps the search finite).
 fn feasible_lp(
+    integer: bool,
     n: usize,
     m: usize,
     a_vals: &[i32],
@@ -19,7 +21,16 @@ fn feasible_lp(
     let mut p = Problem::new(Sense::Min);
     let x0: Vec<f64> = (0..n).map(|i| (x0_vals[i % x0_vals.len()].rem_euclid(11)) as f64).collect();
     let c: Vec<f64> = (0..n).map(|i| (c_vals[i % c_vals.len()] % 7) as f64).collect();
-    let vars: Vec<_> = (0..n).map(|i| p.add_var(format!("x{i}"), 0.0, 10.0, c[i])).collect();
+    let vars: Vec<_> = (0..n)
+        .map(|i| {
+            let name = format!("x{i}");
+            if integer {
+                p.add_int_var(name, 0.0, 10.0, c[i])
+            } else {
+                p.add_var(name, 0.0, 10.0, c[i])
+            }
+        })
+        .collect();
     for r in 0..m {
         let coeffs: Vec<f64> =
             (0..n).map(|i| (a_vals[(r * n + i) % a_vals.len()] % 5) as f64).collect();
@@ -43,7 +54,7 @@ proptest! {
         c_vals in prop::collection::vec(-10i32..10, 1..6),
         slack in prop::collection::vec(0i32..4, 1..6),
     ) {
-        let (p, x0, witness_obj) = feasible_lp(n, m, &a_vals, &x0_vals, &c_vals, &slack);
+        let (p, x0, witness_obj) = feasible_lp(false, n, m, &a_vals, &x0_vals, &c_vals, &slack);
         let sol = solve_lp(&p).expect("constructed LP is feasible and bounded (box vars)");
         prop_assert!(p.is_feasible(&sol.x, 1e-6), "infeasible answer {:?}", sol.x);
         prop_assert!(
@@ -62,11 +73,7 @@ proptest! {
         c_vals in prop::collection::vec(-5i32..5, 1..5),
         slack in prop::collection::vec(0i32..4, 1..5),
     ) {
-        let (mut p, _x0, _w) = feasible_lp(n, m, &a_vals, &x0_vals, &c_vals, &slack);
-        // Mark every variable integral (bounds [0,10] keep it finite).
-        for i in 0..p.num_vars() {
-            p.vars_make_integer_for_test(i);
-        }
+        let (p, _x0, _w) = feasible_lp(true, n, m, &a_vals, &x0_vals, &c_vals, &slack);
         let relax = solve_lp(&p).expect("relaxation feasible");
         let milp = solve_milp(&p, MilpOptions::default()).expect("integral point exists (x0 integral)");
         prop_assert!(p.is_feasible(&milp.x, 1e-6));
