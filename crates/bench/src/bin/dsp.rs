@@ -5,7 +5,7 @@
 //! dsp [--cluster ec2|palmetto] [--jobs N] [--seed S] [--scale F]
 //!     [--sched dsp|dsp-ilp|tetris|tetris-dep|aalo|fifo|random]
 //!     [--preempt dsp|dsp-wopp|amoeba|natjam|srpt|none]
-//!     [--noise SIGMA] [--threads N]
+//!     [--noise SIGMA]
 //!     [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]...
 //!     [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE]
 //!     [--json]
@@ -69,7 +69,6 @@ struct Args {
     preempt: PreemptMethod,
     noise: f64,
     faults: FaultPlan,
-    threads: usize,
     dump_jobs: Option<String>,
     dump_schedule: Option<String>,
     dump_trace: Option<String>,
@@ -79,7 +78,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: dsp [--cluster ec2|palmetto] [--jobs N] [--seed S] [--scale F] \
-         [--sched NAME] [--preempt NAME] [--noise SIGMA] [--threads N] \
+         [--sched NAME] [--preempt NAME] [--noise SIGMA] \
          [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]... \
          [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE] [--json]\n\
          \x20      dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto] \
@@ -108,7 +107,6 @@ fn parse(argv: &[String]) -> Args {
         preempt: PreemptMethod::Dsp,
         noise: 0.4,
         faults: FaultPlan::none(),
-        threads: 0,
         dump_jobs: None,
         dump_schedule: None,
         dump_trace: None,
@@ -132,7 +130,6 @@ fn parse(argv: &[String]) -> Args {
             "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--scale" => args.scale = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--noise" => args.noise = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--threads" => args.threads = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--sched" => {
                 args.sched = match next(&mut i).as_str() {
                     "dsp" => SchedMethod::Dsp,
@@ -261,13 +258,6 @@ fn report_to_json(report: &Report) -> Json {
 
 fn run_main(argv: &[String]) {
     let args = parse(argv);
-    if args.threads != 0 {
-        // Both scheduling paths below reach the B&B pool through the
-        // shared auto-resolution rule (`threads == 0` → env override), so
-        // exporting the variable threads the knob through the experiment
-        // registry and the manual wiring alike.
-        std::env::set_var(dsp_core::sched::THREADS_ENV, args.threads.to_string());
-    }
     let trace = TraceParams {
         task_scale: args.scale,
         estimate_noise_sigma: args.noise,

@@ -23,7 +23,6 @@ pub fn quick_scale() -> FigureScale {
         task_scale: 0.06,
         task_scale_palmetto: 0.2,
         seed: 2018,
-        threads: 0,
     }
 }
 

@@ -54,7 +54,7 @@ pub fn ablation_rho(scale: &FigureScale) -> Vec<SweepSeries> {
             c
         })
         .collect();
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     let mut preempts = SweepSeries::new(
         "ablation_rho_preemptions",
         format!("PP strength ρ vs preemptions ({jobs} jobs, EC2)"),
@@ -86,7 +86,7 @@ pub fn ablation_gamma(scale: &FigureScale) -> Vec<SweepSeries> {
             c
         })
         .collect();
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     let mut wait = SweepSeries::new(
         "ablation_gamma_wait",
         format!("Eq. 12 γ vs avg job waiting ({jobs} jobs, EC2)"),
@@ -118,7 +118,7 @@ pub fn ablation_delta(scale: &FigureScale) -> Vec<SweepSeries> {
             c
         })
         .collect();
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     let mut preempts = SweepSeries::new(
         "ablation_delta_preemptions",
         format!("δ window vs preemptions ({jobs} jobs, EC2)"),
@@ -152,7 +152,7 @@ pub fn ablation_noise(scale: &FigureScale) -> Vec<SweepSeries> {
             configs.push(c);
         }
     }
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     let mut mk = SweepSeries::new(
         "ablation_noise_makespan",
         format!("estimate noise σ vs makespan ({jobs} jobs, EC2)"),

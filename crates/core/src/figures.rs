@@ -36,8 +36,6 @@ pub struct FigureScale {
     pub task_scale_palmetto: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Worker threads (0 = auto).
-    pub threads: usize,
 }
 
 impl FigureScale {
@@ -50,7 +48,6 @@ impl FigureScale {
             task_scale: 0.06,
             task_scale_palmetto: 0.2,
             seed: 2018,
-            threads: 0,
         }
     }
 
@@ -62,7 +59,6 @@ impl FigureScale {
             task_scale: 0.06,
             task_scale_palmetto: 0.2,
             seed: 2018,
-            threads: 0,
         }
     }
 
@@ -113,7 +109,7 @@ pub fn fig5(cluster: ClusterProfile, scale: &FigureScale) -> SweepSeries {
             configs.push(c);
         }
     }
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     for (mi, m) in methods.iter().enumerate() {
         let ys = results[mi * scale.job_counts.len()..(mi + 1) * scale.job_counts.len()]
             .iter()
@@ -163,7 +159,7 @@ pub fn preemption_figures(cluster: ClusterProfile, scale: &FigureScale) -> Vec<S
             configs.push(c);
         }
     }
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     for (mi, m) in methods.iter().enumerate() {
         let chunk: &[RunMetrics] =
             &results[mi * scale.job_counts.len()..(mi + 1) * scale.job_counts.len()];
@@ -217,7 +213,7 @@ pub fn fig8(scale: &FigureScale) -> Vec<SweepSeries> {
             configs.push(c);
         }
     }
-    let results = parallel_map(configs, scale.threads, run_experiment);
+    let results = parallel_map(configs, 0, run_experiment);
     for (ci, cl) in clusters.iter().enumerate() {
         let chunk = &results
             [ci * scale.scalability_counts.len()..(ci + 1) * scale.scalability_counts.len()];

@@ -7,9 +7,31 @@
 //! interleaving. No lock is held around the result sink — workers never
 //! contend with each other when a long simulation finishes.
 
+/// Environment variable overriding the auto (`threads == 0`) sweep width.
+/// Ignored unless it parses as a positive integer.
+const THREADS_ENV: &str = "DSP_THREADS";
+
+/// Worker count for `requested` threads over `cap` work items: an explicit
+/// count is taken literally, `0` means auto — [`THREADS_ENV`] when set and
+/// positive, otherwise the available parallelism (a best guess of 4 when
+/// the platform can't say). Always in `1..=max(cap, 1)`.
+fn resolve_workers(requested: usize, cap: usize) -> usize {
+    let env = std::env::var(THREADS_ENV).ok();
+    let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
+    resolve_from(requested, cap, env.as_deref(), hw)
+}
+
+/// Pure core of [`resolve_workers`], split out so the rule is testable
+/// without mutating process-global environment state.
+fn resolve_from(requested: usize, cap: usize, env: Option<&str>, hw: usize) -> usize {
+    let auto = || env.and_then(|s| s.trim().parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or(hw);
+    let req = if requested == 0 { auto() } else { requested };
+    req.min(cap).max(1)
+}
+
 /// Map `f` over `inputs` in parallel with at most `threads` workers,
-/// preserving input order in the output. `threads = 0` means one worker
-/// per input (capped at the available parallelism).
+/// preserving input order in the output. `threads = 0` means auto: the
+/// `DSP_THREADS` environment variable, else the available parallelism.
 pub fn parallel_map<T, R, F>(inputs: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,
@@ -20,10 +42,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    // One resolution rule for every pool in the workspace (env override,
-    // `threads == 0` auto, clamp to work items, never zero) — shared with
-    // the B&B frontier pool in `dsp-lp`.
-    let workers = dsp_lp::resolve_workers(threads, n);
+    let workers = resolve_workers(threads, n);
     if workers <= 1 {
         return inputs.iter().map(&f).collect();
     }
@@ -61,6 +80,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn explicit_count_wins_over_env() {
+        assert_eq!(resolve_from(3, 100, Some("8"), 16), 3);
+    }
+
+    #[test]
+    fn auto_prefers_env_then_hw() {
+        assert_eq!(resolve_from(0, 100, Some("6"), 16), 6);
+        assert_eq!(resolve_from(0, 100, None, 16), 16);
+    }
+
+    #[test]
+    fn garbage_or_zero_env_falls_back_to_hw() {
+        assert_eq!(resolve_from(0, 100, Some("none"), 8), 8);
+        assert_eq!(resolve_from(0, 100, Some("0"), 8), 8);
+        assert_eq!(resolve_from(0, 100, Some(" 5 "), 8), 5);
+    }
+
+    #[test]
+    fn clamped_to_cap_and_at_least_one() {
+        assert_eq!(resolve_from(64, 3, None, 16), 3);
+        assert_eq!(resolve_from(0, 2, Some("8"), 16), 2);
+        assert_eq!(resolve_from(0, 0, None, 16), 1);
+        assert_eq!(resolve_from(5, 0, None, 16), 1);
+    }
 
     #[test]
     fn preserves_order() {

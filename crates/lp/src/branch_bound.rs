@@ -1,37 +1,31 @@
 //! Branch-and-bound MILP driver over the simplex relaxation solver.
 //!
-//! The frontier is explored **best-bound first** in synchronous batched
-//! rounds so node exploration can fan out over a worker pool while staying
-//! *bit-for-bit deterministic*: the returned point, proven objective, and
-//! every effort counter except the per-worker split are independent of the
-//! thread count and of OS scheduling. The reduction rule that buys this:
+//! The frontier is explored **best-bound first** in batched rounds, on the
+//! calling thread. Three rules define the tree — and with it the returned
+//! point, the proven objective and every effort counter:
 //!
-//! * **Pop order** — the shared priority queue orders by (LP bound,
-//!   node seniority): best bound first, ties to the smaller (older) node
-//!   id. A round pops a fixed-size batch in that order, independent of how
-//!   many workers will chew on it.
-//! * **Frozen incumbent** — workers prune against a shared atomic
-//!   incumbent objective that is only written *between* rounds, so every
-//!   node's prune decision depends on the round number alone, never on
-//!   which worker ran it or when.
+//! * **Pop order** — the priority queue orders by (LP bound, node
+//!   seniority): best bound first, ties to the smaller (older) node id. A
+//!   round pops a fixed-size batch in that order.
+//! * **Frozen incumbent** — every node of a round prunes against the
+//!   incumbent objective as it stood when the round was popped; the
+//!   incumbent only moves *between* rounds, so a node's prune decision
+//!   depends on the round number alone.
 //! * **Commutative incumbent replacement** — an integral point replaces
 //!   the incumbent iff its objective is strictly better, ties broken by
-//!   the senior node id. That is a lattice min over (objective, id):
-//!   associative and commutative, so the final incumbent is the same in
-//!   any merge order (we additionally merge in deterministic batch order,
-//!   belt and braces).
+//!   the senior node id. That is a lattice min over (objective, id), so
+//!   the final incumbent does not depend on the order a round's outcomes
+//!   are folded in (they are folded in pop order).
 //!
 //! Each node carries a warm start ([`Branch`]: its parent's optimal
 //! [`WarmLp`] tableau, shared with its sibling, plus its own branch bound)
 //! and a per-variable bound overlay instead of a cloned [`Problem`] —
 //! branching only ever tightens variable bounds, so the root problem's
-//! constraint rows are shared read-only across all workers and a full
-//! problem clone is materialized only on the (rare) cold-solve fallback
-//! path.
+//! constraint rows are shared by every node and a full problem clone is
+//! materialized only on the (rare) cold-solve fallback path.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use crate::error::{LpError, Status};
 use crate::problem::{Problem, Sense, VarId};
@@ -40,15 +34,15 @@ use crate::simplex::{solve_lp, solve_lp_warm, Solution, WarmLp};
 /// Integrality tolerance: values this close to an integer count as integral.
 const INT_TOL: f64 = 1e-6;
 
-/// Nodes popped per synchronous frontier round. Fixed (never derived from
-/// the worker count) so the explored tree is identical at every thread
-/// count; it is also the cap on useful workers. 8 balances speculation
-/// (nodes popped before this round's incumbent improvements can prune
-/// them — on the pinned fig5 bench set, batches past 8 start exploring
-/// nodes a fresher incumbent would have pruned) against round frequency.
+/// Nodes popped per frontier round. Part of the exploration order (a node
+/// popped in a round is expanded even if an earlier node of the same round
+/// finds an incumbent that would have pruned it), so every pinned path
+/// encodes it. 8 balances that speculation — on the pinned fig5 set,
+/// batches past 8 start exploring nodes a fresher incumbent would have
+/// pruned — against round frequency.
 const FRONTIER_BATCH: usize = 8;
 
-/// Search budget and execution knobs for [`solve_milp`].
+/// Search budget and solver knobs for [`solve_milp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
     /// Maximum number of branch-and-bound nodes (LP solves).
@@ -61,11 +55,8 @@ pub struct MilpOptions {
     /// solve per node on numerical trouble, so results are identical either
     /// way; disable only for baseline measurements.
     pub warm_start: bool,
-    /// Worker threads exploring the frontier. `0` = auto (the
-    /// `DSP_THREADS` env var when set, else available parallelism — see
-    /// [`crate::par::resolve_workers`]); `1` runs in-line without spawning.
-    /// Every value returns bit-identical results; this knob only trades
-    /// wall time.
+    /// Ignored: every solve runs on the calling thread. Present until the
+    /// benchmark's `threads: 1` pins go.
     pub threads: usize,
     /// Fault-injection cap on dual-simplex pivots per warm re-entry
     /// (`None` = the solver's own generous limit). A re-entry that exceeds
@@ -86,21 +77,11 @@ impl Default for MilpOptions {
     }
 }
 
-/// Per-worker effort split for one [`solve_milp`] call.
-///
-/// Which worker happened to grab which frontier node **is**
-/// scheduling-dependent, so these counters are observability only — they
-/// are deliberately excluded from the determinism contract that covers
-/// every other field of [`MilpSolution`].
+/// The entry type of [`MilpSolution::per_worker`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerCounters {
-    /// Frontier nodes this worker expanded.
+    /// Frontier nodes expanded.
     pub nodes: u64,
-    /// Nodes a *spawned* worker pulled off the shared round cursor. The
-    /// coordinator thread (worker 0) grabs greedily and owns whatever the
-    /// pool doesn't take, so every node a pool thread wins is a steal; a
-    /// non-zero total is proof the pool actually ran concurrently.
-    pub steals: u64,
 }
 
 /// Result of a MILP solve.
@@ -121,10 +102,11 @@ pub struct MilpSolution {
     /// Nodes answered by a warm dual-simplex re-entry (0 when
     /// [`MilpOptions::warm_start`] is off).
     pub warm_hits: usize,
-    /// Synchronous frontier rounds taken (deterministic, like `nodes`).
+    /// Frontier rounds taken.
     pub rounds: usize,
-    /// Per-worker node/steal split — scheduling-dependent observability,
-    /// see [`WorkerCounters`]. Empty for the pure-LP shortcut.
+    /// One entry (`nodes` = nodes explored) when branch-and-bound ran,
+    /// empty for the pure-LP shortcut. Present until the benchmark's
+    /// `lp.workers` reader goes.
     pub per_worker: Vec<WorkerCounters>,
 }
 
@@ -219,10 +201,8 @@ enum Verdict {
     Branched { bound: f64, children: Vec<ChildSpec> },
 }
 
-/// One expanded node's outcome, tagged with its batch slot and worker.
+/// One expanded node's outcome.
 struct NodeOutcome {
-    idx: usize,
-    worker: usize,
     node_id: u64,
     depth: usize,
     pivots: usize,
@@ -253,15 +233,12 @@ fn overlay_feasible(root: &Problem, bounds: &[(f64, f64)], x: &[f64]) -> bool {
 
 /// Expand one frontier node. Pure: the outcome depends only on the node,
 /// the root problem, the options, and the round-frozen `cutoff` (current
-/// incumbent min-objective, `+inf` when none) — never on the worker or on
-/// timing. That purity is the entire determinism argument for the pool.
+/// incumbent min-objective, `+inf` when none).
 fn process_node(
     root: &Problem,
     int_vars: &[VarId],
     opts: &MilpOptions,
     mut node: Node,
-    idx: usize,
-    worker: usize,
     cutoff: f64,
 ) -> NodeOutcome {
     let to_min = |obj: f64| match root.sense() {
@@ -371,7 +348,7 @@ fn process_node(
         }
         (None, None) => unreachable!("every path sets a verdict or a solution"),
     };
-    NodeOutcome { idx, worker, node_id: node.id, depth: node.depth, pivots, warm_hit, verdict }
+    NodeOutcome { node_id: node.id, depth: node.depth, pivots, warm_hit, verdict }
 }
 
 /// Current incumbent: point, min-sense objective, and the id of the node
@@ -382,11 +359,10 @@ struct Incumbent {
     id: u64,
 }
 
-/// Deterministic frontier engine: batch building, merging, termination.
-/// Batch *execution* is delegated to a closure so the in-line and pooled
-/// paths share every decision that affects the result.
+/// The frontier engine: batch building, expansion, merging, termination.
 struct Engine<'a> {
     root: &'a Problem,
+    int_vars: &'a [VarId],
     opts: &'a MilpOptions,
     heap: BinaryHeap<HeapNode>,
     incumbent: Option<Incumbent>,
@@ -396,16 +372,16 @@ struct Engine<'a> {
     warm_hits: usize,
     rounds: usize,
     exhausted: bool,
-    per_worker: Vec<WorkerCounters>,
 }
 
 impl<'a> Engine<'a> {
-    fn new(root: &'a Problem, opts: &'a MilpOptions, workers: usize) -> Self {
+    fn new(root: &'a Problem, int_vars: &'a [VarId], opts: &'a MilpOptions) -> Self {
         let bounds = root.vars.iter().map(|v| (v.lower, v.upper)).collect();
         let mut heap = BinaryHeap::new();
         heap.push(HeapNode(Node { id: 0, key: f64::NEG_INFINITY, depth: 0, bounds, warm: None }));
         Engine {
             root,
+            int_vars,
             opts,
             heap,
             incumbent: None,
@@ -415,7 +391,6 @@ impl<'a> Engine<'a> {
             warm_hits: 0,
             rounds: 0,
             exhausted: false,
-            per_worker: vec![WorkerCounters::default(); workers],
         }
     }
 
@@ -452,7 +427,7 @@ impl<'a> Engine<'a> {
 
     /// Commutative incumbent replacement: strictly better objective wins,
     /// exact ties go to the senior (smaller) node id — a lattice min over
-    /// (objective, id), so any merge order yields the same incumbent.
+    /// (objective, id).
     fn offer_incumbent(&mut self, x: Vec<f64>, obj: f64, id: u64) {
         let better = match &self.incumbent {
             None => true,
@@ -469,11 +444,6 @@ impl<'a> Engine<'a> {
     /// dropped (their key only ever loses to a cutoff that only improves).
     fn merge(&mut self, outcomes: Vec<NodeOutcome>) -> Result<(), LpError> {
         for out in outcomes {
-            let pw = &mut self.per_worker[out.worker];
-            pw.nodes += 1;
-            if out.worker != 0 {
-                pw.steals += 1;
-            }
             self.pivots += out.pivots;
             if out.warm_hit {
                 self.warm_hits += 1;
@@ -513,14 +483,9 @@ impl<'a> Engine<'a> {
         Ok(())
     }
 
-    /// Drive rounds to termination. `run_batch` executes one popped batch
-    /// and returns outcomes **in batch order**; everything that affects
-    /// the result happens here or in [`process_node`], so in-line and
-    /// pooled execution cannot diverge.
-    fn run<F>(mut self, mut run_batch: F) -> Result<MilpSolution, LpError>
-    where
-        F: FnMut(Vec<Node>, f64) -> Vec<NodeOutcome>,
-    {
+    /// Drive rounds to termination: pop a batch, expand every node of it
+    /// against the same cutoff, fold the outcomes in pop order.
+    fn run(mut self) -> Result<MilpSolution, LpError> {
         loop {
             let (batch, hit_budget) = self.build_batch();
             if batch.is_empty() {
@@ -529,7 +494,10 @@ impl<'a> Engine<'a> {
             }
             self.rounds += 1;
             let cutoff = self.cutoff();
-            let outcomes = run_batch(batch, cutoff);
+            let outcomes = batch
+                .into_iter()
+                .map(|node| process_node(self.root, self.int_vars, self.opts, node, cutoff))
+                .collect();
             self.merge(outcomes)?;
         }
         match self.incumbent {
@@ -547,7 +515,7 @@ impl<'a> Engine<'a> {
                     pivots: self.pivots,
                     warm_hits: self.warm_hits,
                     rounds: self.rounds,
-                    per_worker: self.per_worker,
+                    per_worker: vec![WorkerCounters { nodes: self.nodes as u64 }],
                 })
             }
             None if self.exhausted => Err(LpError::NoIncumbent),
@@ -556,96 +524,10 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Mutex-guarded round state for the worker pool. One generation = one
-/// frontier round; every slot claim is validated against the generation it
-/// was made for, so a worker that wakes up late can never touch a newer
-/// round's batch (or read a newer round's incumbent and then claim an old
-/// node — the claim would fail the generation check).
-struct RoundState {
-    /// Round generation. Bumped by the coordinator when a fresh batch is
-    /// published; workers sleep until it moves.
-    gen: u64,
-    /// Work-sharing cursor into `slots`.
-    next: usize,
-    /// The published batch; claimed slots are `take()`n.
-    slots: Vec<Option<Node>>,
-    /// Terminal flag: set once, wakes every worker for the last time.
-    done: bool,
-}
-
-/// Shared pool context. The coordinator publishes a round (slots +
-/// incumbent bits + generation bump) and then races its own greedy grab
-/// loop against the pool; it never *waits* for workers — on a saturated
-/// machine the pool threads simply stay parked on `round_start` and the
-/// coordinator answers the whole batch itself, so an idle pool costs at
-/// most a few condvar notifies per round (and none at all past the warmup
-/// rounds on a host with no spare cores — see [`solve_milp`]).
-struct RoundShared<'a> {
-    root: &'a Problem,
-    int_vars: &'a [VarId],
-    opts: &'a MilpOptions,
-    /// Round-frozen incumbent min-objective as f64 bits (`+inf` when
-    /// none). Written only while publishing a round, read by each claimant
-    /// once per generation — see the ordering argument in [`solve_milp`].
-    incumbent_bits: AtomicU64,
-    state: Mutex<RoundState>,
-    /// Workers park here between rounds; notified on publish and shutdown.
-    round_start: Condvar,
-}
-
-impl RoundShared<'_> {
-    /// Claim the next unclaimed slot of generation `gen`, or `None` when
-    /// the round is drained (or was already replaced by a newer one).
-    fn claim(&self, gen: u64) -> Option<(usize, Node)> {
-        let mut st = self.state.lock().expect("round state mutex");
-        if st.gen != gen || st.next >= st.slots.len() {
-            return None;
-        }
-        let idx = st.next;
-        st.next += 1;
-        let node = st.slots[idx].take().expect("slot below cursor is unclaimed");
-        Some((idx, node))
-    }
-}
-
-fn worker_loop(shared: &RoundShared<'_>, tx: mpsc::Sender<NodeOutcome>, worker: usize) {
-    let mut seen = 0u64;
-    loop {
-        let gen = {
-            let mut st = shared.state.lock().expect("round state mutex");
-            loop {
-                if st.done {
-                    return;
-                }
-                if st.gen != seen {
-                    break st.gen;
-                }
-                st = shared.round_start.wait(st).expect("round state mutex");
-            }
-        };
-        seen = gen;
-        // Safe to read outside the lock: a successful claim below proves
-        // round `gen` was still incomplete at read time, and the
-        // coordinator only rewrites these bits after a round completes.
-        // ordering: Acquire — pairs with the coordinator's Release store;
-        // observing the generation bump under the lock happens-after that
-        // store, so this load sees the round's frozen cutoff bits.
-        let cutoff = f64::from_bits(shared.incumbent_bits.load(Ordering::Acquire));
-        while let Some((idx, node)) = shared.claim(gen) {
-            let out =
-                process_node(shared.root, shared.int_vars, shared.opts, node, idx, worker, cutoff);
-            // The coordinator may have aborted and stopped receiving; a
-            // closed channel just means this result is no longer needed.
-            let _ = tx.send(out);
-        }
-    }
-}
-
 /// Solve a mixed-integer linear program by LP-based branch-and-bound:
-/// best-bound-first exploration with most-fractional branching, fanned out
-/// over [`MilpOptions::threads`] workers in deterministic synchronous
-/// rounds (see the module docs for the reduction rule — results are
-/// bit-identical at every thread count).
+/// best-bound-first exploration with most-fractional branching, in batched
+/// rounds on the calling thread (see the module docs for the rules that
+/// define the tree).
 ///
 /// Returns [`LpError::Infeasible`]/[`LpError::Unbounded`] when the root
 /// relaxation already proves it, and [`LpError::NoIncumbent`] when the node
@@ -668,123 +550,7 @@ pub fn solve_milp(p: &Problem, opts: MilpOptions) -> Result<MilpSolution, LpErro
         });
     }
 
-    let workers = crate::par::resolve_workers(opts.threads, FRONTIER_BATCH);
-    let engine = Engine::new(p, &opts, workers);
-    // A pool thread that can never run while the coordinator runs is pure
-    // context-switch tax, so release builds on a host without a spare core
-    // keep the frontier in-line — identical results by construction, the
-    // per-worker split just attributes every node to the coordinator.
-    // Debug builds always drive the full pool protocol, so the test tier
-    // exercises the concurrent claim path on any host.
-    let pool_enabled = cfg!(debug_assertions) || crate::par::hardware_threads() > 1;
-    if workers <= 1 || !pool_enabled {
-        return engine.run(|batch, cutoff| {
-            batch
-                .into_iter()
-                .enumerate()
-                .map(|(idx, node)| process_node(p, &int_vars, &opts, node, idx, 0, cutoff))
-                .collect()
-        });
-    }
-
-    let shared = RoundShared {
-        root: p,
-        int_vars: &int_vars,
-        opts: &opts,
-        incumbent_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        state: Mutex::new(RoundState { gen: 0, next: 0, slots: Vec::new(), done: false }),
-        round_start: Condvar::new(),
-    };
-    let (tx, rx) = mpsc::channel::<NodeOutcome>();
-    // A woken helper can only overlap with the coordinator when the host
-    // has a spare hardware thread; on a single-core host a wake is pure
-    // context-switch tax. Still wake the pool for the first few published
-    // rounds there, so the concurrent claim path runs end-to-end on every
-    // host (the equivalence tests rely on that), then let the pool sleep.
-    let spare_cores = crate::par::hardware_threads().saturating_sub(1);
-    const WAKE_WARMUP_ROUNDS: u64 = 2;
-    std::thread::scope(|s| {
-        // The coordinator doubles as worker 0; only workers − 1 pool
-        // threads are spawned.
-        for w in 1..workers {
-            let tx = tx.clone();
-            let shared = &shared;
-            s.spawn(move || worker_loop(shared, tx, w));
-        }
-        drop(tx);
-        let result = engine.run(|batch, cutoff| {
-            let k = batch.len();
-            // A one-node round has no parallelism to share; process it
-            // in-line without waking the pool. Results are identical
-            // either way: same pure process_node call, and worker-0
-            // attribution matches what the greedy coordinator grab would
-            // assign a solo batch anyway.
-            if k == 1 {
-                let node = batch.into_iter().next().expect("k == 1");
-                return vec![process_node(p, &int_vars, &opts, node, 0, 0, cutoff)];
-            }
-            // Publish the round: incumbent bits first, then slots +
-            // generation bump under the lock. Any worker that goes on to
-            // claim a slot of this generation observed the bump under the
-            // lock *after* this store, so it pruned against exactly this
-            // round's frozen cutoff.
-            // ordering: Release — pairs with the workers' Acquire load
-            // above; the lock-protected generation bump that follows makes
-            // the store visible before any slot of this round is claimed.
-            shared.incumbent_bits.store(cutoff.to_bits(), Ordering::Release);
-            let gen = {
-                let mut st = shared.state.lock().expect("round state mutex");
-                st.slots = batch.into_iter().map(Some).collect();
-                st.next = 0;
-                st.gen += 1;
-                st.gen
-            };
-            // One helper per node beyond the coordinator's own, bounded by
-            // the pool and (past warmup) by spare cores. Waking fewer
-            // helpers than the pool holds never changes the result — an
-            // unwoken worker is just one that never wins a claim.
-            let helpers = (k - 1).min(workers - 1);
-            let wake = if gen <= WAKE_WARMUP_ROUNDS { helpers } else { helpers.min(spare_cores) };
-            for _ in 0..wake {
-                shared.round_start.notify_one();
-            }
-            let mut out: Vec<Option<NodeOutcome>> = (0..k).map(|_| None).collect();
-            let mut filled = 0usize;
-            // Greedy coordinator grab loop — worker 0. On a machine with
-            // fewer free cores than workers this thread typically keeps
-            // the CPU and answers most of the batch itself; parked pool
-            // threads only take slots when there is genuine spare
-            // parallelism, and the coordinator never blocks waiting for a
-            // worker unless that worker actually holds a claimed node.
-            while let Some((idx, node)) = shared.claim(gen) {
-                let o = process_node(p, &int_vars, &opts, node, idx, 0, cutoff);
-                out[idx] = Some(o);
-                filled += 1;
-            }
-            while filled < k {
-                let o = rx.recv().expect("a worker answers every claimed slot");
-                let idx = o.idx;
-                out[idx] = Some(o);
-                filled += 1;
-            }
-            // All k outcomes are in, so no claim of this generation is
-            // outstanding — the next publish can safely replace the batch.
-            out.into_iter().map(|o| o.expect("every slot answered")).collect()
-        });
-        {
-            let mut st = shared.state.lock().expect("round state mutex");
-            st.done = true;
-        }
-        shared.round_start.notify_all();
-        result
-    })
-}
-
-/// Convenience: solve and return only the point and objective, erroring on
-/// budget exhaustion without incumbent.
-pub fn solve_milp_simple(p: &Problem) -> Result<Solution, LpError> {
-    let s = solve_milp(p, MilpOptions::default())?;
-    Ok(Solution { x: s.x, objective: s.objective, iterations: s.nodes })
+    Engine::new(p, &int_vars, &opts).run()
 }
 
 #[cfg(test)]
@@ -812,6 +578,7 @@ mod tests {
         assert_close(s.x[0], 1.0);
         assert_close(s.x[1], 1.0);
         assert_close(s.x[2], 0.0);
+        assert_eq!(s.per_worker, [WorkerCounters { nodes: s.nodes as u64 }]);
     }
 
     #[test]
@@ -952,38 +719,6 @@ mod tests {
         let s = solve_milp(&p, MilpOptions::default()).unwrap();
         assert_close(s.objective, 2.5);
         assert_eq!(s.nodes, 1);
-    }
-
-    /// Pool smoke test: every thread count returns bit-identical results
-    /// on a knapsack whose tree spans several rounds. (The exhaustive
-    /// version is the `parallel_equiv` proptest suite.)
-    #[test]
-    fn thread_counts_are_bit_identical() {
-        let mut p = Problem::new(Sense::Max);
-        let vars: Vec<_> =
-            (0..12).map(|i| p.add_bin_var(format!("v{i}"), ((i * 13) % 7 + 1) as f64)).collect();
-        let terms: Vec<_> =
-            vars.iter().enumerate().map(|(i, &v)| (v, ((i * 5) % 4 + 1) as f64)).collect();
-        p.add_constraint("w", terms, Cmp::Le, 10.0);
-        let base = solve_milp(&p, MilpOptions { threads: 1, ..MilpOptions::default() }).unwrap();
-        assert!(base.rounds > 1, "instance too small to exercise rounds");
-        for threads in [2usize, 4, 8] {
-            let par = solve_milp(&p, MilpOptions { threads, ..MilpOptions::default() }).unwrap();
-            assert_eq!(par.objective.to_bits(), base.objective.to_bits(), "threads={threads}");
-            assert_eq!(par.x, base.x, "threads={threads}");
-            assert_eq!(par.nodes, base.nodes, "threads={threads}");
-            assert_eq!(par.pivots, base.pivots, "threads={threads}");
-            assert_eq!(par.warm_hits, base.warm_hits, "threads={threads}");
-            assert_eq!(par.rounds, base.rounds, "threads={threads}");
-            assert_eq!(par.status, base.status, "threads={threads}");
-            // The per-worker split is scheduling-dependent, but it must
-            // cover exactly the explored nodes across however many workers
-            // actually ran.
-            assert_eq!(par.per_worker.len(), threads);
-            let split: u64 = par.per_worker.iter().map(|w| w.nodes).sum();
-            assert_eq!(split as usize, par.nodes, "threads={threads}");
-        }
-        let single: u64 = base.per_worker.iter().map(|w| w.steals).sum();
-        assert_eq!(single, 0, "in-line path cannot steal");
+        assert!(s.per_worker.is_empty());
     }
 }

@@ -18,14 +18,12 @@
 
 pub mod branch_bound;
 pub mod error;
-pub mod par;
 pub mod problem;
 pub mod round;
 pub mod simplex;
 
 pub use branch_bound::{solve_milp, MilpOptions, MilpSolution, WorkerCounters};
 pub use error::{LpError, Status};
-pub use par::{resolve_workers, THREADS_ENV};
 pub use problem::{Cmp, Constraint, Problem, Sense, VarId};
 pub use round::round_relaxation;
 pub use simplex::{solve_lp, Solution};

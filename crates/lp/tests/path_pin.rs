@@ -200,12 +200,11 @@ fn pin(p: &Problem, opts: MilpOptions) -> Pin {
     }
 }
 
-/// Solve every model at one thread count and hold it to the table. On a
-/// mismatch the panic message carries the whole table as this build
-/// computes it, in source form.
-fn assert_pinned(models: &[(Problem, MilpOptions)], threads: usize, expected: &[Pin]) {
-    let actual: Vec<Pin> =
-        models.iter().map(|(p, opts)| pin(p, MilpOptions { threads, ..*opts })).collect();
+/// Solve every model and hold it to the table. On a mismatch the panic
+/// message carries the whole table as this build computes it, in source
+/// form.
+fn assert_pinned(models: &[(Problem, MilpOptions)], expected: &[Pin]) {
+    let actual: Vec<Pin> = models.iter().map(|(p, opts)| pin(p, *opts)).collect();
     let table: String = actual
         .iter()
         .map(|a| {
@@ -224,10 +223,7 @@ fn assert_pinned(models: &[(Problem, MilpOptions)], threads: usize, expected: &[
             )
         })
         .collect();
-    assert!(
-        actual == expected,
-        "threads={threads}: the solver's path moved; this build computes:\n{table}"
-    );
+    assert!(actual == expected, "the solver's path moved; this build computes:\n{table}");
 }
 
 const fn row(
@@ -275,13 +271,8 @@ fn disjunctive_models() -> Vec<(Problem, MilpOptions)> {
 }
 
 #[test]
-fn disjunctive_models_keep_their_path_inline() {
-    assert_pinned(&disjunctive_models(), 1, DISJUNCTIVE);
-}
-
-#[test]
-fn disjunctive_models_keep_their_path_pooled() {
-    assert_pinned(&disjunctive_models(), 4, DISJUNCTIVE);
+fn disjunctive_models_keep_their_path() {
+    assert_pinned(&disjunctive_models(), DISJUNCTIVE);
 }
 
 #[rustfmt::skip]
@@ -377,13 +368,8 @@ fn edge_models() -> Vec<(Problem, MilpOptions)> {
 }
 
 #[test]
-fn edge_shapes_keep_their_path_inline() {
-    assert_pinned(&edge_models(), 1, EDGE);
-}
-
-#[test]
-fn edge_shapes_keep_their_path_pooled() {
-    assert_pinned(&edge_models(), 4, EDGE);
+fn edge_shapes_keep_their_path() {
+    assert_pinned(&edge_models(), EDGE);
 }
 
 #[rustfmt::skip]

@@ -108,11 +108,6 @@ impl DspPolicy {
         self.engine.stats()
     }
 
-    /// Bytes held by the engine's persistent arenas.
-    pub fn arena_bytes(&self) -> usize {
-        self.engine.arena_bytes()
-    }
-
     fn priority(&self, s: &TaskSnapshot) -> f64 {
         // Tasks can appear between epochs (injection); fall back to the
         // leaf formula for anything the epoch-start engine missed.

@@ -185,9 +185,9 @@ pub fn mean_neighbor_gap(map: &PriorityMap) -> f64 {
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
-/// per-epoch work the engine did, and how many bytes of persistent arena it
-/// holds (the workspace forbids `unsafe`, so a counting allocator is off
-/// the table — these logical counters are the observable substitute).
+/// per-epoch work the engine did (the workspace forbids `unsafe`, so a
+/// counting allocator is off the table — these logical counters are the
+/// observable substitute).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PriorityEngineStats {
     /// Epochs processed since construction (or since a world reset).
@@ -416,20 +416,6 @@ impl PriorityEngine {
     /// Work counters for the perf harness.
     pub fn stats(&self) -> PriorityEngineStats {
         self.stats
-    }
-
-    /// Bytes held by the persistent arenas (capacity, not length).
-    pub fn arena_bytes(&self) -> usize {
-        let mut b = self.ids.capacity() * std::mem::size_of::<u32>()
-            + self.jobs.capacity() * std::mem::size_of::<JobScratch>()
-            + self.touched.capacity() * std::mem::size_of::<u32>();
-        for js in &self.jobs {
-            b += js.topo.capacity() * std::mem::size_of::<u32>()
-                + js.prio.capacity() * std::mem::size_of::<f64>()
-                + js.stamp.capacity() * std::mem::size_of::<u64>()
-                + js.at.capacity() * std::mem::size_of::<SnapAt>();
-        }
-        b
     }
 
     /// Align the arenas with the world's job slice. Jobs are append-only

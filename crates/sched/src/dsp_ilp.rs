@@ -19,7 +19,9 @@ use crate::api::Scheduler;
 use crate::dsp_list::DspListScheduler;
 use dsp_cluster::{ClusterSpec, NodeId};
 use dsp_dag::{deadline::level_deadlines, Job};
-use dsp_lp::{solve_milp, Cmp, MilpOptions, Problem, Sense, Status, VarId, WorkerCounters};
+use dsp_lp::{
+    solve_milp, Cmp, LpError, MilpOptions, Problem, Sense, Status, VarId, WorkerCounters,
+};
 use dsp_sim::Schedule;
 use dsp_units::Time;
 
@@ -35,9 +37,8 @@ pub struct IlpLimits {
     /// Warm-start B&B child nodes from the parent basis (dual simplex);
     /// identical answers either way — off only for baseline measurements.
     pub warm_start: bool,
-    /// Worker threads for the B&B frontier pool (`0` = auto: `DSP_THREADS`
-    /// env var, else available parallelism). Results are bit-identical at
-    /// every thread count; this only trades wall time.
+    /// Ignored: every solve runs on the calling thread. Present until the
+    /// benchmark's `threads: 1` pins go.
     pub threads: usize,
 }
 
@@ -55,10 +56,6 @@ impl Default for IlpLimits {
 
 /// Branch-and-bound effort counters from the most recent exact solve,
 /// surfaced for the perf harness.
-///
-/// All fields except `per_worker` are deterministic — independent of the
-/// thread count and OS scheduling. The per-worker split records which
-/// worker happened to grab which node and is observability only.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IlpStats {
     /// B&B nodes explored.
@@ -67,10 +64,11 @@ pub struct IlpStats {
     pub pivots: usize,
     /// Nodes answered by warm dual-simplex re-entry.
     pub warm_hits: usize,
-    /// Synchronous frontier rounds taken by the parallel B&B engine.
+    /// Frontier rounds taken by the B&B engine.
     pub rounds: usize,
-    /// Per-worker node/steal counters (scheduling-dependent; empty when
-    /// the MILP was never touched or the pure-LP shortcut fired).
+    /// `MilpSolution::per_worker` of that solve: one entry, or empty when
+    /// the MILP was never touched. Present until the benchmark's
+    /// `lp.workers` reader goes.
     pub per_worker: Vec<WorkerCounters>,
 }
 
@@ -132,36 +130,28 @@ impl DspIlpScheduler {
             return (Schedule::new(), IlpOutcome::Exact, IlpStats::default());
         }
         if total > self.limits.max_tasks || slots > self.limits.max_slots {
-            return (
-                self.fallback(jobs, cluster, at, node_avail),
-                IlpOutcome::Fallback,
-                IlpStats::default(),
-            );
+            return self.fallback(jobs, cluster, at, node_avail);
         }
-        match self.solve_exact(jobs, cluster, at, node_avail, true) {
-            Some(r) => r,
-            // Deadlines may make the model infeasible; the paper's system
-            // still must emit a schedule, so retry without deadlines, then
-            // fall back.
-            None => match self.solve_exact(jobs, cluster, at, node_avail, false) {
-                Some(r) => r,
-                None => (
-                    self.fallback(jobs, cluster, at, node_avail),
-                    IlpOutcome::Fallback,
-                    IlpStats::default(),
-                ),
-            },
-        }
+        // Deadlines may make the model infeasible; the paper's system still
+        // must emit a schedule, so retry once without them. Any other error
+        // (budget or iteration limit spent) would only be spent again.
+        let solved = match self.solve_exact(jobs, cluster, at, node_avail, true) {
+            Err(LpError::Infeasible) => self.solve_exact(jobs, cluster, at, node_avail, false),
+            r => r,
+        };
+        solved.unwrap_or_else(|_| self.fallback(jobs, cluster, at, node_avail))
     }
 
+    /// The list heuristic's schedule, with the stats of a MILP never solved.
     fn fallback(
         &self,
         jobs: &[Job],
         cluster: &ClusterSpec,
         at: Time,
         node_avail: &[Time],
-    ) -> Schedule {
-        DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail)
+    ) -> (Schedule, IlpOutcome, IlpStats) {
+        let schedule = DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail);
+        (schedule, IlpOutcome::Fallback, IlpStats::default())
     }
 
     fn solve_exact(
@@ -171,7 +161,7 @@ impl DspIlpScheduler {
         at: Time,
         node_avail: &[Time],
         with_deadlines: bool,
-    ) -> Option<(Schedule, IlpOutcome, IlpStats)> {
+    ) -> Result<(Schedule, IlpOutcome, IlpStats), LpError> {
         // Virtual single-slot nodes.
         let mut vnodes: Vec<NodeId> = Vec::new(); // physical id per slot
         for n in &cluster.nodes {
@@ -324,10 +314,9 @@ impl DspIlpScheduler {
         let opts = MilpOptions {
             max_nodes: self.limits.max_bb_nodes,
             warm_start: self.limits.warm_start,
-            threads: self.limits.threads,
             ..MilpOptions::default()
         };
-        let sol = solve_milp(&p, opts).ok()?;
+        let sol = solve_milp(&p, opts)?;
         let outcome = match sol.status {
             Status::Optimal => IlpOutcome::Exact,
             _ => IlpOutcome::Incumbent,
@@ -347,7 +336,7 @@ impl DspIlpScheduler {
             let start = at + dsp_units::Dur::from_secs_f64(sol.x[starts[t].0]);
             schedule.assign(jobs[task.job].task_id(task.v), vnodes[k], start);
         }
-        Some((schedule, outcome, stats))
+        Ok((schedule, outcome, stats))
     }
 }
 
@@ -505,11 +494,36 @@ mod tests {
     #[test]
     fn infeasible_deadline_retries_without() {
         // 3-chain with a 1 s deadline cannot meet constraint (6); the
-        // scheduler must still produce a full schedule.
+        // scheduler must still produce a full schedule, and an exact one:
+        // infeasibility is the one error the deadline-free retry answers.
         let jobs = vec![job_with(0, 3, &[(0, 1), (1, 2)], 1)];
         let cluster = uniform(1, 1000.0, 1);
-        let (s, _) = DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let ilp = DspIlpScheduler::default();
+        let first = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], true);
+        assert_eq!(first.err(), Some(LpError::Infeasible));
+        let (s, outcome) = ilp.schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        assert_eq!(outcome, IlpOutcome::Exact);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
+        assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
+    }
+
+    #[test]
+    fn spent_budget_goes_straight_to_the_list_fallback() {
+        // One B&B node cannot settle five tasks. Dropping the deadline rows
+        // would not make the budget larger, so there is no second solve:
+        // whatever the first one leaves (an incumbent, or nothing and the
+        // list schedule) is the answer, and the same answer every time.
+        let jobs = vec![job_with(0, 5, &[(0, 1), (0, 2)], 3600)];
+        let cluster = uniform(2, 1000.0, 1);
+        let limits = IlpLimits { max_bb_nodes: 1, ..IlpLimits::default() };
+        let ilp = DspIlpScheduler { limits };
+        let first = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], true);
+        assert_ne!(first.as_ref().err(), Some(&LpError::Infeasible));
+        let a = ilp.schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
+        let b = ilp.schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
+        assert!(matches!(a.1, IlpOutcome::Incumbent | IlpOutcome::Fallback), "{:?}", a.1);
+        assert!(schedule_covers_jobs(&a.0, &jobs, &cluster));
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -592,7 +606,7 @@ mod tests {
         }
 
         let mut rng = StdRng::seed_from_u64(2018);
-        let mut h = [0xcbf2_9ce4_8422_2325u64; 2];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
         let fold = |h: &mut u64, v: u64| {
             for b in v.to_le_bytes() {
                 *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -623,24 +637,21 @@ mod tests {
                 })
                 .collect();
             let cluster = uniform(2, 1000.0, slots);
-            // In-line and pooled B&B must walk the same path.
-            for (h, threads) in h.iter_mut().zip([1, 4]) {
-                let limits = IlpLimits { threads, ..IlpLimits::default() };
-                let (schedule, outcome, stats) = DspIlpScheduler { limits }
-                    .schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
-                assert_eq!(outcome, IlpOutcome::Exact, "instance {i}");
-                for a in &schedule.assignments {
-                    fold(h, u64::from(a.task.job.0) << 32 | u64::from(a.task.index));
-                    fold(h, u64::from(a.node.0));
-                    fold(h, a.start.as_micros());
-                }
-                fold(h, outcome as u64);
-                for n in [stats.nodes, stats.pivots, stats.rounds, stats.warm_hits] {
-                    fold(h, n as u64);
-                }
+            let ilp = DspIlpScheduler::default();
+            let (schedule, outcome, stats) =
+                ilp.schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
+            assert_eq!(outcome, IlpOutcome::Exact, "instance {i}");
+            for a in &schedule.assignments {
+                fold(&mut h, u64::from(a.task.job.0) << 32 | u64::from(a.task.index));
+                fold(&mut h, u64::from(a.node.0));
+                fold(&mut h, a.start.as_micros());
+            }
+            fold(&mut h, outcome as u64);
+            for n in [stats.nodes, stats.pivots, stats.rounds, stats.warm_hits] {
+                fold(&mut h, n as u64);
             }
         }
-        assert_eq!(h, [0xa148_80a8_10a9_96dc; 2], "schedules or solver path moved: {h:#018x?}");
+        assert_eq!(h, 0xa148_80a8_10a9_96dc, "schedules or solver path moved: {h:#018x}");
     }
 
     #[test]

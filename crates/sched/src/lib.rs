@@ -33,7 +33,6 @@ pub use aalo::AaloScheduler;
 pub use api::Scheduler;
 pub use dsp_ilp::{DspIlpScheduler, IlpLimits, IlpStats};
 pub use dsp_list::DspListScheduler;
-pub use dsp_lp::{WorkerCounters, THREADS_ENV};
 pub use fifo::FifoScheduler;
 pub use random::RandomScheduler;
 pub use tetris::{TetrisDep, TetrisScheduler};

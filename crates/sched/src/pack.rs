@@ -32,9 +32,6 @@ const RELEASE: u32 = u32::MAX;
 pub struct PackState<'a> {
     /// The batch being scheduled, indexed by position (not `JobId`).
     pub jobs: &'a [Job],
-    /// `finished[j][v]`: task `v` of batch job `j` has finished in the
-    /// estimated timeline.
-    pub finished: Vec<Vec<bool>>,
     /// `scheduled[j][v]`: task already placed.
     pub scheduled: Vec<Vec<bool>>,
     /// Available resources per node (capacity − running demands).
@@ -47,12 +44,6 @@ pub struct PackState<'a> {
 }
 
 impl PackState<'_> {
-    /// True when all precedents of the task have finished in the estimated
-    /// timeline — the Tetris `W/SimDep` / Aalo eligibility rule.
-    pub fn precedents_done(&self, j: usize, v: u32) -> bool {
-        self.jobs[j].dag.parents(v).iter().all(|&p| self.finished[j][p as usize])
-    }
-
     /// Iterate all unscheduled `(job position, task index)` pairs
     /// (O(total); used only by the defensive force-place path and tests).
     pub fn unscheduled(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
@@ -133,7 +124,6 @@ where
         .collect();
     let mut state = PackState {
         jobs,
-        finished: jobs.iter().map(|j| vec![false; j.num_tasks()]).collect(),
         scheduled: jobs.iter().map(|j| vec![false; j.num_tasks()]).collect(),
         avail: cluster.nodes.iter().map(|n| n.capacity).collect(),
         now: at,
@@ -168,7 +158,6 @@ where
                     sim.free_slots[n] += 1;
                 } else {
                     let j = j as usize;
-                    state.finished[j][v as usize] = true;
                     state.avail[n] += state.jobs[j].task(v).demand;
                     sim.free_slots[n] += 1;
                     for &c in state.jobs[j].dag.children(v) {

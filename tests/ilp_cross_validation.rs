@@ -5,7 +5,7 @@
 
 use dsp_cluster::{uniform, ClusterSpec};
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
-use dsp_sched::{dsp_ilp::IlpOutcome, DspIlpScheduler, DspListScheduler, IlpLimits, Scheduler};
+use dsp_sched::{dsp_ilp::IlpOutcome, DspIlpScheduler, DspListScheduler, Scheduler};
 use dsp_sim::Schedule;
 use dsp_units::{Dur, Time};
 use proptest::prelude::*;
@@ -74,80 +74,6 @@ proptest! {
             let su = planned_start(&exact, 0, u);
             let sv = planned_start(&exact, 0, v);
             prop_assert!(sv >= su, "edge {u}->{v}: child starts {sv} before parent {su}");
-        }
-    }
-}
-
-/// The Fig. 5-style instance shapes the perf harness pins (diamond, chain,
-/// fork-join, two-job mix) — duplicated here rather than imported so this
-/// test keeps guarding the exact workload even if the bench set evolves.
-fn fig5_instances() -> Vec<Vec<Job>> {
-    let job = |id: u32, sizes: &[f64], dag: Dag| {
-        let tasks: Vec<TaskSpec> = sizes.iter().map(|&s| TaskSpec::sized(s)).collect();
-        Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::from_secs(3600), tasks, dag)
-    };
-    let chain = |n: usize| {
-        let mut d = Dag::new(n);
-        for v in 1..n as u32 {
-            d.add_edge(v - 1, v).expect("chain edge");
-        }
-        d
-    };
-    let mut diamond = Dag::new(4);
-    for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
-        diamond.add_edge(u, v).expect("diamond edge");
-    }
-    let mut fork = Dag::new(5);
-    for (u, v) in [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)] {
-        fork.add_edge(u, v).expect("fork edge");
-    }
-    vec![
-        vec![job(0, &[1000.0, 2000.0, 1500.0, 800.0], diamond)],
-        vec![job(1, &[1200.0, 900.0, 1100.0], chain(3))],
-        vec![job(2, &[700.0, 1300.0, 500.0, 900.0, 1100.0], fork)],
-        vec![job(3, &[1000.0, 600.0], chain(2)), job(4, &[800.0, 800.0, 400.0], Dag::new(3))],
-    ]
-}
-
-/// FNV-1a over a schedule's serialized artifact — a stable byte-level
-/// fingerprint, so "identical" below means identical down to every digit
-/// of every serialized start time.
-fn schedule_hash(s: &Schedule) -> u64 {
-    let text = dsp_service::codec::schedule_to_artifact(s).to_string();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Determinism stress for the parallel B&B engine behind the exact arm:
-/// the fig5 instance set solved 10× at `threads = 4` must produce
-/// byte-identical schedule dumps and identical solver-effort counters on
-/// every repetition — and match the `threads = 1` reference. A single
-/// incumbent race, scheduling-dependent prune, or merge-order leak in the
-/// worker pool flips a start time or a node count and fails this test.
-#[test]
-fn fig5_set_is_byte_identical_across_ten_parallel_repetitions() {
-    let cluster = uniform(2, 1000.0, 1);
-    let instances = fig5_instances();
-    let par = DspIlpScheduler { limits: IlpLimits { threads: 4, ..IlpLimits::default() } };
-    let seq = DspIlpScheduler { limits: IlpLimits { threads: 1, ..IlpLimits::default() } };
-    let reference: Vec<(u64, usize, usize, usize, usize)> = instances
-        .iter()
-        .map(|jobs| {
-            let (s, outcome, stats) = seq.schedule_with_stats_onto(jobs, &cluster, Time::ZERO, &[]);
-            assert_eq!(outcome, IlpOutcome::Exact);
-            (schedule_hash(&s), stats.nodes, stats.pivots, stats.warm_hits, stats.rounds)
-        })
-        .collect();
-    for rep in 0..10 {
-        for (jobs, expected) in instances.iter().zip(&reference) {
-            let (s, outcome, stats) = par.schedule_with_stats_onto(jobs, &cluster, Time::ZERO, &[]);
-            assert_eq!(outcome, IlpOutcome::Exact, "rep {rep}");
-            let got = (schedule_hash(&s), stats.nodes, stats.pivots, stats.warm_hits, stats.rounds);
-            assert_eq!(&got, expected, "rep {rep}: parallel solve diverged");
         }
     }
 }

@@ -1,15 +1,11 @@
 //! Property tier for the placement router (DESIGN.md §10.7): routing is
-//! a pure function of the submission order, never of wall-clock timing,
-//! solver threading, or which run of the process it is.
+//! a pure function of the submission order, never of wall-clock timing
+//! or which run of the process it is.
 //!
 //!   * **Restart determinism** — the same job stream against a fresh
 //!     federation produces bit-identical shard assignments (observable
 //!     through the strided id lanes: id mod N names the owning shard)
 //!     and a bit-identical federated drained snapshot.
-//!   * **Thread-count independence** — the ILP scheduler's worker count
-//!     (`--threads`) changes how the drain's schedules are *searched*,
-//!     never what the router assigned or what the merged artifact
-//!     contains.
 //!   * **1-shard equivalence** — `--shards 1` drains byte-identical to
 //!     an in-process `OnlineDriver` fed the same batches.
 //!
@@ -35,19 +31,13 @@ fn engine() -> EngineConfig {
     }
 }
 
-fn scheduler(threads: usize) -> Box<dyn dsp_sched::Scheduler + Send> {
-    Box::new(dsp_sched::DspIlpScheduler {
-        limits: dsp_sched::IlpLimits { threads, ..dsp_sched::IlpLimits::default() },
-    })
-}
-
-fn spec(threads: usize) -> FederationSpec {
+fn spec() -> FederationSpec {
     FederationSpec {
         cluster: dsp_cluster::uniform(4, 1000.0, 2),
         engine: engine(),
         sched_period: Dur::from_secs(60),
         admission: AdmissionConfig { max_pending_tasks: 100_000, check_feasibility: false },
-        scheduler: Box::new(move || scheduler(threads)),
+        scheduler: Box::new(|| Box::new(dsp_sched::DspIlpScheduler::default())),
         policy: Box::new(|| {
             let params = dsp_core::config::Params::default();
             Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true)))
@@ -85,12 +75,8 @@ fn stream(task_counts: &[usize], batch: usize) -> Vec<Vec<JobRequest>> {
 /// Returns the per-batch assigned job ids (the router's observable
 /// placement: id mod shards = owning shard) and the drained artifact's
 /// exact serialized bytes.
-fn run_federated(
-    batches: &[Vec<JobRequest>],
-    shards: usize,
-    threads: usize,
-) -> (Vec<Vec<u64>>, String) {
-    let handle = serve_federated(spec(threads), config(shards)).expect("bind ephemeral port");
+fn run_federated(batches: &[Vec<JobRequest>], shards: usize) -> (Vec<Vec<u64>>, String) {
+    let handle = serve_federated(spec(), config(shards)).expect("bind ephemeral port");
     let addr = handle.addr.to_string();
     let mut c = dsp_service::Client::connect(&addr).expect("connect");
     let mut assigned = Vec::with_capacity(batches.len());
@@ -114,8 +100,8 @@ fn run_federated(
 }
 
 /// The same stream through one in-process driver: no socket, no router.
-fn run_single_driver(batches: &[Vec<JobRequest>], threads: usize) -> String {
-    let spec = spec(threads);
+fn run_single_driver(batches: &[Vec<JobRequest>]) -> String {
+    let spec = spec();
     let mut driver = OnlineDriver::new(
         spec.cluster,
         spec.engine,
@@ -146,26 +132,10 @@ proptest! {
         shards in 1usize..5,
     ) {
         let batches = stream(&task_counts, batch);
-        let (ids_a, snap_a) = run_federated(&batches, shards, 1);
-        let (ids_b, snap_b) = run_federated(&batches, shards, 1);
+        let (ids_a, snap_a) = run_federated(&batches, shards);
+        let (ids_b, snap_b) = run_federated(&batches, shards);
         prop_assert_eq!(ids_a, ids_b, "shard assignments must survive a restart");
         prop_assert_eq!(snap_a, snap_b, "federated snapshots must survive a restart");
-    }
-
-    /// The solver's worker count shapes the search, never the placement
-    /// or the artifact: `--threads 1` and `--threads 2` runs are
-    /// bit-identical end to end.
-    #[test]
-    fn thread_count_never_changes_placement_or_artifact(
-        task_counts in proptest::collection::vec(1usize..5, 1..8),
-        batch in 1usize..4,
-        shards in 1usize..5,
-    ) {
-        let batches = stream(&task_counts, batch);
-        let (ids_1, snap_1) = run_federated(&batches, shards, 1);
-        let (ids_2, snap_2) = run_federated(&batches, shards, 2);
-        prop_assert_eq!(ids_1, ids_2, "placement must not depend on solver threads");
-        prop_assert_eq!(snap_1, snap_2, "artifact must not depend on solver threads");
     }
 
     /// `--shards 1` is one plain driver behind a socket: byte-identical
@@ -176,8 +146,8 @@ proptest! {
         batch in 1usize..4,
     ) {
         let batches = stream(&task_counts, batch);
-        let (_, federated) = run_federated(&batches, 1, 1);
-        let plain = run_single_driver(&batches, 1);
+        let (_, federated) = run_federated(&batches, 1);
+        let plain = run_single_driver(&batches);
         prop_assert_eq!(federated, plain, "1-shard federation must drain to the plain driver's bytes");
     }
 }
