@@ -1,0 +1,219 @@
+//! `dsp` run mode through the real binary, pinned: every scheduler ×
+//! preemption arm prints the same `--json` bytes whether or not it dumps
+//! its artifacts, the dumps pass `dsp verify`, and the bytes themselves
+//! are recorded (FNV-1a 64 of stdout) so a change to how the run is wired
+//! shows up as a moved literal, not as an argument about equivalence.
+
+use dsp_core::{PreemptMethod, SchedMethod};
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+const SCHEDS: [SchedMethod; 7] = [
+    SchedMethod::Dsp,
+    SchedMethod::DspIlp,
+    SchedMethod::TetrisWoDep,
+    SchedMethod::TetrisSimDep,
+    SchedMethod::Aalo,
+    SchedMethod::Fifo,
+    SchedMethod::Random,
+];
+
+const PREEMPTS: [PreemptMethod; 6] = [
+    PreemptMethod::None,
+    PreemptMethod::Dsp,
+    PreemptMethod::DspWoPp,
+    PreemptMethod::Amoeba,
+    PreemptMethod::Natjam,
+    PreemptMethod::Srpt,
+];
+
+/// The `--sched` spelling of a method.
+fn sched_name(m: SchedMethod) -> &'static str {
+    match m {
+        SchedMethod::Dsp => "dsp",
+        SchedMethod::DspIlp => "dsp-ilp",
+        SchedMethod::TetrisWoDep => "tetris",
+        SchedMethod::TetrisSimDep => "tetris-dep",
+        SchedMethod::Aalo => "aalo",
+        SchedMethod::Fifo => "fifo",
+        SchedMethod::Random => "random",
+    }
+}
+
+/// The `--preempt` spelling of a method.
+fn preempt_name(m: PreemptMethod) -> &'static str {
+    match m {
+        PreemptMethod::None => "none",
+        PreemptMethod::Dsp => "dsp",
+        PreemptMethod::DspWoPp => "dsp-wopp",
+        PreemptMethod::Amoeba => "amoeba",
+        PreemptMethod::Natjam => "natjam",
+        PreemptMethod::Srpt => "srpt",
+    }
+}
+
+/// FNV-1a 64 of `dsp --jobs 20 --sched S --preempt P --json`'s stdout,
+/// keyed by the two paper labels. Recorded at b21d6e4.
+const RUN_PINS: &[(&str, &str, u64)] = &[
+    ("DSP", "none", 0x5cdb76a6a8d1e446),
+    ("DSP", "DSP", 0xf83623b6fbe2b10d),
+    ("DSP", "DSPW/oPP", 0xb64fcf099bfa3f21),
+    ("DSP", "Amoeba", 0xd73f3d50bf7f8592),
+    ("DSP", "Natjam", 0xa0aa95a602c393ef),
+    ("DSP", "SRPT", 0x7782651d8dea5b7f),
+    ("DSP-ILP", "none", 0x5cdb76a6a8d1e446),
+    ("DSP-ILP", "DSP", 0xf83623b6fbe2b10d),
+    ("DSP-ILP", "DSPW/oPP", 0xb64fcf099bfa3f21),
+    ("DSP-ILP", "Amoeba", 0xd73f3d50bf7f8592),
+    ("DSP-ILP", "Natjam", 0xa0aa95a602c393ef),
+    ("DSP-ILP", "SRPT", 0x7782651d8dea5b7f),
+    ("TetrisW/oDep", "none", 0xb2d055545005cd3a),
+    ("TetrisW/oDep", "DSP", 0x92a2dd253596f9fd),
+    ("TetrisW/oDep", "DSPW/oPP", 0xa274b68e16385f2d),
+    ("TetrisW/oDep", "Amoeba", 0xd708de8d05a9a7eb),
+    ("TetrisW/oDep", "Natjam", 0xaf073df9ed063059),
+    ("TetrisW/oDep", "SRPT", 0x6b29abf33a3be1c5),
+    ("TetrisW/SimDep", "none", 0x00a39273fd344fc6),
+    ("TetrisW/SimDep", "DSP", 0xabe6b9d468c3e826),
+    ("TetrisW/SimDep", "DSPW/oPP", 0x397b3e6faafc898c),
+    ("TetrisW/SimDep", "Amoeba", 0xa56e453f8e725a63),
+    ("TetrisW/SimDep", "Natjam", 0x6844d9f25077b28c),
+    ("TetrisW/SimDep", "SRPT", 0x1038bcd0032c9ab3),
+    ("Aalo", "none", 0xfc3d8a929a24c0b0),
+    ("Aalo", "DSP", 0x10cd7530f810fc92),
+    ("Aalo", "DSPW/oPP", 0xe569716a62a1534a),
+    ("Aalo", "Amoeba", 0x7123b15baafb30bd),
+    ("Aalo", "Natjam", 0x6c9a7a6e97504bc7),
+    ("Aalo", "SRPT", 0xc56770db69513aad),
+    ("FIFO", "none", 0x5cdb76a6a8d1e446),
+    ("FIFO", "DSP", 0xba8241c382c7e4be),
+    ("FIFO", "DSPW/oPP", 0x57225f1dcd32eda2),
+    ("FIFO", "Amoeba", 0x6b1f8cc48b14516c),
+    ("FIFO", "Natjam", 0x7fa9de2f9e5d8c64),
+    ("FIFO", "SRPT", 0xde32641b792a8b8a),
+    ("Random", "none", 0x3d63cb382ca287b2),
+    ("Random", "DSP", 0xa756a94697cbbb4a),
+    ("Random", "DSPW/oPP", 0xd776520f93df0e6c),
+    ("Random", "Amoeba", 0x59619d933e2b22d9),
+    ("Random", "Natjam", 0x5104ab2a938ec098),
+    ("Random", "SRPT", 0xacd821fbf68897c4),
+];
+
+/// FNV-1a 64 of `dsp --jobs 20 --preempt P --kill 3@400 --straggle
+/// 7@500@0.4 --json`'s stdout (DSP offline), keyed by the policy's paper
+/// label. Recorded at b21d6e4.
+const FAULT_PINS: &[(&str, u64)] = &[
+    ("none", 0x48e2bbbb926c7cbb),
+    ("DSP", 0x37642073bd792d8f),
+    ("DSPW/oPP", 0x22f0b6e65bc407f9),
+    ("Amoeba", 0xdd40525603e6d1d1),
+    ("Natjam", 0xb9ff6973159a34cf),
+    ("SRPT", 0x25b80cf76df1bbba),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn dsp(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dsp")).args(args).output().expect("spawn dsp")
+}
+
+/// Run `dsp` and return its stdout; the run must exit 0.
+fn stdout_of(args: &[&str]) -> Vec<u8> {
+    let out = dsp(args);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "dsp {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dsp-run-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+#[test]
+fn every_arm_prints_pinned_bytes_with_or_without_dumps_and_its_dumps_verify() {
+    let dir = scratch("arms");
+    let path = |f: &str| dir.join(f).to_str().expect("utf-8 temp path").to_string();
+    let (jobs, schedule, trace) = (path("jobs.json"), path("schedule.json"), path("trace.json"));
+    let mut moved = Vec::new();
+    for sched in SCHEDS {
+        for preempt in PREEMPTS {
+            let arm = [
+                "--jobs",
+                "20",
+                "--sched",
+                sched_name(sched),
+                "--preempt",
+                preempt_name(preempt),
+                "--json",
+            ];
+            let plain = stdout_of(&arm);
+            let mut dumping = arm.to_vec();
+            dumping.extend(["--dump-jobs", &jobs, "--dump-schedule", &schedule]);
+            dumping.extend(["--dump-trace", &trace]);
+            let dumped = stdout_of(&dumping);
+            let id = format!("{} + {}", sched.label(), preempt.label());
+            assert_eq!(plain, dumped, "{id}: dumping artifacts changed the metrics");
+
+            let mut verify =
+                vec!["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &trace];
+            if !sched.dependency_aware() {
+                verify.push("--dep-oblivious");
+            }
+            stdout_of(&verify);
+
+            let got = fnv1a(&plain);
+            let want = RUN_PINS
+                .iter()
+                .find(|(s, p, _)| *s == sched.label() && *p == preempt.label())
+                .map(|&(_, _, h)| h);
+            if want != Some(got) {
+                moved.push(format!(
+                    "    ({:?}, {:?}, {got:#018x}),",
+                    sched.label(),
+                    preempt.label()
+                ));
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(moved.is_empty(), "run bytes moved; RUN_PINS would now read:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn fault_runs_print_pinned_bytes() {
+    let mut moved = Vec::new();
+    for preempt in PREEMPTS {
+        let out = stdout_of(&[
+            "--jobs",
+            "20",
+            "--preempt",
+            preempt_name(preempt),
+            "--kill",
+            "3@400",
+            "--straggle",
+            "7@500@0.4",
+            "--json",
+        ]);
+        let got = fnv1a(&out);
+        let want = FAULT_PINS.iter().find(|(p, _)| *p == preempt.label()).map(|&(_, h)| h);
+        if want != Some(got) {
+            moved.push(format!("    ({:?}, {got:#018x}),", preempt.label()));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "fault-run bytes moved; FAULT_PINS would now read:\n{}",
+        moved.join("\n")
+    );
+}

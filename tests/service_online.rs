@@ -132,6 +132,44 @@ fn oversized_submissions_are_shed_with_backpressure() {
     assert!(snap.verify().passes());
 }
 
+/// The online driver plans exactly what the offline batch path plans: one
+/// seeded trace fed job by job at its arrival instants yields the same
+/// combined schedule, assignment for assignment, as `periodic_schedules`
+/// over the whole trace.
+#[test]
+fn online_driver_plans_what_periodic_schedules_plans() {
+    use rand::SeedableRng;
+    let period = Dur::from_secs(20);
+    let cluster = dsp_cluster::ec2();
+    let trace = dsp_trace::TraceParams { task_scale: 0.02, ..Default::default() };
+    let jobs =
+        dsp_trace::generate_workload(&mut rand::rngs::StdRng::seed_from_u64(2018), 12, &trace);
+
+    let mut offline = dsp_sched::DspListScheduler::default();
+    let batches = dsp_core::experiment::periodic_schedules(&jobs, &cluster, period, &mut offline);
+    assert!(batches.len() > 2, "the trace must span several periods");
+    let expected: Vec<_> = batches.into_iter().flat_map(|(_, s)| s.assignments).collect();
+
+    let spec = small_spec(usize::MAX);
+    let mut d = OnlineDriver::new(
+        cluster,
+        spec.engine,
+        period,
+        (spec.scheduler)(),
+        (spec.policy)(),
+        AdmissionConfig { max_pending_tasks: usize::MAX, check_feasibility: false },
+    );
+    for job in &jobs {
+        d.advance_to(job.arrival);
+        assert_eq!(d.submit(vec![JobRequest::from_job(job)]).unwrap(), vec![job.id]);
+    }
+    // Cross the last batch's boundary before draining: a drain flushes
+    // "now", the offline path at the period's end.
+    d.advance_to(d.next_boundary());
+    let snap = d.drain();
+    assert_eq!(snap.schedule.assignments, expected);
+}
+
 fn obj(pairs: Vec<(&str, Json)>) -> Json {
     Json::obj(pairs)
 }
