@@ -2,15 +2,15 @@
 //! running `dspd` service, from the command line.
 //!
 //! ```text
-//! dsp [--cluster ec2|palmetto] [--jobs N] [--seed S] [--scale F]
-//!     [--sched dsp|dsp-ilp|tetris|tetris-dep|aalo|fifo|random]
-//!     [--preempt dsp|dsp-wopp|amoeba|natjam|srpt|none]
+//! dsp [--cluster ec2|palmetto|blend] [--jobs N] [--seed S] [--scale F]
+//!     [--sched dsp-list|dsp|dsp-ilp|tetris|tetris-wo-dep|aalo|fifo|random]
+//!     [--preempt dsp|dsp-wo-pp|amoeba|natjam|srpt|none]
 //!     [--noise SIGMA]
 //!     [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]...
 //!     [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE]
 //!     [--json]
 //!
-//! dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto]
+//! dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto|blend]
 //!     [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]
 //! dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]
 //!
@@ -40,10 +40,16 @@
 //! carries a `format_version` stamp and `dsp verify` exits 2 with a clear
 //! message when handed a version this build does not read.
 //!
-//! The run mode prints the run's headline metrics (or the full metrics
-//! as JSON) and can serialize its artifacts: the generated jobs, the
-//! combined offline schedule, and the execution trace. The `verify`
-//! subcommand replays `dsp-verify`'s rules R1–R4 over a serialized
+//! Method and cluster names are `dsp-core`'s method table's (the usage
+//! text is generated from it): `tetris` is TetrisW/SimDep, `tetris-wo-dep`
+//! the dependency-oblivious variant, `dsp` the list scheduler `dsp-list`.
+//!
+//! The run mode is one `dsp_core::execute` call. It prints the run's
+//! headline metrics (or the full metrics as JSON), can serialize its
+//! artifacts — the generated jobs, the combined offline schedule, the
+//! execution trace — and audits itself: `verified (R1-R6)` or the
+//! findings go to stderr, and an error-severity finding exits 1. The
+//! `verify` subcommand replays `dsp-verify`'s rules R1–R4 over a serialized
 //! schedule (and R5–R6 over a serialized trace or service snapshot) and
 //! exits 0 when no rule reports an error, 1 when one does, 2 on usage
 //! errors.
@@ -52,8 +58,8 @@ use dsp_core::cluster::NodeId;
 use dsp_core::sim::FaultPlan;
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
-use dsp_core::verify::{check_execution, check_schedule, Report, Severity, VerifyOptions};
-use dsp_core::{ClusterProfile, DspSystem, Params, PreemptMethod, SchedMethod};
+use dsp_core::verify::{Report, Severity, VerifyOptions};
+use dsp_core::{ClusterProfile, Params, PreemptMethod, SchedMethod};
 use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
@@ -76,12 +82,14 @@ struct Args {
 }
 
 fn usage() -> ! {
+    let (clusters, scheds, preempts) =
+        (ClusterProfile::usage(), SchedMethod::usage(), PreemptMethod::usage());
     eprintln!(
-        "usage: dsp [--cluster ec2|palmetto] [--jobs N] [--seed S] [--scale F] \
-         [--sched NAME] [--preempt NAME] [--noise SIGMA] \
+        "usage: dsp [--cluster {clusters}] [--jobs N] [--seed S] [--scale F] \
+         [--sched {scheds}] [--preempt {preempts}] [--noise SIGMA] \
          [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]... \
          [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE] [--json]\n\
-         \x20      dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto] \
+         \x20      dsp verify --jobs FILE --schedule FILE [--cluster {clusters}] \
          [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]\n\
          \x20      dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]\n\
          \x20      dsp serve [DSPD FLAGS]\n\
@@ -120,38 +128,17 @@ fn parse(argv: &[String]) -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--cluster" => {
-                args.cluster = match next(&mut i).as_str() {
-                    "ec2" => ClusterProfile::Ec2,
-                    "palmetto" | "real" => ClusterProfile::Palmetto,
-                    _ => usage(),
-                }
+                args.cluster = ClusterProfile::from_name(&next(&mut i)).unwrap_or_else(|| usage())
             }
             "--jobs" => args.jobs = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--scale" => args.scale = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--noise" => args.noise = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--sched" => {
-                args.sched = match next(&mut i).as_str() {
-                    "dsp" => SchedMethod::Dsp,
-                    "dsp-ilp" => SchedMethod::DspIlp,
-                    "tetris" => SchedMethod::TetrisWoDep,
-                    "tetris-dep" => SchedMethod::TetrisSimDep,
-                    "aalo" => SchedMethod::Aalo,
-                    "fifo" => SchedMethod::Fifo,
-                    "random" => SchedMethod::Random,
-                    _ => usage(),
-                }
+                args.sched = SchedMethod::from_name(&next(&mut i)).unwrap_or_else(|| usage())
             }
             "--preempt" => {
-                args.preempt = match next(&mut i).as_str() {
-                    "dsp" => PreemptMethod::Dsp,
-                    "dsp-wopp" => PreemptMethod::DspWoPp,
-                    "amoeba" => PreemptMethod::Amoeba,
-                    "natjam" => PreemptMethod::Natjam,
-                    "srpt" => PreemptMethod::Srpt,
-                    "none" => PreemptMethod::None,
-                    _ => usage(),
-                }
+                args.preempt = PreemptMethod::from_name(&next(&mut i)).unwrap_or_else(|| usage())
             }
             "--kill" => {
                 let spec = next(&mut i);
@@ -257,7 +244,7 @@ fn report_to_json(report: &Report) -> Json {
 }
 
 fn run_main(argv: &[String]) {
-    let args = parse(argv);
+    let mut args = parse(argv);
     let trace = TraceParams {
         task_scale: args.scale,
         estimate_noise_sigma: args.noise,
@@ -266,75 +253,41 @@ fn run_main(argv: &[String]) {
     let mut rng = StdRng::seed_from_u64(args.seed);
     let jobs = generate_workload(&mut rng, args.jobs, &trace);
     let params = Params::default();
-    let system = DspSystem::new(args.cluster.build(), params);
-    let dumping =
-        args.dump_jobs.is_some() || args.dump_schedule.is_some() || args.dump_trace.is_some();
+    let cluster = args.cluster.build();
+    let mut scheduler = args.sched.build(&params, args.seed);
+    let mut policy = args.preempt.build(&params);
+    let run = dsp_core::execute(
+        &jobs,
+        &cluster,
+        &params,
+        scheduler.as_mut(),
+        policy.as_mut(),
+        std::mem::take(&mut args.faults),
+    );
+    if let Some(path) = &args.dump_jobs {
+        write_artifact(path, &codec::jobs_to_artifact(&jobs));
+    }
+    if let Some(path) = &args.dump_schedule {
+        write_artifact(path, &codec::schedule_to_artifact(&run.schedule));
+    }
+    if let Some(path) = &args.dump_trace {
+        write_artifact(path, &codec::trace_to_artifact(&run.history));
+    }
+    print_metrics(&args, &run.metrics);
 
-    // Plain runs go through the experiment registry; runs that inject
-    // faults or dump artifacts wire the pieces by hand (the registry
-    // exposes neither the fault hook nor the intermediate artifacts).
-    let metrics = if args.faults.is_empty() && !dumping {
-        dsp_core::run_experiment(&dsp_core::ExperimentConfig {
-            cluster: args.cluster,
-            num_jobs: args.jobs,
-            seed: args.seed,
-            sched: args.sched,
-            preempt: args.preempt,
-            trace,
-            params,
-        })
-    } else {
-        use dsp_core::preempt::{AmoebaPolicy, DspPolicy, NatjamPolicy, SrptPolicy};
-        use dsp_core::sched::{
-            AaloScheduler, DspIlpScheduler, DspListScheduler, FifoScheduler, RandomScheduler,
-            Scheduler, TetrisScheduler,
-        };
-        use dsp_core::sim::{Engine, NoPreempt, PreemptPolicy, Schedule};
-        let mut sched: Box<dyn Scheduler> = match args.sched {
-            SchedMethod::Dsp => Box::new(DspListScheduler::default()),
-            SchedMethod::DspIlp => Box::new(DspIlpScheduler::default()),
-            SchedMethod::TetrisWoDep => Box::new(TetrisScheduler::without_dep()),
-            SchedMethod::TetrisSimDep => Box::new(TetrisScheduler::with_simple_dep()),
-            SchedMethod::Aalo => Box::new(AaloScheduler::default()),
-            SchedMethod::Fifo => Box::new(FifoScheduler),
-            SchedMethod::Random => Box::new(RandomScheduler::new(args.seed)),
-        };
-        let mut policy: Box<dyn PreemptPolicy> = match args.preempt {
-            PreemptMethod::None => Box::new(NoPreempt),
-            PreemptMethod::Dsp => Box::new(DspPolicy::new(params.dsp_params(true))),
-            PreemptMethod::DspWoPp => Box::new(DspPolicy::new(params.dsp_params(false))),
-            PreemptMethod::Amoeba => Box::new(AmoebaPolicy),
-            PreemptMethod::Natjam => Box::new(NatjamPolicy),
-            PreemptMethod::Srpt => Box::new(SrptPolicy::default()),
-        };
-        let batches = dsp_core::experiment::periodic_schedules(
-            &jobs,
-            &system.cluster,
-            params.sched_period,
-            sched.as_mut(),
-        );
-        let mut engine = Engine::new(jobs.clone(), system.cluster.clone(), params.engine_config());
-        let mut combined = Schedule::new();
-        for (at, schedule) in batches {
-            combined.extend(schedule.clone());
-            engine.add_batch(at, schedule);
-        }
-        engine.add_faults(args.faults);
-        let metrics = engine.run(policy.as_mut());
-        if let Some(path) = &args.dump_jobs {
-            write_artifact(path, &codec::jobs_to_artifact(&jobs));
-        }
-        if let Some(path) = &args.dump_schedule {
-            write_artifact(path, &codec::schedule_to_artifact(&combined));
-        }
-        if let Some(path) = &args.dump_trace {
-            write_artifact(path, &codec::trace_to_artifact(&engine.history()));
-        }
-        metrics
-    };
+    let opts =
+        VerifyOptions { dependency_aware: args.sched.dependency_aware(), check_deadlines: true };
+    let report = run.audit(&jobs, &cluster, &opts);
+    if !report.passes() {
+        eprint!("{report}");
+        std::process::exit(1)
+    }
+    eprintln!("dsp: verified (R1-R6)");
+}
 
+fn print_metrics(args: &Args, metrics: &dsp_core::metrics::RunMetrics) {
     if args.json {
-        println!("{}", codec::metrics_to_json(&metrics));
+        println!("{}", codec::metrics_to_json(metrics));
         return;
     }
     println!(
@@ -388,11 +341,7 @@ fn verify_main(argv: &[String]) {
             "--trace" => trace_path = Some(next(&mut i)),
             "--snapshot" => snapshot_path = Some(next(&mut i)),
             "--cluster" => {
-                cluster = match next(&mut i).as_str() {
-                    "ec2" => ClusterProfile::Ec2,
-                    "palmetto" | "real" => ClusterProfile::Palmetto,
-                    _ => usage(),
-                }
+                cluster = ClusterProfile::from_name(&next(&mut i)).unwrap_or_else(|| usage())
             }
             "--dep-oblivious" => opts.dependency_aware = false,
             "--no-deadlines" => opts.check_deadlines = false,
@@ -405,38 +354,28 @@ fn verify_main(argv: &[String]) {
 
     // Snapshot mode: the artifact is self-contained (cluster + jobs +
     // schedule + trace), so it conflicts with the piecewise flags.
-    if let Some(path) = snapshot_path {
+    let (jobs_path, cluster, jobs, schedule, history) = if let Some(path) = snapshot_path {
         if jobs_path.is_some() || schedule_path.is_some() || trace_path.is_some() {
             usage()
         }
         let snap = decode_or_die(codec::Snapshot::from_json(&read_artifact(&path)), &path);
-        if let Err(e) = dsp_core::dag::validate_jobs(&snap.jobs) {
-            eprintln!("dsp: invalid jobs in {path}: {e}");
-            std::process::exit(2)
-        }
-        let mut report = check_schedule(&snap.schedule, &snap.jobs, &snap.cluster, &opts);
-        report.merge(check_execution(&snap.history, None));
-        finish_verify(report, snap.schedule.len(), json)
-    }
-
-    let (Some(jobs_path), Some(schedule_path)) = (jobs_path, schedule_path) else { usage() };
-
-    let jobs = decode_or_die(codec::jobs_from_artifact(&read_artifact(&jobs_path)), &jobs_path);
+        (path, snap.cluster, snap.jobs, snap.schedule, Some(snap.history))
+    } else {
+        let (Some(jobs_path), Some(schedule_path)) = (jobs_path, schedule_path) else { usage() };
+        let jobs = decode_or_die(codec::jobs_from_artifact(&read_artifact(&jobs_path)), &jobs_path);
+        let schedule = decode_or_die(
+            codec::schedule_from_artifact(&read_artifact(&schedule_path)),
+            &schedule_path,
+        );
+        let history = trace_path
+            .map(|path| decode_or_die(codec::trace_from_artifact(&read_artifact(&path)), &path));
+        (jobs_path, cluster.build(), jobs, schedule, history)
+    };
     if let Err(e) = dsp_core::dag::validate_jobs(&jobs) {
         eprintln!("dsp: invalid jobs in {jobs_path}: {e}");
         std::process::exit(2)
     }
-    let schedule = decode_or_die(
-        codec::schedule_from_artifact(&read_artifact(&schedule_path)),
-        &schedule_path,
-    );
-    let cluster = cluster.build();
-
-    let mut report = check_schedule(&schedule, &jobs, &cluster, &opts);
-    if let Some(path) = trace_path {
-        let history = decode_or_die(codec::trace_from_artifact(&read_artifact(&path)), &path);
-        report.merge(check_execution(&history, None));
-    }
+    let report = dsp_core::verify::audit(&schedule, &jobs, &cluster, &opts, history.as_ref(), None);
     finish_verify(report, schedule.len(), json)
 }
 

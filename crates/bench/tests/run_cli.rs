@@ -4,53 +4,9 @@
 //! are recorded (FNV-1a 64 of stdout) so a change to how the run is wired
 //! shows up as a moved literal, not as an argument about equivalence.
 
-use dsp_core::{PreemptMethod, SchedMethod};
+use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
 use std::path::PathBuf;
 use std::process::{Command, Output};
-
-const SCHEDS: [SchedMethod; 7] = [
-    SchedMethod::Dsp,
-    SchedMethod::DspIlp,
-    SchedMethod::TetrisWoDep,
-    SchedMethod::TetrisSimDep,
-    SchedMethod::Aalo,
-    SchedMethod::Fifo,
-    SchedMethod::Random,
-];
-
-const PREEMPTS: [PreemptMethod; 6] = [
-    PreemptMethod::None,
-    PreemptMethod::Dsp,
-    PreemptMethod::DspWoPp,
-    PreemptMethod::Amoeba,
-    PreemptMethod::Natjam,
-    PreemptMethod::Srpt,
-];
-
-/// The `--sched` spelling of a method.
-fn sched_name(m: SchedMethod) -> &'static str {
-    match m {
-        SchedMethod::Dsp => "dsp",
-        SchedMethod::DspIlp => "dsp-ilp",
-        SchedMethod::TetrisWoDep => "tetris",
-        SchedMethod::TetrisSimDep => "tetris-dep",
-        SchedMethod::Aalo => "aalo",
-        SchedMethod::Fifo => "fifo",
-        SchedMethod::Random => "random",
-    }
-}
-
-/// The `--preempt` spelling of a method.
-fn preempt_name(m: PreemptMethod) -> &'static str {
-    match m {
-        PreemptMethod::None => "none",
-        PreemptMethod::Dsp => "dsp",
-        PreemptMethod::DspWoPp => "dsp-wopp",
-        PreemptMethod::Amoeba => "amoeba",
-        PreemptMethod::Natjam => "natjam",
-        PreemptMethod::Srpt => "srpt",
-    }
-}
 
 /// FNV-1a 64 of `dsp --jobs 20 --sched S --preempt P --json`'s stdout,
 /// keyed by the two paper labels. Recorded at b21d6e4.
@@ -146,17 +102,10 @@ fn every_arm_prints_pinned_bytes_with_or_without_dumps_and_its_dumps_verify() {
     let path = |f: &str| dir.join(f).to_str().expect("utf-8 temp path").to_string();
     let (jobs, schedule, trace) = (path("jobs.json"), path("schedule.json"), path("trace.json"));
     let mut moved = Vec::new();
-    for sched in SCHEDS {
-        for preempt in PREEMPTS {
-            let arm = [
-                "--jobs",
-                "20",
-                "--sched",
-                sched_name(sched),
-                "--preempt",
-                preempt_name(preempt),
-                "--json",
-            ];
+    for sched in SchedMethod::ALL {
+        for preempt in PreemptMethod::ALL {
+            let arm =
+                ["--jobs", "20", "--sched", sched.name(), "--preempt", preempt.name(), "--json"];
             let plain = stdout_of(&arm);
             let mut dumping = arm.to_vec();
             dumping.extend(["--dump-jobs", &jobs, "--dump-schedule", &schedule]);
@@ -193,12 +142,12 @@ fn every_arm_prints_pinned_bytes_with_or_without_dumps_and_its_dumps_verify() {
 #[test]
 fn fault_runs_print_pinned_bytes() {
     let mut moved = Vec::new();
-    for preempt in PREEMPTS {
+    for preempt in PreemptMethod::ALL {
         let out = stdout_of(&[
             "--jobs",
             "20",
             "--preempt",
-            preempt_name(preempt),
+            preempt.name(),
             "--kill",
             "3@400",
             "--straggle",
@@ -216,4 +165,40 @@ fn fault_runs_print_pinned_bytes() {
         "fault-run bytes moved; FAULT_PINS would now read:\n{}",
         moved.join("\n")
     );
+}
+
+/// One spelling, one meaning, everywhere: both binaries' usage texts print
+/// every name of the method table, the service factories build exactly the
+/// names the table resolves, and `dsp` runs what the table says a name is.
+#[test]
+fn the_method_table_is_what_every_binary_parses_and_prints() {
+    let names: Vec<&str> = (SchedMethod::ALL.iter().map(|m| m.name()))
+        .chain(PreemptMethod::ALL.iter().map(|m| m.name()))
+        .chain(ClusterProfile::ALL.iter().map(|p| p.name()))
+        .collect();
+    for args in [&["--help"][..], &["serve", "--help"]] {
+        let out = dsp(args);
+        assert_eq!(out.status.code(), Some(2), "dsp {args:?}");
+        let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+        for name in &names {
+            assert!(usage.contains(name), "dsp {args:?} usage lacks `{name}`:\n{usage}");
+        }
+    }
+    let params = dsp_core::Params::default();
+    for name in names.iter().chain(&["dsp", "tetris-dep", "tetris-wodep", "dsp-wopp", "warp"]) {
+        assert_eq!(
+            dsp_service::build_scheduler(name).is_some(),
+            SchedMethod::from_name(name).is_some(),
+            "{name}"
+        );
+        assert_eq!(
+            dsp_service::build_policy(name, &params).is_some(),
+            PreemptMethod::from_name(name).is_some(),
+            "{name}"
+        );
+    }
+    // The one CLI-visible meaning that moved (`tetris` is W/SimDep), and the
+    // profile `dsp` could not name before.
+    let header = stdout_of(&["--sched", "tetris", "--cluster", "blend", "--jobs", "4"]);
+    assert!(String::from_utf8_lossy(&header).starts_with("TetrisW/SimDep + DSP on blend"));
 }

@@ -3,10 +3,14 @@
 //! This crate wires the substrates together into the system the paper
 //! describes and the experiment harness that regenerates its evaluation:
 //!
-//! * [`DspSystem`] — the offline-phase + online-phase pipeline: a
+//! * [`pipeline`] — the two-phase loop, assembled once: a
 //!   [`dsp_sched::Scheduler`] produces `[start, node]` per task every
-//!   scheduling period; the [`dsp_preempt::DspPolicy`] adjusts the running
-//!   mix every epoch; the `dsp-sim` engine executes and measures.
+//!   scheduling period ([`PeriodPlanner`]); [`execute`] runs the plan under
+//!   an online policy that adjusts the running mix every epoch and returns
+//!   the [`Run`]; [`Run::audit`] checks it against R1–R6.
+//! * [`methods`] — the method table: every scheduler, policy and cluster
+//!   profile with its one name, paper label and constructor.
+//! * [`DspSystem`] — the façade over your own jobs (DSP offline + online).
 //! * [`config::Params`] — Table II's parameter settings in one struct.
 //! * [`experiment`] — a declarative experiment runner
 //!   (`ExperimentConfig` → `RunMetrics`).
@@ -35,16 +39,18 @@ pub mod config;
 pub mod experiment;
 pub mod figures;
 pub mod matrix;
+pub mod methods;
+pub mod pipeline;
 pub mod sweep;
 pub mod system;
 
 pub use ablation::all_ablations;
 pub use config::Params;
-pub use experiment::{
-    run_experiment, ClusterProfile, ExperimentConfig, PreemptMethod, SchedMethod,
-};
+pub use experiment::{run_experiment, ExperimentConfig};
 pub use figures::{fig5, fig6, fig7, fig8, FigureScale};
 pub use matrix::{run_matrix, CellOutput, DeadlineTier, MatrixConfig, Scenario, Storm};
+pub use methods::{ClusterProfile, PreemptMethod, SchedMethod};
+pub use pipeline::{execute, PeriodPlanner, Run};
 pub use sweep::parallel_map;
 pub use system::DspSystem;
 

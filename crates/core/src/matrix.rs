@@ -23,14 +23,15 @@
 //! `tests/uncertainty_prop.rs`.
 
 use crate::config::Params;
-use crate::experiment::{periodic_schedules, ClusterProfile, PreemptMethod, SchedMethod};
+use crate::methods::{ClusterProfile, PreemptMethod, SchedMethod};
+use crate::pipeline::{execute, Run};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_metrics::RunMetrics;
-use dsp_sim::{Engine, ExecHistory, FaultPlan, Schedule};
+use dsp_sim::{ExecHistory, FaultPlan, Schedule};
 use dsp_trace::{generate_workload, ArrivalModel, ExecModel, TraceParams};
 use dsp_units::{Dur, Time};
-use dsp_verify::{check_execution, check_schedule, Report, Severity, VerifyOptions};
+use dsp_verify::{Report, Severity, VerifyOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -345,10 +346,10 @@ impl CellOutput {
             self.scenario.exec_model.label(),
             self.scenario.arrival.label(),
             self.scenario.deadline.label(),
-            cluster_label(self.scenario.node_mix),
+            self.scenario.node_mix.name(),
             self.scenario.storm.label(),
-            sched_slug(self.sched),
-            preempt_slug(self.preempt),
+            self.sched.name(),
+            self.preempt.name(),
         )
     }
 
@@ -364,10 +365,10 @@ impl CellOutput {
             self.scenario.exec_model.label(),
             self.scenario.arrival.label(),
             self.scenario.deadline.label(),
-            cluster_label(self.scenario.node_mix),
+            self.scenario.node_mix.name(),
             self.scenario.storm.label(),
-            sched_slug(self.sched),
-            preempt_slug(self.preempt),
+            self.sched.name(),
+            self.preempt.name(),
             self.jobs.len(),
             m.tasks_completed,
             m.makespan().as_millis_f64(),
@@ -397,40 +398,8 @@ pub fn csv_header() -> &'static str {
      overhead_ms,node_failures,fault_rescheduled,verify_errors,verify_warnings,verdict"
 }
 
-fn cluster_label(p: ClusterProfile) -> &'static str {
-    match p {
-        ClusterProfile::Palmetto => "palmetto",
-        ClusterProfile::Ec2 => "ec2",
-        ClusterProfile::Blend => "blend",
-    }
-}
-
-fn sched_slug(s: SchedMethod) -> &'static str {
-    match s {
-        SchedMethod::Dsp => "dsp-list",
-        SchedMethod::DspIlp => "dsp-ilp",
-        SchedMethod::TetrisWoDep => "tetris-wo-dep",
-        SchedMethod::TetrisSimDep => "tetris",
-        SchedMethod::Aalo => "aalo",
-        SchedMethod::Fifo => "fifo",
-        SchedMethod::Random => "random",
-    }
-}
-
-fn preempt_slug(p: PreemptMethod) -> &'static str {
-    match p {
-        PreemptMethod::None => "none",
-        PreemptMethod::Dsp => "dsp",
-        PreemptMethod::DspWoPp => "dsp-wo-pp",
-        PreemptMethod::Amoeba => "amoeba",
-        PreemptMethod::Natjam => "natjam",
-        PreemptMethod::Srpt => "srpt",
-    }
-}
-
-/// Run one cell: schedule the scenario's jobs with the arm's offline
-/// scheduler, execute under its preemption policy and the scenario's fault
-/// plan, then audit schedule (R1–R4) and history (R5–R6).
+/// Run one cell: the arm's scheduler and policy over the scenario's jobs
+/// under its fault plan, then the R1–R6 audit of the run.
 fn run_cell(
     cfg: &MatrixConfig,
     scenario_seed: u64,
@@ -439,28 +408,19 @@ fn run_cell(
     cluster: &ClusterSpec,
     sched: SchedMethod,
     preempt: PreemptMethod,
-) -> (Schedule, ExecHistory, RunMetrics, Report) {
-    let mut scheduler = sched.build(scenario_seed);
-    let batches = periodic_schedules(jobs, cluster, cfg.params.sched_period, scheduler.as_mut());
-    let mut schedule = Schedule::default();
-    let mut engine = Engine::new(jobs.to_vec(), cluster.clone(), cfg.params.engine_config());
-    for (at, batch) in batches {
-        schedule.assignments.extend(batch.assignments.iter().cloned());
-        engine.add_batch(at, batch);
-    }
-    engine.add_faults(scenario.storm.plan(scenario_seed, cluster));
+) -> (Run, Report) {
+    let mut scheduler = sched.build(&cfg.params, scenario_seed);
     let mut policy = preempt.build(&cfg.params);
-    let metrics = engine.run(policy.as_mut());
-    let history = engine.history();
+    let faults = scenario.storm.plan(scenario_seed, cluster);
+    let run = execute(jobs, cluster, &cfg.params, scheduler.as_mut(), policy.as_mut(), faults);
     let opts = VerifyOptions {
         dependency_aware: sched.dependency_aware(),
         // Deadline misses (R4) are warnings; always count them so the
         // tight tier quantifies its pressure instead of hiding it.
         check_deadlines: true,
     };
-    let mut report = check_schedule(&schedule, jobs, cluster, &opts);
-    report.merge(check_execution(&history, Some(&metrics)));
-    (schedule, history, metrics, report)
+    let report = run.audit(jobs, cluster, &opts);
+    (run, report)
 }
 
 /// Run the whole grid in scenario-major order, handing each finished cell
@@ -475,7 +435,7 @@ pub fn run_matrix(cfg: &MatrixConfig, mut sink: impl FnMut(&CellOutput)) -> Vec<
         let cluster = scenario.node_mix.build();
         for &sched in &cfg.schedulers {
             for &preempt in &cfg.preempts {
-                let (schedule, history, metrics, report) =
+                let (run, report) =
                     run_cell(cfg, scenario_seed, &scenario, &jobs, &cluster, sched, preempt);
                 let cell = CellOutput {
                     scenario_idx,
@@ -484,9 +444,9 @@ pub fn run_matrix(cfg: &MatrixConfig, mut sink: impl FnMut(&CellOutput)) -> Vec<
                     preempt,
                     jobs: jobs.clone(),
                     cluster: cluster.clone(),
-                    schedule,
-                    history,
-                    metrics,
+                    schedule: run.schedule,
+                    history: run.history,
+                    metrics: run.metrics,
                     report,
                 };
                 rows.push(cell.csv_row());

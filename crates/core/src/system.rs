@@ -1,13 +1,13 @@
 //! The `DspSystem` façade: offline phase + online phase over your own jobs.
 
 use crate::config::Params;
-use crate::experiment::periodic_schedules;
+use crate::methods::{PreemptMethod, SchedMethod};
+use crate::pipeline::execute;
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_metrics::RunMetrics;
-use dsp_preempt::DspPolicy;
-use dsp_sched::{DspListScheduler, Scheduler};
-use dsp_sim::{Engine, PreemptPolicy};
+use dsp_sched::Scheduler;
+use dsp_sim::PreemptPolicy;
 
 /// The assembled DSP system: give it a cluster and Table II parameters,
 /// feed it jobs, get measured execution back.
@@ -35,9 +35,9 @@ impl DspSystem {
     /// hands them out across batches). `dsp_trace::generate_workload`
     /// produces a conforming list.
     pub fn run(&self, jobs: &[Job]) -> RunMetrics {
-        let mut sched = DspListScheduler { gamma: self.params.gamma };
-        let mut policy = DspPolicy::new(self.params.dsp_params(true));
-        self.run_with(jobs, &mut sched, &mut policy)
+        let mut sched = SchedMethod::Dsp.build(&self.params, 0);
+        let mut policy = PreemptMethod::Dsp.build(&self.params);
+        self.run_with(jobs, sched.as_mut(), policy.as_mut())
     }
 
     /// Run with a custom offline scheduler and online policy — the hook the
@@ -61,20 +61,7 @@ impl DspSystem {
         policy: &mut dyn PreemptPolicy,
         faults: dsp_sim::FaultPlan,
     ) -> RunMetrics {
-        let batches = periodic_schedules(jobs, &self.cluster, self.params.sched_period, scheduler);
-        let mut engine =
-            Engine::new(jobs.to_vec(), self.cluster.clone(), self.params.engine_config());
-        for (at, schedule) in batches {
-            engine.add_batch(at, schedule);
-        }
-        engine.add_faults(faults);
-        let metrics = engine.run(policy);
-        #[cfg(debug_assertions)]
-        {
-            let report = dsp_verify::check_execution(&engine.history(), Some(&metrics));
-            debug_assert!(report.is_clean(), "execution broke R5/R6 conservation:\n{report}");
-        }
-        metrics
+        execute(jobs, &self.cluster, &self.params, scheduler, policy, faults).metrics
     }
 }
 

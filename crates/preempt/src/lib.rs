@@ -24,13 +24,12 @@ pub mod amoeba;
 pub mod dsp;
 pub mod natjam;
 pub mod priority;
+#[cfg(test)]
+mod priority_equiv;
 pub mod srpt;
 
 pub use amoeba::AmoebaPolicy;
 pub use dsp::{DspParams, DspPolicy};
 pub use natjam::NatjamPolicy;
-pub use priority::{
-    compute_priorities, compute_priorities_ref, mean_neighbor_gap, PriorityEngine,
-    PriorityEngineStats, PriorityMap, PriorityWeights,
-};
+pub use priority::{PriorityEngine, PriorityEngineStats, PriorityWeights};
 pub use srpt::SrptPolicy;

@@ -16,63 +16,9 @@
 //! have already finished contribute nothing — their subtree is history; a
 //! task whose children are all done is, for priority purposes, a leaf.
 
-use dsp_dag::{JobId, TaskId};
+use dsp_dag::TaskId;
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::Dur;
-use std::collections::BTreeMap;
-
-/// Computed priorities for every live (not-done) task visible this epoch,
-/// stored per job for hash-free task lookup (the preemption policy reads
-/// millions of priorities per run on large sweeps). A `BTreeMap` keyed by
-/// job id keeps [`PriorityMap::values`] in a fixed order — hash-map
-/// iteration is seeded per process, which the determinism contract (and
-/// lint D1) forbids in this crate.
-#[derive(Debug, Clone, Default)]
-pub struct PriorityMap {
-    per_job: BTreeMap<u32, Vec<f64>>,
-    len: usize,
-}
-
-impl PriorityMap {
-    /// New empty map.
-    pub fn new() -> Self {
-        PriorityMap::default()
-    }
-
-    /// Priority of a task, if it was live this epoch.
-    pub fn get(&self, t: &TaskId) -> Option<f64> {
-        let v = self.per_job.get(&t.job.get())?;
-        let p = *v.get(t.idx())?;
-        if p.is_nan() {
-            None
-        } else {
-            Some(p)
-        }
-    }
-
-    /// Number of live tasks with priorities.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no task is live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Iterate all priorities (job-id order, task order within a job).
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.per_job.values().flatten().copied().filter(|p| !p.is_nan())
-    }
-
-    fn insert(&mut self, t: TaskId, n_tasks: usize, p: f64) {
-        let v = self.per_job.entry(t.job.get()).or_insert_with(|| vec![f64::NAN; n_tasks]);
-        if v[t.idx()].is_nan() {
-            self.len += 1;
-        }
-        v[t.idx()] = p;
-    }
-}
 
 /// Weights of the leaf priority (Eq. 13) and the level coefficient γ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,86 +48,6 @@ const MIN_REMAINING: Dur = Dur::from_millis(1);
 pub fn leaf_priority(s: &TaskSnapshot, w: &PriorityWeights) -> f64 {
     let rem = s.remaining_time.max(MIN_REMAINING).as_secs_f64();
     w.w1 * (1.0 / rem) + w.w2 * s.waiting.as_secs_f64() + w.w3 * s.allowable_wait.as_secs_f64()
-}
-
-/// Compute the Eq. 12/13 priorities of every task that appears in the
-/// epoch's node views (running or waiting anywhere in the cluster).
-///
-/// Convenience wrapper over [`compute_priorities_ref`], kept for callers
-/// that want a one-shot map; the hot path lives in [`PriorityEngine`].
-pub fn compute_priorities(
-    views: &[NodeView],
-    world: &WorldCtx<'_>,
-    w: &PriorityWeights,
-) -> PriorityMap {
-    compute_priorities_ref(views, world, w)
-}
-
-/// Reference (naive) implementation: rebuilds every scratch structure from
-/// scratch each call. [`PriorityEngine`] must stay bit-for-bit equal to
-/// this across any epoch sequence — a property-based test enforces it.
-///
-/// The recursion runs per job in reverse topological order; children that
-/// are finished (absent from every view) are skipped, and a task whose
-/// remaining children are all finished falls back to the leaf formula.
-pub fn compute_priorities_ref(
-    views: &[NodeView],
-    world: &WorldCtx<'_>,
-    w: &PriorityWeights,
-) -> PriorityMap {
-    // Gather live snapshots per job (None slots = finished/absent). The
-    // BTreeMap doubles as the deterministic job iteration order below.
-    let mut snaps: BTreeMap<u32, Vec<Option<TaskSnapshot>>> = BTreeMap::new();
-    for view in views {
-        for s in view.running.iter().chain(view.waiting.iter()) {
-            let job = world.job_of(s.id);
-            snaps.entry(s.id.job.get()).or_insert_with(|| vec![None; job.num_tasks()])
-                [s.id.idx()] = Some(*s);
-        }
-    }
-    let mut out = PriorityMap::new();
-    for (&j, job_snaps) in &snaps {
-        let job = world.find(JobId(j)).expect("job appeared in an epoch view");
-        let mut prio = vec![f64::NAN; job.num_tasks()];
-        for &v in job.dag.topo_order().iter().rev() {
-            let Some(s) = &job_snaps[v as usize] else { continue }; // finished task
-            let child_sum: f64 = job
-                .dag
-                .children(v)
-                .iter()
-                .map(|&c| prio[c as usize])
-                .filter(|p| !p.is_nan())
-                .map(|p| (w.gamma + 1.0) * p)
-                .sum();
-            let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, w) };
-            prio[v as usize] = p;
-            out.insert(job.task_id(v), job.num_tasks(), p);
-        }
-    }
-    out
-}
-
-/// The PP filter's global scale: sort all priorities ascending and average
-/// the gaps between neighbours (`P̄` in Section IV-B). Zero when fewer than
-/// two tasks are live.
-pub fn mean_neighbor_gap(map: &PriorityMap) -> f64 {
-    if map.len() < 2 {
-        return 0.0;
-    }
-    // The mean of sorted-neighbour gaps telescopes to (max − min)/(n−1):
-    // no sort needed — an O(n) scan.
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut n = 0usize;
-    for p in map.values() {
-        lo = lo.min(p);
-        hi = hi.max(p);
-        n += 1;
-    }
-    if n < 2 || !lo.is_finite() || !hi.is_finite() {
-        return 0.0;
-    }
-    (hi - lo) / (n - 1) as f64
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
@@ -233,8 +99,9 @@ struct JobScratch {
 
 /// Incremental Eq. 12/13 evaluator with persistent per-job arenas.
 ///
-/// Functionally identical to [`compute_priorities_ref`] — bit-for-bit,
-/// including floating-point summation order — but instead of rebuilding a
+/// Functionally identical to the test oracle
+/// `reference::compute_priorities_ref` — bit-for-bit, including
+/// floating-point summation order — but instead of rebuilding a
 /// map of `Vec<Option<TaskSnapshot>>` plus per-job scratch vectors every
 /// epoch it:
 ///
@@ -404,8 +271,8 @@ impl PriorityEngine {
     }
 
     /// The PP filter's global scale `P̄` for this epoch — same telescoped
-    /// `(max − min)/(n − 1)` as [`mean_neighbor_gap`], from the extremes
-    /// folded during `begin_epoch`.
+    /// `(max − min)/(n − 1)` as `reference::mean_neighbor_gap`, from the
+    /// extremes folded during `begin_epoch`.
     pub fn mean_gap(&self) -> f64 {
         if self.live < 2 || !self.lo.is_finite() || !self.hi.is_finite() {
             return 0.0;
@@ -437,8 +304,141 @@ impl PriorityEngine {
     }
 }
 
+/// The naive oracle the incremental [`PriorityEngine`] is held to, bit for
+/// bit (`priority_equiv.rs`). Test builds only.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{leaf_priority, PriorityWeights};
+    use dsp_dag::{JobId, TaskId};
+    use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
+    use std::collections::BTreeMap;
+
+    /// Computed priorities for every live (not-done) task visible this epoch,
+    /// stored per job for hash-free task lookup (the preemption policy reads
+    /// millions of priorities per run on large sweeps). A `BTreeMap` keyed by
+    /// job id keeps [`PriorityMap::values`] in a fixed order — hash-map
+    /// iteration is seeded per process, which the determinism contract (and
+    /// lint D1) forbids in this crate.
+    #[derive(Debug, Clone, Default)]
+    pub struct PriorityMap {
+        per_job: BTreeMap<u32, Vec<f64>>,
+        len: usize,
+    }
+
+    impl PriorityMap {
+        /// New empty map.
+        pub fn new() -> Self {
+            PriorityMap::default()
+        }
+
+        /// Priority of a task, if it was live this epoch.
+        pub fn get(&self, t: &TaskId) -> Option<f64> {
+            let v = self.per_job.get(&t.job.get())?;
+            let p = *v.get(t.idx())?;
+            if p.is_nan() {
+                None
+            } else {
+                Some(p)
+            }
+        }
+
+        /// Number of live tasks with priorities.
+        pub fn len(&self) -> usize {
+            self.len
+        }
+
+        /// True when no task is live.
+        pub fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        /// Iterate all priorities (job-id order, task order within a job).
+        pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+            self.per_job.values().flatten().copied().filter(|p| !p.is_nan())
+        }
+
+        pub(crate) fn insert(&mut self, t: TaskId, n_tasks: usize, p: f64) {
+            let v = self.per_job.entry(t.job.get()).or_insert_with(|| vec![f64::NAN; n_tasks]);
+            if v[t.idx()].is_nan() {
+                self.len += 1;
+            }
+            v[t.idx()] = p;
+        }
+    }
+
+    /// Compute the Eq. 12/13 priorities of every task that appears in the
+    /// epoch's node views (running or waiting anywhere in the cluster), naively:
+    /// rebuilds every scratch structure from
+    /// scratch each call. [`PriorityEngine`] must stay bit-for-bit equal to
+    /// this across any epoch sequence — a property-based test enforces it.
+    ///
+    /// The recursion runs per job in reverse topological order; children that
+    /// are finished (absent from every view) are skipped, and a task whose
+    /// remaining children are all finished falls back to the leaf formula.
+    pub fn compute_priorities_ref(
+        views: &[NodeView],
+        world: &WorldCtx<'_>,
+        w: &PriorityWeights,
+    ) -> PriorityMap {
+        // Gather live snapshots per job (None slots = finished/absent). The
+        // BTreeMap doubles as the deterministic job iteration order below.
+        let mut snaps: BTreeMap<u32, Vec<Option<TaskSnapshot>>> = BTreeMap::new();
+        for view in views {
+            for s in view.running.iter().chain(view.waiting.iter()) {
+                let job = world.job_of(s.id);
+                snaps.entry(s.id.job.get()).or_insert_with(|| vec![None; job.num_tasks()])
+                    [s.id.idx()] = Some(*s);
+            }
+        }
+        let mut out = PriorityMap::new();
+        for (&j, job_snaps) in &snaps {
+            let job = world.find(JobId(j)).expect("job appeared in an epoch view");
+            let mut prio = vec![f64::NAN; job.num_tasks()];
+            for &v in job.dag.topo_order().iter().rev() {
+                let Some(s) = &job_snaps[v as usize] else { continue }; // finished task
+                let child_sum: f64 = job
+                    .dag
+                    .children(v)
+                    .iter()
+                    .map(|&c| prio[c as usize])
+                    .filter(|p| !p.is_nan())
+                    .map(|p| (w.gamma + 1.0) * p)
+                    .sum();
+                let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, w) };
+                prio[v as usize] = p;
+                out.insert(job.task_id(v), job.num_tasks(), p);
+            }
+        }
+        out
+    }
+
+    /// The PP filter's global scale: sort all priorities ascending and average
+    /// the gaps between neighbours (`P̄` in Section IV-B). Zero when fewer than
+    /// two tasks are live.
+    pub fn mean_neighbor_gap(map: &PriorityMap) -> f64 {
+        if map.len() < 2 {
+            return 0.0;
+        }
+        // The mean of sorted-neighbour gaps telescopes to (max − min)/(n−1):
+        // no sort needed — an O(n) scan.
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        let mut n = 0usize;
+        for p in map.values() {
+            lo = lo.min(p);
+            hi = hi.max(p);
+            n += 1;
+        }
+        if n < 2 || !lo.is_finite() || !hi.is_finite() {
+            return 0.0;
+        }
+        (hi - lo) / (n - 1) as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::{compute_priorities_ref, mean_neighbor_gap, PriorityMap};
     use super::*;
     use dsp_cluster::NodeId;
     use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
@@ -506,7 +506,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
         let at = |v: u32| p.get(&job.task_id(v)).unwrap();
         assert!(at(0) > at(1) && at(0) > at(2));
         assert!(at(1) > at(3) && at(2) > at(5));
@@ -526,7 +526,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
         // Task 1's children (3, 4) are done → leaf formula (0.5); root sees
         // only child 1: 1.5·0.5 = 0.75.
         assert!((p.get(&job.task_id(1)).unwrap() - 0.5).abs() < 1e-9);
@@ -541,7 +541,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
         assert!(p.get(&job.task_id(4)).unwrap() > p.get(&job.task_id(3)).unwrap());
     }
 
@@ -573,7 +573,7 @@ mod tests {
         let views = views_of(&j0, snaps);
         let jobs = vec![j0.clone(), j1];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
         assert_eq!(p.len(), 2);
         // Shorter remaining → higher priority (both are leaves).
         assert!(p.get(&TaskId::new(1, 3)).unwrap() > p.get(&j0.task_id(3)).unwrap());

@@ -5,9 +5,10 @@
 //! engine evaluates Eq. 13 lazily — only for tasks no live child feeds —
 //! so the edges of "no live child" get their own cases below.
 
+use crate::priority::reference::{compute_priorities_ref, mean_neighbor_gap};
+use crate::priority::{PriorityEngine, PriorityWeights};
 use dsp_cluster::NodeId;
 use dsp_dag::{generate::gen_dag, DagShape, Job, JobClass, JobId, TaskSpec};
-use dsp_preempt::{compute_priorities_ref, mean_neighbor_gap, PriorityEngine, PriorityWeights};
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Mi, ResourceVec, Time};
 use proptest::prelude::*;
@@ -215,7 +216,7 @@ fn live_non_sink_with_all_children_absent_takes_eq13() {
     let root = snap(&job, 0, 2_000, 4_000, 10_000, true);
     let engine =
         assert_epochs_equal(std::slice::from_ref(&job), &[(1, vec![one_view(vec![root], vec![])])]);
-    let want = dsp_preempt::priority::leaf_priority(&root, &PriorityWeights::default());
+    let want = crate::priority::leaf_priority(&root, &PriorityWeights::default());
     assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
     assert_eq!(engine.len(), 1);
     // The middle task alone: its parent and child are both absent.
@@ -236,7 +237,7 @@ fn duplicate_snapshots_keep_the_last_one() {
     let across = vec![one_view(vec![early], vec![other]), one_view(vec![], vec![late])];
     let within = vec![one_view(vec![early], vec![other, late])];
     let engine = assert_epochs_equal(std::slice::from_ref(&job), &[(1, across), (2, within)]);
-    let want = dsp_preempt::priority::leaf_priority(&late, &PriorityWeights::default());
+    let want = crate::priority::leaf_priority(&late, &PriorityWeights::default());
     assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
     assert_eq!(engine.len(), 2);
 }

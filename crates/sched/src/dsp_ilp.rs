@@ -10,10 +10,11 @@
 //! slot semantics. The offline plan estimates `N^p = 0` preemptions (the
 //! online phase, not the plan, pays for preemptions that actually happen).
 //!
-//! Exact search is reserved for small instances — the paper itself says the
-//! problem is NP-complete and falls back to relax-and-round; we fall back
-//! to [`DspListScheduler`], the practical arm, whenever the instance
-//! exceeds [`IlpLimits`] or the solver's node budget runs out.
+//! Exact search is reserved for small instances. The paper, noting the
+//! problem is NP-complete, relaxes and rounds beyond them; this scheduler
+//! has no rounding tier and falls back to [`DspListScheduler`], the
+//! practical arm, whenever the instance exceeds [`IlpLimits`] or the
+//! solver's node budget runs out.
 
 use crate::api::Scheduler;
 use crate::dsp_list::DspListScheduler;

@@ -6,7 +6,7 @@
 //!
 //! * [`DspIlpScheduler`] — the exact Section III MILP (via `dsp-lp`) on
 //!   instances small enough for exact search, with automatic fallback to
-//!   the list heuristic; mirrors the paper's relax-and-round escape hatch;
+//!   the list heuristic (where the paper relaxes and rounds);
 //! * [`DspListScheduler`] — dependency-aware list scheduling: earliest-
 //!   finish-time placement over heterogeneous nodes, ranked by upward rank
 //!   and the Eq. 12 descendant weight (the practical arm used at scale);

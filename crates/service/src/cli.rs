@@ -9,26 +9,43 @@
 //! with one `busy` reply; `--shards`/`--route` are DESIGN.md §10.7.
 
 use crate::{
-    build_cluster, build_policy, build_scheduler, serve_federated, AdmissionConfig, FederationSpec,
-    RoutePolicy, ServerConfig, FRONTEND, MAX_SHARDS,
+    build_cluster, serve_federated, AdmissionConfig, FederationSpec, RoutePolicy, ServerConfig,
+    FRONTEND, MAX_SHARDS, SCHED_SEED,
 };
 use dsp_core::config::Params;
+use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
 use dsp_units::Dur;
 use std::io::Write;
 
-/// What both binaries print (stderr, exit 2) on a malformed command line.
-pub const USAGE: &str = "\
-usage: dspd [--addr HOST:PORT] [--cluster ec2|palmetto|uniform:N:RATE:SLOTS] \
-[--sched dsp|fifo|tetris|tetris-wodep|aalo] [--preempt dsp|dsp-wopp|none] \
-[--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
-[--no-feasibility] [--max-conns N] [--reactor-threads N] [--shards N] \
-[--route hash|least-loaded|deadline]
-       (`dsp serve` takes the same flags)";
+/// What both binaries print (stderr, exit 2) on a malformed command line;
+/// the method names are the method table's.
+pub fn usage() -> String {
+    format!(
+        "usage: dspd [--addr HOST:PORT] [--cluster {}|uniform:N:RATE:SLOTS] \
+         [--sched {}] [--preempt {}] \
+         [--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
+         [--no-feasibility] [--max-conns N] [--reactor-threads N] [--shards N] \
+         [--route hash|least-loaded|deadline]\n       (`dsp serve` takes the same flags)",
+        ClusterProfile::usage(),
+        SchedMethod::usage(),
+        PreemptMethod::usage(),
+    )
+}
 
 /// `flag`'s value, parsed; the error names the flag and what it got.
 fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
     let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
     raw.parse().map_err(|_| format!("{flag}: cannot read `{raw}`"))
+}
+
+/// `flag`'s value, resolved through a name table.
+fn named<T>(
+    flag: &str,
+    raw: Option<&String>,
+    from_name: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    from_name(raw).ok_or_else(|| format!("{flag}: unknown name `{raw}`"))
 }
 
 /// A whole number of seconds, at least one.
@@ -40,13 +57,13 @@ fn positive_secs(flag: &str, raw: Option<&String>) -> Result<Dur, String> {
 }
 
 /// Parse the daemon's flags into what [`serve_federated`] takes. Every
-/// name (cluster, scheduler, policy) is resolved here, so the per-shard
-/// factories in the returned spec cannot fail.
+/// name (cluster, scheduler, policy) is resolved as it is read, so the
+/// per-shard factories in the returned spec cannot fail.
 pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), String> {
     let mut config = ServerConfig::default();
-    let mut cluster = "ec2".to_string();
-    let mut sched = "dsp".to_string();
-    let mut preempt = "dsp".to_string();
+    let mut cluster = ClusterProfile::Ec2.build();
+    let mut sched = SchedMethod::Dsp;
+    let mut preempt = PreemptMethod::Dsp;
     let mut params = Params::default();
     let mut admission = AdmissionConfig::default();
 
@@ -55,9 +72,9 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
         let flag = flag.as_str();
         match flag {
             "--addr" => config.addr = value(flag, args.next())?,
-            "--cluster" => cluster = value(flag, args.next())?,
-            "--sched" => sched = value(flag, args.next())?,
-            "--preempt" => preempt = value(flag, args.next())?,
+            "--cluster" => cluster = named(flag, args.next(), build_cluster)?,
+            "--sched" => sched = named(flag, args.next(), SchedMethod::from_name)?,
+            "--preempt" => preempt = named(flag, args.next(), PreemptMethod::from_name)?,
             "--period" => params.sched_period = positive_secs(flag, args.next())?,
             "--epoch" => params.epoch = positive_secs(flag, args.next())?,
             "--time-scale" => {
@@ -87,25 +104,13 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
         }
     }
 
-    let cluster =
-        build_cluster(&cluster).ok_or_else(|| format!("--cluster: unknown profile `{cluster}`"))?;
-    if build_scheduler(&sched).is_none() {
-        return Err(format!("--sched: unknown scheduler `{sched}`"));
-    }
-    if build_policy(&preempt, &params).is_none() {
-        return Err(format!("--preempt: unknown policy `{preempt}`"));
-    }
     let spec = FederationSpec {
         cluster,
         engine: params.engine_config(),
         sched_period: params.sched_period,
         admission,
-        scheduler: Box::new(move || {
-            build_scheduler(&sched).unwrap_or_else(|| unreachable!("validated above"))
-        }),
-        policy: Box::new(move || {
-            build_policy(&preempt, &params).unwrap_or_else(|| unreachable!("validated above"))
-        }),
+        scheduler: Box::new(move || sched.build(&params, SCHED_SEED)),
+        policy: Box::new(move || preempt.build(&params)),
     };
     Ok((spec, config))
 }
@@ -116,7 +121,7 @@ pub fn run(argv: &[String]) -> i32 {
     let (spec, config) = match parse_args(argv) {
         Ok(parsed) => parsed,
         Err(msg) => {
-            eprintln!("dspd: {msg}\n{USAGE}");
+            eprintln!("dspd: {msg}\n{}", usage());
             return 2;
         }
     };
@@ -182,13 +187,32 @@ mod tests {
     }
 
     #[test]
+    fn every_method_of_the_table_is_accepted_and_printed() {
+        let usage = usage();
+        for sched in SchedMethod::ALL {
+            for preempt in PreemptMethod::ALL {
+                let line = format!("--sched {} --preempt {}", sched.name(), preempt.name());
+                let (spec, _) = parse(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+                assert_eq!((spec.scheduler)().name(), sched.build(&Params::default(), 0).name());
+                assert_eq!((spec.policy)().name(), preempt.build(&Params::default()).name());
+            }
+            assert!(usage.contains(sched.name()), "usage lacks {}", sched.name());
+        }
+        for profile in ClusterProfile::ALL {
+            let (spec, _) = parse(&format!("--cluster {}", profile.name())).expect("a profile");
+            assert_eq!(spec.cluster, profile.build());
+            assert!(usage.contains(profile.name()));
+        }
+    }
+
+    #[test]
     fn malformed_values_are_usage_errors() {
         // flag → values that must be refused (besides a missing value).
         let table: &[(&str, &[&str])] = &[
             ("--addr", &[]),
             ("--cluster", &["warp", "uniform:0:1000:2", "uniform:4"]),
-            ("--sched", &["warp"]),
-            ("--preempt", &["warp"]),
+            ("--sched", &["warp", "tetris-wodep", "tetris-dep"]),
+            ("--preempt", &["warp", "dsp-wopp"]),
             ("--period", &["0", "-1", "1.5", "soon"]),
             ("--epoch", &["0", "-1", "1.5", "soon"]),
             ("--time-scale", &["0", "-600", "NaN", "inf", "-inf", "fast"]),

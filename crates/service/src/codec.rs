@@ -482,10 +482,8 @@ impl Snapshot {
     /// (deadline misses are warnings) and R5–R6 on the execution history.
     pub fn verify(&self) -> dsp_verify::Report {
         let opts = dsp_verify::VerifyOptions::default();
-        let mut report =
-            dsp_verify::check_schedule(&self.schedule, &self.jobs, &self.cluster, &opts);
-        report.merge(dsp_verify::check_execution(&self.history, None));
-        report
+        let history = Some(&self.history);
+        dsp_verify::audit(&self.schedule, &self.jobs, &self.cluster, &opts, history, None)
     }
 }
 

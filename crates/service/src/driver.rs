@@ -5,14 +5,16 @@
 //! batch experiment: submissions buffer in a bounded pending queue, the
 //! offline scheduler fires at every `sched_period` boundary over exactly
 //! the jobs that arrived since the last one, the batch is placed onto the
-//! *partially busy* cluster (`schedule_onto` with per-node backlog), and
-//! between boundaries the engine's epoch preemption loop runs
-//! continuously. Drain flushes the queue, runs the simulation dry, and
-//! emits a self-contained [`Snapshot`] that `dsp verify` can audit.
+//! *partially busy* cluster (`dsp_core::PeriodPlanner`, the planner the
+//! offline batch path uses), and between boundaries the engine's epoch
+//! preemption loop runs continuously. Drain flushes the queue, runs the
+//! simulation dry, and emits a self-contained [`Snapshot`] that `dsp verify`
+//! can audit.
 
 use crate::admission::{check_feasible, AdmissionConfig, AdmitError};
 use crate::codec::Snapshot;
 use crate::state::StateSnapshot;
+use dsp_core::PeriodPlanner;
 use dsp_dag::{validate_jobs, Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_metrics::RunMetrics;
 use dsp_sim::{Engine, EngineConfig, FaultPlan, JobProgress, PreemptPolicy, Schedule};
@@ -107,9 +109,9 @@ pub struct OnlineDriver {
     /// `N`, so `id % N` names the owning shard and the federated id space
     /// stays collision-free without coordination (DESIGN.md §10.7).
     id_stride: u32,
-    /// Estimated backlog horizon per node, maintained exactly like
-    /// `dsp_core::experiment::periodic_schedules` does offline.
-    busy_until: Vec<Time>,
+    /// The offline phase's backlog across periods — the planner
+    /// `dsp_core::experiment::periodic_schedules` runs over a whole trace.
+    planner: PeriodPlanner,
     next_boundary: Time,
     /// All period batches merged — the offline plan `dsp verify` audits.
     combined: Schedule,
@@ -130,8 +132,8 @@ impl OnlineDriver {
         admission: AdmissionConfig,
     ) -> Self {
         assert!(!sched_period.is_zero(), "sched_period must be positive");
-        let nodes = cluster.len();
         OnlineDriver {
+            planner: PeriodPlanner::new(&cluster),
             engine: Engine::new(Vec::new(), cluster, cfg),
             scheduler,
             policy,
@@ -141,7 +143,6 @@ impl OnlineDriver {
             pending_tasks: 0,
             next_id: 0,
             id_stride: 1,
-            busy_until: vec![Time::ZERO; nodes],
             next_boundary: Time::ZERO + sched_period,
             combined: Schedule::new(),
             draining: false,
@@ -282,20 +283,10 @@ impl OnlineDriver {
         let batch = std::mem::take(&mut self.pending);
         self.pending_tasks = 0;
         let schedule =
-            self.scheduler.schedule_onto(&batch, self.engine.cluster(), at, &self.busy_until);
-        for a in &schedule.assignments {
-            // The batch is small (one period's arrivals) and sorted by id;
-            // a linear probe is fine here.
-            if let Some(job) = batch.iter().find(|j| j.id == a.task.job) {
-                let rate = self.engine.cluster().node(a.node).rate();
-                let fin = a.start + job.task(a.task.index).est_exec_time(rate);
-                let slot = &mut self.busy_until[a.node.idx()];
-                *slot = (*slot).max(fin);
-            }
-        }
+            self.planner.plan(self.scheduler.as_mut(), &batch, self.engine.cluster(), at);
         self.engine.add_jobs(batch);
-        self.engine.add_batch(at, schedule.clone());
-        self.combined.extend(schedule);
+        self.combined.assignments.extend_from_slice(&schedule.assignments);
+        self.engine.add_batch(at, schedule);
         self.batches_scheduled += 1;
     }
 

@@ -64,51 +64,40 @@ pub use server::{
 pub use state::{SnapshotCell, StateSnapshot};
 
 use dsp_core::config::Params;
+use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
 
-/// Instantiate an offline scheduler by its CLI name. The service layer
-/// needs `Send` (the driver crosses a thread boundary), which rules out
-/// nothing in practice — every scheduler here is plain owned data.
+/// Seed of the `random` baseline scheduler under the service, which has no
+/// seed flag: every shard of every run draws the same placement stream.
+const SCHED_SEED: u64 = 0;
+
+/// Instantiate an offline scheduler by its name in `dsp-core`'s method
+/// table, at Table II's parameters.
 pub fn build_scheduler(name: &str) -> Option<Box<dyn dsp_sched::Scheduler + Send>> {
-    match name {
-        "dsp" => Some(Box::new(dsp_sched::DspListScheduler::default())),
-        "fifo" => Some(Box::new(dsp_sched::FifoScheduler)),
-        "tetris" => Some(Box::new(dsp_sched::TetrisScheduler::with_simple_dep())),
-        "tetris-wodep" => Some(Box::new(dsp_sched::TetrisScheduler::without_dep())),
-        "aalo" => Some(Box::new(dsp_sched::AaloScheduler::default())),
-        _ => None,
-    }
+    SchedMethod::from_name(name).map(|m| m.build(&Params::default(), SCHED_SEED))
 }
 
-/// Instantiate a preemption policy by its CLI name.
+/// Instantiate a preemption policy by its name in the method table.
 pub fn build_policy(name: &str, params: &Params) -> Option<Box<dyn dsp_sim::PreemptPolicy + Send>> {
-    match name {
-        "dsp" => Some(Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true)))),
-        "dsp-wopp" => Some(Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(false)))),
-        "none" => Some(Box::new(dsp_sim::NoPreempt)),
-        _ => None,
-    }
+    PreemptMethod::from_name(name).map(|m| m.build(params))
 }
 
-/// Instantiate a cluster profile by its CLI name: `ec2`, `palmetto`, or
+/// Instantiate a cluster: a profile name of the method table, or
 /// `uniform:<nodes>:<rate>:<slots>`.
 pub fn build_cluster(name: &str) -> Option<dsp_cluster::ClusterSpec> {
-    match name {
-        "ec2" => Some(dsp_cluster::ec2()),
-        "palmetto" => Some(dsp_cluster::palmetto()),
-        other => {
-            let mut parts = other.split(':');
-            if parts.next()? != "uniform" {
-                return None;
-            }
-            let nodes: usize = parts.next()?.parse().ok()?;
-            let rate: f64 = parts.next()?.parse().ok()?;
-            let slots: usize = parts.next()?.parse().ok()?;
-            if parts.next().is_some() || nodes == 0 || rate <= 0.0 {
-                return None;
-            }
-            Some(dsp_cluster::uniform(nodes, rate, slots))
-        }
+    if let Some(profile) = ClusterProfile::from_name(name) {
+        return Some(profile.build());
     }
+    let mut parts = name.split(':');
+    if parts.next()? != "uniform" {
+        return None;
+    }
+    let nodes: usize = parts.next()?.parse().ok()?;
+    let rate: f64 = parts.next()?.parse().ok()?;
+    let slots: usize = parts.next()?.parse().ok()?;
+    if parts.next().is_some() || nodes == 0 || rate <= 0.0 {
+        return None;
+    }
+    Some(dsp_cluster::uniform(nodes, rate, slots))
 }
 
 #[cfg(test)]
@@ -116,17 +105,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn factories_cover_the_cli_names() {
-        for s in ["dsp", "fifo", "tetris", "tetris-wodep", "aalo"] {
-            assert!(build_scheduler(s).is_some(), "{s}");
+    fn clusters_are_table_profiles_or_uniform_specs() {
+        for profile in ClusterProfile::ALL {
+            assert_eq!(build_cluster(profile.name()), Some(profile.build()));
         }
-        assert!(build_scheduler("warp").is_none());
-        let p = Params::default();
-        for name in ["dsp", "dsp-wopp", "none"] {
-            assert!(build_policy(name, &p).is_some(), "{name}");
-        }
-        assert!(build_policy("warp", &p).is_none());
-        assert_eq!(build_cluster("ec2").map(|c| c.len()), Some(30));
         assert_eq!(build_cluster("uniform:4:1000:2").map(|c| c.len()), Some(4));
         assert!(build_cluster("uniform:0:1000:2").is_none());
         assert!(build_cluster("warp").is_none());

@@ -17,11 +17,12 @@
 //! R1–R4 are static rules over a planned [`dsp_sim::Schedule`]
 //! ([`check_schedule`], or [`check_coverage`] for R1 alone); R5–R6 are
 //! dynamic rules over a finished run's [`dsp_sim::ExecHistory`]
-//! ([`check_execution`]). The checker is wired in at three layers: debug
-//! assertions inside `dsp-core`'s scheduling/simulation loop, the
-//! `dsp verify` CLI subcommand over serialized artifacts, and
-//! mutation-style tests that corrupt schedules and assert the right rule
-//! fires.
+//! ([`check_execution`]); [`audit`] is the two merged, the one call behind
+//! every "verified R1–R6". The checker is wired in at three layers: debug
+//! assertions inside `dsp-core`'s pipeline (R1 per planned batch, R5–R6 at
+//! engine exit), the audit `dsp`, `dsp matrix` and `dsp verify` run over
+//! live runs and serialized artifacts, and mutation-style tests that
+//! corrupt schedules and assert the right rule fires.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -50,4 +51,23 @@ impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions { dependency_aware: true, check_deadlines: true }
     }
+}
+
+/// The full audit of a plan and, when there is one, its execution: R1–R4
+/// over `schedule`, then R5–R6 over `history`, with the history-vs-metrics
+/// overhead cross-check when the run's `metrics` are at hand (they are
+/// only read beside a history). Whoever says "verified R1–R6" calls this.
+pub fn audit(
+    schedule: &dsp_sim::Schedule,
+    jobs: &[dsp_dag::Job],
+    cluster: &dsp_cluster::ClusterSpec,
+    opts: &VerifyOptions,
+    history: Option<&dsp_sim::ExecHistory>,
+    metrics: Option<&dsp_metrics::RunMetrics>,
+) -> Report {
+    let mut report = check_schedule(schedule, jobs, cluster, opts);
+    if let Some(history) = history {
+        report.merge(check_execution(history, metrics));
+    }
+    report
 }

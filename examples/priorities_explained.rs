@@ -8,7 +8,7 @@
 
 use dsp_cluster::NodeId;
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
-use dsp_preempt::{compute_priorities, PriorityWeights};
+use dsp_preempt::{PriorityEngine, PriorityWeights};
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Mi, ResourceVec, Time};
 
@@ -33,7 +33,8 @@ fn priorities_of(job: &Job) -> Vec<(u32, f64)> {
     let views = vec![NodeView { node: NodeId(0), running: vec![], waiting: snaps, slots: 1 }];
     let jobs = vec![job.clone()];
     let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-    let map = compute_priorities(&views, &world, &PriorityWeights::default());
+    let mut map = PriorityEngine::new();
+    map.begin_epoch(&views, &world, &PriorityWeights::default());
     let mut out: Vec<(u32, f64)> =
         (0..job.num_tasks() as u32).map(|v| (v, map.get(&job.task_id(v)).unwrap())).collect();
     out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
@@ -91,7 +92,8 @@ fn main() {
         s.remaining_time = Dur::from_secs(rem);
         s.waiting = Dur::from_secs(wait);
         let views = vec![NodeView { node: NodeId(0), running: vec![], waiting: vec![s], slots: 1 }];
-        let p = compute_priorities(&views, &world, &PriorityWeights::default());
+        let mut p = PriorityEngine::new();
+        p.begin_epoch(&views, &world, &PriorityWeights::default());
         println!("  {label:<18} -> {:8.2}", p.get(&solo.task_id(0)).unwrap());
     }
 }

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# CI guard: the two-phase loop has one assembly and the methods one name
+# table (DESIGN.md §3.1). Three greps over non-test product code — every
+# crates/*/src file outside crates/benchmark, cut at its `#[cfg(test)] mod
+# tests`, minus files that are test-only modules. Run from the repo root.
+set -euo pipefail
+
+product() {
+    git ls-files 'crates/*/src/*.rs' 'crates/*/src/**/*.rs' 'src/*.rs' |
+        grep -vE '^crates/benchmark/|/tests\.rs$|/priority_equiv\.rs$' |
+        while read -r f; do
+            awk -v f="$f" '
+                prev ~ /^#\[cfg\(test\)\]/ && /^(pub\(crate\) )?mod tests/ { exit }
+                { if (NR > 1) print f ":" NR - 1 ":" prev; prev = $0 }
+                END { if (prev !~ /^#\[cfg\(test\)\]/) print f ":" NR ":" prev }' "$f"
+        done
+}
+
+fail=0
+check() { # name, offending lines (empty = pass)
+    if [ -n "$2" ]; then
+        printf 'one-wiring guard failed: %s\n%s\n' "$1" "$2" >&2
+        fail=1
+    fi
+}
+
+src=$(product)
+
+# 1. Only the simulator, the pipeline and the online driver construct a
+#    dsp-sim Engine (dsp-lp's branch-and-bound `Engine` is another type).
+check "Engine::new( outside crates/simulator, core/src/pipeline.rs, service/src/driver.rs" \
+    "$(grep -E '\bEngine::new\(' <<<"$src" |
+        grep -vE '^crates/(simulator|lp)/|^crates/core/src/pipeline\.rs:|^crates/service/src/driver\.rs:' || true)"
+
+# 2. Outside dsp-sched, exactly one call site of Scheduler::schedule_onto.
+calls=$(grep -E '\.schedule_onto\(' <<<"$src" | grep -v '^crates/sched/' || true)
+[ "$(grep -c . <<<"$calls")" = 1 ] && grep -q '^crates/core/src/pipeline\.rs:' <<<"$calls" ||
+    check "schedule_onto( must have exactly one caller, in core/src/pipeline.rs" "${calls:-<none>}"
+
+# 3. The method names are spelled in one file.
+names='"(dsp-list|dsp-ilp|tetris|tetris-wo-dep|aalo|fifo|random|dsp-wo-pp|amoeba|natjam|srpt)"'
+check "quoted method names outside core/src/methods.rs" \
+    "$(grep -E "$names" <<<"$src" | grep -v '^crates/core/src/methods\.rs:' || true)"
+
+exit "$fail"
