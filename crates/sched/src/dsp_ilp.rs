@@ -570,91 +570,6 @@ mod tests {
         );
     }
 
-    /// The exact arm's *path* on a grid like the `ilp_exact` benchmark
-    /// workload's (3–5 tasks; chain, diamond, fork or random edges; one or
-    /// two jobs; 2 nodes × 1–2 slots; seeded sizes): every placement, start
-    /// microsecond, outcome and effort counter folded into one FNV-1a
-    /// literal, captured from the solver before its tableau kernel was
-    /// re-laid-out. A single changed pivot in `dsp-lp` moves `pivots`; a
-    /// changed vertex moves which of several equal-makespan schedules comes
-    /// back.
-    #[test]
-    fn exact_arm_keeps_its_schedules_and_its_path() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        fn dag(rng: &mut StdRng, shape: usize, n: usize) -> Dag {
-            let mut d = Dag::new(n);
-            let mut edge = |u: usize, v: usize| d.add_edge(u as u32, v as u32).unwrap();
-            match shape {
-                0 => (1..n).for_each(|v| edge(v - 1, v)),
-                1 if n >= 3 => (1..n - 1).for_each(|v| {
-                    edge(0, v);
-                    edge(v, n - 1);
-                }),
-                2 => (1..n).for_each(|v| edge(0, v)),
-                _ => {
-                    for v in 1..n {
-                        for u in 0..v {
-                            if rng.gen_bool(0.3) {
-                                edge(u, v);
-                            }
-                        }
-                    }
-                }
-            }
-            d
-        }
-
-        let mut rng = StdRng::seed_from_u64(2018);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let fold = |h: &mut u64, v: u64| {
-            for b in v.to_le_bytes() {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for i in 0..48usize {
-            let total = 3 + i % 3;
-            let slots = if total == 5 { 1 } else { 1 + (i / 3) % 2 };
-            let shape = (i / 6) % 4;
-            let split =
-                if total >= 4 && (i / 24) % 2 == 1 { rng.gen_range(2..=total - 2) } else { total };
-            let jobs: Vec<Job> = [split, total - split]
-                .into_iter()
-                .filter(|n| *n > 0)
-                .enumerate()
-                .map(|(j, n)| {
-                    let tasks =
-                        (0..n).map(|_| TaskSpec::sized(rng.gen_range(400.0..2000.0))).collect();
-                    let dag = dag(&mut rng, shape, n);
-                    Job::new(
-                        JobId((2 * i + j) as u32),
-                        JobClass::Small,
-                        Time::ZERO,
-                        Time::from_secs(3600),
-                        tasks,
-                        dag,
-                    )
-                })
-                .collect();
-            let cluster = uniform(2, 1000.0, slots);
-            let ilp = DspIlpScheduler::default();
-            let (schedule, outcome, stats) =
-                ilp.schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
-            assert_eq!(outcome, IlpOutcome::Exact, "instance {i}");
-            for a in &schedule.assignments {
-                fold(&mut h, u64::from(a.task.job.0) << 32 | u64::from(a.task.index));
-                fold(&mut h, u64::from(a.node.0));
-                fold(&mut h, a.start.as_micros());
-            }
-            fold(&mut h, outcome as u64);
-            for n in [stats.nodes, stats.pivots, stats.rounds, stats.warm_hits] {
-                fold(&mut h, n as u64);
-            }
-        }
-        assert_eq!(h, 0xa148_80a8_10a9_96dc, "schedules or solver path moved: {h:#018x}");
-    }
-
     #[test]
     fn ilp_matches_or_beats_list_on_small_instances() {
         let jobs = vec![job_with(0, 4, &[(0, 2), (1, 2)], 3600), job_with(1, 2, &[], 3600)];
