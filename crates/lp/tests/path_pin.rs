@@ -5,10 +5,12 @@
 //! numbers: every literal below (objective bits, a hash of the point's
 //! bits, node / pivot / round / warm-hit counts, root-LP iterations) was
 //! captured from the `Vec<Vec<f64>>` tableau this crate started with, and
-//! one changed pivot anywhere turns a row red. The models are shaped like
-//! `dsp_sched::dsp_ilp`'s Section III formulation (the only MILP the
-//! product solves); the edge shapes at the bottom cover what that
-//! formulation never produces.
+//! one changed pivot anywhere turns a row red. The `disjunctive()` builder
+//! is `dsp_sched::dsp_ilp`'s Section III formulation as it was before
+//! PR 24 — the full pairwise model: an ordering binary for every task pair,
+//! a makespan and a deadline row for every task — kept as an LP-kernel pin
+//! (the product now builds only the rows that can bind); the edge shapes at
+//! the bottom cover what neither formulation produces.
 //!
 //! Run it in `--release` too: debug builds execute the scalar form of the
 //! pivot loops, release builds the vectorised one.
@@ -42,7 +44,8 @@ fn fnv_bits(x: &[f64]) -> u64 {
     h
 }
 
-/// The disjunctive makespan model as `dsp_ilp::solve_exact` builds it:
+/// The disjunctive makespan model as `dsp_ilp::solve_exact` built it before
+/// PR 24:
 /// makespan `L`, a start per task, an assignment binary per task × slot, an
 /// ordering binary per task pair with two big-M rows per slot; optionally
 /// precedence rows over forward edges, deadline rows (feasible by

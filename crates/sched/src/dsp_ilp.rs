@@ -3,18 +3,34 @@
 //! The paper's formulation (3)–(11) contains bilinear terms (`t^s_ij ·
 //! x_ij,k`); we apply the standard linearization: one binary `x_{t,k}` per
 //! task×slot, one continuous start `s_t`, one ordering binary `y_{u,v}` per
-//! unordered task pair, and big-M disjunctive constraints that only bind
-//! when both tasks land on the same slot (constraints (5)/(8)). Multi-slot
-//! nodes are expanded into *virtual single-slot nodes* sharing the physical
-//! node's rate, which makes the disjunctive model exact under the paper's
-//! slot semantics. The offline plan estimates `N^p = 0` preemptions (the
-//! online phase, not the plan, pays for preemptions that actually happen).
+//! task pair, and big-M disjunctive constraints that only bind when both
+//! tasks land on the same slot (constraints (5)/(8)). Multi-slot nodes are
+//! expanded into *virtual single-slot nodes* sharing the physical node's
+//! rate, which makes the disjunctive model exact under the paper's slot
+//! semantics. The offline plan estimates `N^p = 0` preemptions (the online
+//! phase, not the plan, pays for preemptions that actually happen).
+//!
+//! Only the rows that can bind are built. A pair gets its `y` and its 2·k
+//! disjunctive rows only when neither task is an ancestor of the other —
+//! the `prec` chain already separates related pairs on every slot; only
+//! tasks without children get a makespan row (`mk`); a deadline gets its
+//! row (`dl`) only when it is below the horizon `Σ_t max_k e_{t,k} + max_k
+//! rel_k` that every optimal schedule fits in.
+//!
+//! Only the combinatorial answer is read back: the slot of each task and
+//! the order of the tasks. Starts are re-derived in integer microseconds
+//! by one forward pass over precedence, slot order and `node_avail`, in
+//! the `est_exec_time` arithmetic `dsp_verify::check_schedule` uses, and
+//! the result is audited — R1–R3, and a makespan no longer than the
+//! solver's `L` plus its numerical residue — before it is reported
+//! `Exact` or `Incumbent`. A failed audit is `Fallback` and
+//! [`IlpStats::audit_failures`], never a silent schedule.
 //!
 //! Exact search is reserved for small instances. The paper, noting the
 //! problem is NP-complete, relaxes and rounds beyond them; this scheduler
 //! has no rounding tier and falls back to [`DspListScheduler`], the
-//! practical arm, whenever the instance exceeds [`IlpLimits`] or the
-//! solver's node budget runs out.
+//! practical arm, whenever the instance exceeds [`IlpLimits`], the
+//! solver's node budget runs out, or the answer fails its audit.
 
 use crate::api::Scheduler;
 use crate::dsp_list::DspListScheduler;
@@ -24,7 +40,8 @@ use dsp_lp::{
     solve_milp, Cmp, LpError, MilpOptions, Problem, Sense, Status, VarId, WorkerCounters,
 };
 use dsp_sim::Schedule;
-use dsp_units::Time;
+use dsp_units::{Dur, Time};
+use dsp_verify::{check_schedule, VerifyOptions};
 
 /// Instance-size gate for exact solving.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,6 +88,9 @@ pub struct IlpStats {
     /// the MILP was never touched. Present until the benchmark's
     /// `lp.workers` reader goes.
     pub per_worker: Vec<WorkerCounters>,
+    /// 1 when the solve's answer failed its audit and the list fallback
+    /// answered instead (the other counters are still that solve's).
+    pub audit_failures: usize,
 }
 
 /// The exact-ILP scheduler with list-scheduling fallback.
@@ -163,53 +183,158 @@ impl DspIlpScheduler {
         node_avail: &[Time],
         with_deadlines: bool,
     ) -> Result<(Schedule, IlpOutcome, IlpStats), LpError> {
-        // Virtual single-slot nodes.
-        let mut vnodes: Vec<NodeId> = Vec::new(); // physical id per slot
-        for n in &cluster.nodes {
-            for _ in 0..n.slots {
-                vnodes.push(n.id);
+        let model = Model::build(jobs, cluster, at, node_avail, with_deadlines);
+        let opts = MilpOptions {
+            max_nodes: self.limits.max_bb_nodes,
+            warm_start: self.limits.warm_start,
+            warm_pivot_cap: Some(WARM_PIVOT_CAP),
+            ..MilpOptions::default()
+        };
+        let sol = solve_milp(&model.problem, opts)?;
+        let mut stats = IlpStats {
+            nodes: sol.nodes,
+            pivots: sol.pivots,
+            warm_hits: sol.warm_hits,
+            rounds: sol.rounds,
+            per_worker: sol.per_worker,
+            audit_failures: 0,
+        };
+        let Some(schedule) = model.read_back(&sol.x, jobs, cluster, at) else {
+            stats.audit_failures = 1;
+            let (schedule, outcome, _) = self.fallback(jobs, cluster, at, node_avail);
+            return Ok((schedule, outcome, stats));
+        };
+        let outcome = match sol.status {
+            Status::Optimal => IlpOutcome::Exact,
+            _ => IlpOutcome::Incumbent,
+        };
+        Ok((schedule, outcome, stats))
+    }
+}
+
+/// Dual-simplex pivots a warm B&B re-entry may spend before its node is
+/// cold-solved instead. A healthy re-entry (one appended bound row) takes
+/// ≤ 20 on every `ilp_exact` instance; without a cap, one that cycles —
+/// chains of 3, 4 and 1 tasks on 2 × 2 slots cycle in 9 of 103 nodes —
+/// runs to `dsp-lp`'s own limit, ~100 000 pivots, before the same cold
+/// solve answers.
+const WARM_PIVOT_CAP: usize = 256;
+
+/// `dsp-lp` accepts a binary within this distance of 0 or 1; times `big_m`
+/// that is how far an accepted point may sit inside a disjunctive row, on
+/// top of the tableau's own drift (1 µs on `ilp_exact` seed 2030's instance
+/// 179, whose binaries are exactly integral).
+const INT_TOL: f64 = 1e-6;
+
+/// One task of the flattened batch (job-major, task index ascending).
+struct FlatTask {
+    job: usize,
+    v: u32,
+    /// Estimated execution time per virtual slot.
+    exec: Vec<Dur>,
+    /// Flat indices of the task's DAG parents.
+    parents: Vec<usize>,
+}
+
+/// What `solve_exact` hands to `solve_milp`, and the handles by which
+/// [`Model::read_back`] takes the answer back.
+struct Model {
+    problem: Problem,
+    makespan: VarId,
+    starts: Vec<VarId>,
+    x: Vec<Vec<VarId>>,
+    tasks: Vec<FlatTask>,
+    /// Physical node of each virtual single-slot node.
+    vnodes: Vec<NodeId>,
+    /// Backlog drain per virtual slot, measured from `at`.
+    rel: Vec<Dur>,
+    /// Every flat index, each job in a topological order of its DAG.
+    topo: Vec<usize>,
+    big_m: f64,
+}
+
+/// `related[u * n + v]`: flat task `u` is an ancestor of flat task `v`.
+/// `topo` must list parents before children.
+fn ancestor_closure(tasks: &[FlatTask], topo: &[usize]) -> Vec<bool> {
+    let n = tasks.len();
+    let mut related = vec![false; n * n];
+    for &v in topo {
+        for &p in &tasks[v].parents {
+            related[p * n + v] = true;
+            for u in 0..n {
+                related[u * n + v] |= related[u * n + p];
             }
         }
+    }
+    related
+}
+
+/// The pairs `u < v` precedence leaves unordered — the only ones that need
+/// an ordering binary and disjunctive rows.
+fn free_pairs(related: &[bool], n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..n)
+        .flat_map(move |u| (u + 1..n).map(move |v| (u, v)))
+        .filter(move |&(u, v)| !related[u * n + v] && !related[v * n + u])
+}
+
+impl Model {
+    fn build(
+        jobs: &[Job],
+        cluster: &ClusterSpec,
+        at: Time,
+        node_avail: &[Time],
+        with_deadlines: bool,
+    ) -> Model {
+        // Virtual single-slot nodes: the physical id per slot.
+        let vnodes: Vec<NodeId> =
+            cluster.nodes.iter().flat_map(|n| std::iter::repeat_n(n.id, n.slots)).collect();
         let k_count = vnodes.len();
         let mean = cluster.mean_rate();
 
-        // Flatten tasks with their per-vnode exec times (seconds) and
-        // relative deadlines; infinite for a job carrying the `Time::MAX`
-        // "no deadline" sentinel, which as a number is ~1.8e13 s — a
-        // constraint (6) row with that right-hand side never binds but
-        // drowns the ratio tests' 1e-9 tolerances in rounding error.
-        struct T {
-            job: usize,
-            v: u32,
-            exec: Vec<f64>,
-            deadline: f64,
-        }
-        let mut tasks: Vec<T> = Vec::new();
+        // Flatten tasks with their per-slot exec times and relative
+        // deadlines (seconds); infinite for a job carrying the `Time::MAX`
+        // "no deadline" sentinel.
+        let mut tasks: Vec<FlatTask> = Vec::new();
+        let mut deadline: Vec<f64> = Vec::new();
+        let mut topo: Vec<usize> = Vec::new();
+        // DAG edges parent-major, children in insertion order: the order
+        // of the `prec` rows, which the pinned solver path depends on.
+        let mut edges: Vec<(usize, usize)> = Vec::new();
         for (j, job) in jobs.iter().enumerate() {
+            let base = tasks.len();
             let est = job.exec_estimates(mean);
             let dls = level_deadlines(&job.dag, job.levels(), job.deadline, &est);
+            topo.extend(job.dag.topo_order().into_iter().map(|v| base + v as usize));
             for v in 0..job.num_tasks() as u32 {
                 let exec = vnodes
                     .iter()
-                    .map(|nid| job.task(v).est_exec_time(cluster.node(*nid).rate()).as_secs_f64())
+                    .map(|nid| job.task(v).est_exec_time(cluster.node(*nid).rate()))
                     .collect();
-                tasks.push(T {
-                    job: j,
-                    v,
-                    exec,
-                    deadline: if job.deadline == Time::MAX {
-                        f64::INFINITY
-                    } else {
-                        dls[v as usize].since(at).as_secs_f64()
-                    },
+                let parents = job.dag.parents(v).iter().map(|&p| base + p as usize).collect();
+                edges.extend(
+                    job.dag.children(v).iter().map(|&c| (base + v as usize, base + c as usize)),
+                );
+                tasks.push(FlatTask { job: j, v, exec, parents });
+                deadline.push(if job.deadline == Time::MAX {
+                    f64::INFINITY
+                } else {
+                    dls[v as usize].since(at).as_secs_f64()
                 });
             }
         }
         let n = tasks.len();
-        // Big-M: worst-case serial completion.
-        let big_m: f64 =
-            tasks.iter().map(|t| t.exec.iter().cloned().fold(0.0, f64::max)).sum::<f64>().max(1.0)
-                * 2.0;
+        let secs = |t: usize, k: usize| tasks[t].exec[k].as_secs_f64();
+        // A virtual slot shares its physical node's drain estimate.
+        let rel: Vec<Dur> = vnodes
+            .iter()
+            .map(|nid| node_avail.get(nid.idx()).map_or(Dur::ZERO, |t| t.since(at)))
+            .collect();
+        // Worst-case serial completion: every optimal schedule (all tasks
+        // on one slot, behind its backlog, is feasible) ends by `horizon`.
+        let serial: f64 =
+            (0..n).map(|t| (0..k_count).map(|k| secs(t, k)).fold(0.0, f64::max)).sum();
+        let horizon = serial + rel.iter().max().map_or(0.0, |r| r.as_secs_f64());
+        let big_m = serial.max(1.0) * 2.0;
 
         let mut p = Problem::new(Sense::Min);
         let makespan = p.add_var("L", 0.0, f64::INFINITY, 1.0);
@@ -218,6 +343,14 @@ impl DspIlpScheduler {
         let x: Vec<Vec<VarId>> = (0..n)
             .map(|t| (0..k_count).map(|k| p.add_bin_var(format!("x{t}_{k}"), 0.0)).collect())
             .collect();
+        // c_t = s_t + Σ_k e_{t,k} x_{t,k}, the task's completion, plus `head`.
+        let completion = |t: usize, head: Vec<(VarId, f64)>, sign: f64| {
+            let mut terms = head;
+            terms.extend(x[t].iter().enumerate().map(|(k, &xv)| (xv, sign * secs(t, k))));
+            terms
+        };
+        let mut is_sink = vec![true; n];
+        tasks.iter().flat_map(|t| &t.parents).for_each(|&p| is_sink[p] = false);
 
         for t in 0..n {
             // Each task on exactly one slot (Σ_k x = 1).
@@ -227,117 +360,133 @@ impl DspIlpScheduler {
                 Cmp::Eq,
                 1.0,
             );
-            // Completion: c_t = s_t + Σ_k e_{t,k} x_{t,k}.
-            // Makespan: L ≥ c_t  (constraint (4) with min start = 0).
-            let mut terms = vec![(makespan, -1.0), (starts[t], 1.0)];
-            terms.extend(x[t].iter().enumerate().map(|(k, &xv)| (xv, tasks[t].exec[k])));
-            p.add_constraint(format!("mk{t}"), terms, Cmp::Le, 0.0);
-            // Deadline (constraint (6)).
-            if with_deadlines && tasks[t].deadline.is_finite() {
-                let mut terms = vec![(starts[t], 1.0)];
-                terms.extend(x[t].iter().enumerate().map(|(k, &xv)| (xv, tasks[t].exec[k])));
-                p.add_constraint(format!("dl{t}"), terms, Cmp::Le, tasks[t].deadline);
+            // Makespan: L ≥ c_t (constraint (4) with min start = 0). A task
+            // with children finishes before they start, so only sinks bind.
+            if is_sink[t] {
+                let terms = completion(t, vec![(makespan, -1.0), (starts[t], 1.0)], 1.0);
+                p.add_constraint(format!("mk{t}"), terms, Cmp::Le, 0.0);
+            }
+            // Deadline (constraint (6)); one at or past the horizon cannot
+            // bind on an optimal schedule.
+            if with_deadlines && deadline[t] < horizon {
+                let terms = completion(t, vec![(starts[t], 1.0)], 1.0);
+                p.add_constraint(format!("dl{t}"), terms, Cmp::Le, deadline[t]);
             }
         }
 
         // Slot release times from backlog (constraint (5)): if task t is
         // assigned to slot k, its start cannot precede the slot's drain.
         // Linear form: s_t ≥ Σ_k rel_k · x_{t,k} (exact since Σ_k x = 1).
-        let rel: Vec<f64> = vnodes
-            .iter()
-            .map(|nid| {
-                // A virtual slot shares its physical node's drain estimate.
-                node_avail.get(nid.idx()).map(|t| t.since(at).as_secs_f64()).unwrap_or(0.0)
-            })
-            .collect();
-        if rel.iter().any(|&r| r > 0.0) {
+        if rel.iter().any(|r| !r.is_zero()) {
             for t in 0..n {
                 let mut terms = vec![(starts[t], 1.0)];
-                terms.extend(x[t].iter().enumerate().map(|(k, &xv)| (xv, -rel[k])));
+                terms.extend(x[t].iter().zip(&rel).map(|(&xv, r)| (xv, -r.as_secs_f64())));
                 p.add_constraint(format!("rel{t}"), terms, Cmp::Ge, 0.0);
             }
         }
 
-        // Precedence (constraint (7)): s_v ≥ s_u + exec_u for every edge.
-        for (u_idx, tu) in tasks.iter().enumerate() {
-            for &c in jobs[tu.job].dag.children(tu.v) {
-                let v_idx = tasks
-                    .iter()
-                    .position(|t| t.job == tu.job && t.v == c)
-                    .expect("child flattened");
-                let mut terms = vec![(starts[v_idx], 1.0), (starts[u_idx], -1.0)];
-                terms.extend(
-                    x[u_idx].iter().enumerate().map(|(k, &xv)| (xv, -tasks[u_idx].exec[k])),
+        // Precedence (constraint (7)): s_v ≥ c_u for every edge.
+        for &(u, v) in &edges {
+            let terms = completion(u, vec![(starts[v], 1.0), (starts[u], -1.0)], -1.0);
+            p.add_constraint(format!("prec{u}_{v}"), terms, Cmp::Ge, 0.0);
+        }
+
+        // Disjunctive ordering per slot (constraints (5)/(8)) with big-M,
+        // for the pairs precedence does not already order on every slot.
+        let related = ancestor_closure(&tasks, &topo);
+        for (u, v) in free_pairs(&related, n) {
+            let y = p.add_bin_var(format!("y{u}_{v}"), 0.0);
+            // `k` indexes `x[u]`, `x[v]` and both tasks' exec times; an
+            // iterator form would obscure the constraint algebra.
+            #[allow(clippy::needless_range_loop)]
+            for k in 0..k_count {
+                // u before v when y=1, both on slot k:
+                // s_u + e_u ≤ s_v + M(1−y) + M(1−x_u) + M(1−x_v)
+                p.add_constraint(
+                    format!("d{u}b{v}k{k}"),
+                    vec![
+                        (starts[u], 1.0),
+                        (starts[v], -1.0),
+                        (y, big_m),
+                        (x[u][k], big_m),
+                        (x[v][k], big_m),
+                    ],
+                    Cmp::Le,
+                    3.0 * big_m - secs(u, k),
                 );
-                p.add_constraint(format!("prec{u_idx}_{v_idx}"), terms, Cmp::Ge, 0.0);
+                // v before u when y=0:
+                p.add_constraint(
+                    format!("d{v}b{u}k{k}"),
+                    vec![
+                        (starts[v], 1.0),
+                        (starts[u], -1.0),
+                        (y, -big_m),
+                        (x[u][k], big_m),
+                        (x[v][k], big_m),
+                    ],
+                    Cmp::Le,
+                    2.0 * big_m - secs(v, k),
+                );
             }
         }
+        Model { problem: p, makespan, starts, x, tasks, vnodes, rel, topo, big_m }
+    }
 
-        // Disjunctive ordering per slot (constraints (5)/(8)) with big-M.
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let y = p.add_bin_var(format!("y{u}_{v}"), 0.0);
-                // `k` indexes four parallel arrays; an iterator form would
-                // obscure the constraint algebra.
-                #[allow(clippy::needless_range_loop)]
-                for k in 0..k_count {
-                    // u before v when y=1, both on slot k:
-                    // s_u + e_u ≤ s_v + M(1−y) + M(1−x_u) + M(1−x_v)
-                    p.add_constraint(
-                        format!("d{u}b{v}k{k}"),
-                        vec![
-                            (starts[u], 1.0),
-                            (starts[v], -1.0),
-                            (y, big_m),
-                            (x[u][k], big_m),
-                            (x[v][k], big_m),
-                        ],
-                        Cmp::Le,
-                        3.0 * big_m - tasks[u].exec[k],
-                    );
-                    // v before u when y=0:
-                    p.add_constraint(
-                        format!("d{v}b{u}k{k}"),
-                        vec![
-                            (starts[v], 1.0),
-                            (starts[u], -1.0),
-                            (y, -big_m),
-                            (x[u][k], big_m),
-                            (x[v][k], big_m),
-                        ],
-                        Cmp::Le,
-                        2.0 * big_m - tasks[v].exec[k],
-                    );
-                }
+    /// Turn an accepted MILP point into a schedule, taking from it only the
+    /// combinatorial answer: the slot of each task (arg-max `x`) and the
+    /// order of the tasks (by `s`, precedence breaking ties). Starts are
+    /// re-derived in integer microseconds by one forward pass — a task
+    /// starts when its parents have finished, its slot is free and the
+    /// slot's backlog has drained — so integrality residue times `big_m`
+    /// cannot leak into the plan. `None` when the point does not survive
+    /// the audit: the order contradicts precedence, the plan fails R1–R3,
+    /// or its makespan exceeds `L` by more than that residue explains.
+    fn read_back(
+        &self,
+        point: &[f64],
+        jobs: &[Job],
+        cluster: &ClusterSpec,
+        at: Time,
+    ) -> Option<Schedule> {
+        let n = self.tasks.len();
+        let slot_of = |t: usize| {
+            (0..self.vnodes.len())
+                .max_by(|&a, &b| point[self.x[t][a].0].total_cmp(&point[self.x[t][b].0]))
+                .expect("a cluster within IlpLimits has a slot")
+        };
+        let lp_start = |t: usize| point[self.starts[t].0];
+        // (topological rank, task): equal starts keep parents first.
+        let mut order: Vec<(usize, usize)> = self.topo.iter().copied().enumerate().collect();
+        order.sort_by(|a, b| lp_start(a.1).total_cmp(&lp_start(b.1)).then(a.0.cmp(&b.0)));
+
+        let mut slot_free: Vec<Time> = self.rel.iter().map(|&r| at + r).collect();
+        let mut placed: Vec<Option<(usize, Time, Time)>> = vec![None; n];
+        for (_, t) in order {
+            let k = slot_of(t);
+            let mut start = slot_free[k];
+            for &p in &self.tasks[t].parents {
+                start = start.max(placed[p]?.2);
             }
+            let finish = start + self.tasks[t].exec[k];
+            slot_free[k] = finish;
+            placed[t] = Some((k, start, finish));
         }
 
-        let opts = MilpOptions {
-            max_nodes: self.limits.max_bb_nodes,
-            warm_start: self.limits.warm_start,
-            ..MilpOptions::default()
-        };
-        let sol = solve_milp(&p, opts)?;
-        let outcome = match sol.status {
-            Status::Optimal => IlpOutcome::Exact,
-            _ => IlpOutcome::Incumbent,
-        };
-        let stats = IlpStats {
-            nodes: sol.nodes,
-            pivots: sol.pivots,
-            warm_hits: sol.warm_hits,
-            rounds: sol.rounds,
-            per_worker: sol.per_worker,
-        };
         let mut schedule = Schedule::new();
-        for (t, task) in tasks.iter().enumerate() {
-            let k = (0..k_count)
-                .max_by(|&a, &b| sol.x[x[t][a].0].total_cmp(&sol.x[x[t][b].0]))
-                .expect("k_count ≥ 1");
-            let start = at + dsp_units::Dur::from_secs_f64(sol.x[starts[t].0]);
-            schedule.assign(jobs[task.job].task_id(task.v), vnodes[k], start);
+        let mut latest = at;
+        for (task, slot) in self.tasks.iter().zip(placed) {
+            let (k, start, finish) = slot.expect("the forward pass placed every task");
+            schedule.assign(jobs[task.job].task_id(task.v), self.vnodes[k], start);
+            latest = latest.max(finish);
         }
-        Ok((schedule, outcome, stats))
+        // The point's `L` may undercut what its own slots and order can
+        // achieve by the residue above on each link of the critical chain,
+        // and each re-derived start is a rounded microsecond.
+        let slack = n as f64 * (3.0 * INT_TOL * self.big_m + 1e-6);
+        let planned = VerifyOptions { check_deadlines: false, ..VerifyOptions::default() };
+        (latest.since(at).as_secs_f64() <= point[self.makespan.0] + slack
+            && check_schedule(&schedule, jobs, cluster, &planned).passes())
+        .then_some(schedule)
     }
 }
 
@@ -367,7 +516,6 @@ mod tests {
     use crate::api::schedule_covers_jobs;
     use dsp_cluster::uniform;
     use dsp_dag::{Dag, JobClass, JobId, TaskSpec};
-    use dsp_units::Dur;
 
     fn job_with(id: u32, n: usize, edges: &[(u32, u32)], deadline_s: u64) -> Job {
         let mut dag = Dag::new(n);
@@ -492,6 +640,35 @@ mod tests {
         assert_eq!((with.0, with.2.pivots), (without.0, without.2.pivots));
     }
 
+    /// (variables, binaries, rows) of the model built for `jobs`.
+    fn model_size(jobs: &[Job], cluster: &ClusterSpec, with_deadlines: bool) -> [usize; 3] {
+        let p = Model::build(jobs, cluster, Time::ZERO, &[], with_deadlines).problem;
+        [p.num_vars(), p.integer_vars().len(), p.num_constraints()]
+    }
+
+    #[test]
+    fn a_chain_builds_no_ordering_binaries_and_no_disjunctive_rows() {
+        // Precedence orders every pair of a chain on every slot: L, 5 starts
+        // and 5 × 2 `x`; 5 assign rows, the sink's `mk`, 4 `prec` — where
+        // the full pairwise model adds 10 `y` and 40 big-M rows, 4 more `mk`
+        // and (an hour's deadline against 5 s of work) 5 `dl`.
+        let jobs = vec![job_with(0, 5, &[(0, 1), (1, 2), (2, 3), (3, 4)], 3600)];
+        let cluster = uniform(2, 1000.0, 1);
+        assert_eq!(model_size(&jobs, &cluster, true), [1 + 5 + 10, 10, 5 + 1 + 4]);
+    }
+
+    #[test]
+    fn a_fork_orders_only_its_siblings() {
+        let jobs = vec![job_with(0, 4, &[(0, 1), (0, 2), (0, 3)], 3600)];
+        let cluster = uniform(2, 1000.0, 1);
+        let model = Model::build(&jobs, &cluster, Time::ZERO, &[], true);
+        let related = ancestor_closure(&model.tasks, &model.topo);
+        assert_eq!(free_pairs(&related, 4).collect::<Vec<_>>(), [(1, 2), (1, 3), (2, 3)]);
+        // 8 `x` + 3 `y`; 4 assign, 3 sinks' `mk`, 3 `prec`, 3 pairs × 2
+        // slots × 2 directions.
+        assert_eq!(model_size(&jobs, &cluster, true), [1 + 4 + 8 + 3, 8 + 3, 4 + 3 + 3 + 12]);
+    }
+
     #[test]
     fn infeasible_deadline_retries_without() {
         // 3-chain with a 1 s deadline cannot meet constraint (6); the
@@ -499,6 +676,9 @@ mod tests {
         // infeasibility is the one error the deadline-free retry answers.
         let jobs = vec![job_with(0, 3, &[(0, 1), (1, 2)], 1)];
         let cluster = uniform(1, 1000.0, 1);
+        // Every level deadline is below the 3 s horizon: each keeps its row.
+        let [_, _, rows] = model_size(&jobs, &cluster, false);
+        assert_eq!(model_size(&jobs, &cluster, true)[2], rows + 3);
         let ilp = DspIlpScheduler::default();
         let first = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], true);
         assert_eq!(first.err(), Some(LpError::Infeasible));

@@ -5,44 +5,84 @@
 mod support;
 
 use dsp_sched::dsp_ilp::{DspIlpScheduler, IlpOutcome};
-use dsp_units::Time;
+use dsp_units::{Dur, Time};
 use dsp_verify::{check_schedule, VerifyOptions};
-use support::{instances, Instance};
+use support::{brute_force_makespan, instances, planned_makespan, Instance};
 
 /// Solve one instance and require a proven optimum whose plan passes
-/// R1–R4 — what `dsp-benchmark run --workload ilp_exact` checks.
-fn assert_exact_and_clean(inst: &Instance, what: &str) {
+/// R1–R4 — what `dsp-benchmark run --workload ilp_exact` checks — and sits
+/// `over_by` microseconds above the brute-force optimum.
+fn assert_exact_and_clean(inst: &Instance, over_by: u64, what: &str) {
     let (schedule, outcome) =
         DspIlpScheduler::default().schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
     assert_eq!(outcome, IlpOutcome::Exact, "{what}");
     let report = check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
     assert!(report.is_clean(), "{what}:\n{report}");
+    let planned = planned_makespan(&schedule, &inst.jobs, &inst.cluster, Time::ZERO);
+    let optimum = brute_force_makespan(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
+    assert_eq!(planned, optimum + Dur::from_micros(over_by), "{what}");
 }
 
 /// `dsp-benchmark run --workload ilp_exact --seed 2030`, variant 3
-/// (generator seed `mix_seed(2030, 3)`), instance 179: five tasks on two
-/// 1-slot nodes, returned `Exact` with T359.0 overlapping its slot's
-/// previous task at 3.025 s (R3).
+/// (generator seed `mix_seed(2030, 3)`), instance 179: a 3-chain and two
+/// free tasks on two 1-slot nodes, returned `Exact` with T359.0 starting
+/// 1 µs before its slot's previous task ends at 3.025410 s (R3). The
+/// branch-and-bound closes its gap on that point — `L` = the chain's length,
+/// the root bound — so the plan re-derived from its slots and order is
+/// 2 µs longer than the optimum, which uses other slots: `Exact` is exact to
+/// the solver's residue, not to the microsecond.
 #[test]
 fn seed_2030_instance_179_is_exact_and_clean() {
     let inst = instances(6_155_879_563_579_683_136, 180).pop().expect("180 instances");
-    assert_exact_and_clean(&inst, "mix_seed(2030, 3) instance 179");
+    assert_exact_and_clean(&inst, 2, "mix_seed(2030, 3) instance 179");
 }
 
-/// The one other failure in generator seeds 1–1 000 (256 instances each).
+/// The one other overlapping `Exact` in generator seeds 1–1 000.
 #[test]
-fn seed_258_instance_is_exact_and_clean() {
-    let inst = instances(258, SEED_258_INSTANCE + 1).pop().expect("instances");
-    assert_exact_and_clean(&inst, "seed 258");
+fn seed_258_instance_212_is_exact_and_clean() {
+    let inst = instances(258, 213).pop().expect("213 instances");
+    assert_exact_and_clean(&inst, 0, "seed 258 instance 212");
 }
 
-const SEED_258_INSTANCE: usize = 212;
+/// The rest of what generator seeds 1–5 000 turned up at the parent of
+/// PR 24: three more overlapping `Exact`s (seeds 1111, 1250, 3482) and
+/// seven solves that errored out to the list fallback.
+#[test]
+fn formerly_failing_sweep_instances_are_exact_and_clean() {
+    for (seed, i) in [
+        (611, 113),
+        (623, 14),
+        (1111, 152),
+        (1250, 155),
+        (1828, 65),
+        (1950, 113),
+        (2089, 161),
+        (2604, 62),
+        (2992, 65),
+        (3482, 143),
+    ] {
+        let inst = instances(seed, i + 1).pop().expect("instances");
+        assert_exact_and_clean(&inst, 0, &format!("seed {seed} instance {i}"));
+    }
+}
+
+/// `Exact` against an optimum the solver had no part in: every slot
+/// assignment × every linear extension of the 48 pinned instances.
+#[test]
+fn exact_makespan_is_the_brute_force_optimum() {
+    for (i, inst) in instances(2018, 48).iter().enumerate() {
+        assert_exact_and_clean(inst, 0, &format!("seed 2018 instance {i}"));
+    }
+}
 
 /// The exact arm's *path* on the first 48 instances of generator seed
 /// 2018: every placement, start microsecond, outcome and effort counter
 /// folded into one FNV-1a literal. A single changed pivot in `dsp-lp`
 /// moves `pivots`; a changed vertex moves which of several equal-makespan
-/// schedules comes back.
+/// schedules comes back. Re-pinned once, in PR 24, from
+/// `0xa148_80a8_10a9_96dc` (the full pairwise model, starts read off the LP
+/// point): per-instance nodes, pivots and makespans before and after are in
+/// `results/benchmark/pr24.md`.
 #[test]
 fn exact_arm_keeps_its_schedules_and_its_path() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -69,7 +109,7 @@ fn exact_arm_keeps_its_schedules_and_its_path() {
             fold(&mut h, n as u64);
         }
     }
-    assert_eq!(h, 0xa148_80a8_10a9_96dc, "schedules or solver path moved: {h:#018x}");
+    assert_eq!(h, 0x8f94_fcd4_81f5_88ae, "schedules or solver path moved: {h:#018x}");
 }
 
 /// Generator seeds 1–5 000 × 256 instances (≈ 4 min optimized), or the

@@ -1,37 +1,23 @@
-//! Cross-validation between the exact MILP arm and the list heuristic:
-//! on every instance small enough for exact search, the MILP's planned
-//! makespan must match or beat the heuristic's and respect dependency
-//! structure.
+//! Cross-validation of the exact MILP arm against the list heuristic and a
+//! brute-force optimum: on every instance small enough for exact search,
+//! the MILP's planned makespan must match or beat the heuristic's, equal
+//! the optimum found by exhaustion, and pass R1–R4.
 
-use dsp_cluster::{uniform, ClusterSpec};
+// Only the oracle is used here; the generator is `crates/sched/tests/ilp_exact.rs`'s.
+#[allow(dead_code)]
+#[path = "../crates/sched/tests/support/mod.rs"]
+mod support;
+
+use dsp_cluster::uniform;
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_sched::{dsp_ilp::IlpOutcome, DspIlpScheduler, DspListScheduler, Scheduler};
-use dsp_sim::Schedule;
 use dsp_units::{Dur, Time};
+use dsp_verify::{check_schedule, VerifyOptions};
 use proptest::prelude::*;
-
-fn planned_makespan(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> Dur {
-    let mut earliest = Time::MAX;
-    let mut latest = Time::ZERO;
-    for a in &s.assignments {
-        let job = &jobs[a.task.job.idx()];
-        let exec = job.task(a.task.index).exec_time(cluster.node(a.node).rate());
-        earliest = earliest.min(a.start);
-        latest = latest.max(a.start + exec);
-    }
-    latest.since(earliest)
-}
-
-fn planned_start(s: &Schedule, job: u32, v: u32) -> Time {
-    s.assignments
-        .iter()
-        .find(|a| a.task.job.get() == job && a.task.index == v)
-        .expect("assignment present")
-        .start
-}
+use support::{brute_force_makespan, planned_makespan};
 
 /// Random small DAG from an edge mask over a fixed candidate edge list.
-fn small_job(n: usize, edge_mask: u16, sizes: &[f64]) -> Job {
+fn small_job(id: u32, n: usize, edge_mask: u16, sizes: &[f64]) -> Job {
     let mut dag = Dag::new(n);
     let mut bit = 0;
     for u in 0..n as u32 {
@@ -43,37 +29,48 @@ fn small_job(n: usize, edge_mask: u16, sizes: &[f64]) -> Job {
         }
     }
     let tasks = (0..n).map(|i| TaskSpec::sized(sizes[i % sizes.len()])).collect();
-    Job::new(JobId(0), JobClass::Small, Time::ZERO, Time::from_secs(86_400), tasks, dag)
+    Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::from_secs(86_400), tasks, dag)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
+    /// One or two jobs (≤ 5 tasks) on 1–2 nodes × 1–2 slots, planned at
+    /// t = 5 s behind a backlog that drains node `k` after
+    /// `backlog_ms / (k + 1)`.
     #[test]
     fn exact_beats_or_matches_heuristic(
         n in 2usize..6,
         edge_mask in 0u16..512,
+        second in 0usize..3,
         nodes in 1usize..3,
+        slots in 1usize..3,
+        backlog_ms in 0u64..3000,
     ) {
-        let jobs = vec![small_job(n, edge_mask, &[700.0, 1500.0, 2200.0])];
-        let cluster = uniform(nodes, 1000.0, 1);
-        let (exact, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
-        prop_assert!(matches!(outcome, IlpOutcome::Exact | IlpOutcome::Incumbent));
-        let list = DspListScheduler::default().schedule(&jobs, &cluster, Time::ZERO);
-        let exact_ms = planned_makespan(&exact, &jobs, &cluster);
-        let list_ms = planned_makespan(&list, &jobs, &cluster);
-        if outcome == IlpOutcome::Exact {
-            prop_assert!(
-                exact_ms <= list_ms + Dur::from_millis(1),
-                "exact {} lost to heuristic {}", exact_ms, list_ms
-            );
+        let mut jobs = vec![small_job(0, n, edge_mask, &[700.0, 1500.0, 2200.0])];
+        if second.min(5 - n) > 0 {
+            jobs.push(small_job(1, second.min(5 - n), edge_mask >> 3, &[900.0, 1300.0]));
         }
-        // Dependency order holds in the exact plan.
-        for (u, v) in jobs[0].dag.edges() {
-            let su = planned_start(&exact, 0, u);
-            let sv = planned_start(&exact, 0, v);
-            prop_assert!(sv >= su, "edge {u}->{v}: child starts {sv} before parent {su}");
+        let cluster = uniform(nodes, 1000.0, slots);
+        let at = Time::from_secs(5);
+        let node_avail: Vec<Time> =
+            (0..nodes as u64).map(|k| at + Dur::from_millis(backlog_ms / (k + 1))).collect();
+        let (exact, outcome) = DspIlpScheduler::default()
+            .schedule_with_outcome_onto(&jobs, &cluster, at, &node_avail);
+        prop_assert!(matches!(outcome, IlpOutcome::Exact | IlpOutcome::Incumbent));
+        // R1–R4 (so dependency order and slot capacity) hold in the plan,
+        // and nothing starts on a node before its backlog drains.
+        let report = check_schedule(&exact, &jobs, &cluster, &VerifyOptions::default());
+        prop_assert!(report.is_clean(), "{report}");
+        for a in &exact.assignments {
+            prop_assert!(a.start >= node_avail[a.node.idx()], "{a:?} precedes its node's drain");
+        }
+        let exact_ms = planned_makespan(&exact, &jobs, &cluster, at);
+        let list = DspListScheduler::default().schedule_onto(&jobs, &cluster, at, &node_avail);
+        let list_ms = planned_makespan(&list, &jobs, &cluster, at);
+        if outcome == IlpOutcome::Exact {
+            prop_assert!(exact_ms <= list_ms, "exact {exact_ms} lost to heuristic {list_ms}");
+            prop_assert_eq!(exact_ms, brute_force_makespan(&jobs, &cluster, at, &node_avail));
         }
     }
 }
@@ -82,12 +79,12 @@ proptest! {
 fn exact_plan_executes_to_its_planned_makespan() {
     // The MILP's planned makespan must be achievable by the simulator (the
     // engine is work-conserving so it can only do better or equal).
-    let jobs = vec![small_job(4, 0b1011, &[1000.0, 2000.0])];
+    let jobs = vec![small_job(0, 4, 0b1011, &[1000.0, 2000.0])];
     let cluster = uniform(2, 1000.0, 1);
     let (exact, outcome) =
         DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
     assert_eq!(outcome, IlpOutcome::Exact);
-    let planned = planned_makespan(&exact, &jobs, &cluster);
+    let planned = planned_makespan(&exact, &jobs, &cluster, Time::ZERO);
     let mut engine =
         dsp_sim::Engine::new(jobs.clone(), cluster.clone(), dsp_sim::EngineConfig::default());
     engine.add_batch(Time::ZERO, exact);
