@@ -21,6 +21,17 @@
 //! Bland tie-break moves, and the iteration budgets are still computed from
 //! the logical width, dropped columns included.
 //!
+//! **The dual ratio test pivots only on entries below −1e-7** (`PIVOT_TOL`),
+//! not on anything past the 1e-9 elimination `TOL`. Dividing by a ~1e-9
+//! entry amplifies the tableau's drift by 1e9; on big-M rows that was dual
+//! re-entries running to their iteration limit (an 8-task batch of
+//! `dsp-sched`'s tests, binary `x`: 1 088 243 pivots; with the tolerance
+//! 912). A leaving row whose only negative entries are below the tolerance
+//! is not proof of infeasibility, so it fails as `IterationLimit` and
+//! branch-and-bound cold-solves the node. There is no switch to Bland's
+//! leaving row after k degenerate pivots: the runaway was numerical, not
+//! combinatorial, and that switch (k = 8) did not end it — 1 204 758 pivots.
+//!
 //! **Deliberately not done**, because each changes the vertex the root LP
 //! lands on and with it which of several equal-makespan schedules
 //! branch-and-bound returns: no crash basis, no bounded-variable ratio test
@@ -34,6 +45,9 @@ use crate::error::LpError;
 use crate::problem::{Cmp, Problem, Sense};
 
 const TOL: f64 = 1e-9;
+
+/// Smallest |entry| the dual ratio test pivots on (see the module docs).
+const PIVOT_TOL: f64 = 1e-7;
 
 /// An LP solution: the point, its objective value, and the iteration count.
 #[derive(Debug, Clone, PartialEq)]
@@ -325,14 +339,15 @@ impl Tableau {
                 }
             }
             let Some((row, _)) = leave else { return Ok(()) };
-            // Dual ratio test: minimize z[j]/−a[row][j] over the negative
-            // entries; ties go to the smallest column index (Bland-style
-            // anti-cycling).
+            // Dual ratio test: minimize z[j]/−a[row][j] over the entries
+            // below −PIVOT_TOL; ties go to the smallest column index
+            // (Bland-style anti-cycling).
             let (z, leaving) = (self.z(), &self.a[(row + 1) * self.stride..][..n]);
             let mut enter: Option<(usize, f64)> = None;
+            let mut tiny = false;
             for j in (0..masked.start).chain(masked.end..n) {
                 let a = leaving[j];
-                if a < -TOL {
+                if a < -PIVOT_TOL {
                     let ratio = z[j] / -a;
                     let better = match enter {
                         None => true,
@@ -341,11 +356,16 @@ impl Tableau {
                     if better {
                         enter = Some((j, ratio));
                     }
+                } else if a < -TOL {
+                    tiny = true;
                 }
             }
             match enter {
                 Some((col, _)) => self.pivot(row, col),
-                // No eligible entry: the row reads Σ(≥0)·x = negative.
+                // Only entries too small to pivot on: numerical trouble,
+                // not a proof — the caller cold-solves.
+                None if tiny => return Err(LpError::IterationLimit),
+                // No negative entry: the row reads Σ(≥0)·x = negative.
                 None => return Err(LpError::Infeasible),
             }
         }
@@ -644,7 +664,8 @@ impl WarmLp {
     /// Re-solve after [`WarmLp::child`] appended a branch row: dual simplex
     /// drives the violated rhs out, then a primal cleanup pass clears any
     /// residual negative reduced cost. `Infeasible` is definitive; any
-    /// other error means "fall back to a cold solve". `pivot_cap` lowers
+    /// other error — a leaving row with only sub-tolerance entries among
+    /// them — means "fall back to a cold solve". `pivot_cap` lowers
     /// the iteration budget below the solver's own limit — branch-and-bound
     /// threads its `warm_pivot_cap` fault-injection knob through here so
     /// tests can force the cold-solve fallback deterministically.

@@ -10,12 +10,19 @@
 //! semantics. The offline plan estimates `N^p = 0` preemptions (the online
 //! phase, not the plan, pays for preemptions that actually happen).
 //!
+//! No model is built when the list heuristic's plan is provably optimal:
+//! its makespan equals [`makespan_lower_bound`] (critical path and slot
+//! load, in integer µs), it breaks no row the model would build, and it
+//! passes R1–R4. That plan is `Exact` with zero solver effort — on the
+//! `ilp_exact` benchmark's instances, about 78 % of them.
+//!
 //! Only the rows that can bind are built. A pair gets its `y` and its 2·k
 //! disjunctive rows only when neither task is an ancestor of the other —
 //! the `prec` chain already separates related pairs on every slot; only
 //! tasks without children get a makespan row (`mk`); a deadline gets its
 //! row (`dl`) only when it is below the horizon `Σ_t max_k e_{t,k} + max_k
-//! rel_k` that every optimal schedule fits in.
+//! rel_k` that every optimal schedule fits in. No `x ≤ 1` row either: the
+//! `assign` rows already bound every `x`.
 //!
 //! Only the combinatorial answer is read back: the slot of each task and
 //! the order of the tasks. Starts are re-derived in integer microseconds
@@ -41,7 +48,7 @@ use dsp_lp::{
 };
 use dsp_sim::Schedule;
 use dsp_units::{Dur, Time};
-use dsp_verify::{check_schedule, VerifyOptions};
+use dsp_verify::{bounds::makespan_lower_bound, check_schedule, VerifyOptions};
 
 /// Instance-size gate for exact solving.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +110,9 @@ pub struct DspIlpScheduler {
 /// Outcome marker for tests/diagnostics: which arm produced the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IlpOutcome {
-    /// Exact MILP solved to proven optimality.
+    /// Proven optimal: the list plan meets the makespan lower bound (zero
+    /// solver effort), or branch-and-bound closed its gap. Either way the
+    /// plan passed its audit.
     Exact,
     /// Exact MILP returned a feasible incumbent (budget exhausted).
     Incumbent,
@@ -137,7 +146,8 @@ impl DspIlpScheduler {
     }
 
     /// [`Self::schedule_with_outcome_onto`] plus solver effort counters
-    /// (zeros when the list fallback ran without touching the MILP).
+    /// (zeros when no MILP was solved: the list plan met the lower bound,
+    /// or the batch exceeded [`IlpLimits`]).
     pub fn schedule_with_stats_onto(
         &self,
         jobs: &[Job],
@@ -153,6 +163,12 @@ impl DspIlpScheduler {
         if total > self.limits.max_tasks || slots > self.limits.max_slots {
             return self.fallback(jobs, cluster, at, node_avail);
         }
+        // The list plan is the answer when it is provably optimal, and the
+        // fallback when the solver errs.
+        let list = DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail);
+        if meets_lower_bound(&list, jobs, cluster, at, node_avail) {
+            return (list, IlpOutcome::Exact, IlpStats::default());
+        }
         // Deadlines may make the model infeasible; the paper's system still
         // must emit a schedule, so retry once without them. Any other error
         // (budget or iteration limit spent) would only be spent again.
@@ -160,7 +176,7 @@ impl DspIlpScheduler {
             Err(LpError::Infeasible) => self.solve_exact(jobs, cluster, at, node_avail, false),
             r => r,
         };
-        solved.unwrap_or_else(|_| self.fallback(jobs, cluster, at, node_avail))
+        solved.unwrap_or((list, IlpOutcome::Fallback, IlpStats::default()))
     }
 
     /// The list heuristic's schedule, with the stats of a MILP never solved.
@@ -187,7 +203,6 @@ impl DspIlpScheduler {
         let opts = MilpOptions {
             max_nodes: self.limits.max_bb_nodes,
             warm_start: self.limits.warm_start,
-            warm_pivot_cap: Some(WARM_PIVOT_CAP),
             ..MilpOptions::default()
         };
         let sol = solve_milp(&model.problem, opts)?;
@@ -212,13 +227,30 @@ impl DspIlpScheduler {
     }
 }
 
-/// Dual-simplex pivots a warm B&B re-entry may spend before its node is
-/// cold-solved instead. A healthy re-entry (one appended bound row) takes
-/// ≤ 20 on every `ilp_exact` instance; without a cap, one that cycles —
-/// chains of 3, 4 and 1 tasks on 2 × 2 slots cycle in 9 of 103 nodes —
-/// runs to `dsp-lp`'s own limit, ~100 000 pivots, before the same cold
-/// solve answers.
-const WARM_PIVOT_CAP: usize = 256;
+/// Is `plan` provably optimal, so that the MILP could only match it? Its
+/// planned makespan (latest estimated finish, from `at`) must equal
+/// [`makespan_lower_bound`], and it must pass R1–R4 with no finding: R1–R3
+/// as [`Model::read_back`] audits, R4 standing for the model's `dl` rows (a
+/// deadline at or past the serial horizon cannot bind on a plan that meets
+/// the bound, which is at most that horizon).
+fn meets_lower_bound(
+    plan: &Schedule,
+    jobs: &[Job],
+    cluster: &ClusterSpec,
+    at: Time,
+    node_avail: &[Time],
+) -> bool {
+    // An assignment naming no job of the batch is R1's to report.
+    let finish = |a: &dsp_sim::Assignment| {
+        let job = jobs.iter().find(|j| j.id == a.task.job)?;
+        Some(a.start + job.task(a.task.index).est_exec_time(cluster.node(a.node).rate()))
+    };
+    let latest = plan.assignments.iter().filter_map(finish).max().unwrap_or(at);
+    let bound = makespan_lower_bound(jobs, cluster, at, node_avail);
+    debug_assert!(latest.since(at) >= bound, "the list plan beat the lower bound");
+    latest.since(at) == bound
+        && check_schedule(plan, jobs, cluster, &VerifyOptions::default()).is_clean()
+}
 
 /// `dsp-lp` accepts a binary within this distance of 0 or 1; times `big_m`
 /// that is how far an accepted point may sit inside a disjunctive row, on
@@ -340,8 +372,15 @@ impl Model {
         let makespan = p.add_var("L", 0.0, f64::INFINITY, 1.0);
         let starts: Vec<VarId> =
             (0..n).map(|t| p.add_var(format!("s{t}"), 0.0, f64::INFINITY, 0.0)).collect();
+        // `assign` (Σ_k x = 1, x ≥ 0) already keeps each x ≤ 1: declared
+        // on [0, ∞) it costs no `x ≤ 1` row and slack column, with the same
+        // relaxation and the same integer points.
         let x: Vec<Vec<VarId>> = (0..n)
-            .map(|t| (0..k_count).map(|k| p.add_bin_var(format!("x{t}_{k}"), 0.0)).collect())
+            .map(|t| {
+                (0..k_count)
+                    .map(|k| p.add_int_var(format!("x{t}_{k}"), 0.0, f64::INFINITY, 0.0))
+                    .collect()
+            })
             .collect();
         // c_t = s_t + Σ_k e_{t,k} x_{t,k}, the task's completion, plus `head`.
         let completion = |t: usize, head: Vec<(VarId, f64)>, sign: f64| {
@@ -620,7 +659,10 @@ mod tests {
     /// `Time::MAX` reached the model as a 1.8e13 s right-hand side and the
     /// solve with deadlines cycled to its iteration limit (two minutes,
     /// optimized) before the retry without them answered. No deadline must
-    /// mean no constraint (6) row: the same model either way.
+    /// mean no constraint (6) row: the same model either way. The same
+    /// batch once ran nine warm dual re-entries to `dsp-lp`'s ~100 000-pivot
+    /// limit each, pivoting on ~1e-9 entries, and needed a per-re-entry cap;
+    /// uncapped, the whole tree must stay within 10 000 pivots.
     #[test]
     fn jobs_without_deadlines_add_no_deadline_rows() {
         let chain = |id: u32, n: usize| {
@@ -638,6 +680,7 @@ mod tests {
         let without = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], false).expect("solvable");
         assert_eq!(with.1, IlpOutcome::Exact);
         assert_eq!((with.0, with.2.pivots), (without.0, without.2.pivots));
+        assert!(with.2.pivots <= 10_000, "{} pivots", with.2.pivots);
     }
 
     /// (variables, binaries, rows) of the model built for `jobs`.
@@ -689,6 +732,34 @@ mod tests {
     }
 
     #[test]
+    fn a_list_plan_at_the_bound_that_misses_a_deadline_row_is_not_the_answer() {
+        // One slot: the list arm runs the longer task first (higher upward
+        // rank), so its plan ends at the 3 s load bound but the 1 s task
+        // misses its 1 s deadline — a `dl` row the model builds (1 s is
+        // below the 3 s horizon). The MILP must run and order it first.
+        let single = |id: u32, mi: f64, deadline_s: u64| {
+            let tasks = vec![TaskSpec::sized(mi)];
+            let deadline = Time::from_secs(deadline_s);
+            Job::new(JobId(id), JobClass::Small, Time::ZERO, deadline, tasks, Dag::new(1))
+        };
+        let jobs = vec![single(0, 2000.0, 3600), single(1, 1000.0, 1)];
+        let cluster = uniform(1, 1000.0, 1);
+        let list = DspListScheduler::default().schedule(&jobs, &cluster, Time::ZERO);
+        assert_eq!(planned_makespan(&list, &jobs, &cluster), Dur::from_secs(3));
+        assert_eq!(makespan_lower_bound(&jobs, &cluster, Time::ZERO, &[]), Dur::from_secs(3));
+        let report = check_schedule(&list, &jobs, &cluster, &VerifyOptions::default());
+        assert_eq!((report.count(dsp_verify::Rule::Deadline), report.len()), (1, 1));
+        assert!(!meets_lower_bound(&list, &jobs, &cluster, Time::ZERO, &[]));
+
+        let (s, outcome, stats) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
+        assert_eq!(outcome, IlpOutcome::Exact);
+        assert!(stats.nodes > 0 && stats.pivots > 0, "{stats:?}");
+        assert!(check_schedule(&s, &jobs, &cluster, &VerifyOptions::default()).is_clean());
+        assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
+    }
+
+    #[test]
     fn spent_budget_goes_straight_to_the_list_fallback() {
         // One B&B node cannot settle five tasks. Dropping the deadline rows
         // would not make the budget larger, so there is no second solve:
@@ -715,7 +786,9 @@ mod tests {
         // in aggregate. (The trees themselves may differ: a dual re-entry
         // can land on a different optimal vertex than a cold solve when the
         // LP has alternate optima, changing the branching order — the
-        // proven objective is what must agree.)
+        // proven objective is what must agree.) The MILP is called
+        // directly: the list plan meets the lower bound on all four, so the
+        // scheduler would answer without pivoting either way.
         let instances: Vec<Vec<Job>> = vec![
             vec![job_with(0, 2, &[], 3600)],
             vec![job_with(0, 3, &[(0, 1), (1, 2)], 3600)],
@@ -729,10 +802,10 @@ mod tests {
         let mut total_warm_pivots = 0usize;
         let mut total_cold_pivots = 0usize;
         for jobs in &instances {
-            let (ws, wo, wstats) =
-                warm_sched.schedule_with_stats_onto(jobs, &cluster, Time::ZERO, &[]);
-            let (cs, co, cstats) =
-                cold_sched.schedule_with_stats_onto(jobs, &cluster, Time::ZERO, &[]);
+            let solve = |ilp: &DspIlpScheduler| {
+                ilp.solve_exact(jobs, &cluster, Time::ZERO, &[], true).expect("solvable")
+            };
+            let ((ws, wo, wstats), (cs, co, cstats)) = (solve(&warm_sched), solve(&cold_sched));
             assert_eq!(wo, IlpOutcome::Exact);
             assert_eq!(co, IlpOutcome::Exact);
             assert_eq!(
@@ -741,6 +814,8 @@ mod tests {
                 "warm and cold objective diverged"
             );
             assert_eq!(cstats.warm_hits, 0);
+            let short = warm_sched.schedule_with_stats_onto(jobs, &cluster, Time::ZERO, &[]);
+            assert_eq!((short.1, short.2), (IlpOutcome::Exact, IlpStats::default()));
             total_warm_pivots += wstats.pivots;
             total_cold_pivots += cstats.pivots;
         }

@@ -4,15 +4,15 @@
 
 mod support;
 
-use dsp_sched::dsp_ilp::{DspIlpScheduler, IlpOutcome};
-use dsp_units::{Dur, Time};
-use dsp_verify::{check_schedule, VerifyOptions};
+use dsp_sched::dsp_ilp::{DspIlpScheduler, IlpOutcome, IlpStats};
+use dsp_units::Time;
+use dsp_verify::{bounds::makespan_lower_bound, check_schedule, VerifyOptions};
 use support::{brute_force_makespan, instances, planned_makespan, Instance};
 
 /// Solve one instance and require a proven optimum whose plan passes
-/// R1–R4 — what `dsp-benchmark run --workload ilp_exact` checks — and sits
-/// `over_by` microseconds above the brute-force optimum.
-fn assert_exact_and_clean(inst: &Instance, over_by: u64, what: &str) {
+/// R1–R4 — what `dsp-benchmark run --workload ilp_exact` checks — and equals
+/// the brute-force optimum, which the lower bound does not exceed.
+fn assert_exact_and_clean(inst: &Instance, what: &str) {
     let (schedule, outcome) =
         DspIlpScheduler::default().schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
     assert_eq!(outcome, IlpOutcome::Exact, "{what}");
@@ -20,28 +20,37 @@ fn assert_exact_and_clean(inst: &Instance, over_by: u64, what: &str) {
     assert!(report.is_clean(), "{what}:\n{report}");
     let planned = planned_makespan(&schedule, &inst.jobs, &inst.cluster, Time::ZERO);
     let optimum = brute_force_makespan(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
-    assert_eq!(planned, optimum + Dur::from_micros(over_by), "{what}");
+    assert_eq!(planned, optimum, "{what}");
+    let bound = makespan_lower_bound(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
+    assert!(bound <= optimum, "{what}: bound {bound} above the optimum {optimum}");
 }
 
 /// `dsp-benchmark run --workload ilp_exact --seed 2030`, variant 3
 /// (generator seed `mix_seed(2030, 3)`), instance 179: a 3-chain and two
 /// free tasks on two 1-slot nodes, returned `Exact` with T359.0 starting
-/// 1 µs before its slot's previous task ends at 3.025410 s (R3). The
-/// branch-and-bound closes its gap on that point — `L` = the chain's length,
-/// the root bound — so the plan re-derived from its slots and order is
-/// 2 µs longer than the optimum, which uses other slots: `Exact` is exact to
-/// the solver's residue, not to the microsecond.
+/// 1 µs before its slot's previous task ends at 3.025410 s (R3). Branch-
+/// and-bound closes its gap on that point — `L` = the chain's length, the
+/// root bound — and the plan re-derived from its slots and order is 2 µs
+/// longer than the optimum. The list plan is that 4 811 884 µs optimum and
+/// meets the lower bound, so it is the answer and the MILP never runs.
 #[test]
 fn seed_2030_instance_179_is_exact_and_clean() {
     let inst = instances(6_155_879_563_579_683_136, 180).pop().expect("180 instances");
-    assert_exact_and_clean(&inst, 2, "mix_seed(2030, 3) instance 179");
+    assert_exact_and_clean(&inst, "mix_seed(2030, 3) instance 179");
+    let (_, _, stats) = DspIlpScheduler::default().schedule_with_stats_onto(
+        &inst.jobs,
+        &inst.cluster,
+        Time::ZERO,
+        &[],
+    );
+    assert_eq!(stats, IlpStats::default());
 }
 
 /// The one other overlapping `Exact` in generator seeds 1–1 000.
 #[test]
 fn seed_258_instance_212_is_exact_and_clean() {
     let inst = instances(258, 213).pop().expect("213 instances");
-    assert_exact_and_clean(&inst, 0, "seed 258 instance 212");
+    assert_exact_and_clean(&inst, "seed 258 instance 212");
 }
 
 /// The rest of what generator seeds 1–5 000 turned up at the parent of
@@ -62,16 +71,17 @@ fn formerly_failing_sweep_instances_are_exact_and_clean() {
         (3482, 143),
     ] {
         let inst = instances(seed, i + 1).pop().expect("instances");
-        assert_exact_and_clean(&inst, 0, &format!("seed {seed} instance {i}"));
+        assert_exact_and_clean(&inst, &format!("seed {seed} instance {i}"));
     }
 }
 
-/// `Exact` against an optimum the solver had no part in: every slot
-/// assignment × every linear extension of the 48 pinned instances.
+/// `Exact` against an optimum the solver had no part in — every slot
+/// assignment × every linear extension of the 48 pinned instances — and the
+/// lower bound against that optimum.
 #[test]
 fn exact_makespan_is_the_brute_force_optimum() {
     for (i, inst) in instances(2018, 48).iter().enumerate() {
-        assert_exact_and_clean(inst, 0, &format!("seed 2018 instance {i}"));
+        assert_exact_and_clean(inst, &format!("seed 2018 instance {i}"));
     }
 }
 
@@ -79,10 +89,11 @@ fn exact_makespan_is_the_brute_force_optimum() {
 /// 2018: every placement, start microsecond, outcome and effort counter
 /// folded into one FNV-1a literal. A single changed pivot in `dsp-lp`
 /// moves `pivots`; a changed vertex moves which of several equal-makespan
-/// schedules comes back. Re-pinned once, in PR 24, from
-/// `0xa148_80a8_10a9_96dc` (the full pairwise model, starts read off the LP
-/// point): per-instance nodes, pivots and makespans before and after are in
-/// `results/benchmark/pr24.md`.
+/// schedules comes back. Re-pinned twice: from `0xa148_80a8_10a9_96dc`
+/// (the full pairwise model, starts read off the LP point), then from
+/// `0x8f94_fcd4_81f5_88ae` (every answer from branch-and-bound, `x ≤ 1` rows
+/// in the tableau). Per-instance nodes, pivots and makespans before and
+/// after each re-pin are tabled under `results/benchmark/`.
 #[test]
 fn exact_arm_keeps_its_schedules_and_its_path() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -109,32 +120,57 @@ fn exact_arm_keeps_its_schedules_and_its_path() {
             fold(&mut h, n as u64);
         }
     }
-    assert_eq!(h, 0x8f94_fcd4_81f5_88ae, "schedules or solver path moved: {h:#018x}");
+    assert_eq!(h, 0x4d49_9eae_286b_09b3, "schedules or solver path moved: {h:#018x}");
 }
 
-/// Generator seeds 1–5 000 × 256 instances (≈ 4 min optimized), or the
-/// window `ILP_SWEEP_SEEDS=FROM..TO` names (half-open): every instance
-/// must come back `Exact` — so no solver error, budget or failed audit sent
-/// it to the list fallback — with a plan that passes R1–R4.
-/// `cargo test --release -p dsp-sched --test ilp_exact -- --ignored`.
-#[test]
-#[ignore = "minutes of optimized solving; nightly runs a dated window"]
-fn seed_sweep_is_exact_and_clean() {
-    let window = std::env::var("ILP_SWEEP_SEEDS").unwrap_or_else(|_| "1..5001".into());
+/// Run `check` over generator seeds `default` × 256 instances, or the window
+/// `ILP_SWEEP_SEEDS=FROM..TO` names (half-open), and fail with every
+/// instance it finds fault with.
+fn sweep(default: &str, check: impl Fn(&Instance) -> Option<String>) {
+    let window = std::env::var("ILP_SWEEP_SEEDS").unwrap_or_else(|_| default.into());
     let (from, to) = window.split_once("..").expect("ILP_SWEEP_SEEDS=FROM..TO");
     let (from, to): (u64, u64) = (from.parse().expect("FROM"), to.parse().expect("TO"));
-    let ilp = DspIlpScheduler::default();
     let mut failed = Vec::new();
     for seed in from..to {
         for (i, inst) in instances(seed, 256).iter().enumerate() {
-            let (schedule, outcome) =
-                ilp.schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
-            let report =
-                check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
-            if outcome != IlpOutcome::Exact || !report.is_clean() {
-                failed.push(format!("seed {seed} instance {i}: {outcome:?}\n{report}"));
+            if let Some(fault) = check(inst) {
+                failed.push(format!("seed {seed} instance {i}: {fault}"));
             }
         }
     }
     assert!(failed.is_empty(), "{} of seeds {window} failed:\n{}", failed.len(), failed.join("\n"));
+}
+
+/// Generator seeds 1–5 000 (≈ 2 min optimized): every instance must come
+/// back `Exact` — so no solver error, budget or failed audit sent it to the
+/// list fallback — with a plan that passes R1–R4.
+/// `cargo test --release -p dsp-sched --test ilp_exact -- --ignored seed_`.
+#[test]
+#[ignore = "minutes of optimized solving; nightly runs a dated window"]
+fn seed_sweep_is_exact_and_clean() {
+    let ilp = DspIlpScheduler::default();
+    sweep("1..5001", |inst| {
+        let (schedule, outcome) = ilp.schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
+        let report =
+            check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
+        (outcome != IlpOutcome::Exact || !report.is_clean())
+            .then(|| format!("{outcome:?}\n{report}"))
+    });
+}
+
+/// The lower bound under the brute-force optimum, and `Exact` on it, over
+/// generator seeds 1–300 (≈ 8 s optimized, minutes in a debug build).
+/// `cargo test --release -p dsp-sched --test ilp_exact -- --ignored bound_`.
+#[test]
+#[ignore = "76 800 brute-force optima; nightly runs it"]
+fn bound_sweep_stays_under_the_brute_force_optimum() {
+    let ilp = DspIlpScheduler::default();
+    sweep("1..301", |inst| {
+        let optimum = brute_force_makespan(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
+        let bound = makespan_lower_bound(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
+        let (schedule, outcome) = ilp.schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
+        let planned = planned_makespan(&schedule, &inst.jobs, &inst.cluster, Time::ZERO);
+        (bound > optimum || outcome != IlpOutcome::Exact || planned != optimum)
+            .then(|| format!("bound {bound}, optimum {optimum}, {outcome:?} {planned}"))
+    });
 }

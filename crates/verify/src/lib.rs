@@ -18,7 +18,9 @@
 //! ([`check_schedule`], or [`check_coverage`] for R1 alone); R5–R6 are
 //! dynamic rules over a finished run's [`dsp_sim::ExecHistory`]
 //! ([`check_execution`]); [`audit`] is the two merged, the one call behind
-//! every "verified R1–R6". The checker is wired in at three layers: debug
+//! every "verified R1–R6". [`bounds`] is no rule yet: the makespan no plan
+//! can beat, which the exact arm uses to prove a plan optimal without a
+//! solver. The checker is wired in at three layers: debug
 //! assertions inside `dsp-core`'s pipeline (R1 per planned batch, R5–R6 at
 //! engine exit), the audit `dsp`, `dsp matrix` and `dsp verify` run over
 //! live runs and serialized artifacts, and mutation-style tests that
@@ -26,6 +28,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod bounds;
 pub mod diag;
 pub mod exec_rules;
 pub mod schedule_rules;

@@ -1,7 +1,8 @@
 //! Cross-validation of the exact MILP arm against the list heuristic and a
 //! brute-force optimum: on every instance small enough for exact search,
 //! the MILP's planned makespan must match or beat the heuristic's, equal
-//! the optimum found by exhaustion, and pass R1–R4.
+//! the optimum found by exhaustion, and pass R1–R4; the makespan lower
+//! bound must not exceed that optimum.
 
 // Only the oracle is used here; the generator is `crates/sched/tests/ilp_exact.rs`'s.
 #[allow(dead_code)]
@@ -12,7 +13,7 @@ use dsp_cluster::uniform;
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_sched::{dsp_ilp::IlpOutcome, DspIlpScheduler, DspListScheduler, Scheduler};
 use dsp_units::{Dur, Time};
-use dsp_verify::{check_schedule, VerifyOptions};
+use dsp_verify::{bounds::makespan_lower_bound, check_schedule, VerifyOptions};
 use proptest::prelude::*;
 use support::{brute_force_makespan, planned_makespan};
 
@@ -68,9 +69,12 @@ proptest! {
         let exact_ms = planned_makespan(&exact, &jobs, &cluster, at);
         let list = DspListScheduler::default().schedule_onto(&jobs, &cluster, at, &node_avail);
         let list_ms = planned_makespan(&list, &jobs, &cluster, at);
+        let optimum = brute_force_makespan(&jobs, &cluster, at, &node_avail);
+        let bound = makespan_lower_bound(&jobs, &cluster, at, &node_avail);
+        prop_assert!(bound <= optimum, "bound {bound} above the optimum {optimum}");
         if outcome == IlpOutcome::Exact {
             prop_assert!(exact_ms <= list_ms, "exact {exact_ms} lost to heuristic {list_ms}");
-            prop_assert_eq!(exact_ms, brute_force_makespan(&jobs, &cluster, at, &node_avail));
+            prop_assert_eq!(exact_ms, optimum);
         }
     }
 }
