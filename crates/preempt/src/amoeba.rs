@@ -72,9 +72,9 @@ mod tests {
             id,
             remaining_work: Mi::new(1.0),
             remaining_time: Dur::from_millis(rem_ms),
-            waiting: Dur::ZERO,
+            waited: Dur::ZERO,
+            wait_since: if running { None } else { Some(Time::ZERO) },
             deadline: Time::MAX,
-            allowable_wait: Dur::from_secs(1000),
             running,
             ready: true,
             demand: ResourceVec::cpu_mem(0.1, 0.1),

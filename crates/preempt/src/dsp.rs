@@ -108,12 +108,12 @@ impl DspPolicy {
         self.engine.stats()
     }
 
-    fn priority(&self, s: &TaskSnapshot) -> f64 {
+    fn priority(&self, s: &TaskSnapshot, now: Time) -> f64 {
         // Tasks can appear between epochs (injection); fall back to the
         // leaf formula for anything the epoch-start engine missed.
         self.engine
             .get(&s.id)
-            .unwrap_or_else(|| crate::priority::leaf_priority(s, &self.params.weights))
+            .unwrap_or_else(|| crate::priority::leaf_priority(s, &self.params.weights, now))
     }
 
     /// PP filter: does the gap justify the context switch?
@@ -141,12 +141,12 @@ impl PreemptPolicy for DspPolicy {
         self.name
     }
 
-    fn begin_epoch(&mut self, _now: Time, views: &[NodeView], world: &WorldCtx<'_>) {
-        self.engine.begin_epoch(views, world, &self.params.weights);
+    fn begin_epoch(&mut self, now: Time, views: &[NodeView], world: &WorldCtx<'_>) {
+        self.engine.begin_epoch(now, views, world, &self.params.weights);
         self.p_bar = self.engine.mean_gap();
     }
 
-    fn decide(&mut self, _now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
+    fn decide(&mut self, now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
         let mut actions = Vec::new();
         if view.running.is_empty() || view.waiting.is_empty() {
             return actions;
@@ -162,8 +162,8 @@ impl PreemptPolicy for DspPolicy {
             view.running
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.allowable_wait > self.params.epoch)
-                .map(|(i, r)| (self.priority(r), i)),
+                .filter(|(_, r)| r.allowable_wait(now) > self.params.epoch)
+                .map(|(i, r)| (self.priority(r, now), i)),
         );
         // Total order with an index tie-break: equal priorities must not
         // let the input permutation pick the victim (determinism contract).
@@ -177,20 +177,24 @@ impl PreemptPolicy for DspPolicy {
             if preemptable.is_empty() {
                 break;
             }
-            // Urgent = still savable but about to be lost. `allowable_wait`
-            // saturates at zero the moment a task can no longer meet its
-            // deadline even if dispatched immediately; lost causes must NOT
-            // count as urgent — treating them so would preempt-storm the
-            // node every epoch for the rest of the run. The starvation
-            // override (τ) stays unconditional.
-            let savable = w.allowable_wait > Dur::ZERO;
-            let urgent = (savable && w.allowable_wait <= self.params.epsilon)
-                || w.waiting >= self.params.tau;
-            if !urgent || !w.ready {
+            if !w.ready {
                 // Urgency must be real: a task whose precedents are still
                 // unfinished cannot execute, so preempting for it would be
                 // pure waste — this readiness check is part of what keeps
                 // DSP's disorder count at zero (Fig. 6a).
+                continue;
+            }
+            // Urgent = still savable but about to be lost. `t^a` saturates
+            // at zero the moment a task can no longer meet its deadline
+            // even if dispatched immediately; lost causes must NOT count as
+            // urgent — treating them so would preempt-storm the node every
+            // epoch for the rest of the run. The starvation override (τ)
+            // stays unconditional.
+            let allowable = w.allowable_wait(now);
+            let savable = allowable > Dur::ZERO;
+            let urgent =
+                (savable && allowable <= self.params.epsilon) || w.waiting(now) >= self.params.tau;
+            if !urgent {
                 continue;
             }
             if let Some(pos) =
@@ -212,7 +216,7 @@ impl PreemptPolicy for DspPolicy {
             if preemptable.is_empty() {
                 break;
             }
-            let pw = self.priority(w);
+            let pw = self.priority(w, now);
             // Walk victims from lowest priority up; C2 skips ancestors.
             let mut chosen: Option<usize> = None;
             for (j, &(rp, r)) in preemptable.iter().enumerate() {
@@ -257,14 +261,16 @@ mod tests {
     use dsp_dag::{Dag, Job, JobClass, JobId, TaskId, TaskSpec};
     use dsp_units::{Mi, ResourceVec};
 
+    /// A task that, at [`NOW`], has waited `wait_ms` and may wait
+    /// `allow_ms` more.
     fn snap(id: TaskId, running: bool, rem_ms: u64, wait_ms: u64, allow_ms: u64) -> TaskSnapshot {
         TaskSnapshot {
             id,
             remaining_work: Mi::new(1.0),
             remaining_time: Dur::from_millis(rem_ms),
-            waiting: Dur::from_millis(wait_ms),
-            deadline: Time::MAX,
-            allowable_wait: Dur::from_millis(allow_ms),
+            waited: Dur::from_millis(wait_ms),
+            wait_since: if running { None } else { Some(NOW) },
+            deadline: NOW + Dur::from_millis(rem_ms + allow_ms),
             running,
             ready: true,
             demand: ResourceVec::cpu_mem(0.1, 0.1),
@@ -297,11 +303,13 @@ mod tests {
         )]
     }
 
+    const NOW: Time = Time::from_secs(10);
+
     fn run_epoch(policy: &mut DspPolicy, view: NodeView, jobs: &[Job]) -> Vec<PreemptAction> {
-        let world = WorldCtx { jobs, now: Time::from_secs(10) };
+        let world = WorldCtx { jobs, now: NOW };
         let views = vec![view];
-        policy.begin_epoch(Time::from_secs(10), &views, &world);
-        policy.decide(Time::from_secs(10), &views[0], &world)
+        policy.begin_epoch(NOW, &views, &world);
+        policy.decide(NOW, &views[0], &world)
     }
 
     #[test]

@@ -86,9 +86,9 @@ mod tests {
             id,
             remaining_work: Mi::new(1.0),
             remaining_time: Dur::from_millis(rem_ms),
-            waiting: Dur::ZERO,
+            waited: Dur::ZERO,
+            wait_since: if running { None } else { Some(Time::ZERO) },
             deadline: Time::from_secs(deadline_s),
-            allowable_wait: Dur::from_secs(1000),
             running,
             ready: true,
             demand: ResourceVec::cpu_mem(demand, demand),

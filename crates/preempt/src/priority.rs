@@ -18,7 +18,7 @@
 
 use dsp_dag::TaskId;
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
-use dsp_units::Dur;
+use dsp_units::{Dur, Time};
 
 /// Weights of the leaf priority (Eq. 13) and the level coefficient γ.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,10 +44,12 @@ impl Default for PriorityWeights {
 /// completion.
 const MIN_REMAINING: Dur = Dur::from_millis(1);
 
-/// Eq. 13 for one snapshot.
-pub fn leaf_priority(s: &TaskSnapshot, w: &PriorityWeights) -> f64 {
+/// Eq. 13 for one snapshot at instant `now`.
+pub fn leaf_priority(s: &TaskSnapshot, w: &PriorityWeights, now: Time) -> f64 {
     let rem = s.remaining_time.max(MIN_REMAINING).as_secs_f64();
-    w.w1 * (1.0 / rem) + w.w2 * s.waiting.as_secs_f64() + w.w3 * s.allowable_wait.as_secs_f64()
+    w.w1 * (1.0 / rem)
+        + w.w2 * s.waiting(now).as_secs_f64()
+        + w.w3 * s.allowable_wait(now).as_secs_f64()
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
@@ -71,10 +73,6 @@ pub struct PriorityEngineStats {
     pub world_resets: u64,
 }
 
-/// Where a live task's snapshot sits in the epoch's views: the view index
-/// and the position in that view's `running` ++ `waiting` chain.
-type SnapAt = (u32, u32);
-
 /// Per-job persistent scratch: one slot per task, reused across epochs.
 #[derive(Debug, Clone, Default)]
 struct JobScratch {
@@ -84,15 +82,22 @@ struct JobScratch {
     /// (allocating) per job per epoch; the DAG never changes, so once is
     /// enough.
     topo: Vec<u32>,
-    /// Eq. 12/13 priority per task, valid where `stamp` is this epoch.
+    /// Eq. 12/13 priority per task, valid where `stamp` is this epoch: the
+    /// scan writes Eq. 13, the recursion overwrites it with Eq. 12 where a
+    /// live child contributes.
     prio: Vec<f64>,
     /// Epoch stamp marking which tasks are live this epoch.
     stamp: Vec<u64>,
-    /// Location of each live task's snapshot, valid where `stamp` is this
-    /// epoch; Eq. 13 reads its inputs from there only when it is needed.
-    at: Vec<SnapAt>,
+    /// The live tasks in topological order: exactly the tasks stamped
+    /// `touch_epoch` once an epoch's scan is reconciled, and those stamped
+    /// `prev_touch` during the scan.
+    order: Vec<u32>,
     /// Epoch this job was last seen in some view.
     touch_epoch: u64,
+    /// The job's touch epoch before this one.
+    prev_touch: u64,
+    /// A task outside `order` went live this epoch: rebuild the list.
+    grown: bool,
     /// Live tasks this epoch.
     live: u32,
 }
@@ -106,12 +111,15 @@ struct JobScratch {
 /// epoch it:
 ///
 /// * keeps one arena per job (dense-indexed by the job's position in the
-///   sorted `WorldCtx::jobs` slice), holding a cached topo order and one
-///   priority slot, epoch stamp and snapshot location per task;
-/// * scans the views once, only stamping liveness and recording where each
-///   snapshot sits — Eq. 13 (a division and three multiplies per task) is
-///   evaluated inside the Eq. 12 recursion, and only for tasks with no live
-///   child, the only place its value is ever used;
+///   sorted `WorldCtx::jobs` slice), holding a cached topo order, one
+///   priority slot and epoch stamp per task, and the list of the job's live
+///   tasks in topo order;
+/// * scans the views once, in order, stamping liveness and evaluating Eq. 13
+///   from the snapshot in hand (a task listed twice keeps its last value,
+///   as the reference's slot overwrite does);
+/// * runs Eq. 12 over the live list only, not over every topo slot: the
+///   list is rebuilt when a task that was not live at the job's previous
+///   epoch appears (an injection), and compacted when tasks leave;
 /// * folds (min, max, live-count) during the recursion so the global mean
 ///   neighbour gap needs no second pass over all tasks.
 ///
@@ -139,57 +147,57 @@ impl PriorityEngine {
         PriorityEngine::default()
     }
 
-    /// Re-evaluate priorities for one epoch. `views` are the epoch's node
-    /// views; `world` the sorted job slice.
-    pub fn begin_epoch(&mut self, views: &[NodeView], world: &WorldCtx<'_>, w: &PriorityWeights) {
+    /// Re-evaluate priorities for one epoch at instant `now`. `views` are
+    /// the epoch's node views; `world` the sorted job slice.
+    pub fn begin_epoch(
+        &mut self,
+        now: Time,
+        views: &[NodeView],
+        world: &WorldCtx<'_>,
+        w: &PriorityWeights,
+    ) {
         self.sync_world(world);
         self.epoch += 1;
         self.stats.epochs += 1;
         let epoch = self.epoch;
         self.touched.clear();
 
-        // --- Scan pass: stamp live tasks, note where their snapshots sit.
-        // A task listed twice keeps its last location, as the reference's
-        // slot overwrite does. ---
-        let mut last: Option<(u32, usize)> = None; // (job id, dense) cache
-        for (n, view) in views.iter().enumerate() {
-            for (pos, s) in view.running.iter().chain(view.waiting.iter()).enumerate() {
-                let jid = s.id.job.get();
-                let dense = match last {
-                    Some((id, d)) if id == jid => d,
-                    _ => {
-                        let d = self.dense_of(jid).expect("job appeared in an epoch view");
-                        last = Some((jid, d));
-                        d
-                    }
-                };
+        // --- Scan pass: stamp live tasks and write their Eq. 13 value. A
+        // task listed twice keeps its last value, as the reference's slot
+        // overwrite does. ---
+        for view in views {
+            for s in view.running.iter().chain(&view.waiting) {
+                let dense = self.dense_of(s.id.job.get()).expect("job appeared in an epoch view");
                 let js = &mut self.jobs[dense];
                 if js.touch_epoch != epoch {
+                    js.prev_touch = js.touch_epoch;
                     js.touch_epoch = epoch;
                     js.live = 0;
+                    js.grown = false;
                     if !js.init {
                         let job = &world.jobs[dense];
                         let n_tasks = job.num_tasks();
                         js.topo = job.dag.topo_order();
                         js.prio = vec![f64::NAN; n_tasks];
                         js.stamp = vec![0; n_tasks];
-                        js.at = vec![(0, 0); n_tasks];
                         js.init = true;
+                        js.grown = true;
                     }
                     self.touched.push(dense as u32);
                     self.stats.jobs_touched += 1;
                 }
                 let idx = s.id.idx();
-                js.at[idx] = (n as u32, pos as u32);
+                js.prio[idx] = leaf_priority(s, w, now);
                 if js.stamp[idx] != epoch {
+                    js.grown |= js.stamp[idx] != js.prev_touch;
                     js.stamp[idx] = epoch;
                     js.live += 1;
                 }
             }
         }
 
-        // --- Recursion pass: Eq. 12 over every touched job, Eq. 13 only
-        // where no live child contributes. ---
+        // --- Recursion pass: Eq. 12 over every touched job's live tasks in
+        // reverse topo order; a task no live child feeds keeps Eq. 13. ---
         self.live = 0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -197,37 +205,31 @@ impl PriorityEngine {
             let job = &world.jobs[d as usize];
             let js = &mut self.jobs[d as usize];
             self.stats.jobs_recomputed += 1;
-            for i in (0..js.topo.len()).rev() {
-                let v = js.topo[i];
-                if js.stamp[v as usize] != epoch {
-                    continue; // finished (or not yet arrived) task
-                }
+            let JobScratch { topo, prio, stamp, order, grown, live, .. } = js;
+            if *grown {
+                order.clear();
+                order.extend(topo.iter().copied().filter(|&v| stamp[v as usize] == epoch));
+            } else if order.len() != *live as usize {
+                order.retain(|&v| stamp[v as usize] == epoch);
+            }
+            for &v in order.iter().rev() {
                 // Same child order and summation order as the reference —
                 // bit-for-bit equality depends on it.
                 let child_sum: f64 = job
                     .dag
                     .children(v)
                     .iter()
-                    .filter(|&&c| js.stamp[c as usize] == epoch)
-                    .map(|&c| (w.gamma + 1.0) * js.prio[c as usize])
+                    .filter(|&&c| stamp[c as usize] == epoch)
+                    .map(|&c| (w.gamma + 1.0) * prio[c as usize])
                     .sum();
-                let p = if child_sum > 0.0 {
-                    child_sum
-                } else {
-                    let (n, pos) = js.at[v as usize];
-                    let view = &views[n as usize];
-                    let pos = pos as usize;
-                    let s = match pos.checked_sub(view.running.len()) {
-                        None => &view.running[pos],
-                        Some(q) => &view.waiting[q],
-                    };
-                    leaf_priority(s, w)
-                };
-                js.prio[v as usize] = p;
+                if child_sum > 0.0 {
+                    prio[v as usize] = child_sum;
+                }
+                let p = prio[v as usize];
                 lo = lo.min(p);
                 hi = hi.max(p);
             }
-            self.live += js.live as usize;
+            self.live += *live as usize;
         }
         self.lo = lo;
         self.hi = hi;
@@ -311,6 +313,7 @@ pub(crate) mod reference {
     use super::{leaf_priority, PriorityWeights};
     use dsp_dag::{JobId, TaskId};
     use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
+    use dsp_units::Time;
     use std::collections::BTreeMap;
 
     /// Computed priorities for every live (not-done) task visible this epoch,
@@ -376,6 +379,7 @@ pub(crate) mod reference {
     /// are finished (absent from every view) are skipped, and a task whose
     /// remaining children are all finished falls back to the leaf formula.
     pub fn compute_priorities_ref(
+        now: Time,
         views: &[NodeView],
         world: &WorldCtx<'_>,
         w: &PriorityWeights,
@@ -404,7 +408,7 @@ pub(crate) mod reference {
                     .filter(|p| !p.is_nan())
                     .map(|p| (w.gamma + 1.0) * p)
                     .sum();
-                let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, w) };
+                let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, w, now) };
                 prio[v as usize] = p;
                 out.insert(job.task_id(v), job.num_tasks(), p);
             }
@@ -444,14 +448,16 @@ mod tests {
     use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
     use dsp_units::{Mi, ResourceVec, Time};
 
+    /// A waiting task that, at time zero, has waited `wait_ms` and may wait
+    /// `allow_ms` more.
     fn snap(id: TaskId, rem_ms: u64, wait_ms: u64, allow_ms: u64) -> TaskSnapshot {
         TaskSnapshot {
             id,
             remaining_work: Mi::new(1.0),
             remaining_time: Dur::from_millis(rem_ms),
-            waiting: Dur::from_millis(wait_ms),
-            deadline: Time::MAX,
-            allowable_wait: Dur::from_millis(allow_ms),
+            waited: Dur::from_millis(wait_ms),
+            wait_since: Some(Time::ZERO),
+            deadline: Time::from_millis(rem_ms + allow_ms),
             running: false,
             ready: true,
             demand: ResourceVec::cpu_mem(0.1, 0.1),
@@ -485,14 +491,14 @@ mod tests {
         let w = PriorityWeights::default();
         let s = snap(TaskId::new(0, 0), 2_000, 4_000, 10_000);
         // 0.5·(1/2) + 0.3·4 + 0.2·10 = 0.25 + 1.2 + 2.0
-        assert!((leaf_priority(&s, &w) - 3.45).abs() < 1e-9);
+        assert!((leaf_priority(&s, &w, Time::ZERO) - 3.45).abs() < 1e-9);
     }
 
     #[test]
     fn remaining_time_floor_keeps_priority_finite() {
         let w = PriorityWeights::default();
         let s = snap(TaskId::new(0, 0), 0, 0, 0);
-        let p = leaf_priority(&s, &w);
+        let p = leaf_priority(&s, &w, Time::ZERO);
         assert!(p.is_finite() && p > 0.0);
     }
 
@@ -506,7 +512,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         let at = |v: u32| p.get(&job.task_id(v)).unwrap();
         assert!(at(0) > at(1) && at(0) > at(2));
         assert!(at(1) > at(3) && at(2) > at(5));
@@ -526,7 +532,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         // Task 1's children (3, 4) are done → leaf formula (0.5); root sees
         // only child 1: 1.5·0.5 = 0.75.
         assert!((p.get(&job.task_id(1)).unwrap() - 0.5).abs() < 1e-9);
@@ -541,7 +547,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         assert!(p.get(&job.task_id(4)).unwrap() > p.get(&job.task_id(3)).unwrap());
     }
 
@@ -573,7 +579,7 @@ mod tests {
         let views = views_of(&j0, snaps);
         let jobs = vec![j0.clone(), j1];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
-        let p = compute_priorities_ref(&views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         assert_eq!(p.len(), 2);
         // Shorter remaining → higher priority (both are leaves).
         assert!(p.get(&TaskId::new(1, 3)).unwrap() > p.get(&j0.task_id(3)).unwrap());

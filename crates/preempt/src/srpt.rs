@@ -45,9 +45,9 @@ impl Default for SrptPolicy {
 }
 
 impl SrptPolicy {
-    /// The linear-combination priority.
-    pub fn priority(&self, s: &TaskSnapshot) -> f64 {
-        self.alpha * s.waiting.as_secs_f64() - self.beta * s.remaining_time.as_secs_f64()
+    /// The linear-combination priority at instant `now`.
+    pub fn priority(&self, s: &TaskSnapshot, now: Time) -> f64 {
+        self.alpha * s.waiting(now).as_secs_f64() - self.beta * s.remaining_time.as_secs_f64()
     }
 }
 
@@ -56,31 +56,26 @@ impl PreemptPolicy for SrptPolicy {
         "SRPT"
     }
 
-    fn decide(&mut self, _now: Time, view: &NodeView, _world: &WorldCtx<'_>) -> Vec<PreemptAction> {
+    fn decide(&mut self, now: Time, view: &NodeView, _world: &WorldCtx<'_>) -> Vec<PreemptAction> {
         let mut actions = Vec::new();
         if view.running.is_empty() || view.waiting.is_empty() {
             return actions;
         }
-        // Running tasks ascending by priority; waiting descending.
-        let mut victims: Vec<&TaskSnapshot> = view.running.iter().collect();
-        victims.sort_by(|a, b| {
-            self.priority(a).total_cmp(&self.priority(b)).then_with(|| a.id.cmp(&b.id))
-        });
-        let mut waiters: Vec<&TaskSnapshot> = view.waiting.iter().collect();
-        waiters.sort_by(|a, b| {
-            self.priority(b).total_cmp(&self.priority(a)).then_with(|| a.id.cmp(&b.id))
-        });
+        // Running tasks ascending by priority; waiting descending. Each
+        // task's priority is computed once; the id breaks ties, so equal
+        // priorities never let the input permutation pick.
+        let keyed = |s| (self.priority(s, now), s);
+        let mut victims: Vec<(f64, &TaskSnapshot)> = view.running.iter().map(keyed).collect();
+        victims.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
+        let mut waiters: Vec<(f64, &TaskSnapshot)> = view.waiting.iter().map(keyed).collect();
+        waiters.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.id.cmp(&b.1.id)));
         let mut vi = 0usize;
-        for w in waiters {
-            if vi >= victims.len() {
-                break;
-            }
+        for (pw, w) in waiters {
+            let Some(&(pv, v)) = victims.get(vi) else { break };
             // Combined-priority win plus the min_gain remaining-time
             // advantage (see the field docs for why both are required).
-            if self.priority(w) > self.priority(victims[vi])
-                && w.remaining_time + self.min_gain <= victims[vi].remaining_time
-            {
-                actions.push(PreemptAction { evict: victims[vi].id, admit: w.id });
+            if pw > pv && w.remaining_time + self.min_gain <= v.remaining_time {
+                actions.push(PreemptAction { evict: v.id, admit: w.id });
                 vi += 1;
             } else {
                 break;
@@ -102,14 +97,15 @@ mod tests {
     use dsp_dag::{Dag, Job, JobClass, JobId, TaskId, TaskSpec};
     use dsp_units::{Dur, Mi, ResourceVec};
 
+    /// A task that, at time zero, has waited `wait_ms`.
     fn snap(id: TaskId, running: bool, rem_ms: u64, wait_ms: u64) -> TaskSnapshot {
         TaskSnapshot {
             id,
             remaining_work: Mi::new(1.0),
             remaining_time: Dur::from_millis(rem_ms),
-            waiting: Dur::from_millis(wait_ms),
+            waited: Dur::from_millis(wait_ms),
+            wait_since: if running { None } else { Some(Time::ZERO) },
             deadline: Time::MAX,
-            allowable_wait: Dur::from_secs(1000),
             running,
             ready: true,
             demand: ResourceVec::cpu_mem(0.1, 0.1),
@@ -134,10 +130,10 @@ mod tests {
         let p = SrptPolicy::default();
         let short = snap(TaskId::new(0, 0), false, 1_000, 0);
         let long = snap(TaskId::new(0, 1), false, 10_000, 0);
-        assert!(p.priority(&short) > p.priority(&long));
+        assert!(p.priority(&short, Time::ZERO) > p.priority(&long, Time::ZERO));
         // Enough waiting flips the order: 0.5·t_w − 10 > −1 needs t_w > 18.
         let long_waited = snap(TaskId::new(0, 1), false, 10_000, 20_000);
-        assert!(p.priority(&long_waited) > p.priority(&short));
+        assert!(p.priority(&long_waited, Time::ZERO) > p.priority(&short, Time::ZERO));
     }
 
     #[test]

@@ -127,9 +127,11 @@ pub struct Engine {
     /// The policy's node views, maintained rather than rebuilt: each
     /// node's `waiting` list mirrors `NodeRt::queue` index for index (kept
     /// so by [`Engine::queue_insert`] / [`Engine::queue_remove`] at every
-    /// queue mutation), a full snapshot is built only when a task enters a
-    /// list, and `handle_epoch` refreshes the clock-dependent fields in
-    /// place. Live only while `epoch_enabled`; a no-op policy pays nothing.
+    /// queue mutation), a snapshot is built only when a task enters a list,
+    /// and a waiting snapshot, being clock-free, changes only when its task
+    /// turns ready (`handle_finish` flips that flag). `handle_epoch`
+    /// rebuilds just the running entries. Live only while `epoch_enabled`;
+    /// a no-op policy pays nothing.
     views: Vec<NodeView>,
 }
 
@@ -611,7 +613,14 @@ impl Engine {
             debug_assert!(crt.unfinished_parents > 0);
             crt.unfinished_parents -= 1;
             if crt.ready() && crt.state == RtState::Waiting {
-                fill.push(crt.node.idx());
+                let n = crt.node.idx();
+                fill.push(n);
+                if self.epoch_enabled {
+                    // The only field of a waiting snapshot that moves
+                    // between its insertion and its removal.
+                    let pos = self.nodes[n].position_of(&self.tasks, cg);
+                    self.views[n].waiting[pos].ready = true;
+                }
             }
         }
 
@@ -667,9 +676,9 @@ impl Engine {
             id,
             remaining_work,
             remaining_time,
-            waiting: rt.waiting_at(self.now),
+            waited: rt.total_wait,
+            wait_since: (rt.state == RtState::Waiting).then_some(rt.wait_since),
             deadline: rt.deadline,
-            allowable_wait: (rt.deadline - remaining_time).since(self.now),
             running: rt.state == RtState::Running,
             ready: rt.ready(),
             demand: spec.demand,
@@ -711,22 +720,15 @@ impl Engine {
         self.views[n].waiting = waiting;
     }
 
-    /// Bring the maintained views up to the epoch instant: the few running
-    /// entries are rebuilt, waiting entries get only their clock-dependent
-    /// fields (`t^w`, `t^a`, readiness) refreshed — everything else in a
-    /// waiting snapshot is constant from insertion to removal.
+    /// Bring the maintained views up to the epoch instant by rebuilding the
+    /// few running entries, whose believed remaining work moves with the
+    /// clock. Waiting entries are already current: they hold no clock, and
+    /// their one mutable field, `ready`, is set when it changes.
     fn refresh_views(&self, views: &mut [NodeView]) {
-        let now = self.now;
         for (view, node) in views.iter_mut().zip(&self.nodes) {
             view.running.clear();
             view.running.extend(node.running.iter().map(|&g| self.snapshot(g)));
             debug_assert_eq!(view.waiting.len(), node.queue.len());
-            for (s, &g) in view.waiting.iter_mut().zip(&node.queue) {
-                let rt = &self.tasks[g];
-                s.waiting = rt.waiting_at(now);
-                s.allowable_wait = (s.deadline - s.remaining_time).since(now);
-                s.ready = rt.ready();
-            }
         }
     }
 
@@ -970,9 +972,8 @@ impl Engine {
             self.metrics.on_disorder();
             return;
         }
-        if let Some(p) = self.nodes[n].queue.iter().position(|&g| g == ag) {
-            self.queue_remove(n, p);
-        }
+        let p = self.nodes[n].position_of(&self.tasks, ag);
+        self.queue_remove(n, p);
         self.dispatch(ag);
     }
 
@@ -1102,6 +1103,26 @@ mod tests {
         let m = e.run(&mut NoPreempt);
         // Task 0 waits 0 s, task 1 waits 1 s → job mean 0.5 s.
         assert_eq!(m.avg_job_waiting(), Dur::from_millis(500));
+    }
+
+    #[test]
+    fn snapshots_carry_closed_stints_and_the_open_one() {
+        // Two 1 s tasks, one slot: task 1 queues at 0 s behind task 0 and
+        // is dispatched at 1 s.
+        let jobs = mk_jobs(&[1000.0, 1000.0], &[], Time::from_secs(100));
+        let cluster = uniform(1, 1000.0, 1);
+        let mut e = rig(&jobs, &cluster);
+        e.add_batch(Time::ZERO, all_to_node0(&jobs));
+        e.step_until(&mut NoPreempt, Time::from_millis(500));
+        let waiter = e.snapshot(1);
+        assert_eq!((waiter.waited, waiter.wait_since), (Dur::ZERO, Some(Time::ZERO)));
+        assert_eq!(waiter.waiting(Time::from_millis(700)), Dur::from_millis(700));
+        assert_eq!(e.snapshot(0).wait_since, None);
+        e.step_until(&mut NoPreempt, Time::from_millis(1_500));
+        // Running now: t^w is the closed 1 s stint, whatever the instant.
+        let runner = e.snapshot(1);
+        assert_eq!((runner.waited, runner.wait_since), (Dur::from_secs(1), None));
+        assert_eq!(runner.waiting(Time::from_secs(9)), Dur::from_secs(1));
     }
 
     #[test]

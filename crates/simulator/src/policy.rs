@@ -14,6 +14,12 @@ use dsp_units::{Dur, Mi, ResourceVec, Time};
 /// estimate corrected by observed progress — the re-estimation that feeds
 /// Eq. 12/13 priority recomputation every epoch. With exact estimates the
 /// believed values equal the truth bit-for-bit.
+///
+/// A snapshot holds no clock. The two clock-dependent Eq. 13 inputs, `t^w`
+/// and `t^a`, are derived at the reader's instant by
+/// [`TaskSnapshot::waiting`] and [`TaskSnapshot::allowable_wait`], so a
+/// waiting task's snapshot stays valid from queue insertion to removal:
+/// only `ready` changes in between (when its last precedent finishes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSnapshot {
     /// The task.
@@ -25,14 +31,13 @@ pub struct TaskSnapshot {
     /// `t^rem`: believed remaining execution time at the rate of the
     /// task's node.
     pub remaining_time: Dur,
-    /// `t^w`: accumulated waiting time (all queue stints so far, including
-    /// the current one for waiting tasks).
-    pub waiting: Dur,
+    /// Waiting time of the closed queue stints (every stint before the
+    /// current one).
+    pub waited: Dur,
+    /// Start of the open queue stint; `None` while the task runs.
+    pub wait_since: Option<Time>,
     /// The task's level-propagated absolute deadline (Section IV-B).
     pub deadline: Time,
-    /// `t^a = t^d − t^rem − now`: allowable waiting time from now;
-    /// saturated at zero.
-    pub allowable_wait: Dur,
     /// True when currently occupying a slot.
     pub running: bool,
     /// True when every precedent task has finished — the task could
@@ -47,6 +52,24 @@ pub struct TaskSnapshot {
     pub size: Mi,
     /// `N^p`: preemptions suffered so far.
     pub preemptions: u32,
+}
+
+impl TaskSnapshot {
+    /// `t^w` at `now`: the closed stints plus the open one, if any.
+    #[inline]
+    pub fn waiting(&self, now: Time) -> Dur {
+        match self.wait_since {
+            Some(since) => self.waited + now.since(since),
+            None => self.waited,
+        }
+    }
+
+    /// `t^a = t^d − t^rem − now`: allowable waiting time from `now`,
+    /// saturated at zero.
+    #[inline]
+    pub fn allowable_wait(&self, now: Time) -> Dur {
+        (self.deadline - self.remaining_time).since(now)
+    }
 }
 
 /// One node's epoch view: the running set and the waiting queue in planned
@@ -222,6 +245,31 @@ mod tests {
         assert!(w.depends_on(TaskId::new(0, 1), TaskId::new(0, 0)));
         assert!(!w.depends_on(TaskId::new(0, 0), TaskId::new(0, 1)));
         assert!(!w.depends_on(TaskId::new(1, 0), TaskId::new(0, 0)));
+    }
+
+    #[test]
+    fn clock_dependent_inputs_derive_at_the_reader_instant() {
+        let mut s = TaskSnapshot {
+            id: TaskId::new(0, 0),
+            remaining_work: Mi::new(1.0),
+            remaining_time: Dur::from_secs(2),
+            waited: Dur::from_secs(5),
+            wait_since: Some(Time::from_secs(3)),
+            deadline: Time::from_secs(10),
+            running: false,
+            ready: true,
+            demand: ResourceVec::cpu_mem(0.1, 0.1),
+            size: Mi::new(1.0),
+            preemptions: 0,
+        };
+        // t^w grows with the open stint; t^a = 10 − 2 − now saturates at 8 s.
+        assert_eq!(s.waiting(Time::from_secs(4)), Dur::from_secs(6));
+        assert_eq!(s.allowable_wait(Time::from_secs(4)), Dur::from_secs(4));
+        assert_eq!(s.allowable_wait(Time::from_secs(8)), Dur::ZERO);
+        assert_eq!(s.allowable_wait(Time::from_secs(9)), Dur::ZERO);
+        // A running task's t^w is frozen at its closed stints.
+        s.wait_since = None;
+        assert_eq!(s.waiting(Time::from_secs(40)), Dur::from_secs(5));
     }
 
     #[test]

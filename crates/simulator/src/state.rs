@@ -116,7 +116,7 @@ pub struct TaskRt {
     /// Recovery time to pay before useful work at the next dispatch
     /// (`t^r + σ` accumulated from preemptions).
     pub pending_overhead: Dur,
-    /// Accumulated waiting time across all queue stints.
+    /// Accumulated waiting time of the closed queue stints.
     pub total_wait: Dur,
     /// Start of the current waiting stint.
     pub wait_since: Time,
@@ -187,14 +187,6 @@ impl TaskRt {
             self.remaining = self.remaining - done;
         }
     }
-
-    /// Waiting time as of `now`, including the open stint.
-    pub fn waiting_at(&self, now: Time) -> Dur {
-        match self.state {
-            RtState::Waiting => self.total_wait + now.since(self.wait_since),
-            _ => self.total_wait,
-        }
-    }
 }
 
 /// Per-node runtime: the waiting queue (planned-start order) and running
@@ -214,13 +206,25 @@ pub struct NodeRt {
 }
 
 impl NodeRt {
-    /// Insert waiting task `g` at the position its planned start dictates
-    /// (ties break by dense index — the engine's global queue order) and
-    /// return that position.
-    pub fn insert_by_planned_start(&mut self, tasks: &[TaskRt], g: usize) -> usize {
+    /// The position task `g` takes in the queue's order: ascending planned
+    /// start, ties broken by dense index (the engine's global queue order).
+    fn planned_position(&self, tasks: &[TaskRt], g: usize) -> usize {
         let key = (tasks[g].planned_start.as_micros(), g);
-        let pos = self.queue.partition_point(|&q| (tasks[q].planned_start.as_micros(), q) < key);
+        self.queue.partition_point(|&q| (tasks[q].planned_start.as_micros(), q) < key)
+    }
+
+    /// Insert waiting task `g` at the position its planned start dictates
+    /// and return that position.
+    pub fn insert_by_planned_start(&mut self, tasks: &[TaskRt], g: usize) -> usize {
+        let pos = self.planned_position(tasks, g);
         self.queue.insert(pos, g);
+        pos
+    }
+
+    /// Where queued task `g` sits: a binary search on the queue's own key.
+    pub fn position_of(&self, tasks: &[TaskRt], g: usize) -> usize {
+        let pos = self.planned_position(tasks, g);
+        debug_assert_eq!(self.queue.get(pos), Some(&g), "task {g} is not queued here");
         pos
     }
 }
@@ -292,17 +296,6 @@ mod tests {
         let mut idx = TaskIndex::default();
         idx.push_job(&mk(7));
         idx.push_job(&mk(7));
-    }
-
-    #[test]
-    fn waiting_accumulates_open_stint() {
-        let mut t = TaskRt::new(Mi::new(10.0), 0, Time::MAX);
-        t.state = RtState::Waiting;
-        t.wait_since = Time::from_secs(2);
-        t.total_wait = Dur::from_secs(5);
-        assert_eq!(t.waiting_at(Time::from_secs(4)), Dur::from_secs(7));
-        t.state = RtState::Running;
-        assert_eq!(t.waiting_at(Time::from_secs(4)), Dur::from_secs(5));
     }
 
     #[test]

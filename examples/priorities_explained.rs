@@ -17,9 +17,11 @@ fn snapshot(job: &Job, v: u32) -> TaskSnapshot {
         id: job.task_id(v),
         remaining_work: job.task(v).size,
         remaining_time: Dur::from_secs(10),
-        waiting: Dur::ZERO,
-        deadline: Time::from_secs(1_000),
-        allowable_wait: Dur::from_secs(100),
+        // Queued at time zero with no earlier stints, so at time zero
+        // `t^w` is 0 s and `t^a` is 110 − 10 − 0 = 100 s.
+        waited: Dur::ZERO,
+        wait_since: Some(Time::ZERO),
+        deadline: Time::from_secs(110),
         running: false,
         ready: true,
         demand: ResourceVec::cpu_mem(0.5, 0.5),
@@ -34,7 +36,7 @@ fn priorities_of(job: &Job) -> Vec<(u32, f64)> {
     let jobs = vec![job.clone()];
     let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
     let mut map = PriorityEngine::new();
-    map.begin_epoch(&views, &world, &PriorityWeights::default());
+    map.begin_epoch(Time::ZERO, &views, &world, &PriorityWeights::default());
     let mut out: Vec<(u32, f64)> =
         (0..job.num_tasks() as u32).map(|v| (v, map.get(&job.task_id(v)).unwrap())).collect();
     out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
@@ -90,10 +92,11 @@ fn main() {
     {
         let mut s = snapshot(&solo, 0);
         s.remaining_time = Dur::from_secs(rem);
-        s.waiting = Dur::from_secs(wait);
+        s.deadline = Time::from_secs(100 + rem); // t^a stays 100 s
+        s.waited = Dur::from_secs(wait);
         let views = vec![NodeView { node: NodeId(0), running: vec![], waiting: vec![s], slots: 1 }];
         let mut p = PriorityEngine::new();
-        p.begin_epoch(&views, &world, &PriorityWeights::default());
+        p.begin_epoch(Time::ZERO, &views, &world, &PriorityWeights::default());
         println!("  {label:<18} -> {:8.2}", p.get(&solo.task_id(0)).unwrap());
     }
 }
