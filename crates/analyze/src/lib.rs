@@ -20,14 +20,12 @@
 //! - [`waiver`] — inline `// dsp-allow: <ID> — <reason>` suppressions;
 //!   malformed waivers are themselves findings (`W1`).
 //! - [`walker`] — which files are in scope (shipped `src/` trees).
-//! - [`baseline`] / [`report`] — freezing pre-existing findings, and the
-//!   human/JSON renderings.
+//! - [`report`] — the human/JSON renderings.
 //!
 //! The crate is a library so the `dsp analyze` subcommand *and* the test
 //! suites drive the same entry points: [`analyze_source`] for one file,
 //! [`analyze_workspace`] for the whole tree.
 
-pub mod baseline;
 pub mod lexer;
 pub mod lints;
 pub mod report;
@@ -39,7 +37,7 @@ use report::Finding;
 use std::io;
 use std::path::Path;
 
-/// What to run and what to suppress.
+/// What to run.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Restrict to these lints (`None` = the full catalog). W1 (malformed
@@ -47,17 +45,13 @@ pub struct Options {
     /// run, otherwise `--lint D1` would hide the evidence that a D1 waiver
     /// is not actually in force.
     pub lints: Option<Vec<LintId>>,
-    /// Baseline entries to subtract (parsed by [`baseline::parse`]).
-    pub baseline: Vec<baseline::BaselineEntry>,
 }
 
-/// The outcome of a workspace run, pre-split against the baseline.
+/// The outcome of a workspace run.
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// Findings not covered by the baseline — these gate CI.
-    pub fresh: Vec<Finding>,
-    /// Findings absorbed by a baseline entry (reported, non-blocking).
-    pub baselined: Vec<Finding>,
+    /// Every unwaivered finding — these gate CI.
+    pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
@@ -88,19 +82,17 @@ pub fn analyze_source(
     kept
 }
 
-/// Analyze every in-scope file under `root` and split the findings against
-/// the baseline. Output order is deterministic (files sorted by path,
-/// findings by position).
+/// Analyze every in-scope file under `root`. Output order is deterministic
+/// (files sorted by path, findings by position).
 pub fn analyze_workspace(root: &Path, opts: &Options) -> io::Result<Analysis> {
     let files = walker::workspace_files(root)?;
     let files_scanned = files.len();
-    let mut all = Vec::new();
+    let mut findings = Vec::new();
     for f in &files {
         let source = std::fs::read_to_string(&f.path)?;
-        all.extend(analyze_source(&source, &f.ctx, opts.lints.as_deref()));
+        findings.extend(analyze_source(&source, &f.ctx, opts.lints.as_deref()));
     }
-    let (fresh, baselined) = baseline::split(all, &opts.baseline);
-    Ok(Analysis { fresh, baselined, files_scanned })
+    Ok(Analysis { findings, files_scanned })
 }
 
 #[cfg(test)]

@@ -20,8 +20,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Stable identity for baselines: lint + path + line-independent-ish
-    /// content key is handled in [`crate::baseline`]; here just the tuple.
+    /// `path:line:col`, compiler style.
     pub fn location(&self) -> String {
         format!("{}:{}:{}", self.path, self.line, self.col)
     }

@@ -23,7 +23,7 @@ pub struct SourceFile {
 }
 
 /// Enumerate the workspace's analyzable sources under `root`, sorted by
-/// relative path so reports and baselines are stable.
+/// relative path so reports are stable.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");

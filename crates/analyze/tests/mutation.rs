@@ -32,11 +32,10 @@ fn unwaivered_violation_is_a_fresh_finding() {
     let root = workspace_with("fresh", VIOLATION);
     let a = analyze_workspace(&root, &Options::default()).unwrap();
     assert!(
-        a.fresh.iter().any(|f| f.lint == LintId::D1),
+        a.findings.iter().any(|f| f.lint == LintId::D1),
         "expected a fresh D1 finding, got {:?}",
-        a.fresh
+        a.findings
     );
-    assert!(a.baselined.is_empty());
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -47,7 +46,7 @@ fn well_formed_waiver_silences_the_violation() {
                pub fn m() -> std::collections::HashMap<u32, u32> { std::collections::HashMap::new() }\n";
     let root = workspace_with("waived", src);
     let a = analyze_workspace(&root, &Options::default()).unwrap();
-    assert!(a.fresh.is_empty(), "waivered violation still reported: {:?}", a.fresh);
+    assert!(a.findings.is_empty(), "waivered violation still reported: {:?}", a.findings);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -59,14 +58,14 @@ fn malformed_waiver_is_w1_and_does_not_silence() {
     let root = workspace_with("malformed", &src);
     let a = analyze_workspace(&root, &Options::default()).unwrap();
     assert!(
-        a.fresh.iter().any(|f| f.lint == LintId::W1),
+        a.findings.iter().any(|f| f.lint == LintId::W1),
         "malformed waiver not reported as W1: {:?}",
-        a.fresh
+        a.findings
     );
     assert!(
-        a.fresh.iter().any(|f| f.lint == LintId::D1),
+        a.findings.iter().any(|f| f.lint == LintId::D1),
         "malformed waiver silently suppressed the violation: {:?}",
-        a.fresh
+        a.findings
     );
     let _ = fs::remove_dir_all(&root);
 }
@@ -77,43 +76,9 @@ fn unknown_lint_id_in_waiver_is_w1() {
     let root = workspace_with("unknown-id", &src);
     let a = analyze_workspace(&root, &Options::default()).unwrap();
     assert!(
-        a.fresh.iter().any(|f| f.lint == LintId::W1),
+        a.findings.iter().any(|f| f.lint == LintId::W1),
         "unknown lint ID in waiver must be W1: {:?}",
-        a.fresh
-    );
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn baseline_absorbs_known_findings_but_not_new_ones() {
-    let root = workspace_with("baseline", VIOLATION);
-    // First pass: everything is fresh. Feed those findings back as the
-    // baseline; a second pass must classify them as baselined, not fresh.
-    let first = analyze_workspace(&root, &Options::default()).unwrap();
-    assert!(!first.fresh.is_empty());
-    let baseline = first
-        .fresh
-        .iter()
-        .map(|f| dsp_analyze::baseline::BaselineEntry {
-            lint: f.lint.as_str().to_string(),
-            path: f.path.clone(),
-            message: f.message.clone(),
-        })
-        .collect();
-    let opts = Options { lints: None, baseline };
-    let second = analyze_workspace(&root, &opts).unwrap();
-    assert!(second.fresh.is_empty(), "baselined findings resurfaced: {:?}", second.fresh);
-    assert_eq!(second.baselined.len(), first.fresh.len());
-
-    // Now grow a NEW violation: the baseline must not absorb it.
-    let src = root.join("crates/sched/src/lib.rs");
-    let grown = format!("{VIOLATION}use std::collections::HashSet;\npub fn s() -> HashSet<u32> {{ HashSet::new() }}\n");
-    fs::write(&src, grown).unwrap();
-    let third = analyze_workspace(&root, &opts).unwrap();
-    assert!(
-        third.fresh.iter().any(|f| f.lint == LintId::D1),
-        "new violation hid behind the baseline: {:?}",
-        third.fresh
+        a.findings
     );
     let _ = fs::remove_dir_all(&root);
 }
@@ -131,12 +96,12 @@ fn guard_recovered_from_poison_across_a_send_is_a_fresh_c2() {
     fs::write(&shard, include_str!("fixtures/c2_shard_bad.rs")).unwrap();
     let red = analyze_workspace(&root, &Options::default()).unwrap();
     assert!(
-        red.fresh.iter().any(|f| f.lint == LintId::C2 && f.path.ends_with("shard.rs")),
+        red.findings.iter().any(|f| f.lint == LintId::C2 && f.path.ends_with("shard.rs")),
         "guard held through the recovery idiom passed silently: {:?}",
-        red.fresh
+        red.findings
     );
     fs::write(&shard, include_str!("fixtures/c2_shard_good.rs")).unwrap();
     let green = analyze_workspace(&root, &Options::default()).unwrap();
-    assert!(green.fresh.is_empty(), "the fix is still reported: {:?}", green.fresh);
+    assert!(green.findings.is_empty(), "the fix is still reported: {:?}", green.findings);
     let _ = fs::remove_dir_all(&root);
 }

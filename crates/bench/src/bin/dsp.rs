@@ -23,8 +23,7 @@
 //! dsp matrix  [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F]
 //!             [--out DIR] [--no-artifacts]
 //!
-//! dsp analyze [--json] [--lint ID]... [--baseline FILE]
-//!             [--write-baseline FILE] [--root DIR]
+//! dsp analyze [--json] [--lint ID]... [--root DIR]
 //! ```
 //!
 //! `dsp matrix` runs the scenario-grid evaluation rig (DESIGN.md §13):
@@ -55,7 +54,7 @@
 //! errors.
 
 use dsp_core::cluster::NodeId;
-use dsp_core::sim::FaultPlan;
+use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
 use dsp_core::verify::{Report, Severity, VerifyOptions};
@@ -99,8 +98,7 @@ fn usage() -> ! {
          \x20      dsp drain --addr HOST:PORT [--out SNAPSHOT_FILE]\n\
          \x20      dsp matrix [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F] \
          [--out DIR] [--no-artifacts]\n\
-         \x20      dsp analyze [--json] [--lint ID]... [--baseline FILE] \
-         [--write-baseline FILE] [--root DIR]"
+         \x20      dsp analyze [--json] [--lint ID]... [--root DIR]"
     );
     std::process::exit(2)
 }
@@ -168,6 +166,23 @@ fn parse(argv: &[String]) -> Args {
             _ => usage(),
         }
         i += 1;
+    }
+    // The engine indexes its node table with these ids: a node the cluster
+    // lacks is a usage error, not a panic mid-run.
+    let nodes = args.cluster.build().len();
+    for fault in &args.faults.faults {
+        let node = fault.node().0;
+        if node as usize >= nodes {
+            let flag = match fault {
+                Fault::NodeDown { .. } => "--kill",
+                Fault::SlowDown { .. } => "--straggle",
+            };
+            eprintln!(
+                "dsp: {flag}: no node {node} in the {} cluster (nodes 0..{nodes})",
+                args.cluster.name()
+            );
+            std::process::exit(2)
+        }
     }
     args
 }
@@ -634,14 +649,12 @@ fn drain_main(argv: &[String]) {
 // ---------------------------------------------------------------- analyze
 
 /// `dsp analyze` — run the dsp-analyze lint wall (DESIGN.md §12) over the
-/// workspace. Exit 0 when no unwaivered, un-baselined finding remains, 1
-/// when one does, 2 on usage/IO errors — the same convention as `verify`,
-/// so CI treats both as blocking gates the same way.
+/// workspace. Exit 0 when no unwaivered finding remains, 1 when one does,
+/// 2 on usage/IO errors — the same convention as `verify`, so CI treats
+/// both as blocking gates the same way.
 fn analyze_main(argv: &[String]) {
     let mut json = false;
     let mut lints: Vec<dsp_analyze::lints::LintId> = Vec::new();
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
     let mut root_arg: Option<String> = None;
     let mut i = 0;
     let next = |i: &mut usize| -> String {
@@ -662,8 +675,6 @@ fn analyze_main(argv: &[String]) {
                 });
                 lints.push(id);
             }
-            "--baseline" => baseline_path = Some(next(&mut i)),
-            "--write-baseline" => write_baseline = Some(next(&mut i)),
             "--root" => root_arg = Some(next(&mut i)),
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -686,41 +697,17 @@ fn analyze_main(argv: &[String]) {
             })
         }
     };
-    let mut opts = dsp_analyze::Options::default();
-    if !lints.is_empty() {
-        opts.lints = Some(lints);
-    }
-    if let Some(path) = &baseline_path {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("dsp: cannot open baseline {path}: {e}");
-            std::process::exit(2)
-        });
-        opts.baseline = dsp_analyze::baseline::parse(&text).unwrap_or_else(|e| {
-            eprintln!("dsp: {path}: {e}");
-            std::process::exit(2)
-        });
-    }
+    let opts = dsp_analyze::Options { lints: (!lints.is_empty()).then_some(lints) };
     let analysis = dsp_analyze::analyze_workspace(&root, &opts).unwrap_or_else(|e| {
         eprintln!("dsp: analyze failed under {}: {e}", root.display());
         std::process::exit(2)
     });
-    if let Some(path) = write_baseline {
-        let doc = dsp_analyze::baseline::render(&analysis.fresh);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("dsp: cannot write {path}: {e}");
-            std::process::exit(2)
-        }
-        eprintln!("dsp: baseline of {} finding(s) written to {path}", analysis.fresh.len());
-    }
     if json {
-        println!("{}", dsp_analyze::report::render_json(&analysis.fresh));
+        println!("{}", dsp_analyze::report::render_json(&analysis.findings));
     } else {
-        print!("{}", dsp_analyze::report::render_human(&analysis.fresh));
-        if !analysis.baselined.is_empty() {
-            eprintln!("dsp: {} baselined finding(s) suppressed", analysis.baselined.len());
-        }
+        print!("{}", dsp_analyze::report::render_human(&analysis.findings));
     }
-    std::process::exit(if analysis.fresh.is_empty() { 0 } else { 1 })
+    std::process::exit(if analysis.findings.is_empty() { 0 } else { 1 })
 }
 
 fn main() {

@@ -167,6 +167,25 @@ fn fault_runs_print_pinned_bytes() {
     );
 }
 
+/// A fault on a node the cluster lacks is a usage error naming its flag
+/// (exit 2), not an out-of-bounds panic inside the engine (exit 101) —
+/// including when `--cluster` comes after the fault.
+#[test]
+fn a_fault_on_a_missing_node_is_a_usage_error() {
+    for (args, flag) in [
+        (&["--jobs", "5", "--kill", "999@10"][..], "--kill"),
+        (&["--jobs", "5", "--straggle", "999@10@0.5"], "--straggle"),
+        (&["--jobs", "5", "--kill", "30@10", "--cluster", "ec2"], "--kill"),
+    ] {
+        let out = dsp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
+        assert!(stderr.contains(flag), "dsp {args:?} must name {flag}:\n{stderr}");
+    }
+    // The last node is still a node.
+    stdout_of(&["--jobs", "5", "--kill", "29@10", "--straggle", "29@20@0.5"]);
+}
+
 /// One spelling, one meaning, everywhere: both binaries' usage texts print
 /// every name of the method table, the service factories build exactly the
 /// names the table resolves, and `dsp` runs what the table says a name is.

@@ -8,10 +8,9 @@
 //! all: it is a nonblocking `UnixStream` pair whose read end the owner
 //! registers like any other connection.
 //!
-//! On non-linux targets [`Poller::new`] returns
-//! [`std::io::ErrorKind::Unsupported`]; callers (the `dsp-service`
-//! reactor) gate themselves on `target_os = "linux"` and fall back to
-//! the thread-per-connection front end.
+//! On non-linux targets every [`Poller`] call returns
+//! [`std::io::ErrorKind::Unsupported`], so the crate still builds there
+//! and `dspd` (whose only front end is the reactor) refuses to boot.
 
 /// What a registration wants to hear about.
 ///
@@ -237,7 +236,7 @@ mod sys {
     use std::time::Duration;
 
     /// Stub poller for non-linux targets: every constructor fails with
-    /// `Unsupported` so the service falls back to the threads front end.
+    /// `Unsupported`, so the service fails at boot.
     pub struct Poller {
         _private: (),
     }

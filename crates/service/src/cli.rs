@@ -2,15 +2,15 @@
 //! function, so their flags, defaults, and usage text cannot drift.
 //!
 //! Boots [`crate::serve_federated`], prints `dspd listening on HOST:PORT`
-//! (port 0 picks an ephemeral port), the front end and the shard layout,
-//! and serves until a client sends `{"op":"drain"}`. `--time-scale` is
+//! (port 0 picks an ephemeral port) and the shard layout, and serves
+//! until a client sends `{"op":"drain"}`. `--time-scale` is
 //! simulated seconds per wall second (default 600: one 300 s scheduling
 //! period every half wall-second); `--max-conns` sheds excess clients
 //! with one `busy` reply; `--shards`/`--route` are DESIGN.md §10.7.
 
 use crate::{
     build_cluster, serve_federated, AdmissionConfig, FederationSpec, RoutePolicy, ServerConfig,
-    FRONTEND, MAX_SHARDS, SCHED_SEED,
+    MAX_SHARDS, SCHED_SEED,
 };
 use dsp_core::config::Params;
 use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
@@ -24,7 +24,7 @@ pub fn usage() -> String {
         "usage: dspd [--addr HOST:PORT] [--cluster {}|uniform:N:RATE:SLOTS] \
          [--sched {}] [--preempt {}] \
          [--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
-         [--no-feasibility] [--max-conns N] [--reactor-threads N] [--shards N] \
+         [--no-feasibility] [--max-conns N] [--shards N] \
          [--route hash|least-loaded|deadline]\n       (`dsp serve` takes the same flags)",
         ClusterProfile::usage(),
         SchedMethod::usage(),
@@ -88,7 +88,6 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
             "--max-pending" => admission.max_pending_tasks = value(flag, args.next())?,
             "--no-feasibility" => admission.check_feasibility = false,
             "--max-conns" => config.max_conns = value(flag, args.next())?,
-            "--reactor-threads" => config.reactor_threads = value(flag, args.next())?,
             "--shards" => {
                 config.shards = value(flag, args.next())?;
                 if config.shards == 0 || config.shards > MAX_SHARDS {
@@ -135,7 +134,6 @@ pub fn run(argv: &[String]) -> i32 {
     };
     // The smoke script and client tooling scrape these lines.
     println!("dspd listening on {}", handle.addr);
-    println!("dspd frontend: {FRONTEND}");
     println!("dspd shards: {} (route: {})", handle.shards(), route.name());
     let _ = std::io::stdout().flush();
     handle.wait();
@@ -166,14 +164,13 @@ mod tests {
         let (spec, config) = parse(
             "--addr 0.0.0.0:7 --cluster uniform:6:1000:2 --sched fifo --preempt none \
              --period 60 --epoch 2 --time-scale 1200 --max-pending 99 --no-feasibility \
-             --max-conns 5 --reactor-threads 3 --shards 2 --route least-loaded",
+             --max-conns 5 --shards 2 --route least-loaded",
         )
         .expect("a well-formed command line");
         let expected = ServerConfig {
             addr: "0.0.0.0:7".into(),
             time_scale: 1200.0,
             max_conns: 5,
-            reactor_threads: 3,
             shards: 2,
             route: RoutePolicy::LeastLoaded,
             ..ServerConfig::default()
@@ -218,7 +215,6 @@ mod tests {
             ("--time-scale", &["0", "-600", "NaN", "inf", "-inf", "fast"]),
             ("--max-pending", &["-1", "many"]),
             ("--max-conns", &["-1", "many"]),
-            ("--reactor-threads", &["-1", "many"]),
             ("--shards", &["0", "65", "-1", "many"]),
             ("--route", &["warp", ""]),
         ];
@@ -234,7 +230,7 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_usage_errors_with_exit_2() {
-        for line in ["--warp", "--warp on", "x", "--shards 2 --warp"] {
+        for line in ["--warp", "--warp on", "x", "--shards 2 --warp", "--reactor-threads 2"] {
             let err = parse(line).err().unwrap_or_else(|| panic!("`{line}` must be refused"));
             assert!(err.starts_with("unknown flag"), "{line}: {err}");
         }

@@ -489,19 +489,18 @@ impl Snapshot {
 
 // ------------------------------------------------------------------- framing
 //
-// The wire protocol is newline-delimited JSON. Both front ends (the
-// thread-per-connection loop and the epoll reactor, DESIGN.md §10.6)
-// feed raw reads through this one state machine so frame semantics —
-// splitting, pipelining, the oversize limit — are byte-identical
-// whichever serves the socket.
+// The wire protocol is newline-delimited JSON. The epoll reactor
+// (DESIGN.md §10.6) feeds raw reads through this state machine: frame
+// semantics — splitting, pipelining, the oversize limit — hold for any
+// chunking of the byte stream.
 
 /// Default per-frame byte limit (1 MiB). A 100-job submit batch is
 /// ~100 KiB, so this is an order of magnitude of headroom; anything
 /// larger is a protocol violation, not a workload.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 
-/// A framing violation. Both front ends map this to a `bad_request`
-/// protocol error and close the connection: once framing is lost there
+/// A framing violation. The reactor maps this to a `bad_request`
+/// protocol error and closes the connection: once framing is lost there
 /// is no way to resynchronize the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {

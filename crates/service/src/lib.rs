@@ -19,13 +19,13 @@
 //!   thread publishes an immutable [`state::StateSnapshot`] into a
 //!   [`state::SnapshotCell`], and `status`/`metrics`/`snapshot`/`ping`
 //!   are answered from it without ever touching the driver;
-//! * [`server`] — `std::net` TCP front end: bounded per-shard command
-//!   queues feeding the driver-owner threads (the write lane), the
-//!   wall-clock ticker, and a minimal blocking [`server::Client`].
-//!   Connections are served by the `reactor` on linux — a fixed pool of
-//!   epoll event-loop threads that holds 10k+ sockets with a thread
-//!   count independent of connection count — and by a
-//!   thread-per-connection fallback elsewhere;
+//! * [`server`] — boot and lifecycle: bounded per-shard command queues
+//!   feeding the driver-owner threads (the write lane), the wall-clock
+//!   ticker, and a minimal blocking [`server::Client`]. Connections are
+//!   served by the `reactor`, a fixed pool of epoll event-loop threads
+//!   that holds 10k+ sockets with a thread count independent of
+//!   connection count (linux-only: elsewhere the service refuses to
+//!   boot with `Unsupported`);
 //! * [`router`] — the sharded federation (DESIGN.md §10.7): `--shards N`
 //!   partitions the cluster into N sub-clusters, each with its own
 //!   driver, owner thread, queue, and snapshot cell; the router places
@@ -46,7 +46,6 @@ pub mod cli;
 pub mod codec;
 pub mod driver;
 pub mod json;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod router;
 pub mod server;
@@ -58,9 +57,7 @@ pub use admission::{AdmissionConfig, AdmitError};
 pub use codec::{Snapshot, FORMAT_VERSION};
 pub use driver::{JobRequest, JobStatus, OnlineDriver};
 pub use router::RoutePolicy;
-pub use server::{
-    serve_federated, Client, FederationSpec, ServerConfig, ServerHandle, FRONTEND, MAX_SHARDS,
-};
+pub use server::{serve_federated, Client, FederationSpec, ServerConfig, ServerHandle, MAX_SHARDS};
 pub use state::{SnapshotCell, StateSnapshot};
 
 use dsp_core::config::Params;

@@ -1,15 +1,14 @@
 //! Per-connection state for the reactor: nonblocking reads through the
-//! shared [`FrameBuffer`], a pending-output buffer, and the bookkeeping
+//! [`FrameBuffer`] codec, a pending-output buffer, and the bookkeeping
 //! that keeps replies in request order.
 //!
 //! Ordering contract: one response line per request line, in order.
 //! Reads are answered inline, but the moment a command is handed to the
 //! driver (`inflight`) frame processing pauses — a pipelined read after
-//! a `submit` stays buffered until the submit's reply lands, exactly as
-//! a blocking handler thread would sequence it.
+//! a `submit` stays buffered until the submit's reply lands.
 
-use crate::codec::{FrameBuffer, FrameError};
-use crate::server::{response_bytes, Dispatch};
+use crate::codec::{FrameBuffer, FrameError, DEFAULT_MAX_FRAME};
+use crate::server::Dispatch;
 use crate::wire;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -18,10 +17,17 @@ use std::net::TcpStream;
 /// but pathological request lines in one pass.
 const CHUNK: usize = 8192;
 
+/// Serialize a response for the wire: one line, newline-terminated. A
+/// streamed body's buffer becomes the line — no copy, whatever its size.
+pub(crate) fn response_bytes(response: wire::Response) -> Vec<u8> {
+    let mut text = response.body.into_text();
+    text.push('\n');
+    text.into_bytes()
+}
+
 pub(crate) struct Conn {
     stream: TcpStream,
-    /// Partial-frame reassembly — the same state machine the threads
-    /// fallback runs, so framing semantics cannot diverge.
+    /// Partial-frame reassembly, at [`DEFAULT_MAX_FRAME`] bytes a frame.
     pub(crate) frames: FrameBuffer,
     /// Bytes queued for the socket; `sent` is the flushed prefix.
     out: Vec<u8>,
@@ -48,10 +54,10 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, max_frame: usize, gen: u32) -> Conn {
+    pub(crate) fn new(stream: TcpStream, gen: u32) -> Conn {
         Conn {
             stream,
-            frames: FrameBuffer::new(max_frame),
+            frames: FrameBuffer::new(DEFAULT_MAX_FRAME),
             out: Vec::new(),
             sent: 0,
             gen,

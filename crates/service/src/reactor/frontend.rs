@@ -8,14 +8,12 @@
 //! hand-off is a push under a short-lived lock followed by a waker
 //! byte, so no lock is ever held across I/O or a channel operation.
 
-use super::conn::Conn;
+use super::conn::{response_bytes, Conn};
 use super::poller::{ThreadPoller, TOKEN_LISTENER, TOKEN_WAKER};
-use crate::server::{
-    draining_response, route_line, shed_busy, Dispatch, ReplySink, Routed, ServerConfig, Shared,
-};
+use crate::server::{draining_response, Dispatch, Shared};
 use crate::wire;
 use dsp_epoll::{waker, Event, Waker};
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::TrySendError;
@@ -50,6 +48,8 @@ pub(crate) struct ReplyHandle {
 
 impl ReplyHandle {
     /// Push the response into the owning thread's inbox and wake it.
+    /// Infallible: a vanished recipient (client hung up mid-call) must
+    /// never kill the driver-owner thread.
     pub(crate) fn deliver(self, response: wire::Response) {
         {
             let mut inbox = self.hub.inbox.lock().unwrap_or_else(PoisonError::into_inner);
@@ -81,7 +81,6 @@ struct Runtime {
     /// Round-robin cursor for dealing accepted sockets to threads.
     next_thread: AtomicUsize,
     max_conns: usize,
-    max_frame: usize,
 }
 
 impl Runtime {
@@ -112,25 +111,27 @@ fn drain_queue<T>(queue: &Mutex<Vec<T>>) -> Vec<T> {
     std::mem::take(&mut *guard)
 }
 
-/// Pool size: the configured value (capped), or min(cores, 4). A small
-/// fixed pool is the point — thread count must not scale with
-/// connection count.
-fn pool_size(configured: usize) -> usize {
-    if configured > 0 {
-        return configured.min(64);
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
+/// Best-effort `busy` shed for a connection over the `max_conns` cap:
+/// one reply line, then close. The write is a single attempt — a peer
+/// that can't take one line immediately just sees the close.
+fn shed_busy(stream: &mut TcpStream, max_conns: usize) {
+    let _ = stream.set_nonblocking(true);
+    let message = format!("connection limit ({max_conns}) reached; retry later");
+    let _ = stream.write(&response_bytes(wire::Response::refusal("busy", &message)));
 }
 
-/// Boot the reactor pool. All fallible setup (wakers, epoll instances,
-/// listener registration) happens before any thread starts, so a bad
-/// environment fails the boot synchronously with nothing to unwind.
+/// Boot the reactor pool: min(cores, 4) threads. A small fixed pool is
+/// the point — thread count must not scale with connection count. All
+/// fallible setup (wakers, epoll instances, listener registration)
+/// happens before any thread starts, so a bad environment (no epoll off
+/// linux) fails the boot synchronously with nothing to unwind.
+/// `max_conns` caps live connections (0 = unlimited).
 pub(crate) fn spawn(
     listener: TcpListener,
     shared: Arc<Shared>,
-    config: &ServerConfig,
+    max_conns: usize,
 ) -> io::Result<Vec<JoinHandle<()>>> {
-    let threads = pool_size(config.reactor_threads).max(1);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
     let mut hubs = Vec::with_capacity(threads);
     let mut pollers = Vec::with_capacity(threads);
     for _ in 0..threads {
@@ -150,8 +151,7 @@ pub(crate) fn spawn(
         hubs,
         conns: AtomicUsize::new(0),
         next_thread: AtomicUsize::new(0),
-        max_conns: config.max_conns,
-        max_frame: config.max_frame,
+        max_conns,
     });
     let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(threads);
     let mut listener = Some(listener);
@@ -264,7 +264,7 @@ fn run(
                     slab.len() - 1
                 }
             };
-            let mut conn = Conn::new(stream, rt.max_frame, next_gen);
+            let mut conn = Conn::new(stream, next_gen);
             if poller.watch_conn(conn.stream(), slot).is_err() {
                 free.push(slot);
                 rt.release_conn();
@@ -405,17 +405,23 @@ fn process_frames(conn: &mut Conn, slot: usize, shared: &Shared, hub: &Arc<Threa
         if line.trim().is_empty() {
             continue;
         }
-        match route_line(&line, shared) {
-            Routed::Immediate(response) => conn.queue_response(response),
-            Routed::Queue(request) => {
+        match wire::parse_request(&line) {
+            // The read lane: answered from the published snapshots alone.
+            // This arm has no path to a driver — the router only ever
+            // hands `handle_read` the immutable views.
+            Ok(wire::Request::Read(request)) => {
+                conn.queue_response(shared.router.handle_read(request))
+            }
+            Ok(wire::Request::Write(request)) => {
                 let token = (u64::from(conn.gen) << 32) | slot as u64;
-                let sink = ReplySink::Reactor(ReplyHandle { hub: Arc::clone(hub), token });
+                let reply = ReplyHandle { hub: Arc::clone(hub), token };
                 conn.inflight = true;
                 // Routing is resolved exactly once, here: a later retry
                 // re-sends the same dispatch, so backpressure can delay
                 // a request but never re-route it to another shard.
-                send_or_park(conn, shared, shared.router.plan(request, sink));
+                send_or_park(conn, shared, shared.router.plan(request, reply));
             }
+            Err(msg) => conn.queue_response(wire::Response::refusal("bad_request", &msg)),
         }
     }
 }

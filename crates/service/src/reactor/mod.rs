@@ -1,4 +1,7 @@
-//! The epoll reactor front end (linux only; DESIGN.md §10.6).
+//! The epoll reactor: `dspd`'s one front end (DESIGN.md §10.6). It is
+//! linux-only — elsewhere `dsp-epoll` refuses to build a poller, so
+//! [`spawn`] fails with `ErrorKind::Unsupported` and the service does not
+//! boot.
 //!
 //! A small **fixed** pool of event-loop threads serves every
 //! connection; thread count is independent of connection count, which
@@ -20,11 +23,6 @@
 //!   connection for retry — a reactor thread never blocks on the driver,
 //!   so one backpressured submitter cannot stall the other connections
 //!   on its thread.
-//!
-//! Framing, routing, and reply serialization are the code the non-linux
-//! threads fallback also calls ([`crate::codec::FrameBuffer`],
-//! [`crate::server::route_line`]), so reply bytes and reason tokens are
-//! identical whichever serves the socket.
 
 mod conn;
 mod frontend;

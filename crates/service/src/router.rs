@@ -35,7 +35,8 @@
 use crate::admission::{check_feasible, AdmitError};
 use crate::codec::Snapshot;
 use crate::driver::JobRequest;
-use crate::server::{draining_response, Command, Dispatch, ReplySink, Shared, Target};
+use crate::reactor::ReplyHandle;
+use crate::server::{draining_response, Command, Dispatch, Shared, Target};
 use crate::state::{SnapshotCell, StateSnapshot};
 use crate::wire;
 use dsp_cluster::{ClusterSpec, NodeId};
@@ -168,7 +169,7 @@ impl Router {
 
     /// Resolve a write to its destination exactly once: a drain goes to
     /// the coordinator, a submit to the policy-picked shard.
-    pub(crate) fn plan(&self, request: wire::WriteRequest, reply: ReplySink) -> Dispatch {
+    pub(crate) fn plan(&self, request: wire::WriteRequest, reply: ReplyHandle) -> Dispatch {
         let target = match &request {
             wire::WriteRequest::Drain => Target::Coordinator,
             wire::WriteRequest::Submit(jobs) => Target::Shard(self.pick_shard(jobs)),
@@ -183,19 +184,9 @@ impl Router {
         }
     }
 
-    /// Blocking send (threads fallback). Err = destination gone.
-    #[cfg(any(test, not(target_os = "linux")))]
-    pub(crate) fn send(&self, dispatch: Dispatch) -> Result<(), ()> {
-        match self.queue_for(dispatch.target) {
-            Some(queue) => queue.send(dispatch.command).map_err(|_| ()),
-            None => Err(()),
-        }
-    }
-
-    /// Non-blocking send (reactor); a `Full` refusal hands the
-    /// dispatch back intact so the caller can park and retry it against
-    /// the *same* target — backpressure never re-routes a request.
-    #[cfg(target_os = "linux")]
+    /// Non-blocking send; a `Full` refusal hands the dispatch back
+    /// intact so the reactor can park and retry it against the *same*
+    /// target — backpressure never re-routes a request.
     pub(crate) fn try_send(&self, dispatch: Dispatch) -> Result<(), TrySendError<Dispatch>> {
         let Dispatch { target, command } = dispatch;
         let Some(queue) = self.queue_for(target) else {
@@ -312,7 +303,7 @@ impl Router {
         &self,
         from: usize,
         jobs: Vec<JobRequest>,
-        reply: ReplySink,
+        reply: ReplyHandle,
         tried: u64,
     ) {
         let tried = tried | mask_bit(from);

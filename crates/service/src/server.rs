@@ -24,13 +24,12 @@
 //!   mutation per shard. With more than one shard the router aggregates
 //!   the per-shard views into one federated reply (DESIGN.md §10.7).
 //!
-//! One **front end** serves connections against those lanes, picked by
-//! the build target (DESIGN.md §10.6): on linux the reactor, a small
-//! fixed pool of epoll event-loop threads whose count is independent of
-//! connection count; everywhere else the `threads` fallback below, one
-//! blocking handler thread per connection. Both share [`route_line`] and
-//! the `FrameBuffer` framing state machine, and both resolve a write's
-//! target shard exactly once ([`crate::router::Router::plan`]).
+//! Connections are served against those lanes by the epoll reactor
+//! (DESIGN.md §10.6), a small fixed pool of event-loop threads whose
+//! count is independent of connection count. It resolves a write's
+//! target shard exactly once ([`crate::router::Router::plan`]). `dspd` is
+//! linux-only: elsewhere `dsp-epoll` has no poller to hand out, so
+//! [`serve_federated`] fails at boot with `ErrorKind::Unsupported`.
 //!
 //! **Time**: the simulation clock runs at `time_scale` simulated seconds
 //! per wall second. The paper's cadences (300 s scheduling period, 5 s
@@ -41,6 +40,7 @@
 use crate::admission::AdmissionConfig;
 use crate::codec::Snapshot;
 use crate::driver::OnlineDriver;
+use crate::reactor::{self, ReplyHandle};
 use crate::router::{coordinate, RoutePolicy, Router, ShardHandle};
 use crate::shard::{run_shard, Publisher};
 use crate::state::StateSnapshot;
@@ -60,10 +60,9 @@ use std::time::{Duration, Instant};
 /// shards in a `u64` bitmask (see [`crate::router::Router`]).
 pub const MAX_SHARDS: usize = 64;
 
-/// The front end this build serves connections with (the `dspd
-/// frontend:` boot banner): the epoll reactor on linux, the
-/// thread-per-connection fallback everywhere else.
-pub const FRONTEND: &str = if cfg!(target_os = "linux") { "reactor" } else { "threads" };
+/// Bound on queued write commands **per shard** (and on the drain
+/// coordinator's queue); a full queue stalls the sender.
+const QUEUE_DEPTH: usize = 128;
 
 /// Server knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,16 +74,9 @@ pub struct ServerConfig {
     pub time_scale: f64,
     /// Wall interval between driver advances.
     pub tick: Duration,
-    /// Bound on queued write commands **per shard**; a full queue stalls
-    /// the sender.
-    pub queue_depth: usize,
     /// Accepted-connection cap; excess connections are shed with a
     /// `busy` reason token. 0 = unlimited.
     pub max_conns: usize,
-    /// Reactor pool size; 0 = auto (min(available cores, 4)).
-    pub reactor_threads: usize,
-    /// Per-frame byte limit; 0 = [`crate::codec::DEFAULT_MAX_FRAME`].
-    pub max_frame: usize,
     /// Shard count: the cluster is split into this many independent
     /// engine+driver partitions (clamped to the node count and
     /// [`MAX_SHARDS`]).
@@ -100,10 +92,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             time_scale: 600.0,
             tick: Duration::from_millis(10),
-            queue_depth: 128,
             max_conns: 0,
-            reactor_threads: 0,
-            max_frame: 0,
             shards: 1,
             route: RoutePolicy::Hash,
         }
@@ -132,10 +121,11 @@ pub struct FederationSpec {
 
 /// One unit of work for a driver-owner (or coordinator) thread.
 pub(crate) enum Command {
-    /// A client mutation; the response goes back through the sink. The
-    /// `u64` is the reroute bitmask: shards that already refused this
-    /// submit because they were quiesced (0 on first dispatch).
-    Write(wire::WriteRequest, ReplySink, u64),
+    /// A client mutation; the response goes back to the connection's
+    /// reactor thread through the handle. The `u64` is the reroute
+    /// bitmask: shards that already refused this submit because they were
+    /// quiesced (0 on first dispatch).
+    Write(wire::WriteRequest, ReplyHandle, u64),
     /// The ticker mapping wall time onto simulation time.
     Tick(dsp_units::Time),
     /// Stop admitting on this shard (phase one of the federated drain);
@@ -156,38 +146,12 @@ pub(crate) enum Target {
 }
 
 /// A command with its resolved destination. Routing happens exactly once
-/// (in [`Router::plan`]); a front end that must park a command under
-/// queue backpressure re-sends the *same* dispatch, so backpressure can
-/// never change a request's shard assignment.
+/// (in [`Router::plan`]); a reactor connection that must park a command
+/// under queue backpressure re-sends the *same* dispatch, so
+/// backpressure can never change a request's shard assignment.
 pub(crate) struct Dispatch {
     pub(crate) target: Target,
     pub(crate) command: Command,
-}
-
-/// Where the driver-owner thread sends a command's response.
-pub(crate) enum ReplySink {
-    /// A reactor thread's inbox (the connection is identified by the
-    /// handle's token; delivery wakes the event loop).
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::ReplyHandle),
-    /// A blocked connection-handler thread (the threads fallback).
-    #[cfg(any(test, not(target_os = "linux")))]
-    Blocking(SyncSender<wire::Response>),
-}
-
-impl ReplySink {
-    /// Deliver the response. Infallible: a vanished recipient (client
-    /// hung up mid-call) must never kill the driver-owner thread.
-    pub(crate) fn deliver(self, response: wire::Response) {
-        match self {
-            #[cfg(target_os = "linux")]
-            ReplySink::Reactor(handle) => handle.deliver(response),
-            #[cfg(any(test, not(target_os = "linux")))]
-            ReplySink::Blocking(tx) => {
-                let _ = tx.send(response);
-            }
-        }
-    }
 }
 
 /// A running service instance.
@@ -229,77 +193,19 @@ pub(crate) fn draining_response() -> wire::Response {
     wire::Response::refusal("draining", "service is shutting down")
 }
 
-/// The outcome of routing one request line.
-pub(crate) enum Routed {
-    /// Answered without touching a driver: a read, or a parse failure.
-    /// Never carries `shutdown`.
-    Immediate(wire::Response),
-    /// Must be serialized through a driver-owner thread.
-    Queue(wire::WriteRequest),
-}
-
-/// Route one request line against the two lanes. This is the single
-/// routing point shared by the reactor and the threads fallback — reply
-/// bytes and reason tokens cannot diverge between them because they both
-/// come from here.
-pub(crate) fn route_line(line: &str, shared: &Shared) -> Routed {
-    match wire::parse_request(line) {
-        // The read lane: answered from the published snapshots alone.
-        // This arm has no path to a driver — the router only ever hands
-        // `handle_read` the immutable views.
-        Ok(wire::Request::Read(request)) => Routed::Immediate(shared.router.handle_read(request)),
-        Ok(wire::Request::Write(request)) => Routed::Queue(request),
-        Err(msg) => Routed::Immediate(wire::Response::refusal("bad_request", &msg)),
-    }
-}
-
-/// Serialize a response for the wire: one line, newline-terminated. A
-/// streamed body's buffer becomes the line — no copy, whatever its size.
-pub(crate) fn response_bytes(response: wire::Response) -> Vec<u8> {
-    let mut text = response.body.into_text();
-    text.push('\n');
-    text.into_bytes()
-}
-
-/// Best-effort `busy` shed for a connection over [`ServerConfig::max_conns`]:
-/// one reply line, then close. The write is a single attempt — a peer
-/// that can't take one line immediately just sees the close.
-pub(crate) fn shed_busy(stream: &mut TcpStream, max_conns: usize) {
-    let _ = stream.set_nonblocking(true);
-    let message = format!("connection limit ({max_conns}) reached; retry later");
-    let _ = stream.write(&response_bytes(wire::Response::refusal("busy", &message)));
-}
-
-/// Starts the connection-serving threads over a bound listener.
-type SpawnFrontend =
-    fn(TcpListener, Arc<Shared>, &ServerConfig) -> std::io::Result<Vec<JoinHandle<()>>>;
-
-#[cfg(target_os = "linux")]
-use crate::reactor::spawn as platform_frontend;
-#[cfg(not(target_os = "linux"))]
-use threads::spawn as platform_frontend;
-
 /// Boot the service: split the cluster into `config.shards` partitions,
 /// build one [`OnlineDriver`] per partition on its own id lane (shard
 /// `i` assigns ids `i, i+N, i+2N, …`), and stand a placement router in
 /// front (DESIGN.md §10.7). At `shards == 1` the router passes reads and
 /// the drained artifact through untouched, so the service is one plain
 /// driver behind a socket.
+///
+/// Bind, then one command queue + owner thread + snapshot cell per
+/// shard, a coordinator thread for federated drains, the ticker, and the
+/// reactor.
 pub fn serve_federated(
     spec: FederationSpec,
     config: ServerConfig,
-) -> std::io::Result<ServerHandle> {
-    boot(spec, config, platform_frontend)
-}
-
-/// [`serve_federated`] with the front end named by the caller (the
-/// differential test boots both): bind, then one command queue + owner
-/// thread + snapshot cell per shard, a coordinator thread for federated
-/// drains, the ticker, and the front end.
-fn boot(
-    spec: FederationSpec,
-    config: ServerConfig,
-    spawn_frontend: SpawnFrontend,
 ) -> std::io::Result<ServerHandle> {
     let shards = config.shards.clamp(1, MAX_SHARDS).min(spec.cluster.len().max(1));
     let offsets = spec.cluster.split_offsets(shards);
@@ -321,7 +227,7 @@ fn boot(
         )
         .with_id_lane(i as u32, shards as u32);
         let publisher = Publisher::seed(&driver);
-        let (commands, command_rx) = sync_channel(config.queue_depth.max(1));
+        let (commands, command_rx) = sync_channel(QUEUE_DEPTH);
         handles.push(ShardHandle {
             commands,
             cell: publisher.cell(),
@@ -329,14 +235,14 @@ fn boot(
         });
         shard_threads.push((driver, command_rx, publisher));
     }
-    let (coordinator, coordinator_rx) = sync_channel(config.queue_depth.max(1));
+    let (coordinator, coordinator_rx) = sync_channel(QUEUE_DEPTH);
     let router = Router::new(handles, coordinator, config.route, spec.cluster, offsets)?;
     let shared = Arc::new(Shared { router, shutdown: AtomicBool::new(false) });
 
-    // The front end boots before the driver-owner threads so a failure
+    // The reactor boots before the driver-owner threads so a failure
     // there (no epoll instance to be had) fails the boot without leaking
     // running owners.
-    let frontend_threads = spawn_frontend(listener, Arc::clone(&shared), &config)?;
+    let frontend_threads = reactor::spawn(listener, Arc::clone(&shared), config.max_conns)?;
 
     let owner_threads = shard_threads
         .into_iter()
@@ -379,177 +285,6 @@ fn boot(
         owner_threads,
         coordinator_thread: Some(coordinator_thread),
     })
-}
-
-/// The thread-per-connection front end: what serves connections where
-/// there is no epoll. Linux builds compile it for tests only (the
-/// differential test below keeps its reply bytes equal to the reactor's).
-#[cfg(any(test, not(target_os = "linux")))]
-mod threads {
-    use super::{
-        draining_response, response_bytes, route_line, shed_busy, ReplySink, Routed, ServerConfig,
-        Shared,
-    };
-    use crate::codec::FrameBuffer;
-    use crate::wire;
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc::sync_channel;
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::Duration;
-
-    /// A nonblocking accept loop that spawns one handler thread per
-    /// socket.
-    ///
-    /// Failure handling: `WouldBlock` is the idle path (short fixed
-    /// sleep); every other accept error — `EMFILE`/`ENFILE` when the fd
-    /// table is full, `ECONNABORTED`, transient `ENOBUFS`… — backs off
-    /// with a bounded, doubling sleep instead of hot-spinning or silently
-    /// killing the accept loop. The loop only exits on the shutdown flag.
-    pub(super) fn spawn(
-        listener: TcpListener,
-        shared: Arc<Shared>,
-        config: &ServerConfig,
-    ) -> std::io::Result<Vec<JoinHandle<()>>> {
-        const IDLE_SLEEP: Duration = Duration::from_millis(5);
-        const BACKOFF_FLOOR: Duration = Duration::from_millis(10);
-        const BACKOFF_CEIL: Duration = Duration::from_millis(500);
-        let max_conns = config.max_conns;
-        let max_frame = config.max_frame;
-        Ok(vec![std::thread::spawn(move || {
-            let active = Arc::new(AtomicUsize::new(0));
-            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-            let mut backoff = BACKOFF_FLOOR;
-            while !shared.stopping() {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        backoff = BACKOFF_FLOOR;
-                        // ordering: Relaxed — the counter only gates admission;
-                        // it publishes no data and an off-by-one race just sheds
-                        // (or admits) one borderline connection.
-                        if max_conns > 0 && active.load(Ordering::Relaxed) >= max_conns {
-                            shed_busy(&mut stream, max_conns);
-                            continue;
-                        }
-                        // Reap finished handlers so the vec stays bounded by the
-                        // live-connection count (dropping a JoinHandle detaches).
-                        handlers.retain(|h| !h.is_finished());
-                        let ticket = ConnTicket::issue(&active);
-                        let shared = Arc::clone(&shared);
-                        handlers.push(std::thread::spawn(move || {
-                            handle_client(stream, &shared, max_frame);
-                            drop(ticket);
-                        }));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(IDLE_SLEEP);
-                    }
-                    Err(_) => {
-                        // fd exhaustion or a transient kernel refusal: give
-                        // handlers time to release resources, then try again.
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(BACKOFF_CEIL);
-                    }
-                }
-            }
-            for h in handlers {
-                let _ = h.join();
-            }
-        })])
-    }
-
-    /// RAII decrement for the live-connection counter.
-    struct ConnTicket(Arc<AtomicUsize>);
-
-    impl ConnTicket {
-        fn issue(counter: &Arc<AtomicUsize>) -> ConnTicket {
-            // ordering: Relaxed — admission gate only; see the accept loop.
-            counter.fetch_add(1, Ordering::Relaxed);
-            ConnTicket(Arc::clone(counter))
-        }
-    }
-
-    impl Drop for ConnTicket {
-        fn drop(&mut self) {
-            // ordering: Relaxed — admission gate only; see the accept loop.
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Send one write command and wait for its reply. Errors (owner gone
-    /// mid-shutdown) surface as a `draining` refusal rather than a hang.
-    fn roundtrip(shared: &Shared, request: wire::WriteRequest) -> wire::Response {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let dispatch = shared.router.plan(request, ReplySink::Blocking(reply_tx));
-        if shared.router.send(dispatch).is_ok() {
-            if let Ok(response) = reply_rx.recv() {
-                return response;
-            }
-        }
-        draining_response()
-    }
-
-    fn handle_client(stream: TcpStream, shared: &Shared, max_frame: usize) {
-        // Connection I/O errors just drop the client; the service lives on.
-        // The read timeout keeps idle connections from pinning the shutdown
-        // join: the loop wakes periodically to check the stop flag.
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
-        };
-        let mut reader = stream;
-        let mut frames = FrameBuffer::new(max_frame);
-        let mut chunk = [0u8; 8192];
-        'conn: loop {
-            match reader.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    if let Some(bytes) = chunk.get(..n) {
-                        frames.push(bytes);
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if shared.stopping() {
-                        break;
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            }
-            loop {
-                let line = match frames.next_frame() {
-                    Ok(Some(line)) => line,
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Framing is unrecoverable: reply once, then close.
-                        let response = wire::Response::refusal("bad_request", &e.to_string());
-                        let _ = writer.write_all(&response_bytes(response));
-                        break 'conn;
-                    }
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = match route_line(&line, shared) {
-                    Routed::Immediate(response) => response,
-                    Routed::Queue(request) => roundtrip(shared, request),
-                };
-                let shutdown = response.shutdown;
-                let sent =
-                    writer.write_all(&response_bytes(response)).and_then(|()| writer.flush());
-                if sent.is_err() || shutdown {
-                    break 'conn;
-                }
-            }
-        }
-    }
 }
 
 impl ServerHandle {
@@ -650,12 +385,9 @@ impl Client {
 }
 
 #[cfg(test)]
-#[cfg(target_os = "linux")]
 mod tests {
     use super::*;
     use crate::driver::JobRequest;
-
-    const MAX_FRAME: usize = 1024;
 
     fn spec() -> FederationSpec {
         FederationSpec {
@@ -699,19 +431,31 @@ mod tests {
         transcript
     }
 
-    /// One scripted session against a 2-shard service on a frozen clock.
-    /// The tick is longer than the session, so no clock publish lands
-    /// between two replies and every `state_version` is the script's own.
-    fn session(spawn_frontend: SpawnFrontend) -> Vec<u8> {
+    /// FNV-1a 64 of [`scripted_session_replies_with_pinned_bytes`]'s
+    /// transcript. Recorded against the reactor at 93ea619.
+    const SESSION_PIN: u64 = 0xb01c_af8a_1b17_f52e;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// One scripted session against a 2-shard service on a frozen clock:
+    /// reads, blank lines, parse refusals, an oversize frame, submits and
+    /// a drain. The tick is longer than the session, so no clock publish
+    /// lands between two replies and every `state_version` is the
+    /// script's own — which is what makes the bytes pinnable.
+    #[test]
+    fn scripted_session_replies_with_pinned_bytes() {
         let config = ServerConfig {
             time_scale: 0.0,
             tick: Duration::from_secs(3),
-            max_frame: MAX_FRAME,
             shards: 2,
             ..ServerConfig::default()
         };
-        let handle = boot(spec(), config, spawn_frontend).expect("bind ephemeral port");
-        let oversize = "x".repeat(MAX_FRAME + 500);
+        let handle = serve_federated(spec(), config).expect("bind ephemeral port");
+        let oversize = "x".repeat(crate::codec::DEFAULT_MAX_FRAME + 500);
         let mut transcript = converse(
             handle.addr,
             &[
@@ -742,22 +486,15 @@ mod tests {
             ],
         ));
         handle.wait();
-        transcript
-    }
-
-    /// The threads fallback is what non-linux builds serve with; linux CI
-    /// never boots it otherwise. Same script, same bytes, or it has rotted.
-    #[test]
-    fn threads_fallback_and_reactor_reply_with_identical_bytes() {
-        let fallback = String::from_utf8(session(threads::spawn)).expect("utf-8 replies");
-        let reactor = String::from_utf8(session(crate::reactor::spawn)).expect("utf-8 replies");
-        assert_eq!(fallback, reactor);
+        let got = fnv1a(&transcript);
+        let text = String::from_utf8(transcript).expect("utf-8 replies");
+        assert_eq!(got, SESSION_PIN, "session bytes moved ({got:#018x}):\n{text}");
 
         // The script did what it says: 12 replies, three of them parse or
         // framing refusals, and a drained artifact that verifies.
-        let replies: Vec<&str> = reactor.lines().collect();
-        assert_eq!(replies.len(), 12, "{reactor}");
-        assert_eq!(reactor.matches(r#""reason":"bad_request""#).count(), 3, "{reactor}");
+        let replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.len(), 12, "{text}");
+        assert_eq!(text.matches(r#""reason":"bad_request""#).count(), 3, "{text}");
         let drained = crate::json::parse(replies[11]).expect("drain reply parses");
         let snap =
             Snapshot::from_json(drained.get("snapshot").expect("artifact")).expect("decodes");

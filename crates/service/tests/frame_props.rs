@@ -1,9 +1,7 @@
 //! Property tests for the wire-framing state machine
-//! ([`dsp_service::codec::FrameBuffer`]) — the one component both front
-//! ends put directly in the byte path. The blocking front end feeds it
-//! from `read` chunks, the reactor from edge-triggered drains; the
-//! properties here hold for *any* chunking, which is what makes the two
-//! byte-identical.
+//! ([`dsp_service::codec::FrameBuffer`]) — what the reactor puts directly
+//! in the byte path, fed from edge-triggered drains of whatever size the
+//! kernel hands over; the properties here hold for *any* chunking.
 
 use dsp_service::codec::{FrameBuffer, FrameError, DEFAULT_MAX_FRAME};
 use proptest::prelude::*;

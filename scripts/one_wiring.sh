@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# CI guard: the two-phase loop has one assembly and the methods one name
-# table (DESIGN.md §3.1). Three greps over non-test product code — every
-# crates/*/src file outside crates/benchmark, cut at its `#[cfg(test)] mod
-# tests`, minus files that are test-only modules. Run from the repo root.
+# CI guard: the two-phase loop has one assembly, the methods one name
+# table (DESIGN.md §3.1), and dspd one front end (§10.6). Three greps over
+# non-test product code — every crates/*/src file outside crates/benchmark,
+# cut at its `#[cfg(test)] mod tests`, minus files that are test-only
+# modules — and one over the service crate whole. Run from the repo root.
 set -euo pipefail
 
 product() {
@@ -41,5 +42,10 @@ calls=$(grep -E '\.schedule_onto\(' <<<"$src" | grep -v '^crates/sched/' || true
 names='"(dsp-list|dsp-ilp|tetris|tetris-wo-dep|aalo|fifo|random|dsp-wo-pp|amoeba|natjam|srpt)"'
 check "quoted method names outside core/src/methods.rs" \
     "$(grep -E "$names" <<<"$src" | grep -v '^crates/core/src/methods\.rs:' || true)"
+
+# 4. The service builds one front end, the reactor: no target-gated code or
+#    dependency that could host a second one.
+check "target_os in crates/service (dspd has one front end)" \
+    "$(grep -rn 'target_os' crates/service/src crates/service/Cargo.toml || true)"
 
 exit "$fail"

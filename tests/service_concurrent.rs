@@ -9,9 +9,8 @@
 //! scale with the shard count because routing is deterministic and
 //! admission is per-shard. Unset, everything runs at one shard.
 //!
-//! The service runs on the build target's front end (the reactor on
-//! linux); the threads fallback is held to the same reply bytes by the
-//! differential test in `crates/service/src/server.rs`.
+//! The service runs on its one front end, the epoll reactor, so the tier
+//! is linux-only like `dspd` itself.
 //!
 //! What the readers assert on every response (per connection):
 //!   * `state_version` is non-decreasing — snapshots publish in order and
@@ -405,7 +404,6 @@ fn connections_over_max_conns_shed_with_busy() {
 /// the ping is what proves sockets are adopted rather than left in the
 /// backlog) and the process's thread count does not move; 20 active
 /// clients are served through the herd, and the drain still audits clean.
-#[cfg(target_os = "linux")]
 #[test]
 fn an_idle_herd_costs_sockets_not_threads() {
     // /proc/self/task counts the whole test process: keep the other
