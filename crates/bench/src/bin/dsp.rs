@@ -103,6 +103,28 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// `text` as the number `flag` takes when `ok` accepts it; otherwise exit 2
+/// naming the flag and what it `must` be.
+fn number(flag: &str, text: &str, ok: fn(f64) -> bool, must: &str) -> f64 {
+    match text.parse() {
+        Ok(v) if ok(v) => v,
+        _ => {
+            eprintln!("dsp: {flag}: `{text}` is not {must}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// A `--scale` value: task sizes are multiplied by it.
+fn scale_arg(text: &str) -> f64 {
+    number("--scale", text, |s| s.is_finite() && s > 0.0, "a finite number > 0")
+}
+
+/// A `--noise` value: the σ of the estimate noise.
+fn noise_arg(text: &str) -> f64 {
+    number("--noise", text, |s| s.is_finite() && s >= 0.0, "a finite number ≥ 0")
+}
+
 fn parse(argv: &[String]) -> Args {
     let mut args = Args {
         cluster: ClusterProfile::Ec2,
@@ -130,8 +152,8 @@ fn parse(argv: &[String]) -> Args {
             }
             "--jobs" => args.jobs = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--noise" => args.noise = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--scale" => args.scale = scale_arg(&next(&mut i)),
+            "--noise" => args.noise = noise_arg(&next(&mut i)),
             "--sched" => {
                 args.sched = SchedMethod::from_name(&next(&mut i)).unwrap_or_else(|| usage())
             }
@@ -155,7 +177,7 @@ fn parse(argv: &[String]) -> Args {
                 args.faults = std::mem::take(&mut args.faults).straggle(
                     NodeId(parts[0].parse().unwrap_or_else(|_| usage())),
                     Time::from_secs(parts[1].parse().unwrap_or_else(|_| usage())),
-                    parts[2].parse().unwrap_or_else(|_| usage()),
+                    number("--straggle", parts[2], |f| f > 0.0 && f <= 1.0, "a factor in (0, 1]"),
                 );
             }
             "--dump-jobs" => args.dump_jobs = Some(next(&mut i)),
@@ -416,7 +438,7 @@ fn matrix_main(argv: &[String]) {
             "--full" => kind = "full",
             "--seed" => seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--jobs" => jobs_override = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--scale" => scale_override = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
+            "--scale" => scale_override = Some(scale_arg(&next(&mut i))),
             "--out" => out_dir = Some(next(&mut i)),
             "--no-artifacts" => artifacts = false,
             "--help" | "-h" => usage(),
@@ -522,8 +544,8 @@ fn submit_main(argv: &[String]) {
             "--file" => file = Some(next(&mut i)),
             "--gen" => gen = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--seed" => seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--noise" => noise = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--scale" => scale = scale_arg(&next(&mut i)),
+            "--noise" => noise = noise_arg(&next(&mut i)),
             "--help" | "-h" => usage(),
             _ => usage(),
         }

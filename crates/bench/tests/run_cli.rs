@@ -186,6 +186,37 @@ fn a_fault_on_a_missing_node_is_a_usage_error() {
     stdout_of(&["--jobs", "5", "--kill", "29@10", "--straggle", "29@20@0.5"]);
 }
 
+/// A number the run would otherwise bend without a word — a scale that is
+/// not finite or not positive, a noise σ that is not finite or negative, a
+/// straggle factor outside (0, 1] — is a usage error naming its flag
+/// (exit 2), in every verb that takes the flag.
+#[test]
+fn out_of_range_numbers_are_usage_errors() {
+    let submit = ["submit", "--addr", "127.0.0.1:1", "--gen", "2"];
+    let with = |head: &[&'static str], tail: [&'static str; 2]| [head, &tail].concat();
+    let mut cases = Vec::new();
+    for value in ["nan", "-1", "0", "inf"] {
+        cases.push((with(&["--jobs", "4"], ["--scale", value]), "--scale"));
+        cases.push((with(&["matrix", "--smoke"], ["--scale", value]), "--scale"));
+        cases.push((with(&submit, ["--scale", value]), "--scale"));
+    }
+    for value in ["nan", "-0.1", "inf"] {
+        cases.push((with(&["--jobs", "4"], ["--noise", value]), "--noise"));
+        cases.push((with(&submit, ["--noise", value]), "--noise"));
+    }
+    for spec in ["1@10@nan", "1@10@-2", "1@10@0", "1@10@1.5"] {
+        cases.push((with(&["--jobs", "4"], ["--straggle", spec]), "--straggle"));
+    }
+    for (args, flag) in cases {
+        let out = dsp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
+        assert!(stderr.contains(flag), "dsp {args:?} must name {flag}:\n{stderr}");
+    }
+    // Each range's closed end still runs.
+    stdout_of(&["--jobs", "4", "--scale", "1e-3", "--noise", "0", "--straggle", "1@10@1"]);
+}
+
 /// One spelling, one meaning, everywhere: both binaries' usage texts print
 /// every name of the method table, the service factories build exactly the
 /// names the table resolves, and `dsp` runs what the table says a name is.

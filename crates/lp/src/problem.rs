@@ -114,6 +114,11 @@ impl Problem {
         self.constraints.len()
     }
 
+    /// `[lower, upper]` of variable `v`.
+    pub fn bounds(&self, v: VarId) -> (f64, f64) {
+        (self.vars[v.0].lower, self.vars[v.0].upper)
+    }
+
     /// Indices of the integer variables.
     pub fn integer_vars(&self) -> Vec<VarId> {
         self.vars.iter().enumerate().filter(|(_, v)| v.integer).map(|(i, _)| VarId(i)).collect()

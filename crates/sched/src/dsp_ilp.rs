@@ -24,6 +24,16 @@
 //! rel_k` that every optimal schedule fits in. No `x ≤ 1` row either: the
 //! `assign` rows already bound every `x`.
 //!
+//! Interchangeable slots are searched once, not once per labelling. Two
+//! virtual slots are interchangeable when every task has the same `e_{t,k}`
+//! on both and both drain their backlog at the same instant. Within each
+//! class of such slots, `x_{t,k}` gets upper bound 0 when slot k's position
+//! in its class (slot order) exceeds task t's rank in `topo`. No optimum is
+//! lost: relabel each class's slots in the order of the lowest-ranked task
+//! each holds, and the p-th slot's lowest rank is at least p, at the same
+//! makespan. A batch with no interchangeable pair builds the model as if
+//! the rule did not exist.
+//!
 //! Only the combinatorial answer is read back: the slot of each task and
 //! the order of the tasks. Starts are re-derived in integer microseconds
 //! by one forward pass over precedence, slot order and `node_avail`, in
@@ -31,7 +41,9 @@
 //! the result is audited — R1–R3, and a makespan no longer than the
 //! solver's `L` plus its numerical residue — before it is reported
 //! `Exact` or `Incumbent`. A failed audit is `Fallback` and
-//! [`IlpStats::audit_failures`], never a silent schedule.
+//! [`IlpStats::audit_failures`], never a silent schedule. `dsp-lp` prunes
+//! a node as infeasible only on a cold solve's word: a warm dual re-entry
+//! that reports `Infeasible` is re-checked by a cold solve of the node.
 //!
 //! Exact search is reserved for small instances. The paper, noting the
 //! problem is NP-complete, relaxes and rounds beyond them; this scheduler
@@ -368,6 +380,19 @@ impl Model {
         let horizon = serial + rel.iter().max().map_or(0.0, |r| r.as_secs_f64());
         let big_m = serial.max(1.0) * 2.0;
 
+        // Slot symmetry: a slot's position among the earlier slots it is
+        // interchangeable with (same exec time for every task, same
+        // backlog) caps it to tasks of at least that rank in `topo`.
+        let position: Vec<usize> = (0..k_count)
+            .map(|k| {
+                let same =
+                    |j: usize| rel[j] == rel[k] && tasks.iter().all(|t| t.exec[j] == t.exec[k]);
+                (0..k).filter(|&j| same(j)).count()
+            })
+            .collect();
+        let mut rank = vec![0; n];
+        topo.iter().enumerate().for_each(|(r, &t)| rank[t] = r);
+
         let mut p = Problem::new(Sense::Min);
         let makespan = p.add_var("L", 0.0, f64::INFINITY, 1.0);
         let starts: Vec<VarId> =
@@ -378,7 +403,10 @@ impl Model {
         let x: Vec<Vec<VarId>> = (0..n)
             .map(|t| {
                 (0..k_count)
-                    .map(|k| p.add_int_var(format!("x{t}_{k}"), 0.0, f64::INFINITY, 0.0))
+                    .map(|k| {
+                        let hi = if position[k] > rank[t] { 0.0 } else { f64::INFINITY };
+                        p.add_int_var(format!("x{t}_{k}"), 0.0, hi, 0.0)
+                    })
                     .collect()
             })
             .collect();
@@ -710,6 +738,46 @@ mod tests {
         // 8 `x` + 3 `y`; 4 assign, 3 sinks' `mk`, 3 `prec`, 3 pairs × 2
         // slots × 2 directions.
         assert_eq!(model_size(&jobs, &cluster, true), [1 + 4 + 8 + 3, 8 + 3, 4 + 3 + 3 + 12]);
+    }
+
+    /// How many `x` the slot-class rule fixes at 0 for four independent
+    /// tasks (ranks 0–3) on `cluster` behind `node_avail`.
+    fn zero_bounded(cluster: &ClusterSpec, node_avail: &[Time]) -> usize {
+        let jobs = vec![job_with(0, 4, &[], 3600)];
+        let model = Model::build(&jobs, cluster, Time::ZERO, node_avail, true);
+        model.x.iter().flatten().filter(|&&v| model.problem.bounds(v) == (0.0, 0.0)).count()
+    }
+
+    /// Two nodes, node 1 at 1.5× node 0's rate.
+    fn mixed(slots: usize) -> ClusterSpec {
+        let mut cluster = uniform(2, 1000.0, slots);
+        (cluster.nodes[1].s_cpu, cluster.nodes[1].s_mem) = (1500.0, 1500.0);
+        cluster
+    }
+
+    #[test]
+    fn each_slot_class_is_labelled_once() {
+        let backlog = [Time::from_millis(300), Time::ZERO];
+        // One class of 2: the rank-0 task stays off position 1.
+        assert_eq!(zero_bounded(&uniform(2, 1000.0, 1), &[]), 1);
+        // One class of 4: ranks 0, 1, 2 keep off 3, 2, 1 positions.
+        assert_eq!(zero_bounded(&uniform(2, 1000.0, 2), &[]), 3 + 2 + 1);
+        // Two classes of 2, split by rate or by backlog.
+        assert_eq!(zero_bounded(&mixed(2), &[]), 2);
+        assert_eq!(zero_bounded(&uniform(2, 1000.0, 2), &backlog), 2);
+        assert_eq!(zero_bounded(&uniform(2, 1000.0, 1), &backlog), 0);
+    }
+
+    #[test]
+    fn without_an_interchangeable_pair_the_model_is_unchanged() {
+        let jobs = vec![job_with(0, 4, &[], 3600)];
+        let cluster = mixed(1);
+        assert_eq!(zero_bounded(&cluster, &[]), 0);
+        let model = Model::build(&jobs, &cluster, Time::ZERO, &[], true);
+        assert!(model.x.iter().flatten().all(|&v| model.problem.bounds(v) == (0.0, f64::INFINITY)));
+        // L, 4 starts, 8 `x`, 6 `y`; 4 assign, 4 `mk`, 6 pairs × 2 slots ×
+        // 2 directions.
+        assert_eq!(model_size(&jobs, &cluster, true), [1 + 4 + 8 + 6, 8 + 6, 4 + 4 + 24]);
     }
 
     #[test]

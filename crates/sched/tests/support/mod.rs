@@ -75,6 +75,16 @@ pub fn instances(seed: u64, count: usize) -> Vec<Instance> {
         .collect()
 }
 
+/// Two nodes of `slots` slots each, node 0 at `rates[0]` and node 1 at
+/// `rates[1]` MI/s.
+pub fn two_rates(rates: [f64; 2], slots: usize) -> ClusterSpec {
+    let mut cluster = uniform(2, rates[0], slots);
+    cluster.name = format!("rates{}/{}", rates[0], rates[1]);
+    let fast = &mut cluster.nodes[1];
+    (fast.s_cpu, fast.s_mem) = (rates[1], rates[1]);
+    cluster
+}
+
 /// The MILP's objective read off a plan: the latest estimated finish,
 /// measured from `at`.
 pub fn planned_makespan(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Dur {
