@@ -1,21 +1,20 @@
 //! Branch-and-bound MILP driver over the simplex relaxation solver.
 //!
-//! The frontier is explored **best-bound first** in batched rounds, on the
-//! calling thread. Three rules define the tree — and with it the returned
-//! point, the proven objective and every effort counter:
+//! One best-bound loop on the calling thread. It pops the frontier node
+//! with the smallest (key, id) — the parent's LP bound, ties to the older
+//! node — and solves its relaxation. Then it does one of three things:
 //!
-//! * **Pop order** — the priority queue orders by (LP bound, node
-//!   seniority): best bound first, ties to the smaller (older) node id. A
-//!   round pops a fixed-size batch in that order.
-//! * **Frozen incumbent** — every node of a round prunes against the
-//!   incumbent objective as it stood when the round was popped; the
-//!   incumbent only moves *between* rounds, so a node's prune decision
-//!   depends on the round number alone.
-//! * **Commutative incumbent replacement** — an integral point replaces
-//!   the incumbent iff its objective is strictly better, ties broken by
-//!   the senior node id. That is a lattice min over (objective, id), so
-//!   the final incumbent does not depend on the order a round's outcomes
-//!   are folded in (they are folded in pop order).
+//! * **prune** the node: its relaxation is infeasible, or its bound is
+//!   within `abs_gap` of the incumbent;
+//! * **take** its point as the new incumbent at once, when the point is
+//!   integral (it beat the incumbent, or it would have been pruned);
+//! * **branch** on the most fractional integer variable and push the two
+//!   children, the down branch (`x ≤ floor`) first, so it gets the older
+//!   id.
+//!
+//! The search ends proved when the best key on the frontier is within
+//! `abs_gap` of the incumbent (best-bound order: it dominates every other
+//! node), or exhausted when the node budget is spent first.
 //!
 //! Each node carries a warm start ([`Branch`]: its parent's optimal
 //! [`WarmLp`] tableau, shared with its sibling, plus its own branch bound)
@@ -33,14 +32,6 @@ use crate::simplex::{solve_lp, solve_lp_warm, Solution, WarmLp};
 
 /// Integrality tolerance: values this close to an integer count as integral.
 const INT_TOL: f64 = 1e-6;
-
-/// Nodes popped per frontier round. Part of the exploration order (a node
-/// popped in a round is expanded even if an earlier node of the same round
-/// finds an incumbent that would have pruned it), so every pinned path
-/// encodes it. 8 balances that speculation — on the pinned fig5 set,
-/// batches past 8 start exploring nodes a fresher incumbent would have
-/// pruned — against round frequency.
-const FRONTIER_BATCH: usize = 8;
 
 /// Search budget and solver knobs for [`solve_milp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +94,8 @@ pub struct MilpSolution {
     /// Nodes answered by a warm dual-simplex re-entry (0 when
     /// [`MilpOptions::warm_start`] is off).
     pub warm_hits: usize,
-    /// Frontier rounds taken.
+    /// Equals `nodes` (0 for the pure-LP shortcut); kept while
+    /// `crates/benchmark` reads `lp.bb_rounds`.
     pub rounds: usize,
     /// One entry (`nodes` = nodes explored) when branch-and-bound ran,
     /// empty for the pure-LP shortcut. Present until the benchmark's
@@ -119,13 +111,12 @@ fn is_int(v: f64) -> bool {
 /// One frontier node: a bound overlay over the root problem plus the
 /// parent's re-entrant tableau.
 struct Node {
-    /// Seniority: creation order, assigned at push time in deterministic
-    /// merge order. The tie-break everywhere.
+    /// Seniority: creation order, the root being 0. The tie-break of the
+    /// pop order.
     id: u64,
     /// Best-bound key: the parent's relaxation objective (min sense);
     /// `-inf` for the root. A child's true bound can only be ≥ this.
     key: f64,
-    depth: usize,
     /// `(lower, upper)` per original variable; branching only tightens
     /// these, so together with the shared root constraints they fully
     /// describe the node's subproblem.
@@ -180,37 +171,6 @@ impl Ord for HeapNode {
     }
 }
 
-/// A child emitted by expanding a node (id assigned later, at merge).
-struct ChildSpec {
-    bounds: Vec<(f64, f64)>,
-    warm: Option<Branch>,
-}
-
-/// What expanding one node concluded.
-enum Verdict {
-    /// Infeasible subproblem or bound dominated by the (frozen) incumbent.
-    Pruned,
-    /// Unbounded relaxation — fatal at the root, numerical noise (skip)
-    /// below it.
-    Unbounded,
-    /// Abort the whole solve (model error, iteration limit on a cold
-    /// solve).
-    Fatal(LpError),
-    /// The relaxation came out integral: an incumbent candidate.
-    Integral { x: Vec<f64>, obj: f64 },
-    /// Fractional: children to enqueue, keyed by this node's bound.
-    Branched { bound: f64, children: Vec<ChildSpec> },
-}
-
-/// One expanded node's outcome.
-struct NodeOutcome {
-    node_id: u64,
-    depth: usize,
-    pivots: usize,
-    warm_hit: bool,
-    verdict: Verdict,
-}
-
 /// Point feasibility against the root constraints + a node's bound
 /// overlay — the overlay equivalent of `Problem::is_feasible` on a
 /// materialized subproblem.
@@ -232,299 +192,57 @@ fn overlay_feasible(root: &Problem, bounds: &[(f64, f64)], x: &[f64]) -> bool {
     })
 }
 
-/// Expand one frontier node. Pure: the outcome depends only on the node,
-/// the root problem, the options, and the round-frozen `cutoff` (current
-/// incumbent min-objective, `+inf` when none).
-fn process_node(
+/// Solve a node's relaxation, adding every pivot spent to `pivots`. A
+/// dual-simplex re-entry from the parent's tableau answers when its point
+/// passes the overlay check. Anything else is cold-solved — a re-entry's
+/// `Infeasible` included: a re-entry has reported it on nodes whose LP a
+/// cold solve finds feasible, and pruning on it cut live subtrees (an
+/// `Exact` plan 20 % above the optimum on a backlogged `dsp-sched` batch).
+/// Returns the solution, its re-entrant tableau (when warm starts are on)
+/// and whether the re-entry answered.
+fn solve_node(
     root: &Problem,
-    int_vars: &[VarId],
     opts: &MilpOptions,
-    mut node: Node,
-    cutoff: f64,
-) -> NodeOutcome {
-    let to_min = |obj: f64| match root.sense() {
-        Sense::Min => obj,
-        Sense::Max => -obj,
-    };
-    let mut pivots = 0usize;
-    let mut warm_hit = false;
-    let mut early: Option<Verdict> = None;
-    // Warm path: dual-simplex re-entry from the parent basis. Anything but
-    // a verified point falls back to a cold solve below — `Infeasible`
-    // included: a re-entry has reported it on nodes whose LP a cold solve
-    // finds feasible, and pruning on it cut live subtrees (an `Exact` plan
-    // 20 % above the optimum on a backlogged `dsp-sched` batch).
-    let mut solved: Option<(Solution, Option<WarmLp>)> = None;
+    node: &mut Node,
+    pivots: &mut usize,
+) -> Result<(Solution, Option<WarmLp>, bool), LpError> {
     if let Some(b) = node.warm.take() {
         let mut w = b.parent.child(b.var, b.le, b.bound);
         drop(b); // the last sibling out frees the parent's tableau
         match w.resolve(opts.warm_pivot_cap) {
             Ok(s) => {
-                pivots += s.iterations;
+                *pivots += s.iterations;
                 if overlay_feasible(root, &node.bounds, &s.x) {
-                    warm_hit = true;
-                    solved = Some((s, Some(w)));
+                    return Ok((s, Some(w), true));
                 }
             }
-            Err(_) => pivots += w.iterations(),
+            Err(_) => *pivots += w.iterations(),
         }
     }
-    if solved.is_none() {
-        let sub = node.materialize(root);
-        let cold = if opts.warm_start {
-            solve_lp_warm(&sub).map(|(s, w)| (s, Some(w)))
-        } else {
-            solve_lp(&sub).map(|s| (s, None))
-        };
-        match cold {
-            Ok((s, w)) => {
-                pivots += s.iterations;
-                solved = Some((s, w));
-            }
-            Err(LpError::Infeasible) => early = Some(Verdict::Pruned),
-            Err(LpError::Unbounded) => early = Some(Verdict::Unbounded),
-            Err(e) => early = Some(Verdict::Fatal(e)),
-        }
-    }
-    let verdict = match (early, solved) {
-        (Some(v), _) => v,
-        (None, Some((relax, warm_state))) => {
-            let bound = to_min(relax.objective);
-            if bound >= cutoff - opts.abs_gap {
-                Verdict::Pruned
-            } else {
-                // Most fractional integer variable.
-                let branch_var =
-                    int_vars.iter().copied().filter(|v| !is_int(relax.x[v.0])).max_by(|a, b| {
-                        let fa = (relax.x[a.0] - relax.x[a.0].round()).abs();
-                        let fb = (relax.x[b.0] - relax.x[b.0].round()).abs();
-                        // total_cmp only, no tie-break: `max_by` already
-                        // returns the LAST maximum, which is the behavior
-                        // the recorded B&B exploration paths depend on.
-                        fa.total_cmp(&fb)
-                    });
-                match branch_var {
-                    None => {
-                        // Integral point: snap integer coordinates exactly.
-                        let mut x = relax.x;
-                        for v in int_vars {
-                            x[v.0] = x[v.0].round();
-                        }
-                        Verdict::Integral { x, obj: bound }
-                    }
-                    Some(v) => {
-                        let val = relax.x[v.0];
-                        let (lo, hi) = node.bounds[v.0];
-                        let mut children = Vec::with_capacity(2);
-                        let parent = warm_state.map(Arc::new);
-                        let branch = |le, bound| {
-                            let parent = Arc::clone(parent.as_ref()?);
-                            Some(Branch { parent, var: v.0, le, bound })
-                        };
-                        // Down branch (x ≤ floor) first: it gets the senior
-                        // child id, so equal-bound ties explore the often
-                        // cheaper side first.
-                        let dn_hi = hi.min(val.floor());
-                        if lo <= dn_hi {
-                            let mut b = node.bounds.clone();
-                            b[v.0] = (lo, dn_hi);
-                            let warm = branch(true, val.floor());
-                            children.push(ChildSpec { bounds: b, warm });
-                        }
-                        let up_lo = lo.max(val.ceil());
-                        if up_lo <= hi {
-                            let mut b = node.bounds;
-                            b[v.0] = (up_lo, hi);
-                            let warm = branch(false, val.ceil());
-                            children.push(ChildSpec { bounds: b, warm });
-                        }
-                        Verdict::Branched { bound, children }
-                    }
-                }
-            }
-        }
-        (None, None) => unreachable!("every path sets a verdict or a solution"),
+    let sub = node.materialize(root);
+    let (s, w) = if opts.warm_start {
+        let (s, w) = solve_lp_warm(&sub)?;
+        (s, Some(w))
+    } else {
+        (solve_lp(&sub)?, None)
     };
-    NodeOutcome { node_id: node.id, depth: node.depth, pivots, warm_hit, verdict }
+    *pivots += s.iterations;
+    Ok((s, w, false))
 }
 
-/// Current incumbent: point, min-sense objective, and the id of the node
-/// that produced it (the replacement tie-break).
-struct Incumbent {
-    x: Vec<f64>,
-    obj: f64,
-    id: u64,
-}
-
-/// The frontier engine: batch building, expansion, merging, termination.
-struct Engine<'a> {
-    root: &'a Problem,
-    int_vars: &'a [VarId],
-    opts: &'a MilpOptions,
-    heap: BinaryHeap<HeapNode>,
-    incumbent: Option<Incumbent>,
-    next_id: u64,
-    nodes: usize,
-    pivots: usize,
-    warm_hits: usize,
-    rounds: usize,
-    exhausted: bool,
-}
-
-impl<'a> Engine<'a> {
-    fn new(root: &'a Problem, int_vars: &'a [VarId], opts: &'a MilpOptions) -> Self {
-        let bounds = root.vars.iter().map(|v| (v.lower, v.upper)).collect();
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapNode(Node { id: 0, key: f64::NEG_INFINITY, depth: 0, bounds, warm: None }));
-        Engine {
-            root,
-            int_vars,
-            opts,
-            heap,
-            incumbent: None,
-            next_id: 1,
-            nodes: 0,
-            pivots: 0,
-            warm_hits: 0,
-            rounds: 0,
-            exhausted: false,
-        }
-    }
-
-    /// Round-frozen prune cutoff: the incumbent's min-sense objective.
-    fn cutoff(&self) -> f64 {
-        self.incumbent.as_ref().map_or(f64::INFINITY, |inc| inc.obj)
-    }
-
-    /// Pop the next batch in (bound, seniority) order. Returns the batch
-    /// plus whether the node budget stopped it with work still queued.
-    fn build_batch(&mut self) -> (Vec<Node>, bool) {
-        let mut batch = Vec::new();
-        let mut hit_budget = false;
-        while batch.len() < FRONTIER_BATCH {
-            let Some(top) = self.heap.peek() else { break };
-            if let Some(inc) = &self.incumbent {
-                if top.0.key >= inc.obj - self.opts.abs_gap {
-                    // Best-bound order: the top dominates the whole heap,
-                    // so everything left is pruned — the proof is done.
-                    self.heap.clear();
-                    break;
-                }
-            }
-            if self.nodes >= self.opts.max_nodes {
-                hit_budget = true;
-                break;
-            }
-            let node = self.heap.pop().expect("peeked Some").0;
-            self.nodes += 1;
-            batch.push(node);
-        }
-        (batch, hit_budget)
-    }
-
-    /// Commutative incumbent replacement: strictly better objective wins,
-    /// exact ties go to the senior (smaller) node id — a lattice min over
-    /// (objective, id).
-    fn offer_incumbent(&mut self, x: Vec<f64>, obj: f64, id: u64) {
-        let better = match &self.incumbent {
-            None => true,
-            Some(inc) => obj < inc.obj || (obj == inc.obj && id < inc.id),
-        };
-        if better {
-            self.incumbent = Some(Incumbent { x, obj, id });
-        }
-    }
-
-    /// Fold one round's outcomes in batch (pop) order: counters, incumbent
-    /// candidates, then children — ids assigned in this deterministic
-    /// order, and children already dominated by the merged incumbent are
-    /// dropped (their key only ever loses to a cutoff that only improves).
-    fn merge(&mut self, outcomes: Vec<NodeOutcome>) -> Result<(), LpError> {
-        for out in outcomes {
-            self.pivots += out.pivots;
-            if out.warm_hit {
-                self.warm_hits += 1;
-            }
-            match out.verdict {
-                Verdict::Pruned => {}
-                Verdict::Unbounded => {
-                    // Unbounded relaxation at the root means the MILP
-                    // itself is unbounded (or has unbounded relaxation —
-                    // we surface it); deeper it is numerical noise.
-                    if out.depth == 0 {
-                        return Err(LpError::Unbounded);
-                    }
-                }
-                Verdict::Fatal(e) => return Err(e),
-                Verdict::Integral { x, obj } => self.offer_incumbent(x, obj, out.node_id),
-                Verdict::Branched { bound, children } => {
-                    for c in children {
-                        if let Some(inc) = &self.incumbent {
-                            if bound >= inc.obj - self.opts.abs_gap {
-                                continue;
-                            }
-                        }
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        self.heap.push(HeapNode(Node {
-                            id,
-                            key: bound,
-                            depth: out.depth + 1,
-                            bounds: c.bounds,
-                            warm: c.warm,
-                        }));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Drive rounds to termination: pop a batch, expand every node of it
-    /// against the same cutoff, fold the outcomes in pop order.
-    fn run(mut self) -> Result<MilpSolution, LpError> {
-        loop {
-            let (batch, hit_budget) = self.build_batch();
-            if batch.is_empty() {
-                self.exhausted = hit_budget;
-                break;
-            }
-            self.rounds += 1;
-            let cutoff = self.cutoff();
-            let outcomes = batch
-                .into_iter()
-                .map(|node| process_node(self.root, self.int_vars, self.opts, node, cutoff))
-                .collect();
-            self.merge(outcomes)?;
-        }
-        match self.incumbent {
-            Some(inc) => {
-                let objective = match self.root.sense() {
-                    Sense::Min => inc.obj,
-                    Sense::Max => -inc.obj,
-                };
-                let status = if self.exhausted { Status::BudgetExhausted } else { Status::Optimal };
-                Ok(MilpSolution {
-                    x: inc.x,
-                    objective,
-                    status,
-                    nodes: self.nodes,
-                    pivots: self.pivots,
-                    warm_hits: self.warm_hits,
-                    rounds: self.rounds,
-                    per_worker: vec![WorkerCounters { nodes: self.nodes as u64 }],
-                })
-            }
-            None if self.exhausted => Err(LpError::NoIncumbent),
-            None => Err(LpError::Infeasible),
-        }
-    }
+/// The integer variable farthest from an integer at `x`; `None` when the
+/// point is integral.
+fn most_fractional(int_vars: &[VarId], x: &[f64]) -> Option<VarId> {
+    let frac = |v: &VarId| (x[v.0] - x[v.0].round()).abs();
+    // total_cmp only, no tie-break: `max_by` already returns the LAST
+    // maximum, which is the behavior the recorded B&B exploration paths
+    // depend on.
+    int_vars.iter().copied().filter(|v| !is_int(x[v.0])).max_by(|a, b| frac(a).total_cmp(&frac(b)))
 }
 
 /// Solve a mixed-integer linear program by LP-based branch-and-bound:
-/// best-bound-first exploration with most-fractional branching, in batched
-/// rounds on the calling thread (see the module docs for the rules that
-/// define the tree).
+/// best-bound-first exploration with most-fractional branching on the
+/// calling thread (see the module docs for the loop).
 ///
 /// Returns [`LpError::Infeasible`]/[`LpError::Unbounded`] when the root
 /// relaxation already proves it, and [`LpError::NoIncumbent`] when the node
@@ -547,7 +265,83 @@ pub fn solve_milp(p: &Problem, opts: MilpOptions) -> Result<MilpSolution, LpErro
         });
     }
 
-    Engine::new(p, &int_vars, &opts).run()
+    // Min-sense objective; its own inverse.
+    let to_min = |obj: f64| match p.sense() {
+        Sense::Min => obj,
+        Sense::Max => -obj,
+    };
+    let bounds = p.vars.iter().map(|v| (v.lower, v.upper)).collect();
+    let root = Node { id: 0, key: f64::NEG_INFINITY, bounds, warm: None };
+    let mut heap = BinaryHeap::from([HeapNode(root)]);
+    let mut next_id = 1;
+    // The incumbent point and its min-sense objective.
+    let mut incumbent: Option<(Vec<f64>, f64)> = None;
+    let (mut nodes, mut pivots, mut warm_hits) = (0, 0, 0);
+    let mut exhausted = false;
+    while let Some(top) = heap.peek() {
+        let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |(_, obj)| *obj);
+        if top.0.key >= cutoff - opts.abs_gap {
+            break; // proved: the top dominates the whole heap
+        }
+        if nodes >= opts.max_nodes {
+            exhausted = true;
+            break;
+        }
+        let mut node = heap.pop().expect("peeked Some").0;
+        nodes += 1;
+        let (relax, warm, warm_hit) = match solve_node(p, &opts, &mut node, &mut pivots) {
+            Ok(solved) => solved,
+            // An infeasible subproblem is pruned. An unbounded relaxation
+            // is surfaced at the root; deeper it is numerical noise.
+            Err(LpError::Infeasible) => continue,
+            Err(LpError::Unbounded) if node.id != 0 => continue,
+            Err(e) => return Err(e),
+        };
+        warm_hits += usize::from(warm_hit);
+        let bound = to_min(relax.objective);
+        if bound >= cutoff - opts.abs_gap {
+            continue;
+        }
+        let Some(v) = most_fractional(&int_vars, &relax.x) else {
+            // Integral point: snap integer coordinates exactly.
+            let mut x = relax.x;
+            for v in &int_vars {
+                x[v.0] = x[v.0].round();
+            }
+            incumbent = Some((x, bound));
+            continue;
+        };
+        let val = relax.x[v.0];
+        let (lo, hi) = node.bounds[v.0];
+        let parent = warm.map(Arc::new);
+        let branch = |le, bound| {
+            let parent = Arc::clone(parent.as_ref()?);
+            Some(Branch { parent, var: v.0, le, bound })
+        };
+        let down = (lo, hi.min(val.floor()), branch(true, val.floor()));
+        let up = (lo.max(val.ceil()), hi, branch(false, val.ceil()));
+        for (lo, hi, warm) in [down, up] {
+            if lo <= hi {
+                let mut bounds = node.bounds.clone();
+                bounds[v.0] = (lo, hi);
+                heap.push(HeapNode(Node { id: next_id, key: bound, bounds, warm }));
+                next_id += 1;
+            }
+        }
+    }
+    let Some((x, obj)) = incumbent else {
+        return Err(if exhausted { LpError::NoIncumbent } else { LpError::Infeasible });
+    };
+    Ok(MilpSolution {
+        x,
+        objective: to_min(obj),
+        status: if exhausted { Status::BudgetExhausted } else { Status::Optimal },
+        nodes,
+        pivots,
+        warm_hits,
+        rounds: nodes,
+        per_worker: vec![WorkerCounters { nodes: nodes as u64 }],
+    })
 }
 
 #[cfg(test)]

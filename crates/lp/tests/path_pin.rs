@@ -3,7 +3,7 @@
 //! The tableau kernel may be re-laid-out and its loops rewritten, but it
 //! must keep performing the same pivots in the same order on the same
 //! numbers: every literal below (objective bits, a hash of the point's
-//! bits, node / pivot / round / warm-hit counts, root-LP iterations) was
+//! bits, node / pivot / warm-hit counts, root-LP iterations) was
 //! captured from the `Vec<Vec<f64>>` tableau this crate started with, and
 //! one changed pivot anywhere turns a row red. The `disjunctive()` builder
 //! is `dsp_sched::dsp_ilp`'s Section III formulation as it was before
@@ -150,7 +150,6 @@ struct Pin {
     x: u64,
     nodes: usize,
     pivots: usize,
-    rounds: usize,
     warm_hits: usize,
     lp_iterations: usize,
     lp_objective: u64,
@@ -175,14 +174,17 @@ fn pin(p: &Problem, opts: MilpOptions) -> Pin {
         Ok(s) => (s.iterations, s.objective.to_bits(), fnv_bits(&s.x)),
         Err(_) => (0, 0, 0),
     };
-    match solve_milp(p, opts) {
+    let milp = solve_milp(p, opts);
+    if let Ok(s) = &milp {
+        assert_eq!(s.rounds, s.nodes, "`rounds` must equal `nodes`");
+    }
+    match milp {
         Ok(s) => Pin {
             status: status_name(Ok(s.status)),
             objective: s.objective.to_bits(),
             x: fnv_bits(&s.x),
             nodes: s.nodes,
             pivots: s.pivots,
-            rounds: s.rounds,
             warm_hits: s.warm_hits,
             lp_iterations,
             lp_objective,
@@ -194,7 +196,6 @@ fn pin(p: &Problem, opts: MilpOptions) -> Pin {
             x: 0,
             nodes: 0,
             pivots: 0,
-            rounds: 0,
             warm_hits: 0,
             lp_iterations,
             lp_objective,
@@ -212,13 +213,12 @@ fn assert_pinned(models: &[(Problem, MilpOptions)], expected: &[Pin]) {
         .iter()
         .map(|a| {
             format!(
-                "    row({:?}, {:#018x}, {:#018x}, [{}, {}, {}, {}], {}, {:#018x}, {:#018x}),\n",
+                "    row({:?}, {:#018x}, {:#018x}, [{}, {}, {}], {}, {:#018x}, {:#018x}),\n",
                 a.status,
                 a.objective,
                 a.x,
                 a.nodes,
                 a.pivots,
-                a.rounds,
                 a.warm_hits,
                 a.lp_iterations,
                 a.lp_objective,
@@ -233,30 +233,19 @@ const fn row(
     status: &'static str,
     objective: u64,
     x: u64,
-    [nodes, pivots, rounds, warm_hits]: [usize; 4],
+    [nodes, pivots, warm_hits]: [usize; 3],
     lp_iterations: usize,
     lp_objective: u64,
     lp_x: u64,
 ) -> Pin {
-    Pin {
-        status,
-        objective,
-        x,
-        nodes,
-        pivots,
-        rounds,
-        warm_hits,
-        lp_iterations,
-        lp_objective,
-        lp_x,
-    }
+    Pin { status, objective, x, nodes, pivots, warm_hits, lp_iterations, lp_objective, lp_x }
 }
 
 /// 32 models: 3–6 tasks × 1–2 slots, and per block of eight one of
 /// {bare, precedence, deadlines + releases, all three}. The last one is the
 /// dual ratio test's pivot tolerance pinned: a dual re-entry that pivoted on
-/// ~1e-9 entries stalled its tree at 31 292 pivots (939 nodes); refusing
-/// entries below 1e-7 settles the same objective and point in 3 522.
+/// ~1e-9 entries stalled its tree at 31 292 pivots; refusing entries below
+/// 1e-7 settles the same objective and point in 3 520 (939 nodes).
 fn disjunctive_models() -> Vec<(Problem, MilpOptions)> {
     (0..32usize)
         .map(|i| {
@@ -281,38 +270,38 @@ fn disjunctive_models_keep_their_path() {
 
 #[rustfmt::skip]
 const DISJUNCTIVE: &[Pin] = &[
-    row("Optimal", 0x4015b4c0ef4a8ff8, 0x536292ecce314bbe, [11, 46, 4, 10], 24, 0x3ffea4dbdaf4f6b7, 0xc086103b601e6939),
-    row("Optimal", 0x4012899536fa94c6, 0x655f8b75ab0a89b2, [47, 143, 9, 46], 45, 0x3ff6fe39a4f62b46, 0xe7f380d350998f91),
-    row("Optimal", 0x4016452fc9baf2a2, 0x9f917b0083ebc0cd, [241, 602, 34, 239], 60, 0x3ffc01cf7adff456, 0x3fcb52b2fa212beb),
-    row("Optimal", 0x401b3fd3a770de85, 0xdd108a28190bfb59, [1479, 3455, 188, 1458], 99, 0x3fffc160cf28b06d, 0x1eebf3073884ee57),
-    row("Optimal", 0x40017f0f523ccd94, 0x5e66c2175f07901b, [23, 107, 5, 22], 59, 0x3ffc33ca964f8dc7, 0x6045c9cf0834f9e6),
-    row("Optimal", 0x40024a384301d258, 0x2a172748bafae6f6, [59, 244, 10, 58], 91, 0x3ff6b88a4779aa8c, 0xf679b5811f59d6b5),
-    row("Optimal", 0x4003a5ad399ad74f, 0x6a176f0a11285d09, [215, 821, 29, 214], 223, 0x3ffa101f495edbdf, 0xfa0e797fbef3291a),
-    row("Optimal", 0x4012466138a9f3d0, 0x999c4c824900453f, [2305, 6146, 291, 2283], 242, 0x3fffab907bbb0c02, 0x24e86c0d7f6d4195),
-    row("Optimal", 0x40119466904eb783, 0xa8ba3211c7a5d65e, [3, 27, 2, 2], 23, 0x4009ec2c33eb2c5c, 0xe07f8ea2663d22c0),
-    row("Optimal", 0x4015a6a08f3a4c0b, 0xad83bb1e8db35442, [1, 38, 1, 0], 38, 0x4015a6a08f3a4c0b, 0xad83bb1e8db35442),
-    row("Optimal", 0x4018db1c8f660423, 0x6d83e73c55daca92, [23, 111, 6, 22], 61, 0x400d07448b31c116, 0x5e4fba35e4286492),
-    row("Optimal", 0x401657e4809af024, 0x6c0b88743c526b41, [87, 285, 13, 86], 90, 0x4002c2bdfda05850, 0xd7abf6d2eda132c8),
-    row("Optimal", 0x4003aacad5635caa, 0x4c2e8c545e634440, [1, 57, 1, 0], 57, 0x4003aacad5635caa, 0xcd2f018c8f59ba8f),
-    row("Optimal", 0x3ff7b9c8a49fbb4f, 0x922d1b8ba1e4bef1, [7, 116, 3, 6], 106, 0x3ff7b9c8a49fbb4f, 0x59edd284891a5928),
-    row("Optimal", 0x40165d3e691149d3, 0xe227836a5ab56a73, [25, 220, 6, 24], 154, 0x4015ef77307c2ea7, 0x1f6048c2191f009f),
-    row("Optimal", 0x400956523a3b7cfa, 0x3eb4a83da90faac5, [7, 267, 3, 6], 251, 0x400956523a3b7cfa, 0x357419156226bc57),
-    row("Optimal", 0x40061f14b7b5899f, 0xc2b28e19affff252, [5, 40, 3, 2], 31, 0x3ff896a65e7fc64b, 0x0bcb8ac491ea6b15),
-    row("Optimal", 0x4015512253b832c6, 0x32e7b695c06ced7c, [13, 79, 6, 6], 51, 0x40018721448771e1, 0x67dbaa7c7311f0fd),
-    row("Optimal", 0x4017aeaaaf0e36a7, 0x010e0c9f43dd2ba1, [31, 151, 7, 15], 73, 0x40011d35d4e9afeb, 0x6685af30ef0ff1a3),
-    row("Optimal", 0x401c9daf3d3eabad, 0x47cf6d0633f83a5b, [135, 442, 19, 67], 99, 0x4004437cfe50b7ca, 0x427886c627684e2e),
-    row("Optimal", 0x4007f42adbabab8c, 0x86b2d585641aa58c, [35, 140, 7, 29], 61, 0x4003890518cc8551, 0x7dc49abda38798e7),
-    row("Optimal", 0x40107fcc0760ab81, 0x7a098a41282059f8, [109, 365, 17, 84], 102, 0x4002dc676c95c0f7, 0x3c642c8581f8dbf6),
-    row("Optimal", 0x40096185e9f0bcae, 0x25fe3f342a6ef3ea, [143, 529, 21, 114], 139, 0x4000c432bd027f3f, 0x33fb79237f5fa58b),
-    row("Optimal", 0x4012cc2c5c6f7bc9, 0x4bbac82ae72c8c82, [655, 1921, 86, 545], 211, 0x4003381cd5c3265e, 0x2a1705120f775591),
-    row("Optimal", 0x40156e5a619a38c8, 0x380f7868b959d2ad, [3, 35, 2, 1], 32, 0x40104b5478052772, 0x97afa58f52178ee0),
-    row("Optimal", 0x40180533efe69c3e, 0x00fbb3b5095336e1, [7, 61, 4, 3], 48, 0x400bfab41b24ee18, 0xd3c6a418200bb187),
-    row("Optimal", 0x401db27f7cc0cfb6, 0xa951865ab8126e82, [7, 88, 3, 3], 73, 0x4011ba5deab3933c, 0x85b208ebcd4bd80b),
-    row("Optimal", 0x40201b6d5674b370, 0xe515e36855607873, [23, 151, 6, 11], 95, 0x400f53613714eeff, 0x26188b4014095525),
-    row("Optimal", 0x3ffd01547a19bbb9, 0x517f0553dab719cb, [1, 54, 1, 0], 54, 0x3ffd01547a19bbb9, 0x0629841aaf919b28),
-    row("Optimal", 0x400bf857a3eac4e5, 0xb425e9dcec17618d, [7, 101, 3, 6], 90, 0x400bf857a3eac4e5, 0x35e388d98210832a),
-    row("Optimal", 0x4009604dffdd1352, 0x54df0b8b5d6a5f7b, [1, 148, 1, 0], 148, 0x4009604dffdd1352, 0x367393a5516b1003),
-    row("Optimal", 0x401676c7e4778fb7, 0x6498428a2d580502, [941, 3522, 121, 744], 176, 0x4014c209e0635479, 0x9f9497f1c0eed32b),
+    row("Optimal", 0x4015b4c0ef4a8ff8, 0x536292ecce314bbe, [11, 46, 10], 24, 0x3ffea4dbdaf4f6b7, 0xc086103b601e6939),
+    row("Optimal", 0x4012899536fa94c6, 0x655f8b75ab0a89b2, [47, 143, 46], 45, 0x3ff6fe39a4f62b46, 0xe7f380d350998f91),
+    row("Optimal", 0x4016452fc9baf2a2, 0x9f917b0083ebc0cd, [241, 602, 239], 60, 0x3ffc01cf7adff456, 0x3fcb52b2fa212beb),
+    row("Optimal", 0x401b3fd3a770de85, 0xdd108a28190bfb59, [1479, 3455, 1458], 99, 0x3fffc160cf28b06d, 0x1eebf3073884ee57),
+    row("Optimal", 0x40017f0f523ccd94, 0x5e66c2175f07901b, [18, 97, 17], 59, 0x3ffc33ca964f8dc7, 0x6045c9cf0834f9e6),
+    row("Optimal", 0x40024a384301d258, 0x2a172748bafae6f6, [59, 244, 58], 91, 0x3ff6b88a4779aa8c, 0xf679b5811f59d6b5),
+    row("Optimal", 0x4003a5ad399ad74f, 0x6a176f0a11285d09, [207, 805, 206], 223, 0x3ffa101f495edbdf, 0xfa0e797fbef3291a),
+    row("Optimal", 0x4012466138a9f3d0, 0x999c4c824900453f, [2305, 6146, 2283], 242, 0x3fffab907bbb0c02, 0x24e86c0d7f6d4195),
+    row("Optimal", 0x40119466904eb790, 0xef1248fb1044be94, [3, 27, 2], 23, 0x4009ec2c33eb2c5c, 0xe07f8ea2663d22c0),
+    row("Optimal", 0x4015a6a08f3a4c0b, 0xad83bb1e8db35442, [1, 38, 0], 38, 0x4015a6a08f3a4c0b, 0xad83bb1e8db35442),
+    row("Optimal", 0x4018db1c8f660423, 0x6d83e73c55daca92, [23, 111, 22], 61, 0x400d07448b31c116, 0x5e4fba35e4286492),
+    row("Optimal", 0x401657e4809af024, 0x6c0b88743c526b41, [87, 285, 86], 90, 0x4002c2bdfda05850, 0xd7abf6d2eda132c8),
+    row("Optimal", 0x4003aacad5635caa, 0x4c2e8c545e634440, [1, 57, 0], 57, 0x4003aacad5635caa, 0xcd2f018c8f59ba8f),
+    row("Optimal", 0x3ff7b9c8a49fbb4f, 0x922d1b8ba1e4bef1, [6, 115, 5], 106, 0x3ff7b9c8a49fbb4f, 0x59edd284891a5928),
+    row("Optimal", 0x40165d3e691149d3, 0xe227836a5ab56a73, [25, 220, 24], 154, 0x4015ef77307c2ea7, 0x1f6048c2191f009f),
+    row("Optimal", 0x400956523a3b7cfa, 0x3eb4a83da90faac5, [5, 261, 4], 251, 0x400956523a3b7cfa, 0x357419156226bc57),
+    row("Optimal", 0x40061f14b7b5899f, 0xc2b28e19affff252, [5, 40, 2], 31, 0x3ff896a65e7fc64b, 0x0bcb8ac491ea6b15),
+    row("Optimal", 0x4015512253b832c6, 0x32e7b695c06ced7c, [13, 79, 6], 51, 0x40018721448771e1, 0x67dbaa7c7311f0fd),
+    row("Optimal", 0x4017aeaaaf0e36a7, 0x010e0c9f43dd2ba1, [31, 151, 15], 73, 0x40011d35d4e9afeb, 0x6685af30ef0ff1a3),
+    row("Optimal", 0x401c9daf3d3eabad, 0x47cf6d0633f83a5b, [135, 442, 67], 99, 0x4004437cfe50b7ca, 0x427886c627684e2e),
+    row("Optimal", 0x4007f42adbabab8c, 0x86b2d585641aa58c, [35, 140, 29], 61, 0x4003890518cc8551, 0x7dc49abda38798e7),
+    row("Optimal", 0x40107fcc0760ab89, 0x609df99c2a742372, [109, 365, 84], 102, 0x4002dc676c95c0f7, 0x3c642c8581f8dbf6),
+    row("Optimal", 0x40096185e9f0bcae, 0x25fe3f342a6ef3ea, [139, 521, 112], 139, 0x4000c432bd027f3f, 0x33fb79237f5fa58b),
+    row("Optimal", 0x4012cc2c5c6f7bc9, 0x4bbac82ae72c8c82, [655, 1921, 545], 211, 0x4003381cd5c3265e, 0x2a1705120f775591),
+    row("Optimal", 0x40156e5a619a38c8, 0x380f7868b959d2ad, [3, 35, 1], 32, 0x40104b5478052772, 0x97afa58f52178ee0),
+    row("Optimal", 0x40180533efe69c3e, 0x00fbb3b5095336e1, [7, 61, 3], 48, 0x400bfab41b24ee18, 0xd3c6a418200bb187),
+    row("Optimal", 0x401db27f7cc0cfb6, 0xa951865ab8126e82, [7, 88, 3], 73, 0x4011ba5deab3933c, 0x85b208ebcd4bd80b),
+    row("Optimal", 0x40201b6d5674b370, 0xe515e36855607873, [23, 151, 11], 95, 0x400f53613714eeff, 0x26188b4014095525),
+    row("Optimal", 0x3ffd01547a19bbb9, 0x517f0553dab719cb, [1, 54, 0], 54, 0x3ffd01547a19bbb9, 0x0629841aaf919b28),
+    row("Optimal", 0x400bf857a3eac4e5, 0xb425e9dcec17618d, [5, 97, 4], 90, 0x400bf857a3eac4e5, 0x35e388d98210832a),
+    row("Optimal", 0x4009604dffdd1352, 0x54df0b8b5d6a5f7b, [1, 148, 0], 148, 0x4009604dffdd1352, 0x367393a5516b1003),
+    row("Optimal", 0x401676c7e4778fb7, 0x6498428a2d580502, [939, 3520, 743], 176, 0x4014c209e0635479, 0x9f9497f1c0eed32b),
 ];
 
 /// Shapes the scheduling model never produces, each a place where dropping
@@ -378,9 +367,9 @@ fn edge_shapes_keep_their_path() {
 
 #[rustfmt::skip]
 const EDGE: &[Pin] = &[
-    row("Optimal", 0x3ff6666666666667, 0x85d1101b4cd3a525, [13, 15, 7, 8], 6, 0x3fdcccccccccccce, 0xae819d2703a9e73c),
-    row("Infeasible", 0x0000000000000000, 0x0000000000000000, [0, 0, 0, 0], 0, 0x0000000000000000, 0x0000000000000000),
-    row("Optimal", 0x4031000000000000, 0xad2be05439f173e9, [3, 6, 2, 2], 4, 0x4031c00000000000, 0xbce8dd9da79517bb),
-    row("Optimal", 0x4027fffffffffffe, 0x0b3b23ee60a5c5d2, [7, 12, 4, 4], 8, 0x4016999999999998, 0x09afa5ffcbd4ace4),
-    row("Optimal", 0x4009badec4835c30, 0xf2420d6a7b5693aa, [35, 1454, 7, 15], 80, 0x40059aba0f12838b, 0x5f6dd9d8b754539e),
+    row("Optimal", 0x3ff6666666666667, 0x85d1101b4cd3a525, [13, 15, 8], 6, 0x3fdcccccccccccce, 0xae819d2703a9e73c),
+    row("Infeasible", 0x0000000000000000, 0x0000000000000000, [0, 0, 0], 0, 0x0000000000000000, 0x0000000000000000),
+    row("Optimal", 0x4031000000000000, 0xad2be05439f173e9, [3, 6, 2], 4, 0x4031c00000000000, 0xbce8dd9da79517bb),
+    row("Optimal", 0x4027fffffffffffe, 0x0b3b23ee60a5c5d2, [7, 12, 4], 8, 0x4016999999999998, 0x09afa5ffcbd4ace4),
+    row("Optimal", 0x4009badec4835c30, 0xf2420d6a7b5693aa, [35, 1454, 15], 80, 0x40059aba0f12838b, 0x5f6dd9d8b754539e),
 ];

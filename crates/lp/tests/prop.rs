@@ -1,9 +1,10 @@
 //! Property tests for the LP/MILP solver: on randomly generated
 //! feasible-by-construction programs, the simplex must return a feasible
 //! point at least as good as the construction witness, and branch-and-bound
-//! must respect integrality and never beat the relaxation.
+//! must respect integrality, never beat the relaxation, and match the
+//! optimum found by enumerating every integer point of the box.
 
-use dsp_lp::{solve_lp, solve_milp, Cmp, MilpOptions, Problem, Sense};
+use dsp_lp::{solve_lp, solve_milp, Cmp, MilpOptions, Problem, Sense, Status};
 use proptest::prelude::*;
 
 /// Build `min c·x  s.t.  A x ≤ b, 0 ≤ x ≤ 10` where `b = A·x0 + slack` for
@@ -40,6 +41,39 @@ fn feasible_lp(
     }
     let witness_obj = c.iter().zip(&x0).map(|(ci, xi)| ci * xi).sum();
     (p, x0, witness_obj)
+}
+
+/// Solve the integer `feasible_lp` and hold its answer to exhaustive
+/// enumeration: all 11ⁿ integer points of the box `[0, 10]ⁿ`. The MILP must
+/// prove optimality and land within 1e-6 of the least feasible objective.
+fn milp_matches_enumeration(
+    n: usize,
+    m: usize,
+    a_vals: &[i32],
+    x0_vals: &[i32],
+    c_vals: &[i32],
+    slack: &[i32],
+) -> Result<(), String> {
+    let (p, _x0, _w) = feasible_lp(true, n, m, a_vals, x0_vals, c_vals, slack);
+    let milp = solve_milp(&p, MilpOptions::default()).map_err(|e| format!("solve_milp: {e}"))?;
+    prop_assert_eq!(milp.status, Status::Optimal);
+    let mut x = vec![0.0; n];
+    let mut least = f64::INFINITY;
+    for code in 0..11usize.pow(n as u32) {
+        for (i, xi) in x.iter_mut().enumerate() {
+            *xi = (code / 11usize.pow(i as u32) % 11) as f64;
+        }
+        if p.is_feasible(&x, 1e-6) {
+            least = least.min(p.objective_value(&x));
+        }
+    }
+    prop_assert!(
+        (milp.objective - least).abs() <= 1e-6,
+        "MILP {} at {:?}, enumeration {least}",
+        milp.objective,
+        milp.x
+    );
+    Ok(())
 }
 
 proptest! {
@@ -82,5 +116,40 @@ proptest! {
         }
         // Minimization: the MILP optimum can never beat its relaxation.
         prop_assert!(milp.objective >= relax.objective - 1e-6);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn milp_optimum_matches_enumeration(
+        n in 1usize..5,
+        m in 1usize..5,
+        a_vals in prop::collection::vec(0i32..5, 1..25),
+        x0_vals in prop::collection::vec(0i32..4, 1..5),
+        c_vals in prop::collection::vec(-5i32..5, 1..5),
+        slack in prop::collection::vec(0i32..4, 1..5),
+    ) {
+        milp_matches_enumeration(n, m, &a_vals, &x0_vals, &c_vals, &slack)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+    /// The same oracle, 16× wider (≈ 1 s optimized):
+    /// `cargo test --release -p dsp-lp --test prop -- --ignored`.
+    #[test]
+    #[ignore = "4 096 enumerated optima; nightly runs it"]
+    fn milp_optimum_matches_enumeration_wide(
+        n in 1usize..5,
+        m in 1usize..5,
+        a_vals in prop::collection::vec(0i32..5, 1..25),
+        x0_vals in prop::collection::vec(0i32..4, 1..5),
+        c_vals in prop::collection::vec(-5i32..5, 1..5),
+        slack in prop::collection::vec(0i32..4, 1..5),
+    ) {
+        milp_matches_enumeration(n, m, &a_vals, &x0_vals, &c_vals, &slack)?;
     }
 }

@@ -101,7 +101,7 @@ pub struct IlpStats {
     pub pivots: usize,
     /// Nodes answered by warm dual-simplex re-entry.
     pub warm_hits: usize,
-    /// Frontier rounds taken by the B&B engine.
+    /// Equals `nodes`; kept while `crates/benchmark` reads `lp.bb_rounds`.
     pub rounds: usize,
     /// `MilpSolution::per_worker` of that solve: one entry, or empty when
     /// the MILP was never touched. Present until the benchmark's

@@ -207,7 +207,17 @@ mod tests {
         // flag → values that must be refused (besides a missing value).
         let table: &[(&str, &[&str])] = &[
             ("--addr", &[]),
-            ("--cluster", &["warp", "uniform:0:1000:2", "uniform:4"]),
+            (
+                "--cluster",
+                &[
+                    "warp",
+                    "uniform:0:1000:2",
+                    "uniform:4",
+                    "uniform:4:nan:2",
+                    "uniform:4:inf:2",
+                    "uniform:4:1000:0",
+                ],
+            ),
             ("--sched", &["warp", "tetris-wodep", "tetris-dep"]),
             ("--preempt", &["warp", "dsp-wopp"]),
             ("--period", &["0", "-1", "1.5", "soon"]),

@@ -79,7 +79,8 @@ pub fn build_policy(name: &str, params: &Params) -> Option<Box<dyn dsp_sim::Pree
 }
 
 /// Instantiate a cluster: a profile name of the method table, or
-/// `uniform:<nodes>:<rate>:<slots>`.
+/// `uniform:<nodes>:<rate>:<slots>` with at least one node, a finite rate
+/// above zero and at least one slot (`None` otherwise).
 pub fn build_cluster(name: &str) -> Option<dsp_cluster::ClusterSpec> {
     if let Some(profile) = ClusterProfile::from_name(name) {
         return Some(profile.build());
@@ -91,7 +92,7 @@ pub fn build_cluster(name: &str) -> Option<dsp_cluster::ClusterSpec> {
     let nodes: usize = parts.next()?.parse().ok()?;
     let rate: f64 = parts.next()?.parse().ok()?;
     let slots: usize = parts.next()?.parse().ok()?;
-    if parts.next().is_some() || nodes == 0 || rate <= 0.0 {
+    if parts.next().is_some() || nodes == 0 || !(rate.is_finite() && rate > 0.0) || slots == 0 {
         return None;
     }
     Some(dsp_cluster::uniform(nodes, rate, slots))
@@ -107,7 +108,9 @@ mod tests {
             assert_eq!(build_cluster(profile.name()), Some(profile.build()));
         }
         assert_eq!(build_cluster("uniform:4:1000:2").map(|c| c.len()), Some(4));
-        assert!(build_cluster("uniform:0:1000:2").is_none());
+        for bad in ["uniform:0:1000:2", "uniform:4:nan:2", "uniform:4:inf:2", "uniform:4:1000:0"] {
+            assert!(build_cluster(bad).is_none(), "{bad} must be refused");
+        }
         assert!(build_cluster("warp").is_none());
     }
 }
