@@ -1,30 +1,8 @@
 //! `dsp` — run one experiment, verify serialized artifacts, or talk to a
-//! running `dspd` service, from the command line.
-//!
-//! ```text
-//! dsp [--cluster ec2|palmetto|blend] [--jobs N] [--seed S] [--scale F]
-//!     [--sched dsp-list|dsp|dsp-ilp|tetris|tetris-wo-dep|aalo|fifo|random]
-//!     [--preempt dsp|dsp-wo-pp|amoeba|natjam|srpt|none]
-//!     [--noise SIGMA]
-//!     [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]...
-//!     [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE]
-//!     [--json]
-//!
-//! dsp verify --jobs FILE --schedule FILE [--cluster ec2|palmetto|blend]
-//!     [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]
-//! dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]
-//!
-//! dsp serve   [DSPD FLAGS]    (the daemon itself: `dsp_service::cli`)
-//! dsp submit  --addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])
-//! dsp status  --addr HOST:PORT --job ID
-//! dsp metrics --addr HOST:PORT
-//! dsp drain   --addr HOST:PORT [--out SNAPSHOT_FILE]
-//!
-//! dsp matrix  [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F]
-//!             [--out DIR] [--no-artifacts]
-//!
-//! dsp analyze [--json] [--lint ID]... [--root DIR]
-//! ```
+//! running `dspd` service, from the command line. The usage text (`dsp
+//! --help`) is generated from [`VERBS`], the table `main` dispatches on;
+//! every verb reads its flags with `dsp_core::flags`, so a malformed
+//! command line exits 2 naming the word it could not read.
 //!
 //! `dsp matrix` runs the scenario-grid evaluation rig (DESIGN.md §13):
 //! every scheduler × preemption arm across execution-time models, arrival
@@ -54,6 +32,8 @@
 //! errors.
 
 use dsp_core::cluster::NodeId;
+use dsp_core::dag::Job;
+use dsp_core::flags::{usage_error, Flags};
 use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
@@ -65,178 +45,223 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write as _;
 
-struct Args {
-    cluster: ClusterProfile,
-    jobs: usize,
-    seed: u64,
-    scale: f64,
-    sched: SchedMethod,
-    preempt: PreemptMethod,
-    noise: f64,
-    faults: FaultPlan,
-    dump_jobs: Option<String>,
-    dump_schedule: Option<String>,
-    dump_trace: Option<String>,
-    json: bool,
+/// A verb's entry point: its flags in, its exit code or a usage error out.
+type Main = fn(&[String]) -> Result<i32, String>;
+
+/// Every verb: its name, its usage forms and its entry point. The first
+/// row, unnamed, is the run mode: what `dsp` does when no verb is named.
+const VERBS: &[(&str, &[&str], Main)] = &[
+    (
+        "",
+        &["[--cluster {clusters}] [--jobs N] [--seed S] [--scale F] [--sched {scheds}] \
+           [--preempt {preempts}] [--noise SIGMA] [--kill NODE@SECS]... \
+           [--straggle NODE@SECS@FACTOR]... [--dump-jobs FILE] [--dump-schedule FILE] \
+           [--dump-trace FILE] [--json]"],
+        run_main,
+    ),
+    (
+        "verify",
+        &[
+            "--jobs FILE --schedule FILE [--cluster {clusters}] [--trace FILE] \
+             [--dep-oblivious] [--no-deadlines] [--json]",
+            "--snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]",
+        ],
+        verify_main,
+    ),
+    ("serve", &["[DSPD FLAGS]"], |argv| Ok(dsp_service::cli::run(argv))),
+    ("submit", &["--addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])"], submit_main),
+    ("status", &["--addr HOST:PORT --job ID"], |argv| read_main("status", argv)),
+    ("metrics", &["--addr HOST:PORT"], |argv| read_main("metrics", argv)),
+    ("drain", &["--addr HOST:PORT [--out SNAPSHOT_FILE]"], drain_main),
+    (
+        "matrix",
+        &["[--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F] [--out DIR] [--no-artifacts]"],
+        matrix_main,
+    ),
+    ("analyze", &["[--json] [--lint ID]... [--root DIR]"], analyze_main),
+];
+
+/// One line per usage form of every verb, the method table's names filled in.
+fn usage() -> String {
+    let lines: Vec<String> = VERBS
+        .iter()
+        .flat_map(|&(verb, forms, _)| {
+            let name = if verb.is_empty() { "dsp".to_string() } else { format!("dsp {verb}") };
+            forms.iter().map(move |form| format!("{name} {form}"))
+        })
+        .collect();
+    format!("usage: {}", lines.join("\n       "))
+        .replace("{clusters}", &ClusterProfile::usage())
+        .replace("{scheds}", &SchedMethod::usage())
+        .replace("{preempts}", &PreemptMethod::usage())
 }
 
-fn usage() -> ! {
-    let (clusters, scheds, preempts) =
-        (ClusterProfile::usage(), SchedMethod::usage(), PreemptMethod::usage());
-    eprintln!(
-        "usage: dsp [--cluster {clusters}] [--jobs N] [--seed S] [--scale F] \
-         [--sched {scheds}] [--preempt {preempts}] [--noise SIGMA] \
-         [--kill NODE@SECS]... [--straggle NODE@SECS@FACTOR]... \
-         [--dump-jobs FILE] [--dump-schedule FILE] [--dump-trace FILE] [--json]\n\
-         \x20      dsp verify --jobs FILE --schedule FILE [--cluster {clusters}] \
-         [--trace FILE] [--dep-oblivious] [--no-deadlines] [--json]\n\
-         \x20      dsp verify --snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]\n\
-         \x20      dsp serve [DSPD FLAGS]\n\
-         \x20      dsp submit --addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])\n\
-         \x20      dsp status --addr HOST:PORT --job ID\n\
-         \x20      dsp metrics --addr HOST:PORT\n\
-         \x20      dsp drain --addr HOST:PORT [--out SNAPSHOT_FILE]\n\
-         \x20      dsp matrix [--quick|--smoke|--full] [--seed S] [--jobs N] [--scale F] \
-         [--out DIR] [--no-artifacts]\n\
-         \x20      dsp analyze [--json] [--lint ID]... [--root DIR]"
-    );
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (entry, args) =
+        match VERBS[1..].iter().find(|(verb, ..)| argv.first().is_some_and(|a| a == verb)) {
+            Some(&(_, _, entry)) => (entry, &argv[1..]),
+            None => (VERBS[0].2, &argv[..]),
+        };
+    std::process::exit(entry(args).unwrap_or_else(|msg| usage_error("dsp", &msg, &usage())))
+}
+
+/// Report a failure that is not the command line's, and exit 2.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("dsp: {msg}");
     std::process::exit(2)
 }
 
-/// `text` as the number `flag` takes when `ok` accepts it; otherwise exit 2
-/// naming the flag and what it `must` be.
-fn number(flag: &str, text: &str, ok: fn(f64) -> bool, must: &str) -> f64 {
-    match text.parse() {
-        Ok(v) if ok(v) => v,
-        _ => {
-            eprintln!("dsp: {flag}: `{text}` is not {must}");
-            std::process::exit(2)
-        }
-    }
-}
-
 /// A `--scale` value: task sizes are multiplied by it.
-fn scale_arg(text: &str) -> f64 {
-    number("--scale", text, |s| s.is_finite() && s > 0.0, "a finite number > 0")
+fn scale(flags: &mut Flags) -> Result<f64, String> {
+    flags
+        .read("a finite number > 0", |s| s.parse().ok().filter(|&s: &f64| s.is_finite() && s > 0.0))
 }
 
 /// A `--noise` value: the σ of the estimate noise.
-fn noise_arg(text: &str) -> f64 {
-    number("--noise", text, |s| s.is_finite() && s >= 0.0, "a finite number ≥ 0")
+fn noise(flags: &mut Flags) -> Result<f64, String> {
+    flags.read("a finite number ≥ 0", |s| {
+        s.parse().ok().filter(|&s: &f64| s.is_finite() && s >= 0.0)
+    })
 }
 
-fn parse(argv: &[String]) -> Args {
-    let mut args = Args {
-        cluster: ClusterProfile::Ec2,
-        jobs: 45,
-        seed: 2018,
-        scale: 0.06,
-        sched: SchedMethod::Dsp,
-        preempt: PreemptMethod::Dsp,
-        noise: 0.4,
-        faults: FaultPlan::none(),
-        dump_jobs: None,
-        dump_schedule: None,
-        dump_trace: None,
-        json: false,
-    };
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--cluster" => {
-                args.cluster = ClusterProfile::from_name(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--jobs" => args.jobs = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => args.scale = scale_arg(&next(&mut i)),
-            "--noise" => args.noise = noise_arg(&next(&mut i)),
-            "--sched" => {
-                args.sched = SchedMethod::from_name(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--preempt" => {
-                args.preempt = PreemptMethod::from_name(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--kill" => {
-                let spec = next(&mut i);
-                let (node, at) = spec.split_once('@').unwrap_or_else(|| usage());
-                args.faults = std::mem::take(&mut args.faults).kill(
-                    NodeId(node.parse().unwrap_or_else(|_| usage())),
-                    Time::from_secs(at.parse().unwrap_or_else(|_| usage())),
-                );
-            }
-            "--straggle" => {
-                let spec = next(&mut i);
-                let parts: Vec<&str> = spec.split('@').collect();
-                if parts.len() != 3 {
-                    usage()
-                }
-                args.faults = std::mem::take(&mut args.faults).straggle(
-                    NodeId(parts[0].parse().unwrap_or_else(|_| usage())),
-                    Time::from_secs(parts[1].parse().unwrap_or_else(|_| usage())),
-                    number("--straggle", parts[2], |f| f > 0.0 && f <= 1.0, "a factor in (0, 1]"),
-                );
-            }
-            "--dump-jobs" => args.dump_jobs = Some(next(&mut i)),
-            "--dump-schedule" => args.dump_schedule = Some(next(&mut i)),
-            "--dump-trace" => args.dump_trace = Some(next(&mut i)),
-            "--json" => args.json = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    // The engine indexes its node table with these ids: a node the cluster
-    // lacks is a usage error, not a panic mid-run.
-    let nodes = args.cluster.build().len();
-    for fault in &args.faults.faults {
-        let node = fault.node().0;
-        if node as usize >= nodes {
-            let flag = match fault {
-                Fault::NodeDown { .. } => "--kill",
-                Fault::SlowDown { .. } => "--straggle",
-            };
-            eprintln!(
-                "dsp: {flag}: no node {node} in the {} cluster (nodes 0..{nodes})",
-                args.cluster.name()
-            );
-            std::process::exit(2)
-        }
-    }
-    args
+/// The generated workload the run mode runs and `dsp submit --gen` sends.
+fn workload(jobs: usize, seed: u64, task_scale: f64, noise: f64) -> Vec<Job> {
+    let trace = TraceParams { task_scale, estimate_noise_sigma: noise, ..TraceParams::default() };
+    generate_workload(&mut StdRng::seed_from_u64(seed), jobs, &trace)
 }
 
 fn write_artifact(path: &str, artifact: &Json) {
     // Straight from the encoder's buffer to the file: no copy of the text.
     let written = std::fs::File::create(path).and_then(|mut f| writeln!(f, "{artifact}"));
     if let Err(e) = written {
-        eprintln!("dsp: cannot write {path}: {e}");
-        std::process::exit(2)
+        die(format!("cannot write {path}: {e}"))
     }
 }
 
 /// Load and parse a JSON artifact file; exit 2 on I/O or syntax errors.
 fn read_artifact(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("dsp: cannot open {path}: {e}");
-        std::process::exit(2)
-    });
-    dsp_service::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("dsp: cannot parse {path}: {e}");
-        std::process::exit(2)
-    })
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot open {path}: {e}")));
+    dsp_service::json::parse(&text).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
 }
 
-/// Unwrap a codec decode; version mismatches and shape errors exit 2.
-fn decode_or_die<T>(result: Result<T, codec::CodecError>, path: &str) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("dsp: cannot decode {path}: {e}");
-        std::process::exit(2)
-    })
+/// Load an artifact and decode it; version mismatches and shape errors,
+/// like I/O and syntax errors, exit 2.
+fn load<T>(path: &str, decode: fn(&Json) -> Result<T, codec::CodecError>) -> T {
+    decode(&read_artifact(path)).unwrap_or_else(|e| die(format!("cannot decode {path}: {e}")))
 }
+
+// ----------------------------------------------------------------- run mode
+
+fn run_main(argv: &[String]) -> Result<i32, String> {
+    let mut cluster = ClusterProfile::Ec2;
+    let mut jobs = 45;
+    let mut seed = 2018;
+    let mut task_scale = 0.06;
+    let mut sched = SchedMethod::Dsp;
+    let mut preempt = PreemptMethod::Dsp;
+    let mut sigma = 0.4;
+    let mut faults = FaultPlan::none();
+    let mut dump_jobs = None;
+    let mut dump_schedule = None;
+    let mut dump_trace = None;
+    let mut json = false;
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--cluster" => cluster = flags.read("a cluster", ClusterProfile::from_name)?,
+            "--jobs" => jobs = flags.value()?,
+            "--seed" => seed = flags.value()?,
+            "--scale" => task_scale = scale(&mut flags)?,
+            "--noise" => sigma = noise(&mut flags)?,
+            "--sched" => sched = flags.read("a scheduler", SchedMethod::from_name)?,
+            "--preempt" => preempt = flags.read("a policy", PreemptMethod::from_name)?,
+            "--kill" => {
+                let (node, at) = flags.read("NODE@SECS", |s| {
+                    let (node, at) = s.split_once('@')?;
+                    Some((node.parse().ok()?, at.parse().ok()?))
+                })?;
+                faults = faults.kill(NodeId(node), Time::from_secs(at));
+            }
+            "--straggle" => {
+                let (node, at, factor) = flags.read("NODE@SECS@FACTOR, FACTOR in (0, 1]", |s| {
+                    let [node, at, factor] = s.split('@').collect::<Vec<_>>()[..] else {
+                        return None;
+                    };
+                    let factor = factor.parse().ok().filter(|&f: &f64| f > 0.0 && f <= 1.0)?;
+                    Some((node.parse().ok()?, at.parse().ok()?, factor))
+                })?;
+                faults = faults.straggle(NodeId(node), Time::from_secs(at), factor);
+            }
+            "--dump-jobs" => dump_jobs = Some(flags.text()?),
+            "--dump-schedule" => dump_schedule = Some(flags.text()?),
+            "--dump-trace" => dump_trace = Some(flags.text()?),
+            "--json" => json = true,
+            _ => return Err(flags.unknown()),
+        }
+    }
+    // The engine indexes its node table with these ids: a node the cluster
+    // lacks is a usage error, not a panic mid-run.
+    let spec = cluster.build();
+    let nodes = spec.len();
+    for fault in &faults.faults {
+        let node = fault.node().0;
+        if node as usize >= nodes {
+            let flag = match fault {
+                Fault::NodeDown { .. } => "--kill",
+                Fault::SlowDown { .. } => "--straggle",
+            };
+            let name = cluster.name();
+            return Err(format!("{flag}: no node {node} in the {name} cluster (nodes 0..{nodes})"));
+        }
+    }
+
+    let work = workload(jobs, seed, task_scale, sigma);
+    let params = Params::default();
+    let mut scheduler = sched.build(&params, seed);
+    let mut policy = preempt.build(&params);
+    let run = dsp_core::execute(&work, &spec, &params, scheduler.as_mut(), policy.as_mut(), faults);
+    if let Some(path) = dump_jobs {
+        write_artifact(path, &codec::jobs_to_artifact(&work));
+    }
+    if let Some(path) = dump_schedule {
+        write_artifact(path, &codec::schedule_to_artifact(&run.schedule));
+    }
+    if let Some(path) = dump_trace {
+        write_artifact(path, &codec::trace_to_artifact(&run.history));
+    }
+    let metrics = &run.metrics;
+    if json {
+        println!("{}", codec::metrics_to_json(metrics));
+    } else {
+        println!(
+            "{} + {} on {} — {jobs} jobs (scale {task_scale}, seed {seed})",
+            sched.label(),
+            preempt.label(),
+            cluster.label(),
+        );
+        println!("  makespan           {:>12.2} s", metrics.makespan().as_secs_f64());
+        println!("  throughput         {:>12.4} tasks/ms", metrics.throughput_tasks_per_ms());
+        println!("  avg job waiting    {:>12.2} s", metrics.avg_job_waiting().as_secs_f64());
+        println!("  p90 job waiting    {:>12.2} s", metrics.wait_percentile(90.0).as_secs_f64());
+        println!("  preempt attempts   {:>12}", metrics.preemption_attempts());
+        println!("  disorders          {:>12}", metrics.disorders);
+        println!("  deadline hit rate  {:>11.0}%", metrics.deadline_hit_rate() * 100.0);
+        println!("  node failures      {:>12}", metrics.node_failures);
+    }
+
+    let opts = VerifyOptions { dependency_aware: sched.dependency_aware(), check_deadlines: true };
+    let report = run.audit(&work, &spec, &opts);
+    if !report.passes() {
+        eprint!("{report}");
+        return Ok(1);
+    }
+    eprintln!("dsp: verified (R1-R6)");
+    Ok(0)
+}
+
+// ------------------------------------------------------------------- verify
 
 fn report_to_json(report: &Report) -> Json {
     Json::obj(vec![
@@ -280,171 +305,90 @@ fn report_to_json(report: &Report) -> Json {
     ])
 }
 
-fn run_main(argv: &[String]) {
-    let mut args = parse(argv);
-    let trace = TraceParams {
-        task_scale: args.scale,
-        estimate_noise_sigma: args.noise,
-        ..TraceParams::default()
+fn verify_main(argv: &[String]) -> Result<i32, String> {
+    let mut jobs_path = None;
+    let mut schedule_path = None;
+    let mut trace_path = None;
+    let mut snapshot_path = None;
+    let mut cluster = None;
+    let mut opts = VerifyOptions::default();
+    let mut json = false;
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--jobs" => jobs_path = Some(flags.text()?),
+            "--schedule" => schedule_path = Some(flags.text()?),
+            "--trace" => trace_path = Some(flags.text()?),
+            "--snapshot" => snapshot_path = Some(flags.text()?),
+            "--cluster" => cluster = Some(flags.read("a cluster", ClusterProfile::from_name)?),
+            "--dep-oblivious" => opts.dependency_aware = false,
+            "--no-deadlines" => opts.check_deadlines = false,
+            "--json" => json = true,
+            _ => return Err(flags.unknown()),
+        }
+    }
+
+    // Snapshot mode: the artifact is self-contained (cluster + jobs +
+    // schedule + trace), so it conflicts with the piecewise flags.
+    let (jobs_path, cluster, jobs, schedule, history) = if let Some(path) = snapshot_path {
+        let piecewise = [
+            ("--jobs", jobs_path.is_some()),
+            ("--schedule", schedule_path.is_some()),
+            ("--trace", trace_path.is_some()),
+            ("--cluster", cluster.is_some()),
+        ];
+        if let Some((flag, _)) = piecewise.iter().find(|(_, given)| *given) {
+            return Err(format!("{flag}: conflicts with --snapshot, which carries its own"));
+        }
+        let snap = load(path, codec::Snapshot::from_json);
+        (path, snap.cluster, snap.jobs, snap.schedule, Some(snap.history))
+    } else {
+        let (Some(jobs_path), Some(schedule_path)) = (jobs_path, schedule_path) else {
+            return Err("verify needs --jobs and --schedule, or --snapshot".into());
+        };
+        let jobs = load(jobs_path, codec::jobs_from_artifact);
+        let schedule = load(schedule_path, codec::schedule_from_artifact);
+        let history = trace_path.map(|path| load(path, codec::trace_from_artifact));
+        (jobs_path, cluster.unwrap_or(ClusterProfile::Ec2).build(), jobs, schedule, history)
     };
-    let mut rng = StdRng::seed_from_u64(args.seed);
-    let jobs = generate_workload(&mut rng, args.jobs, &trace);
-    let params = Params::default();
-    let cluster = args.cluster.build();
-    let mut scheduler = args.sched.build(&params, args.seed);
-    let mut policy = args.preempt.build(&params);
-    let run = dsp_core::execute(
-        &jobs,
-        &cluster,
-        &params,
-        scheduler.as_mut(),
-        policy.as_mut(),
-        std::mem::take(&mut args.faults),
-    );
-    if let Some(path) = &args.dump_jobs {
-        write_artifact(path, &codec::jobs_to_artifact(&jobs));
+    if let Err(e) = dsp_core::dag::validate_jobs(&jobs) {
+        die(format!("invalid jobs in {jobs_path}: {e}"))
     }
-    if let Some(path) = &args.dump_schedule {
-        write_artifact(path, &codec::schedule_to_artifact(&run.schedule));
-    }
-    if let Some(path) = &args.dump_trace {
-        write_artifact(path, &codec::trace_to_artifact(&run.history));
-    }
-    print_metrics(&args, &run.metrics);
-
-    let opts =
-        VerifyOptions { dependency_aware: args.sched.dependency_aware(), check_deadlines: true };
-    let report = run.audit(&jobs, &cluster, &opts);
-    if !report.passes() {
-        eprint!("{report}");
-        std::process::exit(1)
-    }
-    eprintln!("dsp: verified (R1-R6)");
-}
-
-fn print_metrics(args: &Args, metrics: &dsp_core::metrics::RunMetrics) {
-    if args.json {
-        println!("{}", codec::metrics_to_json(metrics));
-        return;
-    }
-    println!(
-        "{} + {} on {} — {} jobs (scale {}, seed {})",
-        args.sched.label(),
-        args.preempt.label(),
-        args.cluster.label(),
-        args.jobs,
-        args.scale,
-        args.seed
-    );
-    println!("  makespan           {:>12.2} s", metrics.makespan().as_secs_f64());
-    println!("  throughput         {:>12.4} tasks/ms", metrics.throughput_tasks_per_ms());
-    println!("  avg job waiting    {:>12.2} s", metrics.avg_job_waiting().as_secs_f64());
-    println!("  p90 job waiting    {:>12.2} s", metrics.wait_percentile(90.0).as_secs_f64());
-    println!("  preempt attempts   {:>12}", metrics.preemption_attempts());
-    println!("  disorders          {:>12}", metrics.disorders);
-    println!("  deadline hit rate  {:>11.0}%", metrics.deadline_hit_rate() * 100.0);
-    println!("  node failures      {:>12}", metrics.node_failures);
-}
-
-fn finish_verify(report: Report, checked: usize, json: bool) -> ! {
+    let report = dsp_core::verify::audit(&schedule, &jobs, &cluster, &opts, history.as_ref(), None);
     if json {
         println!("{}", report_to_json(&report));
     } else {
         print!("{report}");
         let errors = report.iter().filter(|d| d.severity == Severity::Error).count();
         let warnings = report.len() - errors;
-        println!("{checked} assignments checked: {errors} errors, {warnings} warnings");
+        println!("{} assignments checked: {errors} errors, {warnings} warnings", schedule.len());
     }
-    std::process::exit(if report.passes() { 0 } else { 1 })
-}
-
-fn verify_main(argv: &[String]) {
-    let mut jobs_path: Option<String> = None;
-    let mut schedule_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut snapshot_path: Option<String> = None;
-    let mut cluster = ClusterProfile::Ec2;
-    let mut opts = VerifyOptions::default();
-    let mut json = false;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--jobs" => jobs_path = Some(next(&mut i)),
-            "--schedule" => schedule_path = Some(next(&mut i)),
-            "--trace" => trace_path = Some(next(&mut i)),
-            "--snapshot" => snapshot_path = Some(next(&mut i)),
-            "--cluster" => {
-                cluster = ClusterProfile::from_name(&next(&mut i)).unwrap_or_else(|| usage())
-            }
-            "--dep-oblivious" => opts.dependency_aware = false,
-            "--no-deadlines" => opts.check_deadlines = false,
-            "--json" => json = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    // Snapshot mode: the artifact is self-contained (cluster + jobs +
-    // schedule + trace), so it conflicts with the piecewise flags.
-    let (jobs_path, cluster, jobs, schedule, history) = if let Some(path) = snapshot_path {
-        if jobs_path.is_some() || schedule_path.is_some() || trace_path.is_some() {
-            usage()
-        }
-        let snap = decode_or_die(codec::Snapshot::from_json(&read_artifact(&path)), &path);
-        (path, snap.cluster, snap.jobs, snap.schedule, Some(snap.history))
-    } else {
-        let (Some(jobs_path), Some(schedule_path)) = (jobs_path, schedule_path) else { usage() };
-        let jobs = decode_or_die(codec::jobs_from_artifact(&read_artifact(&jobs_path)), &jobs_path);
-        let schedule = decode_or_die(
-            codec::schedule_from_artifact(&read_artifact(&schedule_path)),
-            &schedule_path,
-        );
-        let history = trace_path
-            .map(|path| decode_or_die(codec::trace_from_artifact(&read_artifact(&path)), &path));
-        (jobs_path, cluster.build(), jobs, schedule, history)
-    };
-    if let Err(e) = dsp_core::dag::validate_jobs(&jobs) {
-        eprintln!("dsp: invalid jobs in {jobs_path}: {e}");
-        std::process::exit(2)
-    }
-    let report = dsp_core::verify::audit(&schedule, &jobs, &cluster, &opts, history.as_ref(), None);
-    finish_verify(report, schedule.len(), json)
+    Ok(if report.passes() { 0 } else { 1 })
 }
 
 // ------------------------------------------------------------------- matrix
 
-fn matrix_main(argv: &[String]) {
+fn matrix_main(argv: &[String]) -> Result<i32, String> {
     use dsp_core::matrix::{to_csv, MatrixConfig};
     let mut kind = "quick";
     let mut seed = 2018u64;
-    let mut out_dir: Option<String> = None;
+    let mut out_dir: Option<&str> = None;
     let mut jobs_override: Option<usize> = None;
     let mut scale_override: Option<f64> = None;
     let mut artifacts = true;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
             "--quick" => kind = "quick",
             "--smoke" => kind = "smoke",
             "--full" => kind = "full",
-            "--seed" => seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--jobs" => jobs_override = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--scale" => scale_override = Some(scale_arg(&next(&mut i))),
-            "--out" => out_dir = Some(next(&mut i)),
+            "--seed" => seed = flags.value()?,
+            "--jobs" => jobs_override = Some(flags.value()?),
+            "--scale" => scale_override = Some(scale(&mut flags)?),
+            "--out" => out_dir = Some(flags.text()?),
             "--no-artifacts" => artifacts = false,
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
     let mut cfg = match kind {
         "smoke" => MatrixConfig::smoke(seed),
@@ -457,10 +401,9 @@ fn matrix_main(argv: &[String]) {
     if let Some(s) = scale_override {
         cfg.task_scale = s;
     }
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         if let Err(e) = std::fs::create_dir_all(format!("{dir}/cells")) {
-            eprintln!("dsp: cannot create {dir}/cells: {e}");
-            std::process::exit(2)
+            die(format!("cannot create {dir}/cells: {e}"))
         }
     }
     eprintln!("dsp matrix: {} grid, {} cells, seed {seed}", kind, cfg.num_cells());
@@ -471,7 +414,7 @@ fn matrix_main(argv: &[String]) {
             eprintln!("dsp matrix: cell {} FAILED verification:\n{}", cell.cell_id(), cell.report);
         }
         if artifacts {
-            if let Some(dir) = &out_dir {
+            if let Some(dir) = out_dir {
                 let snap = codec::Snapshot {
                     cluster: cell.cluster.clone(),
                     jobs: cell.jobs.clone(),
@@ -484,12 +427,11 @@ fn matrix_main(argv: &[String]) {
         }
     });
     let csv = to_csv(&rows);
-    match &out_dir {
+    match out_dir {
         Some(dir) => {
             let path = format!("{dir}/matrix.csv");
             if let Err(e) = std::fs::write(&path, &csv) {
-                eprintln!("dsp: cannot write {path}: {e}");
-                std::process::exit(2)
+                die(format!("cannot write {path}: {e}"))
             }
             eprintln!("dsp matrix: wrote {path} ({} rows)", rows.len());
         }
@@ -497,66 +439,72 @@ fn matrix_main(argv: &[String]) {
     }
     if failed.is_empty() {
         eprintln!("dsp matrix: all {} cells verified (R1-R6)", rows.len());
-        std::process::exit(0)
+        return Ok(0);
     }
     eprintln!("dsp matrix: {}/{} cells failed verification", failed.len(), rows.len());
-    std::process::exit(1)
+    Ok(1)
 }
 
 // ------------------------------------------------------------- service verbs
 
-fn connect(addr: &str) -> Client {
-    Client::connect(addr).unwrap_or_else(|e| {
-        eprintln!("dsp: cannot connect to {addr}: {e}");
-        std::process::exit(2)
-    })
+/// A service verb's command line: `--addr HOST:PORT`, which every verb
+/// needs, and the verb's own flags, which `more` reads.
+fn service_flags<'a>(
+    argv: &'a [String],
+    mut more: impl FnMut(&'a str, &mut Flags<'a>) -> Result<(), String>,
+) -> Result<&'a str, String> {
+    let mut addr = None;
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--addr" => addr = Some(flags.text()?),
+            _ => more(flag, &mut flags)?,
+        }
+    }
+    addr.ok_or_else(|| "--addr HOST:PORT is required".into())
 }
 
-fn call(client: &mut Client, request: &Json) -> Json {
-    client.call(request).unwrap_or_else(|e| {
-        eprintln!("dsp: service call failed: {e}");
-        std::process::exit(2)
-    })
+/// Send one request to the service at `addr` and return its reply; exit 2
+/// when the service cannot be reached.
+fn call(addr: &str, request: &Json) -> Json {
+    let mut client =
+        Client::connect(addr).unwrap_or_else(|e| die(format!("cannot connect to {addr}: {e}")));
+    client.call(request).unwrap_or_else(|e| die(format!("service call failed: {e}")))
 }
 
-/// Print the response and exit 0/1 by its `ok` flag.
-fn finish_call(response: Json) -> ! {
+/// Print the reply; the exit code follows its `ok` flag.
+fn finish_call(response: Json) -> i32 {
     let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
     println!("{response}");
-    std::process::exit(if ok { 0 } else { 1 })
+    if ok {
+        0
+    } else {
+        1
+    }
 }
 
-fn submit_main(argv: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut file: Option<String> = None;
-    let mut gen: Option<usize> = None;
+fn submit_main(argv: &[String]) -> Result<i32, String> {
+    let mut file = None;
+    let mut gen = None;
     let mut seed = 2018_u64;
-    let mut scale = 0.06_f64;
-    let mut noise = 0.4_f64;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = Some(next(&mut i)),
-            "--file" => file = Some(next(&mut i)),
-            "--gen" => gen = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--seed" => seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => scale = scale_arg(&next(&mut i)),
-            "--noise" => noise = noise_arg(&next(&mut i)),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+    let mut task_scale = 0.06_f64;
+    let mut sigma = 0.4_f64;
+    let addr = service_flags(argv, |flag, flags| {
+        match flag {
+            "--file" => file = Some(flags.text()?),
+            "--gen" => gen = Some(flags.value()?),
+            "--seed" => seed = flags.value()?,
+            "--scale" => task_scale = scale(flags)?,
+            "--noise" => sigma = noise(flags)?,
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
-    }
-    let Some(addr) = addr else { usage() };
+        Ok(())
+    })?;
     let request = match (file, gen) {
         (Some(path), None) => {
             // The file may hold a full submit request, or a bare array of
             // job-request objects.
-            let doc = read_artifact(&path);
+            let doc = read_artifact(path);
             match &doc {
                 Json::Arr(jobs) => Json::obj(vec![
                     ("op", Json::Str("submit".into())),
@@ -566,183 +514,111 @@ fn submit_main(argv: &[String]) {
             }
         }
         (None, Some(n)) => {
-            let trace = TraceParams {
-                task_scale: scale,
-                estimate_noise_sigma: noise,
-                ..TraceParams::default()
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let jobs = generate_workload(&mut rng, n, &trace);
+            let jobs = workload(n, seed, task_scale, sigma);
             let requests: Vec<dsp_service::JobRequest> =
                 jobs.iter().map(dsp_service::JobRequest::from_job).collect();
             wire::submit_request(&requests)
         }
-        _ => usage(),
+        _ => return Err("submit needs one of --file and --gen".into()),
     };
-    let mut client = connect(&addr);
-    finish_call(call(&mut client, &request))
+    Ok(finish_call(call(addr, &request)))
 }
 
-fn status_main(argv: &[String]) {
-    let mut addr: Option<String> = None;
+/// `status` and `metrics`: one read of the service's published state
+/// (`status` names its job).
+fn read_main(op: &str, argv: &[String]) -> Result<i32, String> {
     let mut job: Option<u64> = None;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = Some(next(&mut i)),
-            "--job" => job = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+    let addr = service_flags(argv, |flag, flags| {
+        match flag {
+            "--job" if op == "status" => job = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
+        Ok(())
+    })?;
+    let mut request = vec![("op", Json::Str(op.into()))];
+    match job {
+        Some(job) => request.push(("job", Json::U64(job))),
+        None if op == "status" => return Err("status needs --job ID".into()),
+        None => {}
     }
-    let (Some(addr), Some(job)) = (addr, job) else { usage() };
-    let mut client = connect(&addr);
-    let request = Json::obj(vec![("op", Json::Str("status".into())), ("job", Json::U64(job))]);
-    finish_call(call(&mut client, &request))
+    Ok(finish_call(call(addr, &Json::obj(request))))
 }
 
-fn metrics_main(argv: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = Some(next(&mut i)),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+fn drain_main(argv: &[String]) -> Result<i32, String> {
+    let mut out = None;
+    let addr = service_flags(argv, |flag, flags| {
+        match flag {
+            "--out" => out = Some(flags.text()?),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
-    }
-    let Some(addr) = addr else { usage() };
-    let mut client = connect(&addr);
-    finish_call(call(&mut client, &Json::obj(vec![("op", Json::Str("metrics".into()))])))
-}
-
-fn drain_main(argv: &[String]) {
-    let mut addr: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => addr = Some(next(&mut i)),
-            "--out" => out = Some(next(&mut i)),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    let Some(addr) = addr else { usage() };
-    let mut client = connect(&addr);
-    let response = call(&mut client, &Json::obj(vec![("op", Json::Str("drain".into()))]));
+        Ok(())
+    })?;
+    let response = call(addr, &Json::obj(vec![("op", Json::Str("drain".into()))]));
     let ok = response.get("ok").and_then(Json::as_bool).unwrap_or(false);
-    if ok {
-        let snapshot = response.get("snapshot").unwrap_or(&Json::Null);
-        if let Some(path) = out {
-            write_artifact(&path, snapshot);
-            eprintln!("dsp: snapshot written to {path}");
-        }
-        // Human summary on stdout instead of the (large) raw snapshot.
-        let metrics = snapshot.get("metrics").unwrap_or(&Json::Null);
-        let jobs = snapshot.get("jobs").and_then(Json::as_arr).map(<[Json]>::len).unwrap_or(0);
-        println!(
-            "drained: {jobs} jobs, {} tasks completed, {} preemptions, makespan {:.2} s",
-            metrics.get("tasks_completed").and_then(Json::as_u64).unwrap_or(0),
-            metrics.get("preemptions").and_then(Json::as_u64).unwrap_or(0),
-            metrics.get("makespan_us").and_then(Json::as_u64).unwrap_or(0) as f64 / 1e6,
-        );
-        std::process::exit(0)
+    if !ok {
+        println!("{response}");
+        return Ok(1);
     }
-    println!("{response}");
-    std::process::exit(1)
+    let snapshot = response.get("snapshot").unwrap_or(&Json::Null);
+    if let Some(path) = out {
+        write_artifact(path, snapshot);
+        eprintln!("dsp: snapshot written to {path}");
+    }
+    // Human summary on stdout instead of the (large) raw snapshot.
+    let metrics = snapshot.get("metrics").unwrap_or(&Json::Null);
+    let jobs = snapshot.get("jobs").and_then(Json::as_arr).map(<[Json]>::len).unwrap_or(0);
+    println!(
+        "drained: {jobs} jobs, {} tasks completed, {} preemptions, makespan {:.2} s",
+        metrics.get("tasks_completed").and_then(Json::as_u64).unwrap_or(0),
+        metrics.get("preemptions").and_then(Json::as_u64).unwrap_or(0),
+        metrics.get("makespan_us").and_then(Json::as_u64).unwrap_or(0) as f64 / 1e6,
+    );
+    Ok(0)
 }
 
-// ---------------------------------------------------------------- analyze
+// ------------------------------------------------------------------ analyze
 
 /// `dsp analyze` — run the dsp-analyze lint wall (DESIGN.md §12) over the
 /// workspace. Exit 0 when no unwaivered finding remains, 1 when one does,
 /// 2 on usage/IO errors — the same convention as `verify`, so CI treats
 /// both as blocking gates the same way.
-fn analyze_main(argv: &[String]) {
+fn analyze_main(argv: &[String]) -> Result<i32, String> {
+    use dsp_analyze::lints::{LintId, ALL_LINTS};
     let mut json = false;
-    let mut lints: Vec<dsp_analyze::lints::LintId> = Vec::new();
-    let mut root_arg: Option<String> = None;
-    let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
+    let mut lints: Vec<LintId> = Vec::new();
+    let mut root_arg: Option<&str> = None;
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
             "--json" => json = true,
             "--lint" => {
-                let raw = next(&mut i);
-                let id = dsp_analyze::lints::LintId::parse(&raw).unwrap_or_else(|| {
-                    eprintln!("dsp: unknown lint ID `{raw}`; known IDs:");
-                    for l in dsp_analyze::lints::ALL_LINTS {
-                        eprintln!("  {}  {}", l.as_str(), l.summary());
-                    }
-                    std::process::exit(2)
-                });
-                lints.push(id);
+                let known: Vec<&str> = ALL_LINTS.iter().map(|l| l.as_str()).collect();
+                lints.push(flags.read(&format!("a lint ID ({})", known.join(" ")), LintId::parse)?);
             }
-            "--root" => root_arg = Some(next(&mut i)),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+            "--root" => root_arg = Some(flags.text()?),
+            _ => return Err(flags.unknown()),
         }
-        i += 1;
     }
     let root = match root_arg {
         Some(r) => std::path::PathBuf::from(r),
         None => {
-            let cwd = std::env::current_dir().unwrap_or_else(|e| {
-                eprintln!("dsp: cannot read current directory: {e}");
-                std::process::exit(2)
-            });
+            let cwd = std::env::current_dir()
+                .unwrap_or_else(|e| die(format!("cannot read current directory: {e}")));
             dsp_analyze::walker::find_workspace_root(&cwd).unwrap_or_else(|| {
-                eprintln!(
-                    "dsp: no workspace root ([workspace] Cargo.toml) above {}; pass --root",
+                die(format!(
+                    "no workspace root ([workspace] Cargo.toml) above {}; pass --root",
                     cwd.display()
-                );
-                std::process::exit(2)
+                ))
             })
         }
     };
     let opts = dsp_analyze::Options { lints: (!lints.is_empty()).then_some(lints) };
-    let analysis = dsp_analyze::analyze_workspace(&root, &opts).unwrap_or_else(|e| {
-        eprintln!("dsp: analyze failed under {}: {e}", root.display());
-        std::process::exit(2)
-    });
+    let analysis = dsp_analyze::analyze_workspace(&root, &opts)
+        .unwrap_or_else(|e| die(format!("analyze failed under {}: {e}", root.display())));
     if json {
         println!("{}", dsp_analyze::report::render_json(&analysis.findings));
     } else {
         print!("{}", dsp_analyze::report::render_human(&analysis.findings));
     }
-    std::process::exit(if analysis.findings.is_empty() { 0 } else { 1 })
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("verify") => verify_main(&argv[1..]),
-        Some("matrix") => matrix_main(&argv[1..]),
-        Some("analyze") => analyze_main(&argv[1..]),
-        Some("serve") => std::process::exit(dsp_service::cli::run(&argv[1..])),
-        Some("submit") => submit_main(&argv[1..]),
-        Some("status") => status_main(&argv[1..]),
-        Some("metrics") => metrics_main(&argv[1..]),
-        Some("drain") => drain_main(&argv[1..]),
-        _ => run_main(&argv),
-    }
+    Ok(if analysis.findings.is_empty() { 0 } else { 1 })
 }

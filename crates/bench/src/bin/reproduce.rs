@@ -1,17 +1,68 @@
-//! Regenerate every table and figure of the paper's evaluation section.
+//! Regenerate every table and figure of the paper's evaluation section
+//! ([`USAGE`]).
 //!
-//! ```text
-//! reproduce [--quick] [--csv DIR] [fig5a fig5b fig6 fig7 fig8 ablation ...]
-//! ```
-//!
-//! With no figure arguments, everything runs. `--quick` shrinks the sweep
-//! for a fast smoke pass; `--csv DIR` additionally writes one CSV per
-//! figure into DIR for plotting.
+//! With no figure arguments, everything runs. A word selects every figure
+//! whose name it begins or extends (`fig5` runs both panels, `fig6b`
+//! fig6); `ablation` runs when named, or when no figure is named and
+//! `--quick` is absent. `--quick` shrinks the sweep for a fast smoke pass;
+//! `--csv DIR` additionally writes one CSV per figure into DIR for
+//! plotting. A word that selects nothing, an unknown flag, or a `--csv`
+//! without a DIR exits 2 naming the word.
 
-use dsp_bench::{quick_scale, reproduce_scale};
+use dsp_core::flags::{usage_error, Flags};
 use dsp_core::{fig5, fig6, fig7, fig8, ClusterProfile, FigureScale};
 use dsp_metrics::{render_csv, render_markdown, SweepSeries};
 use std::io::Write as _;
+
+const USAGE: &str =
+    "usage: reproduce [--quick] [--csv DIR] [fig5a fig5b fig6 fig7 fig8 ablation ...]";
+
+/// A figure's builder: its series at a scale.
+type Build = fn(&FigureScale) -> Vec<SweepSeries>;
+
+/// Every figure, in print order.
+const FIGURES: [(&str, Build); 5] = [
+    ("fig5a", |scale| vec![fig5(ClusterProfile::Palmetto, scale)]),
+    ("fig5b", |scale| vec![fig5(ClusterProfile::Ec2, scale)]),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+];
+
+/// Does `word` select the figure `name`?
+fn selects(word: &str, name: &str) -> bool {
+    name.starts_with(word) || word.starts_with(name)
+}
+
+/// `--quick`: the paper's sweep at a fifth of its job counts.
+fn quick_scale() -> FigureScale {
+    FigureScale {
+        job_counts: vec![30, 60, 90, 120, 150],
+        scalability_counts: vec![100, 200, 300, 400, 500],
+        ..FigureScale::paper()
+    }
+}
+
+/// The command line: `--quick`, the `--csv` directory, the words naming
+/// figures.
+fn parse(argv: &[String]) -> Result<(bool, Option<&str>, Vec<&str>), String> {
+    let mut quick = false;
+    let mut csv_dir = None;
+    let mut wanted = Vec::new();
+    let mut flags = Flags::new(argv);
+    while let Some(word) = flags.next_flag()? {
+        match word {
+            "--quick" => quick = true,
+            "--csv" => csv_dir = Some(flags.text()?),
+            _ if word.starts_with('-') => return Err(flags.unknown()),
+            _ if word == "ablation" || FIGURES.iter().any(|&(name, _)| selects(word, name)) => {
+                wanted.push(word)
+            }
+            _ => return Err(format!("`{word}` selects no figure")),
+        }
+    }
+    Ok((quick, csv_dir, wanted))
+}
 
 fn emit(fig: &SweepSeries, csv_dir: Option<&str>) {
     let mut stdout = std::io::stdout().lock();
@@ -28,22 +79,15 @@ fn emit(fig: &SweepSeries, csv_dir: Option<&str>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv_dir =
-        args.iter().position(|a| a == "--csv").and_then(|i| args.get(i + 1)).map(String::as_str);
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && Some(a.as_str()) != csv_dir)
-        .map(String::as_str)
-        .collect();
-    let all = wanted.is_empty();
-    let want =
-        |name: &str| all || wanted.iter().any(|w| name.starts_with(w) || w.starts_with(name));
-
-    let scale: FigureScale = if quick { quick_scale() } else { reproduce_scale() };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (quick, csv_dir, wanted) = parse(&argv)
+        .unwrap_or_else(|msg| std::process::exit(usage_error("reproduce", &msg, USAGE)));
+    let scale = if quick { quick_scale() } else { FigureScale::paper() };
     if let Some(dir) = csv_dir {
-        let _ = std::fs::create_dir_all(dir);
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("reproduce: --csv: cannot create {dir}: {e}");
+            std::process::exit(2)
+        }
     }
     println!(
         "# DSP reproduction — {} scale (jobs {:?}, task scale {})\n",
@@ -52,30 +96,29 @@ fn main() {
         scale.task_scale
     );
 
-    if want("fig5a") {
-        emit(&fig5(ClusterProfile::Palmetto, &scale), csv_dir);
-    }
-    if want("fig5b") {
-        emit(&fig5(ClusterProfile::Ec2, &scale), csv_dir);
-    }
-    if want("fig6") {
-        for f in fig6(&scale) {
-            emit(&f, csv_dir);
+    for (name, build) in FIGURES {
+        if wanted.is_empty() || wanted.iter().any(|word| selects(word, name)) {
+            for fig in build(&scale) {
+                emit(&fig, csv_dir);
+            }
         }
     }
-    if want("fig7") {
-        for f in fig7(&scale) {
-            emit(&f, csv_dir);
+    if wanted.contains(&"ablation") || (wanted.is_empty() && !quick) {
+        for fig in dsp_core::all_ablations(&scale) {
+            emit(&fig, csv_dir);
         }
     }
-    if want("fig8") {
-        for f in fig8(&scale) {
-            emit(&f, csv_dir);
-        }
-    }
-    if wanted.contains(&"ablation") || (all && !quick) {
-        for f in dsp_core::all_ablations(&scale) {
-            emit(&f, csv_dir);
-        }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scales_are_ordered() {
+        assert!(
+            quick_scale().job_counts.iter().max() <= FigureScale::paper().job_counts.iter().min()
+        );
+        assert_eq!(FigureScale::paper().job_counts, vec![150, 300, 450, 600, 750]);
     }
 }

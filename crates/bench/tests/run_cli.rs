@@ -186,10 +186,13 @@ fn a_fault_on_a_missing_node_is_a_usage_error() {
     stdout_of(&["--jobs", "5", "--kill", "29@10", "--straggle", "29@20@0.5"]);
 }
 
-/// A number the run would otherwise bend without a word — a scale that is
+/// A malformed command line is a usage error (exit 2) whose first stderr
+/// line names the flag, not the usage alone: in every verb, a value flag
+/// whose value is missing or unreadable, a name no table knows, a flag the
+/// verb does not read, a piecewise `verify` flag beside `--snapshot`, and a
+/// number the run would otherwise bend without a word — a scale that is
 /// not finite or not positive, a noise σ that is not finite or negative, a
-/// straggle factor outside (0, 1] — is a usage error naming its flag
-/// (exit 2), in every verb that takes the flag.
+/// straggle factor outside (0, 1].
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
     let submit = ["submit", "--addr", "127.0.0.1:1", "--gen", "2"];
@@ -207,14 +210,112 @@ fn out_of_range_numbers_are_usage_errors() {
     for spec in ["1@10@nan", "1@10@-2", "1@10@0", "1@10@1.5"] {
         cases.push((with(&["--jobs", "4"], ["--straggle", spec]), "--straggle"));
     }
+
+    // (a command line the flag completes, the flag, values it must refuse
+    // besides a missing one)
+    let addr = "127.0.0.1:1";
+    let snapshot = ["verify", "--snapshot", "missing.json"];
+    let table: &[(&[&str], &str, &[&str])] = &[
+        (&[], "--cluster", &["warp"]),
+        (&[], "--jobs", &["x", "-1"]),
+        (&[], "--seed", &["x"]),
+        (&[], "--scale", &["x"]),
+        (&[], "--noise", &["x"]),
+        (&[], "--sched", &["warp", "tetris-dep"]),
+        (&[], "--preempt", &["warp", "dsp-wopp"]),
+        (&[], "--kill", &["3", "3@abc", "x@10"]),
+        (&[], "--straggle", &["1@10", "1@x@0.5", "1@10@0.5@2"]),
+        (&[], "--dump-jobs", &[]),
+        (&[], "--dump-schedule", &[]),
+        (&[], "--dump-trace", &[]),
+        (&["verify"], "--snapshot", &[]),
+        (&snapshot, "--jobs", &["jobs.json"]),
+        (&snapshot, "--schedule", &["schedule.json"]),
+        (&snapshot, "--trace", &["trace.json"]),
+        (&snapshot, "--cluster", &["warp", "ec2"]),
+        (&["serve"], "--cluster", &["warp", "uniform:4:nan:2"]),
+        (&["serve"], "--period", &["0", "soon"]),
+        (&["submit", "--gen", "2"], "--addr", &[]),
+        (&["submit", "--addr", addr], "--file", &[]),
+        (&["submit", "--addr", addr], "--gen", &["x", "-1"]),
+        (&submit, "--seed", &["x"]),
+        (&submit, "--scale", &["x"]),
+        (&submit, "--noise", &["x"]),
+        (&["status", "--job", "0"], "--addr", &[]),
+        (&["status", "--addr", addr], "--job", &["x", "-1"]),
+        (&["metrics"], "--addr", &[]),
+        (&["drain"], "--addr", &[]),
+        (&["drain", "--addr", addr], "--out", &[]),
+        (&["matrix", "--smoke"], "--seed", &["x"]),
+        (&["matrix", "--smoke"], "--jobs", &["x"]),
+        (&["matrix", "--smoke"], "--scale", &["x"]),
+        (&["matrix", "--smoke"], "--out", &[]),
+        (&["analyze"], "--lint", &["Z9"]),
+        (&["analyze"], "--root", &[]),
+    ];
+    for &(line, flag, bad_values) in table {
+        cases.push(([line, &[flag]].concat(), flag));
+        for &bad in bad_values {
+            cases.push(([line, &[flag, bad]].concat(), flag));
+        }
+    }
+    // One flag each verb does not read.
+    let verbs: [&[&str]; 9] = [
+        &[],
+        &["verify"],
+        &["serve"],
+        &["submit", "--addr", addr],
+        &["status", "--addr", addr],
+        &["metrics", "--addr", addr],
+        &["drain", "--addr", addr],
+        &["matrix"],
+        &["analyze"],
+    ];
+    for verb in verbs {
+        cases.push(([verb, &["--warp"]].concat(), "--warp"));
+    }
+    cases.push((vec!["metrics", "--addr", addr, "--job", "0"], "--job"));
+
     for (args, flag) in cases {
         let out = dsp(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
         assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
-        assert!(stderr.contains(flag), "dsp {args:?} must name {flag}:\n{stderr}");
+        assert!(
+            first.starts_with("dsp") && first.contains(flag),
+            "dsp {args:?} must name {flag} before its usage:\n{stderr}"
+        );
     }
     // Each range's closed end still runs.
     stdout_of(&["--jobs", "4", "--scale", "1e-3", "--noise", "0", "--straggle", "1@10@1"]);
+}
+
+/// `reproduce` refuses what it cannot do — a word that selects no figure,
+/// an unknown flag, a `--csv` without its DIR or with a DIR it cannot
+/// create — with exit 2 and the word named, before printing anything.
+#[test]
+fn reproduce_refuses_what_it_cannot_do() {
+    let dir = scratch("reproduce");
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("write scratch file");
+    let blocked = file.join("csv").to_str().expect("utf-8 temp path").to_string();
+    for (args, word) in [
+        (&["fig9"][..], "fig9"),
+        (&["--qiuck", "fig9"], "--qiuck"),
+        (&["--quick", "fig5a", "--csv"], "--csv"),
+        (&["--quick", "fig5a", "--csv", &blocked], "--csv"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(args)
+            .output()
+            .expect("spawn reproduce");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(out.status.code(), Some(2), "reproduce {args:?}:\n{stderr}");
+        assert!(first.contains(word), "reproduce {args:?} must name {word}:\n{stderr}");
+        assert!(out.stdout.is_empty(), "reproduce {args:?} printed before refusing");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One spelling, one meaning, everywhere: both binaries' usage texts print

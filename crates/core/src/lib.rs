@@ -10,6 +10,8 @@
 //!   the [`Run`]; [`Run::audit`] checks it against R1–R6.
 //! * [`methods`] — the method table: every scheduler, policy and cluster
 //!   profile with its one name, paper label and constructor.
+//! * [`flags`] — the command-line reader every binary walks its
+//!   arguments with.
 //! * [`DspSystem`] — the façade over your own jobs (DSP offline + online).
 //! * [`config::Params`] — Table II's parameter settings in one struct.
 //! * [`experiment`] — a declarative experiment runner
@@ -38,6 +40,7 @@ pub mod ablation;
 pub mod config;
 pub mod experiment;
 pub mod figures;
+pub mod flags;
 pub mod matrix;
 pub mod methods;
 pub mod pipeline;

@@ -13,6 +13,7 @@ use crate::{
     MAX_SHARDS, SCHED_SEED,
 };
 use dsp_core::config::Params;
+use dsp_core::flags::{usage_error, Flags};
 use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
 use dsp_units::Dur;
 use std::io::Write;
@@ -32,28 +33,11 @@ pub fn usage() -> String {
     )
 }
 
-/// `flag`'s value, parsed; the error names the flag and what it got.
-fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse().map_err(|_| format!("{flag}: cannot read `{raw}`"))
-}
-
-/// `flag`'s value, resolved through a name table.
-fn named<T>(
-    flag: &str,
-    raw: Option<&String>,
-    from_name: impl Fn(&str) -> Option<T>,
-) -> Result<T, String> {
-    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
-    from_name(raw).ok_or_else(|| format!("{flag}: unknown name `{raw}`"))
-}
-
 /// A whole number of seconds, at least one.
-fn positive_secs(flag: &str, raw: Option<&String>) -> Result<Dur, String> {
-    match value::<u64>(flag, raw)? {
-        0 => Err(format!("{flag} must be at least 1")),
-        secs => Ok(Dur::from_secs(secs)),
-    }
+fn positive_secs(flags: &mut Flags) -> Result<Dur, String> {
+    flags
+        .read("a whole number of seconds ≥ 1", |s| s.parse().ok().filter(|&s| s > 0))
+        .map(Dur::from_secs)
 }
 
 /// Parse the daemon's flags into what [`serve_federated`] takes. Every
@@ -67,39 +51,31 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
     let mut params = Params::default();
     let mut admission = AdmissionConfig::default();
 
-    let mut args = argv.iter();
-    while let Some(flag) = args.next() {
-        let flag = flag.as_str();
+    let mut flags = Flags::new(argv);
+    while let Some(flag) = flags.next_flag()? {
         match flag {
-            "--addr" => config.addr = value(flag, args.next())?,
-            "--cluster" => cluster = named(flag, args.next(), build_cluster)?,
-            "--sched" => sched = named(flag, args.next(), SchedMethod::from_name)?,
-            "--preempt" => preempt = named(flag, args.next(), PreemptMethod::from_name)?,
-            "--period" => params.sched_period = positive_secs(flag, args.next())?,
-            "--epoch" => params.epoch = positive_secs(flag, args.next())?,
+            "--addr" => config.addr = flags.value()?,
+            "--cluster" => cluster = flags.read("a cluster", build_cluster)?,
+            "--sched" => sched = flags.read("a scheduler", SchedMethod::from_name)?,
+            "--preempt" => preempt = flags.read("a policy", PreemptMethod::from_name)?,
+            "--period" => params.sched_period = positive_secs(&mut flags)?,
+            "--epoch" => params.epoch = positive_secs(&mut flags)?,
+            // `scale <= 0.0` alone lets NaN through to a frozen clock.
             "--time-scale" => {
-                let scale: f64 = value(flag, args.next())?;
-                // `scale <= 0.0` alone lets NaN through to a frozen clock.
-                if !scale.is_finite() || scale <= 0.0 {
-                    return Err(format!("{flag} must be a finite number above 0, got {scale}"));
-                }
-                config.time_scale = scale;
+                config.time_scale = flags.read("a finite number above 0", |s| {
+                    s.parse().ok().filter(|&scale: &f64| scale.is_finite() && scale > 0.0)
+                })?
             }
-            "--max-pending" => admission.max_pending_tasks = value(flag, args.next())?,
+            "--max-pending" => admission.max_pending_tasks = flags.value()?,
             "--no-feasibility" => admission.check_feasibility = false,
-            "--max-conns" => config.max_conns = value(flag, args.next())?,
+            "--max-conns" => config.max_conns = flags.value()?,
             "--shards" => {
-                config.shards = value(flag, args.next())?;
-                if config.shards == 0 || config.shards > MAX_SHARDS {
-                    return Err(format!("{flag} must be between 1 and {MAX_SHARDS}"));
-                }
+                config.shards = flags.read(&format!("a count in 1..={MAX_SHARDS}"), |s| {
+                    s.parse().ok().filter(|n| (1..=MAX_SHARDS).contains(n))
+                })?
             }
-            "--route" => {
-                let name: String = value(flag, args.next())?;
-                config.route = RoutePolicy::parse(&name)
-                    .ok_or_else(|| format!("{flag}: unknown policy `{name}`"))?;
-            }
-            _ => return Err(format!("unknown flag `{flag}`")),
+            "--route" => config.route = flags.read("a route policy", RoutePolicy::parse)?,
+            _ => return Err(flags.unknown()),
         }
     }
 
@@ -119,10 +95,7 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
 pub fn run(argv: &[String]) -> i32 {
     let (spec, config) = match parse_args(argv) {
         Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("dspd: {msg}\n{}", usage());
-            return 2;
-        }
+        Err(msg) => return usage_error("dspd", &msg, &usage()),
     };
     let route = config.route;
     let handle = match serve_federated(spec, config) {

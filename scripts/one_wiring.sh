@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI guard: the two-phase loop has one assembly, the methods one name
-# table (DESIGN.md §3.1), and dspd one front end (§10.6). Three greps over
-# non-test product code — every crates/*/src file outside crates/benchmark,
+# table (DESIGN.md §3.1), dspd one front end (§10.6), and the binaries one
+# command-line reader (core/src/flags.rs). Four greps over non-test product
+# code — every crates/*/src file outside crates/benchmark,
 # cut at its `#[cfg(test)] mod tests`, minus files that are test-only
 # modules — and one over the service crate whole. Run from the repo root.
 set -euo pipefail
@@ -47,5 +48,11 @@ check "quoted method names outside core/src/methods.rs" \
 #    dependency that could host a second one.
 check "target_os in crates/service (dspd has one front end)" \
     "$(grep -rn 'target_os' crates/service/src crates/service/Cargo.toml || true)"
+
+# 5. One command-line reader: outside core/src/flags.rs, no product file
+#    walks argv by hand.
+walks='argv\.get\(|argv\[i\]|while i < argv\.len\(\)|args\.iter\(\)\.position\('
+check "argv walked by hand outside core/src/flags.rs" \
+    "$(grep -E "$walks" <<<"$src" | grep -v '^crates/core/src/flags\.rs:' || true)"
 
 exit "$fail"
