@@ -1,33 +1,22 @@
-//! Regenerate every table and figure of the paper's evaluation section
-//! ([`USAGE`]).
+//! Regenerate every table and figure of the paper's evaluation section,
+//! and every ablation ([`USAGE`]): the entries of `dsp_core::FIGURES`,
+//! in order.
 //!
-//! With no figure arguments, everything runs. A word selects every figure
-//! whose name it begins or extends (`fig5` runs both panels, `fig6b`
-//! fig6); `ablation` runs when named, or when no figure is named and
-//! `--quick` is absent. `--quick` shrinks the sweep for a fast smoke pass;
-//! `--csv DIR` additionally writes one CSV per figure into DIR for
-//! plotting. A word that selects nothing, an unknown flag, or a `--csv`
-//! without a DIR exits 2 naming the word.
+//! A word selects every entry whose name it begins or extends (`fig5` runs
+//! both panels, `fig6b` fig6, `ablation` every ablation,
+//! `ablation_rho_preemptions` ablation_rho). With no word, everything runs,
+//! or with `--quick` the paper's figures (`fig`) only. `--quick` shrinks
+//! the sweep for a fast smoke pass; `--csv DIR` additionally writes one CSV
+//! per figure into DIR for plotting. A word that selects nothing, an
+//! unknown flag, or a `--csv` without a DIR exits 2 naming the word.
 
 use dsp_core::flags::{usage_error, Flags};
-use dsp_core::{fig5, fig6, fig7, fig8, ClusterProfile, FigureScale};
-use dsp_metrics::{render_csv, render_markdown, SweepSeries};
+use dsp_core::{FigureScale, FIGURES};
+use dsp_metrics::{render_csv, render_markdown};
 use std::io::Write as _;
 
 const USAGE: &str =
     "usage: reproduce [--quick] [--csv DIR] [fig5a fig5b fig6 fig7 fig8 ablation ...]";
-
-/// A figure's builder: its series at a scale.
-type Build = fn(&FigureScale) -> Vec<SweepSeries>;
-
-/// Every figure, in print order.
-const FIGURES: [(&str, Build); 5] = [
-    ("fig5a", |scale| vec![fig5(ClusterProfile::Palmetto, scale)]),
-    ("fig5b", |scale| vec![fig5(ClusterProfile::Ec2, scale)]),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("fig8", fig8),
-];
 
 /// Does `word` select the figure `name`?
 fn selects(word: &str, name: &str) -> bool {
@@ -44,7 +33,7 @@ fn quick_scale() -> FigureScale {
 }
 
 /// The command line: `--quick`, the `--csv` directory, the words naming
-/// figures.
+/// figures (none means every entry, or under `--quick` the `fig` ones).
 fn parse(argv: &[String]) -> Result<(bool, Option<&str>, Vec<&str>), String> {
     let mut quick = false;
     let mut csv_dir = None;
@@ -55,27 +44,14 @@ fn parse(argv: &[String]) -> Result<(bool, Option<&str>, Vec<&str>), String> {
             "--quick" => quick = true,
             "--csv" => csv_dir = Some(flags.text()?),
             _ if word.starts_with('-') => return Err(flags.unknown()),
-            _ if word == "ablation" || FIGURES.iter().any(|&(name, _)| selects(word, name)) => {
-                wanted.push(word)
-            }
+            _ if FIGURES.iter().any(|&(name, _)| selects(word, name)) => wanted.push(word),
             _ => return Err(format!("`{word}` selects no figure")),
         }
     }
-    Ok((quick, csv_dir, wanted))
-}
-
-fn emit(fig: &SweepSeries, csv_dir: Option<&str>) {
-    let mut stdout = std::io::stdout().lock();
-    let _ = writeln!(stdout, "{}", render_markdown(fig));
-    if let Some(dir) = csv_dir {
-        let path = format!("{dir}/{}.csv", fig.id);
-        match std::fs::write(&path, render_csv(fig)) {
-            Ok(()) => {
-                let _ = writeln!(stdout, "_wrote {path}_\n");
-            }
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+    if wanted.is_empty() {
+        wanted.push(if quick { "fig" } else { "" });
     }
+    Ok((quick, csv_dir, wanted))
 }
 
 fn main() {
@@ -96,16 +72,18 @@ fn main() {
         scale.task_scale
     );
 
-    for (name, build) in FIGURES {
-        if wanted.is_empty() || wanted.iter().any(|word| selects(word, name)) {
-            for fig in build(&scale) {
-                emit(&fig, csv_dir);
+    let selected = FIGURES.iter().filter(|(name, _)| wanted.iter().any(|word| selects(word, name)));
+    for fig in selected.flat_map(|(name, build)| build(name, &scale)) {
+        let mut stdout = std::io::stdout().lock();
+        let _ = writeln!(stdout, "{}", render_markdown(&fig));
+        if let Some(dir) = csv_dir {
+            let path = format!("{dir}/{}.csv", fig.id);
+            match std::fs::write(&path, render_csv(&fig)) {
+                Ok(()) => {
+                    let _ = writeln!(stdout, "_wrote {path}_\n");
+                }
+                Err(e) => eprintln!("could not write {path}: {e}"),
             }
-        }
-    }
-    if wanted.contains(&"ablation") || (wanted.is_empty() && !quick) {
-        for fig in dsp_core::all_ablations(&scale) {
-            emit(&fig, csv_dir);
         }
     }
 }

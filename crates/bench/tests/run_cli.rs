@@ -318,6 +318,41 @@ fn reproduce_refuses_what_it_cannot_do() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `reproduce` word selects every figure whose name it begins or extends,
+/// ablations included: `abl` runs all five ablations, `ablation_rho` one.
+#[test]
+fn reproduce_words_select_ablations_like_figures() {
+    for (word, ids) in [
+        (
+            "abl",
+            &[
+                "ablation_rho_preemptions",
+                "ablation_rho_throughput",
+                "ablation_gamma_wait",
+                "ablation_gamma_makespan",
+                "ablation_delta_preemptions",
+                "ablation_delta_throughput",
+                "ablation_noise_makespan",
+                "ablation_checkpoint",
+            ][..],
+        ),
+        ("ablation_rho", &["ablation_rho_preemptions", "ablation_rho_throughput"]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+            .args(["--quick", word])
+            .output()
+            .expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(0), "reproduce --quick {word}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed: Vec<&str> = stdout
+            .lines()
+            .filter_map(|line| line.strip_prefix("### "))
+            .map(|heading| heading.split(' ').next().unwrap_or_default())
+            .collect();
+        assert_eq!(printed, ids, "reproduce --quick {word}");
+    }
+}
+
 /// One spelling, one meaning, everywhere: both binaries' usage texts print
 /// every name of the method table, the service factories build exactly the
 /// names the table resolves, and `dsp` runs what the table says a name is.

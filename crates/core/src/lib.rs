@@ -16,10 +16,11 @@
 //! * [`config::Params`] — Table II's parameter settings in one struct.
 //! * [`experiment`] — a declarative experiment runner
 //!   (`ExperimentConfig` → `RunMetrics`).
-//! * [`sweep`] — seeded parallel sweeps over job counts and methods
+//! * [`sweep`] — the parallel fan-out [`figures`] runs its cells on
 //!   (scoped threads, one simulation per worker).
-//! * [`figures`] — one builder per paper figure (Fig. 5–8), each returning
-//!   a `dsp_metrics::SweepSeries` that the `reproduce` binary prints.
+//! * [`figures`] — one table of sweeps, [`FIGURES`]: every paper figure
+//!   (Fig. 5–8) and every ablation, each returning the
+//!   `dsp_metrics::SweepSeries` that the `reproduce` binary prints.
 //!
 //! ```
 //! use dsp_core::{DspSystem, config::Params};
@@ -36,7 +37,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod ablation;
 pub mod config;
 pub mod experiment;
 pub mod figures;
@@ -47,10 +47,9 @@ pub mod pipeline;
 pub mod sweep;
 pub mod system;
 
-pub use ablation::all_ablations;
 pub use config::Params;
 pub use experiment::{run_experiment, ExperimentConfig};
-pub use figures::{fig5, fig6, fig7, fig8, FigureScale};
+pub use figures::{FigureScale, FIGURES};
 pub use matrix::{run_matrix, CellOutput, DeadlineTier, MatrixConfig, Scenario, Storm};
 pub use methods::{ClusterProfile, PreemptMethod, SchedMethod};
 pub use pipeline::{execute, PeriodPlanner, Run};

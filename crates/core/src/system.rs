@@ -37,22 +37,12 @@ impl DspSystem {
     pub fn run(&self, jobs: &[Job]) -> RunMetrics {
         let mut sched = SchedMethod::Dsp.build(&self.params, 0);
         let mut policy = PreemptMethod::Dsp.build(&self.params);
-        self.run_with(jobs, sched.as_mut(), policy.as_mut())
+        self.run_with_faults(jobs, sched.as_mut(), policy.as_mut(), dsp_sim::FaultPlan::none())
     }
 
-    /// Run with a custom offline scheduler and online policy — the hook the
-    /// experiment harness and downstream users share.
-    pub fn run_with(
-        &self,
-        jobs: &[Job],
-        scheduler: &mut dyn Scheduler,
-        policy: &mut dyn PreemptPolicy,
-    ) -> RunMetrics {
-        self.run_with_faults(jobs, scheduler, policy, dsp_sim::FaultPlan::none())
-    }
-
-    /// [`Self::run_with`] under a deterministic fault schedule (node
-    /// crashes, stragglers) — the paper's future-work scenario, usable for
+    /// Run with a custom offline scheduler and online policy under a
+    /// deterministic fault schedule (node crashes, stragglers; or
+    /// `FaultPlan::none()`) — the paper's future-work scenario, usable for
     /// failure-injection experiments.
     pub fn run_with_faults(
         &self,
@@ -118,7 +108,7 @@ mod tests {
         let jobs = workload(4);
         let mut sched = FifoScheduler;
         let mut pol = SrptPolicy::default();
-        let m = sys.run_with(&jobs, &mut sched, &mut pol);
+        let m = sys.run_with_faults(&jobs, &mut sched, &mut pol, dsp_sim::FaultPlan::none());
         assert_eq!(m.jobs_completed(), 4);
     }
 }

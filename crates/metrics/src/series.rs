@@ -56,32 +56,6 @@ impl SweepSeries {
     pub fn method(&self, name: &str) -> Option<&MethodSeries> {
         self.series.iter().find(|s| s.method == name)
     }
-
-    /// Check a strict dominance ordering: for every x point,
-    /// `methods\[0\] < methods\[1\] < …` on the y values. Useful for asserting
-    /// the paper's reported orderings (e.g. Fig. 5 makespans follow
-    /// DSP < Aalo < TetrisW/SimDep < TetrisW/oDep).
-    pub fn ordering_holds(&self, methods: &[&str]) -> bool {
-        let curves: Option<Vec<&MethodSeries>> = methods.iter().map(|m| self.method(m)).collect();
-        let Some(curves) = curves else { return false };
-        (0..self.x.len()).all(|i| curves.windows(2).all(|w| w[0].values[i] < w[1].values[i]))
-    }
-
-    /// Like [`Self::ordering_holds`] but averaged over the sweep: the mean
-    /// of each successive method must increase. Tolerant of single-point
-    /// crossings from simulation noise.
-    pub fn mean_ordering_holds(&self, methods: &[&str]) -> bool {
-        let means: Option<Vec<f64>> = methods
-            .iter()
-            .map(|m| {
-                self.method(m).map(|s| s.values.iter().sum::<f64>() / s.values.len().max(1) as f64)
-            })
-            .collect();
-        match means {
-            Some(ms) => ms.windows(2).all(|w| w[0] < w[1]),
-            None => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,16 +68,6 @@ mod tests {
         s.push("B", vec![2.0, 3.0, 4.0]);
         s.push("C", vec![3.0, 1.5, 5.0]);
         s
-    }
-
-    #[test]
-    fn ordering_checks() {
-        let s = sweep();
-        assert!(s.ordering_holds(&["A", "B"]));
-        assert!(!s.ordering_holds(&["B", "A"]));
-        assert!(!s.ordering_holds(&["A", "C"])); // C dips below A at x=2
-        assert!(s.mean_ordering_holds(&["A", "B", "C"])); // means 2 < 3 < 3.17
-        assert!(!s.ordering_holds(&["A", "missing"]));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! absolute values — see EXPERIMENTS.md for the full-scale record.
 
 use dsp_core::{
-    run_experiment, ClusterProfile, ExperimentConfig, Params, PreemptMethod, SchedMethod,
+    run_experiment, ClusterProfile, ExperimentConfig, FigureScale, Params, PreemptMethod,
+    SchedMethod,
 };
 use dsp_metrics::RunMetrics;
 use dsp_trace::TraceParams;
@@ -11,12 +12,12 @@ use dsp_trace::TraceParams;
 const JOBS: usize = 45;
 const SEED: u64 = 2018;
 
-/// Per-cluster workload scales matching the figure harness calibration
-/// (see `dsp_core::FigureScale`).
+/// Per-cluster workload scales: the figure harness calibration.
 fn scale_for(cluster: ClusterProfile) -> f64 {
+    let scale = FigureScale::paper();
     match cluster {
-        ClusterProfile::Palmetto => 0.2,
-        _ => 0.06,
+        ClusterProfile::Palmetto => scale.task_scale_palmetto,
+        _ => scale.task_scale,
     }
 }
 
