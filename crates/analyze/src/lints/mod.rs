@@ -98,7 +98,8 @@ impl LintId {
 
 /// Crates whose source must be reproducible bit-for-bit under a fixed seed
 /// (the PR 4 determinism contract). D-class lints apply here.
-pub const DETERMINISTIC_CRATES: [&str; 6] = ["dag", "sched", "preempt", "lp", "simulator", "trace"];
+pub const DETERMINISTIC_CRATES: [&str; 7] =
+    ["dag", "sched", "preempt", "lp", "simulator", "trace", "verify"];
 
 /// Crates allowed to read the wall clock and OS entropy: the perf harness
 /// and the online service are *about* real time.

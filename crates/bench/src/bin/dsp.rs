@@ -15,7 +15,11 @@
 //!
 //! Artifacts (`--dump-*`, snapshots) are versioned JSON: every file
 //! carries a `format_version` stamp and `dsp verify` exits 2 with a clear
-//! message when handed a version this build does not read.
+//! message when handed a version this build does not read. Format 2 writes
+//! the per-task tables (a job's `tasks`, the assignments, `history.tasks`)
+//! as objects of named columns, one array per field; `dsp verify` exits 2
+//! naming the table, column and row of a cell it cannot read, and names a
+//! column whose length differs from its table's others.
 //!
 //! Method and cluster names are `dsp-core`'s method table's (the usage
 //! text is generated from it): `tetris` is TetrisW/SimDep, `tetris-wo-dep`

@@ -290,6 +290,71 @@ fn out_of_range_numbers_are_usage_errors() {
     stdout_of(&["--jobs", "4", "--scale", "1e-3", "--noise", "0", "--straggle", "1@10@1"]);
 }
 
+/// `dsp verify` reads only this build's artifact format: a version-1 file
+/// in any of its three inputs exits 2 naming both versions, and so does a
+/// snapshot whose column tables disagree in length, naming the column.
+#[test]
+fn verify_refuses_other_formats_and_ragged_columns() {
+    use dsp_service::codec::{self, Snapshot};
+    use dsp_service::json::{parse, Json};
+
+    let dir = scratch("format");
+    let path = |f: &str| dir.join(f).to_str().expect("utf-8 temp path").to_string();
+    let (jobs, schedule, trace) = (path("jobs.json"), path("schedule.json"), path("trace.json"));
+    let dumps = ["--dump-jobs", &jobs, "--dump-schedule", &schedule, "--dump-trace", &trace];
+    stdout_of(&[&["--jobs", "8"][..], &dumps].concat());
+    let read = |file: &str| std::fs::read_to_string(file).expect("read an artifact");
+    let tree = |file: &str| parse(&read(file)).expect("parse an artifact");
+    let snap = Snapshot {
+        cluster: ClusterProfile::Ec2.build(),
+        jobs: codec::jobs_from_artifact(&tree(&jobs)).expect("jobs decode"),
+        schedule: codec::schedule_from_artifact(&tree(&schedule)).expect("schedule decodes"),
+        history: codec::trace_from_artifact(&tree(&trace)).expect("trace decodes"),
+        metrics: Default::default(),
+    };
+    let snapshot = path("snapshot.json");
+    std::fs::write(&snapshot, snap.to_json().into_text()).expect("write the snapshot");
+    stdout_of(&["verify", "--snapshot", &snapshot]);
+    stdout_of(&["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &trace]);
+
+    let refused = |args: &[&str], words: &[&str]| {
+        let out = dsp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
+        for word in words {
+            assert!(stderr.contains(word), "dsp {args:?} must name {word}:\n{stderr}");
+        }
+    };
+    let v1 = |file: &str| {
+        let text = read(file);
+        let stamp = format!("\"format_version\":{}", codec::FORMAT_VERSION);
+        assert_eq!(codec::FORMAT_VERSION, 2);
+        assert_eq!(text.matches(&stamp).count(), 1, "{file} is stamped once");
+        let old = format!("{file}.v1");
+        std::fs::write(&old, text.replace(&stamp, "\"format_version\":1")).expect("write");
+        old
+    };
+    let versions = ["format_version 1", "version 2"];
+    refused(&["verify", "--snapshot", &v1(&snapshot)], &versions);
+    refused(&["verify", "--jobs", &v1(&jobs), "--schedule", &schedule], &versions);
+    refused(&["verify", "--jobs", &jobs, "--schedule", &v1(&schedule)], &versions);
+    let old_trace = v1(&trace);
+    refused(
+        &["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &old_trace],
+        &versions,
+    );
+
+    let Json::Obj(mut top) = tree(&snapshot) else { panic!("a snapshot is an object") };
+    let Some(Json::Obj(history)) = top.get_mut("history") else { panic!("history") };
+    let Some(Json::Obj(tasks)) = history.get_mut("tasks") else { panic!("history.tasks") };
+    let Some(Json::Arr(column)) = tasks.get_mut("planned_start") else { panic!("a column") };
+    column.pop();
+    let ragged = path("ragged.json");
+    std::fs::write(&ragged, Json::Obj(top).to_string()).expect("write the ragged snapshot");
+    refused(&["verify", "--snapshot", &ragged], &["history.tasks", "'planned_start'"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `reproduce` refuses what it cannot do — a word that selects no figure,
 /// an unknown flag, a `--csv` without its DIR or with a DIR it cannot
 /// create — with exit 2 and the word named, before printing anything.

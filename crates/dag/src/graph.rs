@@ -118,8 +118,9 @@ impl Dag {
         if self.has_edge(from, to) {
             return Ok(());
         }
-        // The edge creates a cycle iff `from` is reachable from `to`.
-        if self.reaches(to, from) {
+        // The edge creates a cycle iff `from` is reachable from `to`, which
+        // a childless `to` (every edge a generator adds) cannot reach.
+        if !self.children[to as usize].is_empty() && self.reaches(to, from) {
             return Err(DagError::WouldCycle { from, to });
         }
         self.children[from as usize].push(to);
@@ -247,6 +248,55 @@ impl Dag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// `add_edge`'s verdict by the rule without the childless shortcut:
+    /// a BFS for every edge that passes the cheap checks.
+    fn add_edge_always_bfs(g: &mut Dag, from: u32, to: u32) -> Result<(), DagError> {
+        let n = g.len() as u32;
+        if from >= n || to >= n {
+            return Err(DagError::OutOfBounds { from, to, n });
+        }
+        if from == to {
+            return Err(DagError::SelfLoop(from));
+        }
+        if g.has_edge(from, to) {
+            return Ok(());
+        }
+        if g.reaches(to, from) {
+            return Err(DagError::WouldCycle { from, to });
+        }
+        g.children[from as usize].push(to);
+        g.parents[to as usize].push(from);
+        g.edges += 1;
+        Ok(())
+    }
+
+    #[test]
+    fn add_edge_agrees_with_a_bfs_for_every_edge() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(110);
+        let mut seen = [0usize; 5];
+        for _ in 0..400 {
+            let n = rng.gen_range(1..12u32);
+            let (mut fast, mut slow) = (Dag::new(n as usize), Dag::new(n as usize));
+            for _ in 0..40 {
+                // Endpoints one past the end now and then: out of bounds.
+                let (from, to) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+                let duplicate = from < n && to < n && fast.has_edge(from, to);
+                let verdict = fast.add_edge(from, to);
+                assert_eq!(verdict, add_edge_always_bfs(&mut slow, from, to), "{from}->{to}");
+                assert_eq!(fast, slow);
+                seen[match verdict {
+                    Ok(()) if duplicate => 1,
+                    Ok(()) => 0,
+                    Err(DagError::SelfLoop(_)) => 2,
+                    Err(DagError::OutOfBounds { .. }) => 3,
+                    Err(DagError::WouldCycle { .. }) => 4,
+                }] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 50), "every verdict drawn often: {seen:?}");
+    }
 
     /// The Fig. 2 example: T2,T3 depend on T1; T4,T5 on T2; T6,T7 on T3.
     /// (0-indexed: task k here is paper's T_{k+1}.)

@@ -5,6 +5,11 @@
 //! `format_version` field so tools can refuse inputs they don't
 //! understand instead of misreading them. [`FORMAT_VERSION`] is the
 //! current version; bump it on any incompatible shape change.
+//!
+//! Version 2 writes the three tables whose length is the task count — a
+//! job's `tasks`, the schedule's assignments and `history.tasks` — as one
+//! object of named columns (see [`Table`]) instead of an array of one
+//! object per row; every other shape is as version 1 wrote it.
 
 use crate::json::{Json, Writer};
 use dsp_cluster::{ClusterSpec, Node, NodeId};
@@ -15,7 +20,7 @@ use dsp_units::{Dur, Mi, ResourceVec, Time};
 use std::fmt;
 
 /// Current artifact / wire format version.
-pub const FORMAT_VERSION: u64 = 1;
+pub const FORMAT_VERSION: u64 = 2;
 
 /// A decode failure: the JSON was well-formed but not the expected shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,10 +57,6 @@ fn f64_field(v: &Json, key: &str) -> Result<f64, CodecError> {
     field(v, key)?.as_f64().ok_or_else(|| CodecError(format!("field '{key}' must be a number")))
 }
 
-fn bool_field(v: &Json, key: &str) -> Result<bool, CodecError> {
-    field(v, key)?.as_bool().ok_or_else(|| CodecError(format!("field '{key}' must be a bool")))
-}
-
 fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, CodecError> {
     field(v, key)?.as_str().ok_or_else(|| CodecError(format!("field '{key}' must be a string")))
 }
@@ -72,8 +73,116 @@ fn dur_field(v: &Json, key: &str) -> Result<Dur, CodecError> {
     Ok(Dur::from_micros(u64_field(v, key)?))
 }
 
-fn task_id_fields(v: &Json) -> Result<TaskId, CodecError> {
-    Ok(TaskId { job: JobId(u32_field(v, "job")?), index: u32_field(v, "index")? })
+// -------------------------------------------------------------------- tables
+
+/// Write one column of a table: `key`, then `cell` of every row in order.
+fn u64_col<T>(w: &mut Writer, key: &'static str, rows: &[T], cell: impl Fn(&T) -> u64) {
+    w.key(key).arr(rows, |w, row| {
+        w.u64(cell(row));
+    });
+}
+
+fn f64_col<T>(w: &mut Writer, key: &'static str, rows: &[T], cell: impl Fn(&T) -> f64) {
+    w.key(key).arr(rows, |w, row| {
+        w.f64(cell(row));
+    });
+}
+
+fn bool_col<T>(w: &mut Writer, key: &'static str, rows: &[T], cell: impl Fn(&T) -> bool) {
+    w.key(key).arr(rows, |w, row| {
+        w.bool(cell(row));
+    });
+}
+
+/// A table of named columns being decoded: an object whose every column
+/// is an array, all of one length. A column named `a.b` is the array at
+/// key `b` of the object at key `a`. Every error names the table, and
+/// the column and row where there is one.
+struct Table<'a> {
+    name: &'a str,
+    obj: &'a Json,
+    /// The first column read and its length, which every other must match.
+    first: Option<(&'static str, usize)>,
+}
+
+/// One column of a [`Table`]. Its readers check the cell's type, and the
+/// `u32` range of ids and counts.
+struct Column<'a> {
+    table: &'a str,
+    name: &'static str,
+    cells: &'a [Json],
+}
+
+impl<'a> Table<'a> {
+    fn new(name: &'a str, obj: &'a Json) -> Table<'a> {
+        Table { name, obj, first: None }
+    }
+
+    fn col(&mut self, name: &'static str) -> Result<Column<'a>, CodecError> {
+        let table = self.name;
+        let found = name.split('.').try_fold(self.obj, |v, key| v.get(key));
+        let found = found.ok_or_else(|| CodecError(format!("{table}: missing column '{name}'")))?;
+        let cells = found
+            .as_arr()
+            .ok_or_else(|| CodecError(format!("{table}: column '{name}' must be an array")))?;
+        match self.first {
+            None => self.first = Some((name, cells.len())),
+            Some((first, n)) if n != cells.len() => {
+                return err(format!(
+                    "{table}: column '{name}' has {} rows, column '{first}' has {n}",
+                    cells.len()
+                ))
+            }
+            Some(_) => {}
+        }
+        Ok(Column { table, name, cells })
+    }
+
+    /// Decode every row: `row(i)` reads row `i` from the columns.
+    fn rows<T>(&self, row: impl Fn(usize) -> Result<T, CodecError>) -> Result<Vec<T>, CodecError> {
+        (0..self.first.map_or(0, |(_, n)| n)).map(row).collect()
+    }
+}
+
+impl Column<'_> {
+    fn bad<T>(&self, row: usize, what: impl fmt::Display) -> Result<T, CodecError> {
+        err(format!("{}: column '{}' row {row}: {what}", self.table, self.name))
+    }
+
+    fn u64(&self, row: usize) -> Result<u64, CodecError> {
+        match self.cells[row].as_u64() {
+            Some(v) => Ok(v),
+            None => self.bad(row, "must be a u64"),
+        }
+    }
+
+    /// Ids, indices, and counts are `u32` in memory (see [`u32_field`]).
+    fn u32(&self, row: usize) -> Result<u32, CodecError> {
+        let wide = self.u64(row)?;
+        u32::try_from(wide).or_else(|_| self.bad(row, format_args!("{wide} exceeds u32")))
+    }
+
+    fn f64(&self, row: usize) -> Result<f64, CodecError> {
+        match self.cells[row].as_f64() {
+            Some(v) => Ok(v),
+            None => self.bad(row, "must be a number"),
+        }
+    }
+
+    fn bool(&self, row: usize) -> Result<bool, CodecError> {
+        match self.cells[row].as_bool() {
+            Some(v) => Ok(v),
+            None => self.bad(row, "must be a bool"),
+        }
+    }
+
+    fn time(&self, row: usize) -> Result<Time, CodecError> {
+        Ok(Time::from_micros(self.u64(row)?))
+    }
+
+    fn dur(&self, row: usize) -> Result<Dur, CodecError> {
+        Ok(Dur::from_micros(self.u64(row)?))
+    }
 }
 
 // ---------------------------------------------------------------- versioning
@@ -151,20 +260,31 @@ pub(crate) fn class_from_str(s: &str) -> Option<JobClass> {
     }
 }
 
-fn write_task_spec(w: &mut Writer, t: &TaskSpec) {
-    w.begin_obj().key("demand");
-    write_resources(w, &t.demand);
-    w.key("est_size").f64(t.est_size.get());
-    w.key("recovery").u64(t.recovery.as_micros());
-    w.key("size").f64(t.size.get()).end_obj();
+fn write_task_specs(w: &mut Writer, tasks: &[TaskSpec]) {
+    w.begin_obj().key("demand").begin_obj();
+    f64_col(w, "bw", tasks, |t| t.demand.bw);
+    f64_col(w, "cpu", tasks, |t| t.demand.cpu);
+    f64_col(w, "disk", tasks, |t| t.demand.disk);
+    f64_col(w, "mem", tasks, |t| t.demand.mem);
+    w.end_obj();
+    f64_col(w, "est_size", tasks, |t| t.est_size.get());
+    u64_col(w, "recovery", tasks, |t| t.recovery.as_micros());
+    f64_col(w, "size", tasks, |t| t.size.get());
+    w.end_obj();
 }
 
-fn task_spec_from_json(v: &Json) -> Result<TaskSpec, CodecError> {
-    Ok(TaskSpec {
-        size: Mi::new(f64_field(v, "size")?),
-        est_size: Mi::new(f64_field(v, "est_size")?),
-        demand: resources_from_json(field(v, "demand")?)?,
-        recovery: dur_field(v, "recovery")?,
+fn task_specs_from_json(v: &Json) -> Result<Vec<TaskSpec>, CodecError> {
+    let mut t = Table::new("tasks", v);
+    let (bw, cpu) = (t.col("demand.bw")?, t.col("demand.cpu")?);
+    let (disk, mem) = (t.col("demand.disk")?, t.col("demand.mem")?);
+    let (est_size, recovery, size) = (t.col("est_size")?, t.col("recovery")?, t.col("size")?);
+    t.rows(|i| {
+        Ok(TaskSpec {
+            size: Mi::new(size.f64(i)?),
+            est_size: Mi::new(est_size.f64(i)?),
+            demand: ResourceVec::new(cpu.f64(i)?, mem.f64(i)?, disk.f64(i)?, bw.f64(i)?),
+            recovery: recovery.dur(i)?,
+        })
     })
 }
 
@@ -200,7 +320,9 @@ fn write_job(w: &mut Writer, job: &Job) {
     w.key("edges");
     write_edges(w, job.dag.edges());
     w.key("id").u64(u64::from(job.id.0));
-    w.key("tasks").arr(&job.tasks, write_task_spec).end_obj();
+    w.key("tasks");
+    write_task_specs(w, &job.tasks);
+    w.end_obj();
 }
 
 /// Encode one job.
@@ -211,8 +333,7 @@ pub fn job_to_json(job: &Job) -> Json {
 /// Decode one job (levels are recomputed by `Job::new`).
 pub fn job_from_json(v: &Json) -> Result<Job, CodecError> {
     let id = JobId(u32_field(v, "id")?);
-    let tasks: Vec<TaskSpec> =
-        arr_field(v, "tasks")?.iter().map(task_spec_from_json).collect::<Result<_, _>>()?;
+    let tasks = task_specs_from_json(field(v, "tasks")?)?;
     if tasks.is_empty() {
         return err("job has no tasks");
     }
@@ -243,86 +364,86 @@ pub fn jobs_from_artifact(v: &Json) -> Result<Vec<Job>, CodecError> {
 
 // ------------------------------------------------------------------ schedule
 
-fn write_assignment(w: &mut Writer, a: &Assignment) {
+fn write_assignments(w: &mut Writer, rows: &[Assignment]) {
     w.begin_obj();
-    w.key("index").u64(u64::from(a.task.index));
-    w.key("job").u64(u64::from(a.task.job.0));
-    w.key("node").u64(u64::from(a.node.0));
-    w.key("start").u64(a.start.as_micros()).end_obj();
+    u64_col(w, "index", rows, |a| u64::from(a.task.index));
+    u64_col(w, "job", rows, |a| u64::from(a.task.job.0));
+    u64_col(w, "node", rows, |a| u64::from(a.node.0));
+    u64_col(w, "start", rows, |a| a.start.as_micros());
+    w.end_obj();
 }
 
-fn assignment_from_json(v: &Json) -> Result<Assignment, CodecError> {
-    Ok(Assignment {
-        task: task_id_fields(v)?,
-        node: NodeId(u32_field(v, "node")?),
-        start: time_field(v, "start")?,
-    })
+/// Decode the assignments table written under `key`.
+fn assignments_from_json(v: &Json, key: &str) -> Result<Schedule, CodecError> {
+    let mut t = Table::new(key, field(v, key)?);
+    let (index, job, node, start) =
+        (t.col("index")?, t.col("job")?, t.col("node")?, t.col("start")?);
+    let assignments = t.rows(|i| {
+        Ok(Assignment {
+            task: TaskId { job: JobId(job.u32(i)?), index: index.u32(i)? },
+            node: NodeId(node.u32(i)?),
+            start: start.time(i)?,
+        })
+    })?;
+    Ok(Schedule { assignments })
 }
 
 /// Encode a schedule as a versioned artifact.
 pub fn schedule_to_artifact(s: &Schedule) -> Json {
-    artifact("schedule", "assignments", |w| {
-        w.arr(&s.assignments, write_assignment);
-    })
+    artifact("schedule", "assignments", |w| write_assignments(w, &s.assignments))
 }
 
 /// Decode a versioned schedule artifact.
 pub fn schedule_from_artifact(v: &Json) -> Result<Schedule, CodecError> {
     check_version(v)?;
-    let assignments =
-        arr_field(v, "assignments")?.iter().map(assignment_from_json).collect::<Result<_, _>>()?;
-    Ok(Schedule { assignments })
+    assignments_from_json(v, "assignments")
 }
 
 // ------------------------------------------------------------------- history
 
-fn write_task_history(w: &mut Writer, t: &TaskHistory) {
-    w.begin_obj();
-    w.key("completed").bool(t.completed);
-    w.key("executed").f64(t.executed.get());
-    w.key("finish").u64(t.finish.as_micros());
-    w.key("index").u64(u64::from(t.task.index));
-    w.key("job").u64(u64::from(t.task.job.0));
-    w.key("lost").f64(t.lost.get());
-    w.key("node").u64(u64::from(t.node.0));
-    w.key("overhead_paid").u64(t.overhead_paid.as_micros());
-    w.key("planned_start").u64(t.planned_start.as_micros());
-    w.key("preemptions").u64(u64::from(t.preemptions));
-    w.key("recovery").u64(t.recovery.as_micros());
-    w.key("recovery_charges").u64(u64::from(t.recovery_charges));
-    w.key("size").f64(t.size.get()).end_obj();
-}
-
-fn task_history_from_json(v: &Json) -> Result<TaskHistory, CodecError> {
-    Ok(TaskHistory {
-        task: task_id_fields(v)?,
-        node: NodeId(u32_field(v, "node")?),
-        planned_start: time_field(v, "planned_start")?,
-        finish: time_field(v, "finish")?,
-        completed: bool_field(v, "completed")?,
-        preemptions: u32_field(v, "preemptions")?,
-        recovery_charges: u32_field(v, "recovery_charges")?,
-        overhead_paid: dur_field(v, "overhead_paid")?,
-        executed: Mi::new(f64_field(v, "executed")?),
-        lost: Mi::new(f64_field(v, "lost")?),
-        size: Mi::new(f64_field(v, "size")?),
-        recovery: dur_field(v, "recovery")?,
-    })
-}
-
 fn write_history(w: &mut Writer, h: &ExecHistory) {
-    w.begin_obj().key("sigma").u64(h.sigma.as_micros());
-    w.key("tasks").arr(&h.tasks, write_task_history).end_obj();
+    let rows = &h.tasks[..];
+    w.begin_obj().key("sigma").u64(h.sigma.as_micros()).key("tasks").begin_obj();
+    bool_col(w, "completed", rows, |t| t.completed);
+    f64_col(w, "executed", rows, |t| t.executed.get());
+    u64_col(w, "finish", rows, |t| t.finish.as_micros());
+    u64_col(w, "index", rows, |t| u64::from(t.task.index));
+    u64_col(w, "job", rows, |t| u64::from(t.task.job.0));
+    f64_col(w, "lost", rows, |t| t.lost.get());
+    u64_col(w, "node", rows, |t| u64::from(t.node.0));
+    u64_col(w, "overhead_paid", rows, |t| t.overhead_paid.as_micros());
+    u64_col(w, "planned_start", rows, |t| t.planned_start.as_micros());
+    u64_col(w, "preemptions", rows, |t| u64::from(t.preemptions));
+    u64_col(w, "recovery", rows, |t| t.recovery.as_micros());
+    u64_col(w, "recovery_charges", rows, |t| u64::from(t.recovery_charges));
+    f64_col(w, "size", rows, |t| t.size.get());
+    w.end_obj().end_obj();
 }
 
 fn history_from_json(v: &Json) -> Result<ExecHistory, CodecError> {
-    Ok(ExecHistory {
-        sigma: dur_field(v, "sigma")?,
-        tasks: arr_field(v, "tasks")?
-            .iter()
-            .map(task_history_from_json)
-            .collect::<Result<_, _>>()?,
-    })
+    let mut t = Table::new("history.tasks", field(v, "tasks")?);
+    let (completed, executed, finish) = (t.col("completed")?, t.col("executed")?, t.col("finish")?);
+    let (index, job, lost, node) = (t.col("index")?, t.col("job")?, t.col("lost")?, t.col("node")?);
+    let (overhead_paid, planned_start) = (t.col("overhead_paid")?, t.col("planned_start")?);
+    let (preemptions, recovery) = (t.col("preemptions")?, t.col("recovery")?);
+    let (recovery_charges, size) = (t.col("recovery_charges")?, t.col("size")?);
+    let tasks = t.rows(|i| {
+        Ok(TaskHistory {
+            task: TaskId { job: JobId(job.u32(i)?), index: index.u32(i)? },
+            node: NodeId(node.u32(i)?),
+            planned_start: planned_start.time(i)?,
+            finish: finish.time(i)?,
+            completed: completed.bool(i)?,
+            preemptions: preemptions.u32(i)?,
+            recovery_charges: recovery_charges.u32(i)?,
+            overhead_paid: overhead_paid.dur(i)?,
+            executed: Mi::new(executed.f64(i)?),
+            lost: Mi::new(lost.f64(i)?),
+            size: Mi::new(size.f64(i)?),
+            recovery: recovery.dur(i)?,
+        })
+    })?;
+    Ok(ExecHistory { sigma: dur_field(v, "sigma")?, tasks })
 }
 
 /// Encode an execution trace as a versioned artifact.
@@ -452,7 +573,9 @@ impl Snapshot {
         w.key("jobs").arr(&self.jobs, write_job);
         w.key("kind").str("snapshot").key("metrics");
         write_metrics(w, &self.metrics);
-        w.key("schedule").arr(&self.schedule.assignments, write_assignment).end_obj();
+        w.key("schedule");
+        write_assignments(w, &self.schedule.assignments);
+        w.end_obj();
     }
 
     /// Encode as a versioned artifact.
@@ -467,12 +590,10 @@ impl Snapshot {
         check_version(v)?;
         let jobs: Vec<Job> =
             arr_field(v, "jobs")?.iter().map(job_from_json).collect::<Result<_, _>>()?;
-        let assignments =
-            arr_field(v, "schedule")?.iter().map(assignment_from_json).collect::<Result<_, _>>()?;
         Ok(Snapshot {
             cluster: cluster_from_json(field(v, "cluster")?)?,
             jobs,
-            schedule: Schedule { assignments },
+            schedule: assignments_from_json(v, "schedule")?,
             history: history_from_json(field(v, "history")?)?,
             metrics: RunMetrics::default(),
         })
@@ -604,6 +725,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::json::parse;
     use dsp_units::Mips;
+    use std::collections::BTreeMap;
 
     /// The encoders as they were before the streaming [`Writer`]: one
     /// `Json` node per value, keys sorted by the `BTreeMap`. Kept as the
@@ -626,13 +748,38 @@ pub(crate) mod tests {
             ])
         }
 
-        fn task_spec(t: &TaskSpec) -> Json {
-            Json::obj(vec![
-                ("size", Json::F64(t.size.get())),
-                ("est_size", Json::F64(t.est_size.get())),
-                ("demand", resources(&t.demand)),
-                ("recovery", Json::U64(t.recovery.as_micros())),
-            ])
+        /// One column's value in a row.
+        type Cell<'a, T> = &'a dyn Fn(&T) -> Json;
+
+        /// A table of named columns: each `(key, cell)` is one array
+        /// holding `cell` of every row.
+        fn columns<T>(rows: &[T], cols: &[(&str, Cell<T>)]) -> Json {
+            let column = |cell: &dyn Fn(&T) -> Json| Json::Arr(rows.iter().map(cell).collect());
+            Json::obj(cols.iter().map(|&(key, cell)| (key, column(cell))).collect())
+        }
+
+        fn task_specs(tasks: &[TaskSpec]) -> Json {
+            let demand = columns(
+                tasks,
+                &[
+                    ("cpu", &|t| Json::F64(t.demand.cpu)),
+                    ("mem", &|t| Json::F64(t.demand.mem)),
+                    ("disk", &|t| Json::F64(t.demand.disk)),
+                    ("bw", &|t| Json::F64(t.demand.bw)),
+                ],
+            );
+            let Json::Obj(mut table) = columns(
+                tasks,
+                &[
+                    ("size", &|t| Json::F64(t.size.get())),
+                    ("est_size", &|t| Json::F64(t.est_size.get())),
+                    ("recovery", &|t| Json::U64(t.recovery.as_micros())),
+                ],
+            ) else {
+                unreachable!()
+            };
+            table.insert("demand".into(), demand);
+            Json::Obj(table)
         }
 
         pub(crate) fn edges(edges: impl Iterator<Item = (u32, u32)>) -> Json {
@@ -646,7 +793,7 @@ pub(crate) mod tests {
                 ("class", Json::Str(class_to_str(job.class).to_string())),
                 ("arrival", Json::U64(job.arrival.as_micros())),
                 ("deadline", Json::U64(job.deadline.as_micros())),
-                ("tasks", Json::Arr(job.tasks.iter().map(task_spec).collect())),
+                ("tasks", task_specs(&job.tasks)),
                 ("edges", edges(job.dag.edges())),
             ])
         }
@@ -655,43 +802,42 @@ pub(crate) mod tests {
             stamp("jobs", vec![("jobs", Json::Arr(jobs.iter().map(job).collect()))])
         }
 
-        fn assignment(a: &Assignment) -> Json {
-            Json::obj(vec![
-                ("job", Json::U64(u64::from(a.task.job.0))),
-                ("index", Json::U64(u64::from(a.task.index))),
-                ("node", Json::U64(u64::from(a.node.0))),
-                ("start", Json::U64(a.start.as_micros())),
-            ])
+        fn assignments(rows: &[Assignment]) -> Json {
+            columns(
+                rows,
+                &[
+                    ("job", &|a| Json::U64(u64::from(a.task.job.0))),
+                    ("index", &|a| Json::U64(u64::from(a.task.index))),
+                    ("node", &|a| Json::U64(u64::from(a.node.0))),
+                    ("start", &|a| Json::U64(a.start.as_micros())),
+                ],
+            )
         }
 
         pub(crate) fn schedule_artifact(s: &Schedule) -> Json {
-            let rows = s.assignments.iter().map(assignment).collect();
-            stamp("schedule", vec![("assignments", Json::Arr(rows))])
-        }
-
-        fn task_history(t: &TaskHistory) -> Json {
-            Json::obj(vec![
-                ("job", Json::U64(u64::from(t.task.job.0))),
-                ("index", Json::U64(u64::from(t.task.index))),
-                ("node", Json::U64(u64::from(t.node.0))),
-                ("planned_start", Json::U64(t.planned_start.as_micros())),
-                ("finish", Json::U64(t.finish.as_micros())),
-                ("completed", Json::Bool(t.completed)),
-                ("preemptions", Json::U64(u64::from(t.preemptions))),
-                ("recovery_charges", Json::U64(u64::from(t.recovery_charges))),
-                ("overhead_paid", Json::U64(t.overhead_paid.as_micros())),
-                ("executed", Json::F64(t.executed.get())),
-                ("lost", Json::F64(t.lost.get())),
-                ("size", Json::F64(t.size.get())),
-                ("recovery", Json::U64(t.recovery.as_micros())),
-            ])
+            stamp("schedule", vec![("assignments", assignments(&s.assignments))])
         }
 
         fn history(h: &ExecHistory) -> Json {
-            Json::obj(vec![
-                ("sigma", Json::U64(h.sigma.as_micros())),
-                ("tasks", Json::Arr(h.tasks.iter().map(task_history).collect())),
-            ])
+            let tasks = columns(
+                &h.tasks,
+                &[
+                    ("job", &|t| Json::U64(u64::from(t.task.job.0))),
+                    ("index", &|t| Json::U64(u64::from(t.task.index))),
+                    ("node", &|t| Json::U64(u64::from(t.node.0))),
+                    ("planned_start", &|t| Json::U64(t.planned_start.as_micros())),
+                    ("finish", &|t| Json::U64(t.finish.as_micros())),
+                    ("completed", &|t| Json::Bool(t.completed)),
+                    ("preemptions", &|t| Json::U64(u64::from(t.preemptions))),
+                    ("recovery_charges", &|t| Json::U64(u64::from(t.recovery_charges))),
+                    ("overhead_paid", &|t| Json::U64(t.overhead_paid.as_micros())),
+                    ("executed", &|t| Json::F64(t.executed.get())),
+                    ("lost", &|t| Json::F64(t.lost.get())),
+                    ("size", &|t| Json::F64(t.size.get())),
+                    ("recovery", &|t| Json::U64(t.recovery.as_micros())),
+                ],
+            );
+            Json::obj(vec![("sigma", Json::U64(h.sigma.as_micros())), ("tasks", tasks)])
         }
 
         pub(crate) fn trace_artifact(h: &ExecHistory) -> Json {
@@ -746,13 +892,12 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn snapshot(s: &Snapshot) -> Json {
-            let schedule = s.schedule.assignments.iter().map(assignment).collect();
             stamp(
                 "snapshot",
                 vec![
                     ("cluster", cluster(&s.cluster)),
                     ("jobs", Json::Arr(s.jobs.iter().map(job).collect())),
-                    ("schedule", Json::Arr(schedule)),
+                    ("schedule", assignments(&s.schedule.assignments)),
                     ("history", history(&s.history)),
                     ("metrics", metrics(&s.metrics)),
                 ],
@@ -863,7 +1008,7 @@ pub(crate) mod tests {
         same(empty.to_json(), oracle::snapshot(&empty), "empty snapshot");
         // Awkward values survive the trip, sign of zero included.
         let text = snap.to_json().to_string();
-        assert!(text.contains("\"lost\":-0.0") && text.contains("\"mem\":null"), "{text}");
+        assert!(text.contains("\"lost\":[-0.0,") && text.contains("\"mem\":[null,"), "{text}");
         assert!(text.contains("\\ud83d") || text.contains('\u{1F600}'));
         let back =
             trace_from_artifact(&parse(&trace_to_artifact(&snap.history).to_string()).unwrap());
@@ -904,27 +1049,124 @@ pub(crate) mod tests {
         assert!(e.0.contains("unsupported format_version"), "{e}");
     }
 
-    /// Decode `artifact` with `field` of its first `path` element
-    /// overwritten by a value one past `u32::MAX`.
-    fn widened<T>(
-        artifact: &Json,
-        path: &[&str],
-        field: &str,
-        decode: impl Fn(&Json) -> Result<T, CodecError>,
-    ) -> CodecError {
-        fn first<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
-            let Some((key, rest)) = path.split_first() else { return v };
-            let Json::Obj(map) = v else { panic!("not an object at {key}") };
-            match map.get_mut(*key).unwrap() {
-                Json::Arr(items) => first(&mut items[0], rest),
-                child => first(child, rest),
-            }
+    /// The value at `path` (object keys), descending into the first item
+    /// of every array met on the way: `["jobs", "id"]` is the first job's
+    /// id, `["history", "tasks", "node"]` the first cell of that column.
+    fn at<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        let v = match v {
+            Json::Arr(items) => &mut items[0],
+            v => v,
+        };
+        let Some((key, rest)) = path.split_first() else { return v };
+        let Json::Obj(map) = v else { panic!("not an object at {key}") };
+        at(map.get_mut(*key).unwrap_or_else(|| panic!("no {key}")), rest)
+    }
+
+    /// The object at `path`, as [`at`] finds it.
+    fn obj<'a>(v: &'a mut Json, path: &[&str]) -> &'a mut BTreeMap<String, Json> {
+        match at(v, path) {
+            Json::Obj(map) => map,
+            _ => panic!("not an object at {path:?}"),
         }
+    }
+
+    /// A decoder's verdict on `artifact` after `edit` of its parsed tree.
+    fn edited(
+        artifact: &Json,
+        decode: &dyn Fn(&Json) -> Result<(), CodecError>,
+        edit: impl FnOnce(&mut Json),
+    ) -> Result<(), CodecError> {
         let mut tree = parse(&artifact.to_string()).unwrap();
-        assert!(decode(&tree).is_ok(), "the untouched artifact decodes");
-        let Json::Obj(target) = first(&mut tree, path) else { panic!("{path:?}") };
-        assert!(target.insert(field.into(), Json::U64(u64::from(u32::MAX) + 1)).is_some());
-        decode(&tree).err().unwrap_or_else(|| panic!("{path:?}.{field} was narrowed silently"))
+        assert_eq!(decode(&tree), Ok(()), "the untouched artifact decodes");
+        edit(&mut tree);
+        decode(&tree)
+    }
+
+    type Decode = Box<dyn Fn(&Json) -> Result<(), CodecError>>;
+
+    /// A table of named columns inside an artifact.
+    struct ColumnTable {
+        artifact: Json,
+        /// Object keys from the artifact to the table.
+        path: &'static [&'static str],
+        /// What errors call the table.
+        name: &'static str,
+        columns: &'static [&'static str],
+        decode: Decode,
+    }
+
+    /// The object keys from an artifact to `column`'s array in the table
+    /// at `path`, the last of them apart.
+    fn column_keys(
+        path: &[&'static str],
+        column: &'static str,
+    ) -> (Vec<&'static str>, &'static str) {
+        let mut keys: Vec<&str> = path.iter().copied().chain(column.split('.')).collect();
+        let key = keys.pop().expect("a column name");
+        (keys, key)
+    }
+
+    /// Every table of named columns in every artifact.
+    fn tables(snap: &Snapshot) -> Vec<ColumnTable> {
+        const TASKS: &[&str] = &[
+            "demand.bw",
+            "demand.cpu",
+            "demand.disk",
+            "demand.mem",
+            "est_size",
+            "recovery",
+            "size",
+        ];
+        const ASSIGNMENTS: &[&str] = &["index", "job", "node", "start"];
+        const HISTORY: &[&str] = &[
+            "completed",
+            "executed",
+            "finish",
+            "index",
+            "job",
+            "lost",
+            "node",
+            "overhead_paid",
+            "planned_start",
+            "preemptions",
+            "recovery",
+            "recovery_charges",
+            "size",
+        ];
+        let table = |artifact, path, name, columns, decode| ColumnTable {
+            artifact,
+            path,
+            name,
+            columns,
+            decode,
+        };
+        let snapshot = || -> Decode { Box::new(|v| Snapshot::from_json(v).map(drop)) };
+        vec![
+            table(
+                jobs_to_artifact(&snap.jobs),
+                &["jobs", "tasks"],
+                "tasks",
+                TASKS,
+                Box::new(|v| jobs_from_artifact(v).map(drop)),
+            ),
+            table(
+                schedule_to_artifact(&snap.schedule),
+                &["assignments"],
+                "assignments",
+                ASSIGNMENTS,
+                Box::new(|v| schedule_from_artifact(v).map(drop)),
+            ),
+            table(
+                trace_to_artifact(&snap.history),
+                &["history", "tasks"],
+                "history.tasks",
+                HISTORY,
+                Box::new(|v| trace_from_artifact(v).map(drop)),
+            ),
+            table(snap.to_json(), &["jobs", "tasks"], "tasks", TASKS, snapshot()),
+            table(snap.to_json(), &["schedule"], "schedule", ASSIGNMENTS, snapshot()),
+            table(snap.to_json(), &["history", "tasks"], "history.tasks", HISTORY, snapshot()),
+        ]
     }
 
     #[test]
@@ -932,25 +1174,79 @@ pub(crate) mod tests {
         let mut snap = served_snapshot();
         // The awkward job's NaN demand is written as `null`: it does not decode.
         snap.jobs.pop();
-        let schedule = schedule_to_artifact(&snap.schedule);
-        for field in ["job", "index", "node"] {
-            let e = widened(&schedule, &["assignments"], field, schedule_from_artifact);
-            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+        let narrow = ["index", "job", "node", "preemptions", "recovery_charges"];
+        let wide = || Json::U64(u64::from(u32::MAX) + 1);
+        let mut checked = 0;
+        for t in tables(&snap) {
+            for &column in t.columns.iter().filter(|c| narrow.contains(c)) {
+                let (mut cell, key) = column_keys(t.path, column);
+                cell.push(key);
+                let e = edited(&t.artifact, &*t.decode, |v| *at(v, &cell) = wide()).unwrap_err();
+                let want = format!("{}: column '{column}' row 0: 4294967296 exceeds u32", t.name);
+                assert_eq!(e.0, want);
+                checked += 1;
+            }
         }
-        let trace = trace_to_artifact(&snap.history);
-        for field in ["job", "index", "node", "preemptions", "recovery_charges"] {
-            let e = widened(&trace, &["history", "tasks"], field, trace_from_artifact);
-            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+        assert_eq!(checked, 16, "three assignment and five history columns, twice");
+        let fields: [(Json, &[&str], Decode); 3] = [
+            (
+                cluster_to_json(&snap.cluster),
+                &["nodes", "id"],
+                Box::new(|v| cluster_from_json(v).map(drop)),
+            ),
+            (
+                cluster_to_json(&snap.cluster),
+                &["nodes", "slots"],
+                Box::new(|v| cluster_from_json(v).map(drop)),
+            ),
+            (
+                jobs_to_artifact(&snap.jobs),
+                &["jobs", "id"],
+                Box::new(|v| jobs_from_artifact(v).map(drop)),
+            ),
+        ];
+        for (artifact, path, decode) in fields {
+            let e = edited(&artifact, &*decode, |t| *at(t, path) = wide()).unwrap_err();
+            assert!(e.0.contains(path[1]) && e.0.contains("exceeds u32"), "{e}");
         }
-        let cluster = cluster_to_json(&snap.cluster);
-        for field in ["id", "slots"] {
-            let e = widened(&cluster, &["nodes"], field, cluster_from_json);
-            assert!(e.0.contains(field) && e.0.contains("exceeds u32"), "{e}");
+    }
+
+    #[test]
+    fn every_column_is_present_an_array_as_long_as_the_others_and_typed() {
+        let mut snap = served_snapshot();
+        // Every artifact must decode before it is edited: drop the NaN job.
+        snap.jobs.pop();
+        for ColumnTable { artifact, path, name: table, columns, decode } in tables(&snap) {
+            for &column in columns {
+                let (parent, key) = column_keys(path, column);
+                let e = edited(&artifact, &*decode, |t| {
+                    obj(t, &parent).remove(key).unwrap();
+                })
+                .unwrap_err();
+                assert_eq!(e.0, format!("{table}: missing column '{column}'"));
+                let e = edited(&artifact, &*decode, |t| {
+                    obj(t, &parent).insert(key.into(), Json::U64(0));
+                })
+                .unwrap_err();
+                assert_eq!(e.0, format!("{table}: column '{column}' must be an array"));
+                let mut rows = 0;
+                let e = edited(&artifact, &*decode, |t| {
+                    let Some(Json::Arr(cells)) = obj(t, &parent).get_mut(key) else { panic!() };
+                    rows = cells.len();
+                    cells.pop();
+                })
+                .unwrap_err();
+                assert!(e.0.starts_with(&format!("{table}: column '")), "{e}");
+                assert!(e.0.contains(&format!("'{column}' has {}", rows - 1)), "{e}");
+                let e = edited(&artifact, &*decode, |t| {
+                    let Some(Json::Arr(cells)) = obj(t, &parent).get_mut(key) else { panic!() };
+                    cells[rows - 1] = Json::Str("x".into());
+                })
+                .unwrap_err();
+                let want = format!("{table}: column '{column}' row {}: must be a", rows - 1);
+                assert!(e.0.starts_with(&want), "{e}");
+            }
         }
-        let e = widened(&jobs_to_artifact(&snap.jobs), &["jobs"], "id", jobs_from_artifact);
-        assert!(e.0.contains("exceeds u32"), "{e}");
-        let e = widened(&snap.to_json(), &["schedule"], "job", Snapshot::from_json);
-        assert!(e.0.contains("exceeds u32"), "{e}");
     }
 
     #[test]
@@ -1019,7 +1315,7 @@ pub(crate) mod tests {
         let snap = driver.drain();
         assert_eq!(snap.jobs.len(), 2000);
         let text = snap.to_json().into_text();
-        assert!(text.len() > 4_000_000, "{} bytes", text.len());
+        assert!(text.len() > 2_000_000, "{} bytes", text.len());
         assert_eq!(text, oracle::snapshot(&snap).to_string());
         let back = Snapshot::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(

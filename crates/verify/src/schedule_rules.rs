@@ -13,7 +13,6 @@ use dsp_cluster::ClusterSpec;
 use dsp_dag::{level_deadlines, Job, JobId, TaskId};
 use dsp_sim::{Assignment, Schedule};
 use dsp_units::Time;
-use std::collections::HashMap;
 
 /// R1 alone: every task of every job appears exactly once, on a real node.
 /// This is the single source of truth behind
@@ -49,7 +48,6 @@ impl<'a> JobsById<'a> {
 
 fn coverage(s: &Schedule, jobs: &[Job], by_id: &JobsById, cluster: &ClusterSpec) -> Report {
     let mut report = Report::new();
-    let mut seen: HashMap<TaskId, u32> = HashMap::with_capacity(s.len());
     for a in &s.assignments {
         if a.node.idx() >= cluster.len() {
             report.push(Diagnostic {
@@ -88,24 +86,41 @@ fn coverage(s: &Schedule, jobs: &[Job], by_id: &JobsById, cluster: &ClusterSpec)
             }),
             Some(_) => {}
         }
-        *seen.entry(a.task).or_insert(0) += 1;
     }
-    for (&task, &n) in &seen {
-        if n > 1 {
-            report.push(Diagnostic {
-                rule: Rule::Coverage,
-                severity: Severity::Error,
-                task: Some(task),
-                node: None,
-                at: None,
-                message: format!("assigned {n} times (must be exactly once)"),
-            });
-        }
+    // Each assignment's task beside its position, ordered by task: a task's
+    // assignments are one run, its first assignment first in the run.
+    let mut by_task: Vec<(TaskId, usize)> =
+        s.assignments.iter().enumerate().map(|(at, a)| (a.task, at)).collect();
+    by_task.sort_unstable();
+    let mut repeated: Vec<(usize, TaskId, usize)> = by_task
+        .chunk_by(|x, y| x.0 == y.0)
+        .filter(|run| run.len() > 1)
+        .map(|run| (run[0].1, run[0].0, run.len()))
+        .collect();
+    // Findings in first-assignment order.
+    repeated.sort_unstable();
+    for (_, task, n) in repeated {
+        report.push(Diagnostic {
+            rule: Rule::Coverage,
+            severity: Severity::Error,
+            task: Some(task),
+            node: None,
+            at: None,
+            message: format!("assigned {n} times (must be exactly once)"),
+        });
     }
+    // A job's assignments are one run of `by_task`, in index order: walk it
+    // beside the job's task indices.
     for job in jobs {
+        let from = by_task.partition_point(|&(task, _)| task.job < job.id);
+        let mut placed = by_task[from..].iter().take_while(|(task, _)| task.job == job.id);
+        let mut next = placed.next();
         for v in 0..job.num_tasks() as u32 {
-            let id = job.task_id(v);
-            if !seen.contains_key(&id) {
+            while next.is_some_and(|(task, _)| task.index < v) {
+                next = placed.next();
+            }
+            if next.is_none_or(|(task, _)| task.index != v) {
+                let id = job.task_id(v);
                 report.push(Diagnostic {
                     rule: Rule::Coverage,
                     severity: Severity::Error,
@@ -339,6 +354,35 @@ mod tests {
     }
 
     #[test]
+    fn repeated_tasks_are_reported_in_first_assignment_order() {
+        let job = |id| {
+            let tasks = vec![TaskSpec::sized(10.0); 4];
+            Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::MAX, tasks, Dag::new(4))
+        };
+        let jobs = vec![job(0), job(1)];
+        let cluster = uniform(1, 1000.0, 4);
+        let mut s = Schedule::new();
+        let order = [(1, 2), (0, 1), (1, 0), (0, 0), (0, 1), (1, 2), (0, 2), (0, 1), (1, 0)];
+        for (at, &(job, index)) in order.iter().enumerate() {
+            s.assign(TaskId::new(job, index), NodeId(0), Time::from_secs(at as u64));
+        }
+        let report = check_coverage(&s, &jobs, &cluster);
+        let findings: Vec<(TaskId, &str)> =
+            report.iter().map(|d| (d.task.expect("a task"), d.message.as_str())).collect();
+        let twice = "assigned 2 times (must be exactly once)";
+        let thrice = "assigned 3 times (must be exactly once)";
+        let want = [
+            (TaskId::new(1, 2), twice),
+            (TaskId::new(0, 1), thrice),
+            (TaskId::new(1, 0), twice),
+            (TaskId::new(0, 3), "never assigned"),
+            (TaskId::new(1, 1), "never assigned"),
+            (TaskId::new(1, 3), "never assigned"),
+        ];
+        assert_eq!(findings, want);
+    }
+
+    #[test]
     fn start_before_parent_finish_fires_r2() {
         // Two nodes so the early child violates only precedence, not slots.
         let jobs = vec![chain_job(Time::from_secs(100))];
@@ -413,6 +457,7 @@ mod tests {
     /// assignment). Quadratic, obviously right — the reference.
     mod oracle {
         use super::super::*;
+        use std::collections::HashMap;
 
         pub(super) fn check_schedule(
             s: &Schedule,

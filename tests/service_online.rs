@@ -233,7 +233,7 @@ fn tcp_session_submits_polls_and_drains_verified() {
     assert_eq!(snap.jobs.len(), submitted as usize);
     let report = snap.verify();
     assert!(report.passes(), "drained snapshot must pass R1–R6: {report:?}");
-    assert_eq!(codec::FORMAT_VERSION, 1);
+    assert_eq!(codec::FORMAT_VERSION, 2);
 
     handle.wait();
 }
