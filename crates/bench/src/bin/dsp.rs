@@ -1,5 +1,5 @@
-//! `dsp` — run one experiment, verify serialized artifacts, or talk to a
-//! running `dspd` service, from the command line. The usage text (`dsp
+//! `dsp` — run one experiment, verify its snapshot, or talk to a running
+//! `dspd` service, from the command line. The usage text (`dsp
 //! --help`) is generated from [`VERBS`], the table `main` dispatches on;
 //! every verb reads its flags with `dsp_core::flags`, so a malformed
 //! command line exits 2 naming the word it could not read.
@@ -13,9 +13,13 @@
 //! `dsp verify --snapshot`. The run is bit-identical per `--seed`; it
 //! exits 1 if any cell fails R1–R6 verification.
 //!
-//! Artifacts (`--dump-*`, snapshots) are versioned JSON: every file
-//! carries a `format_version` stamp and `dsp verify` exits 2 with a clear
-//! message when handed a version this build does not read. Format 2 writes
+//! There is one artifact, the snapshot (`dsp_service::codec::Snapshot`):
+//! the cluster a run ran on, its jobs, plan, execution history and
+//! metrics. The run mode (`--out FILE`), each matrix cell and `dsp drain`
+//! write it; `dsp verify --snapshot FILE` reads it. It is versioned JSON:
+//! every file carries a `format_version` stamp and a `kind`, and `dsp
+//! verify` exits 2 with a clear message when handed a version this build
+//! does not read or a kind other than `snapshot`. Format 2 writes
 //! the per-task tables (a job's `tasks`, the assignments, `history.tasks`)
 //! as objects of named columns, one array per field; `dsp verify` exits 2
 //! naming the table, column and row of a cell it cannot read, and names a
@@ -26,23 +30,21 @@
 //! the dependency-oblivious variant, `dsp` the list scheduler `dsp-list`.
 //!
 //! The run mode is one `dsp_core::execute` call. It prints the run's
-//! headline metrics (or the full metrics as JSON), can serialize its
-//! artifacts — the generated jobs, the combined offline schedule, the
-//! execution trace — and audits itself: `verified (R1-R6)` or the
-//! findings go to stderr, and an error-severity finding exits 1. The
-//! `verify` subcommand replays `dsp-verify`'s rules R1–R4 over a serialized
-//! schedule (and R5–R6 over a serialized trace or service snapshot) and
-//! exits 0 when no rule reports an error, 1 when one does, 2 on usage
-//! errors.
+//! headline metrics (or the full metrics as JSON), can write its snapshot,
+//! and audits itself: `verified (R1-R6)` or the findings go to stderr, and
+//! an error-severity finding exits 1. The `verify` subcommand replays
+//! `dsp-verify`'s rules R1–R6 over a snapshot, against the cluster it
+//! records, and exits 0 when no rule reports an error, 1 when one does, 2
+//! on usage errors.
 
-use dsp_core::cluster::NodeId;
+use dsp_core::cluster::{ClusterSpec, NodeId};
 use dsp_core::dag::Job;
 use dsp_core::flags::{usage_error, Flags};
 use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
 use dsp_core::verify::{Report, Severity, VerifyOptions};
-use dsp_core::{ClusterProfile, Params, PreemptMethod, SchedMethod};
+use dsp_core::{ClusterProfile, Params, PreemptMethod, Run, SchedMethod};
 use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
@@ -59,19 +61,10 @@ const VERBS: &[(&str, &[&str], Main)] = &[
         "",
         &["[--cluster {clusters}] [--jobs N] [--seed S] [--scale F] [--sched {scheds}] \
            [--preempt {preempts}] [--noise SIGMA] [--kill NODE@SECS]... \
-           [--straggle NODE@SECS@FACTOR]... [--dump-jobs FILE] [--dump-schedule FILE] \
-           [--dump-trace FILE] [--json]"],
+           [--straggle NODE@SECS@FACTOR]... [--out FILE] [--json]"],
         run_main,
     ),
-    (
-        "verify",
-        &[
-            "--jobs FILE --schedule FILE [--cluster {clusters}] [--trace FILE] \
-             [--dep-oblivious] [--no-deadlines] [--json]",
-            "--snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]",
-        ],
-        verify_main,
-    ),
+    ("verify", &["--snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]"], verify_main),
     ("serve", &["[DSPD FLAGS]"], |argv| Ok(dsp_service::cli::run(argv))),
     ("submit", &["--addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])"], submit_main),
     ("status", &["--addr HOST:PORT --job ID"], |argv| read_main("status", argv)),
@@ -116,10 +109,10 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
-/// A `--scale` value: task sizes are multiplied by it.
+/// A `--scale` value: task counts are multiplied by it, and 1 is the
+/// paper's full size.
 fn scale(flags: &mut Flags) -> Result<f64, String> {
-    flags
-        .read("a finite number > 0", |s| s.parse().ok().filter(|&s: &f64| s.is_finite() && s > 0.0))
+    flags.read("a number in (0, 1]", |s| s.parse().ok().filter(|&s: &f64| s > 0.0 && s <= 1.0))
 }
 
 /// A `--noise` value: the σ of the estimate noise.
@@ -135,6 +128,7 @@ fn workload(jobs: usize, seed: u64, task_scale: f64, noise: f64) -> Vec<Job> {
     generate_workload(&mut StdRng::seed_from_u64(seed), jobs, &trace)
 }
 
+/// Write an artifact to `path`; exit 2 when it cannot.
 fn write_artifact(path: &str, artifact: &Json) {
     // Straight from the encoder's buffer to the file: no copy of the text.
     let written = std::fs::File::create(path).and_then(|mut f| writeln!(f, "{artifact}"));
@@ -143,17 +137,18 @@ fn write_artifact(path: &str, artifact: &Json) {
     }
 }
 
+/// Write one run as its snapshot: the cluster it ran on, its jobs, plan,
+/// history and metrics. The run mode and each matrix cell write this way.
+fn write_snapshot(path: &str, cluster: ClusterSpec, jobs: Vec<Job>, run: Run) {
+    let Run { schedule, history, metrics } = run;
+    write_artifact(path, &codec::Snapshot { cluster, jobs, schedule, history, metrics }.to_json());
+}
+
 /// Load and parse a JSON artifact file; exit 2 on I/O or syntax errors.
 fn read_artifact(path: &str) -> Json {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot open {path}: {e}")));
     dsp_service::json::parse(&text).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
-}
-
-/// Load an artifact and decode it; version mismatches and shape errors,
-/// like I/O and syntax errors, exit 2.
-fn load<T>(path: &str, decode: fn(&Json) -> Result<T, codec::CodecError>) -> T {
-    decode(&read_artifact(path)).unwrap_or_else(|e| die(format!("cannot decode {path}: {e}")))
 }
 
 // ----------------------------------------------------------------- run mode
@@ -167,9 +162,7 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
     let mut preempt = PreemptMethod::Dsp;
     let mut sigma = 0.4;
     let mut faults = FaultPlan::none();
-    let mut dump_jobs = None;
-    let mut dump_schedule = None;
-    let mut dump_trace = None;
+    let mut out = None;
     let mut json = false;
     let mut flags = Flags::new(argv);
     while let Some(flag) = flags.next_flag()? {
@@ -198,9 +191,7 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
                 })?;
                 faults = faults.straggle(NodeId(node), Time::from_secs(at), factor);
             }
-            "--dump-jobs" => dump_jobs = Some(flags.text()?),
-            "--dump-schedule" => dump_schedule = Some(flags.text()?),
-            "--dump-trace" => dump_trace = Some(flags.text()?),
+            "--out" => out = Some(flags.text()?),
             "--json" => json = true,
             _ => return Err(flags.unknown()),
         }
@@ -226,15 +217,6 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
     let mut scheduler = sched.build(&params, seed);
     let mut policy = preempt.build(&params);
     let run = dsp_core::execute(&work, &spec, &params, scheduler.as_mut(), policy.as_mut(), faults);
-    if let Some(path) = dump_jobs {
-        write_artifact(path, &codec::jobs_to_artifact(&work));
-    }
-    if let Some(path) = dump_schedule {
-        write_artifact(path, &codec::schedule_to_artifact(&run.schedule));
-    }
-    if let Some(path) = dump_trace {
-        write_artifact(path, &codec::trace_to_artifact(&run.history));
-    }
     let metrics = &run.metrics;
     if json {
         println!("{}", codec::metrics_to_json(metrics));
@@ -257,6 +239,9 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
 
     let opts = VerifyOptions { dependency_aware: sched.dependency_aware(), check_deadlines: true };
     let report = run.audit(&work, &spec, &opts);
+    if let Some(path) = out {
+        write_snapshot(path, spec, work, run);
+    }
     if !report.passes() {
         eprint!("{report}");
         return Ok(1);
@@ -277,8 +262,8 @@ fn report_to_json(report: &Report) -> Json {
                     .iter()
                     .map(|d| {
                         Json::obj(vec![
-                            ("rule", Json::Str(format!("{:?}", d.rule))),
-                            ("severity", Json::Str(format!("{:?}", d.severity))),
+                            ("rule", Json::Str(d.rule.id().into())),
+                            ("severity", Json::Str(d.severity.to_string())),
                             (
                                 "task",
                                 match d.task {
@@ -310,55 +295,29 @@ fn report_to_json(report: &Report) -> Json {
 }
 
 fn verify_main(argv: &[String]) -> Result<i32, String> {
-    let mut jobs_path = None;
-    let mut schedule_path = None;
-    let mut trace_path = None;
-    let mut snapshot_path = None;
-    let mut cluster = None;
+    let mut path = None;
     let mut opts = VerifyOptions::default();
     let mut json = false;
     let mut flags = Flags::new(argv);
     while let Some(flag) = flags.next_flag()? {
         match flag {
-            "--jobs" => jobs_path = Some(flags.text()?),
-            "--schedule" => schedule_path = Some(flags.text()?),
-            "--trace" => trace_path = Some(flags.text()?),
-            "--snapshot" => snapshot_path = Some(flags.text()?),
-            "--cluster" => cluster = Some(flags.read("a cluster", ClusterProfile::from_name)?),
+            "--snapshot" => path = Some(flags.text()?),
             "--dep-oblivious" => opts.dependency_aware = false,
             "--no-deadlines" => opts.check_deadlines = false,
             "--json" => json = true,
             _ => return Err(flags.unknown()),
         }
     }
-
-    // Snapshot mode: the artifact is self-contained (cluster + jobs +
-    // schedule + trace), so it conflicts with the piecewise flags.
-    let (jobs_path, cluster, jobs, schedule, history) = if let Some(path) = snapshot_path {
-        let piecewise = [
-            ("--jobs", jobs_path.is_some()),
-            ("--schedule", schedule_path.is_some()),
-            ("--trace", trace_path.is_some()),
-            ("--cluster", cluster.is_some()),
-        ];
-        if let Some((flag, _)) = piecewise.iter().find(|(_, given)| *given) {
-            return Err(format!("{flag}: conflicts with --snapshot, which carries its own"));
-        }
-        let snap = load(path, codec::Snapshot::from_json);
-        (path, snap.cluster, snap.jobs, snap.schedule, Some(snap.history))
-    } else {
-        let (Some(jobs_path), Some(schedule_path)) = (jobs_path, schedule_path) else {
-            return Err("verify needs --jobs and --schedule, or --snapshot".into());
-        };
-        let jobs = load(jobs_path, codec::jobs_from_artifact);
-        let schedule = load(schedule_path, codec::schedule_from_artifact);
-        let history = trace_path.map(|path| load(path, codec::trace_from_artifact));
-        (jobs_path, cluster.unwrap_or(ClusterProfile::Ec2).build(), jobs, schedule, history)
-    };
+    let path = path.ok_or("verify needs --snapshot FILE")?;
+    // Version and kind mismatches and shape errors, like I/O and syntax
+    // errors, exit 2.
+    let codec::Snapshot { cluster, jobs, schedule, history, .. } =
+        codec::Snapshot::from_json(&read_artifact(path))
+            .unwrap_or_else(|e| die(format!("cannot decode {path}: {e}")));
     if let Err(e) = dsp_core::dag::validate_jobs(&jobs) {
-        die(format!("invalid jobs in {jobs_path}: {e}"))
+        die(format!("invalid jobs in {path}: {e}"))
     }
-    let report = dsp_core::verify::audit(&schedule, &jobs, &cluster, &opts, history.as_ref(), None);
+    let report = dsp_core::verify::audit(&schedule, &jobs, &cluster, &opts, &history, None);
     if json {
         println!("{}", report_to_json(&report));
     } else {
@@ -419,14 +378,13 @@ fn matrix_main(argv: &[String]) -> Result<i32, String> {
         }
         if artifacts {
             if let Some(dir) = out_dir {
-                let snap = codec::Snapshot {
-                    cluster: cell.cluster.clone(),
-                    jobs: cell.jobs.clone(),
+                let run = Run {
                     schedule: cell.schedule.clone(),
                     history: cell.history.clone(),
                     metrics: cell.metrics.clone(),
                 };
-                write_artifact(&format!("{dir}/cells/{}.json", cell.cell_id()), &snap.to_json());
+                let path = format!("{dir}/cells/{}.json", cell.cell_id());
+                write_snapshot(&path, cell.cluster.clone(), cell.jobs.clone(), run);
             }
         }
     });

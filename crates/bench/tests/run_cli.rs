@@ -1,6 +1,6 @@
 //! `dsp` run mode through the real binary, pinned: every scheduler ×
-//! preemption arm prints the same `--json` bytes whether or not it dumps
-//! its artifacts, the dumps pass `dsp verify`, and the bytes themselves
+//! preemption arm prints the same `--json` bytes whether or not it writes
+//! its snapshot, the snapshot passes `dsp verify`, and the bytes themselves
 //! are recorded (FNV-1a 64 of stdout) so a change to how the run is wired
 //! shows up as a moved literal, not as an argument about equivalence.
 
@@ -96,26 +96,26 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// A path in `dir` as the command line takes it.
+fn file_in(dir: &std::path::Path, name: &str) -> String {
+    dir.join(name).to_str().expect("utf-8 temp path").to_string()
+}
+
 #[test]
-fn every_arm_prints_pinned_bytes_with_or_without_dumps_and_its_dumps_verify() {
+fn every_arm_prints_pinned_bytes_with_or_without_out_and_its_snapshot_verifies() {
     let dir = scratch("arms");
-    let path = |f: &str| dir.join(f).to_str().expect("utf-8 temp path").to_string();
-    let (jobs, schedule, trace) = (path("jobs.json"), path("schedule.json"), path("trace.json"));
+    let snapshot = file_in(&dir, "run.json");
     let mut moved = Vec::new();
     for sched in SchedMethod::ALL {
         for preempt in PreemptMethod::ALL {
             let arm =
                 ["--jobs", "20", "--sched", sched.name(), "--preempt", preempt.name(), "--json"];
             let plain = stdout_of(&arm);
-            let mut dumping = arm.to_vec();
-            dumping.extend(["--dump-jobs", &jobs, "--dump-schedule", &schedule]);
-            dumping.extend(["--dump-trace", &trace]);
-            let dumped = stdout_of(&dumping);
+            let written = stdout_of(&[&arm[..], &["--out", &snapshot]].concat());
             let id = format!("{} + {}", sched.label(), preempt.label());
-            assert_eq!(plain, dumped, "{id}: dumping artifacts changed the metrics");
+            assert_eq!(plain, written, "{id}: writing the snapshot changed the metrics");
 
-            let mut verify =
-                vec!["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &trace];
+            let mut verify = vec!["verify", "--snapshot", &snapshot];
             if !sched.dependency_aware() {
                 verify.push("--dep-oblivious");
             }
@@ -189,16 +189,15 @@ fn a_fault_on_a_missing_node_is_a_usage_error() {
 /// A malformed command line is a usage error (exit 2) whose first stderr
 /// line names the flag, not the usage alone: in every verb, a value flag
 /// whose value is missing or unreadable, a name no table knows, a flag the
-/// verb does not read, a piecewise `verify` flag beside `--snapshot`, and a
-/// number the run would otherwise bend without a word — a scale that is
-/// not finite or not positive, a noise σ that is not finite or negative, a
-/// straggle factor outside (0, 1].
+/// verb does not read, and a number the run would otherwise bend without a
+/// word — a scale outside (0, 1], a noise σ that is not finite or
+/// negative, a straggle factor outside (0, 1].
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
     let submit = ["submit", "--addr", "127.0.0.1:1", "--gen", "2"];
     let with = |head: &[&'static str], tail: [&'static str; 2]| [head, &tail].concat();
     let mut cases = Vec::new();
-    for value in ["nan", "-1", "0", "inf"] {
+    for value in ["nan", "-1", "0", "inf", "1.5", "1e18"] {
         cases.push((with(&["--jobs", "4"], ["--scale", value]), "--scale"));
         cases.push((with(&["matrix", "--smoke"], ["--scale", value]), "--scale"));
         cases.push((with(&submit, ["--scale", value]), "--scale"));
@@ -214,7 +213,6 @@ fn out_of_range_numbers_are_usage_errors() {
     // (a command line the flag completes, the flag, values it must refuse
     // besides a missing one)
     let addr = "127.0.0.1:1";
-    let snapshot = ["verify", "--snapshot", "missing.json"];
     let table: &[(&[&str], &str, &[&str])] = &[
         (&[], "--cluster", &["warp"]),
         (&[], "--jobs", &["x", "-1"]),
@@ -225,14 +223,8 @@ fn out_of_range_numbers_are_usage_errors() {
         (&[], "--preempt", &["warp", "dsp-wopp"]),
         (&[], "--kill", &["3", "3@abc", "x@10"]),
         (&[], "--straggle", &["1@10", "1@x@0.5", "1@10@0.5@2"]),
-        (&[], "--dump-jobs", &[]),
-        (&[], "--dump-schedule", &[]),
-        (&[], "--dump-trace", &[]),
+        (&[], "--out", &[]),
         (&["verify"], "--snapshot", &[]),
-        (&snapshot, "--jobs", &["jobs.json"]),
-        (&snapshot, "--schedule", &["schedule.json"]),
-        (&snapshot, "--trace", &["trace.json"]),
-        (&snapshot, "--cluster", &["warp", "ec2"]),
         (&["serve"], "--cluster", &["warp", "uniform:4:nan:2"]),
         (&["serve"], "--period", &["0", "soon"]),
         (&["submit", "--gen", "2"], "--addr", &[]),
@@ -287,71 +279,127 @@ fn out_of_range_numbers_are_usage_errors() {
         );
     }
     // Each range's closed end still runs.
-    stdout_of(&["--jobs", "4", "--scale", "1e-3", "--noise", "0", "--straggle", "1@10@1"]);
+    stdout_of(&["--jobs", "1", "--scale", "1", "--noise", "0", "--straggle", "1@10@1"]);
 }
 
-/// `dsp verify` reads only this build's artifact format: a version-1 file
-/// in any of its three inputs exits 2 naming both versions, and so does a
-/// snapshot whose column tables disagree in length, naming the column.
+/// The run mode's three artifact flags and `verify`'s piecewise inputs are
+/// gone, with no alias: each is an unknown flag (exit 2), named.
 #[test]
-fn verify_refuses_other_formats_and_ragged_columns() {
-    use dsp_service::codec::{self, Snapshot};
+fn the_retired_artifact_flags_are_unknown() {
+    let snapshot = ["verify", "--snapshot", "missing.json"];
+    let mut lines: Vec<Vec<&str>> = Vec::new();
+    for flag in ["--dump-jobs", "--dump-schedule", "--dump-trace"] {
+        lines.push(vec!["--jobs", "4", flag, "out.json"]);
+    }
+    for flag in ["--jobs", "--schedule", "--trace", "--cluster"] {
+        lines.push(vec!["verify", flag, "ec2"]);
+        lines.push([&snapshot[..], &[flag, "ec2"]].concat());
+    }
+    for args in lines {
+        let flag = args.iter().rev().nth(1).expect("a flag");
+        let out = dsp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
+        assert_eq!(first, format!("dsp: unknown flag `{flag}`"), "dsp {args:?}");
+    }
+}
+
+/// `dsp verify` reads only this build's artifact: a version-1 snapshot
+/// exits 2 naming both versions, a version-2 file of another kind (the
+/// jobs, schedule and trace files the run mode once wrote) exits 2 naming
+/// its kind, and a snapshot whose column tables disagree in length exits 2
+/// naming the column.
+#[test]
+fn verify_refuses_other_formats_kinds_and_ragged_columns() {
+    use dsp_service::codec::FORMAT_VERSION;
     use dsp_service::json::{parse, Json};
 
     let dir = scratch("format");
-    let path = |f: &str| dir.join(f).to_str().expect("utf-8 temp path").to_string();
-    let (jobs, schedule, trace) = (path("jobs.json"), path("schedule.json"), path("trace.json"));
-    let dumps = ["--dump-jobs", &jobs, "--dump-schedule", &schedule, "--dump-trace", &trace];
-    stdout_of(&[&["--jobs", "8"][..], &dumps].concat());
-    let read = |file: &str| std::fs::read_to_string(file).expect("read an artifact");
-    let tree = |file: &str| parse(&read(file)).expect("parse an artifact");
-    let snap = Snapshot {
-        cluster: ClusterProfile::Ec2.build(),
-        jobs: codec::jobs_from_artifact(&tree(&jobs)).expect("jobs decode"),
-        schedule: codec::schedule_from_artifact(&tree(&schedule)).expect("schedule decodes"),
-        history: codec::trace_from_artifact(&tree(&trace)).expect("trace decodes"),
-        metrics: Default::default(),
-    };
-    let snapshot = path("snapshot.json");
-    std::fs::write(&snapshot, snap.to_json().into_text()).expect("write the snapshot");
+    let snapshot = file_in(&dir, "run.json");
+    stdout_of(&["--jobs", "8", "--out", &snapshot]);
     stdout_of(&["verify", "--snapshot", &snapshot]);
-    stdout_of(&["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &trace]);
+    let text = std::fs::read_to_string(&snapshot).expect("read the snapshot");
 
-    let refused = |args: &[&str], words: &[&str]| {
-        let out = dsp(args);
+    // `text` with its one `from` replaced by `to`, written beside it.
+    let edited = |name: &str, from: &str, to: &str| {
+        assert_eq!(text.matches(from).count(), 1, "{snapshot} holds {from} once");
+        let file = file_in(&dir, name);
+        std::fs::write(&file, text.replace(from, to)).expect("write an edited snapshot");
+        file
+    };
+    let refused = |file: &str, words: &[&str]| {
+        let out = dsp(&["verify", "--snapshot", file]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "dsp {args:?}:\n{stderr}");
+        assert_eq!(out.status.code(), Some(2), "dsp verify --snapshot {file}:\n{stderr}");
         for word in words {
-            assert!(stderr.contains(word), "dsp {args:?} must name {word}:\n{stderr}");
+            assert!(
+                stderr.contains(word),
+                "dsp verify --snapshot {file} must name {word}:\n{stderr}"
+            );
         }
     };
-    let v1 = |file: &str| {
-        let text = read(file);
-        let stamp = format!("\"format_version\":{}", codec::FORMAT_VERSION);
-        assert_eq!(codec::FORMAT_VERSION, 2);
-        assert_eq!(text.matches(&stamp).count(), 1, "{file} is stamped once");
-        let old = format!("{file}.v1");
-        std::fs::write(&old, text.replace(&stamp, "\"format_version\":1")).expect("write");
-        old
-    };
-    let versions = ["format_version 1", "version 2"];
-    refused(&["verify", "--snapshot", &v1(&snapshot)], &versions);
-    refused(&["verify", "--jobs", &v1(&jobs), "--schedule", &schedule], &versions);
-    refused(&["verify", "--jobs", &jobs, "--schedule", &v1(&schedule)], &versions);
-    let old_trace = v1(&trace);
-    refused(
-        &["verify", "--jobs", &jobs, "--schedule", &schedule, "--trace", &old_trace],
-        &versions,
-    );
+    assert_eq!(FORMAT_VERSION, 2);
+    let v1 = edited("v1.json", "\"format_version\":2", "\"format_version\":1");
+    refused(&v1, &["format_version 1", "version 2"]);
+    for kind in ["jobs", "schedule", "trace"] {
+        let other = edited(
+            &format!("{kind}.json"),
+            "\"kind\":\"snapshot\"",
+            &format!("\"kind\":\"{kind}\""),
+        );
+        refused(&other, &[&format!("kind '{kind}'"), "dsp --out"]);
+    }
 
-    let Json::Obj(mut top) = tree(&snapshot) else { panic!("a snapshot is an object") };
+    let Json::Obj(mut top) = parse(&text).expect("parse the snapshot") else {
+        panic!("a snapshot is an object")
+    };
     let Some(Json::Obj(history)) = top.get_mut("history") else { panic!("history") };
     let Some(Json::Obj(tasks)) = history.get_mut("tasks") else { panic!("history.tasks") };
     let Some(Json::Arr(column)) = tasks.get_mut("planned_start") else { panic!("a column") };
     column.pop();
-    let ragged = path("ragged.json");
+    let ragged = file_in(&dir, "ragged.json");
     std::fs::write(&ragged, Json::Obj(top).to_string()).expect("write the ragged snapshot");
-    refused(&["verify", "--snapshot", &ragged], &["history.tasks", "'planned_start'"]);
+    refused(&ragged, &["history.tasks", "'planned_start'"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The snapshot records the cluster a run ran on, so `verify` audits a
+/// palmetto run against palmetto: R1–R6 over the run, 0 errors.
+#[test]
+fn a_palmetto_run_verifies_against_its_own_cluster() {
+    let dir = scratch("palmetto");
+    let snapshot = file_in(&dir, "run.json");
+    stdout_of(&["--cluster", "palmetto", "--seed", "7", "--jobs", "20", "--out", &snapshot]);
+    let report = String::from_utf8(stdout_of(&["verify", "--snapshot", &snapshot])).unwrap();
+    assert!(report.ends_with("assignments checked: 0 errors, 0 warnings\n"), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dsp verify --json` names each rule by its stable id and each severity
+/// as the text report does. TetrisW/oDep plans children before their
+/// parents finish: 832 R2 findings at this seed, errors (exit 1) unless
+/// `--dep-oblivious` makes them warnings (exit 0).
+#[test]
+fn verify_json_names_rules_by_id() {
+    use dsp_service::json::{parse, Json};
+
+    let dir = scratch("json");
+    let snapshot = file_in(&dir, "run.json");
+    stdout_of(&["--sched", "tetris-wo-dep", "--jobs", "8", "--out", &snapshot]);
+    for (extra, code, severity) in [(None, 1, "error"), (Some("--dep-oblivious"), 0, "warning")] {
+        let mut args = vec!["verify", "--snapshot", &snapshot, "--json"];
+        args.extend(extra);
+        let out = dsp(&args);
+        assert_eq!(out.status.code(), Some(code), "dsp {args:?}");
+        let doc = parse(&String::from_utf8_lossy(&out.stdout)).expect("verify --json is JSON");
+        let diagnostics = doc.get("diagnostics").and_then(Json::as_arr).expect("diagnostics");
+        assert_eq!(diagnostics.len(), 832, "dsp {args:?}");
+        for d in diagnostics {
+            assert_eq!(d.get("rule").and_then(Json::as_str), Some("R2"), "dsp {args:?}");
+            assert_eq!(d.get("severity").and_then(Json::as_str), Some(severity), "dsp {args:?}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

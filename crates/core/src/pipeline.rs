@@ -102,8 +102,8 @@ impl Run {
     /// the full rule set: R1–R4 on the plan, R5–R6 on the history, and the
     /// history-vs-metrics overhead cross-check.
     pub fn audit(&self, jobs: &[Job], cluster: &ClusterSpec, opts: &VerifyOptions) -> Report {
-        let (history, metrics) = (Some(&self.history), Some(&self.metrics));
-        dsp_verify::audit(&self.schedule, jobs, cluster, opts, history, metrics)
+        let metrics = Some(&self.metrics);
+        dsp_verify::audit(&self.schedule, jobs, cluster, opts, &self.history, metrics)
     }
 }
 

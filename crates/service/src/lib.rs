@@ -33,9 +33,9 @@
 //!   aggregates reads into one federated view, and coordinates the
 //!   two-phase drain that merges per-shard artifacts back into a single
 //!   auditable snapshot over the full cluster;
-//! * [`json`] / [`codec`] — a dependency-free JSON kernel and the
-//!   versioned artifact format (`format_version` stamps) shared with the
-//!   `dsp` CLI's dump/verify paths;
+//! * [`json`] / [`codec`] — a dependency-free JSON kernel and the one
+//!   artifact, the versioned snapshot (`format_version` and `kind`
+//!   stamps), shared with the `dsp` CLI's writers and `dsp verify`;
 //! * [`cli`] — the daemon's command line, shared by `dspd` and
 //!   `dsp serve`.
 

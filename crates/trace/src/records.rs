@@ -1,8 +1,8 @@
 //! Trace-record rows and the paper's DAG-from-windows pipeline over them.
 //!
 //! (Persisting a job set so an experiment reruns on it — the role the
-//! frozen May-2011 trace plays in the paper — is the versioned jobs
-//! artifact of `dsp_service::codec`, which `dsp --dump-jobs` writes.)
+//! frozen May-2011 trace plays in the paper — is the `jobs` of a run's
+//! snapshot, `dsp_service::codec::Snapshot`, which `dsp --out` writes.)
 
 use crate::dag_builder::{build_dag_from_windows, DagCaps};
 use dsp_dag::{critical_path_len, Job, JobClass, JobId, TaskSpec};

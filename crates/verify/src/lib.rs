@@ -23,7 +23,7 @@
 //! solver. The checker is wired in at three layers: debug
 //! assertions inside `dsp-core`'s pipeline (R1 per planned batch, R5–R6 at
 //! engine exit), the audit `dsp`, `dsp matrix` and `dsp verify` run over
-//! live runs and serialized artifacts, and mutation-style tests that
+//! live runs and snapshot artifacts, and mutation-style tests that
 //! corrupt schedules and assert the right rule fires.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -56,21 +56,19 @@ impl Default for VerifyOptions {
     }
 }
 
-/// The full audit of a plan and, when there is one, its execution: R1–R4
-/// over `schedule`, then R5–R6 over `history`, with the history-vs-metrics
-/// overhead cross-check when the run's `metrics` are at hand (they are
-/// only read beside a history). Whoever says "verified R1–R6" calls this.
+/// The full audit of a plan and its execution: R1–R4 over `schedule`,
+/// then R5–R6 over `history`, with the history-vs-metrics overhead
+/// cross-check when the run's `metrics` are at hand. Whoever says
+/// "verified R1–R6" calls this.
 pub fn audit(
     schedule: &dsp_sim::Schedule,
     jobs: &[dsp_dag::Job],
     cluster: &dsp_cluster::ClusterSpec,
     opts: &VerifyOptions,
-    history: Option<&dsp_sim::ExecHistory>,
+    history: &dsp_sim::ExecHistory,
     metrics: Option<&dsp_metrics::RunMetrics>,
 ) -> Report {
     let mut report = check_schedule(schedule, jobs, cluster, opts);
-    if let Some(history) = history {
-        report.merge(check_execution(history, metrics));
-    }
+    report.merge(check_execution(history, metrics));
     report
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI guard: the two-phase loop has one assembly, the methods one name
-# table (DESIGN.md §3.1), dspd one front end (§10.6), and the binaries one
-# command-line reader (core/src/flags.rs). Four greps over non-test product
+# table (DESIGN.md §3.1), dspd one front end (§10.6), the binaries one
+# command-line reader (core/src/flags.rs), and the workspace one artifact
+# (the snapshot, service/src/codec.rs). Five greps over non-test product
 # code — every crates/*/src file outside crates/benchmark,
 # cut at its `#[cfg(test)] mod tests`, minus files that are test-only
 # modules — and one over the service crate whole. Run from the repo root.
@@ -54,5 +55,11 @@ check "target_os in crates/service (dspd has one front end)" \
 walks='argv\.get\(|argv\[i\]|while i < argv\.len\(\)|args\.iter\(\)\.position\('
 check "argv walked by hand outside core/src/flags.rs" \
     "$(grep -E "$walks" <<<"$src" | grep -v '^crates/core/src/flags\.rs:' || true)"
+
+# 6. One artifact: exactly one product line writes the `format_version`
+#    stamp, the one in codec.rs's `Snapshot::write`.
+stamps=$(grep -F 'key("format_version")' <<<"$src" || true)
+[ "$(grep -c . <<<"$stamps")" = 1 ] && grep -q '^crates/service/src/codec\.rs:' <<<"$stamps" ||
+    check "key(\"format_version\") must be written once, in service/src/codec.rs" "${stamps:-<none>}"
 
 exit "$fail"
