@@ -44,7 +44,7 @@ use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
 use dsp_core::verify::{Report, Severity, VerifyOptions};
-use dsp_core::{ClusterProfile, Params, PreemptMethod, Run, SchedMethod};
+use dsp_core::{ClusterProfile, FigureScale, Params, PreemptMethod, Run, SchedMethod};
 use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
@@ -157,7 +157,7 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
     let mut cluster = ClusterProfile::Ec2;
     let mut jobs = 45;
     let mut seed = 2018;
-    let mut task_scale = 0.06;
+    let mut task_scale = None;
     let mut sched = SchedMethod::Dsp;
     let mut preempt = PreemptMethod::Dsp;
     let mut sigma = 0.4;
@@ -170,7 +170,7 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
             "--cluster" => cluster = flags.read("a cluster", ClusterProfile::from_name)?,
             "--jobs" => jobs = flags.value()?,
             "--seed" => seed = flags.value()?,
-            "--scale" => task_scale = scale(&mut flags)?,
+            "--scale" => task_scale = Some(scale(&mut flags)?),
             "--noise" => sigma = noise(&mut flags)?,
             "--sched" => sched = flags.read("a scheduler", SchedMethod::from_name)?,
             "--preempt" => preempt = flags.read("a policy", PreemptMethod::from_name)?,
@@ -212,6 +212,8 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
         }
     }
 
+    // Without `--scale`, the profile runs at its figures' scale.
+    let task_scale = task_scale.unwrap_or_else(|| FigureScale::paper().task_scale(cluster));
     let work = workload(jobs, seed, task_scale, sigma);
     let params = Params::default();
     let mut scheduler = sched.build(&params, seed);

@@ -376,6 +376,25 @@ fn a_palmetto_run_verifies_against_its_own_cluster() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Without `--scale`, a run takes its profile's figure scale, so a
+/// palmetto figure cell re-runs as `dsp --cluster palmetto`; `--scale`
+/// still overrides it.
+#[test]
+fn run_mode_defaults_to_the_profile_figure_scale() {
+    let banner = |args: &[&str]| {
+        let out = String::from_utf8(stdout_of(args)).expect("utf-8 banner");
+        out.lines().next().expect("a banner line").to_string()
+    };
+    for (args, scale) in [
+        (&["--cluster", "palmetto", "--jobs", "2"][..], "(scale 0.2,"),
+        (&["--cluster", "palmetto", "--jobs", "2", "--scale", "0.06"][..], "(scale 0.06,"),
+        (&["--cluster", "ec2", "--jobs", "2"][..], "(scale 0.06,"),
+    ] {
+        let line = banner(args);
+        assert!(line.contains(scale), "dsp {args:?}: {line}");
+    }
+}
+
 /// `dsp verify --json` names each rule by its stable id and each severity
 /// as the text report does. TetrisW/oDep plans children before their
 /// parents finish: 832 R2 findings at this seed, errors (exit 1) unless

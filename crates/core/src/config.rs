@@ -74,12 +74,6 @@ impl Default for Params {
 }
 
 impl Params {
-    /// The ω sum should be 1 (the paper's normalization); exposed so tests
-    /// and ablations can assert it.
-    pub fn omega_sum(&self) -> f64 {
-        self.omega1 + self.omega2 + self.omega3
-    }
-
     /// Eq. 12/13 weights in `dsp-preempt` form.
     pub fn priority_weights(&self) -> PriorityWeights {
         PriorityWeights { w1: self.omega1, w2: self.omega2, w3: self.omega3, gamma: self.gamma }
@@ -120,7 +114,7 @@ mod tests {
         assert_eq!(p.gamma, 0.5);
         assert_eq!((p.omega1, p.omega2, p.omega3), (0.5, 0.3, 0.2));
         assert_eq!((p.alpha, p.beta), (0.5, 1.0));
-        assert!((p.omega_sum() - 1.0).abs() < 1e-12);
+        assert!((p.omega1 + p.omega2 + p.omega3 - 1.0).abs() < 1e-12);
         assert!(p.rho > 1.0);
     }
 

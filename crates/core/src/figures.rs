@@ -86,20 +86,26 @@ impl FigureScale {
         }
     }
 
+    /// The task scale `cluster`'s figures run at: the real-cluster
+    /// profile has its own, every other profile the EC2 one. `dsp` run
+    /// mode takes it as its default `--scale`.
+    pub fn task_scale(&self, cluster: ClusterProfile) -> f64 {
+        match cluster {
+            ClusterProfile::Palmetto => self.task_scale_palmetto,
+            _ => self.task_scale,
+        }
+    }
+
     /// A figure's base cell: `num_jobs` jobs on `cluster` at that
     /// profile's task scale, DSP offline, no preemption.
     fn figure(&self, cluster: ClusterProfile, num_jobs: usize) -> ExperimentConfig {
-        let task_scale = match cluster {
-            ClusterProfile::Palmetto => self.task_scale_palmetto,
-            _ => self.task_scale,
-        };
         ExperimentConfig {
             cluster,
             num_jobs,
             seed: self.seed,
             sched: SchedMethod::Dsp,
             preempt: PreemptMethod::None,
-            trace: TraceParams { task_scale, ..TraceParams::default() },
+            trace: TraceParams { task_scale: self.task_scale(cluster), ..TraceParams::default() },
             params: Params::default(),
         }
     }

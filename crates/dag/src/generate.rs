@@ -7,10 +7,6 @@
 //! *structure*; realistic size/resource marginals come from `dsp-trace`.
 
 use crate::graph::Dag;
-use crate::ids::JobId;
-use crate::job::{Job, JobClass};
-use crate::task::TaskSpec;
-use dsp_units::{Dur, Mi, ResourceVec, Time};
 use rand::Rng;
 
 /// Shape family for generated DAGs.
@@ -31,46 +27,6 @@ pub enum DagShape {
     },
     /// Fork-join: a root, a parallel middle stage, and a sink.
     ForkJoin,
-}
-
-/// Parameters for job generation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GenParams {
-    /// DAG shape family.
-    pub shape: DagShape,
-    /// Cap on any task's number of direct dependents (paper: 15).
-    pub max_out_degree: usize,
-    /// Task size range in MI, sampled uniformly.
-    pub size_range: (f64, f64),
-    /// CPU demand range, sampled uniformly.
-    pub cpu_range: (f64, f64),
-    /// Memory demand range, sampled uniformly.
-    pub mem_range: (f64, f64),
-    /// Disk per task in MB (paper: 0.02).
-    pub disk_mb: f64,
-    /// Bandwidth per task in MB/s (paper: 0.02).
-    pub bw_mbps: f64,
-    /// Deadline slack factor: deadline = arrival + slack × (critical path at
-    /// the reference rate). Values well above 1 keep deadlines feasible.
-    pub deadline_slack: f64,
-    /// Reference rate (MIPS) for the deadline computation.
-    pub reference_mips: f64,
-}
-
-impl Default for GenParams {
-    fn default() -> Self {
-        GenParams {
-            shape: DagShape::Layered { depth: 5 },
-            max_out_degree: 15,
-            size_range: (200.0, 4000.0),
-            cpu_range: (0.1, 1.0),
-            mem_range: (0.1, 1.0),
-            disk_mb: 0.02,
-            bw_mbps: 0.02,
-            deadline_slack: 6.0,
-            reference_mips: 2660.0,
-        }
-    }
 }
 
 /// Generate a random DAG of `n` tasks with the given shape and out-degree
@@ -146,39 +102,6 @@ pub fn gen_dag<R: Rng>(rng: &mut R, n: usize, shape: DagShape, max_out: usize) -
     dag
 }
 
-/// Generate a full job: DAG structure plus uniformly-sampled task sizes and
-/// demands, with a deadline set from the critical path at the reference
-/// rate times `deadline_slack`.
-pub fn gen_job<R: Rng>(
-    rng: &mut R,
-    id: JobId,
-    class: JobClass,
-    num_tasks: usize,
-    arrival: Time,
-    p: &GenParams,
-) -> Job {
-    let dag = gen_dag(rng, num_tasks, p.shape, p.max_out_degree);
-    let tasks: Vec<TaskSpec> = (0..num_tasks)
-        .map(|_| {
-            let size = Mi::new(rng.gen_range(p.size_range.0..=p.size_range.1));
-            let demand = ResourceVec::new(
-                rng.gen_range(p.cpu_range.0..=p.cpu_range.1),
-                rng.gen_range(p.mem_range.0..=p.mem_range.1),
-                p.disk_mb,
-                p.bw_mbps,
-            );
-            TaskSpec::new(size, demand)
-        })
-        .collect();
-    let g = dsp_units::Mips::new(p.reference_mips);
-    let exec: Vec<Dur> = tasks.iter().map(|t| t.exec_time(g)).collect();
-    let cp = crate::critical_path::critical_path_len(&dag, &exec);
-    // Deadline must also leave room for queueing: scale the critical path
-    // and never go below the total serial work divided by a nominal width.
-    let deadline = arrival + cp.mul_f64(p.deadline_slack);
-    Job::new(id, class, arrival, deadline, tasks, dag)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,25 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn generated_job_is_consistent() {
-        let mut r = rng();
-        let p = GenParams::default();
-        let job = gen_job(&mut r, JobId(0), JobClass::Small, 30, Time::from_secs(10), &p);
-        assert_eq!(job.num_tasks(), 30);
-        assert!(job.deadline > job.arrival);
-        for (_, t) in job.iter_tasks() {
-            assert!(t.size.get() >= p.size_range.0 && t.size.get() <= p.size_range.1);
-            assert!(t.demand.cpu > 0.0 && t.demand.mem > 0.0);
-        }
-        crate::validate::validate_job(&job).expect("generated job must validate");
-    }
-
-    #[test]
     fn generation_is_deterministic_per_seed() {
-        let p = GenParams::default();
-        let a = gen_job(&mut rng(), JobId(1), JobClass::Medium, 40, Time::ZERO, &p);
-        let b = gen_job(&mut rng(), JobId(1), JobClass::Medium, 40, Time::ZERO, &p);
-        assert_eq!(a, b);
+        let shape = DagShape::Layered { depth: 5 };
+        assert_eq!(gen_dag(&mut rng(), 40, shape, 15), gen_dag(&mut rng(), 40, shape, 15));
     }
 
     #[test]

@@ -210,35 +210,6 @@ impl Dag {
         counts
     }
 
-    /// Descendants of `v` bucketed by relative level: index 0 holds the
-    /// number of direct children, index 1 the children-of-children layer,
-    /// and so on (BFS layers). This is the "more dependent tasks in higher
-    /// levels" comparison of Fig. 3: `T_11` beats `T_6` because its second
-    /// layer is larger.
-    pub fn descendants_by_depth(&self, v: u32) -> Vec<usize> {
-        let mut layers = Vec::new();
-        let mut seen = vec![false; self.len()];
-        seen[v as usize] = true;
-        let mut frontier: Vec<u32> = self.children(v).to_vec();
-        for &c in &frontier {
-            seen[c as usize] = true;
-        }
-        while !frontier.is_empty() {
-            layers.push(frontier.len());
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &c in self.children(u) {
-                    if !seen[c as usize] {
-                        seen[c as usize] = true;
-                        next.push(c);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        layers
-    }
-
     /// Iterate over all edges `(from, to)`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.children.iter().enumerate().flat_map(|(u, cs)| cs.iter().map(move |&c| (u as u32, c)))
@@ -363,32 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn descendants_by_depth_distinguishes_fig3_shapes() {
-        // Fig. 3 intuition: same total descendants, more of them shallow or
-        // deep. Build T6-like (2 children, each with 1 child) vs T1-like
-        // (chain of 4): totals differ in layer profile.
-        let mut wide = Dag::new(5);
-        wide.add_edge(0, 1).unwrap();
-        wide.add_edge(0, 2).unwrap();
-        wide.add_edge(1, 3).unwrap();
-        wide.add_edge(2, 4).unwrap();
-        assert_eq!(wide.descendants_by_depth(0), vec![2, 2]);
-
-        let mut chain = Dag::new(5);
-        for i in 0..4 {
-            chain.add_edge(i, i + 1).unwrap();
-        }
-        assert_eq!(chain.descendants_by_depth(0), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
     fn diamond_descendants_not_double_counted() {
         let mut g = Dag::new(4);
         for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
             g.add_edge(u, v).unwrap();
         }
         assert_eq!(g.descendant_counts()[0], 3);
-        assert_eq!(g.descendants_by_depth(0), vec![2, 1]);
     }
 
     #[test]

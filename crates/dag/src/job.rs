@@ -107,11 +107,6 @@ impl Job {
         self.tasks.iter().map(|t| t.est_exec_time(g)).collect()
     }
 
-    /// Total work of the job in estimated execution time at rate `g`.
-    pub fn total_work(&self, g: Mips) -> Dur {
-        self.exec_estimates(g).into_iter().sum()
-    }
-
     /// Iterate over `(TaskId, &TaskSpec)`.
     pub fn iter_tasks(&self) -> impl Iterator<Item = (TaskId, &TaskSpec)> {
         self.tasks.iter().enumerate().map(|(v, t)| (TaskId { job: self.id, index: v as u32 }, t))
@@ -157,7 +152,6 @@ mod tests {
         let est = j.exec_estimates(Mips::new(100.0));
         assert_eq!(est[0], Dur::from_secs(1));
         assert_eq!(est[2], Dur::from_secs(3));
-        assert_eq!(j.total_work(Mips::new(100.0)), Dur::from_secs(6));
     }
 
     #[test]

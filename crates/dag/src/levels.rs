@@ -59,12 +59,6 @@ impl Levels {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &[u32])> {
         self.members.iter().enumerate().map(|(l, m)| (l, m.as_slice()))
     }
-
-    /// The widest level's population — an upper bound on the job's
-    /// exploitable parallelism.
-    pub fn max_width(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +82,6 @@ mod tests {
         assert_eq!(l.level_of(2), 1);
         assert_eq!(l.level_of(3), 2);
         assert_eq!(l.members(1), &[1, 2]);
-        assert_eq!(l.max_width(), 2);
     }
 
     #[test]
@@ -117,7 +110,6 @@ mod tests {
     fn empty_dag_has_no_levels() {
         let l = Levels::compute(&Dag::new(0));
         assert_eq!(l.num_levels(), 0);
-        assert_eq!(l.max_width(), 0);
     }
 
     #[test]

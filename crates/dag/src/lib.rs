@@ -10,7 +10,6 @@
 //! * [`levels::Levels`] — the paper's DAG "levels" (longest distance from a
 //!   root), which drive both the Fig. 3 priority intuition and per-level
 //!   deadline propagation;
-//! * [`chains`] — chain decompositions (`C_i^q` in Section III);
 //! * [`deadline`] — per-level task deadlines and allowable waiting time
 //!   (Section IV-B);
 //! * [`critical_path`] — upward ranks / critical path lengths used by the
@@ -20,7 +19,6 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod chains;
 pub mod critical_path;
 pub mod deadline;
 pub mod generate;
@@ -31,10 +29,9 @@ pub mod levels;
 pub mod task;
 pub mod validate;
 
-pub use chains::ChainSet;
 pub use critical_path::{critical_path_len, upward_ranks};
 pub use deadline::{allowable_waiting_time, level_deadlines};
-pub use generate::{DagShape, GenParams};
+pub use generate::DagShape;
 pub use graph::Dag;
 pub use ids::{JobId, TaskId};
 pub use job::{Job, JobClass};

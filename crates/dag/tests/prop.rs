@@ -1,9 +1,7 @@
 //! Property tests for the DAG substrate: structural invariants over
 //! randomly generated graphs, cross-checked against brute-force oracles.
 
-use dsp_dag::{
-    critical_path_len, generate::gen_dag, upward_ranks, ChainSet, Dag, DagShape, Levels,
-};
+use dsp_dag::{critical_path_len, generate::gen_dag, upward_ranks, Dag, DagShape, Levels};
 use dsp_units::Dur;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -83,22 +81,6 @@ proptest! {
         for v in dag.roots() {
             prop_assert_eq!(levels.level_of(v), 0);
         }
-    }
-
-    #[test]
-    fn path_cover_partitions_and_respects_edges(
-        n in 1usize..40, shape in 0u8..5, seed in 0u64..500,
-    ) {
-        let dag = random_dag(n, shape, seed);
-        let cover = ChainSet::path_cover(&dag);
-        prop_assert!(cover.is_valid_for(&dag));
-        let mut count = vec![0usize; n];
-        for chain in cover.chains() {
-            for &v in chain {
-                count[v as usize] += 1;
-            }
-        }
-        prop_assert!(count.iter().all(|&c| c == 1));
     }
 
     #[test]

@@ -116,17 +116,6 @@ impl RunMetrics {
         }
     }
 
-    /// Throughput in deadline-meeting jobs per second of makespan — the
-    /// paper's Section III definition ("jobs that complete … within their
-    /// job deadlines during a unit of time").
-    pub fn throughput_jobs_per_sec(&self) -> f64 {
-        let s = self.makespan().as_secs_f64();
-        if s <= 0.0 {
-            return 0.0;
-        }
-        self.jobs.iter().filter(|j| j.met_deadline()).count() as f64 / s
-    }
-
     /// Mean over jobs of the job's mean task waiting time (Fig. 6c/7c).
     pub fn avg_job_waiting(&self) -> Dur {
         if self.jobs.is_empty() {
@@ -242,13 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn job_throughput_counts_only_deadline_hits() {
+    fn deadline_hit_rate_counts_only_met_jobs() {
         let mut m = RunMetrics::default();
         m.on_task_start(Time::ZERO);
         m.on_job_finish(outcome(0, 10, 20, 5)); // met
         m.on_job_finish(outcome(0, 10, 5, 5)); // missed
         assert_eq!(m.deadline_hit_rate(), 0.5);
-        assert!((m.throughput_jobs_per_sec() - 0.1).abs() < 1e-12);
     }
 
     #[test]

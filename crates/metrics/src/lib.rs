@@ -18,4 +18,4 @@ pub mod table;
 
 pub use collect::{JobOutcome, RunMetrics};
 pub use series::{MethodSeries, SweepSeries};
-pub use table::{render_ascii, render_csv, render_markdown};
+pub use table::{render_csv, render_markdown};

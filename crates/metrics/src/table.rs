@@ -47,34 +47,6 @@ pub fn render_csv(s: &SweepSeries) -> String {
     out
 }
 
-/// Render a sweep as a quick ASCII chart: one row per method, each value
-/// scaled into a fixed-width bar — enough to eyeball orderings in a
-/// terminal without leaving the `reproduce` output.
-pub fn render_ascii(s: &SweepSeries, width: usize) -> String {
-    let width = width.clamp(8, 120);
-    let max = s.series.iter().flat_map(|m| m.values.iter().copied()).fold(0.0f64, f64::max);
-    let mut out = String::new();
-    let _ = writeln!(out, "{} — {} (bar max = {:.4})", s.id, s.y_label, max);
-    let name_w = s.series.iter().map(|m| m.method.len()).max().unwrap_or(4).max(4);
-    for (i, x) in s.x.iter().enumerate() {
-        let _ = writeln!(out, "{}={}", s.x_label, x);
-        for m in &s.series {
-            let v = m.values[i];
-            let bar = if max > 0.0 { ((v / max) * width as f64).round() as usize } else { 0 };
-            let _ = writeln!(
-                out,
-                "  {:<name_w$} |{:<width$}| {:.4}",
-                m.method,
-                "#".repeat(bar.min(width)),
-                v,
-                name_w = name_w,
-                width = width
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,27 +73,6 @@ mod tests {
         assert_eq!(lines[0], "x,DSP,Aalo");
         assert_eq!(lines[1], "150,1.5,2");
         assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    fn ascii_chart_scales_bars() {
-        let chart = render_ascii(&sweep(), 10);
-        // The max value (4.0 at x=300 for Aalo) gets the full-width bar.
-        assert!(chart.contains("##########"));
-        // Every method appears per x point.
-        assert_eq!(chart.matches("DSP ").count(), 2);
-        assert!(chart.contains("jobs=150"));
-        // Degenerate width clamps instead of panicking.
-        let tiny = render_ascii(&sweep(), 0);
-        assert!(tiny.contains("DSP"));
-    }
-
-    #[test]
-    fn ascii_chart_handles_all_zero_series() {
-        let mut s = SweepSeries::new("z", "zeros", "x", "y", vec![1.0]);
-        s.push("A", vec![0.0]);
-        let chart = render_ascii(&s, 20);
-        assert!(chart.contains("| 0.0000"));
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! until a client sends `{"op":"drain"}`. `--time-scale` is
 //! simulated seconds per wall second (default 600: one 300 s scheduling
 //! period every half wall-second); `--max-conns` sheds excess clients
-//! with one `busy` reply; `--shards`/`--route` are DESIGN.md §10.7.
+//! with one `busy` reply; `--shards` is DESIGN.md §10.7.
 
 use crate::{
-    build_cluster, serve_federated, AdmissionConfig, FederationSpec, RoutePolicy, ServerConfig,
-    MAX_SHARDS, SCHED_SEED,
+    build_cluster, serve_federated, AdmissionConfig, FederationSpec, ServerConfig, MAX_SHARDS,
+    SCHED_SEED,
 };
 use dsp_core::config::Params;
 use dsp_core::flags::{usage_error, Flags};
@@ -25,8 +25,8 @@ pub fn usage() -> String {
         "usage: dspd [--addr HOST:PORT] [--cluster {}|uniform:N:RATE:SLOTS] \
          [--sched {}] [--preempt {}] \
          [--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
-         [--no-feasibility] [--max-conns N] [--shards N] \
-         [--route hash|least-loaded|deadline]\n       (`dsp serve` takes the same flags)",
+         [--no-feasibility] [--max-conns N] [--shards N]\n       \
+         (`dsp serve` takes the same flags)",
         ClusterProfile::usage(),
         SchedMethod::usage(),
         PreemptMethod::usage(),
@@ -74,7 +74,6 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
                     s.parse().ok().filter(|n| (1..=MAX_SHARDS).contains(n))
                 })?
             }
-            "--route" => config.route = flags.read("a route policy", RoutePolicy::parse)?,
             _ => return Err(flags.unknown()),
         }
     }
@@ -97,7 +96,6 @@ pub fn run(argv: &[String]) -> i32 {
         Ok(parsed) => parsed,
         Err(msg) => return usage_error("dspd", &msg, &usage()),
     };
-    let route = config.route;
     let handle = match serve_federated(spec, config) {
         Ok(h) => h,
         Err(e) => {
@@ -107,7 +105,7 @@ pub fn run(argv: &[String]) -> i32 {
     };
     // The smoke script and client tooling scrape these lines.
     println!("dspd listening on {}", handle.addr);
-    println!("dspd shards: {} (route: {})", handle.shards(), route.name());
+    println!("dspd shards: {}", handle.shards());
     let _ = std::io::stdout().flush();
     handle.wait();
     println!("dspd drained; exiting");
@@ -137,7 +135,7 @@ mod tests {
         let (spec, config) = parse(
             "--addr 0.0.0.0:7 --cluster uniform:6:1000:2 --sched fifo --preempt none \
              --period 60 --epoch 2 --time-scale 1200 --max-pending 99 --no-feasibility \
-             --max-conns 5 --shards 2 --route least-loaded",
+             --max-conns 5 --shards 2",
         )
         .expect("a well-formed command line");
         let expected = ServerConfig {
@@ -145,7 +143,6 @@ mod tests {
             time_scale: 1200.0,
             max_conns: 5,
             shards: 2,
-            route: RoutePolicy::LeastLoaded,
             ..ServerConfig::default()
         };
         assert_eq!(config, expected);
@@ -199,7 +196,6 @@ mod tests {
             ("--max-pending", &["-1", "many"]),
             ("--max-conns", &["-1", "many"]),
             ("--shards", &["0", "65", "-1", "many"]),
-            ("--route", &["warp", ""]),
         ];
         for (flag, bad_values) in table {
             let missing = parse_args(&[flag.to_string()]);
@@ -213,10 +209,19 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_usage_errors_with_exit_2() {
-        for line in ["--warp", "--warp on", "x", "--shards 2 --warp", "--reactor-threads 2"] {
+        let lines = [
+            "--warp",
+            "--warp on",
+            "x",
+            "--shards 2 --warp",
+            "--reactor-threads 2",
+            "--route hash",
+        ];
+        for line in lines {
             let err = parse(line).err().unwrap_or_else(|| panic!("`{line}` must be refused"));
             assert!(err.starts_with("unknown flag"), "{line}: {err}");
         }
         assert_eq!(run(&["--warp".to_string(), "on".to_string()]), 2);
+        assert_eq!(run(&["--route".to_string(), "hash".to_string()]), 2);
     }
 }

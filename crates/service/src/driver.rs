@@ -164,15 +164,6 @@ impl OnlineDriver {
         self
     }
 
-    /// Stop admitting new work without draining the simulation: every
-    /// subsequent [`OnlineDriver::submit`] fails with
-    /// [`AdmitError::Draining`], while ticks keep advancing whatever is
-    /// already in flight. Phase one of the federation's two-phase drain;
-    /// [`OnlineDriver::drain`] is phase two.
-    pub fn quiesce(&mut self) {
-        self.draining = true;
-    }
-
     /// Current simulation instant.
     pub fn now(&self) -> Time {
         self.engine.now()
@@ -500,21 +491,20 @@ mod tests {
     }
 
     #[test]
-    fn id_lane_strides_and_quiesce_blocks_intake() {
+    fn id_lane_strides_and_drain_blocks_intake() {
         let mut d = driver(1000).with_id_lane(1, 4);
         let ids =
             d.submit(vec![chain_request(2, 100.0, None), chain_request(2, 100.0, None)]).unwrap();
         assert_eq!(ids, vec![JobId(1), JobId(5)]);
         let ids = d.submit(vec![chain_request(1, 100.0, None)]).unwrap();
         assert_eq!(ids, vec![JobId(9)]);
-        d.quiesce();
-        assert!(d.is_draining());
-        let err = d.submit(vec![chain_request(1, 100.0, None)]).unwrap_err();
-        assert_eq!(err.reason(), "draining");
-        // Already-admitted work still runs dry under the same lane.
+        // Already-admitted work runs dry under the same lane.
         let snap = d.drain();
         assert!(snap.verify().passes(), "{:?}", snap.verify());
         assert_eq!(snap.jobs.iter().map(|j| j.id.0).collect::<Vec<_>>(), vec![1, 5, 9]);
+        assert!(d.is_draining());
+        let err = d.submit(vec![chain_request(1, 100.0, None)]).unwrap_err();
+        assert_eq!(err.reason(), "draining");
     }
 
     #[test]

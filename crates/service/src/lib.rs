@@ -29,9 +29,9 @@
 //! * [`router`] — the sharded federation (DESIGN.md §10.7): `--shards N`
 //!   partitions the cluster into N sub-clusters, each with its own
 //!   driver, owner thread, queue, and snapshot cell; the router places
-//!   submit batches (`hash`, `least-loaded`, or `deadline` policy),
-//!   aggregates reads into one federated view, and coordinates the
-//!   two-phase drain that merges per-shard artifacts back into a single
+//!   submit batches round-robin (hash-by-JobId through the strided id
+//!   lanes), aggregates reads into one federated view, and coordinates
+//!   the drain that merges per-shard artifacts back into a single
 //!   auditable snapshot over the full cluster;
 //! * [`json`] / [`codec`] — a dependency-free JSON kernel and the one
 //!   artifact, the versioned snapshot (`format_version` and `kind`

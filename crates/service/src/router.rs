@@ -1,16 +1,12 @@
 //! The placement router: assigns submit batches to shards, aggregates
 //! the per-shard read views into one federated reply, and coordinates
-//! the two-phase federated drain (DESIGN.md §10.7).
+//! the federated drain (DESIGN.md §10.7).
 //!
 //! **Placement.** Shard `i` of `N` admits jobs on the strided id lane
-//! `i, i+N, i+2N, …`, so `id % N` names the owning shard — the
-//! "deterministic hash by JobId" baseline is realized structurally: the
-//! router's round-robin batch cursor decides the lane, and the lane *is*
-//! the hash. Two adaptive policies ride on top: `least-loaded` (argmin
-//! of published `pending_tasks`, ties to the lowest index) and
-//! `deadline` (the admission layer's feasibility pre-check run against
-//! each shard's sub-cluster and published boundary; infeasible shards
-//! are skipped, the least-loaded feasible one wins).
+//! `i, i+N, i+2N, …`, so `id % N` names the owning shard. The router's
+//! round-robin batch cursor decides the lane, and the lane *is* the
+//! hash: placement is hash-by-JobId, deterministic for a fixed
+//! submission order.
 //!
 //! **Federated reads.** With one shard, reads pass through untouched —
 //! byte-identical to the pre-federation service. With `N > 1`, each
@@ -22,112 +18,67 @@
 //! `state_version`, `now_us`, or `periods_elapsed` go backwards even
 //! though the N cells are read without any cross-shard lock.
 //!
-//! **Two-phase drain.** The coordinator first flips the federation-wide
-//! `draining` latch and quiesces every shard (stop intake, ack), then
-//! asks each shard to run dry and merges the per-shard snapshots into
-//! one artifact over the full cluster — node ids are mapped back from
-//! shard-local to global, so `dsp verify` audits the merged history
-//! against the real inventory. A submit racing the drain is rerouted
-//! around quiesced shards and, once every shard refuses, shed with the
-//! pre-federation `draining` refusal — never dropped (see
-//! [`Router::reroute_submit`]).
+//! **Drain.** The coordinator sends every shard a drain at once, then
+//! merges the per-shard snapshots into one artifact over the full
+//! cluster — node ids are mapped back from shard-local to global, so
+//! `dsp verify` audits the merged history against the real inventory.
+//! Each shard's queue is FIFO, so a submit queued ahead of the drain is
+//! admitted and drained, and one queued behind it is refused `draining`
+//! by the driver itself — never dropped.
 
-use crate::admission::{check_feasible, AdmitError};
 use crate::codec::Snapshot;
-use crate::driver::JobRequest;
 use crate::reactor::ReplyHandle;
 use crate::server::{draining_response, Command, Dispatch, Shared, Target};
 use crate::state::{SnapshotCell, StateSnapshot};
 use crate::wire;
 use dsp_cluster::{ClusterSpec, NodeId};
-use dsp_dag::JobId;
 use dsp_metrics::RunMetrics;
 use dsp_sim::{ExecHistory, Schedule};
 use dsp_units::Time;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the router assigns a submit batch to a shard.
+/// How the router assigns a submit batch to a shard. Inert: `Hash` is
+/// the only placement, and the type stays only because the benchmark
+/// crate names it in its [`crate::ServerConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Deterministic baseline: batches round-robin across shards in
-    /// arrival order; with the strided id lanes this *is* hash-by-JobId
-    /// (`id % N` = owning shard). Independent of load, deterministic
-    /// across restarts for the same submission order.
+    /// Batches round-robin across shards in arrival order; with the
+    /// strided id lanes this *is* hash-by-JobId (`id % N` = owning
+    /// shard).
     Hash,
-    /// Argmin of the shards' published `pending_tasks`; ties go to the
-    /// lowest shard index.
-    LeastLoaded,
-    /// Deadline-feasibility-scored: run the admission pre-check against
-    /// each shard's sub-cluster and published next boundary, then pick
-    /// the least-loaded feasible shard (falling back to plain
-    /// least-loaded when none passes or the batch carries no deadline).
-    Deadline,
 }
 
-impl RoutePolicy {
-    /// Parse a `--route` CLI value.
-    pub fn parse(s: &str) -> Option<RoutePolicy> {
-        match s {
-            "hash" => Some(RoutePolicy::Hash),
-            "least-loaded" => Some(RoutePolicy::LeastLoaded),
-            "deadline" => Some(RoutePolicy::Deadline),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutePolicy::Hash => "hash",
-            RoutePolicy::LeastLoaded => "least-loaded",
-            RoutePolicy::Deadline => "deadline",
-        }
-    }
-}
-
-/// A shard as the router sees it: its command queue, its read cell, and
-/// its sub-cluster (for the deadline policy's feasibility scoring).
+/// A shard as the router sees it: its command queue and its read cell.
 pub(crate) struct ShardHandle {
     pub(crate) commands: SyncSender<Command>,
     pub(crate) cell: Arc<SnapshotCell>,
-    pub(crate) cluster: ClusterSpec,
 }
 
 /// The federation's routing fabric. Shared read-only by every front-end
 /// and driver-owner thread; the only interior mutability is the batch
-/// cursor and the drain latch.
+/// cursor.
 pub(crate) struct Router {
     shards: Vec<ShardHandle>,
     /// Shard 0's read cell, captured at construction (a router always
     /// has a first shard).
     primary: Arc<SnapshotCell>,
     coordinator: SyncSender<Command>,
-    policy: RoutePolicy,
-    /// Round-robin cursor for the hash policy: one step per submit
-    /// batch, so a fixed submission order yields a fixed assignment.
+    /// Round-robin cursor: one step per submit batch, so a fixed
+    /// submission order yields a fixed assignment.
     cursor: AtomicU64,
-    /// Federation-wide intake latch, set by the coordinator *before* any
-    /// shard quiesces: a reroute that exhausts the ring while this is up
-    /// reports the pre-federation `draining` refusal.
-    draining: AtomicBool,
     /// The full, unsplit inventory (merged artifacts report this).
     cluster: ClusterSpec,
     /// Global node-id offset per shard ([`ClusterSpec::split_offsets`]).
     offsets: Vec<u32>,
 }
 
-fn mask_bit(index: usize) -> u64 {
-    1u64.checked_shl(index as u32).unwrap_or(0)
-}
-
 impl Router {
     pub(crate) fn new(
         shards: Vec<ShardHandle>,
         coordinator: SyncSender<Command>,
-        policy: RoutePolicy,
         cluster: ClusterSpec,
         offsets: Vec<u32>,
     ) -> std::io::Result<Router> {
@@ -142,9 +93,7 @@ impl Router {
             primary: Arc::clone(&first.cell),
             shards,
             coordinator,
-            policy,
             cursor: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
             cluster,
             offsets,
         })
@@ -159,22 +108,14 @@ impl Router {
         &self.primary
     }
 
-    pub(crate) fn is_draining(&self) -> bool {
-        // ordering: SeqCst — the drain latch pairs with nothing; it is a
-        // single flag set once by the coordinator and polled on the
-        // reroute path, where staleness only changes which stable
-        // refusal token a raced submit receives.
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Resolve a write to its destination exactly once: a drain goes to
-    /// the coordinator, a submit to the policy-picked shard.
+    /// the coordinator, a submit to the next shard in cursor order.
     pub(crate) fn plan(&self, request: wire::WriteRequest, reply: ReplyHandle) -> Dispatch {
         let target = match &request {
             wire::WriteRequest::Drain => Target::Coordinator,
-            wire::WriteRequest::Submit(jobs) => Target::Shard(self.pick_shard(jobs)),
+            wire::WriteRequest::Submit(_) => Target::Shard(self.pick_shard()),
         };
-        Dispatch { target, command: Command::Write(request, reply, 0) }
+        Dispatch { target, command: Command::Write(request, reply) }
     }
 
     fn queue_for(&self, target: Target) -> Option<&SyncSender<Command>> {
@@ -218,152 +159,25 @@ impl Router {
     /// Pick the shard a submit batch lands on (the batch is the
     /// atomicity unit: `submit` is all-or-nothing, so it must land on
     /// one driver whole).
-    fn pick_shard(&self, jobs: &[JobRequest]) -> usize {
+    fn pick_shard(&self) -> usize {
         let n = self.shards.len();
         if n <= 1 {
             return 0;
         }
-        match self.policy {
-            RoutePolicy::Hash => {
-                // ordering: Relaxed — a pure round-robin counter; no
-                // other data is published through it, and any
-                // interleaving of concurrent submitters is an equally
-                // valid arrival order.
-                (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % n
-            }
-            RoutePolicy::LeastLoaded => self.least_loaded(u64::MAX),
-            RoutePolicy::Deadline => self.deadline_pick(jobs),
-        }
+        // ordering: Relaxed — a pure round-robin counter; no other data
+        // is published through it, and any interleaving of concurrent
+        // submitters is an equally valid arrival order.
+        (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % n
     }
 
-    /// Argmin of published `pending_tasks` over the shards whose bit is
-    /// set in `allowed`; ties to the lowest index. `u64::MAX` = all.
-    fn least_loaded(&self, allowed: u64) -> usize {
-        let mut best = 0usize;
-        let mut best_load = usize::MAX;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if allowed & mask_bit(i) == 0 {
-                continue;
-            }
-            let load = shard.cell.load().pending_tasks;
-            if load < best_load {
-                best = i;
-                best_load = load;
-            }
-        }
-        best
-    }
-
-    /// Deadline policy: score each shard with the admission layer's own
-    /// feasibility pre-check (same [`check_feasible`] the driver runs at
-    /// admission, against the shard's sub-cluster and published next
-    /// boundary), then pick the least-loaded feasible shard.
-    fn deadline_pick(&self, jobs: &[JobRequest]) -> usize {
-        if jobs.iter().all(|j| j.deadline.is_none()) {
-            return self.least_loaded(u64::MAX);
-        }
-        let mut feasible = 0u64;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let view = shard.cell.load();
-            let mut batch = Vec::with_capacity(jobs.len());
-            let mut valid = true;
-            for (k, request) in jobs.iter().enumerate() {
-                // Dummy ids: only deadlines, sizes, and edges matter to
-                // the pre-check. A malformed request is "feasible
-                // anywhere" — every driver rejects it with the same
-                // `invalid` reply, so placement cannot change the bytes.
-                match request.clone().into_job(JobId(k as u32), view.now) {
-                    Ok(job) => batch.push(job),
-                    Err(_) => {
-                        valid = false;
-                        break;
-                    }
-                }
-            }
-            if !valid || check_feasible(&batch, &shard.cluster, view.next_boundary).is_ok() {
-                feasible |= mask_bit(i);
-            }
-        }
-        if feasible == 0 {
-            self.least_loaded(u64::MAX)
-        } else {
-            self.least_loaded(feasible)
-        }
-    }
-
-    /// The drain-vs-submit race, resolved (DESIGN.md §10.7): shard
-    /// `from` found itself quiesced with this submit already queued.
-    /// Forward the batch to the lowest-indexed shard not yet tried;
-    /// every forward carries the visited bitmask, so the ring is walked
-    /// at most once. When every shard has refused (or its queue is
-    /// unreachable), the batch is shed with a stable token: `draining`
-    /// (the exact pre-federation refusal) when the whole federation is
-    /// draining, `quiesced` when only part of the ring is closed.
-    pub(crate) fn reroute_submit(
-        &self,
-        from: usize,
-        jobs: Vec<JobRequest>,
-        reply: ReplyHandle,
-        tried: u64,
-    ) {
-        let tried = tried | mask_bit(from);
-        let mut batch = Some((jobs, reply));
-        for (i, shard) in self.shards.iter().enumerate() {
-            if tried & mask_bit(i) != 0 {
-                continue;
-            }
-            let Some((jobs, reply)) = batch.take() else { return };
-            let command = Command::Write(wire::WriteRequest::Submit(jobs), reply, tried);
-            match shard.commands.try_send(command) {
-                Ok(()) => return,
-                // Full counts as tried: the reroute path must never
-                // block a driver-owner thread on a sibling's queue.
-                Err(TrySendError::Full(command) | TrySendError::Disconnected(command)) => {
-                    if let Command::Write(wire::WriteRequest::Submit(jobs), reply, _) = command {
-                        batch = Some((jobs, reply));
-                    }
-                }
-            }
-        }
-        if let Some((_jobs, reply)) = batch {
-            reply.deliver(if self.is_draining() {
-                wire::Response::refusal("draining", &AdmitError::Draining.to_string())
-            } else {
-                wire::Response::refusal(
-                    wire::REASON_QUIESCED,
-                    "every shard is quiesced or saturated; no shard can admit this batch",
-                )
-            });
-        }
-    }
-
-    /// Quiesce one shard and wait for the ack (phase one, for a single
-    /// shard — the [`crate::server::ServerHandle::quiesce_shard`] hook).
-    pub(crate) fn quiesce_shard(&self, index: usize) -> bool {
-        let Some(shard) = self.shards.get(index) else {
-            return false;
-        };
-        let (ack_tx, ack_rx) = sync_channel(1);
-        shard.commands.send(Command::Quiesce(ack_tx)).is_ok() && ack_rx.recv().is_ok()
-    }
-
-    /// The two-phase federated drain, run on the coordinator thread.
-    /// Phase one: latch `draining`, then quiesce shard by shard (each
-    /// ack means that shard's refusal is published). Phase two: ask
-    /// every shard to run dry, collect the per-shard snapshots in shard
-    /// order, merge. Idempotent: a second `drain` replays both phases
-    /// against already-drained shards and rebuilds the same artifact.
+    /// The federated drain, run on the coordinator thread: ask every
+    /// shard to run dry at once, collect the per-shard snapshots in
+    /// shard order, merge. A shard's queue is FIFO, so the drain splits
+    /// its submits cleanly: those queued ahead are admitted and drained,
+    /// those behind it are refused `draining` by the driver. Idempotent:
+    /// a second `drain` re-drains already-drained shards and rebuilds
+    /// the same artifact.
     pub(crate) fn drain_all(&self) -> wire::Response {
-        // ordering: SeqCst — see `is_draining`; latched before any shard
-        // quiesces so a raced submit that exhausts the reroute ring gets
-        // the pre-federation `draining` refusal, not `quiesced`.
-        self.draining.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
-            let (ack_tx, ack_rx) = sync_channel(1);
-            if shard.commands.send(Command::Quiesce(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
         let mut pending = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
             let (out_tx, out_rx) = sync_channel(1);
@@ -466,7 +280,9 @@ impl Router {
                     periods_elapsed: views.iter().map(|v| v.periods_elapsed).min().unwrap_or(0),
                     batches_scheduled: views.iter().map(|v| v.batches_scheduled).sum(),
                     pending_tasks: views.iter().map(|v| v.pending_tasks as u64).sum(),
-                    draining: self.is_draining() || views.iter().any(|v| v.draining),
+                    // True once every shard has stopped admitting: as
+                    // monotone as each cell, like the min clock above.
+                    draining: views.iter().all(|v| v.draining),
                     metrics: &merged,
                 };
                 wire::metrics_reply(&counters, &versions)
@@ -495,7 +311,7 @@ pub(crate) fn coordinate(commands: Receiver<Command>, shared: &Shared) {
             Err(RecvTimeoutError::Disconnected) => break,
         };
         match command {
-            Command::Write(wire::WriteRequest::Drain, reply, _) => {
+            Command::Write(wire::WriteRequest::Drain, reply) => {
                 let response = shared.router.drain_all();
                 let shutdown = response.shutdown;
                 reply.deliver(response);
@@ -505,8 +321,8 @@ pub(crate) fn coordinate(commands: Receiver<Command>, shared: &Shared) {
             }
             // Nothing else is ever planned onto the coordinator; answer
             // misrouted sinks rather than leaving a client hanging.
-            Command::Write(_, reply, _) => reply.deliver(draining_response()),
-            Command::Tick(_) | Command::Quiesce(_) | Command::DrainShard(_) => {}
+            Command::Write(_, reply) => reply.deliver(draining_response()),
+            Command::Tick(_) | Command::DrainShard(_) => {}
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   FIFO fairness across connections and explicit backpressure (a full
 //!   queue stalls the submitting client, not the whole service). The
 //!   [`crate::router::Router`] decides which shard a submit lands on;
-//!   `drain` goes to a coordinator thread that runs the two-phase
-//!   federated drain.
+//!   `drain` goes to a coordinator thread that drains every shard and
+//!   merges the results.
 //! * **Read lane** — `ping`, `status`, `metrics`, `snapshot` are served
 //!   from per-shard [`SnapshotCell`]s: immutable [`StateSnapshot`]s each
 //!   owner thread re-publishes after every mutation (and at every
@@ -56,8 +56,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Hard ceiling on the shard count: the reroute path tracks visited
-/// shards in a `u64` bitmask (see [`crate::router::Router`]).
+/// Hard ceiling on the shard count, the input bound on `--shards`.
 pub const MAX_SHARDS: usize = 64;
 
 /// Bound on queued write commands **per shard** (and on the drain
@@ -81,8 +80,8 @@ pub struct ServerConfig {
     /// engine+driver partitions (clamped to the node count and
     /// [`MAX_SHARDS`]).
     pub shards: usize,
-    /// Placement policy the router uses to assign submit batches to
-    /// shards (see [`RoutePolicy`]). Irrelevant at `shards == 1`.
+    /// Inert: placement is always [`RoutePolicy::Hash`]. The field stays
+    /// only because the benchmark crate sets it.
     pub route: RoutePolicy,
 }
 
@@ -122,17 +121,12 @@ pub struct FederationSpec {
 /// One unit of work for a driver-owner (or coordinator) thread.
 pub(crate) enum Command {
     /// A client mutation; the response goes back to the connection's
-    /// reactor thread through the handle. The `u64` is the reroute
-    /// bitmask: shards that already refused this submit because they were
-    /// quiesced (0 on first dispatch).
-    Write(wire::WriteRequest, ReplyHandle, u64),
+    /// reactor thread through the handle.
+    Write(wire::WriteRequest, ReplyHandle),
     /// The ticker mapping wall time onto simulation time.
     Tick(dsp_units::Time),
-    /// Stop admitting on this shard (phase one of the federated drain);
-    /// ack once the refusal is in force and published.
-    Quiesce(SyncSender<()>),
     /// Run this shard's simulation dry and hand back its final snapshot
-    /// (phase two of the federated drain).
+    /// (the coordinator's federated drain).
     DrainShard(SyncSender<Box<Snapshot>>),
 }
 
@@ -228,15 +222,11 @@ pub fn serve_federated(
         .with_id_lane(i as u32, shards as u32);
         let publisher = Publisher::seed(&driver);
         let (commands, command_rx) = sync_channel(QUEUE_DEPTH);
-        handles.push(ShardHandle {
-            commands,
-            cell: publisher.cell(),
-            cluster: driver.cluster().clone(),
-        });
+        handles.push(ShardHandle { commands, cell: publisher.cell() });
         shard_threads.push((driver, command_rx, publisher));
     }
     let (coordinator, coordinator_rx) = sync_channel(QUEUE_DEPTH);
-    let router = Router::new(handles, coordinator, config.route, spec.cluster, offsets)?;
+    let router = Router::new(handles, coordinator, spec.cluster, offsets)?;
     let shared = Arc::new(Shared { router, shutdown: AtomicBool::new(false) });
 
     // The reactor boots before the driver-owner threads so a failure
@@ -246,10 +236,9 @@ pub fn serve_federated(
 
     let owner_threads = shard_threads
         .into_iter()
-        .enumerate()
-        .map(|(index, (driver, command_rx, publisher))| {
+        .map(|(driver, command_rx, publisher)| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_shard(index, driver, command_rx, publisher, &shared))
+            std::thread::spawn(move || run_shard(driver, command_rx, publisher, &shared))
         })
         .collect();
 
@@ -299,15 +288,6 @@ impl ServerHandle {
     /// How many shards this instance is running.
     pub fn shards(&self) -> usize {
         self.shared.router.shard_count()
-    }
-
-    /// Quiesce one shard: stop its intake without draining it, as the
-    /// federated drain's phase one does. Blocks until the shard has
-    /// published the refusal; false when the index is out of range or
-    /// the shard is gone. Exposed for the drain-vs-submit regression
-    /// tests and for operational shedding experiments.
-    pub fn quiesce_shard(&self, index: usize) -> bool {
-        self.shared.router.quiesce_shard(index)
     }
 
     /// Request shutdown without draining (pending work is discarded).

@@ -6,11 +6,10 @@
 //! thread owns the [`OnlineDriver`], commands are processed strictly
 //! FIFO, and after each mutation a fresh [`crate::state::StateSnapshot`]
 //! is swapped into the shard's [`SnapshotCell`]. What federation adds is
-//! on the edges — the two drain phases ([`Command::Quiesce`] /
-//! [`Command::DrainShard`]) and the reroute hand-off: a submit that
-//! reaches a quiesced shard is forwarded to the next live shard by the
-//! router instead of being refused, so a drain racing a submit can shed
-//! it with a stable reason token but never drop it.
+//! [`Command::DrainShard`], the coordinator's request to run this shard
+//! dry and hand back its snapshot. FIFO order is what makes that one
+//! command enough: a submit dequeued after it finds the driver draining
+//! and is refused `draining` by [`OnlineDriver::submit`].
 
 use crate::codec::Snapshot;
 use crate::driver::OnlineDriver;
@@ -59,14 +58,13 @@ impl Publisher {
     }
 }
 
-/// The driver-owner loop for shard `index`: the only code that ever
-/// touches this shard's [`OnlineDriver`] after boot. Commands are
+/// A shard's driver-owner loop: the only code that ever touches its
+/// [`OnlineDriver`] after boot. Commands are
 /// processed strictly FIFO; after each mutation the publisher swaps a
 /// fresh snapshot into the shard's read cell. Exits once shutdown is
 /// flagged and the queue stays empty for one poll interval (late
 /// commands still get answered).
 pub(crate) fn run_shard(
-    index: usize,
     mut driver: OnlineDriver,
     commands: Receiver<Command>,
     mut publisher: Publisher,
@@ -91,34 +89,14 @@ pub(crate) fn run_shard(
                 driver.advance_to(target);
                 publisher.publish(&driver);
             }
-            Command::Quiesce(ack) => {
-                // Phase one of the federated drain: refuse intake from
-                // here on, publish the flip so reads see `draining`,
-                // then ack. In-flight simulation work keeps ticking in
-                // the other shards while the coordinator walks the ring.
-                driver.quiesce();
-                publisher.publish(&driver);
-                let _ = ack.send(());
-            }
             Command::DrainShard(out) => {
-                // Phase two: run this shard's simulation dry, publishing
-                // at every boundary so readers watch the drain progress.
+                // Run this shard's simulation dry, publishing at every
+                // boundary so readers watch the drain progress.
                 let snapshot = driver.drain_with(&mut |d| publisher.publish(d));
                 publisher.publish(&driver);
                 let _ = out.send(Box::new(snapshot));
             }
-            // The drain-vs-submit race (DESIGN.md §10.7): this shard was
-            // picked by the router, but intake closed before the command
-            // was dequeued. Never answer `draining` for the whole
-            // service while siblings still admit — reroute instead. The
-            // driver cannot make this call itself: `submit` consumes the
-            // batch, so the check must happen before it.
-            Command::Write(wire::WriteRequest::Submit(jobs), reply, tried)
-                if driver.is_draining() =>
-            {
-                shared.router.reroute_submit(index, jobs, reply, tried);
-            }
-            Command::Write(request @ wire::WriteRequest::Submit(_), reply, _) => {
+            Command::Write(request @ wire::WriteRequest::Submit(_), reply) => {
                 let response =
                     wire::handle_write(&mut driver, request, &mut |d| publisher.publish(d));
                 publisher.publish(&driver);
@@ -128,7 +106,7 @@ pub(crate) fn run_shard(
             }
             // Drains are planned onto the coordinator, never a shard queue;
             // a stray one is refused rather than left hanging.
-            Command::Write(wire::WriteRequest::Drain, reply, _) => {
+            Command::Write(wire::WriteRequest::Drain, reply) => {
                 reply.deliver(draining_response());
             }
         }

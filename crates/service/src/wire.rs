@@ -279,20 +279,16 @@ pub mod reason {
     pub const INFEASIBLE: &str = "infeasible";
     /// Structurally invalid job (empty, bad edge, …).
     pub const INVALID: &str = "invalid";
-    /// Service (or every shard) is draining; no new work accepted.
+    /// The service is draining; no new work accepted.
     pub const DRAINING: &str = "draining";
     /// `status` for an id that was never admitted.
     pub const UNKNOWN_JOB: &str = "unknown_job";
     /// Connection cap shed this socket before reading a request.
     pub const BUSY: &str = "busy";
-    /// Reroute walked every shard and none could admit the batch —
-    /// each was quiesced or its queue saturated — while the federation
-    /// as a whole is *not* draining. Retryable, unlike `draining`.
+    /// Inert: no reply carries this token any more. It stays only
+    /// because the benchmark crate still counts it.
     pub const QUIESCED: &str = "quiesced";
 }
-
-/// Re-export for terse call sites ([`crate::router`]'s shed path).
-pub use reason::QUIESCED as REASON_QUIESCED;
 
 /// Build a failure response line.
 pub fn error_response(reason: &str, message: &str) -> Json {
@@ -465,20 +461,6 @@ pub fn handle_write(
     }
 }
 
-/// Single-threaded convenience: route either lane against a live driver
-/// (reads see a freshly built, version-0 view). This is the path for
-/// tests and in-process tooling that hold the driver directly; the
-/// server never uses it.
-pub fn handle(driver: &mut OnlineDriver, request: Request) -> Response {
-    match request {
-        Request::Read(read) => {
-            let artifact = std::sync::Arc::new(driver.snapshot());
-            handle_read(&driver.state_snapshot(0, artifact), read)
-        }
-        Request::Write(write) => handle_write(driver, write, &mut |_| {}),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,6 +472,18 @@ mod tests {
     use dsp_sched::DspListScheduler;
     use dsp_sim::EngineConfig;
     use dsp_units::Time;
+
+    /// Route either lane against a live driver held directly (reads see
+    /// a freshly built, version-0 view).
+    fn handle(driver: &mut OnlineDriver, request: Request) -> Response {
+        match request {
+            Request::Read(read) => {
+                let artifact = std::sync::Arc::new(driver.snapshot());
+                handle_read(&driver.state_snapshot(0, artifact), read)
+            }
+            Request::Write(write) => handle_write(driver, write, &mut |_| {}),
+        }
+    }
 
     /// The request codec as it was before the pull decoder and the
     /// streaming writer: build the whole `Json` tree, then look fields up.

@@ -44,12 +44,6 @@ impl Schedule {
         self.assignments.is_empty()
     }
 
-    /// The planned makespan: latest planned start (a lower-bound proxy used
-    /// by tests; the true makespan comes out of the simulation).
-    pub fn latest_start(&self) -> Time {
-        self.assignments.iter().map(|a| a.start).max().unwrap_or(Time::ZERO)
-    }
-
     /// Merge another schedule into this one.
     pub fn extend(&mut self, other: Schedule) {
         self.assignments.extend(other.assignments);
@@ -67,7 +61,6 @@ mod tests {
         s.assign(TaskId::new(0, 0), NodeId(1), Time::from_secs(3));
         s.assign(TaskId::new(0, 1), NodeId(0), Time::from_secs(1));
         assert_eq!(s.len(), 2);
-        assert_eq!(s.latest_start(), Time::from_secs(3));
     }
 
     #[test]

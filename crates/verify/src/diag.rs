@@ -39,18 +39,6 @@ impl Rule {
             Rule::WorkConservation => "R6",
         }
     }
-
-    /// The paper property the rule checks.
-    pub fn paper_ref(self) -> &'static str {
-        match self {
-            Rule::Coverage => "assignment constraint (Σ_k x_ij,k = 1)",
-            Rule::Precedence => "intra-DAG precedence via Eq. 2 (t^s + l/g(k))",
-            Rule::Capacity => "machine-disjunctive ordering (Eq. 3-4)",
-            Rule::Deadline => "deadline feasibility (Eq. 5)",
-            Rule::Overhead => "preemption overhead N^p (t^r + sigma)",
-            Rule::WorkConservation => "work conservation (executed MI = l_ij)",
-        }
-    }
 }
 
 impl fmt::Display for Rule {

@@ -5,7 +5,8 @@
 # (the snapshot, service/src/codec.rs). Five greps over non-test product
 # code — every crates/*/src file outside crates/benchmark,
 # cut at its `#[cfg(test)] mod tests`, minus files that are test-only
-# modules — and one over the service crate whole. Run from the repo root.
+# modules — and one over the service crate whole, six checks in all. Run
+# from the repo root.
 set -euo pipefail
 
 product() {

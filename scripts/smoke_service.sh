@@ -1,20 +1,27 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the online service: boot dspd on an ephemeral
 # port, stream jobs over the socket, drain to a snapshot file, and assert
-# `dsp verify --snapshot` reports zero rule errors (exit 0).
+# `dsp verify --snapshot` reports zero rule errors (exit 0). The flow runs
+# once on a single shard and once on a 2-shard federation, whose drain
+# merges both shards' histories into the one snapshot verified.
 #
 # Usage: scripts/smoke_service.sh [path-to-release-bin-dir]
 # Builds are expected to exist already (cargo build --release --workspace).
 set -euo pipefail
 
 BIN=${1:-${CARGO_TARGET_DIR:-target}/release}
-workdir=$(mktemp -d)
+root=$(mktemp -d)
 DSPD_PID=""
-trap '[ -n "$DSPD_PID" ] && kill "$DSPD_PID" 2>/dev/null; rm -rf "$workdir"' EXIT
+trap '[ -n "$DSPD_PID" ] && kill "$DSPD_PID" 2>/dev/null; rm -rf "$root"' EXIT
+
+smoke() { # shard count
+SHARDS=$1
+workdir="$root/shards$SHARDS"
+mkdir -p "$workdir"
 
 # Ephemeral port (0), fast clock: one 60 s scheduling period ≈ 50 ms wall.
 "$BIN/dspd" --cluster uniform:4:1000:2 --period 60 --epoch 5 --time-scale 1200 \
-  >"$workdir/dspd.log" 2>&1 &
+  --shards "$SHARDS" >"$workdir/dspd.log" 2>&1 &
 DSPD_PID=$!
 
 # Scrape the bound address from the boot line.
@@ -26,7 +33,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "dspd never reported an address:"; cat "$workdir/dspd.log"; exit 1; }
-echo "smoke: dspd on $ADDR"
+echo "smoke: dspd on $ADDR, $SHARDS shard(s)"
 
 # A hand-written batch (bare jobs array form)...
 cat >"$workdir/jobs.json" <<'EOF'
@@ -75,4 +82,9 @@ DSPD_PID=""
 
 # The drained snapshot must pass every verifier rule.
 "$BIN/dsp" verify --snapshot "$workdir/snap.json"
+echo "smoke: $SHARDS shard(s) OK"
+}
+
+smoke 1
+smoke 2
 echo "service smoke: OK"

@@ -12,15 +12,6 @@ use dsp_trace::TraceParams;
 const JOBS: usize = 45;
 const SEED: u64 = 2018;
 
-/// Per-cluster workload scales: the figure harness calibration.
-fn scale_for(cluster: ClusterProfile) -> f64 {
-    let scale = FigureScale::paper();
-    match cluster {
-        ClusterProfile::Palmetto => scale.task_scale_palmetto,
-        _ => scale.task_scale,
-    }
-}
-
 fn run(cluster: ClusterProfile, sched: SchedMethod, preempt: PreemptMethod) -> RunMetrics {
     run_experiment(&ExperimentConfig {
         cluster,
@@ -28,7 +19,11 @@ fn run(cluster: ClusterProfile, sched: SchedMethod, preempt: PreemptMethod) -> R
         seed: SEED,
         sched,
         preempt,
-        trace: TraceParams { task_scale: scale_for(cluster), ..TraceParams::default() },
+        // Per-cluster workload scales: the figure harness calibration.
+        trace: TraceParams {
+            task_scale: FigureScale::paper().task_scale(cluster),
+            ..TraceParams::default()
+        },
         params: Params::default(),
     })
 }

@@ -323,8 +323,8 @@ fn writers_and_readers_race_without_torn_reads() {
     // Frozen clock ⇒ no queue ever drained: exactly 4 two-task batches
     // fit each shard's 8-task queue, and the router's round-robin hands
     // every shard at least 4 of the 100 batches, so exactly `4 * shards`
-    // are admitted and everything later sheds. (Backpressure does NOT
-    // reroute — a full sibling queue is load, not a quiesce.)
+    // are admitted and everything later sheds. (A shed batch is never
+    // retried on another shard: the router places each batch once.)
     assert_eq!(admitted.load(Ordering::SeqCst), 4 * shards as u64);
     assert_eq!(shed.load(Ordering::SeqCst), 100 - 4 * shards as u64);
 

@@ -5,12 +5,10 @@
 //!     a socket: the same job stream drains to a byte-identical snapshot
 //!     through `serve_federated` and through an in-process `OnlineDriver`
 //!     that no router, queue or codec round trip ever touched.
-//!   * **Drain-vs-submit at shard granularity** — a submit the router
-//!     accepted after a shard entered quiesce is rerouted to a live
-//!     shard or shed with a stable reason token (`quiesced` when every
-//!     shard refused, `draining` once a federation drain latched); it is
-//!     never dropped and never hangs. All under a frozen clock so the
-//!     outcomes are deterministic.
+//!   * **Drain-vs-submit** — a submit racing the drain is admitted if its
+//!     shard dequeued it first and refused with the stable `draining`
+//!     token otherwise; it is never dropped and never hangs, and once
+//!     `metrics` reads `draining: true` no shard admits anything.
 //!   * **Federated read/drain coherence** — reads at N > 1 carry the
 //!     scalar `state_version` plus per-shard `shard_versions`, and a
 //!     federated drain merges per-shard histories into one artifact the
@@ -134,120 +132,84 @@ fn wait(handle: ServerHandle) {
     handle.wait();
 }
 
-/// Satellite regression: after one shard enters quiesce, a submit the
-/// router sent there is rerouted to a live shard — observable through
-/// the id lanes (shard i of N assigns ids ≡ i mod N) — and admitted,
-/// not dropped, not refused.
+fn ids_of(resp: &Json) -> Vec<u64> {
+    resp.get("ids")
+        .and_then(Json::as_arr)
+        .expect("submit returns ids")
+        .iter()
+        .filter_map(Json::as_u64)
+        .collect()
+}
+
+/// Batches take the shards in cursor order, so their ids come from the
+/// strided lanes (shard i of N assigns ids ≡ i mod N); a federated
+/// `metrics` carries one version per shard, their max as the scalar
+/// version, and the shards' pending work summed.
 #[test]
-fn submit_after_shard_quiesce_is_rerouted_to_a_live_shard() {
+fn batches_take_cursor_lanes_and_metrics_aggregate_shards() {
     let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
     assert_eq!(handle.shards(), 2);
-    let addr = handle.addr.to_string();
-    let mut c = dsp_service::Client::connect(&addr).expect("connect");
+    let mut c = dsp_service::Client::connect(&handle.addr.to_string()).expect("connect");
 
-    // Two warm-up batches land on shards 0 and 1 in cursor order and
-    // take ids from the strided lanes: 0 (shard 0), then 1 (shard 1).
-    let ids_of = |resp: &Json| -> Vec<u64> {
-        resp.get("ids")
-            .and_then(Json::as_arr)
-            .expect("submit returns ids")
-            .iter()
-            .filter_map(Json::as_u64)
-            .collect()
+    let chain = |n: u32| JobRequest {
+        tasks: vec![dsp_dag::TaskSpec::sized(4_000.0); n as usize],
+        edges: (1..n).map(|t| (t - 1, t)).collect(),
+        ..one_task_job(4_000.0)
     };
-    let a = c.call(&wire::submit_request(&[one_task_job(4_000.0)])).expect("submit");
-    assert_eq!(a.get("ok"), Some(&Json::Bool(true)), "{a}");
-    assert_eq!(ids_of(&a), vec![0], "first batch takes shard 0's lane");
-    let b = c.call(&wire::submit_request(&[one_task_job(4_000.0)])).expect("submit");
-    assert_eq!(ids_of(&b), vec![1], "second batch takes shard 1's lane");
+    let a = c.call(&wire::submit_request(&[chain(1)])).expect("submit");
+    assert_eq!(ids_of(&a), vec![0], "first batch takes shard 0's lane: {a}");
+    let b = c.call(&wire::submit_request(&[chain(3)])).expect("submit");
+    assert_eq!(ids_of(&b), vec![1], "second batch takes shard 1's lane: {b}");
 
-    // Freeze shard 0's intake, exactly as the federated drain's phase
-    // one does, and keep submitting. The cursor still routes every
-    // other batch to shard 0 — each of those must come back admitted
-    // with a shard-1 id (odd), proving the reroute, never an error.
-    assert!(handle.quiesce_shard(0), "quiesce ack");
-    for _ in 0..6 {
-        let resp = c.call(&wire::submit_request(&[one_task_job(4_000.0)])).expect("submit");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "post-quiesce submit dropped: {resp}");
-        for id in ids_of(&resp) {
-            assert_eq!(id % 2, 1, "rerouted batch must take the live shard's id lane, got {id}");
-        }
-    }
-
-    // Federated reads stay coherent mid-quiesce: the scalar version is
-    // the max and the per-shard vector is present with one entry per
-    // shard.
     let m = c.call(&op("metrics")).expect("metrics");
     assert_eq!(m.get("ok"), Some(&Json::Bool(true)), "{m}");
     let versions = m.get("shard_versions").and_then(Json::as_arr).expect("shard_versions at N>1");
-    assert_eq!(versions.len(), 2);
+    assert_eq!(versions.len(), 2, "{m}");
     let max = versions.iter().filter_map(Json::as_u64).max().expect("non-empty");
-    assert_eq!(m.get("state_version").and_then(Json::as_u64), Some(max));
-    assert_eq!(m.get("pending_tasks").and_then(Json::as_u64), Some(8), "2 + 6 rerouted");
+    assert_eq!(m.get("state_version").and_then(Json::as_u64), Some(max), "{m}");
+    assert_eq!(m.get("pending_tasks").and_then(Json::as_u64), Some(1 + 3), "{m}");
+    assert_eq!(m.get("draining"), Some(&Json::Bool(false)), "{m}");
 
-    // The federated drain still collects the quiesced shard's work and
-    // the merged artifact verifies.
     let resp = c.call(&op("drain")).expect("drain");
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
     let snap = Snapshot::from_json(resp.get("snapshot").expect("snapshot")).expect("decodes");
-    assert_eq!(snap.jobs.len(), 8, "every admitted job drains, including shard 0's");
+    assert_eq!(snap.jobs.iter().map(|j| j.id.0).collect::<Vec<_>>(), vec![0, 1]);
     assert!(snap.verify().passes(), "{:?}", snap.verify());
     wait(handle);
 }
 
-/// When every shard has quiesced but no federation drain latched, the
-/// reroute walk exhausts the ring and the submit sheds with the stable
-/// retryable `quiesced` token — a reply always arrives.
-#[test]
-fn submit_with_every_shard_quiesced_sheds_with_quiesced_token() {
-    let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
-    let addr = handle.addr.to_string();
-    let mut c = dsp_service::Client::connect(&addr).expect("connect");
-
-    assert!(handle.quiesce_shard(0));
-    assert!(handle.quiesce_shard(1));
-    for _ in 0..3 {
-        let resp = c.call(&wire::submit_request(&[one_task_job(4_000.0)])).expect("submit");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
-        assert_eq!(
-            resp.get("reason").and_then(Json::as_str),
-            Some("quiesced"),
-            "exhausted reroute must shed with the stable token: {resp}"
-        );
+/// Seed a backlog large enough that the drain's dry run takes real time,
+/// then start the drain on its own connection.
+fn seed_and_drain(addr: &str) -> std::thread::JoinHandle<Json> {
+    let mut seeder = dsp_service::Client::connect(addr).expect("connect");
+    for _ in 0..30 {
+        let batch = [one_task_job(2_000_000.0), one_task_job(2_000_000.0)];
+        let resp = seeder.call(&wire::submit_request(&batch)).expect("seed");
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
     }
-    // Reads keep serving from the cells while all intake is frozen.
-    let pong = c.call(&op("ping")).expect("ping");
-    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
-
-    let resp = c.call(&op("drain")).expect("drain");
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-    wait(handle);
+    let addr = addr.to_string();
+    std::thread::spawn(move || {
+        let mut c = dsp_service::Client::connect(&addr).expect("connect");
+        c.call(&op("drain")).expect("drain call")
+    })
 }
 
-/// A submit racing a full federated drain is answered — `ok` if it beat
-/// the latch, otherwise shed with `draining` (or `quiesced` in the
-/// narrow window before the latch propagates); never dropped, never
-/// left hanging on a dead shard queue.
+/// Check the drained artifact holds the seeded backlog and verifies.
+fn check_drained(drain_thread: std::thread::JoinHandle<Json>) {
+    let resp = drain_thread.join().expect("drain thread");
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    let snap = Snapshot::from_json(resp.get("snapshot").expect("snapshot")).expect("decodes");
+    assert!(snap.jobs.len() >= 60, "at least the seeded jobs drain");
+    assert!(snap.verify().passes(), "{:?}", snap.verify());
+}
+
+/// A submit racing a full federated drain is answered — `ok` if its
+/// shard dequeued it before the drain, otherwise shed with `draining`;
+/// never dropped, never left hanging on a dead shard queue.
 #[test]
 fn submits_racing_a_federated_drain_shed_with_stable_tokens() {
     let handle = serve_federated(spec(4, 100_000), frozen_config(2)).expect("bind");
     let addr = handle.addr.to_string();
-
-    // Enough queued work that the drain's dry run takes real time.
-    let mut seeder = dsp_service::Client::connect(&addr).expect("connect");
-    for _ in 0..30 {
-        let batch = [one_task_job(50_000.0), one_task_job(50_000.0)];
-        let resp = seeder.call(&wire::submit_request(&batch)).expect("seed");
-        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-    }
-
-    let drain_thread = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let mut c = dsp_service::Client::connect(&addr).expect("connect");
-            c.call(&op("drain")).expect("drain call")
-        })
-    };
+    let drain_thread = seed_and_drain(&addr);
 
     let mut racer = dsp_service::Client::connect(&addr).expect("connect");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
@@ -262,22 +224,50 @@ fn submits_racing_a_federated_drain_shed_with_stable_tokens() {
         };
         if resp.get("ok") == Some(&Json::Bool(false)) {
             let reason = resp.get("reason").and_then(Json::as_str).expect("reason token");
-            assert!(
-                reason == "draining" || reason == "quiesced",
-                "race must shed with a stable token, got {reason:?}"
-            );
+            assert_eq!(reason, "draining", "race must shed with the stable token");
             refusals += 1;
             if refusals >= 3 {
                 break;
             }
         }
     }
-    let resp = drain_thread.join().expect("drain thread");
-    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
-    let snap = Snapshot::from_json(resp.get("snapshot").expect("snapshot")).expect("decodes");
-    assert!(snap.jobs.len() >= 30, "at least the seeded jobs drain");
-    assert!(snap.verify().passes(), "{:?}", snap.verify());
+    check_drained(drain_thread);
     wait(handle);
+}
+
+/// Once `metrics` reads `draining: true`, every shard has stopped
+/// admitting: each later submit is refused `draining`, never admitted.
+#[test]
+fn after_metrics_reads_draining_no_submit_is_admitted() {
+    for shards in [1usize, 2] {
+        let handle = serve_federated(spec(4, 100_000), frozen_config(shards)).expect("bind");
+        let addr = handle.addr.to_string();
+        let drain_thread = seed_and_drain(&addr);
+
+        let mut c = dsp_service::Client::connect(&addr).expect("connect");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        loop {
+            assert!(std::time::Instant::now() < deadline, "shards={shards}: never read draining");
+            let m = c.call(&op("metrics")).expect("metrics is served until the drain replies");
+            if m.get("draining") == Some(&Json::Bool(true)) {
+                break;
+            }
+        }
+        for _ in 0..3 {
+            // The service closes connections once the drain has replied:
+            // every submit that got through was answered.
+            let Ok(resp) = c.call(&wire::submit_request(&[one_task_job(1_000.0)])) else {
+                break;
+            };
+            assert_eq!(
+                resp.get("reason").and_then(Json::as_str),
+                Some("draining"),
+                "shards={shards}: a submit after `draining: true` must be refused: {resp}"
+            );
+        }
+        check_drained(drain_thread);
+        wait(handle);
+    }
 }
 
 /// Federated drains merge per-shard histories into one artifact that
