@@ -5,6 +5,7 @@
 //! `u -> v` means `v` cannot start until `u` has finished.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Error returned when an edge insertion would break the DAG property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +36,19 @@ impl std::error::Error for DagError {}
 
 /// Adjacency-list DAG with O(1) child/parent access and cycle-safe edge
 /// insertion.
+///
+/// A job's DAG is fixed once the job is built and only read after that, yet
+/// jobs are cloned wholesale (every published service view, every matrix
+/// cell). The adjacency therefore sits behind one `Arc`: a clone shares it,
+/// and [`Dag::add_edge`] copies it first if it is shared (copy-on-write).
+/// Equality compares by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dag {
+    adj: Arc<Adjacency>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Adjacency {
     children: Vec<Vec<u32>>,
     parents: Vec<Vec<u32>>,
     edges: usize,
@@ -45,49 +57,57 @@ pub struct Dag {
 impl Dag {
     /// An edgeless DAG over `n` tasks.
     pub fn new(n: usize) -> Self {
-        Dag { children: vec![Vec::new(); n], parents: vec![Vec::new(); n], edges: 0 }
+        let adj =
+            Adjacency { children: vec![Vec::new(); n], parents: vec![Vec::new(); n], edges: 0 };
+        Dag { adj: Arc::new(adj) }
+    }
+
+    /// True when `self` and `other` share one adjacency allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_adjacency(&self, other: &Dag) -> bool {
+        Arc::ptr_eq(&self.adj, &other.adj)
     }
 
     /// Number of tasks.
     #[inline]
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.adj.children.len()
     }
 
     /// True when the DAG has no tasks.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.adj.children.is_empty()
     }
 
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.adj.edges
     }
 
     /// Dependent tasks of `v` (the set `S_ij` of Eq. 12).
     #[inline]
     pub fn children(&self, v: u32) -> &[u32] {
-        &self.children[v as usize]
+        &self.adj.children[v as usize]
     }
 
     /// Precedent tasks of `v`.
     #[inline]
     pub fn parents(&self, v: u32) -> &[u32] {
-        &self.parents[v as usize]
+        &self.adj.parents[v as usize]
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: u32) -> usize {
-        self.children[v as usize].len()
+        self.adj.children[v as usize].len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: u32) -> usize {
-        self.parents[v as usize].len()
+        self.adj.parents[v as usize].len()
     }
 
     /// Tasks with no precedents — runnable at job start.
@@ -102,7 +122,7 @@ impl Dag {
 
     /// True when an edge `from -> to` already exists.
     pub fn has_edge(&self, from: u32, to: u32) -> bool {
-        self.children[from as usize].contains(&to)
+        self.adj.children[from as usize].contains(&to)
     }
 
     /// Insert the dependency edge `from -> to`, rejecting duplicates
@@ -120,12 +140,13 @@ impl Dag {
         }
         // The edge creates a cycle iff `from` is reachable from `to`, which
         // a childless `to` (every edge a generator adds) cannot reach.
-        if !self.children[to as usize].is_empty() && self.reaches(to, from) {
+        if !self.adj.children[to as usize].is_empty() && self.reaches(to, from) {
             return Err(DagError::WouldCycle { from, to });
         }
-        self.children[from as usize].push(to);
-        self.parents[to as usize].push(from);
-        self.edges += 1;
+        let adj = Arc::make_mut(&mut self.adj);
+        adj.children[from as usize].push(to);
+        adj.parents[to as usize].push(from);
+        adj.edges += 1;
         Ok(())
     }
 
@@ -212,7 +233,11 @@ impl Dag {
 
     /// Iterate over all edges `(from, to)`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.children.iter().enumerate().flat_map(|(u, cs)| cs.iter().map(move |&c| (u as u32, c)))
+        self.adj
+            .children
+            .iter()
+            .enumerate()
+            .flat_map(|(u, cs)| cs.iter().map(move |&c| (u as u32, c)))
     }
 }
 
@@ -237,9 +262,10 @@ mod tests {
         if g.reaches(to, from) {
             return Err(DagError::WouldCycle { from, to });
         }
-        g.children[from as usize].push(to);
-        g.parents[to as usize].push(from);
-        g.edges += 1;
+        let adj = Arc::make_mut(&mut g.adj);
+        adj.children[from as usize].push(to);
+        adj.parents[to as usize].push(from);
+        adj.edges += 1;
         Ok(())
     }
 
@@ -340,6 +366,39 @@ mod tests {
             g.add_edge(u, v).unwrap();
         }
         assert_eq!(g.descendant_counts()[0], 3);
+    }
+
+    #[test]
+    fn clones_share_adjacency_until_written() {
+        let g = fig2();
+        let mut copy = g.clone();
+        assert!(copy.shares_adjacency(&g));
+        // A rejected or duplicate edge writes nothing and copies nothing.
+        assert!(copy.add_edge(3, 0).is_err());
+        copy.add_edge(0, 1).unwrap();
+        assert!(copy.shares_adjacency(&g));
+        copy.add_edge(3, 6).unwrap();
+        assert!(!copy.shares_adjacency(&g));
+        assert_eq!((g.edge_count(), copy.edge_count()), (6, 7));
+        assert_eq!(g.children(3), &[] as &[u32]);
+        assert_eq!(g.parents(6), &[2]);
+        assert_eq!(copy.parents(6), &[2, 3]);
+        assert_eq!(g, fig2());
+    }
+
+    #[test]
+    fn equality_is_by_value_shared_or_not() {
+        let g = fig2();
+        let (shared, built) = (g.clone(), fig2());
+        assert!(shared.shares_adjacency(&g) && !built.shares_adjacency(&g));
+        assert_eq!(g, shared);
+        assert_eq!(g, built);
+        let mut other = g.clone();
+        other.add_edge(4, 5).unwrap();
+        assert_ne!(g, other);
+        let mut rebuilt = fig2();
+        rebuilt.add_edge(4, 5).unwrap();
+        assert_eq!(other, rebuilt);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::ids::{JobId, TaskId};
 use crate::levels::Levels;
 use crate::task::TaskSpec;
 use dsp_units::{Dur, Mips, Time};
+use std::sync::Arc;
 
 /// Job size classes from Section V: a large job has 2000 tasks, a medium
 /// job 1000 and a small job several hundred; experiments mix the three in
@@ -41,7 +42,9 @@ impl JobClass {
 
 /// A job `J_i`: its tasks, dependency DAG, arrival time, and completion
 /// deadline `t^d_i`. Levels are computed once at construction because the
-/// preemption layer re-reads them every epoch.
+/// preemption layer re-reads them every epoch; like the [`Dag`]'s
+/// adjacency they sit behind an `Arc`, so a clone copies only the task
+/// specs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Identifier within the experiment run.
@@ -56,7 +59,7 @@ pub struct Job {
     pub tasks: Vec<TaskSpec>,
     /// Dependency DAG over the local task indices.
     pub dag: Dag,
-    levels: Levels,
+    levels: Arc<Levels>,
 }
 
 impl Job {
@@ -71,7 +74,7 @@ impl Job {
         dag: Dag,
     ) -> Self {
         assert_eq!(tasks.len(), dag.len(), "task list and DAG must agree");
-        let levels = Levels::compute(&dag);
+        let levels = Arc::new(Levels::compute(&dag));
         Job { id, class, arrival, deadline, tasks, dag, levels }
     }
 
@@ -137,6 +140,25 @@ mod tests {
         assert_eq!(j.levels().num_levels(), 2);
         assert_eq!(j.num_tasks(), 3);
         assert_eq!(j.task_id(2), TaskId::new(4, 2));
+    }
+
+    #[test]
+    fn clones_share_graph_and_levels_copy_on_write() {
+        let j = mk_job();
+        let mut k = j.clone();
+        assert!(k.dag.shares_adjacency(&j.dag));
+        assert!(Arc::ptr_eq(&k.levels, &j.levels));
+        assert_eq!(j, k);
+        assert_eq!(k, mk_job(), "a shared clone equals an unshared build");
+        k.dag.add_edge(1, 2).unwrap();
+        assert!(!k.dag.shares_adjacency(&j.dag));
+        assert_ne!(j, k);
+        // The original keeps its graph and its levels.
+        assert_eq!(j, mk_job());
+        assert_eq!(j.dag.edge_count(), 2);
+        assert_eq!(j.dag.parents(2), &[0]);
+        assert_eq!(j.levels().level_of(2), 1);
+        assert_eq!(j.levels().num_levels(), 2);
     }
 
     #[test]

@@ -326,9 +326,12 @@ impl OnlineDriver {
     /// The current auditable state: jobs injected so far, the merged
     /// offline plan, execution history, and live metrics. During a run
     /// the history contains incomplete tasks; after [`OnlineDriver::drain`]
-    /// it is final. This is the **only** constructor of [`Snapshot`] in
-    /// the service: the drain return value, the `snapshot` wire op, and
-    /// the read lane's published artifact are all built here.
+    /// it is final. Each shard's drained artifact and each read-lane
+    /// artifact is built here. The service's only other constructor of
+    /// [`Snapshot`] is `Router::merge_snapshots`, which joins the shards'
+    /// artifacts for every federated drain and every federated `snapshot`
+    /// read. The jobs are cloned, but each shares its graph and levels
+    /// with the engine's copy (copy-on-write).
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             cluster: self.engine.cluster().clone(),
@@ -342,7 +345,8 @@ impl OnlineDriver {
     /// A cheap change stamp over everything [`OnlineDriver::snapshot`]
     /// serializes: equal stamps across two instants mean the artifact
     /// would be byte-identical, so the publisher can reuse the previous
-    /// `Arc` instead of re-cloning jobs and history on quiet ticks.
+    /// `Arc` on quiet ticks. A republish copies the history and schedule
+    /// rows and the statuses (O(tasks)) but no graph: jobs share theirs.
     pub fn change_stamp(&self) -> (u64, u64, u64) {
         (self.engine.events_processed(), self.batches_scheduled, u64::from(self.next_id))
     }

@@ -141,14 +141,21 @@ impl SnapshotCell {
     /// monotone or readers could observe time running backwards.
     pub fn publish(&self, snapshot: StateSnapshot) {
         let next = Arc::new(snapshot);
-        let mut slot = self.cell.write().unwrap_or_else(PoisonError::into_inner);
-        debug_assert!(
-            next.version > slot.version,
-            "snapshot version must advance ({} -> {})",
-            slot.version,
-            next.version
-        );
-        *slot = next;
+        let replaced = {
+            let mut slot = self.cell.write().unwrap_or_else(PoisonError::into_inner);
+            debug_assert!(
+                next.version > slot.version,
+                "snapshot version must advance ({} -> {})",
+                slot.version,
+                next.version
+            );
+            std::mem::replace(&mut *slot, next)
+        };
+        // Dropping the replaced view can free the last copy of the previous
+        // artifact (its history, schedule and jobs: about a millisecond on a
+        // drained state), so it happens here, after the write lock is
+        // released: a `load` waits for the pointer swap and nothing more.
+        drop(replaced);
     }
 }
 

@@ -2,11 +2,11 @@
 # CI guard: the two-phase loop has one assembly, the methods one name
 # table (DESIGN.md §3.1), dspd one front end (§10.6), the binaries one
 # command-line reader (core/src/flags.rs), and the workspace one artifact
-# (the snapshot, service/src/codec.rs). Five greps over non-test product
-# code — every crates/*/src file outside crates/benchmark,
-# cut at its `#[cfg(test)] mod tests`, minus files that are test-only
-# modules — and one over the service crate whole, six checks in all. Run
-# from the repo root.
+# (the snapshot, service/src/codec.rs) built in four files. Six greps
+# over non-test product code — every crates/*/src file outside
+# crates/benchmark, cut at its `#[cfg(test)] mod tests`, minus files that
+# are test-only modules — and one over the service crate whole, seven
+# checks in all. Run from the repo root.
 set -euo pipefail
 
 product() {
@@ -62,5 +62,15 @@ check "argv walked by hand outside core/src/flags.rs" \
 stamps=$(grep -F 'key("format_version")' <<<"$src" || true)
 [ "$(grep -c . <<<"$stamps")" = 1 ] && grep -q '^crates/service/src/codec\.rs:' <<<"$stamps" ||
     check "key(\"format_version\") must be written once, in service/src/codec.rs" "${stamps:-<none>}"
+
+# 7. A `Snapshot { .. }` literal appears in four product files only:
+#    `OnlineDriver::snapshot` (driver.rs), `Router::merge_snapshots`
+#    (router.rs), the decoder (codec.rs) and `dsp`'s `write_snapshot`,
+#    which records a batch run. Struct and impl headers, return types and
+#    destructuring patterns are not literals.
+check "Snapshot { .. } literal outside service/src/{driver,router,codec}.rs and bench/src/bin/dsp.rs" \
+    "$(grep -E '\bSnapshot \{' <<<"$src" |
+        grep -vE '(-> |struct |impl |let ([a-z_]+::)*)Snapshot \{' |
+        grep -vE '^crates/service/src/(driver|router|codec)\.rs:|^crates/bench/src/bin/dsp\.rs:' || true)"
 
 exit "$fail"

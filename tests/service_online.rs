@@ -11,6 +11,7 @@ use dsp_service::{
 };
 use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
+use std::sync::Arc;
 
 /// Two 1-slot nodes, a 100 s scheduling period, DSP scheduling and
 /// preemption: the service every test here runs, as `serve_federated`
@@ -117,6 +118,37 @@ fn online_driver_preempts_across_periods_and_drains_clean() {
     let back = Snapshot::from_json(&dsp_service::json::parse(&text).unwrap()).unwrap();
     assert!(back.verify().passes());
     assert_eq!(back.jobs, snap.jobs);
+}
+
+/// Every artifact published during a drain keeps its bytes: the jobs in a
+/// published view share their graphs and levels with the engine's jobs
+/// (copy-on-write), so nothing the engine does afterwards may reach them.
+#[test]
+fn artifacts_kept_during_a_drain_keep_their_bytes() {
+    let chain = || JobRequest {
+        class: dsp_dag::JobClass::Small,
+        deadline: None,
+        tasks: vec![dsp_dag::TaskSpec::sized(30_000.0); 4],
+        edges: vec![(0, 1), (1, 2), (0, 3)],
+    };
+    let mut d = small_driver(10_000);
+    d.submit(vec![bulk_job(), chain()]).unwrap();
+    d.advance_to(Time::from_secs(110));
+    d.submit(vec![chain(), small_job(None)]).unwrap();
+
+    let mut kept: Vec<(Arc<Snapshot>, String)> = Vec::new();
+    let drained = d.drain_with(&mut |d| {
+        let artifact = Arc::new(d.snapshot());
+        let bytes = artifact.to_json().to_string();
+        kept.push((artifact, bytes));
+    });
+    assert!(kept.len() >= 3, "the drain crosses several boundaries: {}", kept.len());
+    assert!(kept.windows(2).any(|w| w[0].1 != w[1].1), "the state moved during the drain");
+    for (i, (artifact, bytes)) in kept.iter().enumerate() {
+        assert!(artifact.to_json().to_string() == *bytes, "artifact {i} changed after it was kept");
+    }
+    assert_eq!(drained.jobs, kept[kept.len() - 1].0.jobs);
+    assert!(drained.verify().passes());
 }
 
 #[test]
