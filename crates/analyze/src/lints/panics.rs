@@ -21,8 +21,9 @@ const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"
 /// for a reactor thread the stakes are higher still, since one panic
 /// tears down every connection that thread owns, not just the caller's.
 /// The router and shard owners sit even deeper: a panic in `plan` or the
-/// shard loop takes out one shard's whole command queue, and a panic in
-/// the coordinator kills the drain for every shard at once.
+/// shard loop takes out one shard's whole command queue and its clock,
+/// and a panic in shard 0's owner, which runs the drain, kills the drain
+/// for every shard at once.
 pub fn p1_handler_panics(ctx: &PassCtx<'_>, out: &mut Vec<Finding>) {
     let in_scope = ctx.file.crate_name == "service"
         && (ctx.file.basename() == "server.rs"

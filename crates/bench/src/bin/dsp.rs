@@ -65,7 +65,6 @@ const VERBS: &[(&str, &[&str], Main)] = &[
         run_main,
     ),
     ("verify", &["--snapshot FILE [--dep-oblivious] [--no-deadlines] [--json]"], verify_main),
-    ("serve", &["[DSPD FLAGS]"], |argv| Ok(dsp_service::cli::run(argv))),
     ("submit", &["--addr HOST:PORT (--file FILE | --gen N [--seed S] [--scale F])"], submit_main),
     ("status", &["--addr HOST:PORT --job ID"], |argv| read_main("status", argv)),
     ("metrics", &["--addr HOST:PORT"], |argv| read_main("metrics", argv)),

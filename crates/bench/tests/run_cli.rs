@@ -225,8 +225,6 @@ fn out_of_range_numbers_are_usage_errors() {
         (&[], "--straggle", &["1@10", "1@x@0.5", "1@10@0.5@2"]),
         (&[], "--out", &[]),
         (&["verify"], "--snapshot", &[]),
-        (&["serve"], "--cluster", &["warp", "uniform:4:nan:2"]),
-        (&["serve"], "--period", &["0", "soon"]),
         (&["submit", "--gen", "2"], "--addr", &[]),
         (&["submit", "--addr", addr], "--file", &[]),
         (&["submit", "--addr", addr], "--gen", &["x", "-1"]),
@@ -252,10 +250,9 @@ fn out_of_range_numbers_are_usage_errors() {
         }
     }
     // One flag each verb does not read.
-    let verbs: [&[&str]; 9] = [
+    let verbs: [&[&str]; 8] = [
         &[],
         &["verify"],
-        &["serve"],
         &["submit", "--addr", addr],
         &["status", "--addr", addr],
         &["metrics", "--addr", addr],
@@ -485,8 +482,9 @@ fn reproduce_words_select_ablations_like_figures() {
     }
 }
 
-/// One spelling, one meaning, everywhere: both binaries' usage texts print
-/// every name of the method table, the service factories build exactly the
+/// One spelling, one meaning, everywhere: `dsp`'s usage text prints every
+/// name of the method table (`dspd`'s is checked beside its parser, in
+/// `dsp_service::cli`), the service factories build exactly the
 /// names the table resolves, and `dsp` runs what the table says a name is.
 #[test]
 fn the_method_table_is_what_every_binary_parses_and_prints() {
@@ -494,13 +492,11 @@ fn the_method_table_is_what_every_binary_parses_and_prints() {
         .chain(PreemptMethod::ALL.iter().map(|m| m.name()))
         .chain(ClusterProfile::ALL.iter().map(|p| p.name()))
         .collect();
-    for args in [&["--help"][..], &["serve", "--help"]] {
-        let out = dsp(args);
-        assert_eq!(out.status.code(), Some(2), "dsp {args:?}");
-        let usage = String::from_utf8_lossy(&out.stderr).into_owned();
-        for name in &names {
-            assert!(usage.contains(name), "dsp {args:?} usage lacks `{name}`:\n{usage}");
-        }
+    let out = dsp(&["--help"]);
+    assert_eq!(out.status.code(), Some(2), "dsp --help");
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    for name in &names {
+        assert!(usage.contains(name), "dsp --help usage lacks `{name}`:\n{usage}");
     }
     let params = dsp_core::Params::default();
     for name in names.iter().chain(&["dsp", "tetris-dep", "tetris-wodep", "dsp-wopp", "warp"]) {

@@ -1,4 +1,4 @@
-//! The one command-line reader: `dsp` (every verb), `dspd`/`dsp serve` and
+//! The one command-line reader: `dsp` (every verb), `dspd` and
 //! `reproduce` walk their arguments with [`Flags`]. Each value is parsed
 //! where it is read (names through the method table's `from_name`),
 //! `--help`/`-h` ends the walk, and every refusal is an `Err` naming the

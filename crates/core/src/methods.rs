@@ -3,7 +3,7 @@
 //! its paper label and its constructor.
 //!
 //! The canonical name is the spelling frozen into matrix cell ids and CSV
-//! rows. It is also what `dsp`, `dspd`/`dsp serve` and
+//! rows. It is also what `dsp`, `dspd` and
 //! `dsp_service::build_*` parse, and what their usage texts print — one
 //! spelling per method, the same meaning everywhere. The single second
 //! spelling is `dsp` for the list scheduler `dsp-list` (every default and

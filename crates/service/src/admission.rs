@@ -16,6 +16,7 @@
 //!    *optimistic* bound: it only refuses jobs that are definitely
 //!    infeasible, never ones that merely look tight.
 
+use crate::wire::reason;
 use dsp_cluster::{ClusterSpec, Node};
 use dsp_dag::{critical_path_len, Job};
 use dsp_units::{Dur, Mips, Time};
@@ -71,10 +72,10 @@ impl AdmitError {
     /// Stable machine-readable reason token for the wire protocol.
     pub fn reason(&self) -> &'static str {
         match self {
-            AdmitError::Backpressure { .. } => "backpressure",
-            AdmitError::Infeasible { .. } => "infeasible",
-            AdmitError::Invalid(_) => "invalid",
-            AdmitError::Draining => "draining",
+            AdmitError::Backpressure { .. } => reason::BACKPRESSURE,
+            AdmitError::Infeasible { .. } => reason::INFEASIBLE,
+            AdmitError::Invalid(_) => reason::INVALID,
+            AdmitError::Draining => reason::DRAINING,
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The daemon's command line: `dspd` and `dsp serve` are this one
-//! function, so their flags, defaults, and usage text cannot drift.
+//! The daemon's command line: `dspd`, the service's one entry point, is
+//! this one function.
 //!
 //! Boots [`crate::serve_federated`], prints `dspd listening on HOST:PORT`
 //! (port 0 picks an ephemeral port) and the shard layout, and serves
@@ -18,15 +18,14 @@ use dsp_core::{ClusterProfile, PreemptMethod, SchedMethod};
 use dsp_units::Dur;
 use std::io::Write;
 
-/// What both binaries print (stderr, exit 2) on a malformed command line;
-/// the method names are the method table's.
+/// What `dspd` prints (stderr, exit 2) on a malformed command line; the
+/// method names are the method table's.
 pub fn usage() -> String {
     format!(
         "usage: dspd [--addr HOST:PORT] [--cluster {}|uniform:N:RATE:SLOTS] \
          [--sched {}] [--preempt {}] \
          [--period SECS] [--epoch SECS] [--time-scale F] [--max-pending TASKS] \
-         [--no-feasibility] [--max-conns N] [--shards N]\n       \
-         (`dsp serve` takes the same flags)",
+         [--no-feasibility] [--max-conns N] [--shards N]",
         ClusterProfile::usage(),
         SchedMethod::usage(),
         PreemptMethod::usage(),
@@ -162,6 +161,7 @@ mod tests {
                 let (spec, _) = parse(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
                 assert_eq!((spec.scheduler)().name(), sched.build(&Params::default(), 0).name());
                 assert_eq!((spec.policy)().name(), preempt.build(&Params::default()).name());
+                assert!(usage.contains(preempt.name()), "usage lacks {}", preempt.name());
             }
             assert!(usage.contains(sched.name()), "usage lacks {}", sched.name());
         }

@@ -20,24 +20,23 @@
 //!   [`state::SnapshotCell`], and `status`/`metrics`/`snapshot`/`ping`
 //!   are answered from it without ever touching the driver;
 //! * [`server`] — boot and lifecycle: bounded per-shard command queues
-//!   feeding the driver-owner threads (the write lane), the wall-clock
-//!   ticker, and a minimal blocking [`server::Client`]. Connections are
-//!   served by the `reactor`, a fixed pool of epoll event-loop threads
-//!   that holds 10k+ sockets with a thread count independent of
-//!   connection count (linux-only: elsewhere the service refuses to
-//!   boot with `Unsupported`);
+//!   feeding the driver-owner threads (the write lane; each owner also
+//!   keeps its shard's clock), and a minimal blocking [`server::Client`].
+//!   Connections are served by the `reactor`, a fixed pool of epoll
+//!   event-loop threads that holds 10k+ sockets with a thread count
+//!   independent of connection count (linux-only: elsewhere the service
+//!   refuses to boot with `Unsupported`);
 //! * [`router`] — the sharded federation (DESIGN.md §10.7): `--shards N`
 //!   partitions the cluster into N sub-clusters, each with its own
 //!   driver, owner thread, queue, and snapshot cell; the router places
 //!   submit batches round-robin (hash-by-JobId through the strided id
-//!   lanes), aggregates reads into one federated view, and coordinates
-//!   the drain that merges per-shard artifacts back into a single
+//!   lanes) and folds every shard's view into each read; shard 0's owner
+//!   runs the drain that merges per-shard artifacts back into a single
 //!   auditable snapshot over the full cluster;
 //! * [`json`] / [`codec`] — a dependency-free JSON kernel and the one
 //!   artifact, the versioned snapshot (`format_version` and `kind`
 //!   stamps), shared with the `dsp` CLI's writers and `dsp verify`;
-//! * [`cli`] — the daemon's command line, shared by `dspd` and
-//!   `dsp serve`.
+//! * [`cli`] — the command line of `dspd`, the daemon's one entry point.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 

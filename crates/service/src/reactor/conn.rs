@@ -117,7 +117,7 @@ impl Conn {
     /// Queue the one reply a framing violation gets, then seal the
     /// connection — resynchronizing a broken frame stream is impossible.
     pub(crate) fn queue_frame_error(&mut self, error: &FrameError) {
-        self.queue_response(wire::Response::refusal("bad_request", &error.to_string()));
+        self.queue_response(wire::Response::refusal(wire::reason::BAD_REQUEST, &error.to_string()));
         self.close_after_flush = true;
     }
 

@@ -117,7 +117,7 @@ fn drain_queue<T>(queue: &Mutex<Vec<T>>) -> Vec<T> {
 fn shed_busy(stream: &mut TcpStream, max_conns: usize) {
     let _ = stream.set_nonblocking(true);
     let message = format!("connection limit ({max_conns}) reached; retry later");
-    let _ = stream.write(&response_bytes(wire::Response::refusal("busy", &message)));
+    let _ = stream.write(&response_bytes(wire::Response::refusal(wire::reason::BUSY, &message)));
 }
 
 /// Boot the reactor pool: min(cores, 4) threads. A small fixed pool is
@@ -421,7 +421,9 @@ fn process_frames(conn: &mut Conn, slot: usize, shared: &Shared, hub: &Arc<Threa
                 // a request but never re-route it to another shard.
                 send_or_park(conn, shared, shared.router.plan(request, reply));
             }
-            Err(msg) => conn.queue_response(wire::Response::refusal("bad_request", &msg)),
+            Err(msg) => {
+                conn.queue_response(wire::Response::refusal(wire::reason::BAD_REQUEST, &msg))
+            }
         }
     }
 }

@@ -1,44 +1,39 @@
-//! The placement router: assigns submit batches to shards, aggregates
-//! the per-shard read views into one federated reply, and coordinates
-//! the federated drain (DESIGN.md §10.7).
+//! The placement router: assigns writes to shards, answers reads from
+//! every shard's view, and runs the federated drain's protocol on shard
+//! 0's owner thread (DESIGN.md §10.7).
 //!
 //! **Placement.** Shard `i` of `N` admits jobs on the strided id lane
 //! `i, i+N, i+2N, …`, so `id % N` names the owning shard. The router's
 //! round-robin batch cursor decides the lane, and the lane *is* the
 //! hash: placement is hash-by-JobId, deterministic for a fixed
-//! submission order.
+//! submission order. Every `drain` goes to shard 0.
 //!
-//! **Federated reads.** With one shard, reads pass through untouched —
-//! byte-identical to the pre-federation service. With `N > 1`, each
-//! reply aggregates the per-shard [`StateSnapshot`]s: `state_version`
-//! is the **max** of the per-shard versions and a `shard_versions`
-//! array carries the whole vector. Per-shard versions are monotone
-//! (each cell forbids regress), and max/min/sum of component-wise
-//! monotone vectors are monotone, so a connection still never sees
-//! `state_version`, `now_us`, or `periods_elapsed` go backwards even
-//! though the N cells are read without any cross-shard lock.
+//! **Reads.** One path at every shard count: the N cells are loaded
+//! without any cross-shard lock and folded by `wire::read_views`
+//! (max of versions, min of clocks, all-of `draining`, each monotone in
+//! every shard, so a connection never sees them go backwards). One
+//! shard's view is answered as it stands, with nothing copied.
 //!
-//! **Drain.** The coordinator sends every shard a drain at once, then
-//! merges the per-shard snapshots into one artifact over the full
-//! cluster — node ids are mapped back from shard-local to global, so
-//! `dsp verify` audits the merged history against the real inventory.
-//! Each shard's queue is FIFO, so a submit queued ahead of the drain is
-//! admitted and drained, and one queued behind it is refused `draining`
-//! by the driver itself — never dropped.
+//! **Drain.** Shard 0 sends every other shard a drain, drains itself
+//! meanwhile, then merges the per-shard snapshots into one artifact over
+//! the full cluster — node ids are mapped back from shard-local to
+//! global, so `dsp verify` audits the merged history against the real
+//! inventory. Each shard's queue is FIFO, so a submit queued ahead of
+//! the drain is admitted and drained, and one queued behind it is
+//! refused `draining` by the driver itself — never dropped.
 
 use crate::codec::Snapshot;
 use crate::reactor::ReplyHandle;
-use crate::server::{draining_response, Command, Dispatch, Shared, Target};
+use crate::server::{Command, Dispatch};
 use crate::state::{SnapshotCell, StateSnapshot};
 use crate::wire;
 use dsp_cluster::{ClusterSpec, NodeId};
 use dsp_metrics::RunMetrics;
 use dsp_sim::{ExecHistory, Schedule};
-use dsp_units::Time;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How the router assigns a submit batch to a shard. Inert: `Hash` is
 /// the only placement, and the type stays only because the benchmark
@@ -62,10 +57,6 @@ pub(crate) struct ShardHandle {
 /// cursor.
 pub(crate) struct Router {
     shards: Vec<ShardHandle>,
-    /// Shard 0's read cell, captured at construction (a router always
-    /// has a first shard).
-    primary: Arc<SnapshotCell>,
-    coordinator: SyncSender<Command>,
     /// Round-robin cursor: one step per submit batch, so a fixed
     /// submission order yields a fixed assignment.
     cursor: AtomicU64,
@@ -78,82 +69,47 @@ pub(crate) struct Router {
 impl Router {
     pub(crate) fn new(
         shards: Vec<ShardHandle>,
-        coordinator: SyncSender<Command>,
         cluster: ClusterSpec,
         offsets: Vec<u32>,
     ) -> std::io::Result<Router> {
         debug_assert_eq!(shards.len(), offsets.len());
-        let Some(first) = shards.first() else {
+        if shards.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "a federation needs at least one shard",
             ));
-        };
-        Ok(Router {
-            primary: Arc::clone(&first.cell),
-            shards,
-            coordinator,
-            cursor: AtomicU64::new(0),
-            cluster,
-            offsets,
-        })
+        }
+        Ok(Router { shards, cursor: AtomicU64::new(0), cluster, offsets })
     }
 
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Shard 0's snapshot cell ([`crate::server::ServerHandle::reads`]).
-    pub(crate) fn primary_cell(&self) -> &SnapshotCell {
-        &self.primary
-    }
-
-    /// Resolve a write to its destination exactly once: a drain goes to
-    /// the coordinator, a submit to the next shard in cursor order.
+    /// Resolve a write to its shard exactly once: a drain goes to shard
+    /// 0, a submit to the next shard in cursor order.
     pub(crate) fn plan(&self, request: wire::WriteRequest, reply: ReplyHandle) -> Dispatch {
-        let target = match &request {
-            wire::WriteRequest::Drain => Target::Coordinator,
-            wire::WriteRequest::Submit(_) => Target::Shard(self.pick_shard()),
+        let shard = match &request {
+            wire::WriteRequest::Drain => 0,
+            wire::WriteRequest::Submit(_) => self.pick_shard(),
         };
-        Dispatch { target, command: Command::Write(request, reply) }
-    }
-
-    fn queue_for(&self, target: Target) -> Option<&SyncSender<Command>> {
-        match target {
-            Target::Shard(index) => self.shards.get(index).map(|s| &s.commands),
-            Target::Coordinator => Some(&self.coordinator),
-        }
+        Dispatch { shard, command: Command::Write(request, reply) }
     }
 
     /// Non-blocking send; a `Full` refusal hands the dispatch back
     /// intact so the reactor can park and retry it against the *same*
-    /// target — backpressure never re-routes a request.
+    /// shard — backpressure never re-routes a request.
     pub(crate) fn try_send(&self, dispatch: Dispatch) -> Result<(), TrySendError<Dispatch>> {
-        let Dispatch { target, command } = dispatch;
-        let Some(queue) = self.queue_for(target) else {
-            return Err(TrySendError::Disconnected(Dispatch { target, command }));
+        let Dispatch { shard, command } = dispatch;
+        let Some(queue) = self.shards.get(shard).map(|s| &s.commands) else {
+            return Err(TrySendError::Disconnected(Dispatch { shard, command }));
         };
         queue.try_send(command).map_err(|e| match e {
-            TrySendError::Full(command) => TrySendError::Full(Dispatch { target, command }),
+            TrySendError::Full(command) => TrySendError::Full(Dispatch { shard, command }),
             TrySendError::Disconnected(command) => {
-                TrySendError::Disconnected(Dispatch { target, command })
+                TrySendError::Disconnected(Dispatch { shard, command })
             }
         })
-    }
-
-    /// Broadcast a clock tick to every shard. False once every shard
-    /// queue is gone (the ticker exits then).
-    pub(crate) fn tick_all(&self, target: Time) -> bool {
-        let mut alive = false;
-        for shard in &self.shards {
-            match shard.commands.try_send(Command::Tick(target)) {
-                // A full queue means that owner is busy; skipping its
-                // tick is fine — the next broadcast re-targets.
-                Ok(()) | Err(TrySendError::Full(_)) => alive = true,
-                Err(TrySendError::Disconnected(_)) => {}
-            }
-        }
-        alive
     }
 
     /// Pick the shard a submit batch lands on (the batch is the
@@ -170,33 +126,31 @@ impl Router {
         (self.cursor.fetch_add(1, Ordering::Relaxed) as usize) % n
     }
 
-    /// The federated drain, run on the coordinator thread: ask every
-    /// shard to run dry at once, collect the per-shard snapshots in
-    /// shard order, merge. A shard's queue is FIFO, so the drain splits
-    /// its submits cleanly: those queued ahead are admitted and drained,
-    /// those behind it are refused `draining` by the driver. Idempotent:
-    /// a second `drain` re-drains already-drained shards and rebuilds
-    /// the same artifact.
-    pub(crate) fn drain_all(&self) -> wire::Response {
-        let mut pending = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (out_tx, out_rx) = sync_channel(1);
-            match shard.commands.send(Command::DrainShard(out_tx)) {
-                Ok(()) => pending.push(Some(out_rx)),
-                Err(_) => pending.push(None),
-            }
-        }
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for out_rx in pending.into_iter().flatten() {
-            if let Ok(snapshot) = out_rx.recv() {
-                parts.push(*snapshot);
-            }
-        }
+    /// The federated drain, run on shard 0's owner thread: ask every
+    /// other shard to run dry, run shard 0 dry (`drain_own`) while they
+    /// do, collect the other snapshots in shard order, merge. A shard's
+    /// queue is FIFO, so the drain splits its submits cleanly: those
+    /// queued ahead are admitted and drained, those behind it are
+    /// refused `draining` by the driver. Idempotent: a second `drain`
+    /// re-drains already-drained shards and rebuilds the same artifact.
+    pub(crate) fn drain_all(&self, drain_own: impl FnOnce() -> Snapshot) -> wire::Response {
+        let pending: Vec<_> = (self.shards.iter().skip(1))
+            .filter_map(|shard| {
+                let (out_tx, out_rx) = sync_channel(1);
+                shard.commands.send(Command::DrainShard(out_tx)).ok().map(|()| out_rx)
+            })
+            .collect();
+        let mut parts = vec![Cow::Owned(drain_own())];
+        parts
+            .extend(pending.iter().filter_map(|out_rx| out_rx.recv().ok()).map(|s| Cow::Owned(*s)));
         if parts.len() != self.shards.len() {
             // A shard owner exited before draining (shutdown race): shut
             // down, but do not fabricate a partial artifact.
             return wire::Response {
-                body: wire::error_response("draining", "a shard exited before its drain finished"),
+                body: wire::error_response(
+                    wire::reason::DRAINING,
+                    "a shard exited before its drain finished",
+                ),
                 shutdown: true,
             };
         }
@@ -207,10 +161,9 @@ impl Router {
     /// the full cluster: node ids map back from shard-local to global
     /// via the split offsets, jobs merge by ascending id, and schedule/
     /// history rows sort by (job, task) with the stable sort preserving
-    /// each shard's intra-task segment order. A single part passes
-    /// through untouched — the 1-shard artifact is byte-identical to the
-    /// pre-federation drain.
-    pub(crate) fn merge_snapshots(&self, mut parts: Vec<Snapshot>) -> Snapshot {
+    /// each shard's intra-task segment order. A single part is returned
+    /// as it came, so the 1-shard artifact is the driver's own, uncopied.
+    fn merge_snapshots<'a>(&self, mut parts: Vec<Cow<'a, Snapshot>>) -> Cow<'a, Snapshot> {
         if parts.len() == 1 {
             if let Some(single) = parts.pop() {
                 return single;
@@ -222,6 +175,7 @@ impl Router {
         let mut history = ExecHistory { sigma, tasks: Vec::new() };
         let mut metrics = RunMetrics::default();
         for (part, offset) in parts.into_iter().zip(self.offsets.iter().copied()) {
+            let part = part.into_owned();
             jobs.extend(part.jobs);
             for mut a in part.schedule.assignments {
                 a.node = NodeId(a.node.0 + offset);
@@ -236,93 +190,16 @@ impl Router {
         jobs.sort_by_key(|j| j.id.0);
         schedule.assignments.sort_by_key(|a| (a.task.job.0, a.task.index));
         history.tasks.sort_by_key(|t| (t.task.job.0, t.task.index));
-        Snapshot { cluster: self.cluster.clone(), jobs, schedule, history, metrics }
+        Cow::Owned(Snapshot { cluster: self.cluster.clone(), jobs, schedule, history, metrics })
     }
 
-    /// Serve a read from the published snapshot cells. One shard passes
-    /// straight through to [`wire::handle_read`] — byte-identical to the
-    /// pre-federation read lane. More than one aggregates (see the
-    /// module docs for the monotonicity argument).
+    /// Serve a read from every shard's published cell, at any shard
+    /// count (see the module docs for the monotonicity argument).
     pub(crate) fn handle_read(&self, request: wire::ReadRequest) -> wire::Response {
-        if self.shards.len() == 1 {
-            return wire::handle_read(&self.primary.load(), request);
-        }
-        let views: Vec<Arc<StateSnapshot>> = self.shards.iter().map(|s| s.cell.load()).collect();
-        self.federated_read(&views, request)
-    }
-
-    fn federated_read(
-        &self,
-        views: &[Arc<StateSnapshot>],
-        request: wire::ReadRequest,
-    ) -> wire::Response {
-        let shards: Vec<u64> = views.iter().map(|v| v.version).collect();
-        let state = shards.iter().copied().max().unwrap_or(0);
-        let versions = wire::Versions { state, shards: &shards };
-        // `now` and `periods_elapsed` aggregate with **min**: each cell
-        // is monotone, so the min over a fixed set of monotone readings
-        // is monotone too — and min is the honest federation clock ("all
-        // shards have reached at least t").
-        let now = views.iter().map(|v| v.now).min().unwrap_or(Time::ZERO);
-        match request {
-            wire::ReadRequest::Ping => wire::ping_reply(now, &versions),
-            wire::ReadRequest::Status(id) => {
-                let home = views.get((id.0 as usize) % views.len().max(1));
-                wire::status_reply(id, home.and_then(|view| view.status(id)), &versions)
-            }
-            wire::ReadRequest::Metrics => {
-                let mut merged = RunMetrics::default();
-                for view in views {
-                    merged.merge_from(&view.metrics);
-                }
-                let counters = wire::Counters {
-                    now,
-                    periods_elapsed: views.iter().map(|v| v.periods_elapsed).min().unwrap_or(0),
-                    batches_scheduled: views.iter().map(|v| v.batches_scheduled).sum(),
-                    pending_tasks: views.iter().map(|v| v.pending_tasks as u64).sum(),
-                    // True once every shard has stopped admitting: as
-                    // monotone as each cell, like the min clock above.
-                    draining: views.iter().all(|v| v.draining),
-                    metrics: &merged,
-                };
-                wire::metrics_reply(&counters, &versions)
-            }
-            wire::ReadRequest::Snapshot => {
-                let parts = views.iter().map(|v| Snapshot::clone(&v.artifact)).collect();
-                wire::snapshot_reply(&self.merge_snapshots(parts), &versions)
-            }
-        }
-    }
-}
-
-/// The drain-coordinator loop: owns nothing but the drain protocol.
-/// Lives exactly as long as the shard owners; exits once shutdown is
-/// flagged and its queue stays empty for one poll interval.
-pub(crate) fn coordinate(commands: Receiver<Command>, shared: &Shared) {
-    loop {
-        let command = match commands.recv_timeout(Duration::from_millis(50)) {
-            Ok(c) => c,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.stopping() {
-                    break;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match command {
-            Command::Write(wire::WriteRequest::Drain, reply) => {
-                let response = shared.router.drain_all();
-                let shutdown = response.shutdown;
-                reply.deliver(response);
-                if shutdown {
-                    shared.stop();
-                }
-            }
-            // Nothing else is ever planned onto the coordinator; answer
-            // misrouted sinks rather than leaving a client hanging.
-            Command::Write(_, reply) => reply.deliver(draining_response()),
-            Command::Tick(_) | Command::DrainShard(_) => {}
-        }
+        let cells: Vec<Arc<StateSnapshot>> = self.shards.iter().map(|s| s.cell.load()).collect();
+        let views: Vec<&StateSnapshot> = cells.iter().map(Arc::as_ref).collect();
+        wire::read_views(&views, request, || {
+            self.merge_snapshots(views.iter().map(|v| Cow::Borrowed(v.artifact.as_ref())).collect())
+        })
     }
 }

@@ -1,28 +1,28 @@
-//! The TCP front end: connection serving, and the clock that maps wall
-//! time onto simulation time.
+//! The service's boot and lifecycle: the shards, their owner threads,
+//! the reactor, and a minimal blocking client.
 //!
 //! Concurrency model (DESIGN.md §10.5, §10.7): the request path is split
-//! into two lanes, and the write lane is **sharded**.
+//! into two lanes, and the write lane is **sharded**. The threads are
+//! the reactor pool and one owner per shard, nothing else.
 //!
-//! * **Write lane** — `submit` and `drain` (plus the ticker's clock
-//!   advances) are commands on *bounded* FIFO queues, one per shard,
-//!   each drained by a single driver-owner thread. Every shard's
-//!   [`OnlineDriver`] is owned by its thread outright — there is no
-//!   mutex to convoy on — so mutations are serialized per shard, with
-//!   FIFO fairness across connections and explicit backpressure (a full
-//!   queue stalls the submitting client, not the whole service). The
-//!   [`crate::router::Router`] decides which shard a submit lands on;
-//!   `drain` goes to a coordinator thread that drains every shard and
-//!   merges the results.
+//! * **Write lane** — `submit` and `drain` are commands on *bounded*
+//!   FIFO queues, one per shard, each worked through by a single
+//!   driver-owner thread. Every shard's [`OnlineDriver`] is owned by its
+//!   thread outright — there is no mutex to convoy on — so mutations are
+//!   serialized per shard, with FIFO fairness across connections and
+//!   explicit backpressure (a full queue stalls the submitting client,
+//!   not the whole service). The [`crate::router::Router`] decides which
+//!   shard a submit lands on; `drain` goes to shard 0, whose owner
+//!   drains every shard and merges the results.
 //! * **Read lane** — `ping`, `status`, `metrics`, `snapshot` are served
-//!   from per-shard [`SnapshotCell`]s: immutable [`StateSnapshot`]s each
-//!   owner thread re-publishes after every mutation (and at every
-//!   boundary of a drain). Read handlers hold no driver reference at all
-//!   — the type split in [`wire::handle_read`] makes touching the driver
-//!   impossible — so a drain running the simulation dry or a fat submit
-//!   cannot stall a monitoring client. Staleness is bounded by one
-//!   mutation per shard. With more than one shard the router aggregates
-//!   the per-shard views into one federated reply (DESIGN.md §10.7).
+//!   from per-shard [`crate::SnapshotCell`]s: immutable
+//!   [`crate::StateSnapshot`]s each owner thread re-publishes after every
+//!   mutation (and at every boundary of a drain). Read handlers hold no
+//!   driver reference at all — the type split in [`wire::handle_read`]
+//!   makes touching the driver impossible — so a drain running the
+//!   simulation dry or a fat submit cannot stall a monitoring client. Staleness is bounded by one
+//!   mutation per shard. The router folds the per-shard views into one
+//!   reply (DESIGN.md §10.7).
 //!
 //! Connections are served against those lanes by the epoll reactor
 //! (DESIGN.md §10.6), a small fixed pool of event-loop threads whose
@@ -32,18 +32,20 @@
 //! [`serve_federated`] fails at boot with `ErrorKind::Unsupported`.
 //!
 //! **Time**: the simulation clock runs at `time_scale` simulated seconds
-//! per wall second. The paper's cadences (300 s scheduling period, 5 s
-//! epoch) would make interactive use glacial in real time; a scale of,
-//! say, 600 crosses a scheduling period every half wall-second while
-//! keeping event order identical to an offline run at the same instants.
+//! per wall second, measured from one boot instant every shard shares;
+//! each owner advances its driver to it once per `tick`, between
+//! commands, so a full queue never holds the clock back. The paper's
+//! cadences (300 s scheduling period, 5 s epoch) would make interactive
+//! use glacial in real time; a scale of, say, 600 crosses a scheduling
+//! period every half wall-second while keeping event order identical to
+//! an offline run at the same instants.
 
 use crate::admission::AdmissionConfig;
 use crate::codec::Snapshot;
 use crate::driver::OnlineDriver;
 use crate::reactor::{self, ReplyHandle};
-use crate::router::{coordinate, RoutePolicy, Router, ShardHandle};
-use crate::shard::{run_shard, Publisher};
-use crate::state::StateSnapshot;
+use crate::router::{RoutePolicy, Router, ShardHandle};
+use crate::shard::{run_shard, Clock, Publisher};
 use crate::wire;
 use dsp_cluster::ClusterSpec;
 use dsp_sim::EngineConfig;
@@ -59,8 +61,8 @@ use std::time::{Duration, Instant};
 /// Hard ceiling on the shard count, the input bound on `--shards`.
 pub const MAX_SHARDS: usize = 64;
 
-/// Bound on queued write commands **per shard** (and on the drain
-/// coordinator's queue); a full queue stalls the sender.
+/// Bound on queued write commands **per shard**; a full queue stalls
+/// the sender.
 const QUEUE_DEPTH: usize = 128;
 
 /// Server knobs.
@@ -118,33 +120,22 @@ pub struct FederationSpec {
     pub policy: Box<dyn Fn() -> Box<dyn dsp_sim::PreemptPolicy + Send>>,
 }
 
-/// One unit of work for a driver-owner (or coordinator) thread.
+/// One unit of work for a driver-owner thread.
 pub(crate) enum Command {
     /// A client mutation; the response goes back to the connection's
     /// reactor thread through the handle.
     Write(wire::WriteRequest, ReplyHandle),
-    /// The ticker mapping wall time onto simulation time.
-    Tick(dsp_units::Time),
     /// Run this shard's simulation dry and hand back its final snapshot
-    /// (the coordinator's federated drain).
+    /// (shard 0's federated drain asks every other shard for one).
     DrainShard(SyncSender<Box<Snapshot>>),
 }
 
-/// Where a routed command is headed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Target {
-    /// Shard `i`'s driver-owner queue.
-    Shard(usize),
-    /// The drain coordinator's queue.
-    Coordinator,
-}
-
-/// A command with its resolved destination. Routing happens exactly once
-/// (in [`Router::plan`]); a reactor connection that must park a command
+/// A command with its resolved shard. Routing happens exactly once (in
+/// [`Router::plan`]); a reactor connection that must park a command
 /// under queue backpressure re-sends the *same* dispatch, so
 /// backpressure can never change a request's shard assignment.
 pub(crate) struct Dispatch {
-    pub(crate) target: Target,
+    pub(crate) shard: usize,
     pub(crate) command: Command,
 }
 
@@ -154,9 +145,7 @@ pub struct ServerHandle {
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     frontend_threads: Vec<JoinHandle<()>>,
-    ticker_thread: Option<JoinHandle<()>>,
     owner_threads: Vec<JoinHandle<()>>,
-    coordinator_thread: Option<JoinHandle<()>>,
 }
 
 /// What every connection handler can see: the router over the per-shard
@@ -184,19 +173,18 @@ impl Shared {
 
 /// The refusal handed out when the driver-owner thread is already gone.
 pub(crate) fn draining_response() -> wire::Response {
-    wire::Response::refusal("draining", "service is shutting down")
+    wire::Response::refusal(wire::reason::DRAINING, "service is shutting down")
 }
 
 /// Boot the service: split the cluster into `config.shards` partitions,
 /// build one [`OnlineDriver`] per partition on its own id lane (shard
 /// `i` assigns ids `i, i+N, i+2N, …`), and stand a placement router in
-/// front (DESIGN.md §10.7). At `shards == 1` the router passes reads and
-/// the drained artifact through untouched, so the service is one plain
-/// driver behind a socket.
+/// front (DESIGN.md §10.7). At `shards == 1` a read answers from the
+/// one view as it stands and the drained artifact is the driver's own,
+/// so the service is one plain driver behind a socket.
 ///
-/// Bind, then one command queue + owner thread + snapshot cell per
-/// shard, a coordinator thread for federated drains, the ticker, and the
-/// reactor.
+/// Bind, then one command queue + snapshot cell per shard, the reactor,
+/// and one owner thread per shard, which also keeps the shard's clock.
 pub fn serve_federated(
     spec: FederationSpec,
     config: ServerConfig,
@@ -225,8 +213,7 @@ pub fn serve_federated(
         handles.push(ShardHandle { commands, cell: publisher.cell() });
         shard_threads.push((driver, command_rx, publisher));
     }
-    let (coordinator, coordinator_rx) = sync_channel(QUEUE_DEPTH);
-    let router = Router::new(handles, coordinator, spec.cluster, offsets)?;
+    let router = Router::new(handles, spec.cluster, offsets)?;
     let shared = Arc::new(Shared { router, shutdown: AtomicBool::new(false) });
 
     // The reactor boots before the driver-owner threads so a failure
@@ -234,57 +221,23 @@ pub fn serve_federated(
     // running owners.
     let frontend_threads = reactor::spawn(listener, Arc::clone(&shared), config.max_conns)?;
 
+    let clock = Clock {
+        boot: Instant::now(),
+        scale: config.time_scale.max(0.0),
+        tick: config.tick.max(Duration::from_millis(1)),
+    };
     let owner_threads = shard_threads
         .into_iter()
         .map(|(driver, command_rx, publisher)| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || run_shard(driver, command_rx, publisher, &shared))
+            std::thread::spawn(move || run_shard(driver, command_rx, publisher, clock, &shared))
         })
         .collect();
 
-    let coordinator_thread = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || coordinate(coordinator_rx, &shared))
-    };
-
-    let ticker_thread = {
-        let shared = Arc::clone(&shared);
-        let scale = config.time_scale.max(0.0);
-        let tick = config.tick.max(Duration::from_millis(1));
-        std::thread::spawn(move || {
-            let start = Instant::now();
-            while !shared.stopping() {
-                std::thread::sleep(tick);
-                let target = dsp_units::Time::from_secs_f64(start.elapsed().as_secs_f64() * scale);
-                // Broadcast to every shard. A full queue means that
-                // owner is busy with client work; skipping its tick is
-                // fine — the next one re-targets.
-                if !shared.router.tick_all(target) {
-                    break;
-                }
-            }
-        })
-    };
-
-    Ok(ServerHandle {
-        addr,
-        shared,
-        frontend_threads,
-        ticker_thread: Some(ticker_thread),
-        owner_threads,
-        coordinator_thread: Some(coordinator_thread),
-    })
+    Ok(ServerHandle { addr, shared, frontend_threads, owner_threads })
 }
 
 impl ServerHandle {
-    /// Shard 0's read-lane publish point — what `status`/`metrics`/
-    /// `snapshot` are answered from on a single-shard service. Exposed
-    /// for tests and in-process tooling; federated aggregation happens
-    /// in the router, not here.
-    pub fn reads(&self) -> Arc<StateSnapshot> {
-        self.shared.router.primary_cell().load()
-    }
-
     /// How many shards this instance is running.
     pub fn shards(&self) -> usize {
         self.shared.router.shard_count()
@@ -296,21 +249,12 @@ impl ServerHandle {
     }
 
     fn join_all(&mut self) {
-        for h in self.frontend_threads.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.ticker_thread.take() {
-            let _ = h.join();
-        }
-        for h in self.owner_threads.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.coordinator_thread.take() {
+        for h in self.frontend_threads.drain(..).chain(self.owner_threads.drain(..)) {
             let _ = h.join();
         }
     }
 
-    /// Block until the front end, clock, and driver-owner threads exit
+    /// Block until the front end and driver-owner threads exit
     /// (after a `drain` request or [`ServerHandle::shutdown`]).
     pub fn wait(mut self) {
         self.join_all();

@@ -39,6 +39,7 @@ use crate::state::StateSnapshot;
 use dsp_dag::{JobClass, JobId, TaskSpec};
 use dsp_metrics::RunMetrics;
 use dsp_units::{Dur, Mi, ResourceVec, Time};
+use std::borrow::Cow;
 
 /// A request answered from the published state snapshot, off the driver
 /// lock-path entirely.
@@ -415,24 +416,56 @@ pub(crate) fn drain_reply(artifact: &Snapshot) -> Response {
 /// Execute a read request against the **published snapshot only**. The
 /// signature is the enforcement: there is no driver to reach, so a read
 /// can never block behind (or convoy with) a mutation. Every response
-/// carries `state_version`, the snapshot's publish sequence number.
+/// carries `state_version`, the snapshot's publish sequence number. This
+/// is `read_views` over one view, the path every read of the service takes.
 pub fn handle_read(state: &StateSnapshot, request: ReadRequest) -> Response {
-    let versions = Versions { state: state.version, shards: &[] };
+    read_views(&[state], request, || Cow::Borrowed(state.artifact.as_ref()))
+}
+
+/// Answer a read from the published views of every shard, in shard order
+/// (DESIGN.md §10.7): `state_version` is the max of the versions, and
+/// with more than one view a `shard_versions` array carries them all;
+/// `now_us` and `periods_elapsed` are the min, counters the sum, and
+/// `draining` holds once every view is draining. Each of these is
+/// monotone in every view, so a connection still never sees one go
+/// backwards. `status` reads the id's home view (`id % N`); `snapshot`
+/// writes what `artifact` merges. One view is answered as it stands:
+/// its metrics and its artifact are borrowed, not copied.
+pub(crate) fn read_views<'a>(
+    views: &[&'a StateSnapshot],
+    request: ReadRequest,
+    artifact: impl FnOnce() -> Cow<'a, Snapshot>,
+) -> Response {
+    let Some((first, rest)) = views.split_first() else {
+        return Response::refusal(reason::DRAINING, "no shard is serving reads");
+    };
+    let shards: Vec<u64> =
+        if rest.is_empty() { Vec::new() } else { views.iter().map(|v| v.version).collect() };
+    let state = views.iter().map(|v| v.version).max().unwrap_or(0);
+    let versions = Versions { state, shards: &shards };
+    let now = views.iter().map(|v| v.now).min().unwrap_or(Time::ZERO);
     match request {
-        ReadRequest::Ping => ping_reply(state.now, &versions),
-        ReadRequest::Status(id) => status_reply(id, state.status(id), &versions),
+        ReadRequest::Ping => ping_reply(now, &versions),
+        ReadRequest::Status(id) => {
+            let home = views.get((id.0 as usize) % views.len());
+            status_reply(id, home.and_then(|view| view.status(id)), &versions)
+        }
         ReadRequest::Metrics => {
+            let mut metrics = Cow::Borrowed(&first.metrics);
+            for view in rest {
+                metrics.to_mut().merge_from(&view.metrics);
+            }
             let counters = Counters {
-                now: state.now,
-                periods_elapsed: state.periods_elapsed,
-                batches_scheduled: state.batches_scheduled,
-                pending_tasks: state.pending_tasks as u64,
-                draining: state.draining,
-                metrics: &state.metrics,
+                now,
+                periods_elapsed: views.iter().map(|v| v.periods_elapsed).min().unwrap_or(0),
+                batches_scheduled: views.iter().map(|v| v.batches_scheduled).sum(),
+                pending_tasks: views.iter().map(|v| v.pending_tasks as u64).sum(),
+                draining: views.iter().all(|v| v.draining),
+                metrics: &metrics,
             };
             metrics_reply(&counters, &versions)
         }
-        ReadRequest::Snapshot => snapshot_reply(&state.artifact, &versions),
+        ReadRequest::Snapshot => snapshot_reply(&artifact(), &versions),
     }
 }
 

@@ -7,8 +7,8 @@
 //! cargo run --release --example online_service
 //! ```
 //!
-//! The same session works against a standalone daemon (`dspd` or
-//! `dsp serve`) with `dsp submit/status/metrics/drain` — this example
+//! The same session works against a standalone daemon (`dspd`) with
+//! `dsp submit/status/metrics/drain` — this example
 //! just keeps everything in one process.
 
 use dsp_core::config::Params;

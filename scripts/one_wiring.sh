@@ -2,10 +2,11 @@
 # CI guard: the two-phase loop has one assembly, the methods one name
 # table (DESIGN.md §3.1), dspd one front end (§10.6), the binaries one
 # command-line reader (core/src/flags.rs), and the workspace one artifact
-# (the snapshot, service/src/codec.rs) built in four files. Six greps
-# over non-test product code — every crates/*/src file outside
+# (the snapshot, service/src/codec.rs) built in four files, and dspd one
+# thread kind per role: the shard owners and the reactor pool. Seven
+# greps over non-test product code — every crates/*/src file outside
 # crates/benchmark, cut at its `#[cfg(test)] mod tests`, minus files that
-# are test-only modules — and one over the service crate whole, seven
+# are test-only modules — and one over the service crate whole, eight
 # checks in all. Run from the repo root.
 set -euo pipefail
 
@@ -72,5 +73,12 @@ check "Snapshot { .. } literal outside service/src/{driver,router,codec}.rs and 
     "$(grep -E '\bSnapshot \{' <<<"$src" |
         grep -vE '(-> |struct |impl |let ([a-z_]+::)*)Snapshot \{' |
         grep -vE '^crates/service/src/(driver|router|codec)\.rs:|^crates/bench/src/bin/dsp\.rs:' || true)"
+
+# 8. The service starts threads in two places: server.rs (one owner per
+#    shard, which also keeps the shard's clock and, on shard 0, runs the
+#    drain) and reactor/frontend.rs (the event-loop pool).
+check "a thread started in crates/service outside server.rs and reactor/frontend.rs" \
+    "$(grep -E '^crates/service/src/.*\bthread::(spawn|Builder|scope)\b' <<<"$src" |
+        grep -vE '^crates/service/src/(server|reactor/frontend)\.rs:' || true)"
 
 exit "$fail"

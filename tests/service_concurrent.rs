@@ -43,6 +43,21 @@ fn test_shards() -> usize {
     std::env::var("DSP_TEST_SHARDS").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
 }
 
+/// The tier's standard service over `nodes` 1-slot nodes.
+fn spec(nodes: usize, max_pending_tasks: usize, period_secs: u64) -> FederationSpec {
+    FederationSpec {
+        cluster: dsp_cluster::uniform(nodes, 1000.0, 1),
+        engine: engine(),
+        sched_period: Dur::from_secs(period_secs),
+        admission: AdmissionConfig { max_pending_tasks, check_feasibility: true },
+        scheduler: Box::new(|| Box::new(dsp_sched::DspListScheduler::default())),
+        policy: Box::new(|| {
+            let params = dsp_core::config::Params::default();
+            Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true)))
+        }),
+    }
+}
+
 /// Serve the tier's standard service at the configured shard count.
 /// The cluster grows with the shard count (two 1-slot nodes per shard)
 /// so every shard owns the same sub-cluster the 1-shard tier ran on,
@@ -54,17 +69,7 @@ fn serve_sharded(
 ) -> (ServerHandle, usize) {
     let shards = test_shards();
     config.shards = shards;
-    let spec = FederationSpec {
-        cluster: dsp_cluster::uniform(2 * shards, 1000.0, 1),
-        engine: engine(),
-        sched_period: Dur::from_secs(period_secs),
-        admission: AdmissionConfig { max_pending_tasks, check_feasibility: true },
-        scheduler: Box::new(|| Box::new(dsp_sched::DspListScheduler::default())),
-        policy: Box::new(|| {
-            let params = dsp_core::config::Params::default();
-            Box::new(dsp_preempt::DspPolicy::new(params.dsp_params(true)))
-        }),
-    };
+    let spec = spec(2 * shards, max_pending_tasks, period_secs);
     let handle = serve_federated(spec, config).expect("bind ephemeral port");
     assert_eq!(handle.shards(), shards, "cluster must be large enough for the shard count");
     (handle, shards)
@@ -92,9 +97,9 @@ fn op(name: &str) -> Json {
     Json::obj(vec![("op", Json::Str(name.into()))])
 }
 
-/// `an_idle_herd_costs_sockets_not_threads` counts the threads of the
-/// whole test process, so it runs alone (write side); every other test
-/// holds the read side while its own threads are alive.
+/// The tests that count the threads of the whole test process or time a
+/// saturated service run alone (write side); every other test holds the
+/// read side while its own threads are alive.
 static HERD_GATE: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 /// Tracks one connection's monotonicity invariants across responses.
@@ -409,7 +414,6 @@ fn an_idle_herd_costs_sockets_not_threads() {
     // /proc/self/task counts the whole test process: keep the other
     // tests' servers and client fleets out of the window.
     let _alone = HERD_GATE.write();
-    let thread_count = || std::fs::read_dir("/proc/self/task").expect("procfs").count();
     let (handle, _shards) = serve_sharded(
         100_000,
         100,
@@ -462,4 +466,129 @@ fn an_idle_herd_costs_sockets_not_threads() {
     drop(herd);
     drop(fleet);
     handle.wait();
+}
+
+/// Threads of this whole test process.
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+}
+
+/// [`thread_count`] once it has held still for 50 ms: the test that just
+/// released `HERD_GATE` may still be exiting, and the harness may be
+/// starting the next one (which then waits on the gate).
+fn settled_thread_count() -> usize {
+    let mut last = thread_count();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let now = thread_count();
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+}
+
+/// The service's whole thread inventory: `serve_federated` adds the
+/// reactor pool, `min(available_parallelism, 4)` threads, and one owner
+/// per shard — each owner keeps its shard's clock and shard 0's runs the
+/// drain, so there is no ticker or drain thread beside them — and
+/// `wait` takes every one of them back.
+#[test]
+fn a_service_is_its_reactor_pool_and_one_owner_per_shard() {
+    let _alone = HERD_GATE.write();
+    let reactor = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4);
+    for shards in [1, 2] {
+        let before = settled_thread_count();
+        let config = ServerConfig {
+            time_scale: 600.0,
+            tick: std::time::Duration::from_millis(10),
+            shards,
+            ..Default::default()
+        };
+        let handle = serve_federated(spec(4, 100, 60), config).expect("bind ephemeral port");
+        assert_eq!(handle.shards(), shards);
+        assert_eq!(
+            thread_count(),
+            before + reactor + shards,
+            "{shards} shard(s): {reactor} reactor threads and {shards} owner(s), nothing else"
+        );
+        handle.shutdown();
+        handle.wait();
+        // A joined thread can stay listed for a moment after `join`
+        // returns (the kernel reaps it just after waking the joiner).
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while thread_count() != before {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{shards} shard(s): threads outlive wait"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+}
+
+/// The clock moves however full the write lane is. One thread drives
+/// 160 closed-loop submitters over blocking sockets into one shard: more
+/// submits in flight than its command queue holds, so the queue stays
+/// full and the reactor parks the rest. (One shard, whatever
+/// `DSP_TEST_SHARDS` says: saturating N queues takes 160·N sockets on
+/// each side, past a 1024-descriptor limit at N = 4.) Each submit carries a
+/// 40-task job, so every one grows the state its publish copies. The
+/// clock is live and crosses a 20 s scheduling period every 0.1 wall
+/// seconds; `periods_elapsed`, read on a separate connection, must keep
+/// pace with it, since the owner advances its driver whenever a tick is
+/// due rather than waiting for a tick to find room in its queue.
+#[test]
+fn a_saturated_write_lane_keeps_the_clock_moving() {
+    use std::io::{BufRead, BufReader, Write};
+    let _alone = HERD_GATE.write();
+    const PERIOD_SECS: u64 = 20;
+    const SCALE: f64 = 200.0;
+    let config = ServerConfig {
+        time_scale: SCALE,
+        tick: std::time::Duration::from_millis(10),
+        ..Default::default()
+    };
+    let handle = serve_federated(spec(2, 100_000, PERIOD_SECS), config).expect("bind");
+    let addr = handle.addr.to_string();
+    let job = JobRequest { tasks: vec![dsp_dag::TaskSpec::sized(1_000.0); 40], ..two_task_job() };
+    let submit = format!("{}\n", wire::submit_request(&[job]));
+    let mut lanes: Vec<(std::net::TcpStream, BufReader<std::net::TcpStream>)> = (0..160)
+        .map(|_| {
+            let stream = std::net::TcpStream::connect(&addr).expect("connect");
+            stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("timeout");
+            (stream.try_clone().expect("clone"), BufReader::new(stream))
+        })
+        .collect();
+    for (writer, _) in &mut lanes {
+        writer.write_all(submit.as_bytes()).expect("first submit");
+    }
+
+    let mut reader = dsp_service::Client::connect(&addr).expect("connect");
+    let mut periods = || {
+        let m = reader.call(&op("metrics")).expect("metrics");
+        m.get("periods_elapsed").and_then(Json::as_u64).expect("periods_elapsed")
+    };
+    let start = std::time::Instant::now();
+    let first = periods();
+    let mut replies = 0;
+    while start.elapsed() < std::time::Duration::from_millis(1500) {
+        let (writer, lane) = &mut lanes[replies % 160];
+        let mut line = String::new();
+        assert!(lane.read_line(&mut line).expect("submit reply") > 0, "closed early");
+        let resp = dsp_service::json::parse(&line).expect("reply is JSON");
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+        writer.write_all(submit.as_bytes()).expect("next submit");
+        replies += 1;
+    }
+    let advanced = periods() - first;
+    let wall = start.elapsed().as_secs_f64();
+    // The clock crosses wall × SCALE / PERIOD_SECS boundaries; an owner
+    // busy with a submit ticks late, so allow it to trail by a fifth.
+    let due = (wall * SCALE / PERIOD_SECS as f64) as u64;
+    assert!(
+        advanced * 5 >= due * 4,
+        "periods_elapsed moved {advanced} in {wall:.2} s ({due} due) over {replies} submits"
+    );
+    drop(lanes);
 }
