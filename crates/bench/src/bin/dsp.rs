@@ -29,10 +29,11 @@
 //! text is generated from it): `tetris` is TetrisW/SimDep, `tetris-wo-dep`
 //! the dependency-oblivious variant, `dsp` the list scheduler `dsp-list`.
 //!
-//! The run mode is one `dsp_core::execute` call. It prints the run's
-//! headline metrics (or the full metrics as JSON), can write its snapshot,
-//! and audits itself: `verified (R1-R6)` or the findings go to stderr, and
-//! an error-severity finding exits 1. The `verify` subcommand replays
+//! The run mode is one `dsp_core::run_audited` call, as every figure and
+//! matrix cell is. It prints the run's headline metrics (or the full
+//! metrics as JSON), can write its snapshot, and reports its audit:
+//! `verified (R1-R6)` or the findings go to stderr, and an error-severity
+//! finding exits 1. The `verify` subcommand replays
 //! `dsp-verify`'s rules R1–R6 over a snapshot, against the cluster it
 //! records, and exits 0 when no rule reports an error, 1 when one does, 2
 //! on usage errors.
@@ -43,8 +44,8 @@ use dsp_core::flags::{usage_error, Flags};
 use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
-use dsp_core::verify::{Report, Severity, VerifyOptions};
-use dsp_core::{ClusterProfile, FigureScale, Params, PreemptMethod, Run, SchedMethod};
+use dsp_core::verify::{Diagnostic, Report, Severity, VerifyOptions};
+use dsp_core::{run_audited, ClusterProfile, FigureScale, Params, PreemptMethod, Run, SchedMethod};
 use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
@@ -215,9 +216,8 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
     let task_scale = task_scale.unwrap_or_else(|| FigureScale::paper().task_scale(cluster));
     let work = workload(jobs, seed, task_scale, sigma);
     let params = Params::default();
-    let mut scheduler = sched.build(&params, seed);
     let mut policy = preempt.build(&params);
-    let run = dsp_core::execute(&work, &spec, &params, scheduler.as_mut(), policy.as_mut(), faults);
+    let (run, report) = run_audited(&work, &spec, &params, sched, seed, policy.as_mut(), faults);
     let metrics = &run.metrics;
     if json {
         println!("{}", codec::metrics_to_json(metrics));
@@ -238,8 +238,6 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
         println!("  node failures      {:>12}", metrics.node_failures);
     }
 
-    let opts = VerifyOptions { dependency_aware: sched.dependency_aware(), check_deadlines: true };
-    let report = run.audit(&work, &spec, &opts);
     if let Some(path) = out {
         write_snapshot(path, spec, work, run);
     }
@@ -254,45 +252,18 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
 // ------------------------------------------------------------------- verify
 
 fn report_to_json(report: &Report) -> Json {
-    Json::obj(vec![
-        ("passes", Json::Bool(report.passes())),
-        (
-            "diagnostics",
-            Json::Arr(
-                report
-                    .iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("rule", Json::Str(d.rule.id().into())),
-                            ("severity", Json::Str(d.severity.to_string())),
-                            (
-                                "task",
-                                match d.task {
-                                    Some(t) => Json::Str(format!("T{}.{}", t.job.0, t.index)),
-                                    None => Json::Null,
-                                },
-                            ),
-                            (
-                                "node",
-                                match d.node {
-                                    Some(n) => Json::U64(u64::from(n.0)),
-                                    None => Json::Null,
-                                },
-                            ),
-                            (
-                                "at_us",
-                                match d.at {
-                                    Some(t) => Json::U64(t.as_micros()),
-                                    None => Json::Null,
-                                },
-                            ),
-                            ("message", Json::Str(d.message.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let diagnostic = |d: &Diagnostic| {
+        Json::obj(vec![
+            ("rule", Json::Str(d.rule.id().into())),
+            ("severity", Json::Str(d.severity.to_string())),
+            ("task", d.task.map_or(Json::Null, |t| Json::Str(format!("T{}.{}", t.job.0, t.index)))),
+            ("node", d.node.map_or(Json::Null, |n| Json::U64(u64::from(n.0)))),
+            ("at_us", d.at.map_or(Json::Null, |t| Json::U64(t.as_micros()))),
+            ("message", Json::Str(d.message.clone())),
+        ])
+    };
+    let diagnostics = Json::Arr(report.iter().map(diagnostic).collect());
+    Json::obj(vec![("passes", Json::Bool(report.passes())), ("diagnostics", diagnostics)])
 }
 
 fn verify_main(argv: &[String]) -> Result<i32, String> {

@@ -9,6 +9,8 @@
 //! the sweep for a fast smoke pass; `--csv DIR` additionally writes one CSV
 //! per figure into DIR for plotting. A word that selects nothing, an
 //! unknown flag, or a `--csv` without a DIR exits 2 naming the word.
+//! Every cell is audited (R1–R6): each entry ends with one line of cells,
+//! errors and warnings by rule, and any error exits 1 once all have printed.
 
 use dsp_core::flags::{usage_error, Flags};
 use dsp_core::{FigureScale, FIGURES};
@@ -66,25 +68,36 @@ fn main() {
         }
     }
     println!(
-        "# DSP reproduction — {} scale (jobs {:?}, task scale {})\n",
+        "# DSP reproduction — {} scale (jobs {:?}, task scale {} on EC2, {} on the real cluster)\n",
         if quick { "quick" } else { "paper" },
         scale.job_counts,
-        scale.task_scale
+        scale.task_scale,
+        scale.task_scale_palmetto,
     );
 
+    let mut errors = 0;
     let selected = FIGURES.iter().filter(|(name, _)| wanted.iter().any(|word| selects(word, name)));
-    for fig in selected.flat_map(|(name, build)| build(name, &scale)) {
+    for (name, build) in selected {
+        let (figs, audit) = build(name, &scale);
         let mut stdout = std::io::stdout().lock();
-        let _ = writeln!(stdout, "{}", render_markdown(&fig));
-        if let Some(dir) = csv_dir {
-            let path = format!("{dir}/{}.csv", fig.id);
-            match std::fs::write(&path, render_csv(&fig)) {
-                Ok(()) => {
-                    let _ = writeln!(stdout, "_wrote {path}_\n");
+        for fig in figs {
+            let _ = writeln!(stdout, "{}", render_markdown(&fig));
+            if let Some(dir) = csv_dir {
+                let path = format!("{dir}/{}.csv", fig.id);
+                match std::fs::write(&path, render_csv(&fig)) {
+                    Ok(()) => {
+                        let _ = writeln!(stdout, "_wrote {path}_\n");
+                    }
+                    Err(e) => eprintln!("could not write {path}: {e}"),
                 }
-                Err(e) => eprintln!("could not write {path}: {e}"),
             }
         }
+        let _ = writeln!(stdout, "_{name}: {audit}_\n");
+        errors += audit.errors();
+    }
+    if errors > 0 {
+        eprintln!("reproduce: {errors} error-severity audit findings");
+        std::process::exit(1)
     }
 }
 

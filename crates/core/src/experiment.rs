@@ -1,10 +1,10 @@
-//! Declarative experiment runner: one config in, one `RunMetrics` out.
+//! Declarative experiment runner: one config in, one audited run out.
 
 use crate::config::Params;
-use crate::pipeline::execute;
-use dsp_metrics::RunMetrics;
-use dsp_sim::FaultPlan;
+use crate::pipeline::{run_audited, Run};
+use dsp_sim::{FaultPlan, PreemptPolicy};
 use dsp_trace::{generate_workload, TraceParams};
+use dsp_verify::Report;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,27 +46,42 @@ impl ExperimentConfig {
     }
 }
 
-/// Run one experiment end to end: generate the workload, build periodic
-/// offline schedules, simulate with the online policy, return the metrics.
-pub fn run_experiment(cfg: &ExperimentConfig) -> RunMetrics {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let jobs = generate_workload(&mut rng, cfg.num_jobs, &cfg.trace);
+/// Run one experiment end to end: generate the workload, then plan, run
+/// and audit it ([`run_audited`]).
+pub fn run_experiment(cfg: &ExperimentConfig) -> (Run, Report) {
+    run_experiment_under(cfg, cfg.preempt.build(&cfg.params).as_mut())
+}
+
+/// [`run_experiment`] under `policy` in place of `cfg.preempt`'s (the
+/// checkpoint ablation's restarting DSP, which the method table lacks).
+pub(crate) fn run_experiment_under(
+    cfg: &ExperimentConfig,
+    policy: &mut dyn PreemptPolicy,
+) -> (Run, Report) {
+    let jobs = generate_workload(&mut StdRng::seed_from_u64(cfg.seed), cfg.num_jobs, &cfg.trace);
     let cluster = cfg.cluster.build();
-    let mut scheduler = cfg.sched.build(&cfg.params, cfg.seed);
-    let mut policy = cfg.preempt.build(&cfg.params);
-    let faults = FaultPlan::none();
-    execute(&jobs, &cluster, &cfg.params, scheduler.as_mut(), policy.as_mut(), faults).metrics
+    run_audited(&jobs, &cluster, &cfg.params, cfg.sched, cfg.seed, policy, FaultPlan::none())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::execute;
+    use dsp_metrics::RunMetrics;
+    use dsp_sched::DspListScheduler;
     use dsp_units::Dur;
+
+    /// The run's metrics, once its audit has passed.
+    fn metrics(cfg: &ExperimentConfig) -> RunMetrics {
+        let (run, report) = run_experiment(cfg);
+        assert!(report.passes(), "{report}");
+        run.metrics
+    }
 
     #[test]
     fn quick_experiment_completes_all_jobs() {
         let cfg = ExperimentConfig::quick(6, 42);
-        let m = run_experiment(&cfg);
+        let m = metrics(&cfg);
         assert_eq!(m.jobs_completed(), 6);
         assert!(m.makespan() > Dur::ZERO);
         assert!(m.tasks_completed > 0);
@@ -75,8 +90,8 @@ mod tests {
     #[test]
     fn same_seed_same_metrics() {
         let cfg = ExperimentConfig::quick(5, 7);
-        let a = run_experiment(&cfg);
-        let b = run_experiment(&cfg);
+        let a = metrics(&cfg);
+        let b = metrics(&cfg);
         assert_eq!(a, b);
     }
 
@@ -89,7 +104,7 @@ mod tests {
         for m in [SchedMethod::Dsp, SchedMethod::TetrisSimDep, SchedMethod::Aalo, SchedMethod::Fifo]
         {
             cfg.sched = m;
-            totals.insert(run_experiment(&cfg).tasks_completed);
+            totals.insert(metrics(&cfg).tasks_completed);
         }
         assert_eq!(totals.len(), 1, "every method must run the identical workload");
     }
@@ -99,19 +114,23 @@ mod tests {
         let mut cfg = ExperimentConfig::quick(4, 3);
         for p in PreemptMethod::ALL {
             cfg.preempt = p;
-            let m = run_experiment(&cfg);
+            let m = metrics(&cfg);
             assert_eq!(m.jobs_completed(), 4, "{}", p.label());
         }
     }
 
     #[test]
-    fn table_built_dsp_is_the_facade_at_any_gamma() {
-        // γ reaches the list scheduler on every path: the registry arm and
-        // `DspSystem::run` are the same run at a non-default coefficient.
+    fn table_built_dsp_is_the_hand_built_run_at_any_gamma() {
+        // γ reaches the list scheduler: the table's arm at a non-default
+        // coefficient is `execute` with the list scheduler built by hand.
         let mut cfg = ExperimentConfig::quick(6, 5);
         cfg.params.gamma = 0.9;
         let jobs = generate_workload(&mut StdRng::seed_from_u64(cfg.seed), 6, &cfg.trace);
-        let facade = crate::DspSystem::new(cfg.cluster.build(), cfg.params).run(&jobs);
-        assert_eq!(run_experiment(&cfg), facade);
+        let mut sched = DspListScheduler { gamma: 0.9 };
+        let mut policy = cfg.preempt.build(&cfg.params);
+        let cluster = cfg.cluster.build();
+        let by_hand =
+            execute(&jobs, &cluster, &cfg.params, &mut sched, policy.as_mut(), FaultPlan::none());
+        assert_eq!(metrics(&cfg), by_hand.metrics);
     }
 }

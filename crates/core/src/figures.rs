@@ -1,8 +1,9 @@
 //! Every figure of the paper's evaluation (Fig. 5–8) and every DESIGN.md
 //! §5 ablation, as one table: [`FIGURES`]. Each entry sweeps one axis over
-//! a few arms, runs all of its cells in one parallel fan-out, and reads
-//! one metric per panel off the runs into a `SweepSeries` that the
-//! `reproduce` binary renders as tables.
+//! a few arms, runs and audits all of its cells in one parallel fan-out,
+//! and reads one metric per panel off the runs into a `SweepSeries` that
+//! the `reproduce` binary renders as tables, followed by the entry's
+//! [`Audit`].
 //!
 //! The paper's absolute task counts (hundreds to thousands of tasks per
 //! job, 150–2500 jobs) come from days of cluster time; [`FigureScale`]
@@ -27,18 +28,20 @@
 //!   recovery (the SRPT handicap applied to DSP).
 
 use crate::experiment::{
-    run_experiment, ClusterProfile, ExperimentConfig, PreemptMethod, SchedMethod,
+    run_experiment, run_experiment_under, ClusterProfile, ExperimentConfig, PreemptMethod,
+    SchedMethod,
 };
-use crate::pipeline::execute;
+use crate::pipeline::Run;
 use crate::sweep::parallel_map;
 use crate::Params;
 use dsp_metrics::{RunMetrics, SweepSeries};
 use dsp_preempt::DspPolicy;
-use dsp_sim::{FaultPlan, NodeView, PreemptAction, PreemptPolicy, WorldCtx};
-use dsp_trace::{generate_workload, TraceParams};
+use dsp_sim::{NodeView, PreemptAction, PreemptPolicy, WorldCtx};
+use dsp_trace::TraceParams;
 use dsp_units::Time;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dsp_verify::{Report, Severity};
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Sweep sizing.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,9 +121,46 @@ impl FigureScale {
     }
 }
 
-/// An entry's builder: its panels at a scale, each with an id that begins
-/// with the entry's name.
-pub type Build = fn(&str, &FigureScale) -> Vec<SweepSeries>;
+/// What the R1–R6 audits of an entry's cells found, each cell audited with
+/// the options its scheduler is held to (`SchedMethod::verify_options`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Audit {
+    /// Cells audited.
+    pub cells: usize,
+    /// Findings over all cells, by severity and rule id.
+    pub findings: BTreeMap<Key, usize>,
+}
+
+/// A finding's severity and rule id (`R1`…`R6`).
+type Key = (Severity, &'static str);
+
+impl Audit {
+    /// Add `cells` audited cells and their findings, counted by key.
+    fn add(&mut self, cells: usize, findings: impl IntoIterator<Item = (Key, usize)>) {
+        self.cells += cells;
+        findings.into_iter().for_each(|(key, n)| *self.findings.entry(key).or_default() += n);
+    }
+
+    /// Error-severity findings over all cells.
+    pub fn errors(&self) -> usize {
+        self.findings.iter().filter(|((s, _), _)| *s == Severity::Error).map(|(_, n)| n).sum()
+    }
+}
+
+/// `20 cells audited (R1-R6), 0 errors, R2 warnings 48685, R4 warnings 967`.
+impl fmt::Display for Audit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} cells audited (R1-R6), {} errors", self.cells, self.errors())?;
+        self.findings.iter().try_for_each(|((s, rule), n)| write!(f, ", {rule} {s}s {n}"))
+    }
+}
+
+/// What an entry builds: its panels, each with an id that begins with the
+/// entry's name, and the audit of the cells they plot.
+pub type Entry = (Vec<SweepSeries>, Audit);
+
+/// An entry's builder: its [`Entry`] at a scale.
+pub type Build = fn(&str, &FigureScale) -> Entry;
 
 /// Every figure and ablation, in print order.
 pub const FIGURES: [(&str, Build); 10] = [
@@ -138,10 +178,13 @@ pub const FIGURES: [(&str, Build); 10] = [
 
 /// How a cell runs: [`run_experiment`], or the checkpoint ablation's
 /// [`run_restarting`].
-type Run = fn(&ExperimentConfig) -> RunMetrics;
+type Runner = fn(&ExperimentConfig) -> (Run, Report);
 
-/// One curve of a sweep: its label and one cell per x, run as it says.
-type Arm = (&'static str, Vec<(ExperimentConfig, Run)>);
+/// A cell: its configuration and how it runs.
+type Cell = (ExperimentConfig, Runner);
+
+/// One curve of a sweep: its label and one cell per x.
+type Arm = (&'static str, Vec<Cell>);
 
 /// What a panel reads off each run.
 type Metric = fn(&RunMetrics) -> f64;
@@ -149,24 +192,32 @@ type Metric = fn(&RunMetrics) -> f64;
 /// A panel: its id, title, y label and metric.
 type Panel = (String, String, &'static str, Metric);
 
-/// Run every arm's cells (one per x) in a single parallel fan-out, then
-/// plot each panel's metric with one curve per arm.
-fn sweep(x_label: &str, xs: &[f64], arms: Vec<Arm>, panels: Vec<Panel>) -> Vec<SweepSeries> {
+/// Run and audit every arm's cells (one per x) in a single parallel
+/// fan-out, then plot each panel's metric with one curve per arm. A worker
+/// keeps a cell's metrics and audit tally and drops the rest of its run.
+fn sweep(x_label: &str, xs: &[f64], arms: Vec<Arm>, panels: Vec<Panel>) -> Entry {
     let grid = arms.iter().flat_map(|(_, cells)| cells.iter().copied()).collect();
-    let runs = parallel_map(grid, |(cfg, run)| run(cfg));
+    let cells = parallel_map(grid, |(cfg, run)| {
+        let (run, report) = run(cfg);
+        let mut audit = Audit::default();
+        audit.add(1, report.iter().map(|d| ((d.severity, d.rule.id()), 1)));
+        (run.metrics, audit)
+    });
+    let mut audit = Audit::default();
+    cells.iter().for_each(|(_, cell)| audit.add(cell.cells, cell.findings.clone()));
     let plot = |(id, title, y_label, metric): Panel| {
         let mut fig = SweepSeries::new(id, title, x_label, y_label, xs.to_vec());
-        for ((label, _), runs) in arms.iter().zip(runs.chunks(xs.len())) {
-            fig.push(*label, runs.iter().map(metric).collect());
+        for ((label, _), cells) in arms.iter().zip(cells.chunks(xs.len())) {
+            fig.push(*label, cells.iter().map(|(metrics, _)| metric(metrics)).collect());
         }
         fig
     };
-    panels.into_iter().map(plot).collect()
+    (panels.into_iter().map(plot).collect(), audit)
 }
 
 /// One [`run_experiment`] cell per x, configured by `cfg`.
-fn cells<X: Copy>(xs: &[X], cfg: impl Fn(X) -> ExperimentConfig) -> Vec<(ExperimentConfig, Run)> {
-    xs.iter().map(|&x| (cfg(x), run_experiment as Run)).collect()
+fn cells<X: Copy>(xs: &[X], cfg: impl Fn(X) -> ExperimentConfig) -> Vec<Cell> {
+    xs.iter().map(|&x| (cfg(x), run_experiment as Runner)).collect()
 }
 
 /// Job counts as an x axis.
@@ -199,7 +250,7 @@ fn disorders(r: &RunMetrics) -> f64 {
 /// Fig. 5: makespan vs number of jobs for the scheduling methods
 /// (DSP < Aalo < TetrisW/SimDep < TetrisW/oDep), on either cluster.
 /// Fig. 5(a) = `Palmetto`, Fig. 5(b) = `Ec2`.
-fn fig5(name: &str, cluster: ClusterProfile, scale: &FigureScale) -> Vec<SweepSeries> {
+fn fig5(name: &str, cluster: ClusterProfile, scale: &FigureScale) -> Entry {
     let methods =
         [SchedMethod::Dsp, SchedMethod::Aalo, SchedMethod::TetrisSimDep, SchedMethod::TetrisWoDep];
     let arms = methods.map(|sched| {
@@ -215,11 +266,7 @@ fn fig5(name: &str, cluster: ClusterProfile, scale: &FigureScale) -> Vec<SweepSe
 /// (a) disorders, (b) throughput in tasks/ms, (c) average job waiting time,
 /// (d) number of preemptions. All methods start from DSP's initial
 /// schedule, exactly as Section V-B states.
-fn preemption_figures(
-    name: &str,
-    cluster: ClusterProfile,
-    scale: &FigureScale,
-) -> Vec<SweepSeries> {
+fn preemption_figures(name: &str, cluster: ClusterProfile, scale: &FigureScale) -> Entry {
     let methods = [
         PreemptMethod::Dsp,
         PreemptMethod::DspWoPp,
@@ -248,7 +295,7 @@ fn preemption_figures(
 /// count grows to 2500, on both cluster profiles. The per-job task scale
 /// is halved relative to Fig. 5–7: the sweep reaches 3.3× more jobs and
 /// only DSP's own growth trend is at stake, not a method comparison.
-fn fig8(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
+fn fig8(name: &str, scale: &FigureScale) -> Entry {
     let counts = &scale.scalability_counts;
     let arms = [ClusterProfile::Palmetto, ClusterProfile::Ec2].map(|cluster| {
         let cfg = |h| {
@@ -266,75 +313,65 @@ fn fig8(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
     sweep("number of jobs", &axis(counts), arms.into(), panels)
 }
 
-/// ρ sweep: preemption attempts and throughput as the PP filter tightens.
-fn ablation_rho(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
+/// A Table II knob swept around the ablation base cell: `set` puts each x
+/// into the parameters, and each `(suffix, what, y label, metric)` panel
+/// plots one metric of the DSP arm.
+fn knob(
+    name: &str,
+    scale: &FigureScale,
+    x_label: &str,
+    xs: &[f64],
+    set: fn(&mut Params, f64),
+    panels: [(&str, &str, &'static str, Metric); 2],
+) -> Entry {
     let base = scale.ablation();
-    let rhos = [1.0, 1.5, 2.0, 4.0, 8.0];
-    let cfg = |rho| ExperimentConfig { params: Params { rho, ..base.params }, ..base };
-    let panels = vec![
+    let cfg = |x| {
+        let mut c = base;
+        set(&mut c.params, x);
+        c
+    };
+    let panels = panels.map(|(suffix, what, y_label, metric)| {
+        let title = format!("{what} ({} jobs, EC2)", base.num_jobs);
+        (format!("{name}_{suffix}"), title, y_label, metric)
+    });
+    sweep(x_label, xs, vec![("DSP", cells(xs, cfg))], panels.into())
+}
+
+/// ρ sweep: preemption attempts and throughput as the PP filter tightens.
+fn ablation_rho(name: &str, scale: &FigureScale) -> Entry {
+    let panels = [
         (
-            format!("{name}_preemptions"),
-            format!("PP strength ρ vs preemptions ({} jobs, EC2)", base.num_jobs),
+            "preemptions",
+            "PP strength ρ vs preemptions",
             "preemption attempts",
             preemptions as Metric,
         ),
-        (
-            format!("{name}_throughput"),
-            format!("PP strength ρ vs throughput ({} jobs, EC2)", base.num_jobs),
-            "throughput (tasks/ms)",
-            throughput,
-        ),
+        ("throughput", "PP strength ρ vs throughput", "throughput (tasks/ms)", throughput),
     ];
-    sweep("rho", &rhos, vec![("DSP", cells(&rhos, cfg))], panels)
+    knob(name, scale, "rho", &[1.0, 1.5, 2.0, 4.0, 8.0], |p, rho| p.rho = rho, panels)
 }
 
 /// γ sweep: the Eq. 12 level coefficient against avg waiting & makespan.
-fn ablation_gamma(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
-    let base = scale.ablation();
-    let gammas = [0.1, 0.3, 0.5, 0.7, 0.9];
-    let cfg = |gamma| ExperimentConfig { params: Params { gamma, ..base.params }, ..base };
-    let panels = vec![
-        (
-            format!("{name}_wait"),
-            format!("Eq. 12 γ vs avg job waiting ({} jobs, EC2)", base.num_jobs),
-            "avg job waiting time (s)",
-            waiting as Metric,
-        ),
-        (
-            format!("{name}_makespan"),
-            format!("Eq. 12 γ vs makespan ({} jobs, EC2)", base.num_jobs),
-            "makespan (s)",
-            makespan,
-        ),
+fn ablation_gamma(name: &str, scale: &FigureScale) -> Entry {
+    let panels = [
+        ("wait", "Eq. 12 γ vs avg job waiting", "avg job waiting time (s)", waiting as Metric),
+        ("makespan", "Eq. 12 γ vs makespan", "makespan (s)", makespan),
     ];
-    sweep("gamma", &gammas, vec![("DSP", cells(&gammas, cfg))], panels)
+    knob(name, scale, "gamma", &[0.1, 0.3, 0.5, 0.7, 0.9], |p, gamma| p.gamma = gamma, panels)
 }
 
 /// δ sweep: the preempting-task window (1.0 = whole queue).
-fn ablation_delta(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
-    let base = scale.ablation();
-    let deltas = [0.1, 0.35, 0.7, 1.0];
-    let cfg = |delta| ExperimentConfig { params: Params { delta, ..base.params }, ..base };
-    let panels = vec![
-        (
-            format!("{name}_preemptions"),
-            format!("δ window vs preemptions ({} jobs, EC2)", base.num_jobs),
-            "preemption attempts",
-            preemptions as Metric,
-        ),
-        (
-            format!("{name}_throughput"),
-            format!("δ window vs throughput ({} jobs, EC2)", base.num_jobs),
-            "throughput (tasks/ms)",
-            throughput,
-        ),
+fn ablation_delta(name: &str, scale: &FigureScale) -> Entry {
+    let panels = [
+        ("preemptions", "δ window vs preemptions", "preemption attempts", preemptions as Metric),
+        ("throughput", "δ window vs throughput", "throughput (tasks/ms)", throughput),
     ];
-    sweep("delta", &deltas, vec![("DSP", cells(&deltas, cfg))], panels)
+    knob(name, scale, "delta", &[0.1, 0.35, 0.7, 1.0], |p, delta| p.delta = delta, panels)
 }
 
 /// Estimate-noise sweep: offline-plan degradation and the online phase's
 /// recovery, with and without preemption.
-fn ablation_noise(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
+fn ablation_noise(name: &str, scale: &FigureScale) -> Entry {
     let base = scale.ablation();
     let sigmas = [0.0, 0.2, 0.4, 0.8];
     let arms =
@@ -358,9 +395,9 @@ fn ablation_noise(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
 
 /// Checkpoint-vs-restart ablation on DSP itself: the same Algorithm 1 with
 /// restart-from-scratch recovery (the SRPT handicap).
-fn ablation_checkpoint(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
+fn ablation_checkpoint(name: &str, scale: &FigureScale) -> Entry {
     let base = scale.ablation();
-    let arm = vec![(base, run_experiment as Run), (base, run_restarting)];
+    let arm = vec![(base, run_experiment as Runner), (base, run_restarting)];
     let panels = vec![(
         name.into(),
         format!("checkpoint-resume vs restart-from-scratch (DSP, {} jobs, EC2)", base.num_jobs),
@@ -372,13 +409,8 @@ fn ablation_checkpoint(name: &str, scale: &FigureScale) -> Vec<SweepSeries> {
 
 /// [`run_experiment`] with DSP's policy restarting the tasks it preempts
 /// from scratch instead of resuming them from a checkpoint.
-fn run_restarting(cfg: &ExperimentConfig) -> RunMetrics {
-    let jobs = generate_workload(&mut StdRng::seed_from_u64(cfg.seed), cfg.num_jobs, &cfg.trace);
-    let mut scheduler = cfg.sched.build(&cfg.params, cfg.seed);
-    let mut policy = Restart(DspPolicy::new(cfg.params.dsp_params(true)));
-    let cluster = cfg.cluster.build();
-    execute(&jobs, &cluster, &cfg.params, scheduler.as_mut(), &mut policy, FaultPlan::none())
-        .metrics
+fn run_restarting(cfg: &ExperimentConfig) -> (Run, Report) {
+    run_experiment_under(cfg, &mut Restart(DspPolicy::new(cfg.params.dsp_params(true))))
 }
 
 /// DSP's policy without checkpointing.
@@ -408,17 +440,35 @@ mod tests {
     }
 
     #[test]
-    fn every_panel_id_begins_with_its_entry_name() {
+    fn every_panel_id_begins_with_its_entry_name_and_every_cell_is_audited() {
         for (name, build) in FIGURES {
-            for fig in build(name, &tiny()) {
+            let (figs, audit) = build(name, &tiny());
+            for fig in &figs {
                 assert!(fig.id.starts_with(name), "{} under {name}", fig.id);
             }
+            // One cell per curve per x, each audited once, none in error.
+            assert_eq!(audit.cells, figs[0].series.len() * figs[0].x.len(), "{name}");
+            assert_eq!(audit.errors(), 0, "{name}: {audit}");
         }
     }
 
     #[test]
+    fn an_audit_line_counts_by_severity_and_rule() {
+        let mut audit = Audit::default();
+        assert_eq!(audit.to_string(), "0 cells audited (R1-R6), 0 errors");
+        let findings = [((Severity::Warning, "R4"), 3), ((Severity::Error, "R6"), 1)];
+        audit.add(2, findings);
+        audit.add(1, [((Severity::Warning, "R2"), 5), ((Severity::Warning, "R4"), 1)]);
+        assert_eq!(audit.cells, 3);
+        assert_eq!(
+            audit.to_string(),
+            "3 cells audited (R1-R6), 1 errors, R2 warnings 5, R4 warnings 4, R6 errors 1"
+        );
+    }
+
+    #[test]
     fn fig5_quick_shape() {
-        let s = &fig5("fig5b", ClusterProfile::Ec2, &FigureScale::quick())[0];
+        let s = &fig5("fig5b", ClusterProfile::Ec2, &FigureScale::quick()).0[0];
         assert_eq!(s.id, "fig5b");
         assert_eq!(s.series.len(), 4);
         assert_eq!(s.x.len(), 2);
@@ -430,7 +480,7 @@ mod tests {
 
     #[test]
     fn fig6_quick_has_four_panels() {
-        let figs = preemption_figures("fig6", ClusterProfile::Palmetto, &FigureScale::quick());
+        let (figs, _) = preemption_figures("fig6", ClusterProfile::Palmetto, &FigureScale::quick());
         assert_eq!(figs.len(), 4);
         assert_eq!(figs[0].id, "fig6a");
         assert_eq!(figs[3].id, "fig6d");
@@ -444,7 +494,7 @@ mod tests {
 
     #[test]
     fn fig8_quick_has_both_clusters() {
-        let figs = fig8("fig8", &FigureScale::quick());
+        let (figs, _) = fig8("fig8", &FigureScale::quick());
         assert_eq!(figs.len(), 2);
         for f in &figs {
             assert!(f.method("real cluster").is_some());
@@ -462,7 +512,7 @@ mod tests {
 
     #[test]
     fn rho_sweep_shapes() {
-        let figs = ablation_rho("ablation_rho", &tiny());
+        let (figs, _) = ablation_rho("ablation_rho", &tiny());
         assert_eq!(figs.len(), 2);
         assert_eq!(figs[0].x.len(), 5);
         // Tightening ρ never increases preemptions (monotone non-increasing
@@ -473,13 +523,13 @@ mod tests {
 
     #[test]
     fn noise_sweep_has_two_arms() {
-        let figs = ablation_noise("ablation_noise", &tiny());
+        let (figs, _) = ablation_noise("ablation_noise", &tiny());
         assert_eq!(figs[0].series.len(), 2);
     }
 
     #[test]
     fn checkpoint_beats_restart() {
-        let figs = ablation_checkpoint("ablation_checkpoint", &tiny());
+        let (figs, _) = ablation_checkpoint("ablation_checkpoint", &tiny());
         let v = &figs[0].series[0].values;
         assert!(v[0] <= v[1], "checkpoint {} must not lose to restart {}", v[0], v[1]);
     }

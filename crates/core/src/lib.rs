@@ -7,32 +7,35 @@
 //!   [`dsp_sched::Scheduler`] produces `[start, node]` per task every
 //!   scheduling period ([`PeriodPlanner`]); [`execute`] runs the plan under
 //!   an online policy that adjusts the running mix every epoch and returns
-//!   the [`Run`]; [`Run::audit`] checks it against R1–R6.
+//!   the [`Run`]; [`run_audited`] adds its R1–R6 audit ([`Run::audit`]).
 //! * [`methods`] — the method table: every scheduler, policy and cluster
-//!   profile with its one name, paper label and constructor.
+//!   profile with its one name, paper label, constructor and audit options.
 //! * [`flags`] — the command-line reader every binary walks its
 //!   arguments with.
-//! * [`DspSystem`] — the façade over your own jobs (DSP offline + online).
 //! * [`config::Params`] — Table II's parameter settings in one struct.
 //! * [`experiment`] — a declarative experiment runner
-//!   (`ExperimentConfig` → `RunMetrics`).
+//!   (`ExperimentConfig` → audited `Run`).
 //! * [`sweep`] — the parallel fan-out [`figures`] runs its cells on
 //!   (scoped threads, one simulation per worker).
 //! * [`figures`] — one table of sweeps, [`FIGURES`]: every paper figure
 //!   (Fig. 5–8) and every ablation, each returning the
-//!   `dsp_metrics::SweepSeries` that the `reproduce` binary prints.
+//!   `dsp_metrics::SweepSeries` that the `reproduce` binary prints and the
+//!   audit of the cells behind them.
 //!
 //! ```
-//! use dsp_core::{DspSystem, config::Params};
+//! use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
+//! use dsp_core::sim::FaultPlan;
 //! use dsp_trace::{generate_workload, TraceParams};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let trace = TraceParams { task_scale: 0.02, ..TraceParams::default() };
 //! let jobs = generate_workload(&mut rng, 6, &trace);
-//! let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
-//! let report = system.run(&jobs);
-//! assert_eq!(report.jobs_completed(), 6);
+//! let (cluster, params) = (dsp_cluster::ec2(), Params::default());
+//! let mut sched = SchedMethod::Dsp.build(&params, 0);
+//! let mut policy = PreemptMethod::Dsp.build(&params);
+//! let run = execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none());
+//! assert_eq!(run.metrics.jobs_completed(), 6);
 //! ```
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -45,16 +48,14 @@ pub mod matrix;
 pub mod methods;
 pub mod pipeline;
 pub mod sweep;
-pub mod system;
 
 pub use config::Params;
 pub use experiment::{run_experiment, ExperimentConfig};
 pub use figures::{FigureScale, FIGURES};
 pub use matrix::{run_matrix, CellOutput, DeadlineTier, MatrixConfig, Scenario, Storm};
 pub use methods::{ClusterProfile, PreemptMethod, SchedMethod};
-pub use pipeline::{execute, PeriodPlanner, Run};
+pub use pipeline::{execute, run_audited, PeriodPlanner, Run};
 pub use sweep::parallel_map;
-pub use system::DspSystem;
 
 // Re-export the workspace so downstream users need one dependency.
 pub use dsp_cluster as cluster;

@@ -24,14 +24,14 @@
 
 use crate::config::Params;
 use crate::methods::{ClusterProfile, PreemptMethod, SchedMethod};
-use crate::pipeline::{execute, Run};
+use crate::pipeline::run_audited;
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_metrics::RunMetrics;
 use dsp_sim::{ExecHistory, FaultPlan, Schedule};
 use dsp_trace::{generate_workload, ArrivalModel, ExecModel, TraceParams};
 use dsp_units::{Dur, Time};
-use dsp_verify::{Report, Severity, VerifyOptions};
+use dsp_verify::{Report, Severity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -398,31 +398,6 @@ pub fn csv_header() -> &'static str {
      overhead_ms,node_failures,fault_rescheduled,verify_errors,verify_warnings,verdict"
 }
 
-/// Run one cell: the arm's scheduler and policy over the scenario's jobs
-/// under its fault plan, then the R1–R6 audit of the run.
-fn run_cell(
-    cfg: &MatrixConfig,
-    scenario_seed: u64,
-    scenario: &Scenario,
-    jobs: &[Job],
-    cluster: &ClusterSpec,
-    sched: SchedMethod,
-    preempt: PreemptMethod,
-) -> (Run, Report) {
-    let mut scheduler = sched.build(&cfg.params, scenario_seed);
-    let mut policy = preempt.build(&cfg.params);
-    let faults = scenario.storm.plan(scenario_seed, cluster);
-    let run = execute(jobs, cluster, &cfg.params, scheduler.as_mut(), policy.as_mut(), faults);
-    let opts = VerifyOptions {
-        dependency_aware: sched.dependency_aware(),
-        // Deadline misses (R4) are warnings; always count them so the
-        // tight tier quantifies its pressure instead of hiding it.
-        check_deadlines: true,
-    };
-    let report = run.audit(jobs, cluster, &opts);
-    (run, report)
-}
-
 /// Run the whole grid in scenario-major order, handing each finished cell
 /// to `sink` (artifact writers stream cells to disk instead of holding the
 /// grid in memory). Returns all CSV rows in emission order.
@@ -435,8 +410,17 @@ pub fn run_matrix(cfg: &MatrixConfig, mut sink: impl FnMut(&CellOutput)) -> Vec<
         let cluster = scenario.node_mix.build();
         for &sched in &cfg.schedulers {
             for &preempt in &cfg.preempts {
-                let (run, report) =
-                    run_cell(cfg, scenario_seed, &scenario, &jobs, &cluster, sched, preempt);
+                let mut policy = preempt.build(&cfg.params);
+                let faults = scenario.storm.plan(scenario_seed, &cluster);
+                let (run, report) = run_audited(
+                    &jobs,
+                    &cluster,
+                    &cfg.params,
+                    sched,
+                    scenario_seed,
+                    policy.as_mut(),
+                    faults,
+                );
                 let cell = CellOutput {
                     scenario_idx,
                     scenario,

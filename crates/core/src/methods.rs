@@ -19,6 +19,7 @@ use dsp_sched::{
     TetrisScheduler,
 };
 use dsp_sim::{NoPreempt, PreemptPolicy};
+use dsp_verify::VerifyOptions;
 
 /// One table per enum: `Variant => "canonical-name" | "second spelling",
 /// "paper label";` rows, in usage-text order.
@@ -122,6 +123,13 @@ impl SchedMethod {
     /// design flaw) when a run's plan is audited.
     pub fn dependency_aware(self) -> bool {
         matches!(self, SchedMethod::Dsp | SchedMethod::DspIlp | SchedMethod::TetrisSimDep)
+    }
+
+    /// The audit a run of this arm is held to: R2 breaks are errors only if
+    /// the arm claims dependency awareness, and R4's deadline misses always
+    /// count, as warnings, so tight deadlines show their pressure.
+    pub fn verify_options(self) -> VerifyOptions {
+        VerifyOptions { dependency_aware: self.dependency_aware(), check_deadlines: true }
     }
 
     /// Construct the scheduler. `params` carries γ for the list ranking;

@@ -2,11 +2,13 @@
 //! plans each period's arrivals against the backlog and is the only caller
 //! of `Scheduler::schedule_onto`; [`execute`] runs the planned batches and a
 //! fault plan through one engine under the online policy and returns the
-//! [`Run`]; [`Run::audit`] checks it against R1–R6 when the caller asks.
-//! `run_experiment`, [`crate::DspSystem`], the scenario matrix, the `dsp`
-//! binary and (for planning) `dsp_service::OnlineDriver` are callers.
+//! [`Run`]; [`Run::audit`] checks it against R1–R6. [`run_audited`], the
+//! one product caller of [`execute`], does all three: `run_experiment` (so
+//! every figure cell), every matrix cell and `dsp`'s run mode call it, and
+//! `dsp_service::OnlineDriver` plans with [`PeriodPlanner`].
 
 use crate::config::Params;
+use crate::methods::SchedMethod;
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_metrics::RunMetrics;
@@ -136,6 +138,25 @@ pub fn execute(
     Run { schedule, history, metrics }
 }
 
+/// Run one experiment cell and audit it: `sched`'s scheduler (`seed` feeds
+/// the random baseline) plans `jobs`, [`execute`] runs them on `cluster`
+/// under `policy` and `faults`, and [`Run::audit`] holds the run to
+/// [`SchedMethod::verify_options`].
+pub fn run_audited(
+    jobs: &[Job],
+    cluster: &ClusterSpec,
+    params: &Params,
+    sched: SchedMethod,
+    seed: u64,
+    policy: &mut dyn PreemptPolicy,
+    faults: FaultPlan,
+) -> (Run, Report) {
+    let mut scheduler = sched.build(params, seed);
+    let run = execute(jobs, cluster, params, scheduler.as_mut(), policy, faults);
+    let report = run.audit(jobs, cluster, &sched.verify_options());
+    (run, report)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +206,35 @@ mod tests {
         assert_eq!(run.metrics.jobs_completed(), 6);
         let report = run.audit(&jobs, &cluster, &VerifyOptions::default());
         assert!(report.passes(), "{report}");
+    }
+
+    #[test]
+    fn sparse_job_ids_run_end_to_end() {
+        // The service assigns ids across batches, so `jobs[i].id` need not
+        // equal `JobId(i)` — only monotonicity is required. Renumber a
+        // workload onto ids 3, 10, 11, ... and everything must still run.
+        let dense = workload(4);
+        let sparse: Vec<Job> = dense
+            .iter()
+            .zip([3u32, 10, 11, 40])
+            .map(|(j, id)| {
+                let mut j = j.clone();
+                j.id = dsp_dag::JobId(id);
+                j
+            })
+            .collect();
+        let cluster = dsp_cluster::ec2();
+        let params = Params::default();
+        let run = |jobs: &[Job]| {
+            let mut sched = DspListScheduler::default();
+            let mut policy = dsp_preempt::DspPolicy::new(params.dsp_params(true));
+            execute(jobs, &cluster, &params, &mut sched, &mut policy, FaultPlan::none()).metrics
+        };
+        let a = run(&dense);
+        let b = run(&sparse);
+        assert_eq!(b.jobs_completed(), 4);
+        // Ids are labels, not indices: the renumbered run is identical.
+        assert_eq!(a.tasks_completed, b.tasks_completed);
+        assert_eq!(a.makespan(), b.makespan());
     }
 }

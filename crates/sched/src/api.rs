@@ -14,25 +14,23 @@ pub trait Scheduler {
 
     /// Produce the batch schedule. `at` is the instant the schedule takes
     /// effect (the period boundary); planned starting times are ≥ `at`.
-    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule;
-
-    /// Like [`Scheduler::schedule`], but aware of per-node backlog:
     /// `node_avail[k]` is the estimated instant node `k` finishes the work
-    /// already queued on it from earlier scheduling periods. The paper's
-    /// ILP models exactly this through constraint (5) ("when `T_ij` is
-    /// already running and `T_uv` is a newly assigned task"); schedulers
-    /// that ignore it plan fantasy timetables against an empty cluster.
-    /// The default ignores the backlog (for baselines that genuinely
-    /// don't model it).
+    /// already queued on it from earlier scheduling periods (empty: an idle
+    /// cluster). The paper's ILP models exactly this through constraint (5)
+    /// ("when `T_ij` is already running and `T_uv` is a newly assigned
+    /// task"); schedulers that ignore it plan fantasy timetables against an
+    /// empty cluster.
     fn schedule_onto(
         &mut self,
         jobs: &[Job],
         cluster: &ClusterSpec,
         at: Time,
         node_avail: &[Time],
-    ) -> Schedule {
-        let _ = node_avail;
-        self.schedule(jobs, cluster, at)
+    ) -> Schedule;
+
+    /// [`Scheduler::schedule_onto`] an idle cluster.
+    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule {
+        self.schedule_onto(jobs, cluster, at, &[])
     }
 }
 

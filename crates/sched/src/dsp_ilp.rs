@@ -133,33 +133,11 @@ pub enum IlpOutcome {
 }
 
 impl DspIlpScheduler {
-    /// Schedule and report which arm ran.
-    pub fn schedule_with_outcome(
-        &self,
-        jobs: &[Job],
-        cluster: &ClusterSpec,
-        at: Time,
-    ) -> (Schedule, IlpOutcome) {
-        self.schedule_with_outcome_onto(jobs, cluster, at, &[])
-    }
-
-    /// [`Self::schedule_with_outcome`] with per-node backlog release times
-    /// (constraint (5)): no task may start on a slot before the slot's
-    /// earlier queue drains.
-    pub fn schedule_with_outcome_onto(
-        &self,
-        jobs: &[Job],
-        cluster: &ClusterSpec,
-        at: Time,
-        node_avail: &[Time],
-    ) -> (Schedule, IlpOutcome) {
-        let (s, o, _) = self.schedule_with_stats_onto(jobs, cluster, at, node_avail);
-        (s, o)
-    }
-
-    /// [`Self::schedule_with_outcome_onto`] plus solver effort counters
-    /// (zeros when no MILP was solved: the list plan met the lower bound,
-    /// or the batch exceeded [`IlpLimits`]).
+    /// Plan `jobs` onto `cluster` at `at`, after each node's backlog
+    /// `node_avail` (constraint (5): no task starts on a slot before the
+    /// slot's earlier queue drains), and report which arm produced the plan
+    /// and the solver's effort counters (zeros when no MILP was solved: the
+    /// list plan met the lower bound, or the batch exceeded [`IlpLimits`]).
     pub fn schedule_with_stats_onto(
         &self,
         jobs: &[Job],
@@ -562,10 +540,6 @@ impl Scheduler for DspIlpScheduler {
         "DSP-ILP"
     }
 
-    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule {
-        self.schedule_with_outcome(jobs, cluster, at).0
-    }
-
     fn schedule_onto(
         &mut self,
         jobs: &[Job],
@@ -573,7 +547,7 @@ impl Scheduler for DspIlpScheduler {
         at: Time,
         node_avail: &[Time],
     ) -> Schedule {
-        self.schedule_with_outcome_onto(jobs, cluster, at, node_avail).0
+        self.schedule_with_stats_onto(jobs, cluster, at, node_avail).0
     }
 }
 
@@ -618,8 +592,8 @@ mod tests {
     fn two_independent_tasks_run_in_parallel() {
         let jobs = vec![job_with(0, 2, &[], 3600)];
         let cluster = uniform(2, 1000.0, 1);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(1));
@@ -629,8 +603,8 @@ mod tests {
     fn chain_is_serialized() {
         let jobs = vec![job_with(0, 3, &[(0, 1), (1, 2)], 3600)];
         let cluster = uniform(2, 1000.0, 1);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
     }
@@ -639,8 +613,8 @@ mod tests {
     fn single_slot_serializes_independent_tasks() {
         let jobs = vec![job_with(0, 3, &[], 3600)];
         let cluster = uniform(1, 1000.0, 1);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
         // No two tasks overlap on the single slot.
@@ -654,8 +628,8 @@ mod tests {
         // One physical node with 2 slots behaves like two parallel slots.
         let jobs = vec![job_with(0, 2, &[], 3600)];
         let cluster = uniform(1, 1000.0, 2);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(1));
         assert!(s.assignments.iter().all(|a| a.node == dsp_cluster::NodeId(0)));
@@ -666,8 +640,8 @@ mod tests {
         // Diamond on 2 nodes: optimum 3 s (critical path).
         let jobs = vec![job_with(0, 4, &[(0, 1), (0, 2), (1, 3), (2, 3)], 3600)];
         let cluster = uniform(2, 1000.0, 1);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
     }
@@ -676,8 +650,8 @@ mod tests {
     fn oversize_instance_falls_back_to_list() {
         let jobs = vec![job_with(0, 40, &[], 3600)];
         let cluster = uniform(4, 1000.0, 2);
-        let (s, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Fallback);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
     }
@@ -793,7 +767,7 @@ mod tests {
         let ilp = DspIlpScheduler::default();
         let first = ilp.solve_exact(&jobs, &cluster, Time::ZERO, &[], true);
         assert_eq!(first.err(), Some(LpError::Infeasible));
-        let (s, outcome) = ilp.schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (s, outcome, _) = ilp.schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
@@ -897,8 +871,8 @@ mod tests {
     fn ilp_matches_or_beats_list_on_small_instances() {
         let jobs = vec![job_with(0, 4, &[(0, 2), (1, 2)], 3600), job_with(1, 2, &[], 3600)];
         let cluster = uniform(2, 1000.0, 1);
-        let (ilp, outcome) =
-            DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+        let (ilp, outcome, _) =
+            DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         let list = DspListScheduler::default().schedule(&jobs, &cluster, Time::ZERO);
         assert!(

@@ -54,10 +54,6 @@ impl Scheduler for DspListScheduler {
         "DSP"
     }
 
-    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule {
-        self.schedule_onto(jobs, cluster, at, &[])
-    }
-
     fn schedule_onto(
         &mut self,
         jobs: &[Job],

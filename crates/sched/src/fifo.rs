@@ -18,10 +18,6 @@ impl Scheduler for FifoScheduler {
         "FIFO"
     }
 
-    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule {
-        self.schedule_onto(jobs, cluster, at, &[])
-    }
-
     fn schedule_onto(
         &mut self,
         jobs: &[Job],

@@ -58,10 +58,6 @@ impl Scheduler for TetrisScheduler {
         }
     }
 
-    fn schedule(&mut self, jobs: &[Job], cluster: &ClusterSpec, at: Time) -> Schedule {
-        self.schedule_onto(jobs, cluster, at, &[])
-    }
-
     fn schedule_onto(
         &mut self,
         jobs: &[Job],

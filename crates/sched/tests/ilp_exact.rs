@@ -16,8 +16,12 @@ use support::{brute_force_makespan, instances, planned_makespan, two_rates, Inst
 /// R1–R4 — what `dsp-benchmark run --workload ilp_exact` checks — and equals
 /// the brute-force optimum, which the lower bound does not exceed.
 fn assert_exact_and_clean(inst: &Instance, what: &str) {
-    let (schedule, outcome) =
-        DspIlpScheduler::default().schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
+    let (schedule, outcome, _) = DspIlpScheduler::default().schedule_with_stats_onto(
+        &inst.jobs,
+        &inst.cluster,
+        Time::ZERO,
+        &[],
+    );
     assert_eq!(outcome, IlpOutcome::Exact, "{what}");
     let report = check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
     assert!(report.is_clean(), "{what}:\n{report}");
@@ -95,7 +99,7 @@ fn a_warm_infeasible_prunes_nothing_a_cold_solve_keeps() {
     ] {
         let what = format!("seed {seed} instance {i} on {backlog:?}");
         let jobs = instances(seed, i + 1).pop().expect("instances").jobs;
-        let (schedule, outcome) = DspIlpScheduler::default().schedule_with_outcome_onto(
+        let (schedule, outcome, _) = DspIlpScheduler::default().schedule_with_stats_onto(
             &jobs,
             cluster,
             Time::ZERO,
@@ -267,7 +271,8 @@ fn sweep(default: &str, check: impl Fn(&Instance) -> Option<String>) {
 fn seed_sweep_is_exact_and_clean() {
     let ilp = DspIlpScheduler::default();
     sweep("1..5001", |inst| {
-        let (schedule, outcome) = ilp.schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
+        let (schedule, outcome, _) =
+            ilp.schedule_with_stats_onto(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
         let report =
             check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
         (outcome != IlpOutcome::Exact || !report.is_clean())
@@ -285,7 +290,8 @@ fn bound_sweep_stays_under_the_brute_force_optimum() {
     sweep("1..301", |inst| {
         let optimum = brute_force_makespan(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
         let bound = makespan_lower_bound(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
-        let (schedule, outcome) = ilp.schedule_with_outcome(&inst.jobs, &inst.cluster, Time::ZERO);
+        let (schedule, outcome, _) =
+            ilp.schedule_with_stats_onto(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
         let planned = planned_makespan(&schedule, &inst.jobs, &inst.cluster, Time::ZERO);
         (bound > optimum || outcome != IlpOutcome::Exact || planned != optimum)
             .then(|| format!("bound {bound}, optimum {optimum}, {outcome:?} {planned}"))

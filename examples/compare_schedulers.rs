@@ -32,7 +32,7 @@ fn main() {
             trace: TraceParams { task_scale: 0.2, ..TraceParams::default() },
             params: dsp_core::Params::default(),
         };
-        let m = run_experiment(&cfg);
+        let m = run_experiment(&cfg).0.metrics;
         println!(
             "{:<16} {:>12.2} {:>16.3} {:>14.2}",
             sched.label(),

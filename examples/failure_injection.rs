@@ -9,7 +9,7 @@
 //! ```
 
 use dsp_cluster::NodeId;
-use dsp_core::{config::Params, DspSystem};
+use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
 use dsp_preempt::DspPolicy;
 use dsp_sched::DspListScheduler;
 use dsp_sim::FaultPlan;
@@ -22,9 +22,12 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2018);
     let trace = TraceParams { task_scale: 0.06, ..TraceParams::default() };
     let jobs = generate_workload(&mut rng, 30, &trace);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
-
-    let healthy = system.run(&jobs);
+    let (cluster, params) = (dsp_cluster::ec2(), Params::default());
+    let mut sched = SchedMethod::Dsp.build(&params, 0);
+    let mut policy = PreemptMethod::Dsp.build(&params);
+    let healthy =
+        execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none())
+            .metrics;
 
     // A rough day in the cluster: one node dies for good early on, two
     // crash transiently, and three straggle at 40% speed mid-run.
@@ -37,7 +40,7 @@ fn main() {
     }
     let mut sched = DspListScheduler::default();
     let mut policy = DspPolicy::default();
-    let faulty = system.run_with_faults(&jobs, &mut sched, &mut policy, faults);
+    let faulty = execute(&jobs, &cluster, &params, &mut sched, &mut policy, faults).metrics;
 
     println!("{:<28} {:>12} {:>12}", "", "healthy", "faulty");
     println!(

@@ -41,8 +41,8 @@ fn main() {
     let lower_bound = critical_path_len(&jobs[0].dag, &exec);
     println!("critical-path lower bound: {:.2} s", lower_bound.as_secs_f64());
 
-    let (exact, outcome) =
-        DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+    let (exact, outcome, _) =
+        DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
     let exact_ms = planned_makespan(&exact, &jobs, &cluster);
     println!(
         "exact MILP ({}): makespan {:.2} s",

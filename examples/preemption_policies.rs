@@ -34,7 +34,7 @@ fn main() {
             trace: TraceParams { task_scale: 0.06, ..TraceParams::default() },
             params: dsp_core::Params::default(),
         };
-        let m = run_experiment(&cfg);
+        let m = run_experiment(&cfg).0.metrics;
         println!(
             "{:<10} {:>10} {:>16.3} {:>13.2} {:>12} {:>12.2}",
             preempt.label(),

@@ -7,7 +7,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dsp_core::{config::Params, DspSystem};
+use dsp_core::sim::FaultPlan;
+use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
 use dsp_trace::{generate_workload, TraceParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,11 +23,15 @@ fn main() {
     println!("workload: {} jobs, {} tasks", jobs.len(), total_tasks);
 
     // 2. The system: the paper's EC2 profile (30 nodes, 2660 MIPS) with
-    //    Table II parameters.
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
+    //    Table II parameters, DSP's list scheduler offline and Algorithm 1
+    //    online, built from the method table.
+    let (cluster, params) = (dsp_cluster::ec2(), Params::default());
+    let mut sched = SchedMethod::Dsp.build(&params, 0);
+    let mut policy = PreemptMethod::Dsp.build(&params);
 
     // 3. Run and report.
-    let m = system.run(&jobs);
+    let run = execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none());
+    let m = run.metrics;
     println!("makespan:            {:.2} s", m.makespan().as_secs_f64());
     println!("throughput:          {:.3} tasks/ms", m.throughput_tasks_per_ms());
     println!("avg job waiting:     {:.2} s", m.avg_job_waiting().as_secs_f64());

@@ -3,11 +3,12 @@
 # table (DESIGN.md §3.1), dspd one front end (§10.6), the binaries one
 # command-line reader (core/src/flags.rs), and the workspace one artifact
 # (the snapshot, service/src/codec.rs) built in four files, and dspd one
-# thread kind per role: the shard owners and the reactor pool. Seven
-# greps over non-test product code — every crates/*/src file outside
-# crates/benchmark, cut at its `#[cfg(test)] mod tests`, minus files that
-# are test-only modules — and one over the service crate whole, eight
-# checks in all. Run from the repo root.
+# thread kind per role: the shard owners and the reactor pool, and every
+# experiment one audited run call (core/src/pipeline.rs). Eight greps over
+# non-test product code — every crates/*/src file outside crates/benchmark,
+# cut at its `#[cfg(test)] mod tests`, minus files that are test-only
+# modules — and one over the service crate whole, nine checks in all. Run
+# from the repo root.
 set -euo pipefail
 
 product() {
@@ -80,5 +81,13 @@ check "Snapshot { .. } literal outside service/src/{driver,router,codec}.rs and 
 check "a thread started in crates/service outside server.rs and reactor/frontend.rs" \
     "$(grep -E '^crates/service/src/.*\bthread::(spawn|Builder|scope)\b' <<<"$src" |
         grep -vE '^crates/service/src/(server|reactor/frontend)\.rs:' || true)"
+
+# 9. One run call: `execute(` has exactly one product call site, in
+#    core/src/pipeline.rs (`run_audited`, which audits what it runs), so
+#    every figure cell, matrix cell and `dsp` run is audited the same way.
+#    The definition and comments (the crate doctest) are not call sites.
+calls=$(grep -E '\bexecute\(' <<<"$src" | grep -vE '\bfn execute\(|^[^:]+:[0-9]+: *//' || true)
+[ "$(grep -c . <<<"$calls")" = 1 ] && grep -q '^crates/core/src/pipeline\.rs:' <<<"$calls" ||
+    check "execute( must have exactly one product call site, in core/src/pipeline.rs" "${calls:-<none>}"
 
 exit "$fail"

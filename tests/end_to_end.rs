@@ -5,6 +5,7 @@
 use dsp_core::{
     run_experiment, ClusterProfile, ExperimentConfig, Params, PreemptMethod, SchedMethod,
 };
+use dsp_metrics::RunMetrics;
 use dsp_trace::TraceParams;
 use dsp_units::Dur;
 
@@ -18,6 +19,13 @@ fn cfg(num_jobs: usize, seed: u64) -> ExperimentConfig {
         trace: TraceParams { task_scale: 0.02, ..TraceParams::default() },
         params: Params::default(),
     }
+}
+
+/// Run `c` and hold it to its audit: no error-severity R1–R6 finding.
+fn run(c: &ExperimentConfig) -> RunMetrics {
+    let (run, report) = run_experiment(c);
+    assert!(report.passes(), "{} + {}:\n{report}", c.sched.label(), c.preempt.label());
+    run.metrics
 }
 
 #[test]
@@ -43,7 +51,7 @@ fn full_grid_completes_every_job() {
         for p in preempts {
             c.sched = s;
             c.preempt = p;
-            let m = run_experiment(&c);
+            let m = run(&c);
             assert_eq!(m.jobs_completed(), 6, "{}+{}", s.label(), p.label());
             assert!(m.makespan() > Dur::ZERO);
         }
@@ -55,9 +63,9 @@ fn dsp_produces_zero_disorders_everywhere() {
     for seed in [1u64, 2, 3] {
         let mut c = cfg(8, seed);
         c.preempt = PreemptMethod::Dsp;
-        assert_eq!(run_experiment(&c).disorders, 0, "seed {seed}");
+        assert_eq!(run(&c).disorders, 0, "seed {seed}");
         c.preempt = PreemptMethod::DspWoPp;
-        assert_eq!(run_experiment(&c).disorders, 0, "seed {seed} w/oPP");
+        assert_eq!(run(&c).disorders, 0, "seed {seed} w/oPP");
     }
 }
 
@@ -66,7 +74,7 @@ fn determinism_across_thread_counts() {
     // The sweep layer parallelizes over configs; a single experiment must
     // not depend on ambient parallelism at all.
     let c = cfg(6, 5);
-    let runs: Vec<_> = (0..3).map(|_| run_experiment(&c)).collect();
+    let runs: Vec<_> = (0..3).map(|_| run(&c)).collect();
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[1], runs[2]);
 }
@@ -75,9 +83,9 @@ fn determinism_across_thread_counts() {
 fn bigger_cluster_is_faster() {
     let mut c = cfg(12, 9);
     c.cluster = ClusterProfile::Ec2;
-    let ec2 = run_experiment(&c);
+    let ec2 = run(&c);
     c.cluster = ClusterProfile::Palmetto;
-    let palmetto = run_experiment(&c);
+    let palmetto = run(&c);
     assert!(
         palmetto.makespan() < ec2.makespan(),
         "50 fast nodes must beat 30 slow ones: {} vs {}",
@@ -93,7 +101,7 @@ fn bigger_cluster_is_faster() {
 fn preemption_overhead_is_accounted() {
     let mut c = cfg(10, 4);
     c.preempt = PreemptMethod::Srpt;
-    let m = run_experiment(&c);
+    let m = run(&c);
     if m.preemptions > 0 {
         // Every preemption charges recovery + σ; defaults are 1 s + 50 ms.
         assert_eq!(m.switch_overhead, Dur::from_millis(1050) * m.preemptions);
@@ -102,8 +110,8 @@ fn preemption_overhead_is_accounted() {
 
 #[test]
 fn workload_scales_with_job_count() {
-    let small = run_experiment(&cfg(4, 8));
-    let large = run_experiment(&cfg(16, 8));
+    let small = run(&cfg(4, 8));
+    let large = run(&cfg(16, 8));
     assert!(large.tasks_completed > small.tasks_completed);
     assert!(large.makespan() >= small.makespan());
 }

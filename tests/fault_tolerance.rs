@@ -3,7 +3,8 @@
 //! completion, dependency order, or determinism.
 
 use dsp_cluster::NodeId;
-use dsp_core::{config::Params, DspSystem};
+use dsp_core::{config::Params, execute};
+use dsp_metrics::RunMetrics;
 use dsp_preempt::{DspPolicy, SrptPolicy};
 use dsp_sched::DspListScheduler;
 use dsp_service::{AdmissionConfig, JobRequest, OnlineDriver};
@@ -16,6 +17,16 @@ use rand::SeedableRng;
 fn workload(n: usize, seed: u64) -> Vec<dsp_dag::Job> {
     let mut rng = StdRng::seed_from_u64(seed);
     generate_workload(&mut rng, n, &TraceParams { task_scale: 0.06, ..TraceParams::default() })
+}
+
+/// `jobs` on the EC2 profile at Table II's parameters, under `faults`.
+fn run(
+    jobs: &[dsp_dag::Job],
+    sched: &mut dyn dsp_sched::Scheduler,
+    policy: &mut dyn dsp_sim::PreemptPolicy,
+    faults: FaultPlan,
+) -> RunMetrics {
+    execute(jobs, &dsp_cluster::ec2(), &Params::default(), sched, policy, faults).metrics
 }
 
 fn chaos() -> FaultPlan {
@@ -32,10 +43,9 @@ fn chaos() -> FaultPlan {
 #[test]
 fn dsp_completes_all_jobs_under_chaos() {
     let jobs = workload(12, 1);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
     let mut sched = DspListScheduler::default();
     let mut pol = DspPolicy::default();
-    let m = system.run_with_faults(&jobs, &mut sched, &mut pol, chaos());
+    let m = run(&jobs, &mut sched, &mut pol, chaos());
     assert_eq!(m.jobs_completed(), 12);
     assert_eq!(m.disorders, 0, "C2 + readiness hold under faults");
     assert!(m.node_failures >= 3);
@@ -45,14 +55,13 @@ fn dsp_completes_all_jobs_under_chaos() {
 #[test]
 fn faults_never_speed_things_up() {
     let jobs = workload(10, 2);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
-    let run = |faults: FaultPlan| {
+    let with = |faults: FaultPlan| {
         let mut sched = DspListScheduler::default();
         let mut pol = DspPolicy::default();
-        system.run_with_faults(&jobs, &mut sched, &mut pol, faults)
+        run(&jobs, &mut sched, &mut pol, faults)
     };
-    let healthy = run(FaultPlan::none());
-    let faulty = run(chaos());
+    let healthy = with(FaultPlan::none());
+    let faulty = with(chaos());
     assert!(faulty.makespan() >= healthy.makespan());
     assert_eq!(faulty.jobs_completed(), healthy.jobs_completed());
 }
@@ -60,13 +69,12 @@ fn faults_never_speed_things_up() {
 #[test]
 fn fault_runs_are_deterministic() {
     let jobs = workload(8, 3);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
-    let run = || {
+    let once = || {
         let mut sched = DspListScheduler::default();
         let mut pol = DspPolicy::default();
-        system.run_with_faults(&jobs, &mut sched, &mut pol, chaos())
+        run(&jobs, &mut sched, &mut pol, chaos())
     };
-    assert_eq!(run(), run());
+    assert_eq!(once(), once());
 }
 
 #[test]
@@ -74,10 +82,9 @@ fn restart_policy_survives_crashes() {
     // SRPT (no checkpointing for *preemptions*) still completes under node
     // crashes — crash recovery itself uses shared-storage checkpoints.
     let jobs = workload(8, 4);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
     let mut sched = DspListScheduler::default();
     let mut pol = SrptPolicy::default();
-    let m = system.run_with_faults(&jobs, &mut sched, &mut pol, chaos());
+    let m = run(&jobs, &mut sched, &mut pol, chaos());
     assert_eq!(m.jobs_completed(), 8);
 }
 
@@ -138,14 +145,13 @@ fn permanent_majority_failure_still_drains() {
     // Kill 20 of EC2's 30 nodes shortly after the first batch: everything
     // must migrate to the survivors and finish (slowly).
     let jobs = workload(6, 5);
-    let system = DspSystem::new(dsp_cluster::ec2(), Params::default());
     let mut plan = FaultPlan::none();
     for n in 0..20u32 {
         plan = plan.kill(NodeId(n), Time::from_secs(320 + n as u64));
     }
     let mut sched = DspListScheduler::default();
     let mut pol = DspPolicy::default();
-    let m = system.run_with_faults(&jobs, &mut sched, &mut pol, plan);
+    let m = run(&jobs, &mut sched, &mut pol, plan);
     assert_eq!(m.jobs_completed(), 6);
     assert!(m.node_failures >= 20);
 }

@@ -56,8 +56,8 @@ proptest! {
         let at = Time::from_secs(5);
         let node_avail: Vec<Time> =
             (0..nodes as u64).map(|k| at + Dur::from_millis(backlog_ms / (k + 1))).collect();
-        let (exact, outcome) = DspIlpScheduler::default()
-            .schedule_with_outcome_onto(&jobs, &cluster, at, &node_avail);
+        let (exact, outcome, _) = DspIlpScheduler::default()
+            .schedule_with_stats_onto(&jobs, &cluster, at, &node_avail);
         prop_assert!(matches!(outcome, IlpOutcome::Exact | IlpOutcome::Incumbent));
         // R1–R4 (so dependency order and slot capacity) hold in the plan,
         // and nothing starts on a node before its backlog drains.
@@ -85,8 +85,8 @@ fn exact_plan_executes_to_its_planned_makespan() {
     // engine is work-conserving so it can only do better or equal).
     let jobs = vec![small_job(0, 4, 0b1011, &[1000.0, 2000.0])];
     let cluster = uniform(2, 1000.0, 1);
-    let (exact, outcome) =
-        DspIlpScheduler::default().schedule_with_outcome(&jobs, &cluster, Time::ZERO);
+    let (exact, outcome, _) =
+        DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
     assert_eq!(outcome, IlpOutcome::Exact);
     let planned = planned_makespan(&exact, &jobs, &cluster, Time::ZERO);
     let mut engine =

@@ -4,7 +4,7 @@
 use dsp_core::{
     run_experiment, ClusterProfile, ExperimentConfig, Params, PreemptMethod, SchedMethod,
 };
-use dsp_metrics::{render_csv, render_markdown, SweepSeries};
+use dsp_metrics::{render_csv, render_markdown, RunMetrics, SweepSeries};
 use dsp_trace::TraceParams;
 
 fn cfg(preempt: PreemptMethod, seed: u64) -> ExperimentConfig {
@@ -19,10 +19,17 @@ fn cfg(preempt: PreemptMethod, seed: u64) -> ExperimentConfig {
     }
 }
 
+/// Run `c` and hold it to its audit: no error-severity R1–R6 finding.
+fn run(c: &ExperimentConfig) -> RunMetrics {
+    let (run, report) = run_experiment(c);
+    assert!(report.passes(), "{}:\n{report}", c.preempt.label());
+    run.metrics
+}
+
 #[test]
 fn task_accounting_balances() {
     for p in [PreemptMethod::None, PreemptMethod::Dsp, PreemptMethod::Amoeba, PreemptMethod::Srpt] {
-        let m = run_experiment(&cfg(p, 11));
+        let m = run(&cfg(p, 11));
         // Every job's recorded task count sums to the completed total.
         let sum: usize = m.jobs.iter().map(|j| j.tasks).sum();
         assert_eq!(sum as u64, m.tasks_completed, "{}", p.label());
@@ -42,7 +49,7 @@ fn task_accounting_balances() {
 
 #[test]
 fn job_outcomes_are_causally_ordered() {
-    let m = run_experiment(&cfg(PreemptMethod::Dsp, 13));
+    let m = run(&cfg(PreemptMethod::Dsp, 13));
     for j in &m.jobs {
         assert!(j.finish >= j.arrival, "job finished before arriving");
         assert!(j.finish <= m.end_time);
@@ -76,7 +83,7 @@ fn idle_cluster_waits_are_dependency_only() {
     // jobs). Mean task wait is therefore bounded by the job's own span.
     let mut c = cfg(PreemptMethod::None, 17);
     c.num_jobs = 1;
-    let m = run_experiment(&c);
+    let m = run(&c);
     assert_eq!(m.jobs_completed(), 1);
     let span = m.jobs[0].finish.since(m.jobs[0].arrival);
     assert!(

@@ -12,8 +12,10 @@ use dsp_trace::TraceParams;
 const JOBS: usize = 45;
 const SEED: u64 = 2018;
 
+/// One cell at its figure scale, held to its audit: no error-severity
+/// R1–R6 finding.
 fn run(cluster: ClusterProfile, sched: SchedMethod, preempt: PreemptMethod) -> RunMetrics {
-    run_experiment(&ExperimentConfig {
+    audited(&ExperimentConfig {
         cluster,
         num_jobs: JOBS,
         seed: SEED,
@@ -26,6 +28,12 @@ fn run(cluster: ClusterProfile, sched: SchedMethod, preempt: PreemptMethod) -> R
         },
         params: Params::default(),
     })
+}
+
+fn audited(cfg: &ExperimentConfig) -> RunMetrics {
+    let (run, report) = run_experiment(cfg);
+    assert!(report.passes(), "{} + {}:\n{report}", cfg.sched.label(), cfg.preempt.label());
+    run.metrics
 }
 
 /// Fig. 5's headline: dependency-aware global scheduling (DSP) beats the
@@ -119,7 +127,7 @@ fn fig8_scalability_shape() {
     let mut prev_makespan = dsp_units::Dur::ZERO;
     let mut throughputs = Vec::new();
     for jobs in [15usize, 30, 45] {
-        let m = run_experiment(&ExperimentConfig {
+        let m = audited(&ExperimentConfig {
             cluster: ClusterProfile::Ec2,
             num_jobs: jobs,
             seed: SEED,

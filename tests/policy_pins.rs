@@ -11,8 +11,9 @@ use dsp_core::{
 use dsp_metrics::RunMetrics;
 use dsp_trace::TraceParams;
 
+/// The arm's run, held to its audit: no error-severity R1–R6 finding.
 fn run(preempt: PreemptMethod, seed: u64) -> RunMetrics {
-    run_experiment(&ExperimentConfig {
+    let (run, report) = run_experiment(&ExperimentConfig {
         cluster: ClusterProfile::Ec2,
         num_jobs: 60,
         seed,
@@ -20,7 +21,9 @@ fn run(preempt: PreemptMethod, seed: u64) -> RunMetrics {
         preempt,
         trace: TraceParams { task_scale: 0.06, ..TraceParams::default() },
         params: Params::default(),
-    })
+    });
+    assert!(report.passes(), "{} at seed {seed}:\n{report}", preempt.label());
+    run.metrics
 }
 
 /// FNV-1a 64 over every job outcome, in the order jobs finished.

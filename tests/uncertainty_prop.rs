@@ -123,7 +123,7 @@ fn wcet_cells_match_the_exact_experiment_path() {
         }
         let (scenario_seed, scenario) = scenarios[cell.scenario_idx];
         assert_eq!(scenario, cell.scenario);
-        let exact = run_experiment(&ExperimentConfig {
+        let (exact, report) = run_experiment(&ExperimentConfig {
             cluster: scenario.node_mix,
             num_jobs: cfg.num_jobs,
             seed: scenario_seed,
@@ -134,10 +134,11 @@ fn wcet_cells_match_the_exact_experiment_path() {
         });
         assert_eq!(
             cell.metrics,
-            exact,
+            exact.metrics,
             "Wcet cell {} diverged from the exact path",
             cell.cell_id()
         );
+        assert_eq!(cell.report, report, "Wcet cell {} audits differently", cell.cell_id());
         checked += 1;
     });
     assert!(checked >= 4, "expected at least one full Wcet arm set, got {checked}");
