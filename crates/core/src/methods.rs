@@ -118,11 +118,12 @@ name_table!(SchedMethod {
 });
 
 impl SchedMethod {
-    /// Does the arm *claim* dependency awareness? Decides whether R2
-    /// findings are errors (a broken promise) or warnings (a quantified
-    /// design flaw) when a run's plan is audited.
+    /// Does the arm keep precedence in its plans? Every arm but
+    /// TetrisW/oDep does, whose defining flaw is ignoring dependencies.
+    /// Decides whether R2 findings are errors (a broken promise) or
+    /// warnings (a quantified design flaw) when a run's plan is audited.
     pub fn dependency_aware(self) -> bool {
-        matches!(self, SchedMethod::Dsp | SchedMethod::DspIlp | SchedMethod::TetrisSimDep)
+        !matches!(self, SchedMethod::TetrisWoDep)
     }
 
     /// The audit a run of this arm is held to: R2 breaks are errors only if

@@ -7,29 +7,9 @@
 //! interleaving. No lock is held around the result sink — workers never
 //! contend with each other when a long simulation finishes.
 
-/// Environment variable setting the sweep width. Ignored unless it parses
-/// as a positive integer.
-const THREADS_ENV: &str = "DSP_THREADS";
-
-/// Worker count over `cap` work items: [`THREADS_ENV`] when set and
-/// positive, otherwise the available parallelism (a best guess of 4 when
-/// the platform can't say). Always in `1..=max(cap, 1)`.
-fn resolve_workers(cap: usize) -> usize {
-    let env = std::env::var(THREADS_ENV).ok();
-    let hw = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    resolve_from(cap, env.as_deref(), hw)
-}
-
-/// Pure core of [`resolve_workers`], split out so the rule is testable
-/// without mutating process-global environment state.
-fn resolve_from(cap: usize, env: Option<&str>, hw: usize) -> usize {
-    let req = env.and_then(|s| s.trim().parse::<usize>().ok()).filter(|&n| n > 0).unwrap_or(hw);
-    req.min(cap).max(1)
-}
-
 /// Map `f` over `inputs` in parallel, preserving input order in the
-/// output. The worker count is `DSP_THREADS`, else the available
-/// parallelism, capped at the input count.
+/// output. The worker count is the available parallelism (a best guess
+/// of 4 when the platform can't say), capped at the input count.
 pub fn parallel_map<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync,
@@ -40,7 +20,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = resolve_workers(n);
+    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(n);
     if workers <= 1 {
         return inputs.iter().map(&f).collect();
     }
@@ -78,26 +58,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn auto_prefers_env_then_hw() {
-        assert_eq!(resolve_from(100, Some("6"), 16), 6);
-        assert_eq!(resolve_from(100, None, 16), 16);
-    }
-
-    #[test]
-    fn garbage_or_zero_env_falls_back_to_hw() {
-        assert_eq!(resolve_from(100, Some("none"), 8), 8);
-        assert_eq!(resolve_from(100, Some("0"), 8), 8);
-        assert_eq!(resolve_from(100, Some(" 5 "), 8), 5);
-    }
-
-    #[test]
-    fn clamped_to_cap_and_at_least_one() {
-        assert_eq!(resolve_from(3, Some("64"), 16), 3);
-        assert_eq!(resolve_from(2, Some("8"), 16), 2);
-        assert_eq!(resolve_from(0, None, 16), 1);
-    }
 
     #[test]
     fn preserves_order() {

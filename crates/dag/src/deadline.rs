@@ -1,11 +1,11 @@
-//! Per-level task deadlines and allowable waiting time (Section IV-B).
+//! Per-level task deadlines (Section IV-B).
 //!
 //! The job's deadline `t^d_i` is pushed backwards through the DAG levels:
 //! tasks in the last level inherit the job deadline, and tasks in level `l`
 //! get `t^d_i − Σ_{k=l+1..L} max_j t_ijk` — the job deadline minus the
 //! worst-case execution time of every deeper level. A task's *allowable
-//! waiting time* is then `t^a = t^d_task − t^rem`: as long as its further
-//! waiting stays below `t^a` it can still meet its deadline.
+//! waiting time* `t^a = t^d_task − t^rem` is taken from these deadlines by
+//! `dsp_sim::TaskSnapshot::allowable_wait`.
 
 use crate::graph::Dag;
 use crate::levels::Levels;
@@ -38,14 +38,6 @@ pub fn level_deadlines(dag: &Dag, levels: &Levels, job_deadline: Time, exec: &[D
         tail[l] = tail[l + 1] + level_max[l + 1];
     }
     (0..dag.len() as u32).map(|v| job_deadline - tail[levels.level_of(v) as usize]).collect()
-}
-
-/// Allowable waiting time `t^a = t^d − t^rem` where `t^d` is the task's
-/// (level-derived) absolute deadline and `remaining` the execution time
-/// still owed. Measured from `now`; saturates at zero when the task can no
-/// longer make its deadline even if it runs immediately.
-pub fn allowable_waiting_time(now: Time, task_deadline: Time, remaining: Dur) -> Dur {
-    (task_deadline - remaining).since(now)
 }
 
 #[cfg(test)]
@@ -92,16 +84,6 @@ mod tests {
         let exec = [Dur::from_secs(100); 3];
         let dls = level_deadlines(&g, &l, Time::from_secs(10), &exec);
         assert_eq!(dls[0], Time::ZERO);
-    }
-
-    #[test]
-    fn allowable_waiting_basic() {
-        let now = Time::from_secs(5);
-        let dl = Time::from_secs(12);
-        // 12 - 3 = must start by 9; from t=5 that's 4s of slack.
-        assert_eq!(allowable_waiting_time(now, dl, Dur::from_secs(3)), Dur::from_secs(4));
-        // Already impossible: zero, not negative.
-        assert_eq!(allowable_waiting_time(now, dl, Dur::from_secs(20)), Dur::ZERO);
     }
 
     #[test]

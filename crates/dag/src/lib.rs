@@ -30,7 +30,7 @@ pub mod task;
 pub mod validate;
 
 pub use critical_path::{critical_path_len, upward_ranks};
-pub use deadline::{allowable_waiting_time, level_deadlines};
+pub use deadline::level_deadlines;
 pub use generate::DagShape;
 pub use graph::Dag;
 pub use ids::{JobId, TaskId};

@@ -83,7 +83,8 @@ pub struct DspPolicy {
 }
 
 impl DspPolicy {
-    /// Full DSP (with the PP filter).
+    /// Algorithm 1 at `params`: full DSP, or the DSPW/oPP ablation (no
+    /// normalized-priority filter) when `use_pp` is off.
     pub fn new(params: DspParams) -> Self {
         let name = if params.use_pp { "DSP" } else { "DSPW/oPP" };
         DspPolicy {
@@ -94,12 +95,6 @@ impl DspPolicy {
             cand: Vec::new(),
             admitted: Vec::new(),
         }
-    }
-
-    /// The DSPW/oPP ablation: Algorithm 1 without the normalized-priority
-    /// filter.
-    pub fn without_pp() -> Self {
-        DspPolicy::new(DspParams { use_pp: false, ..DspParams::default() })
     }
 
     /// Work counters of the incremental priority engine (perf harness
@@ -325,7 +320,11 @@ mod tests {
             waiting: vec![snap(TaskId::new(0, 1), false, 500, 5_000, 500_000)],
             slots: 1,
         };
-        let acts = run_epoch(&mut DspPolicy::without_pp(), view, &jobs);
+        let acts = run_epoch(
+            &mut DspPolicy::new(DspParams { use_pp: false, ..DspParams::default() }),
+            view,
+            &jobs,
+        );
         assert_eq!(acts.len(), 1);
         assert_eq!(acts[0].evict, TaskId::new(0, 0));
         assert_eq!(acts[0].admit, TaskId::new(0, 1));
@@ -413,7 +412,11 @@ mod tests {
             slots: 2,
         };
         let with_pp = run_epoch(&mut DspPolicy::default(), view.clone(), &jobs);
-        let without = run_epoch(&mut DspPolicy::without_pp(), view, &jobs);
+        let without = run_epoch(
+            &mut DspPolicy::new(DspParams { use_pp: false, ..DspParams::default() }),
+            view,
+            &jobs,
+        );
         // Without PP the marginal preemption happens; with PP it is vetoed.
         assert!(without.len() > with_pp.len(), "PP should veto marginal gaps: {with_pp:?}");
         assert!(with_pp.is_empty());
@@ -481,7 +484,10 @@ mod tests {
     #[test]
     fn names_distinguish_ablation() {
         assert_eq!(DspPolicy::default().name(), "DSP");
-        assert_eq!(DspPolicy::without_pp().name(), "DSPW/oPP");
+        assert_eq!(
+            DspPolicy::new(DspParams { use_pp: false, ..DspParams::default() }).name(),
+            "DSPW/oPP"
+        );
         assert!(DspPolicy::default().checkpointing());
     }
 }

@@ -4,8 +4,8 @@
 //!   (Eqs. 12–13), urgent tasks (`t^a ≤ ε`), the τ waiting-time override,
 //!   the δ preempting-task window, conditions C1/C2, and the normalized-
 //!   priority (PP) filter that suppresses preemptions whose gain can't pay
-//!   for the context switch. `DspPolicy::without_pp()` is the paper's
-//!   DSPW/oPP ablation.
+//!   for the context switch. With `DspParams::use_pp` off it is the
+//!   paper's DSPW/oPP ablation.
 //! * [`AmoebaPolicy`] \[20\] — evicts the task consuming the most resources
 //!   (longest remaining time); checkpointed.
 //! * [`NatjamPolicy`] \[21\] — production jobs preempt research jobs;

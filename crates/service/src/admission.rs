@@ -17,9 +17,10 @@
 //!    infeasible, never ones that merely look tight.
 
 use crate::wire::reason;
-use dsp_cluster::{ClusterSpec, Node};
-use dsp_dag::{critical_path_len, Job};
-use dsp_units::{Dur, Mips, Time};
+use dsp_cluster::ClusterSpec;
+use dsp_dag::Job;
+use dsp_units::Time;
+use dsp_verify::bounds::idle_critical_path;
 use std::fmt;
 
 /// Admission policy knobs.
@@ -103,32 +104,11 @@ impl fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
-/// The fastest node's rate — the optimistic-execution reference.
-fn fastest_rate(cluster: &ClusterSpec) -> Mips {
-    cluster
-        .nodes
-        .iter()
-        .map(Node::rate)
-        .max_by(|a, b| a.get().total_cmp(&b.get()))
-        .unwrap_or(Mips::new(0.0))
-}
-
-/// Earliest instant `job` could possibly finish if its batch is scheduled
-/// at `boundary`: the critical path of a-priori estimates executed
-/// back-to-back on the fastest node. Every real schedule finishes at or
-/// after this.
-pub fn optimistic_finish(job: &Job, cluster: &ClusterSpec, boundary: Time) -> Time {
-    let g = fastest_rate(cluster);
-    if g.get() <= 0.0 {
-        return Time::MAX;
-    }
-    let est: Vec<Dur> = job.exec_estimates(g);
-    boundary + critical_path_len(&job.dag, &est)
-}
-
 /// Feasibility gate: `Err(Infeasible)` when the optimistic bound already
-/// overshoots the deadline. Jobs with the `Time::MAX` "no deadline"
-/// sentinel always pass.
+/// overshoots the deadline. The bound is the batch scheduled at `boundary`
+/// plus the job's critical path at the fastest slot
+/// ([`idle_critical_path`]); a cluster without slots finishes nothing.
+/// Jobs with the `Time::MAX` "no deadline" sentinel always pass.
 pub fn check_feasible(
     jobs: &[Job],
     cluster: &ClusterSpec,
@@ -138,7 +118,7 @@ pub fn check_feasible(
         if job.deadline == Time::MAX {
             continue;
         }
-        let earliest = optimistic_finish(job, cluster, boundary);
+        let earliest = idle_critical_path(job, cluster).map_or(Time::MAX, |d| boundary + d);
         if earliest > job.deadline {
             return Err(AdmitError::Infeasible {
                 batch_index: i,
@@ -154,7 +134,11 @@ pub fn check_feasible(
 mod tests {
     use super::*;
     use dsp_cluster::uniform;
-    use dsp_dag::{Dag, JobClass, JobId, TaskSpec};
+    use dsp_dag::{critical_path_len, Dag, JobClass, JobId, TaskSpec};
+    use dsp_trace::{generate_workload, TraceParams};
+    use dsp_units::{Dur, Mips};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn chain_job(id: u32, task_mi: f64, n: usize, deadline: Time) -> Job {
         let mut dag = Dag::new(n);
@@ -209,11 +193,68 @@ mod tests {
         let mut cluster = uniform(2, 1000.0, 2);
         cluster.nodes[1].s_cpu = 4000.0;
         cluster.nodes[1].s_mem = 4000.0;
-        let job = chain_job(0, 1000.0, 2, Time::MAX);
         // 2 × 1000 MI at 4000 MIPS = 0.5 s.
-        assert_eq!(
-            optimistic_finish(&job, &cluster, Time::from_secs(1)),
-            Time::from_secs(1) + Dur::from_millis(500)
-        );
+        let job = chain_job(0, 1000.0, 2, Time::from_secs(1));
+        match check_feasible(&[job], &cluster, Time::from_secs(1)) {
+            Err(AdmitError::Infeasible { earliest_finish, .. }) => {
+                assert_eq!(earliest_finish, Time::from_secs(1) + Dur::from_millis(500))
+            }
+            other => panic!("expected Infeasible, got {other:?}"),
+        }
+    }
+
+    /// Oracle: the critical path of a-priori estimates at the fastest
+    /// node's rate, after `boundary`, written out independently of
+    /// `dsp_verify::bounds`.
+    fn oracle_finish(job: &Job, cluster: &ClusterSpec, boundary: Time) -> Time {
+        let rates = cluster.nodes.iter().map(|n| n.rate());
+        let g = rates.max_by(|a, b| a.get().total_cmp(&b.get())).unwrap_or(Mips::new(0.0));
+        if g.get() <= 0.0 {
+            return Time::MAX;
+        }
+        boundary + critical_path_len(&job.dag, &job.exec_estimates(g))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Pricing every task once at the fastest slot's rate gives the
+        /// per-node-minimum critical path, and the gate refuses exactly
+        /// the jobs the oracle refuses, with the same payload, at
+        /// boundaries on both sides of each job's last feasible instant.
+        #[test]
+        fn the_bound_prices_at_the_fastest_slot_and_matches_the_oracle(seed in 0u64..1 << 40, pick in 0usize..4) {
+            let name = ["ec2", "palmetto", "blend", "uniform:5:1733.5:3"][pick];
+            let cluster = crate::build_cluster(name).expect("a valid cluster");
+            let params = TraceParams { task_scale: 0.03, ..TraceParams::default() };
+            let jobs = generate_workload(&mut StdRng::seed_from_u64(seed), 6, &params);
+            for job in &jobs {
+                let cheapest: Vec<Dur> = (0..job.num_tasks() as u32)
+                    .map(|v| {
+                        let task = job.task(v);
+                        let each = cluster.nodes.iter().map(|n| task.est_exec_time(n.rate()));
+                        each.min().expect("a node")
+                    })
+                    .collect();
+                let chain = critical_path_len(&job.dag, &cheapest);
+                prop_assert_eq!(idle_critical_path(job, &cluster), Some(chain));
+
+                let last = job.deadline.since(Time::ZERO + chain).as_micros();
+                for at in [0, last.saturating_sub(1), last, last + 1, job.deadline.as_micros()] {
+                    let boundary = Time::from_micros(at);
+                    let earliest = oracle_finish(job, &cluster, boundary);
+                    let want = if earliest > job.deadline {
+                        Err(AdmitError::Infeasible {
+                            batch_index: 0,
+                            earliest_finish: earliest,
+                            deadline: job.deadline,
+                        })
+                    } else {
+                        Ok(())
+                    };
+                    prop_assert_eq!(check_feasible(std::slice::from_ref(job), &cluster, boundary), want);
+                }
+            }
+        }
     }
 }

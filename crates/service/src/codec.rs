@@ -307,11 +307,6 @@ fn write_job(w: &mut Writer, job: &Job) {
     w.end_obj();
 }
 
-/// Encode one job.
-pub fn job_to_json(job: &Job) -> Json {
-    Json::encode(|w| write_job(w, job))
-}
-
 /// Decode one job (levels are recomputed by `Job::new`).
 pub fn job_from_json(v: &Json) -> Result<Job, CodecError> {
     let id = JobId(u32_field(v, "id")?);
@@ -432,11 +427,6 @@ fn write_cluster(w: &mut Writer, c: &ClusterSpec) {
     w.key("nodes").arr(&c.nodes, write_node).end_obj();
 }
 
-/// Encode a cluster inventory.
-pub fn cluster_to_json(c: &ClusterSpec) -> Json {
-    Json::encode(|w| write_cluster(w, c))
-}
-
 /// Decode a cluster inventory.
 pub fn cluster_from_json(v: &Json) -> Result<ClusterSpec, CodecError> {
     Ok(ClusterSpec {
@@ -458,11 +448,6 @@ pub(crate) fn write_progress(w: &mut Writer, p: &JobProgress) {
     w.key("running").u64(p.running as u64);
     w.key("total").u64(p.total as u64);
     w.key("waiting").u64(p.waiting as u64).end_obj();
-}
-
-/// Encode a job's live progress.
-pub fn progress_to_json(p: &JobProgress) -> Json {
-    Json::encode(|w| write_progress(w, p))
 }
 
 // ------------------------------------------------------------------- metrics
@@ -919,10 +904,14 @@ pub(crate) mod tests {
             assert_eq!(parse(&streamed.to_string()).unwrap(), parse(&tree.to_string()).unwrap());
         };
         same(snap.to_json(), oracle::snapshot(&snap), "snapshot");
-        same(cluster_to_json(&snap.cluster), oracle::cluster(&snap.cluster), "cluster");
+        same(
+            Json::encode(|w| write_cluster(w, &snap.cluster)),
+            oracle::cluster(&snap.cluster),
+            "cluster",
+        );
         same(metrics_to_json(&snap.metrics), oracle::metrics(&snap.metrics), "metrics");
         for job in &snap.jobs {
-            same(job_to_json(job), oracle::job(job), "job");
+            same(Json::encode(|w| write_job(w, job)), oracle::job(job), "job");
         }
         let running = JobProgress {
             total: 9,
@@ -933,8 +922,8 @@ pub(crate) mod tests {
             finish: None,
         };
         let done = JobProgress { completed: true, finish: Some(Time::MAX), ..running };
-        same(progress_to_json(&running), oracle::progress(&running), "progress");
-        same(progress_to_json(&done), oracle::progress(&done), "progress");
+        same(Json::encode(|w| write_progress(w, &running)), oracle::progress(&running), "progress");
+        same(Json::encode(|w| write_progress(w, &done)), oracle::progress(&done), "progress");
         let empty = Snapshot {
             cluster: ClusterSpec { name: String::new(), nodes: vec![] },
             jobs: vec![],
@@ -954,7 +943,7 @@ pub(crate) mod tests {
     #[test]
     fn job_roundtrips_through_text() {
         let job = sample_job(7);
-        let text = job_to_json(&job).to_string();
+        let text = Json::encode(|w| write_job(w, &job)).to_string();
         let back = job_from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, job);
         assert_eq!(back.levels(), job.levels(), "levels must be recomputed identically");
@@ -964,7 +953,9 @@ pub(crate) mod tests {
     fn unset_deadline_sentinel_survives() {
         let mut dag_job = sample_job(0);
         dag_job.deadline = Time::MAX;
-        let back = job_from_json(&parse(&job_to_json(&dag_job).to_string()).unwrap()).unwrap();
+        let back =
+            job_from_json(&parse(&Json::encode(|w| write_job(w, &dag_job)).to_string()).unwrap())
+                .unwrap();
         assert_eq!(back.deadline, Time::MAX);
     }
 
@@ -1106,8 +1097,8 @@ pub(crate) mod tests {
         assert_eq!(checked, 8, "three assignment and five history columns");
         let cluster: Decode = |v| cluster_from_json(v).map(drop);
         let fields: [(Json, &[&str], Decode); 3] = [
-            (cluster_to_json(&snap.cluster), &["nodes", "id"], cluster),
-            (cluster_to_json(&snap.cluster), &["nodes", "slots"], cluster),
+            (Json::encode(|w| write_cluster(w, &snap.cluster)), &["nodes", "id"], cluster),
+            (Json::encode(|w| write_cluster(w, &snap.cluster)), &["nodes", "slots"], cluster),
             (art, &["jobs", "id"], decode_snapshot),
         ];
         for (artifact, path, decode) in fields {
@@ -1158,7 +1149,9 @@ pub(crate) mod tests {
     #[test]
     fn cluster_roundtrips() {
         let c = dsp_cluster::uniform(4, 2000.0, 2);
-        let back = cluster_from_json(&parse(&cluster_to_json(&c).to_string()).unwrap()).unwrap();
+        let back =
+            cluster_from_json(&parse(&Json::encode(|w| write_cluster(w, &c)).to_string()).unwrap())
+                .unwrap();
         assert_eq!(back, c);
         assert_eq!(back.node(NodeId(2)).rate(), Mips::new(2000.0));
     }

@@ -237,6 +237,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 // ------------------------------------------------------------------ encoding
 
+/// Write a [`JobRequest`] in the submit-request shape: the inverse of the
+/// decoder above.
 fn write_job_request(w: &mut Writer, r: &JobRequest) {
     w.begin_obj().key("class").str(codec::class_to_str(r.class)).key("deadline_us");
     match r.deadline {
@@ -253,12 +255,6 @@ fn write_job_request(w: &mut Writer, r: &JobRequest) {
         w.key("size").f64(t.size.get()).end_obj();
     });
     w.end_obj();
-}
-
-/// Encode a [`JobRequest`] in the submit-request shape (the inverse of
-/// the decoder above) — used by client tooling to build `submit` lines.
-pub fn job_request_to_json(r: &JobRequest) -> Json {
-    Json::encode(|w| write_job_request(w, r))
 }
 
 /// Build a complete `submit` request line from job requests.
@@ -744,7 +740,7 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        let one = job_request_to_json(&requests[0]).to_string();
+        let one = Json::encode(|w| write_job_request(w, &requests[0])).to_string();
         assert_eq!(format!("{{\"jobs\":[{one}],\"op\":\"submit\"}}"), {
             submit_request(&requests[..1]).to_string()
         });

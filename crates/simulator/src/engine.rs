@@ -330,8 +330,21 @@ impl Engine {
     pub fn run(&mut self, policy: &mut dyn PreemptPolicy) -> RunMetrics {
         self.prime(policy);
         self.drain_events(policy, self.cfg.max_time);
+        // The engine's own last line of defence: the R5/R6 identities that
+        // `dsp-verify` reports on, asserted over the record it hands out.
         #[cfg(debug_assertions)]
-        self.debug_validate();
+        {
+            let h = self.history();
+            for t in h.completed() {
+                debug_assert_eq!(t.overhead_paid, t.overhead_owed(h.sigma), "R5: {}", t.task);
+                debug_assert!(t.conserves_work(), "R6: {} retained work != size", t.task);
+            }
+            debug_assert_eq!(
+                self.metrics.switch_overhead,
+                h.policy_overhead(),
+                "R5 overhead total"
+            );
+        }
         std::mem::take(&mut self.metrics)
     }
 
@@ -438,43 +451,6 @@ impl Engine {
             })
             .collect();
         crate::history::ExecHistory { sigma: self.cfg.sigma, tasks }
-    }
-
-    /// Cheap internal consistency audit run at the end of every debug-mode
-    /// simulation: per completed task, paid recovery overhead must equal
-    /// `charges × (t^r + σ)` and retained work (`executed − lost`) must
-    /// equal the task size; globally, the metrics' switch overhead must be
-    /// the sum of per-preemption charges. The full rule-based audit lives
-    /// in `dsp-verify` (which sits above this crate); this is the engine's
-    /// own last line of defence.
-    #[cfg(debug_assertions)]
-    fn debug_validate(&self) {
-        let mut policy_overhead = Dur::ZERO;
-        for (g, rt) in self.tasks.iter().enumerate() {
-            let id = self.index.id(g);
-            let spec = self.job(id.job).task(id.index);
-            let per_charge = spec.recovery + self.cfg.sigma;
-            policy_overhead += per_charge * rt.preempt_count as u64;
-            if rt.state != RtState::Done {
-                continue;
-            }
-            debug_assert_eq!(
-                rt.overhead_paid,
-                per_charge * rt.recovery_charges as u64,
-                "task {id}: paid overhead diverges from {} charges of {per_charge}",
-                rt.recovery_charges,
-            );
-            let retained = rt.executed.get() - rt.lost.get();
-            let size = spec.size.get();
-            debug_assert!(
-                (retained - size).abs() <= size.max(1.0) * 1e-6,
-                "task {id}: retained work {retained} MI != size {size} MI",
-            );
-        }
-        debug_assert_eq!(
-            self.metrics.switch_overhead, policy_overhead,
-            "metrics switch_overhead diverges from per-task preemption charges",
-        );
     }
 
     /// The job owning `id`; ids are validated when jobs are added.

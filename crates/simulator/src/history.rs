@@ -55,9 +55,31 @@ pub struct ExecHistory {
     pub tasks: Vec<TaskHistory>,
 }
 
+/// Relative tolerance for MI comparisons: sizes are `f64` and stint yields
+/// go through rate × duration round-trips.
+pub const MI_REL_TOL: f64 = 1e-6;
+
+impl TaskHistory {
+    /// R5: `recovery_charges × (t^r + σ)`, what a completed task paid.
+    pub fn overhead_owed(&self, sigma: Dur) -> Dur {
+        (self.recovery + sigma) * self.recovery_charges as u64
+    }
+
+    /// R6: `executed − lost = l_ij`, within [`MI_REL_TOL`].
+    pub fn conserves_work(&self) -> bool {
+        let size = self.size.get();
+        (self.executed.get() - self.lost.get() - size).abs() <= size.abs().max(1.0) * MI_REL_TOL
+    }
+}
+
 impl ExecHistory {
     /// Records of tasks that ran to completion.
     pub fn completed(&self) -> impl Iterator<Item = &TaskHistory> {
         self.tasks.iter().filter(|t| t.completed)
+    }
+
+    /// R5: `Σ N^p (t^r + σ)`, the switch overhead the metrics report.
+    pub fn policy_overhead(&self) -> Dur {
+        self.tasks.iter().map(|t| (t.recovery + self.sigma) * t.preemptions as u64).sum()
     }
 }

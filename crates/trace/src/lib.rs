@@ -20,10 +20,8 @@ pub mod dag_builder;
 pub mod distributions;
 pub mod generator;
 pub mod models;
-pub mod records;
 
 pub use dag_builder::{build_dag_from_windows, DagCaps};
 pub use distributions::{exponential, log_normal, poisson_arrivals, std_normal, LogNormalParams};
 pub use generator::{generate_workload, TraceParams};
 pub use models::{ArrivalModel, ExecModel};
-pub use records::{jobs_from_records, TaskRecord};

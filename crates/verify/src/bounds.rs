@@ -11,7 +11,7 @@
 
 use dsp_cluster::ClusterSpec;
 use dsp_dag::{critical_path_len, Job};
-use dsp_units::{Dur, Time};
+use dsp_units::{Dur, Mips, Time};
 
 /// The least makespan any plan of `jobs` on `cluster` from `at` can have,
 /// behind the per-node backlogs `node_avail` (as `Scheduler::schedule_onto`
@@ -33,9 +33,25 @@ pub fn makespan_lower_bound(
     at: Time,
     node_avail: &[Time],
 ) -> Dur {
+    let Some(g) = fastest_slot_rate(cluster) else { return Dur::ZERO };
     let drains = slot_drains(cluster, at, node_avail);
-    let cost = task_costs(jobs, cluster, Dur::min);
+    let cost: Vec<Vec<Dur>> = jobs.iter().map(|job| job.exec_estimates(g)).collect();
     critical_path(jobs, &cost, &drains).max(load(&cost, &drains))
+}
+
+/// The critical-path term for `job` alone on an idle `cluster`: its
+/// longest dependency chain with every task at the fastest slot. No plan
+/// finishes the job sooner after it starts. `None` when no node has a slot.
+pub fn idle_critical_path(job: &Job, cluster: &ClusterSpec) -> Option<Dur> {
+    let g = fastest_slot_rate(cluster)?;
+    Some(critical_path_len(&job.dag, &job.exec_estimates(g)))
+}
+
+/// The rate of the fastest node with a slot: `Mi::exec_time` never grows
+/// with the rate, so every task is cheapest there.
+fn fastest_slot_rate(cluster: &ClusterSpec) -> Option<Mips> {
+    let rates = cluster.nodes.iter().filter(|n| n.slots > 0).map(|n| n.rate());
+    rates.max_by(|a, b| a.get().total_cmp(&b.get()))
 }
 
 /// Each slot's backlog, measured from `at`, smallest first.
@@ -51,22 +67,6 @@ fn slot_drains(cluster: &ClusterSpec, at: Time, node_avail: &[Time]) -> Vec<Dur>
         .collect();
     drains.sort_unstable();
     drains
-}
-
-/// Each task's estimated execution time, per job, over the nodes that have
-/// a slot, folded by `pick` (`Dur::min`: the fastest slot).
-fn task_costs(jobs: &[Job], cluster: &ClusterSpec, pick: fn(Dur, Dur) -> Dur) -> Vec<Vec<Dur>> {
-    let rates: Vec<_> = cluster.nodes.iter().filter(|n| n.slots > 0).map(|n| n.rate()).collect();
-    jobs.iter()
-        .map(|job| {
-            (0..job.num_tasks() as u32)
-                .map(|v| {
-                    let task = job.task(v);
-                    rates.iter().map(|&g| task.est_exec_time(g)).reduce(pick).unwrap_or(Dur::ZERO)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// The longest chain of any job at `cost`, after the first slot drains.
@@ -164,6 +164,10 @@ mod tests {
         ]
     }
 
+    fn costs(jobs: &[Job], g: Mips) -> Vec<Vec<Dur>> {
+        jobs.iter().map(|job| job.exec_estimates(g)).collect()
+    }
+
     fn first_miss(bound: impl Fn(&Case) -> Dur) -> Option<&'static str> {
         cases().into_iter().find(|c| bound(c) != c.bound).map(|c| c.what)
     }
@@ -189,11 +193,14 @@ mod tests {
     fn mutants_miss_a_case() {
         let no_load = |c: &Case| {
             let drains = slot_drains(&c.cluster, AT, &c.node_avail);
-            critical_path(&c.jobs, &task_costs(&c.jobs, &c.cluster, Dur::min), &drains)
+            let fastest = fastest_slot_rate(&c.cluster).expect("a slot");
+            critical_path(&c.jobs, &costs(&c.jobs, fastest), &drains)
         };
         let slowest = |c: &Case| {
             let drains = slot_drains(&c.cluster, AT, &c.node_avail);
-            let cost = task_costs(&c.jobs, &c.cluster, Dur::max);
+            let rates = c.cluster.nodes.iter().map(|n| n.rate());
+            let rate = rates.min_by(|a, b| a.get().total_cmp(&b.get()));
+            let cost = costs(&c.jobs, rate.expect("a slot"));
             critical_path(&c.jobs, &cost, &drains).max(load(&cost, &drains))
         };
         assert_eq!(first_miss(no_load), Some(cases()[2].what));

@@ -10,28 +10,23 @@
 //! * **R6** — a completed task processed exactly its size: the MI executed
 //!   across all stints minus the MI discarded by restart-from-scratch
 //!   evictions equals `l_ij`.
+//!
+//! The identities are methods of the record itself
+//! ([`TaskHistory::overhead_owed`](dsp_sim::TaskHistory::overhead_owed),
+//! [`TaskHistory::conserves_work`](dsp_sim::TaskHistory::conserves_work),
+//! [`ExecHistory::policy_overhead`]), which the engine's debug check
+//! asserts as well; this module turns their breaks into diagnostics.
 
 use crate::diag::{Diagnostic, Report, Rule, Severity};
 use dsp_metrics::RunMetrics;
 use dsp_sim::ExecHistory;
-use dsp_units::Dur;
-
-/// Relative tolerance for MI comparisons: sizes are `f64` and stint yields
-/// go through rate × duration round-trips.
-const MI_REL_TOL: f64 = 1e-6;
 
 /// Run R5–R6 over an execution history, plus the history-vs-metrics
 /// overhead cross-check when the run's [`RunMetrics`] are available.
 pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> Report {
     let mut report = Report::new();
-    let mut policy_overhead = Dur::ZERO;
-    for t in &history.tasks {
-        let per_charge = t.recovery + history.sigma;
-        policy_overhead += per_charge * t.preemptions as u64;
-        if !t.completed {
-            continue;
-        }
-        let owed = per_charge * t.recovery_charges as u64;
+    for t in history.completed() {
+        let owed = t.overhead_owed(history.sigma);
         if t.overhead_paid != owed {
             report.push(Diagnostic {
                 rule: Rule::Overhead,
@@ -43,14 +38,12 @@ pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> R
                     "paid {:.3}s of recovery but {} charges of (t^r + sigma) = {:.3}s each owe {:.3}s",
                     t.overhead_paid.as_secs_f64(),
                     t.recovery_charges,
-                    per_charge.as_secs_f64(),
+                    (t.recovery + history.sigma).as_secs_f64(),
                     owed.as_secs_f64()
                 ),
             });
         }
-        let retained = t.executed.get() - t.lost.get();
-        let size = t.size.get();
-        if (retained - size).abs() > size.abs().max(1.0) * MI_REL_TOL {
+        if !t.conserves_work() {
             report.push(Diagnostic {
                 rule: Rule::WorkConservation,
                 severity: Severity::Error,
@@ -58,14 +51,17 @@ pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> R
                 node: Some(t.node),
                 at: Some(t.finish),
                 message: format!(
-                    "retained work {retained:.3} MI (executed {:.3} - lost {:.3}) != size {size:.3} MI",
+                    "retained work {:.3} MI (executed {:.3} - lost {:.3}) != size {:.3} MI",
+                    t.executed.get() - t.lost.get(),
                     t.executed.get(),
-                    t.lost.get()
+                    t.lost.get(),
+                    t.size.get()
                 ),
             });
         }
     }
     if let Some(m) = metrics {
+        let policy_overhead = history.policy_overhead();
         if m.switch_overhead != policy_overhead {
             report.push(Diagnostic {
                 rule: Rule::Overhead,
@@ -90,7 +86,7 @@ mod tests {
     use dsp_cluster::NodeId;
     use dsp_dag::TaskId;
     use dsp_sim::TaskHistory;
-    use dsp_units::{Mi, Time};
+    use dsp_units::{Dur, Mi, Time};
 
     fn record(preemptions: u32) -> TaskHistory {
         let recovery = Dur::from_secs(1);

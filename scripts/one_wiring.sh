@@ -3,11 +3,12 @@
 # table (DESIGN.md §3.1), dspd one front end (§10.6), the binaries one
 # command-line reader (core/src/flags.rs), and the workspace one artifact
 # (the snapshot, service/src/codec.rs) built in four files, and dspd one
-# thread kind per role: the shard owners and the reactor pool, and every
-# experiment one audited run call (core/src/pipeline.rs). Eight greps over
+# thread kind per role: the shard owners and the reactor pool, every
+# experiment one audited run call (core/src/pipeline.rs), and the R5
+# overhead identities one home (simulator/src/history.rs). Nine greps over
 # non-test product code — every crates/*/src file outside crates/benchmark,
 # cut at its `#[cfg(test)] mod tests`, minus files that are test-only
-# modules — and one over the service crate whole, nine checks in all. Run
+# modules — and one over the service crate whole, 10 checks in all. Run
 # from the repo root.
 set -euo pipefail
 
@@ -89,5 +90,13 @@ check "a thread started in crates/service outside server.rs and reactor/frontend
 calls=$(grep -E '\bexecute\(' <<<"$src" | grep -vE '\bfn execute\(|^[^:]+:[0-9]+: *//' || true)
 [ "$(grep -c . <<<"$calls")" = 1 ] && grep -q '^crates/core/src/pipeline\.rs:' <<<"$calls" ||
     check "execute( must have exactly one product call site, in core/src/pipeline.rs" "${calls:-<none>}"
+
+# 10. The R5 identities are written once, on the history record: the
+#     per-charge products `N (t^r + σ)` appear only in
+#     simulator/src/history.rs, which the engine's debug check and
+#     `dsp_verify::check_execution` both call.
+check "an R5 overhead product outside simulator/src/history.rs" \
+    "$(grep -E '\b(recovery_charges|preemptions|preempt_count) as u64\b' <<<"$src" |
+        grep -v '^crates/simulator/src/history\.rs:' || true)"
 
 exit "$fail"

@@ -2,18 +2,5 @@
 //!
 //! This package exists to host the cross-crate integration tests in
 //! `tests/` and the runnable examples in `examples/`; the actual library
-//! surface lives in the `crates/` workspace members, re-exported here for
-//! convenience so `dsp_repro::…` reaches everything.
-
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
-
-pub use dsp_cluster as cluster;
-pub use dsp_core as core;
-pub use dsp_dag as dag;
-pub use dsp_lp as lp;
-pub use dsp_metrics as metrics;
-pub use dsp_preempt as preempt;
-pub use dsp_sched as sched;
-pub use dsp_sim as sim;
-pub use dsp_trace as trace;
-pub use dsp_units as units;
+//! surface lives in the `crates/` workspace members, which the tests and
+//! examples import by their own names (`dsp_core` re-exports the rest).

@@ -5,6 +5,7 @@
 //! schedules is worse than no verifier.
 
 use dsp_cluster::{uniform, NodeId};
+use dsp_core::{config::Params, SchedMethod};
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_sched::{DspListScheduler, Scheduler};
 use dsp_sim::Schedule;
@@ -72,15 +73,19 @@ fn invalid_node_fires_r1() {
     assert!(!report.passes());
 }
 
-#[test]
-fn start_before_parent_finish_fires_r2() {
-    let (jobs, cluster, mut schedule) = baseline();
-    // Pull the chain's last task back to t=0 on the *other* node so only
-    // precedence — not slot capacity — is violated.
+/// Pull the chain's last task back to t=0 on the *other* node so only
+/// precedence — not slot capacity — is violated.
+fn start_last_task_at_zero(schedule: &mut Schedule) {
     let victim =
         schedule.assignments.iter_mut().find(|a| a.task.index == 2).expect("task T2 is scheduled");
     victim.start = Time::ZERO;
     victim.node = NodeId(1);
+}
+
+#[test]
+fn start_before_parent_finish_fires_r2() {
+    let (jobs, cluster, mut schedule) = baseline();
+    start_last_task_at_zero(&mut schedule);
     let report = check_schedule(&schedule, &jobs, &cluster, &VerifyOptions::default());
     assert!(report.fired(Rule::Precedence), "R2 should have fired:\n{report}");
     assert!(!report.passes());
@@ -89,6 +94,22 @@ fn start_before_parent_finish_fires_r2() {
     let opts = VerifyOptions { dependency_aware: false, ..VerifyOptions::default() };
     let relaxed = check_schedule(&schedule, &jobs, &cluster, &opts);
     assert!(relaxed.fired(Rule::Precedence) && relaxed.passes(), "{relaxed}");
+    // Aalo, FIFO and Random plan with precedence, so their audits hold a
+    // break against them as an error.
+    for sched in [SchedMethod::Aalo, SchedMethod::Fifo, SchedMethod::Random] {
+        let opts = sched.verify_options();
+        let mut schedule = sched.build(&Params::default(), 7).schedule(&jobs, &cluster, Time::ZERO);
+        let clean = check_schedule(&schedule, &jobs, &cluster, &opts);
+        assert!(clean.is_clean(), "{}'s plan must verify clean:\n{clean}", sched.label());
+        start_last_task_at_zero(&mut schedule);
+        let report = check_schedule(&schedule, &jobs, &cluster, &opts);
+        assert!(
+            report.fired(Rule::Precedence),
+            "{}: R2 should have fired:\n{report}",
+            sched.label()
+        );
+        assert!(!report.passes(), "{}: a precedence break must fail:\n{report}", sched.label());
+    }
 }
 
 #[test]
