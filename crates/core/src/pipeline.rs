@@ -54,9 +54,8 @@ impl PeriodPlanner {
             // assignment naming a job outside it is an R1 finding for the
             // audit, not a reason to stop planning.
             if let Some(job) = batch.iter().find(|j| j.id == a.task.job) {
-                let est = job.task(a.task.index).est_exec_time(cluster.node(a.node).rate());
                 let busy = &mut self.busy_until[a.node.idx()];
-                *busy = (*busy).max(a.start + est);
+                *busy = (*busy).max(a.planned_finish(job, cluster));
             }
         }
         schedule

@@ -11,6 +11,7 @@
 //! Aalo does not consider deadlines.
 
 use crate::api::Scheduler;
+use crate::pack::{pack, Keyed};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_sim::Schedule;
@@ -66,15 +67,11 @@ impl Scheduler for AaloScheduler {
         // (lowest-index) queue first; FIFO by arrival inside a queue;
         // within a job, any ready task (flows of a coflow are
         // interchangeable to the coordinator). Service keys only decay
-        // (queue demotion), which is exactly what the keyed sim's lazy
+        // (queue demotion), which is exactly what `Keyed`'s lazy
         // revalidation supports.
         let served_mi = std::cell::RefCell::new(vec![0.0f64; jobs.len()]);
         let this = *self;
-        crate::pack::simulate_packing_keyed(
-            jobs,
-            cluster,
-            at,
-            node_avail,
+        let mut order = Keyed::new(
             |j, v| {
                 let q = this.queue_of(served_mi.borrow()[j]);
                 (q, jobs[j].arrival.as_micros(), j, v)
@@ -84,7 +81,8 @@ impl Scheduler for AaloScheduler {
                 // the coordinator can only ever observe declared sizes.
                 served_mi.borrow_mut()[j] += jobs[j].task(v).est_size.get();
             },
-        )
+        );
+        pack(jobs, cluster, at, node_avail, &mut order)
     }
 }
 

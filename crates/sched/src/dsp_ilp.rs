@@ -150,12 +150,13 @@ impl DspIlpScheduler {
         if total == 0 {
             return (Schedule::new(), IlpOutcome::Exact, IlpStats::default());
         }
-        if total > self.limits.max_tasks || slots > self.limits.max_slots {
-            return self.fallback(jobs, cluster, at, node_avail);
-        }
-        // The list plan is the answer when it is provably optimal, and the
-        // fallback when the solver errs.
+        // The list plan is the answer when the batch is too large to
+        // search, when it is provably optimal, and when the solver errs or
+        // its answer fails the audit.
         let list = DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail);
+        if total > self.limits.max_tasks || slots > self.limits.max_slots {
+            return (list, IlpOutcome::Fallback, IlpStats::default());
+        }
         if meets_lower_bound(&list, jobs, cluster, at, node_avail) {
             return (list, IlpOutcome::Exact, IlpStats::default());
         }
@@ -166,21 +167,15 @@ impl DspIlpScheduler {
             Err(LpError::Infeasible) => self.solve_exact(jobs, cluster, at, node_avail, false),
             r => r,
         };
-        solved.unwrap_or((list, IlpOutcome::Fallback, IlpStats::default()))
+        match solved {
+            Ok((plan, outcome, stats)) => (plan.unwrap_or(list), outcome, stats),
+            Err(_) => (list, IlpOutcome::Fallback, IlpStats::default()),
+        }
     }
 
-    /// The list heuristic's schedule, with the stats of a MILP never solved.
-    fn fallback(
-        &self,
-        jobs: &[Job],
-        cluster: &ClusterSpec,
-        at: Time,
-        node_avail: &[Time],
-    ) -> (Schedule, IlpOutcome, IlpStats) {
-        let schedule = DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail);
-        (schedule, IlpOutcome::Fallback, IlpStats::default())
-    }
-
+    /// Solve the model. A point that fails its audit yields no schedule,
+    /// `Fallback` and `stats.audit_failures` = 1: the caller's list plan
+    /// stands in.
     fn solve_exact(
         &self,
         jobs: &[Job],
@@ -188,7 +183,7 @@ impl DspIlpScheduler {
         at: Time,
         node_avail: &[Time],
         with_deadlines: bool,
-    ) -> Result<(Schedule, IlpOutcome, IlpStats), LpError> {
+    ) -> Result<(Option<Schedule>, IlpOutcome, IlpStats), LpError> {
         let model = Model::build(jobs, cluster, at, node_avail, with_deadlines);
         let opts = MilpOptions {
             max_nodes: self.limits.max_bb_nodes,
@@ -206,14 +201,13 @@ impl DspIlpScheduler {
         };
         let Some(schedule) = model.read_back(&sol.x, jobs, cluster, at) else {
             stats.audit_failures = 1;
-            let (schedule, outcome, _) = self.fallback(jobs, cluster, at, node_avail);
-            return Ok((schedule, outcome, stats));
+            return Ok((None, IlpOutcome::Fallback, stats));
         };
         let outcome = match sol.status {
             Status::Optimal => IlpOutcome::Exact,
             _ => IlpOutcome::Incumbent,
         };
-        Ok((schedule, outcome, stats))
+        Ok((Some(schedule), outcome, stats))
     }
 }
 
@@ -232,8 +226,7 @@ fn meets_lower_bound(
 ) -> bool {
     // An assignment naming no job of the batch is R1's to report.
     let finish = |a: &dsp_sim::Assignment| {
-        let job = jobs.iter().find(|j| j.id == a.task.job)?;
-        Some(a.start + job.task(a.task.index).est_exec_time(cluster.node(a.node).rate()))
+        Some(a.planned_finish(jobs.iter().find(|j| j.id == a.task.job)?, cluster))
     };
     let latest = plan.assignments.iter().filter_map(finish).max().unwrap_or(at);
     let bound = makespan_lower_bound(jobs, cluster, at, node_avail);
@@ -845,7 +838,9 @@ mod tests {
         let mut total_cold_pivots = 0usize;
         for jobs in &instances {
             let solve = |ilp: &DspIlpScheduler| {
-                ilp.solve_exact(jobs, &cluster, Time::ZERO, &[], true).expect("solvable")
+                let (plan, outcome, stats) =
+                    ilp.solve_exact(jobs, &cluster, Time::ZERO, &[], true).expect("solvable");
+                (plan.expect("the point passes its audit"), outcome, stats)
             };
             let ((ws, wo, wstats), (cs, co, cstats)) = (solve(&warm_sched), solve(&cold_sched));
             assert_eq!(wo, IlpOutcome::Exact);

@@ -1,9 +1,8 @@
 //! DSP's practical scheduler: dependency-aware list scheduling.
 //!
 //! Section III's exact ILP is NP-complete; the paper relaxes and rounds for
-//! "practical use". This module is that practical arm: a heterogeneous
-//! earliest-finish-time list scheduler whose ranking embodies the two
-//! dependency signals the paper leans on —
+//! "practical use". This module is that practical arm: a list scheduler
+//! whose ranking embodies the two dependency signals the paper leans on —
 //!
 //! 1. the **upward rank** (critical-path-to-leaf), so the makespan-critical
 //!    spine schedules first, and
@@ -12,15 +11,18 @@
 //!    dependents goes first — the Fig. 1/Fig. 3 argument;
 //! 3. tie-broken by earliest level-propagated deadline.
 //!
-//! Placement minimizes the task's finish time across heterogeneous nodes
-//! (`g(k)` differs per node), which is what the ILP's makespan objective
-//! pushes toward; independent tasks naturally spread across nodes.
+//! Placement is the crate's one packing loop (`pack`): whenever slots
+//! free, the fastest node with a free slot goes to the best-ranked ready
+//! task. No node is searched for the task's earliest finish; independent
+//! tasks spread across nodes because each takes the next free slot.
 
 use crate::api::Scheduler;
+use crate::pack::{pack, Keyed};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::{deadline::level_deadlines, upward_ranks, Job};
 use dsp_sim::Schedule;
 use dsp_units::{Dur, Time};
+use std::cmp::Reverse;
 
 /// The list scheduler. `gamma` is the Eq. 12 level coefficient (Table II:
 /// 0.5).
@@ -89,24 +91,21 @@ impl Scheduler for DspListScheduler {
         // the simulator uses keeps planned starts *achievable* — a tight
         // EFT-timeline plan looks better on paper but inverts priorities
         // the moment actual execution drifts from the estimates.
-        crate::pack::simulate_packing_keyed(
-            jobs,
-            cluster,
-            at,
-            node_avail,
-            |j, v| {
+        let mut order = Keyed::new(
+            |j, v: u32| {
                 // Ascending key = descending (rank, weight), then earliest
                 // deadline.
                 (
-                    std::cmp::Reverse(infos[j].rank[v as usize].as_micros()),
-                    std::cmp::Reverse(infos[j].weight[v as usize].to_bits()),
+                    Reverse(infos[j].rank[v as usize].as_micros()),
+                    Reverse(infos[j].weight[v as usize].to_bits()),
                     infos[j].deadline[v as usize].as_micros(),
                     j,
                     v,
                 )
             },
             |_, _| {},
-        )
+        );
+        pack(jobs, cluster, at, node_avail, &mut order)
     }
 }
 

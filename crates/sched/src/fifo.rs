@@ -4,6 +4,7 @@
 //! timeline.
 
 use crate::api::Scheduler;
+use crate::pack::{pack, Keyed};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_sim::Schedule;
@@ -25,14 +26,8 @@ impl Scheduler for FifoScheduler {
         at: Time,
         node_avail: &[Time],
     ) -> Schedule {
-        crate::pack::simulate_packing_keyed(
-            jobs,
-            cluster,
-            at,
-            node_avail,
-            |j, v| (jobs[j].arrival.as_micros(), j, v),
-            |_, _| {},
-        )
+        let mut order = Keyed::new(|j, v| (jobs[j].arrival.as_micros(), j, v), |_, _| {});
+        pack(jobs, cluster, at, node_avail, &mut order)
     }
 }
 

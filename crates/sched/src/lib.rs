@@ -7,9 +7,10 @@
 //! * [`DspIlpScheduler`] — the exact Section III MILP (via `dsp-lp`) on
 //!   instances small enough for exact search, with automatic fallback to
 //!   the list heuristic (where the paper relaxes and rounds);
-//! * [`DspListScheduler`] — dependency-aware list scheduling: earliest-
-//!   finish-time placement over heterogeneous nodes, ranked by upward rank
-//!   and the Eq. 12 descendant weight (the practical arm used at scale);
+//! * [`DspListScheduler`] — dependency-aware list scheduling: the fastest
+//!   node with a free slot goes to the ready task ranked first by upward
+//!   rank and the Eq. 12 descendant weight (the practical arm used at
+//!   scale);
 //! * [`TetrisScheduler`] — multi-resource alignment packing \[7\], in the
 //!   paper's two flavours: `W/oDep` (dependency-oblivious) and `W/SimDep`
 //!   (precedents strictly before dependents);
@@ -17,6 +18,8 @@
 //!   knowledge \[11\], treating a job as a coflow and its tasks as flows.
 //!
 //! Plus [`FifoScheduler`] and [`RandomScheduler`] as sanity baselines.
+//! All but the MILP plan through one loop, `pack`, which asks each
+//! scheduler's order which task gets a freed slot.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -25,7 +28,7 @@ pub mod api;
 pub mod dsp_ilp;
 pub mod dsp_list;
 pub mod fifo;
-pub mod pack;
+mod pack;
 pub mod random;
 pub mod tetris;
 

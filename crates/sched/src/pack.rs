@@ -1,26 +1,14 @@
-//! Shared offline packing simulation.
+//! The offline packing loop every list scheduler in this crate plans with.
 //!
-//! Offline schedulers construct their schedules by walking estimated time
-//! forward: whenever a node frees a slot, the next task is chosen and its
-//! estimated completion queued. Two entry points share the same core
-//! semantics:
-//!
-//! * [`simulate_packing`] — a closure picks from the maintained **ready
-//!   list** (tasks whose precedents have estimatedly finished). Used by
-//!   Tetris, whose alignment score depends on the node's current free
-//!   resources and therefore needs a per-decision scan.
-//! * [`simulate_packing_keyed`] — tasks are served from a priority heap by
-//!   a caller-supplied key with lazy revalidation. O(log n) per decision;
-//!   used by DSP, Aalo, FIFO and Random, whose orderings don't depend on
-//!   the node.
-//!
-//! Both accept per-node *backlog release times* (`node_avail`): slots on a
-//! node only open once the node's earlier queue has estimatedly drained,
-//! mirroring the paper's constraint (5).
+//! [`pack`] walks estimated time forward: whenever a node frees a slot, the
+//! scheduler's [`Order`] names the task to start there. The schedulers
+//! differ only in the order: [`Keyed`] serves ready tasks by ascending key
+//! (DSP-list, Aalo, FIFO, Random); Tetris scans its ready tasks for the
+//! best alignment (W/SimDep) or walks every task by demand (W/oDep).
 
-use dsp_cluster::{ClusterSpec, NodeId};
+use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
-use dsp_sim::Schedule;
+use dsp_sim::{Assignment, Schedule};
 use dsp_units::{ResourceVec, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -28,86 +16,33 @@ use std::collections::BinaryHeap;
 /// Task index marking a pure slot-release event in the event heap.
 const RELEASE: u32 = u32::MAX;
 
-/// Read-only packing state handed to picker closures.
-pub struct PackState<'a> {
-    /// The batch being scheduled, indexed by position (not `JobId`).
-    pub jobs: &'a [Job],
-    /// `scheduled[j][v]`: task already placed.
-    pub scheduled: Vec<Vec<bool>>,
-    /// Available resources per node (capacity − running demands).
-    pub avail: Vec<ResourceVec>,
-    /// Current simulated instant.
-    pub now: Time,
-    /// Tasks whose precedents have all finished and that are not yet
-    /// scheduled — the only valid picks.
-    pub ready: Vec<(usize, u32)>,
+/// Which task gets a freed slot. Tasks are `(job position in the batch,
+/// task index)` pairs.
+pub(crate) trait Order {
+    /// `(j, v)` turned ready: every parent's planned finish has passed (a
+    /// root is ready at the start).
+    fn ready(&mut self, j: usize, v: u32);
+
+    /// The task to start now on node index `n`, whose unused resources are
+    /// `free`, or `None` to leave the slot idle until the next planned
+    /// finish. Each task may be named once.
+    fn next(&mut self, n: usize, free: &ResourceVec) -> Option<(usize, u32)>;
 }
 
-impl PackState<'_> {
-    /// Iterate all unscheduled `(job position, task index)` pairs
-    /// (O(total); used only by the defensive force-place path and tests).
-    pub fn unscheduled(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
-        self.scheduled.iter().enumerate().flat_map(|(j, row)| {
-            row.iter().enumerate().filter(|&(_, &s)| !s).map(move |(v, _)| (j, v as u32))
-        })
-    }
-}
-
-/// Slot bookkeeping shared by both simulation variants.
-struct SlotSim {
-    /// (time, node, job, task) events; task == RELEASE frees a slot only.
-    events: BinaryHeap<Reverse<(u64, u32, u32, u32)>>,
-    free_slots: Vec<usize>,
-    /// Node indices, fastest first — a greedy packer hands its best machine
-    /// to its best candidate.
-    node_order: Vec<usize>,
-}
-
-impl SlotSim {
-    fn new(cluster: &ClusterSpec, at: Time, node_avail: &[Time]) -> Self {
-        let mut events = BinaryHeap::new();
-        let mut free_slots = vec![0usize; cluster.len()];
-        for (n, node) in cluster.nodes.iter().enumerate() {
-            let avail = node_avail.get(n).copied().unwrap_or(at).max(at);
-            if avail <= at {
-                free_slots[n] = node.slots;
-            } else {
-                for _ in 0..node.slots {
-                    events.push(Reverse((avail.as_micros(), n as u32, 0, RELEASE)));
-                }
-            }
-        }
-        let mut node_order: Vec<usize> = (0..cluster.len()).collect();
-        node_order.sort_by(|&a, &b| {
-            cluster.nodes[b].rate().get().total_cmp(&cluster.nodes[a].rate().get()).then(a.cmp(&b))
-        });
-        SlotSim { events, free_slots, node_order }
-    }
-
-    /// The fastest node with a free slot.
-    fn free_node(&self) -> Option<usize> {
-        self.node_order.iter().copied().find(|&n| self.free_slots[n] > 0)
-    }
-}
-
-/// Run the packing simulation with a per-decision picker over the ready
-/// list. `pick(state, node)` returns an index into `state.ready`, or `None`
-/// to leave the slot idle until the next completion event.
-///
-/// Termination is guaranteed even if `pick` refuses everything forever:
-/// when no slot accepts a task and no completion is pending, remaining
-/// tasks are force-placed round-robin at the horizon (pickers in this crate
-/// never trigger that; it guards against buggy closures).
-pub fn simulate_packing<F>(
+/// Plan `jobs` onto `cluster` from `at` in the order `order` names. A task
+/// turns ready when its last parent's planned finish `t^s + l̂/g(k)` pops.
+/// Free slots are filled fastest node first, so a greedy order hands its
+/// best machine to its best candidate. A node's slots open only once its
+/// backlog `node_avail` has estimatedly drained (the paper's constraint
+/// (5)). If `order` leaves every slot idle with no finish pending, the
+/// remaining tasks are force-placed round-robin at the instant reached.
+pub(crate) fn pack(
     jobs: &[Job],
     cluster: &ClusterSpec,
     at: Time,
     node_avail: &[Time],
-    mut pick: F,
-) -> Schedule
-where
-    F: FnMut(&PackState<'_>, NodeId) -> Option<usize>,
-{
+    order: &mut impl Order,
+) -> Schedule {
     let mut schedule = Schedule::new();
     let total: usize = jobs.iter().map(|j| j.num_tasks()).sum();
     if total == 0 || cluster.is_empty() {
@@ -117,149 +52,103 @@ where
         .iter()
         .map(|j| (0..j.num_tasks() as u32).map(|v| j.dag.in_degree(v) as u32).collect())
         .collect();
-    let ready: Vec<(usize, u32)> = jobs
-        .iter()
-        .enumerate()
-        .flat_map(|(j, job)| job.dag.roots().into_iter().map(move |v| (j, v)))
-        .collect();
-    let mut state = PackState {
-        jobs,
-        scheduled: jobs.iter().map(|j| vec![false; j.num_tasks()]).collect(),
-        avail: cluster.nodes.iter().map(|n| n.capacity).collect(),
-        now: at,
-        ready,
-    };
-    let mut sim = SlotSim::new(cluster, at, node_avail);
-    let mut placed = 0usize;
-
-    loop {
-        // Greedily fill free slots at the current instant, fastest first.
-        while let Some(n) = sim.free_node() {
-            let Some(ri) = pick(&state, cluster.nodes[n].id) else { break };
-            let (j, v) = state.ready.swap_remove(ri);
-            debug_assert!(!state.scheduled[j][v as usize], "picker repeated a task");
-            state.scheduled[j][v as usize] = true;
-            let exec = state.jobs[j].task(v).est_exec_time(cluster.nodes[n].rate());
-            let finish = state.now + exec;
-            schedule.assign(state.jobs[j].task_id(v), cluster.nodes[n].id, state.now);
-            state.avail[n] -= state.jobs[j].task(v).demand;
-            sim.free_slots[n] -= 1;
-            sim.events.push(Reverse((finish.as_micros(), n as u32, j as u32, v)));
-            placed += 1;
-        }
-        if placed == total && sim.events.is_empty() {
-            return schedule;
-        }
-        match sim.events.pop() {
-            Some(Reverse((t_us, n, j, v))) => {
-                state.now = Time::from_micros(t_us);
-                let n = n as usize;
-                if v == RELEASE {
-                    sim.free_slots[n] += 1;
-                } else {
-                    let j = j as usize;
-                    state.avail[n] += state.jobs[j].task(v).demand;
-                    sim.free_slots[n] += 1;
-                    for &c in state.jobs[j].dag.children(v) {
-                        pending_parents[j][c as usize] -= 1;
-                        if pending_parents[j][c as usize] == 0 {
-                            state.ready.push((j, c));
-                        }
-                    }
-                }
-            }
-            None => {
-                // No events and the picker placed nothing: force-place the
-                // remainder so the schedule still covers every task.
-                let leftovers: Vec<(usize, u32)> = state.unscheduled().collect();
-                for (i, (j, v)) in leftovers.into_iter().enumerate() {
-                    let n = i % cluster.len();
-                    schedule.assign(state.jobs[j].task_id(v), cluster.nodes[n].id, state.now);
-                    state.scheduled[j][v as usize] = true;
-                }
-                return schedule;
-            }
-        }
-    }
-}
-
-/// Heap-driven variant: tasks are served in ascending `key_of(j, v)` order
-/// among ready tasks, with lazy revalidation (keys may *grow* between
-/// enqueue and service — Aalo's queue demotion — and are recomputed at pop
-/// time). `on_assign` fires after each placement so the caller can update
-/// whatever state its key depends on.
-pub fn simulate_packing_keyed<K, KF, AF>(
-    jobs: &[Job],
-    cluster: &ClusterSpec,
-    at: Time,
-    node_avail: &[Time],
-    mut key_of: KF,
-    mut on_assign: AF,
-) -> Schedule
-where
-    K: Ord + Copy,
-    KF: FnMut(usize, u32) -> K,
-    AF: FnMut(usize, u32),
-{
-    let mut schedule = Schedule::new();
-    let total: usize = jobs.iter().map(|j| j.num_tasks()).sum();
-    if total == 0 || cluster.is_empty() {
-        return schedule;
-    }
-    let mut pending_parents: Vec<Vec<u32>> = jobs
-        .iter()
-        .map(|j| (0..j.num_tasks() as u32).map(|v| j.dag.in_degree(v) as u32).collect())
-        .collect();
-    let mut ready: BinaryHeap<Reverse<(K, usize, u32)>> = BinaryHeap::new();
+    let mut placed: Vec<Vec<bool>> = jobs.iter().map(|j| vec![false; j.num_tasks()]).collect();
     for (j, job) in jobs.iter().enumerate() {
-        for v in job.dag.roots() {
-            ready.push(Reverse((key_of(j, v), j, v)));
+        job.dag.roots().into_iter().for_each(|v| order.ready(j, v));
+    }
+    // (time, node, job, task) events; task == RELEASE frees a slot only.
+    let mut events = BinaryHeap::new();
+    let mut free_slots = vec![0usize; cluster.len()];
+    for (n, node) in cluster.nodes.iter().enumerate() {
+        let avail = node_avail.get(n).copied().unwrap_or(at).max(at);
+        if avail <= at {
+            free_slots[n] = node.slots;
+        } else {
+            let release = Reverse((avail.as_micros(), n as u32, 0, RELEASE));
+            events.extend(std::iter::repeat_n(release, node.slots));
         }
     }
-    let mut sim = SlotSim::new(cluster, at, node_avail);
+    let mut free: Vec<ResourceVec> = cluster.nodes.iter().map(|n| n.capacity).collect();
+    let mut fastest_first: Vec<usize> = (0..cluster.len()).collect();
+    fastest_first.sort_by(|&a, &b| {
+        cluster.nodes[b].rate().get().total_cmp(&cluster.nodes[a].rate().get()).then(a.cmp(&b))
+    });
     let mut now = at;
-    let mut placed = 0usize;
+    let mut count = 0usize;
 
     loop {
-        while let Some(n) = sim.free_node() {
-            let Some(Reverse((k, j, v))) = ready.pop() else { break };
-            let cur = key_of(j, v);
-            if cur != k {
-                // Stale entry (the key grew since enqueue): requeue under
-                // the fresh key and retry. Keys can only decay in priority,
-                // so this terminates.
-                ready.push(Reverse((cur, j, v)));
-                continue;
-            }
-            let exec = jobs[j].task(v).est_exec_time(cluster.nodes[n].rate());
-            schedule.assign(jobs[j].task_id(v), cluster.nodes[n].id, now);
-            on_assign(j, v);
-            sim.free_slots[n] -= 1;
-            sim.events.push(Reverse(((now + exec).as_micros(), n as u32, j as u32, v)));
-            placed += 1;
+        while let Some(n) = fastest_first.iter().copied().find(|&n| free_slots[n] > 0) {
+            let Some((j, v)) = order.next(n, &free[n]) else { break };
+            debug_assert!(!placed[j][v as usize], "the order named a task twice");
+            placed[j][v as usize] = true;
+            let a = Assignment { task: jobs[j].task_id(v), node: cluster.nodes[n].id, start: now };
+            let finish = a.planned_finish(&jobs[j], cluster);
+            schedule.assignments.push(a);
+            events.push(Reverse((finish.as_micros(), n as u32, j as u32, v)));
+            free[n] -= jobs[j].task(v).demand;
+            free_slots[n] -= 1;
+            count += 1;
         }
-        if placed == total && sim.events.is_empty() {
+        if count == total && events.is_empty() {
             return schedule;
         }
-        match sim.events.pop() {
-            Some(Reverse((t_us, n, j, v))) => {
-                now = Time::from_micros(t_us);
-                let n = n as usize;
-                sim.free_slots[n] += 1;
-                if v != RELEASE {
-                    let j = j as usize;
-                    for &c in jobs[j].dag.children(v) {
-                        pending_parents[j][c as usize] -= 1;
-                        if pending_parents[j][c as usize] == 0 {
-                            ready.push(Reverse((key_of(j, c), j, c)));
-                        }
-                    }
+        let Some(Reverse((t_us, n, j, v))) = events.pop() else {
+            let leftovers = placed.iter().enumerate().flat_map(|(j, row)| {
+                row.iter().enumerate().filter(|&(_, &p)| !p).map(move |(v, _)| (j, v as u32))
+            });
+            for (i, (j, v)) in leftovers.enumerate() {
+                let node = cluster.nodes[i % cluster.len()].id;
+                schedule.assign(jobs[j].task_id(v), node, now);
+            }
+            return schedule;
+        };
+        now = Time::from_micros(t_us);
+        let n = n as usize;
+        free_slots[n] += 1;
+        if v != RELEASE {
+            let j = j as usize;
+            free[n] += jobs[j].task(v).demand;
+            for &c in jobs[j].dag.children(v) {
+                pending_parents[j][c as usize] -= 1;
+                if pending_parents[j][c as usize] == 0 {
+                    order.ready(j, c);
                 }
             }
-            None => {
-                debug_assert!(placed == total, "acyclic DAGs always drain");
-                return schedule;
+        }
+    }
+}
+
+/// Ready tasks served by ascending `key(j, v)`, with lazy revalidation: a
+/// key may *grow* between enqueue and service (Aalo's queue demotion), so
+/// it is recomputed at pop time and a stale entry requeued. `picked` fires
+/// for each task served, so the caller can update what its key reads.
+pub(crate) struct Keyed<K, F, P> {
+    heap: BinaryHeap<Reverse<(K, usize, u32)>>,
+    key: F,
+    picked: P,
+}
+
+impl<K: Ord + Copy, F: FnMut(usize, u32) -> K, P: FnMut(usize, u32)> Keyed<K, F, P> {
+    pub(crate) fn new(key: F, picked: P) -> Self {
+        Keyed { heap: BinaryHeap::new(), key, picked }
+    }
+}
+
+impl<K: Ord + Copy, F: FnMut(usize, u32) -> K, P: FnMut(usize, u32)> Order for Keyed<K, F, P> {
+    fn ready(&mut self, j: usize, v: u32) {
+        self.heap.push(Reverse(((self.key)(j, v), j, v)));
+    }
+
+    fn next(&mut self, _: usize, _: &ResourceVec) -> Option<(usize, u32)> {
+        loop {
+            let Reverse((k, j, v)) = self.heap.pop()?;
+            let cur = (self.key)(j, v);
+            if cur == k {
+                (self.picked)(j, v);
+                return Some((j, v));
             }
+            // Keys only decay in priority, so requeueing terminates.
+            self.heap.push(Reverse((cur, j, v)));
         }
     }
 }
@@ -286,137 +175,131 @@ mod tests {
         )
     }
 
+    fn independent(id: u32, n: usize) -> Job {
+        Job::new(
+            JobId(id),
+            JobClass::Small,
+            Time::ZERO,
+            Time::MAX,
+            vec![TaskSpec::sized(1000.0); n],
+            Dag::new(n),
+        )
+    }
+
+    /// First-ready order that records the most tasks ever ready at once.
+    #[derive(Default)]
+    struct FirstReady {
+        ready: Vec<(usize, u32)>,
+        max_ready: usize,
+    }
+
+    impl Order for FirstReady {
+        fn ready(&mut self, j: usize, v: u32) {
+            self.ready.push((j, v));
+            self.max_ready = self.max_ready.max(self.ready.len());
+        }
+        fn next(&mut self, _: usize, _: &ResourceVec) -> Option<(usize, u32)> {
+            (!self.ready.is_empty()).then(|| self.ready.remove(0))
+        }
+    }
+
+    /// Leaves every slot idle.
+    struct Refuse;
+
+    impl Order for Refuse {
+        fn ready(&mut self, _: usize, _: u32) {}
+        fn next(&mut self, _: usize, _: &ResourceVec) -> Option<(usize, u32)> {
+            None
+        }
+    }
+
+    fn by_start(s: &Schedule) -> Vec<Assignment> {
+        let mut v = s.assignments.clone();
+        v.sort_by_key(|a| a.start);
+        v
+    }
+
     #[test]
-    fn first_ready_picker_covers_everything() {
+    fn first_ready_order_covers_everything() {
         let jobs = vec![chain_job(0, 3), chain_job(1, 2)];
         let cluster = uniform(2, 1000.0, 1);
-        let s = simulate_packing(&jobs, &cluster, Time::ZERO, &[], |st, _| {
-            if st.ready.is_empty() {
-                None
-            } else {
-                Some(0)
-            }
-        });
+        let s = pack(&jobs, &cluster, Time::ZERO, &[], &mut FirstReady::default());
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
         // Chain starts are strictly increasing within each job.
-        let mut starts: Vec<Time> =
-            s.assignments.iter().filter(|a| a.task.job == JobId(0)).map(|a| a.start).collect();
-        starts.sort();
+        let starts: Vec<Time> =
+            by_start(&s).iter().filter(|a| a.task.job == JobId(0)).map(|a| a.start).collect();
         assert!(starts.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
-    fn refusing_picker_force_places() {
-        let jobs = vec![chain_job(0, 4)];
-        let cluster = uniform(2, 1000.0, 1);
-        let s = simulate_packing(&jobs, &cluster, Time::ZERO, &[], |_, _| None);
-        assert!(schedule_covers_jobs(&s, &jobs, &cluster));
+    fn a_chain_has_one_ready_task_at_a_time() {
+        let jobs = vec![chain_job(0, 3)];
+        let cluster = uniform(1, 1000.0, 1);
+        let mut order = FirstReady::default();
+        pack(&jobs, &cluster, Time::ZERO, &[], &mut order);
+        assert_eq!(order.max_ready, 1);
     }
 
     #[test]
-    fn ready_list_tracks_dependencies() {
-        let jobs = vec![chain_job(0, 3)];
-        let cluster = uniform(1, 1000.0, 1);
-        let mut max_ready = 0usize;
-        simulate_packing(&jobs, &cluster, Time::ZERO, &[], |st, _| {
-            max_ready = max_ready.max(st.ready.len());
-            if st.ready.is_empty() {
-                None
-            } else {
-                Some(0)
-            }
-        });
-        // A chain never has more than one ready task.
-        assert_eq!(max_ready, 1);
+    fn a_refusing_order_is_force_placed() {
+        let jobs = vec![chain_job(0, 4)];
+        let cluster = uniform(2, 1000.0, 1);
+        let s = pack(&jobs, &cluster, Time::ZERO, &[], &mut Refuse);
+        assert!(schedule_covers_jobs(&s, &jobs, &cluster));
+        // Round-robin over the nodes, at the instant reached.
+        let nodes: Vec<usize> = s.assignments.iter().map(|a| a.node.idx()).collect();
+        assert_eq!(nodes, [0, 1, 0, 1]);
+        assert!(s.assignments.iter().all(|a| a.start == Time::ZERO));
     }
 
     #[test]
     fn keyed_serves_in_key_order() {
-        // Three independent tasks with explicit priorities 2, 0, 1 on one
-        // slot: service order must be task 1, task 2, task 0.
-        let jobs = vec![Job::new(
-            JobId(0),
-            JobClass::Small,
-            Time::ZERO,
-            Time::MAX,
-            vec![TaskSpec::sized(1000.0); 3],
-            Dag::new(3),
-        )];
+        // Three independent tasks with keys 2, 0, 1 on one slot: service
+        // order must be task 1, task 2, task 0.
+        let jobs = vec![independent(0, 3)];
         let cluster = uniform(1, 1000.0, 1);
         let keys = [2u64, 0, 1];
-        let s = simulate_packing_keyed(
-            &jobs,
-            &cluster,
-            Time::ZERO,
-            &[],
-            |_, v| keys[v as usize],
-            |_, _| {},
-        );
-        let mut by_start: Vec<_> = s.assignments.clone();
-        by_start.sort_by_key(|a| a.start);
-        let order: Vec<u32> = by_start.iter().map(|a| a.task.index).collect();
-        assert_eq!(order, vec![1, 2, 0]);
+        let mut order = Keyed::new(|_, v: u32| keys[v as usize], |_, _| {});
+        let s = pack(&jobs, &cluster, Time::ZERO, &[], &mut order);
+        let served: Vec<u32> = by_start(&s).iter().map(|a| a.task.index).collect();
+        assert_eq!(served, [1, 2, 0]);
     }
 
     #[test]
-    fn keyed_lazy_revalidation_handles_growing_keys() {
-        // Key grows for job 0 after its first assignment (Aalo-style
-        // demotion): job 1's tasks must overtake job 0's tail.
-        let jobs = vec![
-            Job::new(
-                JobId(0),
-                JobClass::Small,
-                Time::ZERO,
-                Time::MAX,
-                vec![TaskSpec::sized(1000.0); 3],
-                Dag::new(3),
-            ),
-            Job::new(
-                JobId(1),
-                JobClass::Small,
-                Time::ZERO,
-                Time::MAX,
-                vec![TaskSpec::sized(1000.0); 1],
-                Dag::new(1),
-            ),
-        ];
+    fn keyed_revalidates_keys_that_grew() {
+        // Job 0's key grows with each task served (Aalo-style demotion):
+        // job 1's task must overtake job 0's tail.
+        let jobs = vec![independent(0, 3), independent(1, 1)];
         let cluster = uniform(1, 1000.0, 1);
         let served = std::cell::RefCell::new([0u64, 0]);
-        let s = simulate_packing_keyed(
-            &jobs,
-            &cluster,
-            Time::ZERO,
-            &[],
-            |j, _| (served.borrow()[j], j),
-            |j, _| served.borrow_mut()[j] += 1,
-        );
+        let mut order =
+            Keyed::new(|j, _| (served.borrow()[j], j), |j, _| served.borrow_mut()[j] += 1);
+        let s = pack(&jobs, &cluster, Time::ZERO, &[], &mut order);
         assert!(schedule_covers_jobs(&s, &jobs, &cluster));
-        // After job 0's first task, job 1 (served 0) outranks job 0
-        // (served 1): job 1's task runs second.
-        let mut by_start: Vec<_> = s.assignments.clone();
-        by_start.sort_by_key(|a| a.start);
-        assert_eq!(by_start[1].task.job, JobId(1));
+        assert_eq!(by_start(&s)[1].task.job, JobId(1));
     }
 
     #[test]
     fn backlog_release_delays_starts() {
         let jobs = vec![chain_job(0, 2)];
         let cluster = uniform(2, 1000.0, 1);
-        // Node 0 busy until t=10; node 1 until t=3: the first task must
+        // Node 0 busy until t=10, node 1 until t=3: the first task must
         // start at t=3 on node 1.
         let avail = [Time::from_secs(10), Time::from_secs(3)];
-        let s = simulate_packing_keyed(&jobs, &cluster, Time::ZERO, &avail, |_, v| v, |_, _| {});
-        let first = s.assignments.iter().min_by_key(|a| a.start).unwrap();
+        let mut order = Keyed::new(|_, v| v, |_, _| {});
+        let s = pack(&jobs, &cluster, Time::ZERO, &avail, &mut order);
+        let first = by_start(&s)[0];
         assert_eq!(first.start, Time::from_secs(3));
         assert_eq!(first.node.idx(), 1);
     }
 
     #[test]
-    fn empty_inputs() {
+    fn empty_inputs_plan_nothing() {
         let cluster = uniform(1, 1000.0, 1);
-        let s = simulate_packing(&[], &cluster, Time::ZERO, &[], |_, _| None);
-        assert!(s.is_empty());
-        let s2 = simulate_packing_keyed(&[], &cluster, Time::ZERO, &[], |_, v| v, |_, _| {});
-        assert!(s2.is_empty());
+        assert!(pack(&[], &cluster, Time::ZERO, &[], &mut Refuse).is_empty());
+        let mut order = Keyed::new(|_, v| v, |_, _| {});
+        assert!(pack(&[], &cluster, Time::ZERO, &[], &mut order).is_empty());
+        let no_nodes = dsp_cluster::ClusterSpec { name: "empty".into(), nodes: Vec::new() };
+        assert!(pack(&[chain_job(0, 2)], &no_nodes, Time::ZERO, &[], &mut Refuse).is_empty());
     }
 }

@@ -2,6 +2,7 @@
 //! scheduler worth its salt must beat it.
 
 use crate::api::Scheduler;
+use crate::pack::{pack, Keyed};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_sim::Schedule;
@@ -34,20 +35,14 @@ impl Scheduler for RandomScheduler {
         at: Time,
         node_avail: &[Time],
     ) -> Schedule {
-        // Pre-draw one random key per task; the keyed sim then serves
-        // ready tasks in that (uniformly random) order.
+        // Pre-draw one random key per task; ready tasks are then served in
+        // that (uniformly random) order.
         let keys: Vec<Vec<u64>> = jobs
             .iter()
             .map(|j| (0..j.num_tasks()).map(|_| self.rng.gen::<u64>()).collect())
             .collect();
-        crate::pack::simulate_packing_keyed(
-            jobs,
-            cluster,
-            at,
-            node_avail,
-            |j, v| (keys[j][v as usize], j, v),
-            |_, _| {},
-        )
+        let mut order = Keyed::new(|j, v: u32| (keys[j][v as usize], j, v), |_, _| {});
+        pack(jobs, cluster, at, node_avail, &mut order)
     }
 }
 

@@ -14,13 +14,17 @@
 //! * `TetrisDep::Simple` — **TetrisW/SimDep**: "precedent tasks complete
 //!   before their dependent tasks start to run" — only tasks whose
 //!   precedents have finished (in the estimated timeline) are candidates.
+//!
+//! Both plan through the crate's one packing loop (`pack`), so slots free
+//! at the same instant are filled fastest node first, as in every other
+//! list arm.
 
 use crate::api::Scheduler;
-use crate::pack::simulate_packing;
+use crate::pack::{pack, Order};
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_sim::Schedule;
-use dsp_units::Time;
+use dsp_units::{ResourceVec, Time};
 
 /// Dependency handling flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +54,71 @@ impl TetrisScheduler {
     }
 }
 
+/// Ready tasks scanned per decision. Tetris itself only scores the tasks
+/// whose peak demands fit; a bounded window keeps each decision O(cap) at
+/// cluster scale.
+const SCAN_CAP: usize = 4096;
+
+/// W/SimDep: among the ready tasks that fit the node's capacity, the one
+/// whose demand best aligns (dot product) with the node's free resources.
+struct Aligned<'a> {
+    jobs: &'a [Job],
+    cluster: &'a ClusterSpec,
+    ready: Vec<(usize, u32)>,
+}
+
+impl Order for Aligned<'_> {
+    fn ready(&mut self, j: usize, v: u32) {
+        self.ready.push((j, v));
+    }
+
+    fn next(&mut self, n: usize, free: &ResourceVec) -> Option<(usize, u32)> {
+        let cap = self.cluster.nodes[n].capacity;
+        let mut best: Option<(f64, usize)> = None;
+        for (ri, &(j, v)) in self.ready.iter().enumerate().take(SCAN_CAP) {
+            let demand = self.jobs[j].task(v).demand;
+            if !demand.fits_in(&cap) {
+                continue;
+            }
+            let score = demand.dot(free);
+            if best.is_none_or(|(b, _)| score > b + 1e-12) {
+                best = Some((score, ri));
+            }
+        }
+        best.map(|(_, ri)| self.ready.swap_remove(ri))
+    }
+}
+
+/// W/oDep: every task, heaviest demand mass first, into whichever slot
+/// frees next. Readiness is ignored: dependent tasks get early planned
+/// starts and then idle in the run-time queue until their precedents
+/// finish, which is how the paper's W/oDep wastes resources.
+struct Oblivious(std::vec::IntoIter<(usize, u32)>);
+
+impl Oblivious {
+    fn new(jobs: &[Job]) -> Self {
+        let mut all: Vec<(usize, u32)> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(j, job)| (0..job.num_tasks() as u32).map(move |v| (j, v)))
+            .collect();
+        all.sort_by(|&(aj, av), &(bj, bv)| {
+            let da = jobs[aj].task(av).demand.l1();
+            let db = jobs[bj].task(bv).demand.l1();
+            db.total_cmp(&da).then((aj, av).cmp(&(bj, bv)))
+        });
+        Oblivious(all.into_iter())
+    }
+}
+
+impl Order for Oblivious {
+    fn ready(&mut self, _: usize, _: u32) {}
+
+    fn next(&mut self, _: usize, _: &ResourceVec) -> Option<(usize, u32)> {
+        self.0.next()
+    }
+}
+
 impl Scheduler for TetrisScheduler {
     fn name(&self) -> &str {
         match self.dep {
@@ -65,75 +134,12 @@ impl Scheduler for TetrisScheduler {
         at: Time,
         node_avail: &[Time],
     ) -> Schedule {
-        let dep = self.dep;
-        // Tetris's alignment score depends on the node's current free
-        // resources, so each decision is a scan. The candidate set is the
-        // ready list for W/SimDep; W/oDep additionally treats dependent
-        // tasks as candidates (its defining flaw), which we realize by
-        // ignoring readiness when ordering candidates is irrelevant —
-        // every unscheduled task is eventually offered because the ready
-        // list grows as the estimated timeline progresses, and W/oDep
-        // additionally pulls in not-yet-ready tasks from a lookahead pool.
-        // Scans are capped: Tetris itself only scores the tasks whose peak
-        // demands fit, and a bounded candidate window keeps the packer
-        // O(cap) per decision at cluster scale.
-        const SCAN_CAP: usize = 4096;
-        match dep {
-            TetrisDep::Simple => simulate_packing(jobs, cluster, at, node_avail, |st, node| {
-                let n = node.idx();
-                let avail = st.avail[n];
-                let cap = cluster.nodes[n].capacity;
-                let mut best: Option<(f64, usize)> = None;
-                for (ri, &(j, v)) in st.ready.iter().enumerate().take(SCAN_CAP) {
-                    let demand = st.jobs[j].task(v).demand;
-                    if !demand.fits_in(&cap) {
-                        continue;
-                    }
-                    let score = demand.dot(&avail);
-                    if best.is_none_or(|(b, _)| score > b + 1e-12) {
-                        best = Some((score, ri));
-                    }
-                }
-                best.map(|(_, ri)| ri)
-            }),
-            TetrisDep::None => {
-                // Dependency-oblivious packing: order ALL tasks purely by
-                // alignment (demand mass), ignoring DAG structure entirely,
-                // and lay them onto slot timelines. Dependent tasks receive
-                // early planned starts and then idle in the run-time queue
-                // until their precedents finish — exactly how the paper's
-                // W/oDep wastes resources.
-                let mut order: Vec<(usize, u32)> = jobs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(j, job)| (0..job.num_tasks() as u32).map(move |v| (j, v)))
-                    .collect();
-                order.sort_by(|&(aj, av), &(bj, bv)| {
-                    let da = jobs[aj].task(av).demand.l1();
-                    let db = jobs[bj].task(bv).demand.l1();
-                    db.total_cmp(&da).then((aj, av).cmp(&(bj, bv)))
-                });
-                // One heap entry per slot: (free-at, node).
-                let mut slots: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-                    cluster
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(n, node)| {
-                            let free = node_avail.get(n).copied().unwrap_or(at).max(at).as_micros();
-                            (0..node.slots).map(move |_| std::cmp::Reverse((free, n)))
-                        })
-                        .collect();
-                let mut schedule = Schedule::new();
-                for (j, v) in order {
-                    let std::cmp::Reverse((free, n)) = slots.pop().expect("≥1 slot");
-                    let start = Time::from_micros(free);
-                    let exec = jobs[j].task(v).est_exec_time(cluster.nodes[n].rate());
-                    schedule.assign(jobs[j].task_id(v), cluster.nodes[n].id, start);
-                    slots.push(std::cmp::Reverse(((start + exec).as_micros(), n)));
-                }
-                schedule
+        match self.dep {
+            TetrisDep::Simple => {
+                let mut order = Aligned { jobs, cluster, ready: Vec::new() };
+                pack(jobs, cluster, at, node_avail, &mut order)
             }
+            TetrisDep::None => pack(jobs, cluster, at, node_avail, &mut Oblivious::new(jobs)),
         }
     }
 }
@@ -217,15 +223,43 @@ mod tests {
 
     #[test]
     fn oversized_demand_still_gets_force_placed() {
-        // A task whose demand exceeds every node capacity can never pack;
-        // the fallback must still emit an assignment for it.
+        // A task whose demand exceeds every node capacity can never pack:
+        // W/SimDep refuses it on every node, so only the force-place emits
+        // its assignment. W/oDep never consults capacity.
         let mut huge = TaskSpec::sized(1000.0);
         huge.demand = ResourceVec::cpu_mem(1e6, 1e6);
         let job =
             Job::new(JobId(0), JobClass::Small, Time::ZERO, Time::MAX, vec![huge], Dag::new(1));
         let cluster = uniform(1, 1000.0, 1);
         let jobs = [job];
+        for mut sched in [TetrisScheduler::without_dep(), TetrisScheduler::with_simple_dep()] {
+            let s = sched.schedule(&jobs, &cluster, Time::ZERO);
+            assert!(schedule_covers_jobs(&s, &jobs, &cluster), "{}", sched.name());
+        }
+    }
+
+    #[test]
+    fn wo_dep_fills_the_fastest_free_slot_first() {
+        // Slow node 0, fast node 1, one slot each, both free at the start:
+        // the heaviest task takes the fast node, as in every other arm.
+        let mut heavy = TaskSpec::sized(1000.0);
+        heavy.demand = ResourceVec::cpu_mem(0.9, 0.9);
+        let mut light = TaskSpec::sized(1000.0);
+        light.demand = ResourceVec::cpu_mem(0.1, 0.1);
+        let jobs = [Job::new(
+            JobId(0),
+            JobClass::Small,
+            Time::ZERO,
+            Time::MAX,
+            vec![light, heavy],
+            Dag::new(2),
+        )];
+        let mut cluster = uniform(2, 1000.0, 1);
+        cluster.nodes[1].s_cpu = 4000.0;
+        cluster.nodes[1].s_mem = 4000.0;
         let s = TetrisScheduler::without_dep().schedule(&jobs, &cluster, Time::ZERO);
-        assert!(schedule_covers_jobs(&s, &jobs, &cluster));
+        let on = |v: u32| s.assignments.iter().find(|a| a.task.index == v).unwrap();
+        assert_eq!((on(1).node.idx(), on(1).start), (1, Time::ZERO));
+        assert_eq!((on(0).node.idx(), on(0).start), (0, Time::ZERO));
     }
 }

@@ -1,7 +1,7 @@
 //! The offline scheduling output: `[t^s_ij, k|x_ijk=1]` per task.
 
-use dsp_cluster::NodeId;
-use dsp_dag::TaskId;
+use dsp_cluster::{ClusterSpec, NodeId};
+use dsp_dag::{Job, TaskId};
 use dsp_units::Time;
 
 /// One task's placement: its target node and planned starting time, exactly
@@ -14,6 +14,15 @@ pub struct Assignment {
     pub node: NodeId,
     /// Planned starting time `t^s_ij`. Queues order by this.
     pub start: Time,
+}
+
+impl Assignment {
+    /// Planned finish `t^s + l̂/g(k)`: the estimate the scheduler planned
+    /// on, at the assigned node's Eq. 1 rate. `job` is the job the task
+    /// belongs to.
+    pub fn planned_finish(&self, job: &Job, cluster: &ClusterSpec) -> Time {
+        self.start + job.task(self.task.index).est_exec_time(cluster.node(self.node).rate())
+    }
 }
 
 /// A complete offline schedule for a batch of jobs.
@@ -53,6 +62,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsp_dag::{Dag, JobClass, JobId, TaskSpec};
 
     #[test]
     fn builder() {
@@ -61,6 +71,27 @@ mod tests {
         s.assign(TaskId::new(0, 0), NodeId(1), Time::from_secs(3));
         s.assign(TaskId::new(0, 1), NodeId(0), Time::from_secs(1));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn planned_finish_adds_the_estimate_at_the_node_rate() {
+        let job = Job::new(
+            JobId(0),
+            JobClass::Small,
+            Time::ZERO,
+            Time::MAX,
+            vec![TaskSpec::sized(1000.0); 2],
+            Dag::new(2),
+        );
+        let mut cluster = dsp_cluster::uniform(2, 1000.0, 1);
+        cluster.nodes[1].s_cpu = 4000.0;
+        cluster.nodes[1].s_mem = 4000.0;
+        let on = |node| Assignment { task: job.task_id(1), node, start: Time::from_secs(3) };
+        assert_eq!(on(NodeId(0)).planned_finish(&job, &cluster), Time::from_secs(4));
+        assert_eq!(
+            on(NodeId(1)).planned_finish(&job, &cluster),
+            Time::from_secs(3) + dsp_units::Dur::from_millis(250)
+        );
     }
 
     #[test]

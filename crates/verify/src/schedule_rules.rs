@@ -156,12 +156,6 @@ impl<'a> ByJob<'a> {
     }
 }
 
-/// Planned finish of an assignment: `t^s + l̂/g(k)` with the estimate the
-/// scheduler planned on and the assigned node's Eq. 1 rate.
-fn planned_finish(start: Time, job: &Job, v: u32, node: usize, cluster: &ClusterSpec) -> Time {
-    start + job.task(v).est_exec_time(cluster.nodes[node].rate())
-}
-
 /// R2: along every DAG edge `(u, v)`, the child's planned start must not
 /// precede the parent's planned finish.
 fn check_precedence(
@@ -178,7 +172,7 @@ fn check_precedence(
         let mut placed: Vec<Option<(Time, Time)>> = vec![None; job.num_tasks()];
         for a in by_job.of(job.id) {
             if a.task.idx() < job.num_tasks() && a.node.idx() < cluster.len() {
-                let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+                let finish = a.planned_finish(job, cluster);
                 placed[a.task.idx()] = Some((a.start, finish));
             }
         }
@@ -220,7 +214,7 @@ fn check_capacity(s: &Schedule, by_id: &JobsById, cluster: &ClusterSpec, report:
         if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
             continue;
         }
-        let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+        let finish = a.planned_finish(job, cluster);
         events[a.node.idx()].push((a.start, 1, a.task));
         events[a.node.idx()].push((finish, -1, a.task));
     }
@@ -261,7 +255,7 @@ fn check_deadlines(by_job: &ByJob, jobs: &[Job], cluster: &ClusterSpec, report: 
             if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
                 continue;
             }
-            let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+            let finish = a.planned_finish(job, cluster);
             let deadline = deadlines[a.task.idx()];
             if finish > deadline {
                 report.push(Diagnostic {
@@ -484,20 +478,20 @@ mod tests {
 
             let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
             for job in jobs {
-                let mut placed: HashMap<u32, (usize, Time)> = HashMap::new();
+                let mut placed: HashMap<u32, &Assignment> = HashMap::new();
                 for a in &s.assignments {
                     if a.task.job == job.id
                         && a.task.idx() < job.num_tasks()
                         && a.node.idx() < cluster.len()
                     {
-                        placed.insert(a.task.index, (a.node.idx(), a.start));
+                        placed.insert(a.task.index, a);
                     }
                 }
                 for (u, v) in job.dag.edges() {
-                    let (Some(&(nu, su)), Some(&(_, sv))) = (placed.get(&u), placed.get(&v)) else {
+                    let (Some(pu), Some(pv)) = (placed.get(&u), placed.get(&v)) else {
                         continue;
                     };
-                    let parent_finish = planned_finish(su, job, u, nu, cluster);
+                    let (parent_finish, sv) = (pu.planned_finish(job, cluster), pv.start);
                     if sv < parent_finish {
                         report.push(Diagnostic {
                             rule: Rule::Precedence,
@@ -530,7 +524,7 @@ mod tests {
                     {
                         continue;
                     }
-                    let finish = planned_finish(a.start, job, a.task.index, a.node.idx(), cluster);
+                    let finish = a.planned_finish(job, cluster);
                     let deadline = deadlines[a.task.idx()];
                     if finish > deadline {
                         report.push(Diagnostic {

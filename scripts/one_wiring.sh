@@ -4,12 +4,14 @@
 # command-line reader (core/src/flags.rs), and the workspace one artifact
 # (the snapshot, service/src/codec.rs) built in four files, and dspd one
 # thread kind per role: the shard owners and the reactor pool, every
-# experiment one audited run call (core/src/pipeline.rs), and the R5
-# overhead identities one home (simulator/src/history.rs). Nine greps over
-# non-test product code — every crates/*/src file outside crates/benchmark,
-# cut at its `#[cfg(test)] mod tests`, minus files that are test-only
-# modules — and one over the service crate whole, 10 checks in all. Run
-# from the repo root.
+# experiment one audited run call (core/src/pipeline.rs), the R5
+# overhead identities one home (simulator/src/history.rs), the offline
+# schedulers one packing loop (sched/src/pack.rs), and a plan's finish
+# `t^s + l̂/g(k)` one formula (`Assignment::planned_finish`). Eleven greps
+# over non-test product code — every crates/*/src file outside
+# crates/benchmark, cut at its `#[cfg(test)] mod tests`, minus files that
+# are test-only modules — and one over the service crate whole, 12 checks
+# in all. Run from the repo root.
 set -euo pipefail
 
 product() {
@@ -98,5 +100,20 @@ calls=$(grep -E '\bexecute\(' <<<"$src" | grep -vE '\bfn execute\(|^[^:]+:[0-9]+
 check "an R5 overhead product outside simulator/src/history.rs" \
     "$(grep -E '\b(recovery_charges|preemptions|preempt_count) as u64\b' <<<"$src" |
         grep -v '^crates/simulator/src/history\.rs:' || true)"
+
+# 11. One packing loop: in dsp-sched, a plan is written only by
+#     sched/src/pack.rs (every list scheduler) and by dsp_ilp.rs's
+#     read-back of the MILP's answer.
+check "a plan written in crates/sched outside pack.rs and dsp_ilp.rs" \
+    "$(grep -E '^crates/sched/src/.*(\.assign\(|\.assignments\.push\()' <<<"$src" |
+        grep -vE '^crates/sched/src/(pack|dsp_ilp)\.rs:' || true)"
+
+# 12. One planned-finish formula: outside dsp-dag, a task's estimated
+#     execution time is priced only by `Assignment::planned_finish`
+#     (simulator/src/schedule.rs) and by the MILP's per-slot cost matrix
+#     (sched/src/dsp_ilp.rs), which prices candidate slots, not a plan.
+check "est_exec_time( outside dag, simulator/src/schedule.rs and sched/src/dsp_ilp.rs" \
+    "$(grep -E '\best_exec_time\(' <<<"$src" |
+        grep -vE '^crates/dag/|^crates/simulator/src/schedule\.rs:|^crates/sched/src/dsp_ilp\.rs:' || true)"
 
 exit "$fail"
