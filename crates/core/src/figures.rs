@@ -348,7 +348,7 @@ fn ablation_rho(name: &str, scale: &FigureScale) -> Entry {
         ),
         ("throughput", "PP strength ρ vs throughput", "throughput (tasks/ms)", throughput),
     ];
-    knob(name, scale, "rho", &[1.0, 1.5, 2.0, 4.0, 8.0], |p, rho| p.rho = rho, panels)
+    knob(name, scale, "rho", &[1.0, 1.5, 2.0, 4.0, 8.0], |p, rho| p.dsp.rho = rho, panels)
 }
 
 /// γ sweep: the Eq. 12 level coefficient against avg waiting & makespan.
@@ -357,7 +357,7 @@ fn ablation_gamma(name: &str, scale: &FigureScale) -> Entry {
         ("wait", "Eq. 12 γ vs avg job waiting", "avg job waiting time (s)", waiting as Metric),
         ("makespan", "Eq. 12 γ vs makespan", "makespan (s)", makespan),
     ];
-    knob(name, scale, "gamma", &[0.1, 0.3, 0.5, 0.7, 0.9], |p, gamma| p.gamma = gamma, panels)
+    knob(name, scale, "gamma", &[0.1, 0.3, 0.5, 0.7, 0.9], |p, g| p.dsp.weights.gamma = g, panels)
 }
 
 /// δ sweep: the preempting-task window (1.0 = whole queue).
@@ -366,7 +366,7 @@ fn ablation_delta(name: &str, scale: &FigureScale) -> Entry {
         ("preemptions", "δ window vs preemptions", "preemption attempts", preemptions as Metric),
         ("throughput", "δ window vs throughput", "throughput (tasks/ms)", throughput),
     ];
-    knob(name, scale, "delta", &[0.1, 0.35, 0.7, 1.0], |p, delta| p.delta = delta, panels)
+    knob(name, scale, "delta", &[0.1, 0.35, 0.7, 1.0], |p, delta| p.dsp.delta = delta, panels)
 }
 
 /// Estimate-noise sweep: offline-plan degradation and the online phase's

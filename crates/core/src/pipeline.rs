@@ -45,7 +45,7 @@ impl PeriodPlanner {
         {
             let report = dsp_verify::check_coverage(&schedule, batch, cluster);
             debug_assert!(
-                report.is_clean(),
+                report.is_empty(),
                 "scheduler broke R1 coverage for the batch planned at {at:?}:\n{report}"
             );
         }
@@ -110,8 +110,8 @@ impl Run {
 
 /// Run the two-phase loop over `jobs` (sorted by strictly increasing
 /// `JobId`): the offline `scheduler` every [`Params::sched_period`], the
-/// online `policy` every [`Params::epoch`], under a deterministic fault
-/// schedule ([`FaultPlan::none`] for the paper's setting).
+/// online `policy` every epoch of [`Params::engine`], under a deterministic
+/// fault schedule ([`FaultPlan::none`] for the paper's setting).
 pub fn execute(
     jobs: &[Job],
     cluster: &ClusterSpec,
@@ -120,7 +120,7 @@ pub fn execute(
     policy: &mut dyn PreemptPolicy,
     faults: FaultPlan,
 ) -> Run {
-    let mut engine = Engine::new(jobs.to_vec(), cluster.clone(), params.engine_config());
+    let mut engine = Engine::new(jobs.to_vec(), cluster.clone(), params.engine);
     let mut schedule = Schedule::new();
     for (at, batch) in periodic_schedules(jobs, cluster, params.sched_period, scheduler) {
         schedule.assignments.extend_from_slice(&batch.assignments);

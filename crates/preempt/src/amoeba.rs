@@ -97,7 +97,7 @@ mod tests {
     #[test]
     fn shortest_waiter_evicts_biggest_runner() {
         let jobs = world_jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn longer_waiter_does_not_preempt() {
         let jobs = world_jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![snap(TaskId::new(0, 0), true, 5_000)],
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn multiple_waiters_take_multiple_victims() {
         let jobs = world_jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![

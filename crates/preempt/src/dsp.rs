@@ -22,8 +22,8 @@
 //!      `P̂/P̄ > ρ`, which is what we implement.)
 //!
 //! Running tasks are *preemptable* only when their own allowable waiting
-//! time exceeds one epoch, so evicting them cannot push them past their
-//! deadlines.
+//! time exceeds one epoch (the engine's, [`WorldCtx::epoch`]), so evicting
+//! them cannot push them past their deadlines.
 
 use crate::priority::{PriorityEngine, PriorityEngineStats, PriorityWeights};
 use dsp_sim::{NodeView, PreemptAction, PreemptPolicy, TaskSnapshot, WorldCtx};
@@ -45,9 +45,6 @@ pub struct DspParams {
     pub epsilon: Dur,
     /// ρ > 1: the PP filter's normalized-gap requirement.
     pub rho: f64,
-    /// Epoch length; running tasks with less allowable waiting time than
-    /// this are not preemptable.
-    pub epoch: Dur,
     /// Eq. 12/13 weights.
     pub weights: PriorityWeights,
     /// Enable the normalized-priority filter (false = DSPW/oPP).
@@ -61,7 +58,6 @@ impl Default for DspParams {
             tau: Dur::from_secs(3600),
             epsilon: Dur::from_millis(100),
             rho: 1.5,
-            epoch: Dur::from_secs(1),
             weights: PriorityWeights::default(),
             use_pp: true,
         }
@@ -157,7 +153,7 @@ impl PreemptPolicy for DspPolicy {
             view.running
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.allowable_wait(now) > self.params.epoch)
+                .filter(|(_, r)| r.allowable_wait(now) > world.epoch)
                 .map(|(i, r)| (self.priority(r, now), i)),
         );
         // Total order with an index tie-break: equal priorities must not
@@ -300,8 +296,21 @@ mod tests {
 
     const NOW: Time = Time::from_secs(10);
 
+    /// The engine epoch these tests run under unless they say otherwise.
+    const EPOCH: Dur = Dur::from_secs(1);
+
     fn run_epoch(policy: &mut DspPolicy, view: NodeView, jobs: &[Job]) -> Vec<PreemptAction> {
-        let world = WorldCtx { jobs, now: NOW };
+        run_epoch_at(EPOCH, policy, view, jobs)
+    }
+
+    /// One epoch at [`NOW`] under an engine whose epoch is `epoch`.
+    fn run_epoch_at(
+        epoch: Dur,
+        policy: &mut DspPolicy,
+        view: NodeView,
+        jobs: &[Job],
+    ) -> Vec<PreemptAction> {
+        let world = WorldCtx { jobs, now: NOW, epoch };
         let views = vec![view];
         policy.begin_epoch(NOW, &views, &world);
         policy.decide(NOW, &views[0], &world)
@@ -392,6 +401,25 @@ mod tests {
         };
         let acts = run_epoch(&mut DspPolicy::default(), view, &jobs);
         assert!(acts.is_empty());
+    }
+
+    #[test]
+    fn preemptable_horizon_is_the_engine_epoch() {
+        // The running task may wait 3 s more: evicting it for one epoch is
+        // safe under a 1 s engine epoch, not under a 5 s one.
+        let jobs = flat_jobs(2);
+        let view = NodeView {
+            node: NodeId(0),
+            running: vec![snap(TaskId::new(0, 0), true, 60_000, 0, 3_000)],
+            waiting: vec![snap(TaskId::new(0, 1), false, 100, 60_000, 50)],
+            slots: 1,
+        };
+        let at = |secs| {
+            run_epoch_at(Dur::from_secs(secs), &mut DspPolicy::default(), view.clone(), &jobs)
+        };
+        let evict = PreemptAction { evict: TaskId::new(0, 0), admit: TaskId::new(0, 1) };
+        assert_eq!(at(1), vec![evict]);
+        assert!(at(5).is_empty());
     }
 
     #[test]

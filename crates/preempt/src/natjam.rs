@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn production_evicts_research_by_key() {
         let jobs = vec![job(0, JobClass::Small), job(1, JobClass::Medium), job(2, JobClass::Large)];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn production_running_tasks_are_never_evicted() {
         let jobs = vec![job(0, JobClass::Small), job(1, JobClass::Small)];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![snap(TaskId::new(0, 0), true, 0.9, 100, 60_000)],
@@ -132,7 +132,7 @@ mod tests {
     #[test]
     fn research_waiters_do_not_preempt() {
         let jobs = vec![job(0, JobClass::Medium), job(1, JobClass::Large)];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![snap(TaskId::new(0, 0), true, 0.5, 100, 60_000)],
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn deadline_breaks_demand_ties() {
         let jobs = vec![job(0, JobClass::Small), job(1, JobClass::Medium), job(2, JobClass::Large)];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![
@@ -168,7 +168,7 @@ mod tests {
         // `view.running` happened to arrive in. With `total_cmp` the NaN
         // sorts to a fixed position and both permutations must agree.
         let jobs = vec![job(0, JobClass::Small), job(1, JobClass::Medium), job(2, JobClass::Large)];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let nan = snap(TaskId::new(1, 0), true, f64::NAN, 100, 5_000);
         let big = snap(TaskId::new(2, 0), true, 0.9, 100, 5_000);
         let waiter = snap(TaskId::new(0, 0), false, 0.1, 50, 1_000);

@@ -511,7 +511,7 @@ mod tests {
         let snaps: Vec<_> = (0..7u32).map(|v| snap(job.task_id(v), 1_000, 0, 0)).collect();
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         let at = |v: u32| p.get(&job.task_id(v)).unwrap();
         assert!(at(0) > at(1) && at(0) > at(2));
@@ -531,7 +531,7 @@ mod tests {
         let snaps = vec![snap(job.task_id(0), 1_000, 0, 0), snap(job.task_id(1), 1_000, 0, 0)];
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         // Task 1's children (3, 4) are done → leaf formula (0.5); root sees
         // only child 1: 1.5·0.5 = 0.75.
@@ -546,7 +546,7 @@ mod tests {
         let snaps = vec![snap(job.task_id(3), 1_000, 0, 0), snap(job.task_id(4), 1_000, 9_000, 0)];
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         assert!(p.get(&job.task_id(4)).unwrap() > p.get(&job.task_id(3)).unwrap());
     }
@@ -578,7 +578,7 @@ mod tests {
         let snaps = vec![snap(j0.task_id(3), 1_000, 0, 0), snap(TaskId::new(1, 3), 500, 0, 0)];
         let views = views_of(&j0, snaps);
         let jobs = vec![j0.clone(), j1];
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
         assert_eq!(p.len(), 2);
         // Shorter remaining → higher priority (both are leaves).

@@ -203,7 +203,7 @@ proptest! {
                 }
             }
             let now = Time::from_millis(now_ms);
-            let world = WorldCtx { jobs: world_jobs, now };
+            let world = WorldCtx { jobs: world_jobs, now, epoch: Dur::from_secs(5) };
             let w = PriorityWeights::default();
             engine.begin_epoch(now, &views, &world, &w);
             assert_epoch_equal(&engine, now, &views, &world, &w);
@@ -218,7 +218,7 @@ proptest! {
             waiting: vec![waiting(&other[1], 0, 2_000, 30, 0, 4_000)],
             slots: 2,
         }];
-        let world = WorldCtx { jobs: &other, now: Time::ZERO };
+        let world = WorldCtx { jobs: &other, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let w = PriorityWeights::default();
         engine.begin_epoch(Time::ZERO, &snaps, &world, &w);
         assert_epoch_equal(&engine, Time::ZERO, &snaps, &world, &w);
@@ -233,7 +233,7 @@ fn assert_epochs_equal(jobs: &[Job], epochs: &[(u64, Vec<NodeView>)]) -> Priorit
     let mut engine = PriorityEngine::new();
     for (now_s, views) in epochs {
         let now = Time::from_secs(*now_s);
-        let world = WorldCtx { jobs, now };
+        let world = WorldCtx { jobs, now, epoch: Dur::from_secs(5) };
         engine.begin_epoch(now, views, &world, &w);
         assert_epoch_equal(&engine, now, views, &world, &w);
     }
@@ -332,7 +332,7 @@ fn the_clock_moves_priorities_over_unchanged_snapshots() {
     let mut engine = PriorityEngine::new();
     for now_s in instants {
         let now = Time::from_secs(now_s);
-        let world = WorldCtx { jobs: &jobs, now };
+        let world = WorldCtx { jobs: &jobs, now, epoch: Dur::from_secs(5) };
         engine.begin_epoch(now, &views, &world, &w);
         assert_epoch_equal(&engine, now, &views, &world, &w);
 

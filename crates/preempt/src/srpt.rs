@@ -139,7 +139,7 @@ mod tests {
     #[test]
     fn shorter_task_preempts() {
         let jobs = jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![snap(TaskId::new(0, 0), true, 30_000, 0)],
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn equal_priorities_do_not_thrash() {
         let jobs = jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![snap(TaskId::new(0, 0), true, 5_000, 0)],
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn pairs_best_waiter_with_worst_runner() {
         let jobs = jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView {
             node: NodeId(0),
             running: vec![
@@ -193,7 +193,7 @@ mod tests {
         // tie-break on TaskId makes the decision a pure function of the
         // snapshot *set*.
         let jobs = jobs();
-        let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let a = snap(TaskId::new(0, 0), true, 30_000, 0);
         let b = snap(TaskId::new(0, 1), true, 30_000, 0);
         let waiter = snap(TaskId::new(0, 2), false, 500, 0);

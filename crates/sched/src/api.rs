@@ -41,7 +41,7 @@ pub trait Scheduler {
 /// ([`dsp_verify::check_coverage`]), which is the single source of truth
 /// and reports *which* assignment is wrong when this returns `false`.
 pub fn schedule_covers_jobs(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> bool {
-    dsp_verify::check_coverage(s, jobs, cluster).is_clean()
+    dsp_verify::check_coverage(s, jobs, cluster).is_empty()
 }
 
 #[cfg(test)]

@@ -232,7 +232,7 @@ fn meets_lower_bound(
     let bound = makespan_lower_bound(jobs, cluster, at, node_avail);
     debug_assert!(latest.since(at) >= bound, "the list plan beat the lower bound");
     latest.since(at) == bound
-        && check_schedule(plan, jobs, cluster, &VerifyOptions::default()).is_clean()
+        && check_schedule(plan, jobs, cluster, &VerifyOptions::default()).is_empty()
 }
 
 /// `dsp-lp` accepts a binary within this distance of 0 or 1; times `big_m`
@@ -790,7 +790,7 @@ mod tests {
             DspIlpScheduler::default().schedule_with_stats_onto(&jobs, &cluster, Time::ZERO, &[]);
         assert_eq!(outcome, IlpOutcome::Exact);
         assert!(stats.nodes > 0 && stats.pivots > 0, "{stats:?}");
-        assert!(check_schedule(&s, &jobs, &cluster, &VerifyOptions::default()).is_clean());
+        assert!(check_schedule(&s, &jobs, &cluster, &VerifyOptions::default()).is_empty());
         assert_eq!(planned_makespan(&s, &jobs, &cluster), Dur::from_secs(3));
     }
 

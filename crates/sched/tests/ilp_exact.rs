@@ -24,7 +24,7 @@ fn assert_exact_and_clean(inst: &Instance, what: &str) {
     );
     assert_eq!(outcome, IlpOutcome::Exact, "{what}");
     let report = check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
-    assert!(report.is_clean(), "{what}:\n{report}");
+    assert!(report.is_empty(), "{what}:\n{report}");
     let planned = planned_makespan(&schedule, &inst.jobs, &inst.cluster, Time::ZERO);
     let optimum = brute_force_makespan(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
     assert_eq!(planned, optimum, "{what}");
@@ -106,7 +106,7 @@ fn a_warm_infeasible_prunes_nothing_a_cold_solve_keeps() {
             &backlog,
         );
         assert_eq!(outcome, IlpOutcome::Exact, "{what}");
-        assert!(check_schedule(&schedule, &jobs, cluster, &VerifyOptions::default()).is_clean());
+        assert!(check_schedule(&schedule, &jobs, cluster, &VerifyOptions::default()).is_empty());
         let brute = brute_force_makespan(&jobs, cluster, Time::ZERO, &backlog);
         assert_eq!(brute, Dur::from_micros(optimum), "{what}");
         assert_eq!(planned_makespan(&schedule, &jobs, cluster, Time::ZERO), brute, "{what}");
@@ -275,7 +275,7 @@ fn seed_sweep_is_exact_and_clean() {
             ilp.schedule_with_stats_onto(&inst.jobs, &inst.cluster, Time::ZERO, &[]);
         let report =
             check_schedule(&schedule, &inst.jobs, &inst.cluster, &VerifyOptions::default());
-        (outcome != IlpOutcome::Exact || !report.is_clean())
+        (outcome != IlpOutcome::Exact || !report.is_empty())
             .then(|| format!("{outcome:?}\n{report}"))
     });
 }

@@ -58,7 +58,7 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
             "--sched" => sched = flags.read("a scheduler", SchedMethod::from_name)?,
             "--preempt" => preempt = flags.read("a policy", PreemptMethod::from_name)?,
             "--period" => params.sched_period = positive_secs(&mut flags)?,
-            "--epoch" => params.epoch = positive_secs(&mut flags)?,
+            "--epoch" => params.engine.epoch = positive_secs(&mut flags)?,
             // `scale <= 0.0` alone lets NaN through to a frozen clock.
             "--time-scale" => {
                 config.time_scale = flags.read("a finite number above 0", |s| {
@@ -79,7 +79,7 @@ pub fn parse_args(argv: &[String]) -> Result<(FederationSpec, ServerConfig), Str
 
     let spec = FederationSpec {
         cluster,
-        engine: params.engine_config(),
+        engine: params.engine,
         sched_period: params.sched_period,
         admission,
         scheduler: Box::new(move || sched.build(&params, SCHED_SEED)),
@@ -126,7 +126,7 @@ mod tests {
         assert_eq!(config, ServerConfig::default());
         assert_eq!(spec.cluster.len(), 30, "ec2 profile");
         assert_eq!(spec.sched_period, Params::default().sched_period);
-        assert_eq!(spec.engine.epoch, Params::default().epoch);
+        assert_eq!(spec.engine, Params::default().engine);
     }
 
     #[test]

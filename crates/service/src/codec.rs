@@ -1195,7 +1195,7 @@ pub(crate) mod tests {
         let jobs = dsp_trace::generate_workload(&mut rng, 2000, &trace);
         let mut driver = crate::OnlineDriver::new(
             dsp_cluster::ec2(),
-            params.engine_config(),
+            params.engine,
             params.sched_period,
             Box::new(dsp_sched::FifoScheduler),
             Box::new(dsp_sim::NoPreempt),

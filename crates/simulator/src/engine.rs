@@ -36,9 +36,9 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            epoch: Dur::from_secs(1),
+            epoch: Dur::from_secs(5),
             sigma: Dur::from_millis(50),
-            max_time: Time::from_secs(100 * 24 * 3600),
+            max_time: Time::from_secs(30 * 24 * 3600),
             lookahead: 4,
         }
     }
@@ -848,7 +848,7 @@ impl Engine {
             #[cfg(any(test, debug_assertions))]
             self.assert_views_match_rebuild(&views);
             let actions: Vec<(usize, Vec<PreemptAction>)> = {
-                let world = WorldCtx { jobs: &self.jobs, now: self.now };
+                let world = WorldCtx { jobs: &self.jobs, now: self.now, epoch: self.cfg.epoch };
                 policy.begin_epoch(self.now, &views, &world);
                 views
                     .iter()
@@ -1245,13 +1245,46 @@ mod tests {
 
     #[test]
     fn dependency_violating_dispatch_counts_disorder() {
+        // The first epoch (t = 1 s) falls while the 5 s parent runs.
         let jobs = mk_jobs(&[5_000.0, 1_000.0], &[(0, 1)], Time::from_secs(10_000));
         let cluster = uniform(1, 1000.0, 1);
-        let mut e = rig(&jobs, &cluster);
+        let cfg = EngineConfig { epoch: Dur::from_secs(1), ..EngineConfig::default() };
+        let mut e = rig_with(&jobs, &cluster, cfg);
         e.add_batch(Time::ZERO, all_to_node0(&jobs));
         let m = e.run(&mut Disorderly);
         assert!(m.disorders > 0, "disorders = {}", m.disorders);
         assert_eq!(m.tasks_completed, 2); // progress is still guaranteed
+    }
+
+    /// Records the epoch every decision was handed.
+    struct EpochProbe(Vec<Dur>);
+    impl PreemptPolicy for EpochProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn decide(
+            &mut self,
+            _now: Time,
+            _view: &NodeView,
+            world: &WorldCtx<'_>,
+        ) -> Vec<PreemptAction> {
+            self.0.push(world.epoch);
+            vec![]
+        }
+    }
+
+    #[test]
+    fn policies_decide_at_the_engine_epoch() {
+        let jobs = mk_jobs(&[10_000.0], &[], Time::from_secs(10_000));
+        let cluster = uniform(1, 1000.0, 1);
+        for epoch in [Dur::from_secs(1), Dur::from_secs(5)] {
+            let mut e =
+                rig_with(&jobs, &cluster, EngineConfig { epoch, ..EngineConfig::default() });
+            e.add_batch(Time::ZERO, all_to_node0(&jobs));
+            let mut probe = EpochProbe(Vec::new());
+            e.run(&mut probe);
+            assert!(!probe.0.is_empty() && probe.0.iter().all(|&d| d == epoch), "{:?}", probe.0);
+        }
     }
 
     #[test]

@@ -111,6 +111,9 @@ pub struct WorldCtx<'a> {
     pub jobs: &'a [Job],
     /// Current simulation time.
     pub now: Time,
+    /// The engine's epoch ([`crate::EngineConfig::epoch`]): the policy runs
+    /// once per epoch, so this is the horizon of each decision.
+    pub epoch: Dur,
 }
 
 impl<'a> WorldCtx<'a> {
@@ -241,7 +244,7 @@ mod tests {
     #[test]
     fn depends_on_is_job_local() {
         let jobs = two_jobs();
-        let w = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let w = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         assert!(w.depends_on(TaskId::new(0, 1), TaskId::new(0, 0)));
         assert!(!w.depends_on(TaskId::new(0, 0), TaskId::new(0, 1)));
         assert!(!w.depends_on(TaskId::new(1, 0), TaskId::new(0, 0)));
@@ -275,7 +278,7 @@ mod tests {
     #[test]
     fn no_preempt_never_acts() {
         let jobs = two_jobs();
-        let w = WorldCtx { jobs: &jobs, now: Time::ZERO };
+        let w = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
         let view = NodeView { node: NodeId(0), running: vec![], waiting: vec![], slots: 2 };
         assert!(NoPreempt.decide(Time::ZERO, &view, &w).is_empty());
         assert!(NoPreempt.checkpointing());

@@ -107,11 +107,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Empty report.
-    pub fn new() -> Self {
-        Report::default()
-    }
-
     /// Add a finding.
     pub fn push(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);
@@ -120,11 +115,6 @@ impl Report {
     /// Append another report's findings.
     pub fn merge(&mut self, other: Report) {
         self.diagnostics.extend(other.diagnostics);
-    }
-
-    /// No findings at all — not even warnings.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
     }
 
     /// No `Error`-severity findings (warnings allowed).
@@ -147,7 +137,7 @@ impl Report {
         self.diagnostics.len()
     }
 
-    /// True when there are no findings.
+    /// No findings at all — not even warnings.
     pub fn is_empty(&self) -> bool {
         self.diagnostics.is_empty()
     }
@@ -201,10 +191,10 @@ mod tests {
 
     #[test]
     fn report_accounting() {
-        let mut r = Report::new();
-        assert!(r.is_clean() && r.passes());
+        let mut r = Report::default();
+        assert!(r.is_empty() && r.passes());
         r.push(diag(Rule::Deadline, Severity::Warning));
-        assert!(!r.is_clean());
+        assert!(!r.is_empty());
         assert!(r.passes());
         r.push(diag(Rule::Coverage, Severity::Error));
         assert!(!r.passes());

@@ -24,7 +24,7 @@ use dsp_sim::ExecHistory;
 /// Run R5–R6 over an execution history, plus the history-vs-metrics
 /// overhead cross-check when the run's [`RunMetrics`] are available.
 pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> Report {
-    let mut report = Report::new();
+    let mut report = Report::default();
     for t in history.completed() {
         let owed = t.overhead_owed(history.sigma);
         if t.overhead_paid != owed {
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn consistent_history_is_clean() {
         let h = history(vec![record(0), record(3)]);
-        assert!(check_execution(&h, None).is_clean());
+        assert!(check_execution(&h, None).is_empty());
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
         let mut ok = record(1);
         ok.lost = Mi::new(300.0);
         ok.executed = Mi::new(1300.0);
-        assert!(check_execution(&history(vec![ok]), None).is_clean());
+        assert!(check_execution(&history(vec![ok]), None).is_empty());
     }
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         r.executed = Mi::new(10.0);
         r.overhead_paid = Dur::ZERO;
         let h = history(vec![r]);
-        assert!(check_execution(&h, None).is_clean());
+        assert!(check_execution(&h, None).is_empty());
     }
 
     #[test]
@@ -156,7 +156,7 @@ mod tests {
         let h = history(vec![record(2)]);
         // Correct total: 2 × (1s + 50ms).
         let mut m = RunMetrics { switch_overhead: Dur::from_millis(2100), ..RunMetrics::default() };
-        assert!(check_execution(&h, Some(&m)).is_clean());
+        assert!(check_execution(&h, Some(&m)).is_empty());
         m.switch_overhead = Dur::from_millis(2000);
         let report = check_execution(&h, Some(&m));
         assert!(report.fired(Rule::Overhead));

@@ -47,7 +47,7 @@ impl<'a> JobsById<'a> {
 }
 
 fn coverage(s: &Schedule, jobs: &[Job], by_id: &JobsById, cluster: &ClusterSpec) -> Report {
-    let mut report = Report::new();
+    let mut report = Report::default();
     for a in &s.assignments {
         if a.node.idx() >= cluster.len() {
             report.push(Diagnostic {
@@ -327,7 +327,7 @@ mod tests {
     fn valid_schedule_is_clean() {
         let (jobs, cluster, s) = valid_chain();
         let r = check_schedule(&s, &jobs, &cluster, &VerifyOptions::default());
-        assert!(r.is_clean(), "{r}");
+        assert!(r.is_empty(), "{r}");
     }
 
     #[test]
@@ -460,7 +460,7 @@ mod tests {
             opts: &VerifyOptions,
         ) -> Report {
             // R1's per-assignment findings, with the job looked up by scan.
-            let mut report = Report::new();
+            let mut report = Report::default();
             let probe = check_coverage(s, jobs, cluster);
             let mut per_assignment = probe.iter().filter(|d| d.node.is_some());
             for a in &s.assignments {

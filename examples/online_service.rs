@@ -26,7 +26,7 @@ fn main() {
     let params = Params::default();
     let spec = FederationSpec {
         cluster: build_cluster("ec2").unwrap(),
-        engine: params.engine_config(),
+        engine: params.engine,
         sched_period: params.sched_period,
         admission: AdmissionConfig::default(),
         scheduler: Box::new(|| build_scheduler("dsp").unwrap()),
@@ -82,7 +82,7 @@ fn main() {
         snap.jobs.len(),
         snap.history.tasks.len(),
         snap.metrics.preemptions,
-        if report.is_clean() { "clean" } else { "see diagnostics" },
+        if report.is_empty() { "clean" } else { "see diagnostics" },
     );
     assert!(report.passes(), "drained snapshot must pass R1–R6");
     assert!(snap.history.tasks.iter().all(|t| t.completed));

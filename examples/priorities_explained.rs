@@ -9,7 +9,7 @@
 use dsp_cluster::NodeId;
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_preempt::{PriorityEngine, PriorityWeights};
-use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
+use dsp_sim::{EngineConfig, NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Mi, ResourceVec, Time};
 
 fn snapshot(job: &Job, v: u32) -> TaskSnapshot {
@@ -34,7 +34,7 @@ fn priorities_of(job: &Job) -> Vec<(u32, f64)> {
     let snaps: Vec<TaskSnapshot> = (0..job.num_tasks() as u32).map(|v| snapshot(job, v)).collect();
     let views = vec![NodeView { node: NodeId(0), running: vec![], waiting: snaps, slots: 1 }];
     let jobs = vec![job.clone()];
-    let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+    let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: EngineConfig::default().epoch };
     let mut map = PriorityEngine::new();
     map.begin_epoch(Time::ZERO, &views, &world, &PriorityWeights::default());
     let mut out: Vec<(u32, f64)> =
@@ -86,7 +86,7 @@ fn main() {
     println!("\nEq. 13 — leaves rank by remaining/waiting/allowable time:");
     let solo = job_from_edges(1, &[]);
     let jobs = vec![solo.clone()];
-    let world = WorldCtx { jobs: &jobs, now: Time::ZERO };
+    let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: EngineConfig::default().epoch };
     for (label, rem, wait) in
         [("short remnant", 1u64, 0u64), ("long remnant", 100, 0), ("long but starved", 100, 300)]
     {

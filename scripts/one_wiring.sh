@@ -6,11 +6,12 @@
 # thread kind per role: the shard owners and the reactor pool, every
 # experiment one audited run call (core/src/pipeline.rs), the R5
 # overhead identities one home (simulator/src/history.rs), the offline
-# schedulers one packing loop (sched/src/pack.rs), and a plan's finish
-# `t^s + l̂/g(k)` one formula (`Assignment::planned_finish`). Eleven greps
-# over non-test product code — every crates/*/src file outside
+# schedulers one packing loop (sched/src/pack.rs), a plan's finish
+# `t^s + l̂/g(k)` one formula (`Assignment::planned_finish`), and every
+# parameter one home (its struct's crate, composed by core/src/config.rs).
+# Twelve greps over non-test product code — every crates/*/src file outside
 # crates/benchmark, cut at its `#[cfg(test)] mod tests`, minus files that
-# are test-only modules — and one over the service crate whole, 12 checks
+# are test-only modules — and one over the service crate whole, 13 checks
 # in all. Run from the repo root.
 set -euo pipefail
 
@@ -115,5 +116,20 @@ check "a plan written in crates/sched outside pack.rs and dsp_ilp.rs" \
 check "est_exec_time( outside dag, simulator/src/schedule.rs and sched/src/dsp_ilp.rs" \
     "$(grep -E '\best_exec_time\(' <<<"$src" |
         grep -vE '^crates/dag/|^crates/simulator/src/schedule\.rs:|^crates/sched/src/dsp_ilp\.rs:' || true)"
+
+# 13. One home per parameter: Table II's knobs and the engine's cadence
+#     are written once, by the crate that defines their struct (dsp-preempt:
+#     `DspParams`, `PriorityWeights`, `SrptPolicy`; dsp-sim:
+#     `EngineConfig`), and composed once, by `Params` (core/src/config.rs).
+#     Elsewhere no product line builds one, by literal or `::default()`;
+#     everything else reads them from a `Params`. Struct and impl headers
+#     and return types are not literals.
+built() { # type-name alternation, defining crate
+    grep -E "\b($1)( \{|::default\(\))" <<<"$src" |
+        grep -vE "(struct |impl |for |-> )($1) \{" |
+        grep -vE "^crates/$2/|^crates/core/src/config\.rs:" || true
+}
+check "a parameter struct built outside its own crate and core/src/config.rs" \
+    "$(built 'DspParams|PriorityWeights|SrptPolicy' preempt; built EngineConfig simulator)"
 
 exit "$fail"

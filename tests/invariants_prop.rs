@@ -62,7 +62,7 @@ proptest! {
             let schedule = s.schedule(&jobs, &cluster, Time::ZERO);
             let report = check_schedule(&schedule, &jobs, &cluster, &VerifyOptions::default());
             prop_assert!(
-                report.is_clean(),
+                report.is_empty(),
                 "{} broke an invariant:\n{}", s.name(), report
             );
         }
@@ -113,7 +113,7 @@ proptest! {
         prop_assert_eq!(m.preemptions, 0);
 
         let exec_report = check_execution(&engine.history(), Some(&m));
-        prop_assert!(exec_report.is_clean(), "R5/R6 violated:\n{exec_report}");
+        prop_assert!(exec_report.is_empty(), "R5/R6 violated:\n{exec_report}");
 
         // Lower bound 1: the DAG's critical path at node rate.
         let exec: Vec<Dur> = jobs[0].exec_estimates(cluster.mean_rate());

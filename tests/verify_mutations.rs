@@ -28,7 +28,7 @@ fn baseline() -> (Vec<Job>, dsp_cluster::ClusterSpec, Schedule) {
     let mut sched = DspListScheduler::default();
     let schedule = sched.schedule(&jobs, &cluster, Time::ZERO);
     let report = check_schedule(&schedule, &jobs, &cluster, &VerifyOptions::default());
-    assert!(report.is_clean(), "baseline must verify clean before mutating:\n{report}");
+    assert!(report.is_empty(), "baseline must verify clean before mutating:\n{report}");
     (jobs, cluster, schedule)
 }
 
@@ -100,7 +100,7 @@ fn start_before_parent_finish_fires_r2() {
         let opts = sched.verify_options();
         let mut schedule = sched.build(&Params::default(), 7).schedule(&jobs, &cluster, Time::ZERO);
         let clean = check_schedule(&schedule, &jobs, &cluster, &opts);
-        assert!(clean.is_clean(), "{}'s plan must verify clean:\n{clean}", sched.label());
+        assert!(clean.is_empty(), "{}'s plan must verify clean:\n{clean}", sched.label());
         start_last_task_at_zero(&mut schedule);
         let report = check_schedule(&schedule, &jobs, &cluster, &opts);
         assert!(
@@ -141,5 +141,5 @@ fn deadline_overrun_fires_r4() {
     assert!(report.passes(), "R4 findings are warnings:\n{report}");
     // And with deadline checking off, the corruption is invisible.
     let opts = VerifyOptions { check_deadlines: false, ..VerifyOptions::default() };
-    assert!(check_schedule(&schedule, &jobs, &cluster, &opts).is_clean());
+    assert!(check_schedule(&schedule, &jobs, &cluster, &opts).is_empty());
 }
