@@ -51,6 +51,26 @@ pub struct DspParams {
     pub use_pp: bool,
 }
 
+/// Algorithm 1 line 4: is a waiting task with readiness `ready`, allowable
+/// waiting time `allowable` (`t^a`) and accumulated waiting time `waited`
+/// (`t^w`) urgent under `p`'s ε and τ?
+///
+/// Urgency must be real: a task whose precedents are still unfinished
+/// cannot execute, so preempting for it would be pure waste — this
+/// readiness check is part of what keeps DSP's disorder count at zero
+/// (Fig. 6a). Urgent = still savable but about to be lost: `t^a` saturates
+/// at zero the moment a task can no longer meet its deadline even if
+/// dispatched immediately, and lost causes must NOT count as urgent —
+/// treating them so would preempt-storm the node every epoch for the rest
+/// of the run. The starvation override (τ) stays unconditional.
+///
+/// Written with `&` and `|`: the epoch scan asks this of every waiting
+/// entry, and `ready` alone is a coin toss no branch predictor wins.
+#[inline]
+pub(crate) fn is_urgent(p: &DspParams, ready: bool, allowable: Dur, waited: Dur) -> bool {
+    ready & ((allowable > Dur::ZERO) & (allowable <= p.epsilon) | (waited >= p.tau))
+}
+
 impl Default for DspParams {
     fn default() -> Self {
         DspParams {
@@ -119,35 +139,28 @@ impl DspPolicy {
         }
         gap / self.p_bar > self.params.rho
     }
-}
 
-impl Default for DspPolicy {
-    fn default() -> Self {
-        DspPolicy::new(DspParams::default())
-    }
-}
-
-impl PreemptPolicy for DspPolicy {
-    fn name(&self) -> &str {
-        self.name
+    /// The per-`decide` scratch, reused across epochs so the hot path
+    /// allocates nothing in steady state.
+    fn take_scratch(&mut self) -> (Vec<(f64, usize)>, Vec<bool>) {
+        (std::mem::take(&mut self.cand), std::mem::take(&mut self.admitted))
     }
 
-    fn begin_epoch(&mut self, now: Time, views: &[NodeView], world: &WorldCtx<'_>) {
-        self.engine.begin_epoch(now, views, world, &self.params.weights);
-        self.p_bar = self.engine.mean_gap();
-    }
-
-    fn decide(&mut self, now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
+    /// Algorithm 1 on one node, with pass 1 over `urgent`: the view's
+    /// urgent waiting entries, as ascending positions in `view.waiting`.
+    fn algorithm1(
+        &self,
+        now: Time,
+        view: &NodeView,
+        world: &WorldCtx<'_>,
+        urgent: impl Iterator<Item = usize>,
+        preemptable: &mut Vec<(f64, usize)>,
+        admitted: &mut Vec<bool>,
+    ) -> Vec<PreemptAction> {
         let mut actions = Vec::new();
-        if view.running.is_empty() || view.waiting.is_empty() {
-            return actions;
-        }
         // Preemptable running tasks, ascending priority (Algorithm 1 line
-        // 2), with deadline protection. The candidate buffer persists
-        // across epochs (taken/restored around the borrow of `self`), and
-        // each candidate's priority is computed once instead of per sort
-        // comparison.
-        let mut preemptable = std::mem::take(&mut self.cand);
+        // 2), with deadline protection. Each candidate's priority is
+        // computed once instead of per sort comparison.
         preemptable.clear();
         preemptable.extend(
             view.running
@@ -159,35 +172,15 @@ impl PreemptPolicy for DspPolicy {
         // Total order with an index tie-break: equal priorities must not
         // let the input permutation pick the victim (determinism contract).
         preemptable.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut admitted = std::mem::take(&mut self.admitted);
         admitted.clear();
         admitted.resize(view.waiting.len(), false);
 
         // --- Pass 1: urgent tasks and τ-overdue tasks (lines 3–11). ---
-        for (i, w) in view.waiting.iter().enumerate() {
+        for i in urgent {
             if preemptable.is_empty() {
                 break;
             }
-            if !w.ready {
-                // Urgency must be real: a task whose precedents are still
-                // unfinished cannot execute, so preempting for it would be
-                // pure waste — this readiness check is part of what keeps
-                // DSP's disorder count at zero (Fig. 6a).
-                continue;
-            }
-            // Urgent = still savable but about to be lost. `t^a` saturates
-            // at zero the moment a task can no longer meet its deadline
-            // even if dispatched immediately; lost causes must NOT count as
-            // urgent — treating them so would preempt-storm the node every
-            // epoch for the rest of the run. The starvation override (τ)
-            // stays unconditional.
-            let allowable = w.allowable_wait(now);
-            let savable = allowable > Dur::ZERO;
-            let urgent =
-                (savable && allowable <= self.params.epsilon) || w.waiting(now) >= self.params.tau;
-            if !urgent {
-                continue;
-            }
+            let w = &view.waiting[i];
             if let Some(pos) =
                 preemptable.iter().position(|&(_, r)| !world.depends_on(w.id, view.running[r].id))
             {
@@ -235,8 +228,48 @@ impl PreemptPolicy for DspPolicy {
                 admitted[i] = true;
             }
         }
-        self.cand = preemptable;
-        self.admitted = admitted;
+        actions
+    }
+}
+
+impl Default for DspPolicy {
+    fn default() -> Self {
+        DspPolicy::new(DspParams::default())
+    }
+}
+
+impl PreemptPolicy for DspPolicy {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn begin_epoch(&mut self, now: Time, views: &[NodeView], world: &WorldCtx<'_>) {
+        self.engine.begin_dsp_epoch(now, views, world, &self.params);
+        self.p_bar = self.engine.mean_gap();
+    }
+
+    fn decide(&mut self, now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction> {
+        if view.running.is_empty() || view.waiting.is_empty() {
+            return Vec::new();
+        }
+        // Pass 1 walks the urgent entries `begin_epoch`'s scan recorded for
+        // this view, or, for a view it did not see, the same predicate's
+        // pick of the waiting list.
+        let (mut cand, mut admitted) = self.take_scratch();
+        let actions = match self.engine.urgent_of(view, now) {
+            Some(urgent) => {
+                let urgent = urgent.iter().map(|&i| i as usize);
+                self.algorithm1(now, view, world, urgent, &mut cand, &mut admitted)
+            }
+            None => {
+                let urgent = (0..view.waiting.len()).filter(|&i| {
+                    let w = &view.waiting[i];
+                    is_urgent(&self.params, w.ready, w.allowable_wait(now), w.waiting(now))
+                });
+                self.algorithm1(now, view, world, urgent, &mut cand, &mut admitted)
+            }
+        };
+        (self.cand, self.admitted) = (cand, admitted);
         actions
     }
 
@@ -249,8 +282,12 @@ impl PreemptPolicy for DspPolicy {
 mod tests {
     use super::*;
     use dsp_cluster::NodeId;
-    use dsp_dag::{Dag, Job, JobClass, JobId, TaskId, TaskSpec};
+    use dsp_dag::generate::gen_dag;
+    use dsp_dag::{Dag, DagShape, Job, JobClass, JobId, TaskId, TaskSpec};
     use dsp_units::{Mi, ResourceVec};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// A task that, at [`NOW`], has waited `wait_ms` and may wait
     /// `allow_ms` more.
@@ -507,6 +544,135 @@ mod tests {
         };
         let acts = run_epoch(&mut DspPolicy::default(), view, &jobs);
         assert!(acts.is_empty());
+    }
+
+    /// `decide` with the pass 1 the urgent list replaced: a walk of the
+    /// whole waiting queue that tests each entry inline. The reference the
+    /// fused `decide` is held to.
+    fn decide_ref(
+        policy: &mut DspPolicy,
+        now: Time,
+        view: &NodeView,
+        world: &WorldCtx<'_>,
+    ) -> Vec<PreemptAction> {
+        if view.running.is_empty() || view.waiting.is_empty() {
+            return Vec::new();
+        }
+        let (epsilon, tau) = (policy.params.epsilon, policy.params.tau);
+        let urgent = view.waiting.iter().enumerate().filter_map(|(i, w)| {
+            if !w.ready {
+                return None;
+            }
+            let allowable = w.allowable_wait(now);
+            let savable = allowable > Dur::ZERO;
+            let urgent = (savable && allowable <= epsilon) || w.waiting(now) >= tau;
+            urgent.then_some(i)
+        });
+        let (mut cand, mut admitted) = policy.take_scratch();
+        policy.algorithm1(now, view, world, urgent, &mut cand, &mut admitted)
+    }
+
+    /// A random world for the pass-1 property: jobs with random DAGs, and
+    /// views whose tasks are ready or not, have `t^a` below zero, at zero,
+    /// straddling ε or far from it, and have waited past τ or not.
+    fn random_epoch(rng: &mut StdRng, p: &DspParams, n_nodes: usize) -> (Vec<Job>, Vec<NodeView>) {
+        let jobs: Vec<Job> = (0..3u32)
+            .map(|j| {
+                let n = rng.gen_range(2..9usize);
+                let dag = gen_dag(rng, n, DagShape::Layered { depth: 3 }, 3);
+                let tasks = vec![TaskSpec::sized(1000.0); n];
+                Job::new(JobId(j), JobClass::Small, Time::ZERO, Time::MAX, tasks, dag)
+            })
+            .collect();
+        let mut ids: Vec<TaskId> =
+            jobs.iter().flat_map(|j| (0..j.num_tasks() as u32).map(|v| j.task_id(v))).collect();
+        let eps_ms = p.epsilon.as_micros() / 1_000;
+        let tau_ms = p.tau.as_micros() / 1_000;
+        let mut views = Vec::new();
+        for node in 0..n_nodes as u32 {
+            let mut view =
+                NodeView { node: NodeId(node), running: vec![], waiting: vec![], slots: 4 };
+            for k in 0..rng.gen_range(0..12usize) {
+                let Some(id) = ids.pop() else { break };
+                let running = k < 3 && rng.gen_bool(0.5);
+                let rem_ms = rng.gen_range(1..60_000u64);
+                let wait_ms = match rng.gen_range(0..3) {
+                    0 => rng.gen_range(0..tau_ms),
+                    1 => tau_ms,
+                    _ => rng.gen_range(0..3 * tau_ms + 1),
+                };
+                let mut s = snap(id, running, rem_ms, wait_ms, 0);
+                // t^a = deadline − t^rem − now: lost, exactly 0, in (0, ε],
+                // just past ε, or roomy.
+                let allow_ms = match rng.gen_range(0..5) {
+                    0 => 0,
+                    1 => rng.gen_range(1..eps_ms + 1),
+                    2 => eps_ms + 1,
+                    3 => rng.gen_range(0..600_000),
+                    _ => 0,
+                };
+                s.deadline = NOW + Dur::from_millis(rem_ms + allow_ms);
+                if rng.gen_range(0..5) == 4 {
+                    s.deadline = NOW - Dur::from_millis(rng.gen_range(0..5_000));
+                    // lost cause
+                }
+                s.ready = rng.gen_bool(0.6);
+                if running {
+                    view.running.push(s);
+                } else {
+                    view.waiting.push(s);
+                }
+            }
+            views.push(view);
+        }
+        (jobs, views)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Pass 1 over the urgent list the epoch scan recorded gives the
+        /// same actions as the whole-queue walk, for every view the scan
+        /// saw and for views it did not (an unknown node, a waiting list of
+        /// another length), which take the predicate's own pick.
+        #[test]
+        fn fused_pass_1_matches_the_whole_queue_walk(
+            seed in 0u64..1_000_000,
+            n_nodes in 1usize..5,
+            use_pp in prop::bool::ANY,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = DspParams {
+                delta: rng.gen_range(0.0..1.0),
+                epsilon: Dur::from_millis(rng.gen_range(1..5_000)),
+                tau: Dur::from_millis(rng.gen_range(1..120_000)),
+                rho: rng.gen_range(1.0..3.0),
+                use_pp,
+                ..DspParams::default()
+            };
+            let (jobs, views) = random_epoch(&mut rng, &params, n_nodes);
+            let world = WorldCtx { jobs: &jobs, now: NOW, epoch: EPOCH };
+            let mut policy = DspPolicy::new(params);
+            policy.begin_epoch(NOW, &views, &world);
+            for view in &views {
+                prop_assert!(policy.engine.urgent_of(view, NOW).is_some(), "scanned view missed");
+                let fused = policy.decide(NOW, view, &world);
+                prop_assert_eq!(fused, decide_ref(&mut policy, NOW, view, &world));
+            }
+            // Views the scan never saw: an unknown node, and a scanned
+            // node's view with one more waiting entry (an urgent one).
+            let mut unknown_node = views[0].clone();
+            unknown_node.node = NodeId(n_nodes as u32 + 7);
+            let mut longer = views[n_nodes - 1].clone();
+            let mut extra = snap(TaskId::new(0, 0), false, 1_000, 0, 0);
+            extra.deadline = NOW + Dur::from_millis(1_000) + params.epsilon;
+            longer.waiting.insert(rng.gen_range(0..longer.waiting.len() + 1), extra);
+            for view in [&unknown_node, &longer] {
+                prop_assert!(policy.engine.urgent_of(view, NOW).is_none(), "unseen view hit");
+                let fused = policy.decide(NOW, view, &world);
+                prop_assert_eq!(fused, decide_ref(&mut policy, NOW, view, &world));
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! have already finished contribute nothing — their subtree is history; a
 //! task whose children are all done is, for priority purposes, a leaf.
 
+use crate::dsp::{is_urgent, DspParams};
 use dsp_dag::TaskId;
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Time};
@@ -46,10 +47,20 @@ const MIN_REMAINING: Dur = Dur::from_millis(1);
 
 /// Eq. 13 for one snapshot at instant `now`.
 pub fn leaf_priority(s: &TaskSnapshot, w: &PriorityWeights, now: Time) -> f64 {
-    let rem = s.remaining_time.max(MIN_REMAINING).as_secs_f64();
-    w.w1 * (1.0 / rem)
-        + w.w2 * s.waiting(now).as_secs_f64()
-        + w.w3 * s.allowable_wait(now).as_secs_f64()
+    eq13(w, inv_remaining(s.remaining_time), s.waiting(now), s.allowable_wait(now))
+}
+
+/// `1/t_rem` in 1/s, floored at [`MIN_REMAINING`]: the part of Eq. 13 that
+/// does not move while a task waits, so [`PriorityEngine`] memoises it.
+#[inline]
+fn inv_remaining(rem: Dur) -> f64 {
+    1.0 / rem.max(MIN_REMAINING).as_secs_f64()
+}
+
+/// Eq. 13 from its three inputs; the one place its arithmetic is written.
+#[inline]
+fn eq13(w: &PriorityWeights, inv_rem: f64, waited: Dur, allowable: Dur) -> f64 {
+    w.w1 * inv_rem + w.w2 * waited.as_secs_f64() + w.w3 * allowable.as_secs_f64()
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
@@ -73,6 +84,31 @@ pub struct PriorityEngineStats {
     pub world_resets: u64,
 }
 
+/// One task's arena slot. The scan writes all four fields, the Eq. 12
+/// recursion reads `prio` and `stamp` of a job's children: interleaved, a
+/// child costs one cache line, not two.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Eq. 12/13 priority, valid where `stamp` is this epoch: the scan
+    /// writes Eq. 13, the recursion overwrites it with Eq. 12 where a live
+    /// child contributes.
+    prio: f64,
+    /// Epoch stamp marking the task live this epoch.
+    stamp: u64,
+    /// `t_rem` in µs that `inv_rem` was computed from. A waiting task's
+    /// `t_rem` is fixed from queue insertion to removal, so most epochs
+    /// find it unchanged and skip both divisions.
+    rem_us: u64,
+    /// Memoised [`inv_remaining`] of `rem_us`.
+    inv_rem: f64,
+}
+
+impl Default for Slot {
+    fn default() -> Self {
+        Slot { prio: f64::NAN, stamp: 0, rem_us: 0, inv_rem: inv_remaining(Dur::ZERO) }
+    }
+}
+
 /// Per-job persistent scratch: one slot per task, reused across epochs.
 #[derive(Debug, Clone, Default)]
 struct JobScratch {
@@ -82,12 +118,12 @@ struct JobScratch {
     /// (allocating) per job per epoch; the DAG never changes, so once is
     /// enough.
     topo: Vec<u32>,
-    /// Eq. 12/13 priority per task, valid where `stamp` is this epoch: the
-    /// scan writes Eq. 13, the recursion overwrites it with Eq. 12 where a
-    /// live child contributes.
-    prio: Vec<f64>,
-    /// Epoch stamp marking which tasks are live this epoch.
-    stamp: Vec<u64>,
+    /// The DAG's children in CSR form: task `v`'s are
+    /// `child[child_at[v]..child_at[v + 1]]`, in the DAG's order (Eq. 12's
+    /// summation order).
+    child_at: Vec<u32>,
+    child: Vec<u32>,
+    slots: Vec<Slot>,
     /// The live tasks in topological order: exactly the tasks stamped
     /// `touch_epoch` once an epoch's scan is reconciled, and those stamped
     /// `prev_touch` during the scan.
@@ -102,6 +138,35 @@ struct JobScratch {
     live: u32,
 }
 
+impl JobScratch {
+    /// Size the arenas to `job` and cache its topo order and children.
+    fn init(&mut self, job: &dsp_dag::Job) {
+        let n_tasks = job.num_tasks();
+        self.topo = job.dag.topo_order();
+        self.child_at = Vec::with_capacity(n_tasks + 1);
+        self.child_at.push(0);
+        for v in 0..n_tasks as u32 {
+            self.child.extend_from_slice(job.dag.children(v));
+            self.child_at.push(self.child.len() as u32);
+        }
+        self.slots = vec![Slot::default(); n_tasks];
+        self.init = true;
+        self.grown = true;
+    }
+}
+
+/// One scanned view's run of urgent entries in [`PriorityEngine`]'s list.
+#[derive(Debug, Clone, Copy)]
+struct UrgentRun {
+    /// The view's node, by index.
+    node: usize,
+    /// The view's waiting length when scanned.
+    waiting: usize,
+    /// The view's entries are `urgent[start..end]`.
+    start: usize,
+    end: usize,
+}
+
 /// Incremental Eq. 12/13 evaluator with persistent per-job arenas.
 ///
 /// Functionally identical to the test oracle
@@ -111,13 +176,16 @@ struct JobScratch {
 /// epoch it:
 ///
 /// * keeps one arena per job (dense-indexed by the job's position in the
-///   sorted `WorldCtx::jobs` slice), holding a cached topo order, one
-///   priority slot and epoch stamp per task, and the list of the job's live
-///   tasks in topo order;
+///   sorted `WorldCtx::jobs` slice), holding a cached topo order, the
+///   children in CSR form, one [`Slot`] per task (priority, epoch stamp and
+///   the memoised `1/t_rem`), and the list of the job's live tasks in topo
+///   order;
 /// * scans the views once, in order, stamping liveness and evaluating Eq. 13
 ///   from the snapshot in hand (a task listed twice keeps its last value,
-///   as the reference's slot overwrite does);
-/// * runs Eq. 12 over the live list only, not over every topo slot: the
+///   as the reference's slot overwrite does); for DSP the same scan records
+///   Algorithm 1's urgent entries of each view;
+/// * runs Eq. 12 over the live list only, not over every topo slot, and
+///   only for tasks with children (a sink keeps its Eq. 13 value): the
 ///   list is rebuilt when a task that was not live at the job's previous
 ///   epoch appears (an injection), and compacted when tasks leave;
 /// * folds (min, max, live-count) during the recursion so the global mean
@@ -138,6 +206,14 @@ pub struct PriorityEngine {
     live: usize,
     lo: f64,
     hi: f64,
+    /// Instant of the last scan.
+    now: Time,
+    /// Algorithm 1's urgent entries of the views the last DSP scan saw:
+    /// positions in each view's waiting list, ascending, view after view.
+    urgent: Vec<u32>,
+    /// Where each of those views' entries sit in `urgent`; empty after a
+    /// scan that recorded none ([`PriorityEngine::begin_epoch`]).
+    urgent_runs: Vec<UrgentRun>,
     stats: PriorityEngineStats,
 }
 
@@ -156,83 +232,160 @@ impl PriorityEngine {
         world: &WorldCtx<'_>,
         w: &PriorityWeights,
     ) {
+        self.epoch_pass(now, views, world, w, None);
+    }
+
+    /// [`PriorityEngine::begin_epoch`] under DSP's weights that also records
+    /// each view's urgent entries ([`is_urgent`] under `p`'s ε and τ), for
+    /// [`PriorityEngine::urgent_of`].
+    pub(crate) fn begin_dsp_epoch(
+        &mut self,
+        now: Time,
+        views: &[NodeView],
+        world: &WorldCtx<'_>,
+        p: &DspParams,
+    ) {
+        self.epoch_pass(now, views, world, &p.weights, Some(p));
+    }
+
+    fn epoch_pass(
+        &mut self,
+        now: Time,
+        views: &[NodeView],
+        world: &WorldCtx<'_>,
+        w: &PriorityWeights,
+        urgency: Option<&DspParams>,
+    ) {
         self.sync_world(world);
         self.epoch += 1;
         self.stats.epochs += 1;
         let epoch = self.epoch;
         self.touched.clear();
+        self.now = now;
+        self.urgent.clear();
+        self.urgent_runs.clear();
 
-        // --- Scan pass: stamp live tasks and write their Eq. 13 value. A
-        // task listed twice keeps its last value, as the reference's slot
-        // overwrite does. ---
+        // --- Scan pass: stamp live tasks and write their Eq. 13 value,
+        // running before waiting within a view, as the reference reads
+        // them. ---
         for view in views {
-            for s in view.running.iter().chain(&view.waiting) {
-                let dense = self.dense_of(s.id.job.get()).expect("job appeared in an epoch view");
-                let js = &mut self.jobs[dense];
-                if js.touch_epoch != epoch {
-                    js.prev_touch = js.touch_epoch;
-                    js.touch_epoch = epoch;
-                    js.live = 0;
-                    js.grown = false;
-                    if !js.init {
-                        let job = &world.jobs[dense];
-                        let n_tasks = job.num_tasks();
-                        js.topo = job.dag.topo_order();
-                        js.prio = vec![f64::NAN; n_tasks];
-                        js.stamp = vec![0; n_tasks];
-                        js.init = true;
-                        js.grown = true;
-                    }
-                    self.touched.push(dense as u32);
-                    self.stats.jobs_touched += 1;
+            for s in &view.running {
+                self.scan(s, s.waiting(now), s.allowable_wait(now), world, w);
+            }
+            let start = self.urgent.len();
+            for (i, s) in view.waiting.iter().enumerate() {
+                let (waited, allowable) = (s.waiting(now), s.allowable_wait(now));
+                self.scan(s, waited, allowable, world, w);
+                if urgency.is_some_and(|p| is_urgent(p, s.ready, allowable, waited)) {
+                    self.urgent.push(i as u32);
                 }
-                let idx = s.id.idx();
-                js.prio[idx] = leaf_priority(s, w, now);
-                if js.stamp[idx] != epoch {
-                    js.grown |= js.stamp[idx] != js.prev_touch;
-                    js.stamp[idx] = epoch;
-                    js.live += 1;
-                }
+            }
+            if urgency.is_some() {
+                let (node, waiting, end) = (view.node.idx(), view.waiting.len(), self.urgent.len());
+                self.urgent_runs.push(UrgentRun { node, waiting, start, end });
             }
         }
 
-        // --- Recursion pass: Eq. 12 over every touched job's live tasks in
-        // reverse topo order; a task no live child feeds keeps Eq. 13. ---
+        // --- Recursion pass: Eq. 12 over every touched job's live tasks
+        // with children, in reverse topo order; a task no live child feeds
+        // keeps Eq. 13. ---
         self.live = 0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
+        let scale = w.gamma + 1.0;
         for &d in &self.touched {
-            let job = &world.jobs[d as usize];
             let js = &mut self.jobs[d as usize];
             self.stats.jobs_recomputed += 1;
-            let JobScratch { topo, prio, stamp, order, grown, live, .. } = js;
+            let JobScratch { topo, child_at, child, slots, order, grown, live, .. } = js;
             if *grown {
                 order.clear();
-                order.extend(topo.iter().copied().filter(|&v| stamp[v as usize] == epoch));
+                order.extend(topo.iter().copied().filter(|&v| slots[v as usize].stamp == epoch));
             } else if order.len() != *live as usize {
-                order.retain(|&v| stamp[v as usize] == epoch);
+                order.retain(|&v| slots[v as usize].stamp == epoch);
             }
             for &v in order.iter().rev() {
-                // Same child order and summation order as the reference —
-                // bit-for-bit equality depends on it.
-                let child_sum: f64 = job
-                    .dag
-                    .children(v)
-                    .iter()
-                    .filter(|&&c| stamp[c as usize] == epoch)
-                    .map(|&c| (w.gamma + 1.0) * prio[c as usize])
-                    .sum();
-                if child_sum > 0.0 {
-                    prio[v as usize] = child_sum;
+                let v = v as usize;
+                let kids = &child[child_at[v] as usize..child_at[v + 1] as usize];
+                if !kids.is_empty() {
+                    // Same child order and summation order as the
+                    // reference — bit-for-bit equality depends on it.
+                    let child_sum: f64 = kids
+                        .iter()
+                        .map(|&c| slots[c as usize])
+                        .filter(|c| c.stamp == epoch)
+                        .map(|c| scale * c.prio)
+                        .sum();
+                    if child_sum > 0.0 {
+                        slots[v].prio = child_sum;
+                    }
                 }
-                let p = prio[v as usize];
-                lo = lo.min(p);
-                hi = hi.max(p);
+                // Compares, not `f64::min`/`max`: each is one `minsd`/`maxsd`
+                // on the loop-carried extremes instead of a NaN-guarded
+                // five-instruction chain. Both skip a NaN and keep an
+                // infinity, as `min`/`max` do.
+                let p = slots[v].prio;
+                if p < lo {
+                    lo = p;
+                }
+                if p > hi {
+                    hi = p;
+                }
             }
             self.live += *live as usize;
         }
         self.lo = lo;
         self.hi = hi;
+    }
+
+    /// Stamp one snapshot live and write its Eq. 13 value. Inlined into
+    /// both scan loops: as a call it costs the scan a third of its time.
+    #[inline(always)]
+    fn scan(
+        &mut self,
+        s: &TaskSnapshot,
+        waited: Dur,
+        allowable: Dur,
+        world: &WorldCtx<'_>,
+        w: &PriorityWeights,
+    ) {
+        let epoch = self.epoch;
+        let dense = self.dense_of(s.id.job.get()).expect("job appeared in an epoch view");
+        let js = &mut self.jobs[dense];
+        if js.touch_epoch != epoch {
+            js.prev_touch = js.touch_epoch;
+            js.touch_epoch = epoch;
+            js.live = 0;
+            js.grown = false;
+            if !js.init {
+                js.init(&world.jobs[dense]);
+            }
+            self.touched.push(dense as u32);
+            self.stats.jobs_touched += 1;
+        }
+        let slot = &mut js.slots[s.id.idx()];
+        let rem_us = s.remaining_time.as_micros();
+        if slot.rem_us != rem_us {
+            slot.rem_us = rem_us;
+            slot.inv_rem = inv_remaining(s.remaining_time);
+        }
+        slot.prio = eq13(w, slot.inv_rem, waited, allowable);
+        if slot.stamp != epoch {
+            js.grown |= slot.stamp != js.prev_touch;
+            slot.stamp = epoch;
+            js.live += 1;
+        }
+    }
+
+    /// The urgent entries of `view` recorded by the last DSP scan, as
+    /// positions in `view.waiting`: `None` when that scan did not see this
+    /// view — another instant, an unknown node or a different waiting
+    /// length. The engine hands over one view per node in node order, so
+    /// a view's run sits at its node's index.
+    pub(crate) fn urgent_of(&self, view: &NodeView, now: Time) -> Option<&[u32]> {
+        let node = view.node.idx();
+        let run = self.urgent_runs.get(node)?;
+        let seen = now == self.now && run.node == node && run.waiting == view.waiting.len();
+        seen.then(|| &self.urgent[run.start..run.end])
     }
 
     /// Dense index of a job id: one probe when ids are dense
@@ -249,15 +402,11 @@ impl PriorityEngine {
     #[inline]
     pub fn get(&self, t: &TaskId) -> Option<f64> {
         let js = &self.jobs[self.dense_of(t.job.get())?];
-        if *js.stamp.get(t.idx())? != self.epoch {
+        let slot = js.slots.get(t.idx())?;
+        if slot.stamp != self.epoch || slot.prio.is_nan() {
             return None;
         }
-        let p = js.prio[t.idx()];
-        if p.is_nan() {
-            None
-        } else {
-            Some(p)
-        }
+        Some(slot.prio)
     }
 
     /// Number of live tasks this epoch.

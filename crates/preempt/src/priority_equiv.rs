@@ -372,3 +372,63 @@ fn a_task_that_returns_rebuilds_the_live_list() {
     );
     assert_eq!(engine.len(), 5);
 }
+
+#[test]
+fn memoised_inverse_remaining_follows_t_rem() {
+    // A running task's `t_rem` falls every epoch, and once comes back to an
+    // earlier value (a slowed node's re-estimate); beside it a waiting task
+    // keeps one `t_rem` throughout (its memo hits), then gets a new one
+    // (its node's rate changed) and the old one back. A chain carries both
+    // through Eq. 12.
+    let solo = mk_job(0, 2, 0, 3); // two independent tasks
+    let chain = mk_job(1, 2, 1, 5); // 0 → 1
+    let jobs = vec![solo.clone(), chain.clone()];
+    let runner_rem = [9_000u64, 8_000, 7_000, 8_000, 1, 0, 5_000];
+    let waiter_rem = [3_000u64, 3_000, 3_000, 4_500, 3_000, 3_000, 3_000];
+    let mut engine = PriorityEngine::new();
+    let w = PriorityWeights::default();
+    for (e, (&r, &q)) in runner_rem.iter().zip(&waiter_rem).enumerate() {
+        let now = Time::from_secs(e as u64 + 1);
+        let views = vec![
+            one_view(
+                vec![running(&solo, 0, r, 200, 60_000)],
+                vec![waiting(&solo, 1, q, 0, 0, 40_000)],
+            ),
+            one_view(
+                vec![running(&chain, 1, q, 0, 50_000)],
+                vec![waiting(&chain, 0, r, 0, 0, 9_000)],
+            ),
+        ];
+        let world = WorldCtx { jobs: &jobs, now, epoch: Dur::from_secs(5) };
+        engine.begin_epoch(now, &views, &world, &w);
+        assert_epoch_equal(&engine, now, &views, &world, &w);
+    }
+}
+
+#[test]
+fn weights_may_change_between_epochs_of_one_engine() {
+    // The memo holds `1/t_rem` alone, never ω1: an engine whose weights
+    // change from one epoch to the next (and back) still answers as the
+    // reference does under each epoch's weights, for the waiting tasks
+    // whose memo was filled under other weights and for the running one
+    // whose `t_rem` moves.
+    let job = mk_job(3, 6, 3, 19);
+    let tilted = PriorityWeights { w1: 2.0, w2: 0.05, w3: 0.7, gamma: 0.9 };
+    let table2 = PriorityWeights::default();
+    let mut engine = PriorityEngine::new();
+    for (e, w) in [tilted, table2, table2, tilted].iter().enumerate() {
+        let now = Time::from_secs(2 + e as u64);
+        let runner = running(&job, 0, 9_000 - 1_000 * e as u64, 100, 40_000);
+        let waiters: Vec<TaskSnapshot> = (1..6u32)
+            .map(|v| {
+                let rem = 700 + 300 * v as u64;
+                waiting(&job, v, rem, 50, 0, rem + 15_000)
+            })
+            .collect();
+        let views = vec![one_view(vec![runner], waiters)];
+        let jobs = std::slice::from_ref(&job);
+        let world = WorldCtx { jobs, now, epoch: Dur::from_secs(5) };
+        engine.begin_epoch(now, &views, &world, w);
+        assert_epoch_equal(&engine, now, &views, &world, w);
+    }
+}

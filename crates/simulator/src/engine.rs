@@ -460,13 +460,15 @@ impl Engine {
 
     fn handle_inject(&mut self, schedule: &Schedule) {
         self.pending_injections -= 1;
-        let mut touched: Vec<usize> = Vec::new();
         // Offline batches are computed ahead of time and may target nodes
         // that have since failed permanently; such assignments are
         // redirected round-robin over the remaining nodes.
         let survivors: Vec<usize> =
             (0..self.cluster.len()).filter(|&k| !self.dead_forever[k]).collect();
         let mut rr = 0usize;
+        // (node, queue key): sorted, each node's arrivals form one run in
+        // its queue's own order.
+        let mut arrivals: Vec<(usize, (u64, usize))> = Vec::new();
         for a in &schedule.assignments {
             let g = self.index.global(a.task);
             let target = if self.dead_forever[a.node.idx()] && !survivors.is_empty() {
@@ -481,17 +483,16 @@ impl Engine {
             rt.planned_start = a.start;
             rt.state = RtState::Waiting;
             rt.wait_since = self.now;
-            let n = self.tasks[g].node.idx();
-            self.nodes[n].queue.push(g);
-            touched.push(n);
+            arrivals.push((target.idx(), NodeRt::queue_key(&self.tasks, g)));
             self.injected += 1;
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for &n in &touched {
-            let tasks = &self.tasks;
-            self.nodes[n].queue.sort_by_key(|&g| (tasks[g].planned_start.as_micros(), g));
-            self.rebuild_waiting_view(n);
+        arrivals.sort_unstable();
+        let mut run: Vec<usize> = Vec::new();
+        for node_arrivals in arrivals.chunk_by(|a, b| a.0 == b.0) {
+            let n = node_arrivals[0].0;
+            run.clear();
+            run.extend(node_arrivals.iter().map(|&(_, (_, g))| g));
+            self.queue_merge(n, &run);
             self.fill_node(n);
         }
     }
@@ -531,32 +532,27 @@ impl Engine {
     /// the node the way the paper's in-order queues do. A fully idle node
     /// falls back to scanning its whole queue — the deadlock-free escape.
     fn fill_node(&mut self, n: usize) {
-        if !self.alive[n] {
-            return;
-        }
-        let slots = self.cluster.nodes[n].slots;
         debug_assert!(
             self.nodes[n].queue.iter().all(|&g| self.tasks[g].state == RtState::Waiting),
             "node {n}: queue holds a non-waiting task (see the NodeRt invariant)",
         );
-        while self.nodes[n].running.len() < slots {
-            let window = if self.nodes[n].running.is_empty() {
-                self.nodes[n].queue.len()
-            } else {
-                self.cfg.lookahead.max(1)
-            };
-            let pos = {
-                let tasks = &self.tasks;
-                self.nodes[n].queue.iter().take(window).position(|&g| tasks[g].ready())
-            };
-            match pos {
-                Some(p) => {
-                    let g = self.queue_remove(n, p);
-                    self.dispatch(g);
-                }
-                None => break,
-            }
+        while let Some(p) = self.next_dispatch(n) {
+            let g = self.queue_remove(n, p);
+            self.dispatch(g);
         }
+    }
+
+    /// The queue position [`Engine::fill_node`] dispatches from next on
+    /// node `n`; `None` once the node is filled: down, out of free slots,
+    /// or without a ready task in its window.
+    fn next_dispatch(&self, n: usize) -> Option<usize> {
+        let node = &self.nodes[n];
+        if !self.alive[n] || node.running.len() >= self.cluster.nodes[n].slots {
+            return None;
+        }
+        let window =
+            if node.running.is_empty() { node.queue.len() } else { self.cfg.lookahead.max(1) };
+        node.queue.iter().take(window).position(|&g| self.tasks[g].ready())
     }
 
     fn handle_finish(&mut self, g: usize, gen: u32) {
@@ -674,6 +670,43 @@ impl Engine {
         }
     }
 
+    /// Merge `arrivals`, tasks newly `Waiting` on node `n` in ascending
+    /// `(planned_start, g)` order, into the node's queue, which is already
+    /// in that order; the maintained view keeps its snapshots and gains the
+    /// arrivals' at the same indices.
+    fn queue_merge(&mut self, n: usize, arrivals: &[usize]) {
+        #[cfg(debug_assertions)]
+        self.assert_queue_ordered(n);
+        let old = std::mem::take(&mut self.nodes[n].queue);
+        let old_view = match self.views.get_mut(n) {
+            Some(v) => std::mem::take(&mut v.waiting),
+            None => Vec::new(), // no view while the policy is a no-op
+        };
+        let key = |g: usize| NodeRt::queue_key(&self.tasks, g);
+        let mut queue = Vec::with_capacity(old.len() + arrivals.len());
+        let mut view = Vec::with_capacity(if self.epoch_enabled { queue.capacity() } else { 0 });
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < arrivals.len() {
+            if j == arrivals.len() || (i < old.len() && key(old[i]) < key(arrivals[j])) {
+                queue.push(old[i]);
+                if self.epoch_enabled {
+                    view.push(old_view[i]);
+                }
+                i += 1;
+            } else {
+                queue.push(arrivals[j]);
+                if self.epoch_enabled {
+                    view.push(self.snapshot(arrivals[j]));
+                }
+                j += 1;
+            }
+        }
+        self.nodes[n].queue = queue;
+        if self.epoch_enabled {
+            self.views[n].waiting = view;
+        }
+    }
+
     /// Take the entry at position `pos` out of node `n`'s queue and out of
     /// the maintained view; returns the task.
     fn queue_remove(&mut self, n: usize, pos: usize) -> usize {
@@ -683,9 +716,21 @@ impl Engine {
         self.nodes[n].queue.remove(pos)
     }
 
-    /// Re-derive node `n`'s whole waiting view from its queue: after a
-    /// batch injection re-sorted the queue, and after the node's rate
-    /// changed under every waiting task's `t^rem`.
+    /// Node `n`'s queue is in ascending `(planned_start, g)` order, the
+    /// order `queue_merge` and `NodeRt::insert_by_planned_start` assume.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_queue_ordered(&self, n: usize) {
+        let key = |g: usize| NodeRt::queue_key(&self.tasks, g);
+        let queue = &self.nodes[n].queue;
+        assert!(
+            queue.windows(2).all(|p| key(p[0]) < key(p[1])),
+            "node {n}: queue out of (planned_start, g) order at {}",
+            self.now
+        );
+    }
+
+    /// Re-derive node `n`'s whole waiting view from its queue, after the
+    /// node's rate changed under every waiting task's `t^rem`.
     fn rebuild_waiting_view(&mut self, n: usize) {
         if !self.epoch_enabled {
             return;
@@ -728,6 +773,9 @@ impl Engine {
 
     #[cfg(any(test, debug_assertions))]
     fn assert_views_match_rebuild(&self, views: &[NodeView]) {
+        for n in 0..self.nodes.len() {
+            self.assert_queue_ordered(n);
+        }
         let mut rebuilt = Vec::new();
         self.build_views_into(&mut rebuilt);
         assert_eq!(
@@ -739,8 +787,9 @@ impl Engine {
     }
 
     /// Differential self-check, compiled into tests and debug builds only:
-    /// the maintained policy views, refreshed to the current instant, must
-    /// equal a from-scratch rebuild. `handle_epoch` holds every epoch to
+    /// every queue is in its `(planned_start, g)` order, and the maintained
+    /// policy views, refreshed to the current instant, must equal a
+    /// from-scratch rebuild. `handle_epoch` holds every epoch to
     /// the same comparison; tests call this between steps, where no epoch
     /// falls.
     #[cfg(any(test, debug_assertions))]
@@ -859,6 +908,12 @@ impl Engine {
             self.views = views;
             let checkpointing = policy.checkpointing();
             for (n, acts) in actions {
+                if acts.is_empty() {
+                    // Every event handler leaves the nodes it touched
+                    // filled, so only a node that took actions needs it.
+                    debug_assert_eq!(self.next_dispatch(n), None, "node {n} unfilled at an epoch");
+                    continue;
+                }
                 for act in acts {
                     self.apply_action(n, act, checkpointing);
                 }

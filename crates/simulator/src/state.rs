@@ -55,10 +55,15 @@ impl TaskIndex {
         self.job_ids.len()
     }
 
-    /// Dense job index of a `JobId`, if known.
+    /// Dense job index of a `JobId`, if known: one probe when ids are
+    /// dense (`job_ids[id] == id`, every batch run), a binary search
+    /// otherwise (the service's strided lanes).
     #[inline]
     pub fn try_job_dense(&self, id: JobId) -> Option<usize> {
-        self.job_ids.binary_search(&id).ok()
+        match self.job_ids.get(id.idx()) {
+            Some(&j) if j == id => Some(id.idx()),
+            _ => self.job_ids.binary_search(&id).ok(),
+        }
     }
 
     /// Dense job index of a `JobId`; panics on an unknown job.
@@ -206,11 +211,17 @@ pub struct NodeRt {
 }
 
 impl NodeRt {
-    /// The position task `g` takes in the queue's order: ascending planned
-    /// start, ties broken by dense index (the engine's global queue order).
+    /// Task `g`'s key in the queue's order: ascending planned start, ties
+    /// broken by dense index (the engine's global queue order).
+    #[inline]
+    pub fn queue_key(tasks: &[TaskRt], g: usize) -> (u64, usize) {
+        (tasks[g].planned_start.as_micros(), g)
+    }
+
+    /// The position task `g` takes in the queue's order.
     fn planned_position(&self, tasks: &[TaskRt], g: usize) -> usize {
-        let key = (tasks[g].planned_start.as_micros(), g);
-        self.queue.partition_point(|&q| (tasks[q].planned_start.as_micros(), q) < key)
+        let key = NodeRt::queue_key(tasks, g);
+        self.queue.partition_point(|&q| NodeRt::queue_key(tasks, q) < key)
     }
 
     /// Insert waiting task `g` at the position its planned start dictates
@@ -286,6 +297,35 @@ mod tests {
         assert_eq!(idx.job_dense(JobId(17)), 1);
         assert_eq!(idx.try_job_dense(JobId(5)), None);
         assert_eq!(idx.tasks_of(2), 3..6);
+    }
+
+    #[test]
+    fn job_probe_agrees_with_a_binary_search() {
+        let index_of = |ids: &[u32]| {
+            let jobs: Vec<Job> = ids
+                .iter()
+                .map(|&id| {
+                    Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::MAX, vec![], Dag::new(0))
+                })
+                .collect();
+            TaskIndex::new(&jobs)
+        };
+        // Dense ids (every batch run), the strided lanes of a sharded
+        // service (shard 1 of 2 and 3 of 4), a dense prefix that turns
+        // sparse, and a run whose ids sit past their positions.
+        let cases: [&[u32]; 5] =
+            [&[0, 1, 2, 3, 4], &[1, 3, 5, 7, 9], &[3, 7, 11, 15], &[0, 1, 2, 9, 40], &[5, 6, 7]];
+        for ids in cases {
+            let ix = index_of(ids);
+            for probe in 0..45u32 {
+                let id = JobId(probe);
+                assert_eq!(
+                    ix.try_job_dense(id),
+                    ix.job_ids.binary_search(&id).ok(),
+                    "{id} in {ids:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -215,4 +215,61 @@ proptest! {
         prop_assert_eq!(m.jobs_completed(), WAVES);
         prop_assert!(policy.epochs > 0, "the policy was never consulted");
     }
+
+    /// Batches land on queues that still hold earlier batches' tasks, with
+    /// planned starts equal to each other and to the queued ones', listed
+    /// against queue order: an injection merges them into each queue
+    /// (debug builds check the queue is in `(planned_start, g)` order
+    /// before every merge and at every epoch) and the maintained views
+    /// stay equal to a rebuild.
+    #[test]
+    fn batches_merge_into_busy_queues_with_equal_planned_starts(
+        tasks_each in 2usize..10,
+        shape in 0u8..4,
+        seed in 0u64..300,
+        distinct_starts in 1u64..4,
+        nodes in 1usize..4,
+        step_ms in 50u64..400,
+    ) {
+        const WAVES: usize = 4;
+        let jobs = mk_jobs(WAVES, tasks_each, shape, seed);
+        // Planned starts from a few values shared by every wave; the
+        // assignments are listed in reverse of the order the queue keeps.
+        let wave = |k: usize| {
+            let mut s = Schedule::new();
+            let job = &jobs[k];
+            for v in (0..job.num_tasks() as u32).rev() {
+                let start = Time::from_secs(u64::from(v) % distinct_starts);
+                s.assign(job.task_id(v), NodeId(v % nodes as u32), start);
+            }
+            s
+        };
+        let mut e = Engine::new(
+            jobs[..1].to_vec(),
+            uniform(nodes, 1000.0, 1),
+            EngineConfig { epoch: Dur::from_secs(1), ..EngineConfig::default() },
+        );
+        e.add_batch(Time::ZERO, wave(0));
+        let mut policy = ChaosPolicy::new(seed, true);
+        let mut now = Time::ZERO;
+        let mut onto_busy = 0;
+        for k in 1..WAVES {
+            now += Dur::from_millis(step_ms);
+            e.step_until(&mut policy, now);
+            #[cfg(debug_assertions)]
+            e.assert_views_current();
+            let queued: usize = jobs[..k]
+                .iter()
+                .filter_map(|j| e.job_progress(j.id))
+                .map(|p| p.waiting)
+                .sum();
+            onto_busy += usize::from(queued > 0);
+            e.add_jobs(jobs[k..=k].to_vec());
+            e.add_batch(now, wave(k));
+        }
+        let m = e.run(&mut policy);
+        prop_assert_eq!(m.tasks_completed as usize, WAVES * tasks_each);
+        prop_assert_eq!(m.jobs_completed(), WAVES);
+        prop_assert!(onto_busy > 0, "no batch met a busy queue");
+    }
 }
