@@ -124,7 +124,7 @@ mod tests {
         // γ reaches the list scheduler: the table's arm at a non-default
         // coefficient is `execute` with the list scheduler built by hand.
         let mut cfg = ExperimentConfig::quick(6, 5);
-        cfg.params.dsp.weights.gamma = 0.9;
+        cfg.params.dsp.gamma = 0.9;
         let jobs = generate_workload(&mut StdRng::seed_from_u64(cfg.seed), 6, &cfg.trace);
         let mut sched = DspListScheduler { gamma: 0.9 };
         let mut policy = cfg.preempt.build(&cfg.params);

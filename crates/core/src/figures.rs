@@ -357,7 +357,7 @@ fn ablation_gamma(name: &str, scale: &FigureScale) -> Entry {
         ("wait", "Eq. 12 γ vs avg job waiting", "avg job waiting time (s)", waiting as Metric),
         ("makespan", "Eq. 12 γ vs makespan", "makespan (s)", makespan),
     ];
-    knob(name, scale, "gamma", &[0.1, 0.3, 0.5, 0.7, 0.9], |p, g| p.dsp.weights.gamma = g, panels)
+    knob(name, scale, "gamma", &[0.1, 0.3, 0.5, 0.7, 0.9], |p, g| p.dsp.gamma = g, panels)
 }
 
 /// δ sweep: the preempting-task window (1.0 = whole queue).

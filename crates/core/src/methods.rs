@@ -13,7 +13,7 @@
 
 use crate::config::Params;
 use dsp_cluster::ClusterSpec;
-use dsp_preempt::{AmoebaPolicy, DspPolicy, NatjamPolicy};
+use dsp_preempt::{AmoebaPolicy, DspPolicy, NatjamPolicy, SrptPolicy};
 use dsp_sched::{
     AaloScheduler, DspIlpScheduler, DspListScheduler, FifoScheduler, RandomScheduler, Scheduler,
     TetrisScheduler,
@@ -137,7 +137,7 @@ impl SchedMethod {
     /// `seed` feeds the random baseline only.
     pub fn build(self, params: &Params, seed: u64) -> Box<dyn Scheduler + Send> {
         match self {
-            SchedMethod::Dsp => Box::new(DspListScheduler { gamma: params.dsp.weights.gamma }),
+            SchedMethod::Dsp => Box::new(DspListScheduler { gamma: params.dsp.gamma }),
             SchedMethod::DspIlp => Box::new(DspIlpScheduler::default()),
             SchedMethod::TetrisWoDep => Box::new(TetrisScheduler::without_dep()),
             SchedMethod::TetrisSimDep => Box::new(TetrisScheduler::with_simple_dep()),
@@ -183,7 +183,7 @@ impl PreemptMethod {
             PreemptMethod::DspWoPp => Box::new(DspPolicy::new(params.dsp_params(false))),
             PreemptMethod::Amoeba => Box::new(AmoebaPolicy),
             PreemptMethod::Natjam => Box::new(NatjamPolicy),
-            PreemptMethod::Srpt => Box::new(params.srpt),
+            PreemptMethod::Srpt => Box::new(SrptPolicy),
         }
     }
 }

@@ -12,8 +12,8 @@
 //!   eviction by most-resources, then max-deadline, then shortest-remaining;
 //!   checkpointed.
 //! * [`SrptPolicy`] \[22\] — priority is a linear combination of waiting time
-//!   and remaining time (α = 0.5, β = 1); **no checkpoint mechanism**, so
-//!   victims restart from scratch.
+//!   and remaining time (α = [`srpt::ALPHA`] = 0.5, β = [`srpt::BETA`] = 1);
+//!   **no checkpoint mechanism**, so victims restart from scratch.
 //!
 //! None of the baselines checks dependencies when preempting — that is
 //! precisely the gap the paper measures as "disorders" in Fig. 6(a)/7(a).
@@ -29,7 +29,7 @@ mod priority_equiv;
 pub mod srpt;
 
 pub use amoeba::AmoebaPolicy;
-pub use dsp::{DspParams, DspPolicy};
+pub use dsp::{DspParams, DspPolicy, EPSILON, TAU};
 pub use natjam::NatjamPolicy;
-pub use priority::{PriorityEngine, PriorityEngineStats, PriorityWeights};
+pub use priority::{PriorityEngine, PriorityEngineStats, OMEGA1, OMEGA2, OMEGA3};
 pub use srpt::SrptPolicy;

@@ -12,43 +12,26 @@
 //! P(T) = ω1 · 1/t_rem + ω2 · t_w + ω3 · t_a                    (Eq. 13)
 //! ```
 //!
-//! with the Table II weights ω = (0.5, 0.3, 0.2) and γ = 0.5. Children that
-//! have already finished contribute nothing — their subtree is history; a
-//! task whose children are all done is, for priority purposes, a leaf.
+//! with the Table II weights ω = ([`OMEGA1`], [`OMEGA2`], [`OMEGA3`]) =
+//! (0.5, 0.3, 0.2); γ is [`crate::DspParams::gamma`]. Children that have
+//! already finished contribute nothing — their subtree is history; a task
+//! whose children are all done is, for priority purposes, a leaf.
 
-use crate::dsp::{is_urgent, DspParams};
+use crate::dsp::is_urgent;
 use dsp_dag::TaskId;
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Time};
 
-/// Weights of the leaf priority (Eq. 13) and the level coefficient γ.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityWeights {
-    /// ω1: weight of inverse remaining time.
-    pub w1: f64,
-    /// ω2: weight of accumulated waiting time.
-    pub w2: f64,
-    /// ω3: weight of allowable waiting time.
-    pub w3: f64,
-    /// γ ∈ (0,1): boosts tasks whose dependents sit in shallower levels.
-    pub gamma: f64,
-}
-
-impl Default for PriorityWeights {
-    fn default() -> Self {
-        // Table II: ω1 = 0.5, ω2 = 0.3, ω3 = 0.2, γ = 0.5.
-        PriorityWeights { w1: 0.5, w2: 0.3, w3: 0.2, gamma: 0.5 }
-    }
-}
+/// ω1 (Table II): Eq. 13's weight of inverse remaining time.
+pub const OMEGA1: f64 = 0.5;
+/// ω2 (Table II): Eq. 13's weight of accumulated waiting time.
+pub const OMEGA2: f64 = 0.3;
+/// ω3 (Table II): Eq. 13's weight of allowable waiting time.
+pub const OMEGA3: f64 = 0.2;
 
 /// Floor on remaining time so `1/t_rem` stays finite as a task approaches
 /// completion.
 const MIN_REMAINING: Dur = Dur::from_millis(1);
-
-/// Eq. 13 for one snapshot at instant `now`.
-pub fn leaf_priority(s: &TaskSnapshot, w: &PriorityWeights, now: Time) -> f64 {
-    eq13(w, inv_remaining(s.remaining_time), s.waiting(now), s.allowable_wait(now))
-}
 
 /// `1/t_rem` in 1/s, floored at [`MIN_REMAINING`]: the part of Eq. 13 that
 /// does not move while a task waits, so [`PriorityEngine`] memoises it.
@@ -59,8 +42,8 @@ fn inv_remaining(rem: Dur) -> f64 {
 
 /// Eq. 13 from its three inputs; the one place its arithmetic is written.
 #[inline]
-fn eq13(w: &PriorityWeights, inv_rem: f64, waited: Dur, allowable: Dur) -> f64 {
-    w.w1 * inv_rem + w.w2 * waited.as_secs_f64() + w.w3 * allowable.as_secs_f64()
+fn eq13(inv_rem: f64, waited: Dur, allowable: Dur) -> f64 {
+    OMEGA1 * inv_rem + OMEGA2 * waited.as_secs_f64() + OMEGA3 * allowable.as_secs_f64()
 }
 
 /// Counters exposed by [`PriorityEngine`] for the perf harness: how much
@@ -182,7 +165,7 @@ struct UrgentRun {
 ///   order;
 /// * scans the views once, in order, stamping liveness and evaluating Eq. 13
 ///   from the snapshot in hand (a task listed twice keeps its last value,
-///   as the reference's slot overwrite does); for DSP the same scan records
+///   as the reference's slot overwrite does); the same scan records
 ///   Algorithm 1's urgent entries of each view;
 /// * runs Eq. 12 over the live list only, not over every topo slot, and
 ///   only for tasks with children (a sink keeps its Eq. 13 value): the
@@ -208,11 +191,10 @@ pub struct PriorityEngine {
     hi: f64,
     /// Instant of the last scan.
     now: Time,
-    /// Algorithm 1's urgent entries of the views the last DSP scan saw:
+    /// Algorithm 1's urgent entries of the views the last scan saw:
     /// positions in each view's waiting list, ascending, view after view.
     urgent: Vec<u32>,
-    /// Where each of those views' entries sit in `urgent`; empty after a
-    /// scan that recorded none ([`PriorityEngine::begin_epoch`]).
+    /// Where each of those views' entries sit in `urgent`.
     urgent_runs: Vec<UrgentRun>,
     stats: PriorityEngineStats,
 }
@@ -223,39 +205,12 @@ impl PriorityEngine {
         PriorityEngine::default()
     }
 
-    /// Re-evaluate priorities for one epoch at instant `now`. `views` are
-    /// the epoch's node views; `world` the sorted job slice.
-    pub fn begin_epoch(
-        &mut self,
-        now: Time,
-        views: &[NodeView],
-        world: &WorldCtx<'_>,
-        w: &PriorityWeights,
-    ) {
-        self.epoch_pass(now, views, world, w, None);
-    }
-
-    /// [`PriorityEngine::begin_epoch`] under DSP's weights that also records
-    /// each view's urgent entries ([`is_urgent`] under `p`'s ε and τ), for
-    /// [`PriorityEngine::urgent_of`].
-    pub(crate) fn begin_dsp_epoch(
-        &mut self,
-        now: Time,
-        views: &[NodeView],
-        world: &WorldCtx<'_>,
-        p: &DspParams,
-    ) {
-        self.epoch_pass(now, views, world, &p.weights, Some(p));
-    }
-
-    fn epoch_pass(
-        &mut self,
-        now: Time,
-        views: &[NodeView],
-        world: &WorldCtx<'_>,
-        w: &PriorityWeights,
-        urgency: Option<&DspParams>,
-    ) {
+    /// Re-evaluate priorities for one epoch at instant `now` under the
+    /// level coefficient `gamma`, and record each view's urgent entries
+    /// (Algorithm 1 line 4) for DSP's `decide`. `views` are the
+    /// epoch's node views, one per node in node order; `world` the sorted
+    /// job slice.
+    pub fn begin_epoch(&mut self, now: Time, views: &[NodeView], world: &WorldCtx<'_>, gamma: f64) {
         self.sync_world(world);
         self.epoch += 1;
         self.stats.epochs += 1;
@@ -270,20 +225,18 @@ impl PriorityEngine {
         // them. ---
         for view in views {
             for s in &view.running {
-                self.scan(s, s.waiting(now), s.allowable_wait(now), world, w);
+                self.scan(s, s.waiting(now), s.allowable_wait(now), world);
             }
             let start = self.urgent.len();
             for (i, s) in view.waiting.iter().enumerate() {
                 let (waited, allowable) = (s.waiting(now), s.allowable_wait(now));
-                self.scan(s, waited, allowable, world, w);
-                if urgency.is_some_and(|p| is_urgent(p, s.ready, allowable, waited)) {
+                self.scan(s, waited, allowable, world);
+                if is_urgent(s.ready, allowable, waited) {
                     self.urgent.push(i as u32);
                 }
             }
-            if urgency.is_some() {
-                let (node, waiting, end) = (view.node.idx(), view.waiting.len(), self.urgent.len());
-                self.urgent_runs.push(UrgentRun { node, waiting, start, end });
-            }
+            let (node, waiting, end) = (view.node.idx(), view.waiting.len(), self.urgent.len());
+            self.urgent_runs.push(UrgentRun { node, waiting, start, end });
         }
 
         // --- Recursion pass: Eq. 12 over every touched job's live tasks
@@ -292,7 +245,7 @@ impl PriorityEngine {
         self.live = 0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        let scale = w.gamma + 1.0;
+        let scale = gamma + 1.0;
         for &d in &self.touched {
             let js = &mut self.jobs[d as usize];
             self.stats.jobs_recomputed += 1;
@@ -340,14 +293,7 @@ impl PriorityEngine {
     /// Stamp one snapshot live and write its Eq. 13 value. Inlined into
     /// both scan loops: as a call it costs the scan a third of its time.
     #[inline(always)]
-    fn scan(
-        &mut self,
-        s: &TaskSnapshot,
-        waited: Dur,
-        allowable: Dur,
-        world: &WorldCtx<'_>,
-        w: &PriorityWeights,
-    ) {
+    fn scan(&mut self, s: &TaskSnapshot, waited: Dur, allowable: Dur, world: &WorldCtx<'_>) {
         let epoch = self.epoch;
         let dense = self.dense_of(s.id.job.get()).expect("job appeared in an epoch view");
         let js = &mut self.jobs[dense];
@@ -368,7 +314,7 @@ impl PriorityEngine {
             slot.rem_us = rem_us;
             slot.inv_rem = inv_remaining(s.remaining_time);
         }
-        slot.prio = eq13(w, slot.inv_rem, waited, allowable);
+        slot.prio = eq13(slot.inv_rem, waited, allowable);
         if slot.stamp != epoch {
             js.grown |= slot.stamp != js.prev_touch;
             slot.stamp = epoch;
@@ -376,16 +322,18 @@ impl PriorityEngine {
         }
     }
 
-    /// The urgent entries of `view` recorded by the last DSP scan, as
-    /// positions in `view.waiting`: `None` when that scan did not see this
-    /// view — another instant, an unknown node or a different waiting
-    /// length. The engine hands over one view per node in node order, so
-    /// a view's run sits at its node's index.
-    pub(crate) fn urgent_of(&self, view: &NodeView, now: Time) -> Option<&[u32]> {
+    /// The urgent entries of `view` recorded by the last scan, as positions
+    /// in `view.waiting`. `view` must be one that scan saw: the engine hands
+    /// over one view per node in node order, so a view's run sits at its
+    /// node's index.
+    pub(crate) fn urgent_of(&self, view: &NodeView, now: Time) -> &[u32] {
         let node = view.node.idx();
-        let run = self.urgent_runs.get(node)?;
-        let seen = now == self.now && run.node == node && run.waiting == view.waiting.len();
-        seen.then(|| &self.urgent[run.start..run.end])
+        let run = self.urgent_runs[node];
+        debug_assert!(
+            now == self.now && run.node == node && run.waiting == view.waiting.len(),
+            "node {node}'s view at {now} was not scanned by this epoch's begin_epoch"
+        );
+        &self.urgent[run.start..run.end]
     }
 
     /// Dense index of a job id: one probe when ids are dense
@@ -459,7 +407,7 @@ impl PriorityEngine {
 /// bit (`priority_equiv.rs`). Test builds only.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{leaf_priority, PriorityWeights};
+    use super::{eq13, inv_remaining};
     use dsp_dag::{JobId, TaskId};
     use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
     use dsp_units::Time;
@@ -518,6 +466,14 @@ pub(crate) mod reference {
         }
     }
 
+    /// Table II's γ, the level coefficient the tests run Eq. 12 under.
+    pub const GAMMA: f64 = 0.5;
+
+    /// Eq. 13 for one snapshot at instant `now`.
+    pub fn leaf_priority(s: &TaskSnapshot, now: Time) -> f64 {
+        eq13(inv_remaining(s.remaining_time), s.waiting(now), s.allowable_wait(now))
+    }
+
     /// Compute the Eq. 12/13 priorities of every task that appears in the
     /// epoch's node views (running or waiting anywhere in the cluster), naively:
     /// rebuilds every scratch structure from
@@ -531,7 +487,7 @@ pub(crate) mod reference {
         now: Time,
         views: &[NodeView],
         world: &WorldCtx<'_>,
-        w: &PriorityWeights,
+        gamma: f64,
     ) -> PriorityMap {
         // Gather live snapshots per job (None slots = finished/absent). The
         // BTreeMap doubles as the deterministic job iteration order below.
@@ -555,9 +511,9 @@ pub(crate) mod reference {
                     .iter()
                     .map(|&c| prio[c as usize])
                     .filter(|p| !p.is_nan())
-                    .map(|p| (w.gamma + 1.0) * p)
+                    .map(|p| (gamma + 1.0) * p)
                     .sum();
-                let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, w, now) };
+                let p = if child_sum > 0.0 { child_sum } else { leaf_priority(s, now) };
                 prio[v as usize] = p;
                 out.insert(job.task_id(v), job.num_tasks(), p);
             }
@@ -591,7 +547,9 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{compute_priorities_ref, mean_neighbor_gap, PriorityMap};
+    use super::reference::{
+        compute_priorities_ref, leaf_priority, mean_neighbor_gap, PriorityMap, GAMMA,
+    };
     use super::*;
     use dsp_cluster::NodeId;
     use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
@@ -637,17 +595,15 @@ mod tests {
 
     #[test]
     fn leaf_priority_matches_eq13() {
-        let w = PriorityWeights::default();
         let s = snap(TaskId::new(0, 0), 2_000, 4_000, 10_000);
         // 0.5·(1/2) + 0.3·4 + 0.2·10 = 0.25 + 1.2 + 2.0
-        assert!((leaf_priority(&s, &w, Time::ZERO) - 3.45).abs() < 1e-9);
+        assert!((leaf_priority(&s, Time::ZERO) - 3.45).abs() < 1e-9);
     }
 
     #[test]
     fn remaining_time_floor_keeps_priority_finite() {
-        let w = PriorityWeights::default();
         let s = snap(TaskId::new(0, 0), 0, 0, 0);
-        let p = leaf_priority(&s, &w, Time::ZERO);
+        let p = leaf_priority(&s, Time::ZERO);
         assert!(p.is_finite() && p > 0.0);
     }
 
@@ -661,7 +617,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
-        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, GAMMA);
         let at = |v: u32| p.get(&job.task_id(v)).unwrap();
         assert!(at(0) > at(1) && at(0) > at(2));
         assert!(at(1) > at(3) && at(2) > at(5));
@@ -681,7 +637,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
-        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, GAMMA);
         // Task 1's children (3, 4) are done → leaf formula (0.5); root sees
         // only child 1: 1.5·0.5 = 0.75.
         assert!((p.get(&job.task_id(1)).unwrap() - 0.5).abs() < 1e-9);
@@ -696,7 +652,7 @@ mod tests {
         let views = views_of(&job, snaps);
         let jobs = vec![job.clone()];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
-        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, GAMMA);
         assert!(p.get(&job.task_id(4)).unwrap() > p.get(&job.task_id(3)).unwrap());
     }
 
@@ -728,7 +684,7 @@ mod tests {
         let views = views_of(&j0, snaps);
         let jobs = vec![j0.clone(), j1];
         let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: Dur::from_secs(5) };
-        let p = compute_priorities_ref(Time::ZERO, &views, &world, &PriorityWeights::default());
+        let p = compute_priorities_ref(Time::ZERO, &views, &world, GAMMA);
         assert_eq!(p.len(), 2);
         // Shorter remaining → higher priority (both are leaves).
         assert!(p.get(&TaskId::new(1, 3)).unwrap() > p.get(&j0.task_id(3)).unwrap());

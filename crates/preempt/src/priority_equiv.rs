@@ -8,8 +8,8 @@
 //! live list it rebuilds or compacts, so the edges of that list get their
 //! own cases below.
 
-use crate::priority::reference::{compute_priorities_ref, mean_neighbor_gap};
-use crate::priority::{leaf_priority, PriorityEngine, PriorityWeights};
+use crate::priority::reference::{compute_priorities_ref, leaf_priority, mean_neighbor_gap, GAMMA};
+use crate::priority::PriorityEngine;
 use dsp_cluster::NodeId;
 use dsp_dag::{generate::gen_dag, DagShape, Job, JobClass, JobId, TaskSpec};
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
@@ -91,9 +91,9 @@ fn assert_epoch_equal(
     now: Time,
     views: &[NodeView],
     world: &WorldCtx<'_>,
-    w: &PriorityWeights,
+    gamma: f64,
 ) {
-    let reference = compute_priorities_ref(now, views, world, w);
+    let reference = compute_priorities_ref(now, views, world, gamma);
     assert_eq!(engine.len(), reference.len(), "live count diverged at {now}");
     for job in world.jobs {
         for v in 0..job.num_tasks() as u32 {
@@ -204,9 +204,8 @@ proptest! {
             }
             let now = Time::from_millis(now_ms);
             let world = WorldCtx { jobs: world_jobs, now, epoch: Dur::from_secs(5) };
-            let w = PriorityWeights::default();
-            engine.begin_epoch(now, &views, &world, &w);
-            assert_epoch_equal(&engine, now, &views, &world, &w);
+            engine.begin_epoch(now, &views, &world, GAMMA);
+            assert_epoch_equal(&engine, now, &views, &world, GAMMA);
         }
 
         // Reuse the same engine against a different world (new job ids):
@@ -219,23 +218,21 @@ proptest! {
             slots: 2,
         }];
         let world = WorldCtx { jobs: &other, now: Time::ZERO, epoch: Dur::from_secs(5) };
-        let w = PriorityWeights::default();
-        engine.begin_epoch(Time::ZERO, &snaps, &world, &w);
-        assert_epoch_equal(&engine, Time::ZERO, &snaps, &world, &w);
+        engine.begin_epoch(Time::ZERO, &snaps, &world, GAMMA);
+        assert_epoch_equal(&engine, Time::ZERO, &snaps, &world, GAMMA);
         prop_assert!(engine.stats().world_resets >= 1);
     }
 }
 
-/// One world, one weight set, a sequence of epochs over one engine: every
-/// epoch must equal the reference.
+/// One world, a sequence of epochs over one engine: every epoch must equal
+/// the reference.
 fn assert_epochs_equal(jobs: &[Job], epochs: &[(u64, Vec<NodeView>)]) -> PriorityEngine {
-    let w = PriorityWeights::default();
     let mut engine = PriorityEngine::new();
     for (now_s, views) in epochs {
         let now = Time::from_secs(*now_s);
         let world = WorldCtx { jobs, now, epoch: Dur::from_secs(5) };
-        engine.begin_epoch(now, views, &world, &w);
-        assert_epoch_equal(&engine, now, views, &world, &w);
+        engine.begin_epoch(now, views, &world, GAMMA);
+        assert_epoch_equal(&engine, now, views, &world, GAMMA);
     }
     engine
 }
@@ -253,7 +250,7 @@ fn live_non_sink_with_all_children_absent_takes_eq13() {
     let root = running(&job, 0, 2_000, 4_000, 12_000);
     let engine =
         assert_epochs_equal(std::slice::from_ref(&job), &[(1, vec![one_view(vec![root], vec![])])]);
-    let want = leaf_priority(&root, &PriorityWeights::default(), Time::from_secs(1));
+    let want = leaf_priority(&root, Time::from_secs(1));
     assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
     assert_eq!(engine.len(), 1);
     // The middle task alone: its parent and child are both absent.
@@ -273,7 +270,7 @@ fn duplicate_snapshots_keep_the_last_one() {
     let across = vec![one_view(vec![early], vec![other]), one_view(vec![], vec![late])];
     let within = vec![one_view(vec![early], vec![other, late])];
     let engine = assert_epochs_equal(std::slice::from_ref(&job), &[(1, across), (2, within)]);
-    let want = leaf_priority(&late, &PriorityWeights::default(), Time::from_secs(2));
+    let want = leaf_priority(&late, Time::from_secs(2));
     assert_eq!(engine.get(&job.task_id(0)).map(f64::to_bits), Some(want.to_bits()));
     assert_eq!(engine.len(), 2);
 }
@@ -314,7 +311,6 @@ fn the_clock_moves_priorities_over_unchanged_snapshots() {
     let solo = mk_job(0, 2, 0, 3); // two independent tasks
     let chain = mk_job(1, 3, 1, 5); // 0 → 1 → 2
     let jobs = vec![solo.clone(), chain.clone()];
-    let w = PriorityWeights::default();
     // Waiting since 0 s after 1 s of earlier stints; t^rem 2 s, t^d 7 s.
     let waiter = waiting(&solo, 0, 2_000, 1_000, 0, 7_000);
     // Running after 3 s of waiting; t^rem 4 s, t^d 100 s.
@@ -333,8 +329,8 @@ fn the_clock_moves_priorities_over_unchanged_snapshots() {
     for now_s in instants {
         let now = Time::from_secs(now_s);
         let world = WorldCtx { jobs: &jobs, now, epoch: Dur::from_secs(5) };
-        engine.begin_epoch(now, &views, &world, &w);
-        assert_epoch_equal(&engine, now, &views, &world, &w);
+        engine.begin_epoch(now, &views, &world, GAMMA);
+        assert_epoch_equal(&engine, now, &views, &world, GAMMA);
 
         let t_a = 5u64.saturating_sub(now_s) as f64;
         assert_eq!(waiter.allowable_wait(now), Dur::from_secs(5u64.saturating_sub(now_s)));
@@ -386,7 +382,6 @@ fn memoised_inverse_remaining_follows_t_rem() {
     let runner_rem = [9_000u64, 8_000, 7_000, 8_000, 1, 0, 5_000];
     let waiter_rem = [3_000u64, 3_000, 3_000, 4_500, 3_000, 3_000, 3_000];
     let mut engine = PriorityEngine::new();
-    let w = PriorityWeights::default();
     for (e, (&r, &q)) in runner_rem.iter().zip(&waiter_rem).enumerate() {
         let now = Time::from_secs(e as u64 + 1);
         let views = vec![
@@ -400,23 +395,20 @@ fn memoised_inverse_remaining_follows_t_rem() {
             ),
         ];
         let world = WorldCtx { jobs: &jobs, now, epoch: Dur::from_secs(5) };
-        engine.begin_epoch(now, &views, &world, &w);
-        assert_epoch_equal(&engine, now, &views, &world, &w);
+        engine.begin_epoch(now, &views, &world, GAMMA);
+        assert_epoch_equal(&engine, now, &views, &world, GAMMA);
     }
 }
 
 #[test]
 fn weights_may_change_between_epochs_of_one_engine() {
-    // The memo holds `1/t_rem` alone, never ω1: an engine whose weights
-    // change from one epoch to the next (and back) still answers as the
-    // reference does under each epoch's weights, for the waiting tasks
-    // whose memo was filled under other weights and for the running one
-    // whose `t_rem` moves.
+    // An engine whose γ changes from one epoch to the next (and back)
+    // still answers as the reference does under each epoch's γ, for the
+    // waiting tasks whose memo and priorities were filled under another γ
+    // and for the running one whose `t_rem` moves.
     let job = mk_job(3, 6, 3, 19);
-    let tilted = PriorityWeights { w1: 2.0, w2: 0.05, w3: 0.7, gamma: 0.9 };
-    let table2 = PriorityWeights::default();
     let mut engine = PriorityEngine::new();
-    for (e, w) in [tilted, table2, table2, tilted].iter().enumerate() {
+    for (e, gamma) in [0.9, GAMMA, GAMMA, 0.9].into_iter().enumerate() {
         let now = Time::from_secs(2 + e as u64);
         let runner = running(&job, 0, 9_000 - 1_000 * e as u64, 100, 40_000);
         let waiters: Vec<TaskSnapshot> = (1..6u32)
@@ -428,7 +420,7 @@ fn weights_may_change_between_epochs_of_one_engine() {
         let views = vec![one_view(vec![runner], waiters)];
         let jobs = std::slice::from_ref(&job);
         let world = WorldCtx { jobs, now, epoch: Dur::from_secs(5) };
-        engine.begin_epoch(now, &views, &world, w);
-        assert_epoch_equal(&engine, now, &views, &world, w);
+        engine.begin_epoch(now, &views, &world, gamma);
+        assert_epoch_equal(&engine, now, &views, &world, gamma);
     }
 }

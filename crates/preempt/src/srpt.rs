@@ -17,37 +17,32 @@
 use dsp_sim::{NodeView, PreemptAction, PreemptPolicy, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Time};
 
-/// The SRPT policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SrptPolicy {
-    /// α: weight of waiting time (paper: 0.5).
-    pub alpha: f64,
-    /// β: weight of remaining time (paper: 1.0).
-    pub beta: f64,
-    /// Minimum remaining-time advantage a waiter must hold over its victim.
-    /// Without checkpointing every eviction erases the victim's progress,
-    /// so allowing arbitrarily small advantages lets the waiting-time term
-    /// drive a Zeno cycle in which long tasks preempt each other forever
-    /// and nothing past one epoch of work ever completes. Requiring the
-    /// waiter to be shorter by at least one epoch of work makes every
-    /// preemption chain strictly decreasing in remaining time, which
-    /// guarantees termination; the default (100 ms) is the scale of one
-    /// context switch, i.e. "the gain must at least pay for the switch".
-    /// (The cited system \[22\] makes preemption decisions per job arrival,
-    /// not per second, so it never hits this.)
-    pub min_gain: Dur,
-}
+/// α: SRPT's weight of waiting time (paper: 0.5).
+pub const ALPHA: f64 = 0.5;
 
-impl Default for SrptPolicy {
-    fn default() -> Self {
-        SrptPolicy { alpha: 0.5, beta: 1.0, min_gain: Dur::from_millis(100) }
-    }
-}
+/// β: SRPT's weight of remaining time (paper: 1).
+pub const BETA: f64 = 1.0;
+
+/// Minimum remaining-time advantage a waiter must hold over its victim.
+/// Without checkpointing every eviction erases the victim's progress, so
+/// allowing arbitrarily small advantages lets the waiting-time term drive a
+/// Zeno cycle in which long tasks preempt each other forever and nothing
+/// past one epoch of work ever completes. Requiring the waiter to be
+/// shorter by a fixed margin makes every preemption chain strictly
+/// decreasing in remaining time, which guarantees termination; 100 ms is
+/// the scale of one context switch, i.e. "the gain must at least pay for
+/// the switch". (The cited system \[22\] makes preemption decisions per job
+/// arrival, not per second, so it never hits this.)
+pub const MIN_GAIN: Dur = Dur::from_millis(100);
+
+/// The SRPT policy.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SrptPolicy;
 
 impl SrptPolicy {
     /// The linear-combination priority at instant `now`.
     pub fn priority(&self, s: &TaskSnapshot, now: Time) -> f64 {
-        self.alpha * s.waiting(now).as_secs_f64() - self.beta * s.remaining_time.as_secs_f64()
+        ALPHA * s.waiting(now).as_secs_f64() - BETA * s.remaining_time.as_secs_f64()
     }
 }
 
@@ -72,9 +67,9 @@ impl PreemptPolicy for SrptPolicy {
         let mut vi = 0usize;
         for (pw, w) in waiters {
             let Some(&(pv, v)) = victims.get(vi) else { break };
-            // Combined-priority win plus the min_gain remaining-time
-            // advantage (see the field docs for why both are required).
-            if pw > pv && w.remaining_time + self.min_gain <= v.remaining_time {
+            // Combined-priority win plus the MIN_GAIN remaining-time
+            // advantage (see its docs for why both are required).
+            if pw > pv && w.remaining_time + MIN_GAIN <= v.remaining_time {
                 actions.push(PreemptAction { evict: v.id, admit: w.id });
                 vi += 1;
             } else {
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn priority_combines_waiting_and_remaining() {
-        let p = SrptPolicy::default();
+        let p = SrptPolicy;
         let short = snap(TaskId::new(0, 0), false, 1_000, 0);
         let long = snap(TaskId::new(0, 1), false, 10_000, 0);
         assert!(p.priority(&short, Time::ZERO) > p.priority(&long, Time::ZERO));
@@ -146,10 +141,10 @@ mod tests {
             waiting: vec![snap(TaskId::new(0, 1), false, 500, 0)],
             slots: 1,
         };
-        let acts = SrptPolicy::default().decide(Time::ZERO, &view, &world);
+        let acts = SrptPolicy.decide(Time::ZERO, &view, &world);
         assert_eq!(acts.len(), 1);
         assert_eq!(acts[0].admit, TaskId::new(0, 1));
-        assert!(!SrptPolicy::default().checkpointing());
+        assert!(!SrptPolicy.checkpointing());
     }
 
     #[test]
@@ -162,7 +157,7 @@ mod tests {
             waiting: vec![snap(TaskId::new(0, 1), false, 5_000, 0)],
             slots: 1,
         };
-        assert!(SrptPolicy::default().decide(Time::ZERO, &view, &world).is_empty());
+        assert!(SrptPolicy.decide(Time::ZERO, &view, &world).is_empty());
     }
 
     #[test]
@@ -178,7 +173,7 @@ mod tests {
             waiting: vec![snap(TaskId::new(0, 2), false, 100, 0)],
             slots: 2,
         };
-        let acts = SrptPolicy::default().decide(Time::ZERO, &view, &world);
+        let acts = SrptPolicy.decide(Time::ZERO, &view, &world);
         assert_eq!(
             acts,
             vec![PreemptAction { evict: TaskId::new(0, 1), admit: TaskId::new(0, 2) }]
@@ -199,7 +194,7 @@ mod tests {
         let waiter = snap(TaskId::new(0, 2), false, 500, 0);
         let decide = |running: Vec<TaskSnapshot>| {
             let view = NodeView { node: NodeId(0), running, waiting: vec![waiter], slots: 2 };
-            SrptPolicy::default().decide(Time::ZERO, &view, &world)
+            SrptPolicy.decide(Time::ZERO, &view, &world)
         };
         let fwd = decide(vec![a, b]);
         let rev = decide(vec![b, a]);

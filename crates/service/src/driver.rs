@@ -394,12 +394,7 @@ mod tests {
     use dsp_units::Mi;
 
     fn driver(max_pending: usize) -> OnlineDriver {
-        let cfg = EngineConfig {
-            epoch: Dur::from_secs(5),
-            sigma: Dur::from_millis(50),
-            max_time: Time::from_secs(24 * 3600),
-            lookahead: 4,
-        };
+        let cfg = EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(24 * 3600) };
         let params = dsp_core::config::Params::default();
         OnlineDriver::new(
             uniform(4, 1000.0, 2),

@@ -644,12 +644,7 @@ mod tests {
         let params = dsp_core::config::Params::default();
         OnlineDriver::new(
             uniform(4, 1000.0, 2),
-            EngineConfig {
-                epoch: Dur::from_secs(5),
-                sigma: Dur::from_millis(50),
-                max_time: Time::from_secs(24 * 3600),
-                lookahead: 4,
-            },
+            EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(24 * 3600) },
             Dur::from_secs(300),
             Box::new(DspListScheduler::default()),
             Box::new(DspPolicy::new(params.dsp_params(true))),

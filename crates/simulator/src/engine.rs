@@ -10,37 +10,33 @@ use dsp_units::{Dur, Mi, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// σ: the dispatch latency an evicted task pays on top of its recovery
+/// time (Table II: 0.05 s).
+pub const SIGMA: Dur = Dur::from_millis(50);
+
+/// Queue lookahead: a node considers only the first `LOOKAHEAD` waiting
+/// tasks for dispatch (the paper's queues run in planned-start order; a
+/// blocked head stalls the node). When the node is completely idle, the
+/// whole queue is scanned instead, which keeps the system deadlock-free
+/// while still charging dependency-oblivious schedules for their
+/// head-of-line inversions. Online preemption policies can always reach
+/// deeper into the queue — rescuing stalled nodes is exactly their job.
+pub const LOOKAHEAD: usize = 4;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Epoch length: how often the online preemption policy runs
     /// (Section III partitions the unit period into epochs).
     pub epoch: Dur,
-    /// σ: the dispatch latency an evicted task pays on top of its recovery
-    /// time (the paper sets 0.05 s).
-    pub sigma: Dur,
     /// Hard wall on simulated time; a safety net against misbehaving
     /// schedules, not something healthy runs hit.
     pub max_time: Time,
-    /// Queue lookahead: a node considers only the first `lookahead`
-    /// waiting tasks for dispatch (the paper's queues run in planned-start
-    /// order; a blocked head stalls the node). When the node is completely
-    /// idle, the whole queue is scanned instead, which keeps the system
-    /// deadlock-free while still charging dependency-oblivious schedules
-    /// for their head-of-line inversions. Online preemption policies can
-    /// always reach deeper into the queue — rescuing stalled nodes is
-    /// exactly their job.
-    pub lookahead: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            epoch: Dur::from_secs(5),
-            sigma: Dur::from_millis(50),
-            max_time: Time::from_secs(30 * 24 * 3600),
-            lookahead: 4,
-        }
+        EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(30 * 24 * 3600) }
     }
 }
 
@@ -450,7 +446,7 @@ impl Engine {
                 }
             })
             .collect();
-        crate::history::ExecHistory { sigma: self.cfg.sigma, tasks }
+        crate::history::ExecHistory { sigma: SIGMA, tasks }
     }
 
     /// The job owning `id`; ids are validated when jobs are added.
@@ -527,10 +523,10 @@ impl Engine {
     }
 
     /// Fill free slots on node `n` from the queue in planned-start order,
-    /// with bounded lookahead (see [`EngineConfig::lookahead`]): only the
-    /// first few waiting tasks are candidates, so a non-ready head stalls
-    /// the node the way the paper's in-order queues do. A fully idle node
-    /// falls back to scanning its whole queue — the deadlock-free escape.
+    /// with bounded lookahead (see [`LOOKAHEAD`]): only the first few
+    /// waiting tasks are candidates, so a non-ready head stalls the node
+    /// the way the paper's in-order queues do. A fully idle node falls back
+    /// to scanning its whole queue — the deadlock-free escape.
     fn fill_node(&mut self, n: usize) {
         debug_assert!(
             self.nodes[n].queue.iter().all(|&g| self.tasks[g].state == RtState::Waiting),
@@ -550,8 +546,7 @@ impl Engine {
         if !self.alive[n] || node.running.len() >= self.cluster.nodes[n].slots {
             return None;
         }
-        let window =
-            if node.running.is_empty() { node.queue.len() } else { self.cfg.lookahead.max(1) };
+        let window = if node.running.is_empty() { node.queue.len() } else { LOOKAHEAD };
         node.queue.iter().take(window).position(|&g| self.tasks[g].ready())
     }
 
@@ -810,7 +805,7 @@ impl Engine {
         for &g in &victims {
             let rate = self.rate_of(g);
             let id = self.index.id(g);
-            let recovery = self.job(id.job).task(id.index).recovery + self.cfg.sigma;
+            let recovery = self.job(id.job).task(id.index).recovery + SIGMA;
             let rt = &mut self.tasks[g];
             rt.account_progress(rate, self.now);
             rt.state = RtState::Waiting;
@@ -947,7 +942,7 @@ impl Engine {
         // container it *just* started).
         {
             let vid = self.index.id(eg);
-            let overhead = self.job(vid.job).task(vid.index).recovery + self.cfg.sigma;
+            let overhead = self.job(vid.job).task(vid.index).recovery + SIGMA;
             let min_run = self.tasks[eg].work_start + overhead * 2;
             if self.now < min_run {
                 return;
@@ -967,7 +962,7 @@ impl Engine {
         // --- Suspend the victim. ---
         let rate = self.rate_of(eg);
         let id = self.index.id(eg);
-        let recovery = self.job(id.job).task(id.index).recovery + self.cfg.sigma;
+        let recovery = self.job(id.job).task(id.index).recovery + SIGMA;
         {
             let rt = &mut self.tasks[eg];
             rt.account_progress(rate, self.now);

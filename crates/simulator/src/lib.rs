@@ -33,7 +33,7 @@ pub mod policy;
 pub mod schedule;
 pub mod state;
 
-pub use engine::{Engine, EngineConfig, JobProgress};
+pub use engine::{Engine, EngineConfig, JobProgress, LOOKAHEAD, SIGMA};
 pub use faults::{Fault, FaultPlan};
 pub use history::{ExecHistory, TaskHistory};
 pub use policy::{NoPreempt, NodeView, PreemptAction, PreemptPolicy, TaskSnapshot, WorldCtx};

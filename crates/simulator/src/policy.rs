@@ -167,12 +167,15 @@ pub trait PreemptPolicy {
     /// Method name as used in the paper's figures ("DSP", "SRPT", ...).
     fn name(&self) -> &str;
 
-    /// Called once at the start of every epoch, before any `decide`;
-    /// policies compute global state here (e.g. DSP's mean neighbouring
-    /// priority gap for the PP filter).
+    /// Called once at the start of every epoch, before any `decide`, with
+    /// one view per node in node order; policies compute global state here
+    /// (e.g. DSP's mean neighbouring priority gap for the PP filter).
     fn begin_epoch(&mut self, _now: Time, _views: &[NodeView], _world: &WorldCtx<'_>) {}
 
-    /// Decide this node's preemptions for this epoch.
+    /// Decide this node's preemptions for this epoch. `view` is one of the
+    /// views `begin_epoch` was handed at the same instant `now`, unchanged
+    /// since: a policy may rely on what it derived from them there (DSP
+    /// reads its priorities and urgent entries from that scan).
     fn decide(&mut self, now: Time, view: &NodeView, world: &WorldCtx<'_>) -> Vec<PreemptAction>;
 
     /// True when preempted tasks resume from their most recent checkpoint;

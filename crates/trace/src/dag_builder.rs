@@ -10,24 +10,13 @@
 use dsp_dag::Dag;
 use dsp_units::Time;
 
-/// Structural caps for the constructed DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DagCaps {
-    /// Maximum number of levels (paper: 5).
-    pub max_levels: u32,
-    /// Maximum dependents per task (paper: 15).
-    pub max_out_degree: usize,
-    /// Maximum precedents per task; the paper leaves in-degree implicit,
-    /// we cap it to keep DAGs of the observed shape (a handful of inputs
-    /// per task).
-    pub max_in_degree: usize,
-}
-
-impl Default for DagCaps {
-    fn default() -> Self {
-        DagCaps { max_levels: 5, max_out_degree: 15, max_in_degree: 3 }
-    }
-}
+/// Maximum number of levels in a constructed DAG (paper: 5).
+pub const MAX_LEVELS: u32 = 5;
+/// Maximum dependents per task (paper: 15).
+pub const MAX_OUT_DEGREE: usize = 15;
+/// Maximum precedents per task; the paper leaves in-degree implicit, we cap
+/// it to keep DAGs of the observed shape (a handful of inputs per task).
+pub const MAX_IN_DEGREE: usize = 3;
 
 /// Construct a DAG over tasks from their `(start, end)` execution windows.
 ///
@@ -35,8 +24,8 @@ impl Default for DagCaps {
 /// begins (no overlap, `u` first). Among eligible parents for `v` we prefer
 /// the *latest-finishing* ones (the tightest real dependency a trace
 /// suggests), subject to the caps. Level bookkeeping is incremental:
-/// an edge is skipped when it would push `v` beyond `max_levels`.
-pub fn build_dag_from_windows(windows: &[(Time, Time)], caps: DagCaps) -> Dag {
+/// an edge is skipped when it would push `v` beyond [`MAX_LEVELS`].
+pub fn build_dag_from_windows(windows: &[(Time, Time)]) -> Dag {
     let n = windows.len();
     let mut dag = Dag::new(n);
     if n <= 1 {
@@ -58,14 +47,14 @@ pub fn build_dag_from_windows(windows: &[(Time, Time)], caps: DagCaps) -> Dag {
         let cut = by_end.partition_point(|&u| windows[u as usize].1 <= start_v);
         let mut in_deg = 0usize;
         for &u in by_end[..cut].iter().rev() {
-            if in_deg >= caps.max_in_degree {
+            if in_deg >= MAX_IN_DEGREE {
                 break;
             }
-            if dag.out_degree(u) >= caps.max_out_degree {
+            if dag.out_degree(u) >= MAX_OUT_DEGREE {
                 continue;
             }
             let new_level = level[u as usize] + 1;
-            if new_level >= caps.max_levels {
+            if new_level >= MAX_LEVELS {
                 continue;
             }
             // Windows are consistent with a DAG (u ends before v starts),
@@ -95,14 +84,14 @@ mod tests {
     #[test]
     fn non_overlapping_windows_create_edges() {
         // Task 0: [0,2), task 1: [3,5) → 0 → 1.
-        let dag = build_dag_from_windows(&[w(0, 2), w(3, 5)], DagCaps::default());
+        let dag = build_dag_from_windows(&[w(0, 2), w(3, 5)]);
         assert!(dag.has_edge(0, 1));
         assert!(!dag.has_edge(1, 0));
     }
 
     #[test]
     fn overlapping_windows_stay_independent() {
-        let dag = build_dag_from_windows(&[w(0, 4), w(2, 6)], DagCaps::default());
+        let dag = build_dag_from_windows(&[w(0, 4), w(2, 6)]);
         assert_eq!(dag.edge_count(), 0);
     }
 
@@ -111,7 +100,7 @@ mod tests {
         // A long chain of disjoint windows would be a 10-level chain; the
         // cap keeps it within 5 levels.
         let windows: Vec<_> = (0..10u64).map(|i| w(i * 2, i * 2 + 1)).collect();
-        let dag = build_dag_from_windows(&windows, DagCaps::default());
+        let dag = build_dag_from_windows(&windows);
         let levels = Levels::compute(&dag);
         assert!(levels.num_levels() <= 5, "levels = {}", levels.num_levels());
         assert!(dag.edge_count() > 0);
@@ -123,23 +112,23 @@ mod tests {
         // of task 0 must stay ≤ 15.
         let mut windows = vec![w(0, 1)];
         windows.extend((0..40u64).map(|i| w(2 + i, 3 + i)));
-        let caps = DagCaps::default();
-        let dag = build_dag_from_windows(&windows, caps);
+        let dag = build_dag_from_windows(&windows);
         for v in 0..windows.len() as u32 {
-            assert!(dag.out_degree(v) <= caps.max_out_degree);
-            assert!(dag.in_degree(v) <= caps.max_in_degree);
+            assert!(dag.out_degree(v) <= MAX_OUT_DEGREE);
+            assert!(dag.in_degree(v) <= MAX_IN_DEGREE);
         }
     }
 
     #[test]
     fn prefers_latest_finishing_parent() {
-        // Parents ending at 1, 2, 3; child starts at 4 with in-degree cap
-        // 1: the parent ending at 3 is the real dependency.
-        let windows = vec![w(0, 1), w(0, 2), w(0, 3), w(4, 5)];
-        let caps = DagCaps { max_in_degree: 1, ..DagCaps::default() };
-        let dag = build_dag_from_windows(&windows, caps);
-        assert!(dag.has_edge(2, 3));
-        assert_eq!(dag.in_degree(3), 1);
+        // Parents ending at 1, 2, 3 and 4; child starts at 4. The
+        // in-degree cap (3) admits the three latest-finishing parents, the
+        // tightest real dependencies, and drops the one ending at 1.
+        let windows = vec![w(0, 1), w(0, 2), w(0, 3), w(0, 4), w(4, 5)];
+        let dag = build_dag_from_windows(&windows);
+        assert_eq!(dag.in_degree(4), MAX_IN_DEGREE);
+        assert!(dag.has_edge(1, 4) && dag.has_edge(2, 4) && dag.has_edge(3, 4));
+        assert!(!dag.has_edge(0, 4));
     }
 
     #[test]
@@ -151,7 +140,7 @@ mod tests {
                 windows.push(w(s * 10, s * 10 + 5));
             }
         }
-        let dag = build_dag_from_windows(&windows, DagCaps::default());
+        let dag = build_dag_from_windows(&windows);
         let levels = Levels::compute(&dag);
         assert_eq!(levels.num_levels(), 3);
         // All stage-0 tasks are roots; all stage-2 tasks sit at level 2.
@@ -165,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        assert_eq!(build_dag_from_windows(&[], DagCaps::default()).len(), 0);
-        assert_eq!(build_dag_from_windows(&[w(0, 1)], DagCaps::default()).edge_count(), 0);
+        assert_eq!(build_dag_from_windows(&[]).len(), 0);
+        assert_eq!(build_dag_from_windows(&[w(0, 1)]).edge_count(), 0);
     }
 }

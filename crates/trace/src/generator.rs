@@ -1,39 +1,43 @@
 //! Workload synthesis: the end-to-end replacement for sampling the Google
 //! trace.
 
-use crate::dag_builder::{build_dag_from_windows, DagCaps};
+use crate::dag_builder::build_dag_from_windows;
 use crate::distributions::{log_normal, LogNormalParams};
 use crate::models::{ArrivalModel, ExecModel};
 use dsp_dag::{critical_path_len, Dag, Job, JobClass, JobId, TaskSpec};
 use dsp_units::{Dur, Mi, Mips, ResourceVec, Time};
 use rand::Rng;
 
-/// Knobs of the synthetic trace, defaulting to the Section V setup.
+/// Section V's calibration of the synthetic trace: task execution time at
+/// [`REFERENCE_MIPS`], a log-normal in seconds.
+pub const DURATION_SECS: LogNormalParams = LogNormalParams { median: 15.0, sigma: 1.0 };
+/// Normalized CPU consumption, a log-normal clipped to (0.02, 1].
+pub const CPU: LogNormalParams = LogNormalParams { median: 0.25, sigma: 0.6 };
+/// Normalized memory consumption, a log-normal clipped to (0.02, 1].
+pub const MEM: LogNormalParams = LogNormalParams { median: 0.3, sigma: 0.6 };
+/// Disk MB per task (paper: 0.02).
+pub const DISK_MB: f64 = 0.02;
+/// Bandwidth MB/s per task (paper: 0.02).
+pub const BW_MBPS: f64 = 0.02;
+/// Reference node rate converting sampled durations into MI sizes.
+pub const REFERENCE_MIPS: f64 = 2660.0;
+/// Number of execution waves used to synthesize windows (≤ the DAG's
+/// level cap, [`crate::MAX_LEVELS`]).
+pub const STAGES: usize = 5;
+
+/// The knobs of the synthetic trace that runs vary, defaulting to the
+/// Section V setup.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceParams {
     /// Job arrival rate range in jobs/minute; the realized rate is drawn
     /// uniformly once per workload (paper: [2, 5]).
     pub arrival_rate_per_min: (f64, f64),
-    /// Task execution-time distribution (at the reference rate).
-    pub duration_secs: LogNormalParams,
-    /// Normalized CPU consumption distribution, clipped to (0.02, 1].
-    pub cpu: LogNormalParams,
-    /// Normalized memory consumption distribution, clipped to (0.02, 1].
-    pub mem: LogNormalParams,
-    /// Disk MB per task (paper: 0.02).
-    pub disk_mb: f64,
-    /// Bandwidth MB/s per task (paper: 0.02).
-    pub bw_mbps: f64,
     /// Scale factor on the per-class task counts (1.0 = the paper's
     /// 300/1000/2000; experiments use a smaller scale so a laptop sweep
     /// finishes — the *shape* of every figure is scale-invariant).
     pub task_scale: f64,
-    /// Reference node rate converting sampled durations into MI sizes.
-    pub reference_mips: f64,
     /// Deadline = arrival + slack × critical path at the reference rate.
     pub deadline_slack: f64,
-    /// Number of execution waves used to synthesize windows (≤ max levels).
-    pub stages: usize,
     /// Log-normal σ of the a-priori size-estimation error: the scheduler
     /// sees `size · exp(σ·N(0,1))` (clipped to [1/4, 4]×). Zero gives the
     /// paper's idealized perfectly-predictable setting; the default 0.4
@@ -48,27 +52,17 @@ pub struct TraceParams {
     pub exec_model: ExecModel,
     /// Job arrival pattern (default: homogeneous Poisson, as the paper).
     pub arrival: ArrivalModel,
-    /// Structural caps for the window-rule DAG construction.
-    pub caps: DagCaps,
 }
 
 impl Default for TraceParams {
     fn default() -> Self {
         TraceParams {
             arrival_rate_per_min: (2.0, 5.0),
-            duration_secs: LogNormalParams { median: 15.0, sigma: 1.0 },
-            cpu: LogNormalParams { median: 0.25, sigma: 0.6 },
-            mem: LogNormalParams { median: 0.3, sigma: 0.6 },
-            disk_mb: 0.02,
-            bw_mbps: 0.02,
             task_scale: 0.1,
-            reference_mips: 2660.0,
             deadline_slack: 8.0,
-            stages: 5,
             estimate_noise_sigma: 0.4,
             exec_model: ExecModel::Wcet,
             arrival: ArrivalModel::Poisson,
-            caps: DagCaps::default(),
         }
     }
 }
@@ -84,24 +78,23 @@ fn clip01(x: f64) -> f64 {
     x.clamp(0.02, 1.0)
 }
 
-/// Synthesize one job's execution windows in `stages` waves: every task of
-/// wave `s` starts after all of wave `s−1` ends, so the paper's non-overlap
-/// rule recovers the wave structure as DAG levels.
-fn synth_windows<R: Rng>(rng: &mut R, m: usize, p: &TraceParams) -> (Vec<(Time, Time)>, Vec<Dur>) {
-    let stages = p.stages.max(1);
+/// Synthesize one job's execution windows in [`STAGES`] waves: every task
+/// of wave `s` starts after all of wave `s−1` ends, so the paper's
+/// non-overlap rule recovers the wave structure as DAG levels.
+fn synth_windows<R: Rng>(rng: &mut R, m: usize) -> (Vec<(Time, Time)>, Vec<Dur>) {
     let mut stage_of = Vec::with_capacity(m);
     let mut durations = Vec::with_capacity(m);
-    let mut stage_max = vec![Dur::ZERO; stages];
+    let mut stage_max = [Dur::ZERO; STAGES];
     for _ in 0..m {
-        let s = rng.gen_range(0..stages);
-        let d = Dur::from_secs_f64(log_normal(rng, p.duration_secs).clamp(0.5, 7200.0));
+        let s = rng.gen_range(0..STAGES);
+        let d = Dur::from_secs_f64(log_normal(rng, DURATION_SECS).clamp(0.5, 7200.0));
         stage_of.push(s);
         durations.push(d);
         stage_max[s] = stage_max[s].max(d);
     }
     // Stage start offsets: cumulative maxima.
-    let mut stage_start = vec![Dur::ZERO; stages];
-    for s in 1..stages {
+    let mut stage_start = [Dur::ZERO; STAGES];
+    for s in 1..STAGES {
         stage_start[s] = stage_start[s - 1] + stage_max[s - 1];
     }
     let windows = (0..m)
@@ -132,23 +125,23 @@ fn synth_windows<R: Rng>(rng: &mut R, m: usize, p: &TraceParams) -> (Vec<(Time, 
 pub fn generate_workload<R: Rng>(rng: &mut R, num_jobs: usize, p: &TraceParams) -> Vec<Job> {
     let rate = rng.gen_range(p.arrival_rate_per_min.0..=p.arrival_rate_per_min.1);
     let arrivals = p.arrival.arrivals(rng, num_jobs, Time::ZERO, rate);
-    let reference = Mips::new(p.reference_mips);
+    let reference = Mips::new(REFERENCE_MIPS);
     let jobs: Vec<Job> = (0..num_jobs)
         .map(|i| {
             let class = JobClass::round_robin(i);
             let m = p.tasks_for(class);
-            let (windows, durations) = synth_windows(rng, m, p);
-            let dag: Dag = build_dag_from_windows(&windows, p.caps);
+            let (windows, durations) = synth_windows(rng, m);
+            let dag: Dag = build_dag_from_windows(&windows);
             let mut wcets: Vec<Mi> = Vec::with_capacity(m);
             let tasks: Vec<TaskSpec> = (0..m)
                 .map(|t| {
-                    let wcet = Mi::new(durations[t].as_secs_f64() * p.reference_mips);
+                    let wcet = Mi::new(durations[t].as_secs_f64() * REFERENCE_MIPS);
                     wcets.push(wcet);
                     let demand = ResourceVec::new(
-                        clip01(log_normal(rng, p.cpu)),
-                        clip01(log_normal(rng, p.mem)),
-                        p.disk_mb,
-                        p.bw_mbps,
+                        clip01(log_normal(rng, CPU)),
+                        clip01(log_normal(rng, MEM)),
+                        DISK_MB,
+                        BW_MBPS,
                     );
                     let noise = if p.estimate_noise_sigma > 0.0 {
                         log_normal(

@@ -21,7 +21,10 @@ pub mod distributions;
 pub mod generator;
 pub mod models;
 
-pub use dag_builder::{build_dag_from_windows, DagCaps};
+pub use dag_builder::{build_dag_from_windows, MAX_IN_DEGREE, MAX_LEVELS, MAX_OUT_DEGREE};
 pub use distributions::{exponential, log_normal, poisson_arrivals, std_normal, LogNormalParams};
-pub use generator::{generate_workload, TraceParams};
+pub use generator::{
+    generate_workload, TraceParams, BW_MBPS, CPU, DISK_MB, DURATION_SECS, MEM, REFERENCE_MIPS,
+    STAGES,
+};
 pub use models::{ArrivalModel, ExecModel};

@@ -3,7 +3,10 @@
 //! input.
 
 use dsp_dag::{validate_job, Levels};
-use dsp_trace::{build_dag_from_windows, generate_workload, DagCaps, TraceParams};
+use dsp_trace::{
+    build_dag_from_windows, generate_workload, TraceParams, MAX_IN_DEGREE, MAX_LEVELS,
+    MAX_OUT_DEGREE,
+};
 use dsp_units::Time;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,18 +23,17 @@ proptest! {
             .iter()
             .map(|&(s, d)| (Time::from_secs(s), Time::from_secs(s + d)))
             .collect();
-        let caps = DagCaps::default();
-        let dag = build_dag_from_windows(&windows, caps);
+        let dag = build_dag_from_windows(&windows);
         for (u, v) in dag.edges() {
             // An edge exists only between non-overlapping windows, u first.
             prop_assert!(windows[u as usize].1 <= windows[v as usize].0);
         }
         // Structural caps hold.
         let levels = Levels::compute(&dag);
-        prop_assert!(levels.num_levels() <= caps.max_levels as usize || windows.is_empty());
+        prop_assert!(levels.num_levels() <= MAX_LEVELS as usize || windows.is_empty());
         for v in 0..windows.len() as u32 {
-            prop_assert!(dag.out_degree(v) <= caps.max_out_degree);
-            prop_assert!(dag.in_degree(v) <= caps.max_in_degree);
+            prop_assert!(dag.out_degree(v) <= MAX_OUT_DEGREE);
+            prop_assert!(dag.in_degree(v) <= MAX_IN_DEGREE);
         }
     }
 

@@ -8,7 +8,7 @@
 
 use dsp_cluster::NodeId;
 use dsp_dag::{Dag, Job, JobClass, JobId, TaskSpec};
-use dsp_preempt::{PriorityEngine, PriorityWeights};
+use dsp_preempt::{DspParams, PriorityEngine};
 use dsp_sim::{EngineConfig, NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Mi, ResourceVec, Time};
 
@@ -36,7 +36,7 @@ fn priorities_of(job: &Job) -> Vec<(u32, f64)> {
     let jobs = vec![job.clone()];
     let world = WorldCtx { jobs: &jobs, now: Time::ZERO, epoch: EngineConfig::default().epoch };
     let mut map = PriorityEngine::new();
-    map.begin_epoch(Time::ZERO, &views, &world, &PriorityWeights::default());
+    map.begin_epoch(Time::ZERO, &views, &world, DspParams::default().gamma);
     let mut out: Vec<(u32, f64)> =
         (0..job.num_tasks() as u32).map(|v| (v, map.get(&job.task_id(v)).unwrap())).collect();
     out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
@@ -96,7 +96,7 @@ fn main() {
         s.waited = Dur::from_secs(wait);
         let views = vec![NodeView { node: NodeId(0), running: vec![], waiting: vec![s], slots: 1 }];
         let mut p = PriorityEngine::new();
-        p.begin_epoch(Time::ZERO, &views, &world, &PriorityWeights::default());
+        p.begin_epoch(Time::ZERO, &views, &world, DspParams::default().gamma);
         println!("  {label:<18} -> {:8.2}", p.get(&solo.task_id(0)).unwrap());
     }
 }

@@ -117,19 +117,22 @@ check "est_exec_time( outside dag, simulator/src/schedule.rs and sched/src/dsp_i
     "$(grep -E '\best_exec_time\(' <<<"$src" |
         grep -vE '^crates/dag/|^crates/simulator/src/schedule\.rs:|^crates/sched/src/dsp_ilp\.rs:' || true)"
 
-# 13. One home per parameter: Table II's knobs and the engine's cadence
-#     are written once, by the crate that defines their struct (dsp-preempt:
-#     `DspParams`, `PriorityWeights`, `SrptPolicy`; dsp-sim:
-#     `EngineConfig`), and composed once, by `Params` (core/src/config.rs).
-#     Elsewhere no product line builds one, by literal or `::default()`;
-#     everything else reads them from a `Params`. Struct and impl headers
-#     and return types are not literals.
+# 13. One home per parameter: the knobs runs vary are written once, by
+#     the crate that defines their struct (dsp-preempt: `DspParams`;
+#     dsp-sim: `EngineConfig`), and composed once, by `Params`
+#     (core/src/config.rs). Elsewhere no product line builds one, by
+#     literal or `::default()`; everything else reads them from a `Params`.
+#     Struct and impl headers and return types are not literals. The
+#     settings no run varies are constants of the crate that reads them:
+#     τ, ε, ω1–ω3 and SRPT's α, β and minimum gain in dsp-preempt, σ and
+#     the queue lookahead in dsp-sim, the trace calibration and DAG caps
+#     in dsp-trace.
 built() { # type-name alternation, defining crate
     grep -E "\b($1)( \{|::default\(\))" <<<"$src" |
         grep -vE "(struct |impl |for |-> )($1) \{" |
         grep -vE "^crates/$2/|^crates/core/src/config\.rs:" || true
 }
 check "a parameter struct built outside its own crate and core/src/config.rs" \
-    "$(built 'DspParams|PriorityWeights|SrptPolicy' preempt; built EngineConfig simulator)"
+    "$(built DspParams preempt; built EngineConfig simulator)"
 
 exit "$fail"

@@ -83,7 +83,7 @@ fn restart_policy_survives_crashes() {
     // crashes — crash recovery itself uses shared-storage checkpoints.
     let jobs = workload(8, 4);
     let mut sched = DspListScheduler::default();
-    let mut pol = SrptPolicy::default();
+    let mut pol = SrptPolicy;
     let m = run(&jobs, &mut sched, &mut pol, chaos());
     assert_eq!(m.jobs_completed(), 8);
 }
@@ -97,12 +97,7 @@ fn online_driver_migrates_work_off_a_dead_node() {
     let params = Params::default();
     let mut d = OnlineDriver::new(
         dsp_cluster::uniform(3, 1000.0, 1),
-        EngineConfig {
-            epoch: Dur::from_secs(5),
-            sigma: Dur::from_millis(50),
-            max_time: Time::from_secs(24 * 3600),
-            lookahead: 4,
-        },
+        EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(24 * 3600) },
         Dur::from_secs(100),
         Box::new(DspListScheduler::default()),
         Box::new(DspPolicy::new(params.dsp_params(true))),

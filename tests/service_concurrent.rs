@@ -30,12 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn engine() -> EngineConfig {
-    EngineConfig {
-        epoch: Dur::from_secs(5),
-        sigma: Dur::from_millis(50),
-        max_time: Time::from_secs(7 * 24 * 3600),
-        lookahead: 4,
-    }
+    EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(7 * 24 * 3600) }
 }
 
 /// Shard count for this run (`DSP_TEST_SHARDS`, default 1).

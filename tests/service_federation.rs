@@ -23,12 +23,7 @@ use dsp_sim::EngineConfig;
 use dsp_units::{Dur, Time};
 
 fn engine() -> EngineConfig {
-    EngineConfig {
-        epoch: Dur::from_secs(5),
-        sigma: Dur::from_millis(50),
-        max_time: Time::from_secs(7 * 24 * 3600),
-        lookahead: 4,
-    }
+    EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(7 * 24 * 3600) }
 }
 
 fn spec(nodes: usize, max_pending_tasks: usize) -> FederationSpec {

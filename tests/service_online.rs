@@ -19,12 +19,7 @@ use std::sync::Arc;
 fn small_spec(max_pending_tasks: usize) -> FederationSpec {
     FederationSpec {
         cluster: dsp_cluster::uniform(2, 1000.0, 1),
-        engine: EngineConfig {
-            epoch: Dur::from_secs(5),
-            sigma: Dur::from_millis(50),
-            max_time: Time::from_secs(24 * 3600),
-            lookahead: 4,
-        },
+        engine: EngineConfig { epoch: Dur::from_secs(5), max_time: Time::from_secs(24 * 3600) },
         sched_period: Dur::from_secs(100),
         admission: AdmissionConfig { max_pending_tasks, check_feasibility: true },
         scheduler: Box::new(|| Box::new(dsp_sched::DspListScheduler::default())),
