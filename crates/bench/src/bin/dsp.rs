@@ -45,7 +45,7 @@ use dsp_core::sim::{Fault, FaultPlan};
 use dsp_core::trace::{generate_workload, TraceParams};
 use dsp_core::units::Time;
 use dsp_core::verify::{Diagnostic, Report, Severity, VerifyOptions};
-use dsp_core::{run_audited, ClusterProfile, FigureScale, Params, PreemptMethod, Run, SchedMethod};
+use dsp_core::{run_audited, ClusterProfile, Params, PreemptMethod, Run, SchedMethod};
 use dsp_service::json::Json;
 use dsp_service::{codec, wire, Client};
 use rand::rngs::StdRng;
@@ -213,7 +213,7 @@ fn run_main(argv: &[String]) -> Result<i32, String> {
     }
 
     // Without `--scale`, the profile runs at its figures' scale.
-    let task_scale = task_scale.unwrap_or_else(|| FigureScale::paper().task_scale(cluster));
+    let task_scale = task_scale.unwrap_or_else(|| cluster.task_scale());
     let work = workload(jobs, seed, task_scale, sigma);
     let params = Params::default();
     let mut policy = preempt.build(&params);

@@ -13,7 +13,7 @@
 //! errors and warnings by rule, and any error exits 1 once all have printed.
 
 use dsp_core::flags::{usage_error, Flags};
-use dsp_core::{FigureScale, FIGURES};
+use dsp_core::{ClusterProfile, FigureScale, FIGURES};
 use dsp_metrics::{render_csv, render_markdown};
 use std::io::Write as _;
 
@@ -30,7 +30,6 @@ fn quick_scale() -> FigureScale {
     FigureScale {
         job_counts: vec![30, 60, 90, 120, 150],
         scalability_counts: vec![100, 200, 300, 400, 500],
-        ..FigureScale::paper()
     }
 }
 
@@ -71,8 +70,8 @@ fn main() {
         "# DSP reproduction — {} scale (jobs {:?}, task scale {} on EC2, {} on the real cluster)\n",
         if quick { "quick" } else { "paper" },
         scale.job_counts,
-        scale.task_scale,
-        scale.task_scale_palmetto,
+        ClusterProfile::Ec2.task_scale(),
+        ClusterProfile::Palmetto.task_scale(),
     );
 
     let mut errors = 0;

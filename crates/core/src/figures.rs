@@ -7,10 +7,11 @@
 //!
 //! The paper's absolute task counts (hundreds to thousands of tasks per
 //! job, 150–2500 jobs) come from days of cluster time; [`FigureScale`]
-//! keeps the *job counts on the x axis* and scales the per-job task counts
-//! down so a full reproduction runs on a laptop. Orderings and ratios —
-//! the claims the figures make — are preserved; EXPERIMENTS.md records
-//! paper-vs-measured per figure.
+//! keeps the *job counts on the x axis*, and each profile's
+//! [`ClusterProfile::task_scale`] scales the per-job task counts down so a
+//! full reproduction runs on a laptop. Every cell's workload seed is
+//! [`FIGURE_SEED`]. Orderings and ratios — the claims the figures make —
+//! are preserved; EXPERIMENTS.md records paper-vs-measured per figure.
 //!
 //! Each ablation varies one knob around its Table II default (DSP offline
 //! and online, EC2, the middle job count) and reports the metrics it is
@@ -43,7 +44,11 @@ use dsp_verify::{Report, Severity};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Sweep sizing.
+/// The workload seed of every figure and ablation cell.
+pub const FIGURE_SEED: u64 = 2018;
+
+/// Sweep sizing: the job-count axes. The task scale is the profile's
+/// ([`ClusterProfile::task_scale`]) and the seed [`FIGURE_SEED`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureScale {
     /// Job counts for Fig. 5–7 (paper: 150..750 step 150); the ablations
@@ -52,72 +57,42 @@ pub struct FigureScale {
     /// Job counts for the Fig. 8 scalability sweep (paper: 500..2500 step
     /// 500).
     pub scalability_counts: Vec<usize>,
-    /// Per-class task-count scale on the EC2 profile (1.0 = the paper's
-    /// 300/1000/2000).
-    pub task_scale: f64,
-    /// Task-count scale on the (much larger) real-cluster profile. The
-    /// paper ran identical workloads on both testbeds; at reduced scale
-    /// one scale cannot load both a 100-slot×6120 cluster and a
-    /// 60-slot×2660 one, so each profile gets a scale calibrated to the
-    /// same moderate overload (EXPERIMENTS.md, "calibration").
-    pub task_scale_palmetto: f64,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl FigureScale {
-    /// The paper's x axes with tasks scaled to 2% — the default for the
-    /// `reproduce` binary (minutes, not days).
+    /// The paper's x axes — the default for the `reproduce` binary
+    /// (minutes, not days, at the profiles' task scales).
     pub fn paper() -> Self {
         FigureScale {
             job_counts: vec![150, 300, 450, 600, 750],
             scalability_counts: vec![500, 1000, 1500, 2000, 2500],
-            task_scale: 0.06,
-            task_scale_palmetto: 0.2,
-            seed: 2018,
         }
     }
 
     /// A fast smoke scale for tests and CI.
     pub fn quick() -> Self {
-        FigureScale {
-            job_counts: vec![9, 18],
-            scalability_counts: vec![12, 24],
-            task_scale: 0.06,
-            task_scale_palmetto: 0.2,
-            seed: 2018,
-        }
-    }
-
-    /// The task scale `cluster`'s figures run at: the real-cluster
-    /// profile has its own, every other profile the EC2 one. `dsp` run
-    /// mode takes it as its default `--scale`.
-    pub fn task_scale(&self, cluster: ClusterProfile) -> f64 {
-        match cluster {
-            ClusterProfile::Palmetto => self.task_scale_palmetto,
-            _ => self.task_scale,
-        }
-    }
-
-    /// A figure's base cell: `num_jobs` jobs on `cluster` at that
-    /// profile's task scale, DSP offline, no preemption.
-    fn figure(&self, cluster: ClusterProfile, num_jobs: usize) -> ExperimentConfig {
-        ExperimentConfig {
-            cluster,
-            num_jobs,
-            seed: self.seed,
-            sched: SchedMethod::Dsp,
-            preempt: PreemptMethod::None,
-            trace: TraceParams { task_scale: self.task_scale(cluster), ..TraceParams::default() },
-            params: Params::default(),
-        }
+        FigureScale { job_counts: vec![9, 18], scalability_counts: vec![12, 24] }
     }
 
     /// An ablation's base cell: EC2 at the middle job count, DSP offline
     /// and online.
     fn ablation(&self) -> ExperimentConfig {
         let jobs = self.job_counts[self.job_counts.len() / 2];
-        ExperimentConfig { preempt: PreemptMethod::Dsp, ..self.figure(ClusterProfile::Ec2, jobs) }
+        ExperimentConfig { preempt: PreemptMethod::Dsp, ..figure(ClusterProfile::Ec2, jobs) }
+    }
+}
+
+/// A figure's base cell: `num_jobs` jobs on `cluster` at that profile's
+/// task scale, DSP offline, no preemption.
+fn figure(cluster: ClusterProfile, num_jobs: usize) -> ExperimentConfig {
+    ExperimentConfig {
+        cluster,
+        num_jobs,
+        seed: FIGURE_SEED,
+        sched: SchedMethod::Dsp,
+        preempt: PreemptMethod::None,
+        trace: TraceParams { task_scale: cluster.task_scale(), ..TraceParams::default() },
+        params: Params::default(),
     }
 }
 
@@ -254,7 +229,7 @@ fn fig5(name: &str, cluster: ClusterProfile, scale: &FigureScale) -> Entry {
     let methods =
         [SchedMethod::Dsp, SchedMethod::Aalo, SchedMethod::TetrisSimDep, SchedMethod::TetrisWoDep];
     let arms = methods.map(|sched| {
-        let cfg = |h| ExperimentConfig { sched, ..scale.figure(cluster, h) };
+        let cfg = |h| ExperimentConfig { sched, ..figure(cluster, h) };
         (sched.label(), cells(&scale.job_counts, cfg))
     });
     let title = format!("Makespan vs. number of jobs ({})", cluster.label());
@@ -276,7 +251,7 @@ fn preemption_figures(name: &str, cluster: ClusterProfile, scale: &FigureScale) 
     ];
     // The offline schedule stays `SchedMethod::Dsp`.
     let arms = methods.map(|preempt| {
-        let cfg = |h| ExperimentConfig { preempt, ..scale.figure(cluster, h) };
+        let cfg = |h| ExperimentConfig { preempt, ..figure(cluster, h) };
         (preempt.label(), cells(&scale.job_counts, cfg))
     });
     let panel = |suffix: &str, title: &str, y_label, metric| -> Panel {
@@ -299,8 +274,7 @@ fn fig8(name: &str, scale: &FigureScale) -> Entry {
     let counts = &scale.scalability_counts;
     let arms = [ClusterProfile::Palmetto, ClusterProfile::Ec2].map(|cluster| {
         let cfg = |h| {
-            let mut c =
-                ExperimentConfig { preempt: PreemptMethod::Dsp, ..scale.figure(cluster, h) };
+            let mut c = ExperimentConfig { preempt: PreemptMethod::Dsp, ..figure(cluster, h) };
             c.trace.task_scale *= 0.5;
             c
         };
@@ -436,7 +410,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> FigureScale {
-        FigureScale { job_counts: vec![8], scalability_counts: vec![8], ..FigureScale::quick() }
+        FigureScale { job_counts: vec![8], scalability_counts: vec![8] }
     }
 
     #[test]

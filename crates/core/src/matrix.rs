@@ -156,7 +156,9 @@ pub struct Scenario {
     pub storm: Storm,
 }
 
-/// The declarative grid: scenario axes × method arms.
+/// The declarative grid: scenario axes × method arms. The models' own
+/// settings are `dsp_trace` constants (`NORMAL_SIGMA_FRAC`, `DIURNAL_*`,
+/// `BURST_*`, `GAP_SECS`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixConfig {
     /// Offline scheduler arms.
@@ -179,7 +181,9 @@ pub struct MatrixConfig {
     pub seed: u64,
     /// Per-class task-count scale of the synthetic trace.
     pub task_scale: f64,
-    /// Table II parameters shared by every cell.
+    /// Table II parameters shared by every cell: `Params::default()` in
+    /// every preset. Kept settable while `dsp-benchmark`'s `matrix_grid`
+    /// replay reads it.
     pub params: Params,
 }
 
@@ -198,10 +202,7 @@ impl MatrixConfig {
             ],
             preempts: vec![PreemptMethod::Dsp, PreemptMethod::Srpt, PreemptMethod::Natjam],
             exec_models: vec![ExecModel::Wcet, ExecModel::HalfRandom],
-            arrivals: vec![
-                ArrivalModel::Poisson,
-                ArrivalModel::Bursty { burst_factor: 4.0, burst_secs: 60.0, gap_secs: 180.0 },
-            ],
+            arrivals: vec![ArrivalModel::Poisson, ArrivalModel::Bursty],
             deadlines: vec![DeadlineTier::Paper, DeadlineTier::Tight],
             node_mixes: vec![ClusterProfile::Ec2],
             storms: vec![Storm::Calm],
@@ -245,13 +246,9 @@ impl MatrixConfig {
                 ExecModel::Wcet,
                 ExecModel::FullRandom,
                 ExecModel::HalfRandom,
-                ExecModel::Normal { sigma_frac: 0.2 },
+                ExecModel::Normal,
             ],
-            arrivals: vec![
-                ArrivalModel::Poisson,
-                ArrivalModel::Diurnal { amplitude: 0.8, period_secs: 1800.0 },
-                ArrivalModel::Bursty { burst_factor: 4.0, burst_secs: 60.0, gap_secs: 180.0 },
-            ],
+            arrivals: vec![ArrivalModel::Poisson, ArrivalModel::Diurnal, ArrivalModel::Bursty],
             deadlines: vec![DeadlineTier::Loose, DeadlineTier::Paper, DeadlineTier::Tight],
             node_mixes: vec![ClusterProfile::Palmetto, ClusterProfile::Ec2, ClusterProfile::Blend],
             storms: vec![Storm::Calm, Storm::Mild, Storm::Severe],

@@ -18,6 +18,17 @@ impl JobId {
     pub fn idx(self) -> usize {
         self.0 as usize
     }
+
+    /// Position of this id in `sorted`, whose `key`s are ascending job
+    /// ids: one probe when the ids are dense (`key(sorted[i]) == i`, every
+    /// batch run), a binary search otherwise (the service's strided lanes).
+    #[inline]
+    pub fn position_in<T>(self, sorted: &[T], key: impl Fn(&T) -> JobId) -> Option<usize> {
+        match sorted.get(self.idx()) {
+            Some(x) if key(x) == self => Some(self.idx()),
+            _ => sorted.binary_search_by(|x| key(x).cmp(&self)).ok(),
+        }
+    }
 }
 
 impl fmt::Display for JobId {
@@ -66,6 +77,26 @@ mod tests {
         let b = TaskId::new(1, 0);
         let c = TaskId::new(1, 3);
         assert!(a < b && b < c);
+    }
+
+    #[test]
+    fn job_probe_agrees_with_a_binary_search() {
+        // Dense ids (every batch run), the strided lanes of a sharded
+        // service (shard 1 of 2 and 3 of 4), a dense prefix that turns
+        // sparse, and a run whose ids sit past their positions.
+        let cases: [&[u32]; 5] =
+            [&[0, 1, 2, 3, 4], &[1, 3, 5, 7, 9], &[3, 7, 11, 15], &[0, 1, 2, 9, 40], &[5, 6, 7]];
+        for ids in cases {
+            let ids: Vec<JobId> = ids.iter().copied().map(JobId).collect();
+            for probe in 0..45u32 {
+                let id = JobId(probe);
+                assert_eq!(
+                    id.position_in(&ids, |&j| j),
+                    ids.binary_search(&id).ok(),
+                    "{id} in {ids:?}"
+                );
+            }
+        }
     }
 
     #[test]

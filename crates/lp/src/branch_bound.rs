@@ -5,7 +5,7 @@
 //! node — and solves its relaxation. Then it does one of three things:
 //!
 //! * **prune** the node: its relaxation is infeasible, or its bound is
-//!   within `abs_gap` of the incumbent;
+//!   within `ABS_GAP` of the incumbent;
 //! * **take** its point as the new incumbent at once, when the point is
 //!   integral (it beat the incumbent, or it would have been pruned);
 //! * **branch** on the most fractional integer variable and push the two
@@ -13,11 +13,11 @@
 //!   id.
 //!
 //! The search ends proved when the best key on the frontier is within
-//! `abs_gap` of the incumbent (best-bound order: it dominates every other
+//! `ABS_GAP` of the incumbent (best-bound order: it dominates every other
 //! node), or exhausted when the node budget is spent first.
 //!
-//! Each node carries a warm start ([`Branch`]: its parent's optimal
-//! [`WarmLp`] tableau, shared with its sibling, plus its own branch bound)
+//! Each node carries a warm start (`Branch`: its parent's optimal
+//! `WarmLp` tableau, shared with its sibling, plus its own branch bound)
 //! and a per-variable bound overlay instead of a cloned [`Problem`] —
 //! branching only ever tightens variable bounds, so the root problem's
 //! constraint rows are shared by every node and a full problem clone is
@@ -33,14 +33,15 @@ use crate::simplex::{solve_lp, solve_lp_warm, Solution, WarmLp};
 /// Integrality tolerance: values this close to an integer count as integral.
 const INT_TOL: f64 = 1e-6;
 
+/// The search stops once the incumbent is within this absolute gap of the
+/// best bound.
+const ABS_GAP: f64 = 1e-6;
+
 /// Search budget and solver knobs for [`solve_milp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MilpOptions {
     /// Maximum number of branch-and-bound nodes (LP solves).
     pub max_nodes: usize,
-    /// Stop once the incumbent is within this absolute gap of the best
-    /// bound.
-    pub abs_gap: f64,
     /// Warm-start each child node from its parent's optimal basis by dual
     /// simplex instead of cold-solving from scratch. Falls back to a cold
     /// solve per node on any re-entry error (a reported infeasibility
@@ -59,13 +60,7 @@ pub struct MilpOptions {
 
 impl Default for MilpOptions {
     fn default() -> Self {
-        MilpOptions {
-            max_nodes: 10_000,
-            abs_gap: 1e-6,
-            warm_start: true,
-            threads: 0,
-            warm_pivot_cap: None,
-        }
+        MilpOptions { max_nodes: 10_000, warm_start: true, threads: 0, warm_pivot_cap: None }
     }
 }
 
@@ -280,7 +275,7 @@ pub fn solve_milp(p: &Problem, opts: MilpOptions) -> Result<MilpSolution, LpErro
     let mut exhausted = false;
     while let Some(top) = heap.peek() {
         let cutoff = incumbent.as_ref().map_or(f64::INFINITY, |(_, obj)| *obj);
-        if top.0.key >= cutoff - opts.abs_gap {
+        if top.0.key >= cutoff - ABS_GAP {
             break; // proved: the top dominates the whole heap
         }
         if nodes >= opts.max_nodes {
@@ -299,7 +294,7 @@ pub fn solve_milp(p: &Problem, opts: MilpOptions) -> Result<MilpSolution, LpErro
         };
         warm_hits += usize::from(warm_hit);
         let bound = to_min(relax.objective);
-        if bound >= cutoff - opts.abs_gap {
+        if bound >= cutoff - ABS_GAP {
             continue;
         }
         let Some(v) = most_fractional(&int_vars, &relax.x) else {

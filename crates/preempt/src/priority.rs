@@ -18,7 +18,7 @@
 //! whose children are all done is, for priority purposes, a leaf.
 
 use crate::dsp::is_urgent;
-use dsp_dag::TaskId;
+use dsp_dag::{JobId, TaskId};
 use dsp_sim::{NodeView, TaskSnapshot, WorldCtx};
 use dsp_units::{Dur, Time};
 
@@ -160,7 +160,7 @@ struct UrgentRun {
 ///
 /// * keeps one arena per job (dense-indexed by the job's position in the
 ///   sorted `WorldCtx::jobs` slice), holding a cached topo order, the
-///   children in CSR form, one [`Slot`] per task (priority, epoch stamp and
+///   children in CSR form, one `Slot` per task (priority, epoch stamp and
 ///   the memoised `1/t_rem`), and the list of the job's live tasks in topo
 ///   order;
 /// * scans the views once, in order, stamping liveness and evaluating Eq. 13
@@ -181,7 +181,7 @@ struct UrgentRun {
 #[derive(Debug, Clone, Default)]
 pub struct PriorityEngine {
     /// `ids[dense]` = job id — mirror of the world's sorted job slice.
-    ids: Vec<u32>,
+    ids: Vec<JobId>,
     jobs: Vec<JobScratch>,
     /// Dense indices of jobs seen this epoch.
     touched: Vec<u32>,
@@ -295,7 +295,7 @@ impl PriorityEngine {
     #[inline(always)]
     fn scan(&mut self, s: &TaskSnapshot, waited: Dur, allowable: Dur, world: &WorldCtx<'_>) {
         let epoch = self.epoch;
-        let dense = self.dense_of(s.id.job.get()).expect("job appeared in an epoch view");
+        let dense = s.id.job.position_in(&self.ids, |&j| j).expect("job appeared in an epoch view");
         let js = &mut self.jobs[dense];
         if js.touch_epoch != epoch {
             js.prev_touch = js.touch_epoch;
@@ -336,20 +336,10 @@ impl PriorityEngine {
         &self.urgent[run.start..run.end]
     }
 
-    /// Dense index of a job id: one probe when ids are dense
-    /// (`ids[jid] == jid`, every batch run), a binary search otherwise.
-    #[inline]
-    fn dense_of(&self, jid: u32) -> Option<usize> {
-        match self.ids.get(jid as usize) {
-            Some(&id) if id == jid => Some(jid as usize),
-            _ => self.ids.binary_search(&jid).ok(),
-        }
-    }
-
     /// Priority of a task, if it was live this epoch.
     #[inline]
     pub fn get(&self, t: &TaskId) -> Option<f64> {
-        let js = &self.jobs[self.dense_of(t.job.get())?];
+        let js = &self.jobs[t.job.position_in(&self.ids, |&j| j)?];
         let slot = js.slots.get(t.idx())?;
         if slot.stamp != self.epoch || slot.prio.is_nan() {
             return None;
@@ -389,7 +379,7 @@ impl PriorityEngine {
     /// prefix check plus extension; any other change resets the arenas.
     fn sync_world(&mut self, world: &WorldCtx<'_>) {
         let prefix_ok = self.ids.len() <= world.jobs.len()
-            && self.ids.iter().zip(world.jobs).all(|(&id, j)| id == j.id.get());
+            && self.ids.iter().zip(world.jobs).all(|(&id, j)| id == j.id);
         if !prefix_ok {
             self.ids.clear();
             self.jobs.clear();
@@ -397,7 +387,7 @@ impl PriorityEngine {
             self.stats.world_resets += 1;
         }
         for j in &world.jobs[self.ids.len()..] {
-            self.ids.push(j.id.get());
+            self.ids.push(j.id);
             self.jobs.push(JobScratch::default());
         }
     }

@@ -103,7 +103,7 @@ pub mod collection {
     use super::{Rng, Source, Strategy};
     use std::ops::Range;
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S>(S, Range<usize>);
 
     /// Vectors of `element` draws whose length lies in `len`.

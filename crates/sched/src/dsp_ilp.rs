@@ -48,8 +48,9 @@
 //! Exact search is reserved for small instances. The paper, noting the
 //! problem is NP-complete, relaxes and rounds beyond them; this scheduler
 //! has no rounding tier and falls back to [`DspListScheduler`], the
-//! practical arm, whenever the instance exceeds [`IlpLimits`], the
-//! solver's node budget runs out, or the answer fails its audit.
+//! practical arm, whenever the instance exceeds [`MAX_TASKS`] tasks or
+//! [`MAX_SLOTS`] slots, the solver's node budget runs out, or the answer
+//! fails its audit.
 
 use crate::api::Scheduler;
 use crate::dsp_list::DspListScheduler;
@@ -62,13 +63,15 @@ use dsp_sim::Schedule;
 use dsp_units::{Dur, Time};
 use dsp_verify::{bounds::makespan_lower_bound, check_schedule, VerifyOptions};
 
-/// Instance-size gate for exact solving.
+/// Most tasks a batch may hold for exact search.
+pub const MAX_TASKS: usize = 10;
+/// Most virtual (single-slot) nodes a cluster may hold for exact search.
+pub const MAX_SLOTS: usize = 4;
+
+/// The exact search's budget. Its size gate is [`MAX_TASKS`] and
+/// [`MAX_SLOTS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IlpLimits {
-    /// Maximum total tasks in the batch.
-    pub max_tasks: usize,
-    /// Maximum virtual (single-slot) nodes.
-    pub max_slots: usize,
     /// Branch-and-bound node budget.
     pub max_bb_nodes: usize,
     /// Warm-start B&B child nodes from the parent basis (dual simplex);
@@ -81,13 +84,7 @@ pub struct IlpLimits {
 
 impl Default for IlpLimits {
     fn default() -> Self {
-        IlpLimits {
-            max_tasks: 10,
-            max_slots: 4,
-            max_bb_nodes: 20_000,
-            warm_start: true,
-            threads: 0,
-        }
+        IlpLimits { max_bb_nodes: 20_000, warm_start: true, threads: 0 }
     }
 }
 
@@ -137,7 +134,8 @@ impl DspIlpScheduler {
     /// `node_avail` (constraint (5): no task starts on a slot before the
     /// slot's earlier queue drains), and report which arm produced the plan
     /// and the solver's effort counters (zeros when no MILP was solved: the
-    /// list plan met the lower bound, or the batch exceeded [`IlpLimits`]).
+    /// list plan met the lower bound, or the batch exceeded [`MAX_TASKS`] or
+    /// [`MAX_SLOTS`]).
     pub fn schedule_with_stats_onto(
         &self,
         jobs: &[Job],
@@ -154,7 +152,7 @@ impl DspIlpScheduler {
         // search, when it is provably optimal, and when the solver errs or
         // its answer fails the audit.
         let list = DspListScheduler::default().schedule_onto(jobs, cluster, at, node_avail);
-        if total > self.limits.max_tasks || slots > self.limits.max_slots {
+        if total > MAX_TASKS || slots > MAX_SLOTS {
             return (list, IlpOutcome::Fallback, IlpStats::default());
         }
         if meets_lower_bound(&list, jobs, cluster, at, node_avail) {
@@ -490,7 +488,7 @@ impl Model {
         let slot_of = |t: usize| {
             (0..self.vnodes.len())
                 .max_by(|&a, &b| point[self.x[t][a].0].total_cmp(&point[self.x[t][b].0]))
-                .expect("a cluster within IlpLimits has a slot")
+                .expect("a searched cluster has a slot")
         };
         let lp_start = |t: usize| point[self.starts[t].0];
         // (topological rank, task): equal starts keep parents first.

@@ -10,7 +10,7 @@
 //!
 //! Version 2 writes the three tables whose length is the task count — a
 //! job's `tasks`, the schedule's assignments and `history.tasks` — as one
-//! object of named columns (see [`Table`]) instead of an array of one
+//! object of named columns (see `Table`) instead of an array of one
 //! object per row; every other shape is as version 1 wrote it.
 
 use crate::json::{Json, Writer};

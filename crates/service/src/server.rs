@@ -11,7 +11,7 @@
 //!   thread outright — there is no mutex to convoy on — so mutations are
 //!   serialized per shard, with FIFO fairness across connections and
 //!   explicit backpressure (a full queue stalls the submitting client,
-//!   not the whole service). The [`crate::router::Router`] decides which
+//!   not the whole service). The router (`router.rs`) decides which
 //!   shard a submit lands on; `drain` goes to shard 0, whose owner
 //!   drains every shard and merges the results.
 //! * **Read lane** — `ping`, `status`, `metrics`, `snapshot` are served
@@ -27,7 +27,7 @@
 //! Connections are served against those lanes by the epoll reactor
 //! (DESIGN.md §10.6), a small fixed pool of event-loop threads whose
 //! count is independent of connection count. It resolves a write's
-//! target shard exactly once ([`crate::router::Router::plan`]). `dspd` is
+//! target shard exactly once (`Router::plan`). `dspd` is
 //! linux-only: elsewhere `dsp-epoll` has no poller to hand out, so
 //! [`serve_federated`] fails at boot with `ErrorKind::Unsupported`.
 //!

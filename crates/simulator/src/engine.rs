@@ -196,8 +196,9 @@ impl Engine {
     /// Register a deterministic fault schedule (crashes, stragglers).
     /// Before the first run/step the plan is staged and installed at prime
     /// time; afterwards the faults enter the event heap immediately, with
-    /// instants before the current simulation time clamped to "now" — the
-    /// online service injects failures mid-stream this way.
+    /// instants before the current simulation time clamped to "now". The
+    /// service's `OnlineDriver::inject_faults` calls it mid-stream; no wire
+    /// command reaches that, only tests do.
     pub fn add_faults(&mut self, plan: crate::faults::FaultPlan) {
         if !self.primed {
             self.fault_plan.faults.extend(plan.faults);
@@ -797,24 +798,39 @@ impl Engine {
         }
     }
 
-    /// Kill the running tasks on node `n`, preserving their progress
-    /// (checkpoints live on shared storage) and charging the usual
-    /// recovery cost for the eventual resume. Returns the victims.
+    /// What resuming task `g` after a suspension costs: its recovery time
+    /// plus the context switch σ.
+    fn switch_cost(&self, g: usize) -> Dur {
+        let id = self.index.id(g);
+        self.job(id.job).task(id.index).recovery + SIGMA
+    }
+
+    /// Running → Waiting for task `g`, which the caller has taken off its
+    /// node's running list: bank its progress at the node's rate, start its
+    /// wait now, charge the switch cost to its resume when `charge`, and
+    /// invalidate its in-flight finish event. The caller re-queues it.
+    fn suspend(&mut self, g: usize, charge: bool) {
+        let rate = self.rate_of(g);
+        let cost = self.switch_cost(g);
+        let rt = &mut self.tasks[g];
+        rt.account_progress(rate, self.now);
+        rt.state = RtState::Waiting;
+        rt.wait_since = self.now;
+        if charge {
+            rt.pending_overhead = cost;
+            rt.recovery_charges += 1;
+        }
+        rt.gen += 1;
+    }
+
+    /// Suspend the running tasks on node `n`, preserving their progress
+    /// (checkpoints live on shared storage) and, when `charge_recovery`,
+    /// charging the switch cost for the eventual resume. Returns the
+    /// victims.
     fn kill_running(&mut self, n: usize, charge_recovery: bool) -> Vec<usize> {
         let victims: Vec<usize> = std::mem::take(&mut self.nodes[n].running);
         for &g in &victims {
-            let rate = self.rate_of(g);
-            let id = self.index.id(g);
-            let recovery = self.job(id.job).task(id.index).recovery + SIGMA;
-            let rt = &mut self.tasks[g];
-            rt.account_progress(rate, self.now);
-            rt.state = RtState::Waiting;
-            rt.wait_since = self.now;
-            if charge_recovery {
-                rt.pending_overhead = recovery;
-                rt.recovery_charges += 1;
-            }
-            rt.gen += 1; // invalidate the in-flight finish event
+            self.suspend(g, charge_recovery);
             self.queue_insert(n, g);
         }
         victims
@@ -940,13 +956,8 @@ impl Engine {
         // every epoch and the victim's net progress goes negative — a
         // slow-motion livelock no real scheduler exhibits (none evicts a
         // container it *just* started).
-        {
-            let vid = self.index.id(eg);
-            let overhead = self.job(vid.job).task(vid.index).recovery + SIGMA;
-            let min_run = self.tasks[eg].work_start + overhead * 2;
-            if self.now < min_run {
-                return;
-            }
+        if self.now < self.tasks[eg].work_start + self.switch_cost(eg) * 2 {
+            return;
         }
         let admit_ready = self.tasks[ag].ready();
         if !admit_ready && !checkpointing {
@@ -960,31 +971,22 @@ impl Engine {
         }
 
         // --- Suspend the victim. ---
-        let rate = self.rate_of(eg);
-        let id = self.index.id(eg);
-        let recovery = self.job(id.job).task(id.index).recovery + SIGMA;
-        {
-            let rt = &mut self.tasks[eg];
-            rt.account_progress(rate, self.now);
-            if !checkpointing {
-                // No checkpoint mechanism: restart from scratch (SRPT).
-                // All retained progress (this stint's and any earlier
-                // checkpointed remainder) is discarded.
-                let size = self.jobs[self.index.job_dense(id.job)].task(id.index).size;
-                rt.lost += size - rt.remaining;
-                rt.remaining = size;
-            }
-            rt.state = RtState::Waiting;
-            rt.wait_since = self.now;
-            rt.pending_overhead = recovery;
-            rt.preempt_count += 1;
-            rt.recovery_charges += 1;
-            rt.gen += 1; // invalidate the in-flight finish event
-        }
         self.nodes[n].running.retain(|&x| x != eg);
+        self.suspend(eg, true);
+        if !checkpointing {
+            // No checkpoint mechanism: restart from scratch (SRPT). All
+            // retained progress (this stint's and any earlier checkpointed
+            // remainder) is discarded, before the snapshot is taken.
+            let id = self.index.id(eg);
+            let size = self.job(id.job).task(id.index).size;
+            let rt = &mut self.tasks[eg];
+            rt.lost += size - rt.remaining;
+            rt.remaining = size;
+        }
+        self.tasks[eg].preempt_count += 1;
         // Re-queue at the position its planned start dictates.
         self.queue_insert(n, eg);
-        self.metrics.on_preemption(recovery);
+        self.metrics.on_preemption(self.tasks[eg].pending_overhead);
 
         // --- Dispatch the preempting task. ---
         if !admit_ready {

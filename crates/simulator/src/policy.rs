@@ -132,14 +132,9 @@ impl<'a> WorldCtx<'a> {
         levels.level_of(a.index) > levels.level_of(b.index) && job.dag.depends_on(a.index, b.index)
     }
 
-    /// The job with the given id, if present. Dense ids (`jobs[i].id == i`,
-    /// every batch run) resolve with one probe; sparse ids (the service's
-    /// strided lanes) fall back to a binary search.
+    /// The job with the given id, if present ([`JobId::position_in`]).
     pub fn find(&self, id: JobId) -> Option<&'a Job> {
-        match self.jobs.get(id.idx()) {
-            Some(j) if j.id == id => Some(j),
-            _ => self.jobs.binary_search_by(|j| j.id.cmp(&id)).ok().map(|i| &self.jobs[i]),
-        }
+        id.position_in(self.jobs, |j| j.id).map(|i| &self.jobs[i])
     }
 
     /// The job owning a task; panics if the engine handed out a snapshot

@@ -55,15 +55,10 @@ impl TaskIndex {
         self.job_ids.len()
     }
 
-    /// Dense job index of a `JobId`, if known: one probe when ids are
-    /// dense (`job_ids[id] == id`, every batch run), a binary search
-    /// otherwise (the service's strided lanes).
+    /// Dense job index of a `JobId`, if known ([`JobId::position_in`]).
     #[inline]
     pub fn try_job_dense(&self, id: JobId) -> Option<usize> {
-        match self.job_ids.get(id.idx()) {
-            Some(&j) if j == id => Some(id.idx()),
-            _ => self.job_ids.binary_search(&id).ok(),
-        }
+        id.position_in(&self.job_ids, |&j| j)
     }
 
     /// Dense job index of a `JobId`; panics on an unknown job.
@@ -297,35 +292,6 @@ mod tests {
         assert_eq!(idx.job_dense(JobId(17)), 1);
         assert_eq!(idx.try_job_dense(JobId(5)), None);
         assert_eq!(idx.tasks_of(2), 3..6);
-    }
-
-    #[test]
-    fn job_probe_agrees_with_a_binary_search() {
-        let index_of = |ids: &[u32]| {
-            let jobs: Vec<Job> = ids
-                .iter()
-                .map(|&id| {
-                    Job::new(JobId(id), JobClass::Small, Time::ZERO, Time::MAX, vec![], Dag::new(0))
-                })
-                .collect();
-            TaskIndex::new(&jobs)
-        };
-        // Dense ids (every batch run), the strided lanes of a sharded
-        // service (shard 1 of 2 and 3 of 4), a dense prefix that turns
-        // sparse, and a run whose ids sit past their positions.
-        let cases: [&[u32]; 5] =
-            [&[0, 1, 2, 3, 4], &[1, 3, 5, 7, 9], &[3, 7, 11, 15], &[0, 1, 2, 9, 40], &[5, 6, 7]];
-        for ids in cases {
-            let ix = index_of(ids);
-            for probe in 0..45u32 {
-                let id = JobId(probe);
-                assert_eq!(
-                    ix.try_job_dense(id),
-                    ix.job_ids.binary_search(&id).ok(),
-                    "{id} in {ids:?}"
-                );
-            }
-        }
     }
 
     #[test]

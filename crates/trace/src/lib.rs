@@ -27,4 +27,7 @@ pub use generator::{
     generate_workload, TraceParams, BW_MBPS, CPU, DISK_MB, DURATION_SECS, MEM, REFERENCE_MIPS,
     STAGES,
 };
-pub use models::{ArrivalModel, ExecModel};
+pub use models::{
+    ArrivalModel, ExecModel, BURST_FACTOR, BURST_SECS, DIURNAL_AMPLITUDE, DIURNAL_PERIOD_SECS,
+    GAP_SECS, NORMAL_SIGMA_FRAC,
+};

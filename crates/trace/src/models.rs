@@ -32,13 +32,25 @@ pub enum ExecModel {
     FullRandom,
     /// Truth uniform in `[C/2, C]` — the exemplar's "half random".
     HalfRandom,
-    /// Truth normal around `C` with standard deviation `sigma_frac · C`,
-    /// clamped to the declared support `[C/20, 2C]`.
-    Normal {
-        /// Standard deviation as a fraction of the WCET.
-        sigma_frac: f64,
-    },
+    /// Truth normal around `C` with standard deviation
+    /// [`NORMAL_SIGMA_FRAC`]` · C`, clamped to the declared support
+    /// `[C/20, 2C]`.
+    Normal,
 }
+
+/// `ExecModel::Normal`'s standard deviation as a fraction of the WCET.
+pub const NORMAL_SIGMA_FRAC: f64 = 0.2;
+/// `ArrivalModel::Diurnal`'s relative swing of the rate.
+pub const DIURNAL_AMPLITUDE: f64 = 0.8;
+/// `ArrivalModel::Diurnal`'s period: one "day" in seconds of simulation time.
+pub const DIURNAL_PERIOD_SECS: f64 = 1800.0;
+/// `ArrivalModel::Bursty`'s rate multiplier inside a burst (and divisor in
+/// a gap).
+pub const BURST_FACTOR: f64 = 4.0;
+/// `ArrivalModel::Bursty`'s burst window in seconds.
+pub const BURST_SECS: f64 = 60.0;
+/// `ArrivalModel::Bursty`'s quiet gap in seconds.
+pub const GAP_SECS: f64 = 180.0;
 
 impl ExecModel {
     /// Sample the true execution size for a task with declared WCET `wcet`.
@@ -53,8 +65,8 @@ impl ExecModel {
                 Mi::new(rng.gen_range(lo..=c))
             }
             ExecModel::HalfRandom => Mi::new(rng.gen_range(c / 2.0..=c)),
-            ExecModel::Normal { sigma_frac } => {
-                let draw = c + sigma_frac.abs() * c * crate::distributions::std_normal(rng);
+            ExecModel::Normal => {
+                let draw = c + NORMAL_SIGMA_FRAC * c * crate::distributions::std_normal(rng);
                 Mi::new(draw.clamp(c / 20.0, 2.0 * c))
             }
         }
@@ -68,7 +80,7 @@ impl ExecModel {
             ExecModel::Wcet => (c, c),
             ExecModel::FullRandom => (1.0_f64.min(c), c),
             ExecModel::HalfRandom => (c / 2.0, c),
-            ExecModel::Normal { .. } => (c / 20.0, 2.0 * c),
+            ExecModel::Normal => (c / 20.0, 2.0 * c),
         }
     }
 
@@ -78,7 +90,7 @@ impl ExecModel {
             ExecModel::Wcet => "wcet",
             ExecModel::FullRandom => "full-random",
             ExecModel::HalfRandom => "half-random",
-            ExecModel::Normal { .. } => "normal",
+            ExecModel::Normal => "normal",
         }
     }
 }
@@ -88,24 +100,14 @@ impl ExecModel {
 pub enum ArrivalModel {
     /// Homogeneous Poisson at the workload's base rate (today's behavior).
     Poisson,
-    /// Sinusoidal rate `base · (1 + amplitude · sin(2πt/period))`; mean rate
+    /// Sinusoidal rate `base · (1 + A · sin(2πt/P))` with
+    /// [`DIURNAL_AMPLITUDE`] `A` and [`DIURNAL_PERIOD_SECS`] `P`; mean rate
     /// over a full period equals the base rate.
-    Diurnal {
-        /// Relative swing of the rate, in `[0, 1)`.
-        amplitude: f64,
-        /// Period of one "day" in seconds of simulation time.
-        period_secs: f64,
-    },
-    /// On/off train: bursts at `base · burst_factor` for `burst_secs`,
-    /// separated by quiet gaps at `base / burst_factor` for `gap_secs`.
-    Bursty {
-        /// Rate multiplier inside a burst (> 1).
-        burst_factor: f64,
-        /// Burst window length in seconds.
-        burst_secs: f64,
-        /// Quiet gap length in seconds.
-        gap_secs: f64,
-    },
+    Diurnal,
+    /// On/off train: bursts at `base ·` [`BURST_FACTOR`] for [`BURST_SECS`],
+    /// separated by quiet gaps at `base /` [`BURST_FACTOR`] for
+    /// [`GAP_SECS`].
+    Bursty,
 }
 
 impl ArrivalModel {
@@ -113,18 +115,15 @@ impl ArrivalModel {
     pub fn rate_at(&self, base_per_min: f64, t_secs: f64) -> f64 {
         match *self {
             ArrivalModel::Poisson => base_per_min,
-            ArrivalModel::Diurnal { amplitude, period_secs } => {
-                let phase = 2.0 * std::f64::consts::PI * t_secs / period_secs.max(1.0);
-                base_per_min * (1.0 + amplitude.clamp(0.0, 0.999) * phase.sin())
+            ArrivalModel::Diurnal => {
+                let phase = 2.0 * std::f64::consts::PI * t_secs / DIURNAL_PERIOD_SECS;
+                base_per_min * (1.0 + DIURNAL_AMPLITUDE * phase.sin())
             }
-            ArrivalModel::Bursty { burst_factor, burst_secs, gap_secs } => {
-                let f = burst_factor.max(1.0);
-                let cycle = (burst_secs + gap_secs).max(1e-9);
-                let pos = t_secs.rem_euclid(cycle);
-                if pos < burst_secs {
-                    base_per_min * f
+            ArrivalModel::Bursty => {
+                if t_secs.rem_euclid(BURST_SECS + GAP_SECS) < BURST_SECS {
+                    base_per_min * BURST_FACTOR
                 } else {
-                    base_per_min / f
+                    base_per_min / BURST_FACTOR
                 }
             }
         }
@@ -134,17 +133,15 @@ impl ArrivalModel {
     fn rate_max(&self, base_per_min: f64) -> f64 {
         match *self {
             ArrivalModel::Poisson => base_per_min,
-            ArrivalModel::Diurnal { amplitude, .. } => {
-                base_per_min * (1.0 + amplitude.clamp(0.0, 0.999))
-            }
-            ArrivalModel::Bursty { burst_factor, .. } => base_per_min * burst_factor.max(1.0),
+            ArrivalModel::Diurnal => base_per_min * (1.0 + DIURNAL_AMPLITUDE),
+            ArrivalModel::Bursty => base_per_min * BURST_FACTOR,
         }
     }
 
     /// `n` arrival instants starting at `start`. `Poisson` delegates to
     /// [`poisson_arrivals`] so the RNG draw sequence is unchanged from the
     /// pre-matrix generator; the other patterns sample the non-homogeneous
-    /// process by thinning against [`rate_max`](Self::rate_max).
+    /// process by thinning against its peak rate.
     pub fn arrivals<R: Rng>(
         &self,
         rng: &mut R,
@@ -172,8 +169,8 @@ impl ArrivalModel {
     pub fn label(&self) -> &'static str {
         match self {
             ArrivalModel::Poisson => "poisson",
-            ArrivalModel::Diurnal { .. } => "diurnal",
-            ArrivalModel::Bursty { .. } => "bursty",
+            ArrivalModel::Diurnal => "diurnal",
+            ArrivalModel::Bursty => "bursty",
         }
     }
 }

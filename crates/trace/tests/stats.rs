@@ -6,17 +6,16 @@
 //! below is exact at its fixed seed, with tolerances wide enough that the
 //! checks hold for *any* seed (spot-verified over a seed sweep).
 
-use dsp_trace::{generate_workload, ArrivalModel, ExecModel, TraceParams};
+use dsp_trace::{
+    generate_workload, ArrivalModel, ExecModel, TraceParams, BURST_SECS, DIURNAL_AMPLITUDE,
+    DIURNAL_PERIOD_SECS, GAP_SECS, NORMAL_SIGMA_FRAC,
+};
 use dsp_units::{Mi, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const MODELS: [ExecModel; 4] = [
-    ExecModel::Wcet,
-    ExecModel::FullRandom,
-    ExecModel::HalfRandom,
-    ExecModel::Normal { sigma_frac: 0.2 },
-];
+const MODELS: [ExecModel; 4] =
+    [ExecModel::Wcet, ExecModel::FullRandom, ExecModel::HalfRandom, ExecModel::Normal];
 
 #[test]
 fn draws_stay_in_declared_support() {
@@ -66,7 +65,7 @@ fn uniform_models_cover_their_range_with_the_right_mean() {
 #[test]
 fn normal_model_centers_on_the_wcet() {
     let wcet = Mi::new(10_000.0);
-    let model = ExecModel::Normal { sigma_frac: 0.2 };
+    let model = ExecModel::Normal;
     let mut rng = StdRng::seed_from_u64(13);
     let n = 20_000;
     let draws: Vec<f64> = (0..n).map(|_| model.sample(&mut rng, wcet).get()).collect();
@@ -75,7 +74,8 @@ fn normal_model_centers_on_the_wcet() {
     let var = draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n as f64;
     let sd = var.sqrt();
     // σ = 0.2·C = 2000, mildly shrunk by the [C/20, 2C] clamp.
-    assert!((1_700.0..=2_100.0).contains(&sd), "sd {sd} inconsistent with sigma_frac 0.2");
+    let sigma = NORMAL_SIGMA_FRAC * 10_000.0;
+    assert!((0.85 * sigma..=1.05 * sigma).contains(&sd), "sd {sd} inconsistent with σ {sigma}");
 }
 
 #[test]
@@ -97,14 +97,15 @@ fn poisson_train_matches_its_rate() {
 #[test]
 fn bursty_train_concentrates_arrivals_in_bursts() {
     let mut rng = StdRng::seed_from_u64(33);
-    let model = ArrivalModel::Bursty { burst_factor: 4.0, burst_secs: 60.0, gap_secs: 180.0 };
+    let model = ArrivalModel::Bursty;
     let n = 3_000;
     let arrivals = model.arrivals(&mut rng, n, Time::ZERO, 3.0);
-    let cycle = 60.0 + 180.0;
-    let in_burst =
-        arrivals.iter().filter(|t| (t.as_micros() as f64 / 1e6).rem_euclid(cycle) < 60.0).count()
-            as f64
-            / n as f64;
+    let cycle = BURST_SECS + GAP_SECS;
+    let in_burst = arrivals
+        .iter()
+        .filter(|t| (t.as_micros() as f64 / 1e6).rem_euclid(cycle) < BURST_SECS)
+        .count() as f64
+        / n as f64;
     // Bursts hold rate 4r for 1/4 of the cycle vs r/4 in the gaps:
     // expected in-burst share = (4·60)/(4·60 + 0.25·180) ≈ 0.84. A burst
     // share near the 0.25 area fraction would mean thinning is broken.
@@ -114,11 +115,12 @@ fn bursty_train_concentrates_arrivals_in_bursts() {
 #[test]
 fn diurnal_train_follows_the_sinusoidal_envelope() {
     let mut rng = StdRng::seed_from_u64(44);
-    let period = 600.0;
-    let model = ArrivalModel::Diurnal { amplitude: 0.9, period_secs: period };
+    let (amplitude, period) = (DIURNAL_AMPLITUDE, DIURNAL_PERIOD_SECS);
+    let model = ArrivalModel::Diurnal;
     let n = 3_000;
     let arrivals = model.arrivals(&mut rng, n, Time::ZERO, 3.0);
-    // First half of each period has rate ≥ base (sin ≥ 0), second half ≤.
+    // First half of each period has rate ≥ base (sin ≥ 0), second half ≤;
+    // the expected share of the first half is (1 + 2A/π)/2 ≈ 0.75 at A = 0.8.
     let rising = arrivals
         .iter()
         .filter(|t| (t.as_micros() as f64 / 1e6).rem_euclid(period) < period / 2.0)
@@ -126,20 +128,16 @@ fn diurnal_train_follows_the_sinusoidal_envelope() {
         / n as f64;
     assert!(rising > 0.6, "only {rising:.2} of arrivals in the high-rate half-period");
     // The instantaneous rate honors its own declared envelope.
-    for t in [0.0, 100.0, 200.0, 300.0, 450.0, 599.0] {
-        let r = model.rate_at(3.0, t);
-        assert!((3.0 * (1.0 - 0.9)..=3.0 * (1.0 + 0.9)).contains(&r));
+    for k in 0..12 {
+        let r = model.rate_at(3.0, period * f64::from(k) / 12.0);
+        assert!((3.0 * (1.0 - amplitude)..=3.0 * (1.0 + amplitude)).contains(&r));
     }
 }
 
 #[test]
 fn identical_seeds_reproduce_identical_traces() {
     for (si, model) in MODELS.iter().enumerate() {
-        for arrival in [
-            ArrivalModel::Poisson,
-            ArrivalModel::Diurnal { amplitude: 0.8, period_secs: 1800.0 },
-            ArrivalModel::Bursty { burst_factor: 4.0, burst_secs: 60.0, gap_secs: 180.0 },
-        ] {
+        for arrival in [ArrivalModel::Poisson, ArrivalModel::Diurnal, ArrivalModel::Bursty] {
             let p = TraceParams {
                 task_scale: 0.02,
                 estimate_noise_sigma: 0.0,
@@ -155,4 +153,32 @@ fn identical_seeds_reproduce_identical_traces() {
             assert_ne!(a, c, "different seeds collapsed onto one workload");
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in words.into_iter().flat_map(u64::to_le_bytes) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Known answers of the streams no golden covers: the `Diurnal` and
+/// `Bursty` arrival instants and the `Normal` draws, at fixed seeds. A
+/// moved literal means the model's arithmetic or draw order moved.
+#[test]
+fn model_streams_are_pinned() {
+    let arrivals = |model: ArrivalModel, seed| {
+        let ts = model.arrivals(&mut StdRng::seed_from_u64(seed), 400, Time::from_secs(7), 3.0);
+        fnv(ts.into_iter().map(Time::as_micros))
+    };
+    let mut rng = StdRng::seed_from_u64(63);
+    let wcets = [1.0, 50.0, 5_000.0, 2.0e6].into_iter().flat_map(|c| std::iter::repeat_n(c, 100));
+    let normal = ExecModel::Normal;
+    let normal = fnv(wcets.map(|c| normal.sample(&mut rng, Mi::new(c)).get().to_bits()));
+    assert_eq!(
+        [arrivals(ArrivalModel::Diurnal, 61), arrivals(ArrivalModel::Bursty, 62), normal],
+        [10156349709940674746, 4056952176153391512, 11389927931689388296]
+    );
 }

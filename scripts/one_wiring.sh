@@ -125,8 +125,10 @@ check "est_exec_time( outside dag, simulator/src/schedule.rs and sched/src/dsp_i
 #     Struct and impl headers and return types are not literals. The
 #     settings no run varies are constants of the crate that reads them:
 #     τ, ε, ω1–ω3 and SRPT's α, β and minimum gain in dsp-preempt, σ and
-#     the queue lookahead in dsp-sim, the trace calibration and DAG caps
-#     in dsp-trace.
+#     the queue lookahead in dsp-sim, the trace calibration, DAG caps and
+#     scenario-model settings in dsp-trace, the exact solver's size gate in
+#     dsp-sched and its gap in dsp-lp, each figure profile's task scale and
+#     the figures' seed in dsp-core.
 built() { # type-name alternation, defining crate
     grep -E "\b($1)( \{|::default\(\))" <<<"$src" |
         grep -vE "(struct |impl |for |-> )($1) \{" |

@@ -17,8 +17,8 @@
 
 use dsp_cluster::ClusterSpec;
 use dsp_core::{
-    run_audited, run_experiment, ClusterProfile, ExperimentConfig, FigureScale, Params,
-    PreemptMethod, SchedMethod,
+    run_audited, run_experiment, ClusterProfile, ExperimentConfig, Params, PreemptMethod,
+    SchedMethod,
 };
 use dsp_dag::{critical_path_len, Job};
 use dsp_sim::FaultPlan;
@@ -47,7 +47,7 @@ fn an_isolated_job_spans_exactly_its_critical_path() {
         for sigma in [0.0, 0.4] {
             for seed in 1..=10 {
                 let trace = TraceParams {
-                    task_scale: FigureScale::paper().task_scale(cluster),
+                    task_scale: cluster.task_scale(),
                     estimate_noise_sigma: sigma,
                     ..TraceParams::default()
                 };
@@ -86,7 +86,7 @@ fn a_loaded_cell_spans_at_least_its_bounds(cluster: ClusterProfile) {
     let spec = cluster.build();
     let rate = homogeneous_rate(&spec);
     let trace = TraceParams {
-        task_scale: FigureScale::paper().task_scale(cluster),
+        task_scale: cluster.task_scale(),
         arrival_rate_per_min: (600.0, 600.0),
         ..TraceParams::default()
     };
@@ -142,10 +142,7 @@ fn moving_a_workload_by_whole_periods_moves_every_instant() {
     let params = Params::default();
     for cluster in [ClusterProfile::Ec2, ClusterProfile::Palmetto] {
         let spec = cluster.build();
-        let trace = TraceParams {
-            task_scale: FigureScale::paper().task_scale(cluster),
-            ..TraceParams::default()
-        };
+        let trace = TraceParams { task_scale: cluster.task_scale(), ..TraceParams::default() };
         let jobs = generate_workload(&mut StdRng::seed_from_u64(seed), 6, &trace);
         for preempt in [PreemptMethod::Dsp, PreemptMethod::Srpt] {
             let run = |jobs: &[Job]| {

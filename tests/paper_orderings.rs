@@ -3,8 +3,7 @@
 //! absolute values — see EXPERIMENTS.md for the full-scale record.
 
 use dsp_core::{
-    run_experiment, ClusterProfile, ExperimentConfig, FigureScale, Params, PreemptMethod,
-    SchedMethod,
+    run_experiment, ClusterProfile, ExperimentConfig, Params, PreemptMethod, SchedMethod,
 };
 use dsp_metrics::RunMetrics;
 use dsp_trace::TraceParams;
@@ -22,10 +21,7 @@ fn run(cluster: ClusterProfile, sched: SchedMethod, preempt: PreemptMethod) -> R
         sched,
         preempt,
         // Per-cluster workload scales: the figure harness calibration.
-        trace: TraceParams {
-            task_scale: FigureScale::paper().task_scale(cluster),
-            ..TraceParams::default()
-        },
+        trace: TraceParams { task_scale: cluster.task_scale(), ..TraceParams::default() },
         params: Params::default(),
     })
 }

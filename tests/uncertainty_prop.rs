@@ -42,8 +42,7 @@ fn tiny_grid(seed: u64, exec: ExecModel) -> MatrixConfig {
     }
 }
 
-const MODELS: [ExecModel; 3] =
-    [ExecModel::FullRandom, ExecModel::HalfRandom, ExecModel::Normal { sigma_frac: 0.25 }];
+const MODELS: [ExecModel; 3] = [ExecModel::FullRandom, ExecModel::HalfRandom, ExecModel::Normal];
 
 /// Random truth-sampling seeds never violate R1–R6: whatever execution
 /// times the engine samples, planned schedules stay well-formed and the
