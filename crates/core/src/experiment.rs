@@ -66,7 +66,7 @@ pub(crate) fn run_experiment_under(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::execute;
+    use crate::pipeline::{execute, Plan};
     use dsp_metrics::RunMetrics;
     use dsp_sched::DspListScheduler;
     use dsp_units::Dur;
@@ -129,8 +129,10 @@ mod tests {
         let mut sched = DspListScheduler { gamma: 0.9 };
         let mut policy = cfg.preempt.build(&cfg.params);
         let cluster = cfg.cluster.build();
+        let opts = cfg.sched.verify_options();
+        let plan = Plan::new(&jobs, &cluster, cfg.params.sched_period, &mut sched, &opts);
         let by_hand =
-            execute(&jobs, &cluster, &cfg.params, &mut sched, policy.as_mut(), FaultPlan::none());
+            execute(&plan, &jobs, &cluster, &cfg.params, policy.as_mut(), FaultPlan::none());
         assert_eq!(metrics(&cfg), by_hand.metrics);
     }
 }

@@ -5,9 +5,11 @@
 //!
 //! * [`pipeline`] — the two-phase loop, assembled once: a
 //!   [`dsp_sched::Scheduler`] produces `[start, node]` per task every
-//!   scheduling period ([`PeriodPlanner`]); [`execute`] runs the plan under
-//!   an online policy that adjusts the running mix every epoch and returns
-//!   the [`Run`]; [`run_audited`] adds its R1–R6 audit ([`Run::audit`]).
+//!   scheduling period ([`PeriodPlanner`]), and the [`Plan`] holds those
+//!   batches with their R1–R4 audit; [`execute`] runs a plan under an
+//!   online policy that adjusts the running mix every epoch and returns the
+//!   [`Run`]; [`run_audited`] plans and makes one audited run of the plan
+//!   (R1–R6, [`Plan::run_audited`]).
 //! * [`methods`] — the method table: every scheduler, policy and cluster
 //!   profile with its one name, paper label, constructor and audit options.
 //! * [`flags`] — the command-line reader every binary walks its
@@ -23,7 +25,7 @@
 //!   audit of the cells behind them.
 //!
 //! ```
-//! use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
+//! use dsp_core::{execute, Params, Plan, PreemptMethod, SchedMethod};
 //! use dsp_core::sim::FaultPlan;
 //! use dsp_trace::{generate_workload, TraceParams};
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -32,9 +34,9 @@
 //! let trace = TraceParams { task_scale: 0.02, ..TraceParams::default() };
 //! let jobs = generate_workload(&mut rng, 6, &trace);
 //! let (cluster, params) = (dsp_cluster::ec2(), Params::default());
-//! let mut sched = SchedMethod::Dsp.build(&params, 0);
+//! let plan = Plan::of(&jobs, &cluster, &params, SchedMethod::Dsp, 0);
 //! let mut policy = PreemptMethod::Dsp.build(&params);
-//! let run = execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none());
+//! let run = execute(&plan, &jobs, &cluster, &params, policy.as_mut(), FaultPlan::none());
 //! assert_eq!(run.metrics.jobs_completed(), 6);
 //! ```
 
@@ -54,7 +56,7 @@ pub use experiment::{run_experiment, ExperimentConfig};
 pub use figures::{FigureScale, FIGURES};
 pub use matrix::{run_matrix, CellOutput, DeadlineTier, MatrixConfig, Scenario, Storm};
 pub use methods::{ClusterProfile, PreemptMethod, SchedMethod};
-pub use pipeline::{execute, run_audited, PeriodPlanner, Run};
+pub use pipeline::{execute, run_audited, PeriodPlanner, Plan, Run};
 pub use sweep::parallel_map;
 
 // Re-export the workspace so downstream users need one dependency.

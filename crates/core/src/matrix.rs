@@ -4,10 +4,14 @@
 //! execution-time model, arrival pattern, deadline-tightness tier, node
 //! mix, failure-storm intensity. Every scheduler arm × preemption policy
 //! runs on the *identical* workload of each scenario (same derived seed),
-//! so each CSV row is a controlled comparison. Every cell's planned
-//! schedule and execution history are audited against the full
-//! `dsp-verify` rule set (R1–R6), which makes the matrix a correctness
-//! harness as much as an evaluation one.
+//! so each CSV row is a controlled comparison. The offline plan depends on
+//! neither the policy nor the faults, so each (scenario, scheduler) is
+//! planned once and every preemption arm runs that identical plan
+//! ([`Plan`]); a cell is exactly what one `run_audited` of its arm gives.
+//! Every cell's report is the full `dsp-verify` rule set (R1–R6): the
+//! plan's R1–R4 findings, checked once per plan, head each arm's report,
+//! and R5–R6 follow on the arm's own execution history, which makes the
+//! matrix a correctness harness as much as an evaluation one.
 //!
 //! Determinism contract (DESIGN.md §8): the grid iterates `Vec`s in
 //! declared order, per-scenario seeds come from a splitmix64 mix of the
@@ -24,7 +28,7 @@
 
 use crate::config::Params;
 use crate::methods::{ClusterProfile, PreemptMethod, SchedMethod};
-use crate::pipeline::run_audited;
+use crate::pipeline::Plan;
 use dsp_cluster::ClusterSpec;
 use dsp_dag::Job;
 use dsp_metrics::RunMetrics;
@@ -397,7 +401,10 @@ pub fn csv_header() -> &'static str {
 
 /// Run the whole grid in scenario-major order, handing each finished cell
 /// to `sink` (artifact writers stream cells to disk instead of holding the
-/// grid in memory). Returns all CSV rows in emission order.
+/// grid in memory). Each (scenario, scheduler) is planned and R1–R4-audited
+/// once ([`Plan::of`]); each preemption arm is an audited run of that plan
+/// under the scenario's one fault plan. Returns all CSV rows in emission
+/// order.
 pub fn run_matrix(cfg: &MatrixConfig, mut sink: impl FnMut(&CellOutput)) -> Vec<String> {
     let mut rows = Vec::with_capacity(cfg.num_cells());
     for (scenario_idx, (scenario_seed, scenario)) in cfg.scenarios().into_iter().enumerate() {
@@ -405,19 +412,13 @@ pub fn run_matrix(cfg: &MatrixConfig, mut sink: impl FnMut(&CellOutput)) -> Vec<
         let mut rng = StdRng::seed_from_u64(scenario_seed);
         let jobs = generate_workload(&mut rng, cfg.num_jobs, &trace);
         let cluster = scenario.node_mix.build();
+        let faults = scenario.storm.plan(scenario_seed, &cluster);
         for &sched in &cfg.schedulers {
+            let plan = Plan::of(&jobs, &cluster, &cfg.params, sched, scenario_seed);
             for &preempt in &cfg.preempts {
                 let mut policy = preempt.build(&cfg.params);
-                let faults = scenario.storm.plan(scenario_seed, &cluster);
-                let (run, report) = run_audited(
-                    &jobs,
-                    &cluster,
-                    &cfg.params,
-                    sched,
-                    scenario_seed,
-                    policy.as_mut(),
-                    faults,
-                );
+                let (run, report) =
+                    plan.run_audited(&jobs, &cluster, &cfg.params, policy.as_mut(), faults.clone());
                 let cell = CellOutput {
                     scenario_idx,
                     scenario,

@@ -1,10 +1,14 @@
-//! The two-phase loop, assembled once (DESIGN.md §3.1): [`PeriodPlanner`]
+//! The two-phase loop, assembled once (DESIGN.md §3.1). [`PeriodPlanner`]
 //! plans each period's arrivals against the backlog and is the only caller
-//! of `Scheduler::schedule_onto`; [`execute`] runs the planned batches and a
+//! of `Scheduler::schedule_onto`. A [`Plan`] is the offline phase as a
+//! value: the period batches, their merge, and the merge's R1–R4 audit,
+//! made once per workload and scheduler. [`execute`] runs a plan and a
 //! fault plan through one engine under the online policy and returns the
-//! [`Run`]; [`Run::audit`] checks it against R1–R6. [`run_audited`], the
-//! one product caller of [`execute`], does all three: `run_experiment` (so
-//! every figure cell), every matrix cell and `dsp`'s run mode call it, and
+//! [`Run`]; its one product caller, [`Plan::run_audited`], follows the
+//! plan's R1–R4 findings with R5–R6 on the run. [`run_audited`] is a plan
+//! and one audited run of it: `run_experiment` (so every figure cell) and
+//! `dsp`'s run mode call it, `run_matrix` plans each (scenario, scheduler)
+//! once and runs every preemption arm from that plan, and
 //! `dsp_service::OnlineDriver` plans with [`PeriodPlanner`].
 
 use crate::config::Params;
@@ -87,8 +91,76 @@ pub fn periodic_schedules(
         .collect()
 }
 
+/// The offline phase of one workload, as a value: what the scheduler
+/// planned each period, the merged plan, and the plan's R1–R4 audit. The
+/// planner plans against its own estimated backlog, so a plan depends on
+/// neither the online policy nor the faults: one plan serves every run of
+/// its workload and scheduler, and is audited once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// One batch per scheduling period: the period's end boundary and the
+    /// schedule planned there ([`periodic_schedules`]).
+    pub batches: Vec<(Time, Schedule)>,
+    /// All period batches merged, in batch order.
+    pub schedule: Schedule,
+    /// R1–R4 over `schedule`.
+    pub report: Report,
+}
+
+impl Plan {
+    /// Plan `jobs` on `cluster` with `scheduler` every `period`, and audit
+    /// the merged plan against R1–R4 under `opts`.
+    pub fn new(
+        jobs: &[Job],
+        cluster: &ClusterSpec,
+        period: Dur,
+        scheduler: &mut dyn Scheduler,
+        opts: &VerifyOptions,
+    ) -> Plan {
+        let batches = periodic_schedules(jobs, cluster, period, scheduler);
+        let mut schedule = Schedule::new();
+        for (_, batch) in &batches {
+            schedule.assignments.extend_from_slice(&batch.assignments);
+        }
+        let report = dsp_verify::check_schedule(&schedule, jobs, cluster, opts);
+        Plan { batches, schedule, report }
+    }
+
+    /// `sched`'s plan every [`Params::sched_period`]: the method table
+    /// builds its scheduler (`seed` feeds the random baseline) and the audit
+    /// takes [`SchedMethod::verify_options`].
+    pub fn of(
+        jobs: &[Job],
+        cluster: &ClusterSpec,
+        params: &Params,
+        sched: SchedMethod,
+        seed: u64,
+    ) -> Plan {
+        let mut scheduler = sched.build(params, seed);
+        Plan::new(jobs, cluster, params.sched_period, scheduler.as_mut(), &sched.verify_options())
+    }
+
+    /// An audited run of the plan: [`execute`] under `policy` and `faults`,
+    /// and the plan's R1–R4 findings followed by R5–R6 on the history (with
+    /// the history-vs-metrics overhead cross-check), the findings
+    /// `dsp_verify::audit` gives for the run.
+    pub fn run_audited(
+        &self,
+        jobs: &[Job],
+        cluster: &ClusterSpec,
+        params: &Params,
+        policy: &mut dyn PreemptPolicy,
+        faults: FaultPlan,
+    ) -> (Run, Report) {
+        let run = execute(self, jobs, cluster, params, policy, faults);
+        let mut report = self.report.clone();
+        report.merge(dsp_verify::check_execution(&run.history, Some(&run.metrics)));
+        (run, report)
+    }
+}
+
 /// One executed run: what was planned, what happened, what it measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Run {
     /// All period batches merged, in batch order.
     pub schedule: Schedule,
@@ -98,43 +170,32 @@ pub struct Run {
     pub metrics: RunMetrics,
 }
 
-impl Run {
-    /// Audit the run, over the `jobs` and `cluster` it executed, against
-    /// the full rule set: R1–R4 on the plan, R5–R6 on the history, and the
-    /// history-vs-metrics overhead cross-check.
-    pub fn audit(&self, jobs: &[Job], cluster: &ClusterSpec, opts: &VerifyOptions) -> Report {
-        let metrics = Some(&self.metrics);
-        dsp_verify::audit(&self.schedule, jobs, cluster, opts, &self.history, metrics)
-    }
-}
-
-/// Run the two-phase loop over `jobs` (sorted by strictly increasing
-/// `JobId`): the offline `scheduler` every [`Params::sched_period`], the
-/// online `policy` every epoch of [`Params::engine`], under a deterministic
-/// fault schedule ([`FaultPlan::none`] for the paper's setting).
+/// Run the online phase of the two-phase loop: `plan`'s batches over `jobs`
+/// (sorted by strictly increasing `JobId`), each injected at its period
+/// boundary, the online `policy` every epoch of [`Params::engine`], under a
+/// deterministic fault schedule ([`FaultPlan::none`] for the paper's
+/// setting).
 pub fn execute(
+    plan: &Plan,
     jobs: &[Job],
     cluster: &ClusterSpec,
     params: &Params,
-    scheduler: &mut dyn Scheduler,
     policy: &mut dyn PreemptPolicy,
     faults: FaultPlan,
 ) -> Run {
     let mut engine = Engine::new(jobs.to_vec(), cluster.clone(), params.engine);
-    let mut schedule = Schedule::new();
-    for (at, batch) in periodic_schedules(jobs, cluster, params.sched_period, scheduler) {
-        schedule.assignments.extend_from_slice(&batch.assignments);
-        engine.add_batch(at, batch);
+    for (at, batch) in &plan.batches {
+        engine.add_batch(*at, batch.clone());
     }
     engine.add_faults(faults);
     let metrics = engine.run(policy);
-    Run { schedule, history: engine.history(), metrics }
+    Run { schedule: plan.schedule.clone(), history: engine.history(), metrics }
 }
 
-/// Run one experiment cell and audit it: `sched`'s scheduler (`seed` feeds
-/// the random baseline) plans `jobs`, [`execute`] runs them on `cluster`
-/// under `policy` and `faults`, and [`Run::audit`] holds the run to
-/// [`SchedMethod::verify_options`].
+/// Run one experiment cell and audit it: [`Plan::of`] plans `jobs` with
+/// `sched`'s scheduler (`seed` feeds the random baseline), and
+/// [`Plan::run_audited`] runs the plan on `cluster` under `policy` and
+/// `faults`, its report held to [`SchedMethod::verify_options`].
 pub fn run_audited(
     jobs: &[Job],
     cluster: &ClusterSpec,
@@ -144,15 +205,13 @@ pub fn run_audited(
     policy: &mut dyn PreemptPolicy,
     faults: FaultPlan,
 ) -> (Run, Report) {
-    let mut scheduler = sched.build(params, seed);
-    let run = execute(jobs, cluster, params, scheduler.as_mut(), policy, faults);
-    let report = run.audit(jobs, cluster, &sched.verify_options());
-    (run, report)
+    Plan::of(jobs, cluster, params, sched, seed).run_audited(jobs, cluster, params, policy, faults)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::methods::PreemptMethod;
     use dsp_sched::DspListScheduler;
     use dsp_sim::NoPreempt;
     use dsp_trace::{generate_workload, TraceParams};
@@ -189,16 +248,60 @@ mod tests {
         let cluster = dsp_cluster::ec2();
         let params = Params { sched_period: Dur::from_secs(60), ..Params::default() };
         let mut sched = DspListScheduler::default();
-        let run = execute(&jobs, &cluster, &params, &mut sched, &mut NoPreempt, FaultPlan::none());
+        let opts = VerifyOptions::default();
+        let plan = Plan::new(&jobs, &cluster, params.sched_period, &mut sched, &opts);
         let planned: Vec<_> = periodic_schedules(&jobs, &cluster, params.sched_period, &mut sched)
             .into_iter()
             .flat_map(|(_, s)| s.assignments)
             .collect();
+        assert_eq!(plan.schedule.assignments, planned);
+        let (run, report) =
+            plan.run_audited(&jobs, &cluster, &params, &mut NoPreempt, FaultPlan::none());
         assert_eq!(run.schedule.assignments, planned);
         assert_eq!(run.history.tasks.len(), planned.len());
         assert_eq!(run.metrics.jobs_completed(), 6);
-        let report = run.audit(&jobs, &cluster, &VerifyOptions::default());
         assert!(report.passes(), "{report}");
+    }
+
+    #[test]
+    fn one_plan_runs_as_often_as_a_fresh_one() {
+        // A plan depends on neither the policy nor the faults: each run of
+        // one plan is the run and report of a fresh `run_audited`, and
+        // running leaves the plan as it was.
+        let jobs = workload(6);
+        let cluster = dsp_cluster::ec2();
+        let params = Params::default();
+        let sched = SchedMethod::Dsp;
+        let plan = Plan::of(&jobs, &cluster, &params, sched, 0);
+        let before = plan.clone();
+        let storm = FaultPlan::none()
+            .crash(dsp_cluster::NodeId(1), Time::from_secs(120), Time::from_secs(300))
+            .straggle(dsp_cluster::NodeId(4), Time::from_secs(60), 0.5);
+        let arms = [
+            (PreemptMethod::Dsp, FaultPlan::none()),
+            (PreemptMethod::Srpt, FaultPlan::none()),
+            (PreemptMethod::Dsp, storm),
+        ];
+        for (preempt, faults) in arms {
+            let shared = plan.run_audited(
+                &jobs,
+                &cluster,
+                &params,
+                preempt.build(&params).as_mut(),
+                faults.clone(),
+            );
+            let fresh = run_audited(
+                &jobs,
+                &cluster,
+                &params,
+                sched,
+                0,
+                preempt.build(&params).as_mut(),
+                faults,
+            );
+            assert_eq!(shared, fresh, "{}", preempt.name());
+        }
+        assert_eq!(plan, before, "running a plan must not change it");
     }
 
     #[test]
@@ -220,8 +323,10 @@ mod tests {
         let params = Params::default();
         let run = |jobs: &[Job]| {
             let mut sched = DspListScheduler::default();
+            let opts = VerifyOptions::default();
+            let plan = Plan::new(jobs, &cluster, params.sched_period, &mut sched, &opts);
             let mut policy = dsp_preempt::DspPolicy::new(params.dsp_params(true));
-            execute(jobs, &cluster, &params, &mut sched, &mut policy, FaultPlan::none()).metrics
+            execute(&plan, jobs, &cluster, &params, &mut policy, FaultPlan::none()).metrics
         };
         let a = run(&dense);
         let b = run(&sparse);

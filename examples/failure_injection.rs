@@ -9,9 +9,7 @@
 //! ```
 
 use dsp_cluster::NodeId;
-use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
-use dsp_preempt::DspPolicy;
-use dsp_sched::DspListScheduler;
+use dsp_core::{execute, Params, Plan, PreemptMethod, SchedMethod};
 use dsp_sim::FaultPlan;
 use dsp_trace::{generate_workload, TraceParams};
 use dsp_units::Time;
@@ -23,11 +21,14 @@ fn main() {
     let trace = TraceParams { task_scale: 0.06, ..TraceParams::default() };
     let jobs = generate_workload(&mut rng, 30, &trace);
     let (cluster, params) = (dsp_cluster::ec2(), Params::default());
-    let mut sched = SchedMethod::Dsp.build(&params, 0);
-    let mut policy = PreemptMethod::Dsp.build(&params);
-    let healthy =
-        execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none())
-            .metrics;
+    // The offline plan depends on neither the policy nor the faults: both
+    // runs execute the same one.
+    let plan = Plan::of(&jobs, &cluster, &params, SchedMethod::Dsp, 0);
+    let run = |faults: FaultPlan| {
+        let mut policy = PreemptMethod::Dsp.build(&params);
+        execute(&plan, &jobs, &cluster, &params, policy.as_mut(), faults).metrics
+    };
+    let healthy = run(FaultPlan::none());
 
     // A rough day in the cluster: one node dies for good early on, two
     // crash transiently, and three straggle at 40% speed mid-run.
@@ -38,9 +39,7 @@ fn main() {
     for n in [20u32, 21, 22] {
         faults = faults.straggle(NodeId(n), Time::from_secs(450), 0.4);
     }
-    let mut sched = DspListScheduler::default();
-    let mut policy = DspPolicy::default();
-    let faulty = execute(&jobs, &cluster, &params, &mut sched, &mut policy, faults).metrics;
+    let faulty = run(faults);
 
     println!("{:<28} {:>12} {:>12}", "", "healthy", "faulty");
     println!(

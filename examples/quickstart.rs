@@ -8,7 +8,7 @@
 //! ```
 
 use dsp_core::sim::FaultPlan;
-use dsp_core::{execute, Params, PreemptMethod, SchedMethod};
+use dsp_core::{execute, Params, Plan, PreemptMethod, SchedMethod};
 use dsp_trace::{generate_workload, TraceParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,11 +26,11 @@ fn main() {
     //    Table II parameters, DSP's list scheduler offline and Algorithm 1
     //    online, built from the method table.
     let (cluster, params) = (dsp_cluster::ec2(), Params::default());
-    let mut sched = SchedMethod::Dsp.build(&params, 0);
+    let plan = Plan::of(&jobs, &cluster, &params, SchedMethod::Dsp, 0);
     let mut policy = PreemptMethod::Dsp.build(&params);
 
-    // 3. Run and report.
-    let run = execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none());
+    // 3. Run the plan and report.
+    let run = execute(&plan, &jobs, &cluster, &params, policy.as_mut(), FaultPlan::none());
     let m = run.metrics;
     println!("makespan:            {:.2} s", m.makespan().as_secs_f64());
     println!("throughput:          {:.3} tasks/ms", m.throughput_tasks_per_ms());

@@ -12,7 +12,7 @@
 use dsp_core::cluster::ClusterSpec;
 use dsp_core::dag::Job;
 use dsp_core::sim::FaultPlan;
-use dsp_core::{execute, Params, PreemptMethod, Run, SchedMethod};
+use dsp_core::{execute, Params, Plan, PreemptMethod, Run, SchedMethod};
 use dsp_service::codec::Snapshot;
 use dsp_service::json;
 use dsp_trace::{generate_workload, TraceParams};
@@ -23,10 +23,10 @@ use rand::SeedableRng;
 /// snapshot of the run.
 fn run(cluster: ClusterSpec, jobs: Vec<Job>) -> Snapshot {
     let params = Params::default();
-    let mut sched = SchedMethod::Dsp.build(&params, 0);
+    let plan = Plan::of(&jobs, &cluster, &params, SchedMethod::Dsp, 0);
     let mut policy = PreemptMethod::Dsp.build(&params);
     let Run { schedule, history, metrics } =
-        execute(&jobs, &cluster, &params, sched.as_mut(), policy.as_mut(), FaultPlan::none());
+        execute(&plan, &jobs, &cluster, &params, policy.as_mut(), FaultPlan::none());
     Snapshot { cluster, jobs, schedule, history, metrics }
 }
 

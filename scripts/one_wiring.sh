@@ -4,7 +4,7 @@
 # command-line reader (core/src/flags.rs), and the workspace one artifact
 # (the snapshot, service/src/codec.rs) built in four files, and dspd one
 # thread kind per role: the shard owners and the reactor pool, every
-# experiment one audited run call (core/src/pipeline.rs), the R5
+# experiment one audited run of a plan (core/src/pipeline.rs), the R5
 # overhead identities one home (simulator/src/history.rs), the offline
 # schedulers one packing loop (sched/src/pack.rs), a plan's finish
 # `t^s + l̂/g(k)` one formula (`Assignment::planned_finish`), and every
@@ -86,13 +86,17 @@ check "a thread started in crates/service outside server.rs and reactor/frontend
     "$(grep -E '^crates/service/src/.*\bthread::(spawn|Builder|scope)\b' <<<"$src" |
         grep -vE '^crates/service/src/(server|reactor/frontend)\.rs:' || true)"
 
-# 9. One run call: `execute(` has exactly one product call site, in
-#    core/src/pipeline.rs (`run_audited`, which audits what it runs), so
+# 9. One run call: `execute(` has exactly one product call site, the
+#    audited run of a plan in core/src/pipeline.rs (`Plan::run_audited`,
+#    which follows the plan's R1–R4 findings with R5–R6 on what it ran), so
 #    every figure cell, matrix cell and `dsp` run is audited the same way.
-#    The definition and comments (the crate doctest) are not call sites.
+#    `run_matrix` (core/src/matrix.rs) plans each scheduler once and runs
+#    each preemption arm through that call: it builds no Engine (check 1)
+#    and calls no `execute(`. The definition and comments (the crate
+#    doctest) are not call sites.
 calls=$(grep -E '\bexecute\(' <<<"$src" | grep -vE '\bfn execute\(|^[^:]+:[0-9]+: *//' || true)
 [ "$(grep -c . <<<"$calls")" = 1 ] && grep -q '^crates/core/src/pipeline\.rs:' <<<"$calls" ||
-    check "execute( must have exactly one product call site, in core/src/pipeline.rs" "${calls:-<none>}"
+    check "execute( must have exactly one product call site, Plan::run_audited in core/src/pipeline.rs" "${calls:-<none>}"
 
 # 10. The R5 identities are written once, on the history record: the
 #     per-charge products `N (t^r + σ)` appear only in

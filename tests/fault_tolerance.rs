@@ -3,7 +3,7 @@
 //! completion, dependency order, or determinism.
 
 use dsp_cluster::NodeId;
-use dsp_core::{config::Params, execute};
+use dsp_core::{config::Params, execute, Plan};
 use dsp_metrics::RunMetrics;
 use dsp_preempt::{DspPolicy, SrptPolicy};
 use dsp_sched::DspListScheduler;
@@ -11,6 +11,7 @@ use dsp_service::{AdmissionConfig, JobRequest, OnlineDriver};
 use dsp_sim::{EngineConfig, FaultPlan};
 use dsp_trace::{generate_workload, TraceParams};
 use dsp_units::{Dur, Time};
+use dsp_verify::VerifyOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,7 +27,10 @@ fn run(
     policy: &mut dyn dsp_sim::PreemptPolicy,
     faults: FaultPlan,
 ) -> RunMetrics {
-    execute(jobs, &dsp_cluster::ec2(), &Params::default(), sched, policy, faults).metrics
+    let (cluster, params) = (dsp_cluster::ec2(), Params::default());
+    let opts = VerifyOptions::default();
+    let plan = Plan::new(jobs, &cluster, params.sched_period, sched, &opts);
+    execute(&plan, jobs, &cluster, &params, policy, faults).metrics
 }
 
 fn chaos() -> FaultPlan {
