@@ -259,7 +259,7 @@ fn report_to_json(report: &Report) -> Json {
             ("task", d.task.map_or(Json::Null, |t| Json::Str(format!("T{}.{}", t.job.0, t.index)))),
             ("node", d.node.map_or(Json::Null, |n| Json::U64(u64::from(n.0)))),
             ("at_us", d.at.map_or(Json::Null, |t| Json::U64(t.as_micros()))),
-            ("message", Json::Str(d.message.clone())),
+            ("message", Json::Str(d.finding.to_string())),
         ])
     };
     let diagnostics = Json::Arr(report.iter().map(diagnostic).collect());

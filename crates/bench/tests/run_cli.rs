@@ -516,3 +516,60 @@ fn the_method_table_is_what_every_binary_parses_and_prints() {
     let header = stdout_of(&["--sched", "tetris", "--cluster", "blend", "--jobs", "4"]);
     assert!(String::from_utf8_lossy(&header).starts_with("TetrisW/SimDep + DSP on blend"));
 }
+
+/// `dsp verify` over a snapshot corrupted to break every rule R1–R6: a
+/// node past the cluster, a task index past its job, three tasks on one
+/// node's two slots at t = 0, a deadline at its job's arrival, one task's overhead and
+/// another's executed work off. The text and `--json` reports (`message`
+/// included) are pinned by FNV-1a 64 of stdout, so each finding's wording,
+/// numbers and order stay put.
+#[test]
+fn verify_reports_a_corrupted_snapshot_byte_for_byte() {
+    use dsp_service::json::{parse, Json};
+
+    let dir = scratch("corrupt");
+    let snapshot = file_in(&dir, "run.json");
+    stdout_of(&["--jobs", "8", "--out", &snapshot]);
+    let text = std::fs::read_to_string(&snapshot).expect("read the snapshot");
+    let mut top = parse(&text).expect("parse the snapshot");
+    // The value at `path` (object keys, or array indices as numbers).
+    fn at<'a>(mut v: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        for step in path {
+            v = match (v, step.parse::<usize>()) {
+                (Json::Arr(items), Ok(i)) => &mut items[i],
+                (Json::Obj(fields), _) => fields.get_mut(*step).expect("a field on the path"),
+                _ => panic!("no {step} on the path {path:?}"),
+            };
+        }
+        v
+    }
+    *at(&mut top, &["schedule", "node", "0"]) = Json::U64(99);
+    *at(&mut top, &["schedule", "index", "1"]) = Json::U64(999);
+    for row in ["40", "41", "42"] {
+        *at(&mut top, &["schedule", "node", row]) = Json::U64(5);
+        *at(&mut top, &["schedule", "start", row]) = Json::U64(0);
+    }
+    let arrival = at(&mut top, &["jobs", "0", "arrival"]).clone();
+    *at(&mut top, &["jobs", "0", "deadline"]) = arrival;
+    *at(&mut top, &["history", "tasks", "overhead_paid", "0"]) = Json::U64(1_234_567);
+    *at(&mut top, &["history", "tasks", "executed", "1"]) = Json::F64(1.5);
+    let corrupt = file_in(&dir, "corrupt.json");
+    std::fs::write(&corrupt, top.to_string()).expect("write the corrupted snapshot");
+
+    let mut pins = Vec::new();
+    for json in [false, true] {
+        let mut args = vec!["verify", "--snapshot", &corrupt];
+        args.extend(json.then_some("--json"));
+        let out = dsp(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "dsp {args:?}:\n{stderr}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+        for rule in ["R1", "R2", "R3", "R4", "R5", "R6"] {
+            let mark = if json { format!("\"rule\":\"{rule}\"") } else { format!("\n{rule} ") };
+            assert!(stdout.contains(&mark), "dsp {args:?} must report {rule}:\n{stdout}");
+        }
+        pins.push(fnv1a(stdout.as_bytes()));
+    }
+    assert_eq!(pins, [0xea6b_c2db_9de9_d2d4, 0xf34e_41d2_b55d_a508]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,8 +1,8 @@
-//! Structured diagnostics: rules, severities, locations, reports.
+//! Structured diagnostics: rules, severities, locations, findings, reports.
 
 use dsp_cluster::NodeId;
-use dsp_dag::TaskId;
-use dsp_units::Time;
+use dsp_dag::{JobId, TaskId};
+use dsp_units::{Dur, Mi, Time};
 use std::fmt;
 
 /// The checkable invariants, one per paper property. Stable rule ids
@@ -66,6 +66,91 @@ impl fmt::Display for Severity {
     }
 }
 
+/// What a rule found, with the numbers that disagree. A finding is kept
+/// typed and rendered only when printed: most reports are only counted
+/// (`passes`, `count`), and a paper-scale run's R4 warnings number in the
+/// thousands. `Display` spells the explanation a report prints.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Finding {
+    /// R1: the assigned node is past the cluster's `nodes`.
+    NoSuchNode { node: NodeId, nodes: usize },
+    /// R1: no job of the batch carries the task's job id.
+    NoSuchJob { job: JobId },
+    /// R1: the task index is past its job's `tasks`.
+    NoSuchTask { index: u32, tasks: usize },
+    /// R1: the task is assigned `times` times.
+    Repeated { times: usize },
+    /// R1: the task is not assigned at all.
+    Unassigned,
+    /// R2: planned to start at `start`, before `parent` finishes.
+    BeforeParent { start: Time, parent: TaskId, parent_finish: Time },
+    /// R3: `load` tasks planned at once on a `slots`-slot node.
+    Oversubscribed { load: usize, slots: usize },
+    /// R4: planned to finish at `finish`, after its level deadline.
+    MissedDeadline { finish: Time, deadline: Time },
+    /// R5: a task paid `paid` of recovery where `charges` charges of
+    /// `per_charge` each owe `owed`.
+    OverheadOwed { paid: Dur, charges: u32, per_charge: Dur, owed: Dur },
+    /// R5: the run's switch-overhead metric disagrees with the per-task
+    /// charges' sum.
+    SwitchOverhead { reported: Dur, owed: Dur },
+    /// R6: executed minus lost work is not the task's size.
+    WorkLost { executed: Mi, lost: Mi, size: Mi },
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let secs = |t: Time| t.as_secs_f64();
+        match *self {
+            Finding::NoSuchNode { node, nodes } => {
+                write!(f, "assigned to node {} but the cluster has only {nodes} nodes", node.idx())
+            }
+            Finding::NoSuchJob { job } => write!(f, "job {job} is not in the batch"),
+            Finding::NoSuchTask { index, tasks } => {
+                write!(f, "task index {index} out of range (job has {tasks} tasks)")
+            }
+            Finding::Repeated { times } => write!(f, "assigned {times} times (must be exactly once)"),
+            Finding::Unassigned => f.write_str("never assigned"),
+            Finding::BeforeParent { start, parent, parent_finish } => write!(
+                f,
+                "starts at {:.3}s before parent {parent} finishes at {:.3}s",
+                secs(start),
+                secs(parent_finish)
+            ),
+            Finding::Oversubscribed { load, slots } => {
+                write!(f, "{load} tasks planned concurrently on a {slots}-slot node")
+            }
+            Finding::MissedDeadline { finish, deadline } => write!(
+                f,
+                "planned finish {:.3}s misses the level deadline {:.3}s",
+                secs(finish),
+                secs(deadline)
+            ),
+            Finding::OverheadOwed { paid, charges, per_charge, owed } => write!(
+                f,
+                "paid {:.3}s of recovery but {charges} charges of (t^r + sigma) = {:.3}s each owe {:.3}s",
+                paid.as_secs_f64(),
+                per_charge.as_secs_f64(),
+                owed.as_secs_f64()
+            ),
+            Finding::SwitchOverhead { reported, owed } => write!(
+                f,
+                "metrics report {:.3}s of switch overhead but per-task charges N^p (t^r + sigma) sum to {:.3}s",
+                reported.as_secs_f64(),
+                owed.as_secs_f64()
+            ),
+            Finding::WorkLost { executed, lost, size } => write!(
+                f,
+                "retained work {:.3} MI (executed {:.3} - lost {:.3}) != size {:.3} MI",
+                executed.get() - lost.get(),
+                executed.get(),
+                lost.get(),
+                size.get()
+            ),
+        }
+    }
+}
+
 /// One finding: which rule fired, how severely, where, and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
@@ -79,8 +164,8 @@ pub struct Diagnostic {
     pub node: Option<NodeId>,
     /// Instant of the violation, when one exists.
     pub at: Option<Time>,
-    /// Human-readable explanation with the numbers that disagree.
-    pub message: String,
+    /// What was found, with the numbers that disagree.
+    pub finding: Finding,
 }
 
 impl fmt::Display for Diagnostic {
@@ -95,7 +180,7 @@ impl fmt::Display for Diagnostic {
         if let Some(at) = self.at {
             write!(f, " @{:.3}s", at.as_secs_f64())?;
         }
-        write!(f, ": {}", self.message)
+        write!(f, ": {}", self.finding)
     }
 }
 
@@ -171,7 +256,7 @@ mod tests {
             task: Some(TaskId::new(3, 4)),
             node: Some(NodeId(1)),
             at: Some(Time::from_millis(12_500)),
-            message: "test".into(),
+            finding: Finding::Unassigned,
         }
     }
 

@@ -17,7 +17,7 @@
 //! [`ExecHistory::policy_overhead`]), which the engine's debug check
 //! asserts as well; this module turns their breaks into diagnostics.
 
-use crate::diag::{Diagnostic, Report, Rule, Severity};
+use crate::diag::{Diagnostic, Finding, Report, Rule, Severity};
 use dsp_metrics::RunMetrics;
 use dsp_sim::ExecHistory;
 
@@ -34,13 +34,12 @@ pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> R
                 task: Some(t.task),
                 node: Some(t.node),
                 at: Some(t.finish),
-                message: format!(
-                    "paid {:.3}s of recovery but {} charges of (t^r + sigma) = {:.3}s each owe {:.3}s",
-                    t.overhead_paid.as_secs_f64(),
-                    t.recovery_charges,
-                    (t.recovery + history.sigma).as_secs_f64(),
-                    owed.as_secs_f64()
-                ),
+                finding: Finding::OverheadOwed {
+                    paid: t.overhead_paid,
+                    charges: t.recovery_charges,
+                    per_charge: t.recovery + history.sigma,
+                    owed,
+                },
             });
         }
         if !t.conserves_work() {
@@ -50,13 +49,7 @@ pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> R
                 task: Some(t.task),
                 node: Some(t.node),
                 at: Some(t.finish),
-                message: format!(
-                    "retained work {:.3} MI (executed {:.3} - lost {:.3}) != size {:.3} MI",
-                    t.executed.get() - t.lost.get(),
-                    t.executed.get(),
-                    t.lost.get(),
-                    t.size.get()
-                ),
+                finding: Finding::WorkLost { executed: t.executed, lost: t.lost, size: t.size },
             });
         }
     }
@@ -69,11 +62,10 @@ pub fn check_execution(history: &ExecHistory, metrics: Option<&RunMetrics>) -> R
                 task: None,
                 node: None,
                 at: None,
-                message: format!(
-                    "metrics report {:.3}s of switch overhead but per-task charges N^p (t^r + sigma) sum to {:.3}s",
-                    m.switch_overhead.as_secs_f64(),
-                    policy_overhead.as_secs_f64()
-                ),
+                finding: Finding::SwitchOverhead {
+                    reported: m.switch_overhead,
+                    owed: policy_overhead,
+                },
             });
         }
     }

@@ -3,7 +3,8 @@
 //!
 //! The paper's correctness claims reduce to checkable invariants. This
 //! crate checks them and reports structured [`Diagnostic`]s — rule id,
-//! severity, task/node/time location, message — instead of booleans:
+//! severity, task/node/time location, a typed [`Finding`] — instead of
+//! booleans:
 //!
 //! | rule | property | paper reference |
 //! |------|----------|-----------------|
@@ -33,7 +34,7 @@ pub mod diag;
 pub mod exec_rules;
 pub mod schedule_rules;
 
-pub use diag::{Diagnostic, Report, Rule, Severity};
+pub use diag::{Diagnostic, Finding, Report, Rule, Severity};
 pub use exec_rules::check_execution;
 pub use schedule_rules::{check_coverage, check_schedule};
 

@@ -6,8 +6,13 @@
 //! finish at `t^s + l̂/g(k)` (Eq. 2 over the scheduler's size estimate).
 //! That is exactly the arithmetic `dsp-sched`'s packing simulations use, so
 //! a dependency-aware scheduler's output satisfies R2/R3 to the microsecond.
+//!
+//! The schedule is indexed once (`Index`): each assignment's job is
+//! looked up once, each task counts in one flat slot, and the assignments
+//! are bucketed by job in schedule order. One walk per job then prices each
+//! assignment's planned finish once and hands it to R2, R3 and R4.
 
-use crate::diag::{Diagnostic, Report, Rule, Severity};
+use crate::diag::{Diagnostic, Finding, Report, Rule, Severity};
 use crate::VerifyOptions;
 use dsp_cluster::ClusterSpec;
 use dsp_dag::{level_deadlines, Job, JobId, TaskId};
@@ -18,278 +23,345 @@ use dsp_units::Time;
 /// This is the single source of truth behind
 /// `dsp_sched::api::schedule_covers_jobs`.
 pub fn check_coverage(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec) -> Report {
-    coverage(s, jobs, &JobsById::new(jobs), cluster)
-}
-
-/// The jobs ordered by id (stably: jobs sharing an id keep their order),
-/// so a job is found by bisection instead of a scan of the batch per
-/// assignment — and without a map to build for a three-task instance.
-struct JobsById<'a>(Vec<&'a Job>);
-
-impl<'a> JobsById<'a> {
-    fn new(jobs: &'a [Job]) -> Self {
-        let mut sorted: Vec<&Job> = jobs.iter().collect();
-        sorted.sort_by_key(|j| j.id);
-        JobsById(sorted)
-    }
-
-    /// The first job carrying `id`, as a scan of the batch would find it.
-    fn first(&self, id: JobId) -> Option<&'a Job> {
-        let at = self.0.partition_point(|j| j.id < id);
-        self.0.get(at).copied().filter(|j| j.id == id)
-    }
-
-    /// The last job carrying `id`, as a map collected from the batch holds.
-    fn last(&self, id: JobId) -> Option<&'a Job> {
-        let after = self.0.partition_point(|j| j.id <= id);
-        self.0[..after].last().copied().filter(|j| j.id == id)
-    }
-}
-
-fn coverage(s: &Schedule, jobs: &[Job], by_id: &JobsById, cluster: &ClusterSpec) -> Report {
     let mut report = Report::default();
-    for a in &s.assignments {
-        if a.node.idx() >= cluster.len() {
-            report.push(Diagnostic {
-                rule: Rule::Coverage,
-                severity: Severity::Error,
-                task: Some(a.task),
-                node: Some(a.node),
-                at: Some(a.start),
-                message: format!(
-                    "assigned to node {} but the cluster has only {} nodes",
-                    a.node.idx(),
-                    cluster.len()
-                ),
-            });
-        }
-        match by_id.first(a.task.job) {
-            None => report.push(Diagnostic {
-                rule: Rule::Coverage,
-                severity: Severity::Error,
-                task: Some(a.task),
-                node: Some(a.node),
-                at: Some(a.start),
-                message: format!("job {} is not in the batch", a.task.job),
-            }),
-            Some(job) if a.task.idx() >= job.num_tasks() => report.push(Diagnostic {
-                rule: Rule::Coverage,
-                severity: Severity::Error,
-                task: Some(a.task),
-                node: Some(a.node),
-                at: Some(a.start),
-                message: format!(
-                    "task index {} out of range (job has {} tasks)",
-                    a.task.idx(),
-                    job.num_tasks()
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    // Each assignment's task beside its position, ordered by task: a task's
-    // assignments are one run, its first assignment first in the run.
-    let mut by_task: Vec<(TaskId, usize)> =
-        s.assignments.iter().enumerate().map(|(at, a)| (a.task, at)).collect();
-    by_task.sort_unstable();
-    let mut repeated: Vec<(usize, TaskId, usize)> = by_task
-        .chunk_by(|x, y| x.0 == y.0)
-        .filter(|run| run.len() > 1)
-        .map(|run| (run[0].1, run[0].0, run.len()))
-        .collect();
-    // Findings in first-assignment order.
-    repeated.sort_unstable();
-    for (_, task, n) in repeated {
-        report.push(Diagnostic {
-            rule: Rule::Coverage,
-            severity: Severity::Error,
-            task: Some(task),
-            node: None,
-            at: None,
-            message: format!("assigned {n} times (must be exactly once)"),
-        });
-    }
-    // A job's assignments are one run of `by_task`, in index order: walk it
-    // beside the job's task indices.
-    for job in jobs {
-        let from = by_task.partition_point(|&(task, _)| task.job < job.id);
-        let mut placed = by_task[from..].iter().take_while(|(task, _)| task.job == job.id);
-        let mut next = placed.next();
-        for v in 0..job.num_tasks() as u32 {
-            while next.is_some_and(|(task, _)| task.index < v) {
-                next = placed.next();
-            }
-            if next.is_none_or(|(task, _)| task.index != v) {
-                let id = job.task_id(v);
-                report.push(Diagnostic {
-                    rule: Rule::Coverage,
-                    severity: Severity::Error,
-                    task: Some(id),
-                    node: None,
-                    at: None,
-                    message: "never assigned".into(),
-                });
-            }
-        }
-    }
+    Index::new(s, jobs, cluster, &mut report).coverage(jobs, &mut report);
     report
 }
 
-/// The schedule's assignments ordered by the job id they name (stably:
-/// schedule order within a job) — so "the last assignment wins" and the
-/// order of findings read as a scan of the whole schedule per job would,
-/// at one sort of it instead of one pass per job.
-struct ByJob<'a>(Vec<&'a Assignment>);
+/// No group: the assignment names a job id no job of the batch carries.
+const NO_GROUP: u32 = u32::MAX;
 
-impl<'a> ByJob<'a> {
-    fn new(s: &'a Schedule) -> Self {
-        let mut sorted: Vec<&Assignment> = s.assignments.iter().collect();
-        sorted.sort_by_key(|a| a.task.job);
-        ByJob(sorted)
-    }
-
-    /// Every assignment naming `id`, in schedule order.
-    fn of(&self, id: JobId) -> &[&'a Assignment] {
-        let from = self.0.partition_point(|a| a.task.job < id);
-        let to = self.0.partition_point(|a| a.task.job <= id);
-        &self.0[from..to]
-    }
+/// The jobs of the batch that carry one id, and the task slots the id's
+/// tasks count in.
+struct Group {
+    id: JobId,
+    /// The first job carrying the id, as a scan of the batch finds it: R1
+    /// sizes the id's tasks by it.
+    first: usize,
+    /// The last, as a map collected from the batch holds it: R3 sizes the
+    /// id's tasks by it.
+    last: usize,
+    /// The id's task slots are `base..base + width`, `width` the largest
+    /// task count among its jobs.
+    base: usize,
+    width: usize,
 }
 
-/// R2: along every DAG edge `(u, v)`, the child's planned start must not
-/// precede the parent's planned finish.
-fn check_precedence(
-    by_job: &ByJob,
-    jobs: &[Job],
-    cluster: &ClusterSpec,
-    opts: &VerifyOptions,
-    report: &mut Report,
-) {
-    let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
-    for job in jobs {
-        // Planned (start, finish) per task index. Last assignment wins on
-        // duplicates; R1 already reported those.
-        let mut placed: Vec<Option<(Time, Time)>> = vec![None; job.num_tasks()];
-        for a in by_job.of(job.id) {
-            if a.task.idx() < job.num_tasks() && a.node.idx() < cluster.len() {
-                let finish = a.planned_finish(job, cluster);
-                placed[a.task.idx()] = Some((a.start, finish));
+/// The schedule indexed for R1–R4, with R1's per-assignment findings
+/// reported as it is built.
+struct Index {
+    /// The batch's job ids, ascending.
+    groups: Vec<Group>,
+    /// Each job's group.
+    job_group: Vec<u32>,
+    /// Each assignment's group, or [`NO_GROUP`].
+    group: Vec<u32>,
+    /// Per task slot: how many assignments name the task, and the position
+    /// of the first.
+    times: Vec<u32>,
+    first: Vec<u32>,
+    /// Assignments naming a task that has no slot (its job id is unknown,
+    /// or its index is past every job under the id), beside their positions.
+    stray: Vec<(TaskId, u32)>,
+}
+
+impl Index {
+    fn new(s: &Schedule, jobs: &[Job], cluster: &ClusterSpec, report: &mut Report) -> Index {
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_unstable_by_key(|&j| (jobs[j].id, j));
+        let mut groups: Vec<Group> = Vec::new();
+        let mut job_group = vec![0; jobs.len()];
+        let mut base = 0;
+        for run in order.chunk_by(|&x, &y| jobs[x].id == jobs[y].id) {
+            let width = run.iter().map(|&j| jobs[j].num_tasks()).max().unwrap_or(0);
+            for &j in run {
+                job_group[j] = groups.len() as u32;
             }
+            let (first, last) = (run[0], run[run.len() - 1]);
+            groups.push(Group { id: jobs[first].id, first, last, base, width });
+            base += width;
         }
-        for (u, v) in job.dag.edges() {
-            let (Some((_, parent_finish)), Some((sv, _))) =
-                (placed[u as usize], placed[v as usize])
-            else {
-                continue;
+
+        let mut index = Index {
+            group: Vec::with_capacity(s.len()),
+            times: vec![0; base],
+            first: vec![0; base],
+            stray: Vec::new(),
+            groups,
+            job_group,
+        };
+        // A plan names one job many times in a row: look the id up again
+        // only when it changes.
+        let mut last_lookup = None;
+        for (at, a) in s.assignments.iter().enumerate() {
+            if a.node.idx() >= cluster.len() {
+                let finding = Finding::NoSuchNode { node: a.node, nodes: cluster.len() };
+                report.push(r1_at(a, finding));
+            }
+            let g = match last_lookup {
+                Some((id, g)) if id == a.task.job => g,
+                _ => {
+                    let g = index.find(a.task.job);
+                    last_lookup = Some((a.task.job, g));
+                    g
+                }
             };
-            if sv < parent_finish {
-                report.push(Diagnostic {
-                    rule: Rule::Precedence,
-                    severity,
-                    task: Some(job.task_id(v)),
-                    node: None,
-                    at: Some(sv),
-                    message: format!(
-                        "starts at {:.3}s before parent {} finishes at {:.3}s",
-                        sv.as_secs_f64(),
-                        job.task_id(u),
-                        parent_finish.as_secs_f64()
-                    ),
-                });
+            index.group.push(g);
+            let slot = match index.groups.get(g as usize) {
+                None => {
+                    report.push(r1_at(a, Finding::NoSuchJob { job: a.task.job }));
+                    None
+                }
+                Some(group) => {
+                    let tasks = jobs[group.first].num_tasks();
+                    if a.task.idx() >= tasks {
+                        let finding = Finding::NoSuchTask { index: a.task.index, tasks };
+                        report.push(r1_at(a, finding));
+                    }
+                    (a.task.idx() < group.width).then_some(group.base + a.task.idx())
+                }
+            };
+            match slot {
+                Some(slot) => {
+                    if index.times[slot] == 0 {
+                        index.first[slot] = at as u32;
+                    }
+                    index.times[slot] += 1;
+                }
+                None => index.stray.push((a.task, at as u32)),
+            }
+        }
+        index
+    }
+
+    /// The group of job id `id`, or [`NO_GROUP`].
+    fn find(&self, id: JobId) -> u32 {
+        let g = self.groups.partition_point(|g| g.id < id);
+        if self.groups.get(g).is_some_and(|g| g.id == id) {
+            g as u32
+        } else {
+            NO_GROUP
+        }
+    }
+
+    /// R1's per-task findings: tasks assigned more than once, in
+    /// first-assignment order, then each job's unassigned tasks.
+    fn coverage(&mut self, jobs: &[Job], report: &mut Report) {
+        let mut repeated: Vec<(u32, TaskId, usize)> = Vec::new();
+        for group in &self.groups {
+            for v in 0..group.width {
+                let times = self.times[group.base + v];
+                if times > 1 {
+                    let task = TaskId { job: group.id, index: v as u32 };
+                    repeated.push((self.first[group.base + v], task, times as usize));
+                }
+            }
+        }
+        // A stray task's assignments are one run of the sorted list, its
+        // first assignment first.
+        self.stray.sort_unstable();
+        for run in self.stray.chunk_by(|x, y| x.0 == y.0).filter(|run| run.len() > 1) {
+            repeated.push((run[0].1, run[0].0, run.len()));
+        }
+        repeated.sort_unstable_by_key(|&(at, _, _)| at);
+        for (_, task, times) in repeated {
+            report.push(r1_of(task, Finding::Repeated { times }));
+        }
+        for (job, &g) in jobs.iter().zip(&self.job_group) {
+            let base = self.groups[g as usize].base;
+            for v in 0..job.num_tasks() {
+                if self.times[base + v] == 0 {
+                    report.push(r1_of(job.task_id(v as u32), Finding::Unassigned));
+                }
             }
         }
     }
 }
 
-/// R3: sweep each node's planned intervals `[t^s, t^s + l̂/g(k))`; the
-/// number of overlapping intervals must never exceed the node's slots.
-/// Intervals are half-open, so a departure frees its slot to an arrival at
-/// the same instant — the packing simulations' exact semantics.
-fn check_capacity(s: &Schedule, by_id: &JobsById, cluster: &ClusterSpec, report: &mut Report) {
-    // Per node: (time, delta, task) events; at equal times departures
-    // (delta = -1) sort before arrivals.
-    let mut events: Vec<Vec<(Time, i32, TaskId)>> = vec![Vec::new(); cluster.len()];
-    for a in &s.assignments {
-        let Some(job) = by_id.last(a.task.job) else { continue };
-        if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
-            continue;
-        }
-        let finish = a.planned_finish(job, cluster);
-        events[a.node.idx()].push((a.start, 1, a.task));
-        events[a.node.idx()].push((finish, -1, a.task));
-    }
-    for (n, evs) in events.iter_mut().enumerate() {
-        evs.sort_by_key(|&(t, delta, _)| (t, delta));
-        let slots = cluster.nodes[n].slots as i32;
-        let mut load = 0i32;
-        let mut reported = false;
-        for &(t, delta, task) in evs.iter() {
-            load += delta;
-            if load > slots && !reported {
-                report.push(Diagnostic {
-                    rule: Rule::Capacity,
-                    severity: Severity::Error,
-                    task: Some(task),
-                    node: Some(cluster.nodes[n].id),
-                    at: Some(t),
-                    message: format!("{load} tasks planned concurrently on a {slots}-slot node"),
-                });
-                // One finding per node: the first oversubscribed instant.
-                reported = true;
-            }
-        }
+/// An R1 error located at an assignment.
+fn r1_at(a: &Assignment, finding: Finding) -> Diagnostic {
+    Diagnostic {
+        rule: Rule::Coverage,
+        severity: Severity::Error,
+        task: Some(a.task),
+        node: Some(a.node),
+        at: Some(a.start),
+        finding,
     }
 }
 
-/// R4: Eq. 5 feasibility — every task's planned finish meets its
-/// level-propagated deadline (computed, as everywhere in the workspace,
-/// from estimates at the cluster's mean rate). Deadline misses are
-/// warnings: the paper treats deadlines as soft targets the online phase
-/// chases, not as admission constraints.
-fn check_deadlines(by_job: &ByJob, jobs: &[Job], cluster: &ClusterSpec, report: &mut Report) {
-    let mean = cluster.mean_rate();
-    for job in jobs {
-        let exec = job.exec_estimates(mean);
-        let deadlines = level_deadlines(&job.dag, job.levels(), job.deadline, &exec);
-        for a in by_job.of(job.id) {
-            if a.task.idx() >= job.num_tasks() || a.node.idx() >= cluster.len() {
-                continue;
-            }
-            let finish = a.planned_finish(job, cluster);
-            let deadline = deadlines[a.task.idx()];
-            if finish > deadline {
-                report.push(Diagnostic {
-                    rule: Rule::Deadline,
-                    severity: Severity::Warning,
-                    task: Some(a.task),
-                    node: Some(a.node),
-                    at: Some(a.start),
-                    message: format!(
-                        "planned finish {:.3}s misses the level deadline {:.3}s",
-                        finish.as_secs_f64(),
-                        deadline.as_secs_f64()
-                    ),
-                });
-            }
-        }
+/// An R1 error about a task as a whole.
+fn r1_of(task: TaskId, finding: Finding) -> Diagnostic {
+    Diagnostic {
+        rule: Rule::Coverage,
+        severity: Severity::Error,
+        task: Some(task),
+        node: None,
+        at: None,
+        finding,
     }
 }
 
-/// Run R1–R4 over a planned schedule.
+/// Run R1–R4 over a planned schedule, in rule order.
+///
+/// * R2: along every DAG edge `(u, v)`, the child's planned start must not
+///   precede the parent's planned finish. A task assigned twice is placed
+///   where its last assignment puts it (R1 reports the duplicate).
+/// * R3: sweep each node's planned intervals `[t^s, t^s + l̂/g(k))`; the
+///   number of overlapping intervals must never exceed the node's slots.
+///   Intervals are half-open, so a departure frees its slot to an arrival
+///   at the same instant — the packing simulations' exact semantics. One
+///   finding per node: the first oversubscribed arrival, arrivals at one
+///   instant taken in schedule order.
+/// * R4: Eq. 5 feasibility — every task's planned finish meets its
+///   level-propagated deadline (computed, as everywhere in the workspace,
+///   from estimates at the cluster's mean rate). Deadline misses are
+///   warnings: the paper treats deadlines as soft targets the online phase
+///   chases, not as admission constraints.
+///
+/// Jobs sharing an id: R1 sizes the id's tasks by its first job, R3 by
+/// its last, and R2/R4 judge every job against every assignment naming
+/// the id.
 pub fn check_schedule(
     s: &Schedule,
     jobs: &[Job],
     cluster: &ClusterSpec,
     opts: &VerifyOptions,
 ) -> Report {
-    let by_id = JobsById::new(jobs);
-    let mut report = coverage(s, jobs, &by_id, cluster);
-    let by_job = ByJob::new(s);
-    check_precedence(&by_job, jobs, cluster, opts, &mut report);
-    check_capacity(s, &by_id, cluster, &mut report);
-    if opts.check_deadlines {
-        check_deadlines(&by_job, jobs, cluster, &mut report);
+    let mut report = Report::default();
+    let mut index = Index::new(s, jobs, cluster, &mut report);
+    index.coverage(jobs, &mut report);
+    let Index { groups, job_group, group, .. } = index;
+    let nodes = cluster.len();
+
+    // R3's share of a valid assignment: a task index its group's last job
+    // has, on a real node.
+    let sized = |a: &Assignment, g: u32| {
+        a.node.idx() < nodes && a.task.idx() < jobs[groups[g as usize].last].num_tasks()
+    };
+    // Bucket the assignments by group in schedule order, and count R3's
+    // intervals per node.
+    let mut bucket = vec![0u32; groups.len() + 1];
+    let mut on_node = vec![0u32; nodes + 1];
+    for (a, &g) in s.assignments.iter().zip(&group) {
+        if g != NO_GROUP {
+            bucket[g as usize + 1] += 1;
+            if sized(a, g) {
+                on_node[a.node.idx() + 1] += 1;
+            }
+        }
     }
+    for i in 1..bucket.len() {
+        bucket[i] += bucket[i - 1];
+    }
+    for i in 1..on_node.len() {
+        on_node[i] += on_node[i - 1];
+    }
+    let mut by_group = vec![0u32; bucket[groups.len()] as usize];
+    let mut fill = bucket.clone();
+    for (at, &g) in group.iter().enumerate() {
+        if g != NO_GROUP {
+            by_group[fill[g as usize] as usize] = at as u32;
+            fill[g as usize] += 1;
+        }
+    }
+
+    // One walk per job over its group's assignments: the planned finish
+    // of each valid one, priced once, feeds R4 at once, R2 after the walk,
+    // and R3 (from the id's last job) through the per-node intervals.
+    let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
+    let mean = cluster.mean_rate();
+    let intervals = on_node[nodes] as usize;
+    let mut starts: Vec<(Time, u32)> = vec![(Time::ZERO, 0); intervals];
+    let mut finishes: Vec<Time> = vec![Time::ZERO; intervals];
+    let mut fill = on_node.clone();
+    let mut late = Vec::new();
+    let mut placed: Vec<Option<(Time, Time)>> = Vec::new();
+    for (j, (job, &g)) in jobs.iter().zip(&job_group).enumerate() {
+        let n = job.num_tasks();
+        let for_r3 = groups[g as usize].last == j;
+        let deadlines = opts.check_deadlines.then(|| {
+            level_deadlines(&job.dag, job.levels(), job.deadline, &job.exec_estimates(mean))
+        });
+        placed.clear();
+        placed.resize(n, None);
+        let (from, to) = (bucket[g as usize] as usize, bucket[g as usize + 1] as usize);
+        for &at in &by_group[from..to] {
+            let a = &s.assignments[at as usize];
+            if a.task.idx() >= n || a.node.idx() >= nodes {
+                continue;
+            }
+            let finish = a.planned_finish(job, cluster);
+            placed[a.task.idx()] = Some((a.start, finish));
+            if let Some(deadline) = deadlines.as_ref().map(|d| d[a.task.idx()]) {
+                if finish > deadline {
+                    late.push(Diagnostic {
+                        rule: Rule::Deadline,
+                        severity: Severity::Warning,
+                        task: Some(a.task),
+                        node: Some(a.node),
+                        at: Some(a.start),
+                        finding: Finding::MissedDeadline { finish, deadline },
+                    });
+                }
+            }
+            if for_r3 {
+                let k = &mut fill[a.node.idx()];
+                starts[*k as usize] = (a.start, at);
+                finishes[*k as usize] = finish;
+                *k += 1;
+            }
+        }
+        for (u, v) in job.dag.edges() {
+            let (Some((_, parent_finish)), Some((start, _))) =
+                (placed[u as usize], placed[v as usize])
+            else {
+                continue;
+            };
+            if start < parent_finish {
+                report.push(Diagnostic {
+                    rule: Rule::Precedence,
+                    severity,
+                    task: Some(job.task_id(v)),
+                    node: None,
+                    at: Some(start),
+                    finding: Finding::BeforeParent { start, parent: job.task_id(u), parent_finish },
+                });
+            }
+        }
+    }
+
+    // R3: per node, arrivals by (start, schedule order) merged with the
+    // departures, a departure first at a tie.
+    for (n, node) in cluster.nodes.iter().enumerate() {
+        let (from, to) = (on_node[n] as usize, on_node[n + 1] as usize);
+        if to - from <= node.slots {
+            continue;
+        }
+        let (arrivals, departures) = (&mut starts[from..to], &mut finishes[from..to]);
+        arrivals.sort_unstable();
+        departures.sort_unstable();
+        // Signed: a zero-length interval departs before it arrives.
+        let (mut left, mut load) = (departures.iter().peekable(), 0i64);
+        for &(start, at) in arrivals.iter() {
+            while left.next_if(|&&finish| finish <= start).is_some() {
+                load -= 1;
+            }
+            load += 1;
+            if load > node.slots as i64 {
+                report.push(Diagnostic {
+                    rule: Rule::Capacity,
+                    severity: Severity::Error,
+                    task: Some(s.assignments[at as usize].task),
+                    node: Some(node.id),
+                    at: Some(start),
+                    finding: Finding::Oversubscribed { load: load as usize, slots: node.slots },
+                });
+                break;
+            }
+        }
+    }
+    report.diagnostics.append(&mut late);
     report
 }
 
@@ -361,8 +433,8 @@ mod tests {
             s.assign(TaskId::new(job, index), NodeId(0), Time::from_secs(at as u64));
         }
         let report = check_coverage(&s, &jobs, &cluster);
-        let findings: Vec<(TaskId, &str)> =
-            report.iter().map(|d| (d.task.expect("a task"), d.message.as_str())).collect();
+        let findings: Vec<(TaskId, String)> =
+            report.iter().map(|d| (d.task.expect("a task"), d.finding.to_string())).collect();
         let twice = "assigned 2 times (must be exactly once)";
         let thrice = "assigned 3 times (must be exactly once)";
         let want = [
@@ -373,6 +445,7 @@ mod tests {
             (TaskId::new(1, 1), "never assigned"),
             (TaskId::new(1, 3), "never assigned"),
         ];
+        let want: Vec<(TaskId, String)> = want.iter().map(|&(t, m)| (t, m.to_string())).collect();
         assert_eq!(findings, want);
     }
 
@@ -446,203 +519,28 @@ mod tests {
         assert!(!check_schedule(&s, &jobs, &cluster, &no_deadlines).fired(Rule::Deadline));
     }
 
-    /// R1/R2/R4 as they were before assignments were grouped by job: one
-    /// scan of the whole schedule per job (and of the whole job list per
-    /// assignment). Quadratic, obviously right — the reference.
-    mod oracle {
-        use super::super::*;
-        use std::collections::HashMap;
-
-        pub(super) fn check_schedule(
-            s: &Schedule,
-            jobs: &[Job],
-            cluster: &ClusterSpec,
-            opts: &VerifyOptions,
-        ) -> Report {
-            // R1's per-assignment findings, with the job looked up by scan.
-            let mut report = Report::default();
-            let probe = check_coverage(s, jobs, cluster);
-            let mut per_assignment = probe.iter().filter(|d| d.node.is_some());
-            for a in &s.assignments {
-                let known = jobs.iter().find(|j| j.id == a.task.job);
-                let mut expected = usize::from(a.node.idx() >= cluster.len());
-                expected += usize::from(known.is_none_or(|j| a.task.idx() >= j.num_tasks()));
-                for _ in 0..expected {
-                    let d = per_assignment.next().expect("an R1 finding per broken assignment");
-                    assert_eq!((d.task, d.at), (Some(a.task), Some(a.start)));
-                    report.push(d.clone());
-                }
-            }
-            assert!(per_assignment.next().is_none());
-            probe.iter().filter(|d| d.node.is_none()).for_each(|d| report.push(d.clone()));
-
-            let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
-            for job in jobs {
-                let mut placed: HashMap<u32, &Assignment> = HashMap::new();
-                for a in &s.assignments {
-                    if a.task.job == job.id
-                        && a.task.idx() < job.num_tasks()
-                        && a.node.idx() < cluster.len()
-                    {
-                        placed.insert(a.task.index, a);
-                    }
-                }
-                for (u, v) in job.dag.edges() {
-                    let (Some(pu), Some(pv)) = (placed.get(&u), placed.get(&v)) else {
-                        continue;
-                    };
-                    let (parent_finish, sv) = (pu.planned_finish(job, cluster), pv.start);
-                    if sv < parent_finish {
-                        report.push(Diagnostic {
-                            rule: Rule::Precedence,
-                            severity,
-                            task: Some(job.task_id(v)),
-                            node: None,
-                            at: Some(sv),
-                            message: format!(
-                                "starts at {:.3}s before parent {} finishes at {:.3}s",
-                                sv.as_secs_f64(),
-                                job.task_id(u),
-                                parent_finish.as_secs_f64()
-                            ),
-                        });
-                    }
-                }
-            }
-            check_capacity(s, &JobsById::new(jobs), cluster, &mut report);
-            if !opts.check_deadlines {
-                return report;
-            }
-            let mean = cluster.mean_rate();
-            for job in jobs {
-                let exec = job.exec_estimates(mean);
-                let deadlines = level_deadlines(&job.dag, job.levels(), job.deadline, &exec);
-                for a in &s.assignments {
-                    if a.task.job != job.id
-                        || a.task.idx() >= job.num_tasks()
-                        || a.node.idx() >= cluster.len()
-                    {
-                        continue;
-                    }
-                    let finish = a.planned_finish(job, cluster);
-                    let deadline = deadlines[a.task.idx()];
-                    if finish > deadline {
-                        report.push(Diagnostic {
-                            rule: Rule::Deadline,
-                            severity: Severity::Warning,
-                            task: Some(a.task),
-                            node: Some(a.node),
-                            at: Some(a.start),
-                            message: format!(
-                                "planned finish {:.3}s misses the level deadline {:.3}s",
-                                finish.as_secs_f64(),
-                                deadline.as_secs_f64()
-                            ),
-                        });
-                    }
-                }
-            }
-            report
-        }
-    }
-
     #[test]
-    fn jobs_sharing_an_id_are_found_first_and_last() {
+    fn jobs_sharing_an_id_form_one_group_sized_by_the_widest() {
         let mut jobs: Vec<Job> = (0..4).map(|_| chain_job(Time::from_secs(1))).collect();
-        for (job, (id, deadline)) in jobs.iter_mut().zip([(7, 10), (3, 20), (7, 30), (7, 40)]) {
+        for (job, id) in jobs.iter_mut().zip([7, 3, 7, 7]) {
             job.id = JobId(id);
-            job.deadline = Time::from_secs(deadline);
         }
-        let by_id = JobsById::new(&jobs);
-        let deadline = |job: Option<&Job>| job.map(|j| j.deadline.as_micros() / 1_000_000);
-        assert_eq!(deadline(by_id.first(JobId(7))), Some(10));
-        assert_eq!(deadline(by_id.last(JobId(7))), Some(40));
-        assert_eq!(deadline(by_id.first(JobId(3))), deadline(by_id.last(JobId(3))));
+        jobs[2] = Job::new(
+            JobId(7),
+            JobClass::Small,
+            Time::ZERO,
+            Time::MAX,
+            vec![TaskSpec::sized(10.0); 5],
+            Dag::new(5),
+        );
+        let cluster = uniform(1, 1000.0, 1);
+        let index = Index::new(&Schedule::new(), &jobs, &cluster, &mut Report::default());
+        let groups: Vec<_> =
+            index.groups.iter().map(|g| (g.id.0, g.first, g.last, g.base, g.width)).collect();
+        assert_eq!(groups, [(3, 1, 1, 0, 2), (7, 0, 3, 2, 5)]);
+        assert_eq!(index.job_group, [1, 0, 1, 1]);
         for absent in [0, 5, 9] {
-            assert!(by_id.first(JobId(absent)).is_none() && by_id.last(JobId(absent)).is_none());
-        }
-    }
-
-    /// Three chain jobs with ids 0, 5, 2 (not sorted, not dense), their
-    /// tasks interleaved in the schedule, two per node.
-    fn interleaved() -> (Vec<Job>, ClusterSpec, Schedule) {
-        let mut jobs = Vec::new();
-        for (id, deadline) in [(0, 100), (5, 1), (2, 100)] {
-            let mut job = chain_job(Time::from_secs(deadline));
-            job.id = JobId(id);
-            jobs.push(job);
-        }
-        let cluster = uniform(3, 1000.0, 2);
-        let mut s = Schedule::new();
-        for v in 0..2u32 {
-            for (k, job) in jobs.iter().enumerate() {
-                s.assign(job.task_id(v), NodeId(k as u32), Time::from_secs(u64::from(v)));
-            }
-        }
-        (jobs, cluster, s)
-    }
-
-    #[test]
-    fn grouped_rules_report_exactly_what_the_per_job_scans_did() {
-        type Mutation = fn(&mut Vec<Job>, &mut Schedule);
-        // The corruptions of tests/verify_mutations.rs, and the cases where
-        // grouping could change an answer: duplicates (last wins), unknown
-        // and repeated job ids, out-of-range tasks and nodes.
-        let mutations: [Mutation; 12] = [
-            |_, _| {},
-            |_, s| s.assignments.truncate(s.assignments.len() - 1),
-            |_, s| s.assignments.push(s.assignments[0]),
-            |_, s| s.assignments[0].node = NodeId(99),
-            |_, s| {
-                let last = s.assignments.len() - 1;
-                s.assignments[last].start = Time::ZERO;
-                s.assignments[last].node = NodeId(0);
-            },
-            |_, s| s.assignments.iter_mut().for_each(|a| a.node = NodeId(0)),
-            |_, s| s.assignments[4].start = Time::from_secs(2000),
-            |_, s| s.assign(TaskId::new(7, 0), NodeId(0), Time::from_secs(9)),
-            |_, s| s.assign(TaskId::new(5, 9), NodeId(1), Time::from_secs(9)),
-            // A late duplicate that breaks precedence: it must win …
-            |_, s| s.assign(TaskId::new(5, 1), NodeId(2), Time::ZERO),
-            // … and an early legal one that must lose to the original.
-            |_, s| {
-                s.assignments.insert(
-                    0,
-                    Assignment {
-                        task: TaskId::new(2, 1),
-                        node: NodeId(0),
-                        start: Time::from_secs(50),
-                    },
-                )
-            },
-            // Two jobs under one id: R1 judges by the first, R2/R4 by each.
-            |jobs, _| {
-                let tasks = vec![TaskSpec::sized(500.0)];
-                let deadline = Time::from_secs(100);
-                let twin =
-                    Job::new(jobs[1].id, JobClass::Small, Time::ZERO, deadline, tasks, Dag::new(1));
-                jobs.insert(0, twin);
-            },
-        ];
-        let mut fired = Vec::new();
-        for (i, mutate) in mutations.iter().enumerate() {
-            let (mut jobs, cluster, mut s) = interleaved();
-            mutate(&mut jobs, &mut s);
-            for dependency_aware in [true, false] {
-                for check_deadlines in [true, false] {
-                    let opts = VerifyOptions { dependency_aware, check_deadlines };
-                    let report = check_schedule(&s, &jobs, &cluster, &opts);
-                    assert_eq!(
-                        report,
-                        oracle::check_schedule(&s, &jobs, &cluster, &opts),
-                        "mutation {i}, {opts:?}"
-                    );
-                    fired.extend(report.iter().map(|d| d.rule));
-                }
-            }
-        }
-        for rule in [Rule::Coverage, Rule::Precedence, Rule::Capacity, Rule::Deadline] {
-            assert!(fired.contains(&rule), "no case exercised {}", rule.id());
+            assert_eq!(index.find(JobId(absent)), NO_GROUP);
         }
     }
 
