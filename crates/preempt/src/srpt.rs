@@ -63,17 +63,7 @@ impl PreemptPolicy for SrptPolicy {
         let mut victims: Vec<(f64, &TaskSnapshot)> = view.running.iter().map(keyed).collect();
         victims.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.id.cmp(&b.1.id)));
         let mut waiters: Vec<(f64, &TaskSnapshot)> = view.waiting.iter().map(keyed).collect();
-        let best_first = |a: &(f64, &TaskSnapshot), b: &(f64, &TaskSnapshot)| {
-            b.0.total_cmp(&a.0).then_with(|| a.1.id.cmp(&b.1.id))
-        };
-        // Each action takes one victim, so only the best `victims.len()`
-        // waiters can act; the order is total, so selecting them first
-        // keeps the sorted prefix a full sort would give.
-        if waiters.len() > victims.len() {
-            waiters.select_nth_unstable_by(victims.len(), best_first);
-            waiters.truncate(victims.len());
-        }
-        waiters.sort_unstable_by(best_first);
+        waiters.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.id.cmp(&b.1.id)));
         let mut vi = 0usize;
         for (pw, w) in waiters {
             let Some(&(pv, v)) = victims.get(vi) else { break };

@@ -234,40 +234,26 @@ pub fn check_schedule(
     let Index { groups, job_group, group, .. } = index;
     let nodes = cluster.len();
 
-    // R3's share of a valid assignment: a task index its group's last job
-    // has, on a real node.
-    let sized = |a: &Assignment, g: u32| {
-        a.node.idx() < nodes && a.task.idx() < jobs[groups[g as usize].last].num_tasks()
-    };
-    // Bucket the assignments by group in schedule order, and count R3's
-    // intervals per node.
-    let mut bucket = vec![0u32; groups.len() + 1];
+    // An assignment a job prices: a task the job has, on a real node. R3's
+    // intervals are the assignments each id's last job prices.
+    let priced = |a: &Assignment, job: &Job| a.node.idx() < nodes && a.task.idx() < job.num_tasks();
+    // The assignments by group, in schedule order within a group, and R3's
+    // intervals counted per node.
+    let mut by_group: Vec<u32> =
+        (0..s.len() as u32).filter(|&at| group[at as usize] != NO_GROUP).collect();
+    by_group.sort_by_key(|&at| group[at as usize]);
     let mut on_node = vec![0u32; nodes + 1];
     for (a, &g) in s.assignments.iter().zip(&group) {
-        if g != NO_GROUP {
-            bucket[g as usize + 1] += 1;
-            if sized(a, g) {
-                on_node[a.node.idx() + 1] += 1;
-            }
+        if g != NO_GROUP && priced(a, &jobs[groups[g as usize].last]) {
+            on_node[a.node.idx() + 1] += 1;
         }
-    }
-    for i in 1..bucket.len() {
-        bucket[i] += bucket[i - 1];
     }
     for i in 1..on_node.len() {
         on_node[i] += on_node[i - 1];
     }
-    let mut by_group = vec![0u32; bucket[groups.len()] as usize];
-    let mut fill = bucket.clone();
-    for (at, &g) in group.iter().enumerate() {
-        if g != NO_GROUP {
-            by_group[fill[g as usize] as usize] = at as u32;
-            fill[g as usize] += 1;
-        }
-    }
 
     // One walk per job over its group's assignments: the planned finish
-    // of each valid one, priced once, feeds R4 at once, R2 after the walk,
+    // of each one it prices, priced once, feeds R4 at once, R2 after the walk,
     // and R3 (from the id's last job) through the per-node intervals.
     let severity = if opts.dependency_aware { Severity::Error } else { Severity::Warning };
     let mean = cluster.mean_rate();
@@ -285,10 +271,11 @@ pub fn check_schedule(
         });
         placed.clear();
         placed.resize(n, None);
-        let (from, to) = (bucket[g as usize] as usize, bucket[g as usize + 1] as usize);
+        let from = by_group.partition_point(|&at| group[at as usize] < g);
+        let to = by_group.partition_point(|&at| group[at as usize] <= g);
         for &at in &by_group[from..to] {
             let a = &s.assignments[at as usize];
-            if a.task.idx() >= n || a.node.idx() >= nodes {
+            if !priced(a, job) {
                 continue;
             }
             let finish = a.planned_finish(job, cluster);
@@ -330,6 +317,7 @@ pub fn check_schedule(
             }
         }
     }
+    debug_assert_eq!(fill[..nodes], on_node[1..], "R3 filed the intervals it counted");
 
     // R3: per node, arrivals by (start, schedule order) merged with the
     // departures, a departure first at a tie.
