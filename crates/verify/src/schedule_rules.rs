@@ -237,19 +237,30 @@ pub fn check_schedule(
     // An assignment a job prices: a task the job has, on a real node. R3's
     // intervals are the assignments each id's last job prices.
     let priced = |a: &Assignment, job: &Job| a.node.idx() < nodes && a.task.idx() < job.num_tasks();
-    // The assignments by group, in schedule order within a group, and R3's
-    // intervals counted per node.
-    let mut by_group: Vec<u32> =
-        (0..s.len() as u32).filter(|&at| group[at as usize] != NO_GROUP).collect();
-    by_group.sort_by_key(|&at| group[at as usize]);
+    // Bucket the assignments by group in schedule order, and count R3's
+    // intervals per node. A counting sort: a stable comparison sort in its
+    // place made `sim_paper`'s `finish_s` 6 % and `matrix_grid`'s 12 %
+    // slower (2-vCPU Xeon).
+    let mut bucket = vec![0u32; groups.len() + 1];
     let mut on_node = vec![0u32; nodes + 1];
     for (a, &g) in s.assignments.iter().zip(&group) {
-        if g != NO_GROUP && priced(a, &jobs[groups[g as usize].last]) {
-            on_node[a.node.idx() + 1] += 1;
+        if g != NO_GROUP {
+            bucket[g as usize + 1] += 1;
+            if priced(a, &jobs[groups[g as usize].last]) {
+                on_node[a.node.idx() + 1] += 1;
+            }
         }
     }
-    for i in 1..on_node.len() {
-        on_node[i] += on_node[i - 1];
+    for counts in [&mut bucket, &mut on_node] {
+        for i in 1..counts.len() {
+            counts[i] += counts[i - 1];
+        }
+    }
+    let mut by_group = vec![0u32; bucket[groups.len()] as usize];
+    let mut next = bucket.clone();
+    for (at, &g) in group.iter().enumerate().filter(|&(_, &g)| g != NO_GROUP) {
+        by_group[next[g as usize] as usize] = at as u32;
+        next[g as usize] += 1;
     }
 
     // One walk per job over its group's assignments: the planned finish
@@ -271,8 +282,7 @@ pub fn check_schedule(
         });
         placed.clear();
         placed.resize(n, None);
-        let from = by_group.partition_point(|&at| group[at as usize] < g);
-        let to = by_group.partition_point(|&at| group[at as usize] <= g);
+        let (from, to) = (bucket[g as usize] as usize, bucket[g as usize + 1] as usize);
         for &at in &by_group[from..to] {
             let a = &s.assignments[at as usize];
             if !priced(a, job) {
